@@ -2,12 +2,24 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/algo"
+	"repro/internal/balance"
+	"repro/internal/checkpoint"
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/partition"
+	"repro/internal/platform"
+	"repro/internal/scene"
 )
 
 // update rewrites the golden files instead of comparing against them:
@@ -93,4 +105,134 @@ func TestGoldenThunderhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "golden_thunderhead.json", res)
+}
+
+// scheduleCell is one pinned run of TestGoldenSchedules: the root
+// timeline, every rank's completion time, the schedule's own accounting
+// and a digest of the detection/classification it returned.
+type scheduleCell struct {
+	Name          string
+	WallTime      float64
+	Com, Seq, Par float64
+	ProcTimes     []float64
+	Result        string
+
+	BalanceChunks   int     `json:",omitempty"`
+	StealEvents     int     `json:",omitempty"`
+	ReassignedLines int     `json:",omitempty"`
+	EstimatorDrift  float64 `json:",omitempty"`
+
+	CheckpointSaves    int     `json:",omitempty"`
+	CheckpointOverhead float64 `json:",omitempty"`
+	ResumedFromRound   int     `json:",omitempty"`
+
+	Imbalance  []float64        `json:",omitempty"`
+	Rebalanced []bool           `json:",omitempty"`
+	MovedRows  []int            `json:",omitempty"`
+	FinalSpans []partition.Span `json:",omitempty"`
+}
+
+func cellOf(t *testing.T, name string, rep *core.RunReport) scheduleCell {
+	t.Helper()
+	var result any = rep.Classification
+	if rep.Detection != nil {
+		result = rep.Detection
+	}
+	b, err := json.Marshal(result)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return scheduleCell{
+		Name: name, WallTime: rep.WallTime, Com: rep.Com, Seq: rep.Seq, Par: rep.Par,
+		ProcTimes: rep.ProcTimes, Result: fmt.Sprintf("%x", sha256.Sum256(b)),
+		BalanceChunks: rep.BalanceChunks, StealEvents: rep.StealEvents,
+		ReassignedLines: rep.ReassignedLines, EstimatorDrift: rep.EstimatorDrift,
+		CheckpointSaves: rep.CheckpointSaves, CheckpointOverhead: rep.CheckpointOverhead,
+		ResumedFromRound: rep.ResumedFromRound,
+	}
+}
+
+// snapshotLog keeps every snapshot a run saved, so a later run can be
+// seeded from a mid-run round boundary.
+type snapshotLog struct {
+	checkpoint.MemStore
+	snaps []checkpoint.Snapshot
+}
+
+func (l *snapshotLog) Save(s checkpoint.Snapshot) error {
+	l.snaps = append(l.snaps, s)
+	return l.MemStore.Save(s)
+}
+
+// TestGoldenSchedules pins what the table goldens do not: the balanced
+// schedule (clean and under the BenchmarkBalance drift plan), the
+// adaptive schedule on all four UMD networks, and checkpointed and
+// resumed runs of the static and balanced schedules.
+func TestGoldenSchedules(t *testing.T) {
+	cfg := scene.Config{Lines: 256, Samples: 16, Bands: 24, Seed: 20010916}
+	sc, err := scene.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := scaledParams(core.DefaultParams(), cfg)
+	drift := clean
+	drift.Faults = &fault.Plan{Degrades: []fault.Degrade{
+		{Rank: 5, From: 0, To: math.Inf(1), Factor: 6, Attempt: -1},
+	}}
+	balanced := core.WithBalance(context.Background(), balance.DefaultPolicy())
+	var cells []scheduleCell
+
+	for _, net := range []*platform.Network{platform.FullyHeterogeneous(), platform.FullyHomogeneous()} {
+		for _, sp := range []struct {
+			name   string
+			params core.Params
+		}{{"clean", clean}, {"drift", drift}} {
+			for _, alg := range core.Algorithms {
+				name := fmt.Sprintf("balanced/%s/%s/%s", net.Name, sp.name, alg)
+				rep, err := core.RunContext(balanced, net, alg, core.Hetero, sc.Cube, sp.params)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				cells = append(cells, cellOf(t, name, rep))
+			}
+		}
+	}
+
+	for _, net := range platform.UMDNetworks() {
+		name := "adaptive/" + net.Name
+		rep, err := core.RunAdaptive(net, sc.Cube, clean, algo.AdaptiveOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cell := cellOf(t, name, &rep.RunReport)
+		cell.Imbalance, cell.Rebalanced = rep.Trace.Imbalance, rep.Trace.Rebalanced
+		cell.MovedRows, cell.FinalSpans = rep.Trace.MovedRows, rep.Trace.FinalSpans
+		cells = append(cells, cell)
+	}
+
+	net := platform.FullyHeterogeneous()
+	for _, mode := range []struct {
+		name string
+		ctx  context.Context
+	}{{"static", context.Background()}, {"balanced", balanced}} {
+		for _, alg := range core.Algorithms {
+			log := &snapshotLog{}
+			name := fmt.Sprintf("checkpointed/%s/%s", mode.name, alg)
+			rep, err := core.RunContext(core.WithCheckpointer(mode.ctx, log), net, alg, core.Hetero, sc.Cube, clean)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			cells = append(cells, cellOf(t, name, rep))
+
+			mid := &checkpoint.MemStore{}
+			mid.Seed(&log.snaps[len(log.snaps)/2])
+			name = fmt.Sprintf("resumed/%s/%s", mode.name, alg)
+			rep, err = core.RunContext(core.WithCheckpointer(mode.ctx, mid), net, alg, core.Hetero, sc.Cube, clean)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			cells = append(cells, cellOf(t, name, rep))
+		}
+	}
+	goldenCompare(t, "golden_schedules.json", cells)
 }
