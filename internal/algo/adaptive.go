@@ -3,6 +3,7 @@ package algo
 import (
 	"sort"
 
+	"repro/internal/balance"
 	"repro/internal/cube"
 	"repro/internal/mpi"
 	"repro/internal/partition"
@@ -47,12 +48,12 @@ type AdaptiveTrace struct {
 	FinalSpans []partition.Span
 }
 
-// roundReport is a worker's per-round measurement piggybacked on its
-// candidate.
+// roundReport is a worker's per-phase measurement piggybacked on its
+// partial.
 type roundReport struct {
-	cand candidate
-	busy float64 // busy seconds spent in this round's scan
-	rows int
+	payload any
+	busy    float64 // busy seconds spent in this phase's work
+	rows    int
 }
 
 // adaptiveUpdate is the master's per-round instruction to one worker: the
@@ -65,127 +66,103 @@ type adaptiveUpdate struct {
 // ATDCAAdaptive runs ATDCA with measurement-driven dynamic load
 // balancing. It must run inside an mpi program; f is required at the
 // root. The result and trace are returned at the root; other ranks return
-// nils.
+// nils. The schedule keeps its own partition state, so params.Checkpoint
+// and params.Balance do not apply and are ignored.
 func ATDCAAdaptive(c *mpi.Comm, f *cube.Cube, params DetectionParams, opts AdaptiveOptions) (*DetectionResult, *AdaptiveTrace, error) {
-	t := params.Targets
-	if c.Root() {
-		if err := validateTargets(f, t); err != nil {
-			return nil, nil, err
+	params.Checkpoint, params.Balance = nil, nil
+	var a *adaptiveSchedule
+	res, err := detectRounds(c, f, params, atdcaDetector, func() (schedule, error) {
+		// Start from equal shares: the platform's speeds are treated as
+		// unknown.
+		st, err := newStaticSchedule(c, f, partition.Homogeneous{}, 0)
+		if err != nil {
+			return nil, err
 		}
-	}
-	// Start from equal shares: the platform's speeds are treated as
-	// unknown.
-	part, spans, geom, err := ScatterCube(c, f, partition.Homogeneous{}, 0)
-	if err != nil {
+		a = &adaptiveSchedule{staticSchedule: *st, scene: f, opts: opts}
+		return a, nil
+	})
+	if err != nil || !c.Root() {
 		return nil, nil, err
 	}
-	bands := geom[2]
-	samples := geom[1]
-
-	// Round 0: brightest pixel, with busy-time measurement.
-	busy0 := c.Clock().Busy()
-	cand := localBrightest(c, part)
-	report := roundReport{cand: cand, busy: c.Clock().Busy() - busy0, rows: part.Owned.Len()}
-	reports := mpi.GatherAs(c, 0, tagCandidate, report, candidateBytes(bands)+16)
-
-	var res *DetectionResult
-	var trace *AdaptiveTrace
-	var u uMatrix
-	if c.Root() {
-		res = &DetectionResult{}
-		trace = &AdaptiveTrace{}
-		best := pickBrightest(c, candsOf(reports))
-		res.Targets = append(res.Targets, best)
-		u.rows = append(u.rows, toF64(best.Signature))
-	}
-	part, spans, u = adaptiveRedistribute(c, f, spans, part, reports, u, bands, samples, opts, trace)
-
-	for round := 1; round < t; round++ {
-		busy0 := c.Clock().Busy()
-		cand, err := localMaxProjection(c, part, u, bands)
-		if err != nil {
-			return nil, nil, err
-		}
-		report := roundReport{cand: cand, busy: c.Clock().Busy() - busy0, rows: part.Owned.Len()}
-		reports := mpi.GatherAs(c, 0, tagCandidate, report, candidateBytes(bands)+16)
-		if c.Root() {
-			best, err := pickMaxProjection(c, candsOf(reports), u, bands, params.eqBands(bands))
-			if err != nil {
-				return nil, nil, err
-			}
-			res.Targets = append(res.Targets, best)
-			u.rows = append(u.rows, toF64(best.Signature))
-		}
-		part, spans, u = adaptiveRedistribute(c, f, spans, part, reports, u, bands, samples, opts, trace)
-	}
-	if c.Root() {
-		trace.FinalSpans = spans
-	}
-	return res, trace, nil
+	a.trace.FinalSpans = a.spans
+	return res, &a.trace, nil
 }
 
-func candsOf(reports []roundReport) []candidate {
-	if reports == nil {
-		return nil
-	}
-	out := make([]candidate, len(reports))
-	for i, r := range reports {
-		out[i] = r.cand
-	}
-	return out
+// adaptiveSchedule is the static schedule with two additions: every phase
+// measures each rank's busy time around its work, and publishing the next
+// U re-partitions the scene when the measurements are out of balance.
+type adaptiveSchedule struct {
+	staticSchedule
+	scene   *cube.Cube // root only
+	opts    AdaptiveOptions
+	reports []roundReport // root only: the last phase's measurements
+	trace   AdaptiveTrace
 }
 
-// adaptiveRedistribute decides at the root whether the measured busy
-// times warrant a re-partition, then sends every worker its next-round
-// update (new U, and its partition — unchanged or moved). The transfer
-// cost charged per worker is the U matrix plus the rows it did not
-// already hold.
-func adaptiveRedistribute(c *mpi.Comm, f *cube.Cube, spans []partition.Span, part LocalPart,
-	reports []roundReport, u uMatrix, bands, samples int,
-	opts AdaptiveOptions, trace *AdaptiveTrace) (LocalPart, []partition.Span, uMatrix) {
+func (a *adaptiveSchedule) run(ph phase, work balance.Work) []balance.Partial {
+	ph.idleBytes += 16
+	parts := a.staticSchedule.run(ph, func(view *cube.Cube, owned, halo partition.Span) (any, int) {
+		busy0 := a.c.Clock().Busy()
+		payload, bytes := work(view, owned, halo)
+		return roundReport{payload: payload, busy: a.c.Clock().Busy() - busy0, rows: owned.Len()}, bytes + 16
+	})
+	a.reports = a.reports[:0]
+	for i := range parts {
+		rep := payloadOf[roundReport](parts[i])
+		a.reports = append(a.reports, rep)
+		parts[i].Payload = rep.payload
+	}
+	return parts
+}
 
+// publish decides at the root whether the measured busy times warrant a
+// re-partition, then sends every worker its next-round update (new U, and
+// its partition — unchanged or moved). The transfer cost charged per
+// worker is the U matrix plus the rows it did not already hold.
+func (a *adaptiveSchedule) publish(u uMatrix) uMatrix {
+	c := a.c
+	_, samples, bands := a.shape()
 	if !c.Root() {
 		upd := mpi.RecvAs[adaptiveUpdate](c, 0, tagBroadcast)
-		return upd.part, nil, upd.u
+		a.part, a.own = upd.part, upd.part.Cube
+		return upd.u
 	}
 
 	// Measure imbalance over workers that actually had rows.
-	imb, speeds := measureRound(reports)
-	rebalance := imb > opts.threshold()
-	newSpans := spans
+	imb, speeds := measureRound(a.reports)
+	rebalance := imb > a.opts.threshold()
+	newSpans := a.spans
 	if rebalance {
-		counts := apportionRows(lastLine(spans), speeds)
+		counts := apportionRows(lastLine(a.spans), speeds)
 		newSpans = spansFromCounts(counts)
 		// Re-partitioning is master bookkeeping.
-		c.ComputeFixed(float64(len(spans))*20, vtime.Seq)
+		c.ComputeFixed(float64(len(a.spans))*20, vtime.Seq)
 	}
 	moved := 0
-	var mine LocalPart
 	for r := 0; r < c.Size(); r++ {
 		span := newSpans[r]
 		np := LocalPart{Owned: span, Halo: span}
 		if span.Len() > 0 {
-			view, err := f.Rows(span.Lo, span.Hi)
+			view, err := a.scene.Rows(span.Lo, span.Hi)
 			if err != nil {
 				panic(err)
 			}
 			np.Cube = view
 		}
 		if r == 0 {
-			mine = np
+			a.part, a.own = np, np.Cube
 			continue
 		}
-		newRows := rowsNotIn(span, spans[r])
+		newRows := rowsNotIn(span, a.spans[r])
 		moved += newRows
 		bytes := u.bytes(bands) + int(float64(newRows*samples*bands*4)*c.DataScale())
 		c.Send(r, tagBroadcast, adaptiveUpdate{u: u, part: np}, bytes)
 	}
-	if trace != nil {
-		trace.Imbalance = append(trace.Imbalance, imb)
-		trace.Rebalanced = append(trace.Rebalanced, rebalance)
-		trace.MovedRows = append(trace.MovedRows, moved)
-	}
-	return mine, newSpans, u
+	a.spans = newSpans
+	a.trace.Imbalance = append(a.trace.Imbalance, imb)
+	a.trace.Rebalanced = append(a.trace.Rebalanced, rebalance)
+	a.trace.MovedRows = append(a.trace.MovedRows, moved)
+	return u
 }
 
 // measureRound returns the busy-time imbalance across row-holding workers

@@ -5,14 +5,38 @@
 //   - a plain sequential implementation, the baseline the paper times on a
 //     single Thunderhead processor (Tables 3-4);
 //   - a master/worker parallel implementation running on the simulated
-//     message-passing cluster of package mpi. The heterogeneous and
-//     homogeneous variants of each parallel algorithm differ only in the
-//     partitioning strategy (WEA vs equal shares), exactly as in the paper.
+//     message-passing cluster of package mpi.
+//
+// Every parallel implementation is one body: a sequence of phases (per-
+// span work over the scene's lines, folded by the master in span order)
+// handed to a schedule, which alone decides how lines reach processors
+// (rounds.go). There are three schedules, each best somewhere:
+//
+//   - static: one scatter under a partitioning strategy, a rank-order
+//     gather per phase. The heterogeneous and homogeneous variants differ
+//     only in the strategy (WEA vs equal shares), exactly as in the paper;
+//     with accurate cycle-times WEA is the fastest schedule.
+//   - balanced (Params.Balance): the demand-driven chunk protocol of
+//     package balance, which sheds work from a processor that runs slower
+//     than its model says. Chunk-insensitive phases — the detectors'
+//     argmax scans and the classifiers' per-pixel labeling — run as guided
+//     chunks; partition-sensitive numerics (PCT's unique sets, mean and
+//     covariance sums; MORPH's AMEE candidate selection) are pinned to the
+//     static spans, handed out whole, so results stay bit-identical.
+//   - adaptive (ATDCAAdaptive): equal initial shares re-partitioned
+//     between detection rounds from measured busy times, for a platform
+//     whose speeds are not known at all.
+//
+// The detectors share one round loop parameterised by the round's scoring
+// criterion. PCT is the one place a body asks which schedule it runs
+// under: the paper's static protocol gathers its statistics in three
+// messages and routes the reduced cube through the master, which a
+// demand-driven grant makes unnecessary.
 //
 // All parallel implementations are deterministic: given the same scene,
 // parameters and platform they return identical results and identical
 // virtual timings on every run, and their detections/classifications match
-// the sequential implementations.
+// the sequential implementations under every schedule.
 package algo
 
 import (
@@ -171,31 +195,22 @@ func ScatterCube(c *mpi.Comm, f *cube.Cube, strat partition.Strategy, halo int) 
 // their owned-span labels; the root passes its own and receives the rest
 // in rank order. Returns the assembled image at root, nil elsewhere.
 func GatherLabels(c *mpi.Comm, spans []partition.Span, samples int, local []int) []int {
-	bytes := int(8 * float64(len(local)) * c.DataScale())
-	gathered := mpi.GatherAs(c, 0, tagLabels, local, bytes)
+	parts := gatherSpans(c, spans, tagLabels, local, int(8*float64(len(local))*c.DataScale()))
 	if !c.Root() {
 		return nil
 	}
-	lines := spans[len(spans)-1].Hi
-	out := make([]int, lines*samples)
-	for r, lab := range gathered {
-		span := spans[r]
-		if len(lab) != span.Len()*samples {
-			panic(fmt.Sprintf("algo: rank %d sent %d labels for %d pixels", r, len(lab), span.Len()*samples))
-		}
-		copy(out[span.Lo*samples:span.Hi*samples], lab)
-	}
-	// Assembling the final 2-D classification matrix at the master.
-	c.Compute(float64(len(out)), vtime.Seq)
-	return out
+	return assembleLabels(c, parts, lastLine(spans), samples)
 }
 
-// candidate is a worker's best local pixel for one selection round.
+// candidate is a span's proposal for one selection round: its champion
+// pixel (valid), nothing when no pixel scored, or the error that stopped
+// the scan.
 type candidate struct {
 	line, sample int // global coordinates
 	score        float64
 	sig          []float32
 	valid        bool
+	err          error
 }
 
 func candidateBytes(bands int) int { return 4*bands + 24 }

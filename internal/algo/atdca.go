@@ -7,7 +7,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mpi"
 	"repro/internal/partition"
-	"repro/internal/vtime"
 )
 
 // This file implements the Automated Target Detection and Classification
@@ -61,82 +60,38 @@ func ATDCASequential(f *cube.Cube, t int) (*DetectionResult, error) {
 // mpi program; f is required at the root and ignored elsewhere. The
 // result is returned at the root; other ranks return nil.
 func ATDCAParallel(c *mpi.Comm, f *cube.Cube, params DetectionParams, strat partition.Strategy) (*DetectionResult, error) {
-	if params.Balance != nil {
-		return atdcaBalanced(c, f, params)
-	}
-	t := params.Targets
-	if c.Root() {
-		if err := validateTargets(f, t); err != nil {
-			return nil, err
-		}
-	}
-	part, _, geom, err := ScatterCube(c, f, strat, 0)
+	return detectRounds(c, f, params, atdcaDetector, func() (schedule, error) {
+		return newSchedule(c, f, strat, 0, params.Balance)
+	})
+}
+
+var atdcaDetector = detector{key: ckptATDCA, round: projectionCriterion}
+
+// projectionCriterion scores a pixel by the norm of its projection onto
+// the orthogonal complement of span(U). Every rank materializes the dense
+// projector P⊥_U once per round; the master re-applying it to the
+// champions is the compute-intensive sequential step the paper calls out
+// for ATDCA.
+func projectionCriterion(u uMatrix, bands, eqBands int) (criterion, error) {
+	proj, err := linalg.NewOSP(u.mat(bands))
 	if err != nil {
-		return nil, err
+		return criterion{}, err
 	}
-	bands := geom[2]
-
-	var res *DetectionResult
-	var u uMatrix
-	start := 0
-	if c.Root() {
-		if targets := restoreTargets(c, params.Checkpoint, ckptATDCA, t); len(targets) > 0 {
-			res = &DetectionResult{Targets: targets}
-			for _, tg := range targets {
-				u.rows = append(u.rows, toF64(tg.Signature))
+	dense, t := proj.Dense(), len(u.rows)
+	return criterion{
+		setup: linalg.FlopsOSPDenseBuild(t, bands), each: linalg.FlopsOSPDenseApply(bands),
+		mSetup: linalg.FlopsOSPDenseBuild(t, eqBands), mEach: linalg.FlopsOSPDenseApply(eqBands),
+		best: func(view *cube.Cube) (int, float64, error) {
+			best, bestScore := -1, -1.0
+			for p := 0; p < view.NumPixels(); p++ {
+				if s := linalg.DenseScore(dense, view.PixelAt(p)); s > bestScore {
+					best, bestScore = p, s
+				}
 			}
-			start = len(targets)
-		}
-	}
-	if params.Checkpoint != nil {
-		// Workers learn the master's resume round so every rank executes
-		// the same remaining protocol rounds.
-		start = syncResume(c, start)
-	}
-
-	if start == 0 {
-		// Round 0: brightest pixel. Workers scan their partitions in
-		// parallel and send their champion to the master.
-		cand := localBrightest(c, part)
-		cands := mpi.GatherAs(c, 0, tagCandidate, cand, candidateBytes(bands))
-		if c.Root() {
-			res = &DetectionResult{}
-			// The master re-applies the brightness criterion to the
-			// candidates (argmax over the spatial locations provided by the
-			// workers) — sequential work at the root.
-			best := pickBrightest(c, cands)
-			res.Targets = append(res.Targets, best)
-			u.rows = append(u.rows, toF64(best.Signature))
-			if err := saveTargets(c, params.Checkpoint, ckptATDCA, res.Targets); err != nil {
-				return nil, err
-			}
-		}
-		start = 1
-	}
-	u = broadcastU(c, u, bands)
-
-	for round := start; round < t; round++ {
-		// Workers: build the projector for the current U and scan the
-		// local partition for the maximum orthogonal projection.
-		cand, err := localMaxProjection(c, part, u, bands)
-		if err != nil {
-			return nil, err
-		}
-		cands := mpi.GatherAs(c, 0, tagCandidate, cand, candidateBytes(bands))
-		if c.Root() {
-			best, err := pickMaxProjection(c, cands, u, bands, params.eqBands(bands))
-			if err != nil {
-				return nil, err
-			}
-			res.Targets = append(res.Targets, best)
-			u.rows = append(u.rows, toF64(best.Signature))
-			if err := saveTargets(c, params.Checkpoint, ckptATDCA, res.Targets); err != nil {
-				return nil, err
-			}
-		}
-		u = broadcastU(c, u, bands)
-	}
-	return res, nil
+			return best, bestScore, nil
+		},
+		score: func(sig []float32) (float64, error) { return linalg.DenseScore(dense, sig), nil },
+	}, nil
 }
 
 func validateTargets(f *cube.Cube, t int) error {
@@ -160,114 +115,4 @@ func appendTarget(res *DetectionResult, f *cube.Cube, p int, score float64) {
 	sig := make([]float32, f.Bands)
 	copy(sig, f.PixelAt(p))
 	res.Targets = append(res.Targets, Target{Line: l, Sample: s, Score: score, Signature: sig})
-}
-
-// localBrightest scans the owned lines for the maximum F^T F pixel.
-func localBrightest(c *mpi.Comm, part LocalPart) candidate {
-	own, err := part.OwnedView()
-	if err != nil || own == nil {
-		return candidate{}
-	}
-	best, bestScore := -1, -1.0
-	for p := 0; p < own.NumPixels(); p++ {
-		if s := own.Brightness(p); s > bestScore {
-			best, bestScore = p, s
-		}
-	}
-	c.Compute(float64(own.NumPixels())*linalg.FlopsDot(own.Bands), vtime.Par)
-	l, s := own.Coord(best)
-	sig := make([]float32, own.Bands)
-	copy(sig, own.PixelAt(best))
-	return candidate{line: l + part.Owned.Lo, sample: s, score: bestScore, sig: sig, valid: true}
-}
-
-// pickBrightest selects the global brightest among the candidates,
-// re-evaluating the criterion at the master (sequential computation).
-func pickBrightest(c *mpi.Comm, cands []candidate) Target {
-	best := -1
-	bestScore := -1.0
-	for i, cd := range cands {
-		if !cd.valid {
-			continue
-		}
-		var s float64
-		for _, x := range cd.sig {
-			s += float64(x) * float64(x)
-		}
-		c.ComputeFixed(linalg.FlopsDot(len(cd.sig)), vtime.Seq)
-		if s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	if best < 0 {
-		panic("algo: no valid brightness candidates")
-	}
-	cd := cands[best]
-	return Target{Line: cd.line, Sample: cd.sample, Score: bestScore, Signature: cd.sig}
-}
-
-// broadcastU distributes the current target matrix from the root.
-func broadcastU(c *mpi.Comm, u uMatrix, bands int) uMatrix {
-	out := c.Bcast(0, tagBroadcast, u, u.bytes(bands))
-	return out.(uMatrix)
-}
-
-// localMaxProjection builds P⊥_U and scans the owned lines for the pixel
-// maximizing the projection norm.
-func localMaxProjection(c *mpi.Comm, part LocalPart, u uMatrix, bands int) (candidate, error) {
-	own, err := part.OwnedView()
-	if err != nil {
-		return candidate{}, err
-	}
-	if own == nil {
-		return candidate{}, nil
-	}
-	proj, err := linalg.NewOSP(u.mat(bands))
-	if err != nil {
-		return candidate{}, err
-	}
-	t := len(u.rows)
-	dense := proj.Dense()
-	c.ComputeFixed(linalg.FlopsOSPDenseBuild(t, bands), vtime.Par)
-	best, bestScore := -1, -1.0
-	for p := 0; p < own.NumPixels(); p++ {
-		if s := linalg.DenseScore(dense, own.PixelAt(p)); s > bestScore {
-			best, bestScore = p, s
-		}
-	}
-	c.Compute(float64(own.NumPixels())*linalg.FlopsOSPDenseApply(bands), vtime.Par)
-	l, s := own.Coord(best)
-	sig := make([]float32, own.Bands)
-	copy(sig, own.PixelAt(best))
-	return candidate{line: l + part.Owned.Lo, sample: s, score: bestScore, sig: sig, valid: true}, nil
-}
-
-// pickMaxProjection applies P⊥_U to the candidate pixels at the master
-// and selects the maximum — the compute-intensive sequential step the
-// paper calls out for ATDCA. The fixed charges use eqBands so reduced
-// scenes keep the full problem's master-side sequential weight.
-func pickMaxProjection(c *mpi.Comm, cands []candidate, u uMatrix, bands, eqBands int) (Target, error) {
-	proj, err := linalg.NewOSP(u.mat(bands))
-	if err != nil {
-		return Target{}, err
-	}
-	t := len(u.rows)
-	dense := proj.Dense()
-	c.ComputeFixed(linalg.FlopsOSPDenseBuild(t, eqBands), vtime.Seq)
-	best, bestScore := -1, -1.0
-	for i, cd := range cands {
-		if !cd.valid {
-			continue
-		}
-		s := linalg.DenseScore(dense, cd.sig)
-		c.ComputeFixed(linalg.FlopsOSPDenseApply(eqBands), vtime.Seq)
-		if s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	if best < 0 {
-		return Target{}, fmt.Errorf("algo: no valid projection candidates")
-	}
-	cd := cands[best]
-	return Target{Line: cd.line, Sample: cd.sample, Score: bestScore, Signature: cd.sig}, nil
 }

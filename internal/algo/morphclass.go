@@ -296,19 +296,16 @@ func MorphSequential(f *cube.Cube, params MorphParams) (*ClassificationResult, e
 // version). It must run inside an mpi program; f is required at the root.
 // The result is returned at the root; other ranks return nil.
 func MorphParallel(c *mpi.Comm, f *cube.Cube, params MorphParams, strat partition.Strategy) (*ClassificationResult, error) {
-	if params.Balance != nil {
-		return morphBalanced(c, f, params)
-	}
 	if c.Root() {
 		if err := params.validate(f); err != nil {
 			return nil, err
 		}
 	}
-	part, spans, geom, err := ScatterCube(c, f, strat, params.Halo())
+	s, err := newSchedule(c, f, strat, params.Halo(), params.Balance)
 	if err != nil {
 		return nil, err
 	}
-	samples := geom[1]
+	lines, samples, bands := s.shape()
 
 	// Resume: a valid phase snapshot carries the fused endmember set of
 	// step 3, so the run skips the AMEE iterations — by far the heaviest
@@ -316,7 +313,7 @@ func MorphParallel(c *mpi.Comm, f *cube.Cube, params MorphParams, strat partitio
 	var endmembers [][]float32
 	resumed := 0
 	if c.Root() {
-		if em, ok := restoreEndmembers(c, params.Checkpoint, geom[2]); ok {
+		if em, ok := restoreEndmembers(c, params.Checkpoint, bands); ok {
 			endmembers, resumed = em, 1
 		}
 	}
@@ -324,101 +321,85 @@ func MorphParallel(c *mpi.Comm, f *cube.Cube, params MorphParams, strat partitio
 		resumed = syncResume(c, resumed)
 	}
 	if resumed == 0 {
-		endmembers, err = morphComputePhase(c, part, params, geom)
-		if err != nil {
-			return nil, err
-		}
+		// Step 2: AMEE on every span including its overlap borders
+		// (redundant computation instead of communication). Candidate
+		// selection depends on the span's shape, so the phase is pinned.
+		window := float64((2*params.Radius + 1) * (2*params.Radius + 1))
+		amee := phase{tag: tagCandidate, halo: true, pinned: true,
+			fpl: float64(samples) * float64(params.Iterations) * window * spectral.FlopsSAD(bands)}
+		parts := s.run(amee, func(view *cube.Cube, owned, halo partition.Span) (any, int) {
+			cands := ameeCandidates(c, view, owned, halo, params)
+			return cands, len(cands) * candidateBytes(bands)
+		})
+		// Step 3: the master forms the unique set from the candidates, in
+		// span order.
 		if c.Root() {
+			var flat []candidate
+			for _, p := range parts {
+				flat = append(flat, payloadOf[[]candidate](p)...)
+			}
+			var calls int
+			endmembers, calls = fuseCandidates(flat, params.Classes, params.fuseTheta())
+			c.ComputeFixed(float64(calls)*spectral.FlopsSAD(bands), vtime.Seq)
+			if len(endmembers) == 0 {
+				return nil, fmt.Errorf("algo: no endmembers found")
+			}
 			if err := saveEndmembers(c, params.Checkpoint, endmembers); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	// Step 4: broadcast the unique set; every worker labels its owned
-	// pixels by SAD.
+	// Step 4: broadcast the unique set; every pixel is labeled by SAD.
 	var emBytes int
 	if c.Root() {
-		emBytes = len(endmembers) * 4 * geom[2]
+		emBytes = len(endmembers) * 4 * bands
 	}
-	emAny := c.Bcast(0, tagBroadcast, endmembers, emBytes)
-	endmembers = emAny.([][]float32)
-
-	var localLabels []int
-	own, err := part.OwnedView()
-	if err != nil {
-		return nil, err
-	}
-	if own != nil {
-		var flops float64
-		localLabels, flops = labelBySAD(own, endmembers)
+	endmembers = c.Bcast(0, tagBroadcast, endmembers, emBytes).([][]float32)
+	label := phase{tag: tagLabels, fpl: float64(samples) * float64(len(endmembers)) * spectral.FlopsSAD(bands)}
+	parts := s.run(label, func(view *cube.Cube, _, _ partition.Span) (any, int) {
+		labels, flops := labelBySAD(view, endmembers)
 		c.Compute(flops, vtime.Par)
-	}
+		return labels, int(8 * float64(len(labels)) * c.DataScale())
+	})
 
-	// Step 5: gather the labels into the final classification matrix.
-	labels := GatherLabels(c, spans, samples, localLabels)
+	// Step 5: the master assembles the final classification matrix.
 	if !c.Root() {
 		return nil, nil
 	}
-	return &ClassificationResult{Labels: labels, Classes: endmembers}, nil
+	return &ClassificationResult{Labels: assembleLabels(c, parts, lines, samples), Classes: endmembers}, nil
 }
 
-// morphComputePhase runs steps 2-3 of Algorithm 5 — the AMEE iterations
-// and the master's candidate fusion — returning the fused endmember set at
-// the root (nil elsewhere).
-func morphComputePhase(c *mpi.Comm, part LocalPart, params MorphParams, geom [3]int) ([][]float32, error) {
+// ameeCandidates runs the AMEE iterations over view — the lines of halo,
+// which contains owned — and proposes the span's endmember candidates in
+// global coordinates.
+func ameeCandidates(c *mpi.Comm, view *cube.Cube, owned, halo partition.Span, params MorphParams) []candidate {
+	// Candidates come only from the owned interior so neighbouring spans
+	// never propose the same pixel; MEIRange also shrinks the computed halo
+	// region as the morphological reach decays.
+	loLocal := owned.Lo - halo.Lo
+	hiLocal := loLocal + owned.Len()
 	se := morph.Square(params.Radius)
-
-	// Step 2: AMEE on the local partition including the overlap borders
-	// (redundant computation instead of communication).
-	var localCands []candidate
-	if part.Cube != nil && part.Owned.Len() > 0 {
-		// Candidates come only from the owned interior so neighbouring
-		// workers never propose the same pixel; MEIRange also shrinks the
-		// computed halo region as the morphological reach decays.
-		loLocal := part.Owned.Lo - part.Halo.Lo
-		hiLocal := loLocal + part.Owned.Len()
-		var res *morph.MEIResult
-		if params.MinimalHalo {
-			// The halo is only one kernel radius deep: iterate over the
-			// whole local slice, accepting stale edge values on later
-			// iterations.
-			res = morph.MEI(part.Cube, se, params.Iterations)
-		} else {
-			res = morph.MEIRange(part.Cube, se, params.Iterations, loLocal, hiLocal)
-		}
-		c.Compute(res.Flops, vtime.Par)
-		var calls int
-		localCands, calls = selectCandidates(res.Final, res.Scores, loLocal, hiLocal, 6*params.Classes, params.Theta)
-		c.ComputeFixed(float64(calls)*spectral.FlopsSAD(part.Cube.Bands), vtime.Par)
-		own, err := part.OwnedView()
-		if err != nil {
-			return nil, err
-		}
-		var supportCalls int
-		localCands, supportCalls = filterBySupport(localCands, own,
-			params.supportRadius(), params.minSupportCount(own.NumPixels()), 3*params.Classes)
-		c.Compute(float64(supportCalls)*spectral.FlopsSAD(part.Cube.Bands), vtime.Par)
-		// Convert local line coordinates to global.
-		for i := range localCands {
-			localCands[i].line += part.Halo.Lo
-		}
+	var res *morph.MEIResult
+	if params.MinimalHalo {
+		// The halo is only one kernel radius deep: iterate over the whole
+		// local slice, accepting stale edge values on later iterations.
+		res = morph.MEI(view, se, params.Iterations)
+	} else {
+		res = morph.MEIRange(view, se, params.Iterations, loLocal, hiLocal)
 	}
-
-	// Step 3: the master gathers the candidates and forms the unique set.
-	all := mpi.GatherAs(c, 0, tagCandidate, localCands, len(localCands)*candidateBytes(geom[2]))
-	var endmembers [][]float32
-	if c.Root() {
-		var flat []candidate
-		for _, cs := range all {
-			flat = append(flat, cs...)
-		}
-		var calls int
-		endmembers, calls = fuseCandidates(flat, params.Classes, params.fuseTheta())
-		c.ComputeFixed(float64(calls)*spectral.FlopsSAD(geom[2]), vtime.Seq)
-		if len(endmembers) == 0 {
-			return nil, fmt.Errorf("algo: no endmembers found")
-		}
+	c.Compute(res.Flops, vtime.Par)
+	cands, calls := selectCandidates(res.Final, res.Scores, loLocal, hiLocal, 6*params.Classes, params.Theta)
+	c.ComputeFixed(float64(calls)*spectral.FlopsSAD(view.Bands), vtime.Par)
+	own, err := view.Rows(loLocal, hiLocal)
+	if err != nil {
+		panic(err) // owned lies inside halo by construction
 	}
-	return endmembers, nil
+	cands, calls = filterBySupport(cands, own,
+		params.supportRadius(), params.minSupportCount(own.NumPixels()), 3*params.Classes)
+	c.Compute(float64(calls)*spectral.FlopsSAD(view.Bands), vtime.Par)
+	for i := range cands {
+		cands[i].line += halo.Lo
+	}
+	return cands
 }

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cube"
@@ -122,4 +123,45 @@ func TestClassifiersSurviveNaNScene(t *testing.T) {
 		}
 		check(t, res, truth, 3)
 	})
+}
+
+// Regression: a NaN score never beats the running maximum, so a span
+// whose every pixel is corrupt has no champion — and the span scans used
+// to index pixel -1. Such a span must simply propose nothing: a stripe
+// covering one rank's whole share (and several whole guided chunks)
+// leaves the detections equal to the sequential run's, and a scene with
+// no finite pixel at all is an error, not a crash.
+func TestDetectorsSurviveNaNSpans(t *testing.T) {
+	net := testNet(t, 3)
+	nanLines := func(f *cube.Cube, lines int) *cube.Cube {
+		g := f.Clone()
+		for i := range g.Data[:lines*g.Samples*g.Bands] {
+			g.Data[i] = float32(math.NaN())
+		}
+		return g
+	}
+	sequential := map[string]func(*cube.Cube, int) (*DetectionResult, error){
+		ckptATDCA: ATDCASequential, ckptUFCLS: UFCLSSequential,
+	}
+	scene := testScene(t).Cube
+	stripe := nanLines(scene, scene.Lines/net.Size())
+	blank := nanLines(scene, scene.Lines)
+	for alg, seq := range sequential {
+		want, err := seq(stripe, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sch := range testSchedules {
+			got, _, _, err := runScheduled(t, net, stripe, alg, sch, nil)
+			if err != nil {
+				t.Errorf("%s/%s: NaN stripe: %v", alg, sch.name, err)
+			} else if !sameTargets(want.Targets, got.(*DetectionResult).Targets) {
+				t.Errorf("%s/%s: NaN stripe changed the detections", alg, sch.name)
+			}
+			_, _, _, err = runScheduled(t, net, blank, alg, sch, nil)
+			if err == nil || !strings.Contains(err.Error(), "finite score") {
+				t.Errorf("%s/%s: all-NaN scene: error %v, want the no-finite-score error", alg, sch.name, err)
+			}
+		}
+	}
 }

@@ -525,27 +525,38 @@ func (m pctBcastMsg) bytes() int {
 	return b
 }
 
+// pctStat is one span's contribution to the scene statistics: its merged
+// unique set (step 2) and the finite-pixel band sums behind the global
+// mean (step 4).
+type pctStat struct {
+	reps  []rep
+	sum   []float64
+	count int
+}
+
 // PCTParallel is the Hetero-PCT of Algorithm 4 (or its homogeneous
 // version). It must run inside an mpi program; f is required at the root.
 // The result is returned at the root; other ranks return nil.
+//
+// The static and balanced schedules run the same per-span work and the
+// same master folds, but not the same message sequence: the paper's
+// protocol gathers the unique sets, the mean sums and the pixel counts
+// separately and routes the reduced cube through the master, whereas a
+// demand-driven grant already carries the rows, so the balanced schedule
+// takes the statistics in one pass per span and transforms and classifies
+// each chunk in place.
 func PCTParallel(c *mpi.Comm, f *cube.Cube, params PCTParams, strat partition.Strategy) (*ClassificationResult, error) {
-	if params.Balance != nil {
-		return pctBalanced(c, f, params)
-	}
 	if c.Root() {
 		if err := params.validate(f); err != nil {
 			return nil, err
 		}
 	}
-	part, spans, geom, err := ScatterCube(c, f, strat, 0)
+	s, err := newSchedule(c, f, strat, 0, params.Balance)
 	if err != nil {
 		return nil, err
 	}
-	samples, bands := geom[1], geom[2]
-	own, err := part.OwnedView()
-	if err != nil {
-		return nil, err
-	}
+	_, chunked := s.(*balancedSchedule)
+	lines, samples, bands := s.shape()
 
 	// Resume: a valid phase snapshot carries the full step-7 state
 	// (transform, mean, reduced representatives, classes), so the run
@@ -562,7 +573,7 @@ func PCTParallel(c *mpi.Comm, f *cube.Cube, params PCTParams, strat partition.St
 		resumed = syncResume(c, resumed)
 	}
 	if resumed == 0 {
-		msg, err = pctComputePhase(c, own, params, bands)
+		msg, err = pctStatistics(c, s, params, chunked)
 		if err != nil {
 			return nil, err
 		}
@@ -576,108 +587,137 @@ func PCTParallel(c *mpi.Comm, f *cube.Cube, params PCTParams, strat partition.St
 	if c.Root() {
 		msgBytes = msg.bytes()
 	}
-	msgAny := c.Bcast(0, tagBroadcast, msg, msgBytes)
-	msg = msgAny.(pctBcastMsg)
+	msg = c.Bcast(0, tagBroadcast, msg, msgBytes).(pctBcastMsg)
 
-	// Step 8: every worker transforms its portion into the reduced
-	// (c-component) cube.
-	var reducedLocal [][]float64
-	if own != nil {
+	// Step 8 transforms every span into the reduced (c-component) cube,
+	// step 9 classifies it there.
+	var reduced [][]float64
+	reduce := func(view *cube.Cube) int {
 		var flops float64
-		reducedLocal, flops = reduceCube(own, msg.t, msg.mean)
+		reduced, flops = reduceCube(view, msg.t, msg.mean)
 		c.Compute(flops, vtime.Par)
+		return int(float64(len(reduced)*msg.t.Rows*8) * c.DataScale())
 	}
-
-	// Step 9, first half: the reduced-cube partitions pass through the
-	// master, exactly as the paper routes them ("P partitions of a
-	// reduced data cube ... are sent to the workers"). The payloads are
-	// pixel-proportional, so the transfers carry the data scale.
-	redBytes := int(float64(len(reducedLocal)*msg.t.Rows*8) * c.DataScale())
-	gatheredRed := mpi.GatherAs(c, 0, tagPartial, reducedLocal, redBytes)
-	if c.Root() {
-		// Assembling the reduced cube at the master is a linear pass.
-		total := 0
-		for _, part := range gatheredRed {
-			total += len(part)
-		}
-		c.Compute(float64(total), vtime.Seq)
-		for r := 1; r < c.Size(); r++ {
-			part := gatheredRed[r]
-			c.Send(r, tagPartial, part, int(float64(len(part)*msg.t.Rows*8)*c.DataScale()))
-		}
+	classify := func() (any, int) {
+		labels, flops := classifyReducedVectors(reduced, msg.reduced, msg.t.Rows)
+		c.Compute(flops, vtime.Par)
+		return labels, int(8 * float64(len(labels)) * c.DataScale())
+	}
+	var parts []balance.Partial
+	if chunked {
+		fpl := float64(samples) * (linalg.FlopsMulVec(msg.t.Rows, bands) +
+			float64(len(msg.reduced))*spectral.FlopsSAD(msg.t.Rows))
+		parts = s.run(phase{fpl: fpl}, func(view *cube.Cube, _, _ partition.Span) (any, int) {
+			reduce(view)
+			return classify()
+		})
 	} else {
-		reducedLocal = mpi.RecvAs[[][]float64](c, 0, tagPartial)
+		// The reduced-cube partitions pass through the master, exactly as
+		// the paper routes them ("P partitions of a reduced data cube ...
+		// are sent to the workers"). The payloads are pixel-proportional,
+		// so the transfers carry the data scale.
+		gathered := s.run(phase{tag: tagPartial}, func(view *cube.Cube, _, _ partition.Span) (any, int) {
+			bytes := reduce(view)
+			return reduced, bytes
+		})
+		if c.Root() {
+			// Assembling the reduced cube at the master is a linear pass.
+			total := 0
+			for _, p := range gathered {
+				total += len(payloadOf[[][]float64](p))
+			}
+			c.Compute(float64(total), vtime.Seq)
+			for r := 1; r < c.Size(); r++ {
+				part := payloadOf[[][]float64](gathered[r])
+				c.Send(r, tagPartial, part, int(float64(len(part)*msg.t.Rows*8)*c.DataScale()))
+			}
+		} else {
+			reduced = mpi.RecvAs[[][]float64](c, 0, tagPartial)
+		}
+		parts = s.run(phase{tag: tagLabels}, func(*cube.Cube, partition.Span, partition.Span) (any, int) {
+			return classify()
+		})
 	}
-
-	// Step 9, second half: classify in the reduced space and gather the
-	// labels.
-	var localLabels []int
-	if own != nil {
-		var flops float64
-		localLabels, flops = classifyReducedVectors(reducedLocal, msg.reduced, msg.t.Rows)
-		c.Compute(flops, vtime.Par)
-	}
-	labels := GatherLabels(c, spans, samples, localLabels)
 	if !c.Root() {
 		return nil, nil
 	}
-	return &ClassificationResult{Labels: labels, Classes: msg.classes}, nil
+	return &ClassificationResult{Labels: assembleLabels(c, parts, lines, samples), Classes: msg.classes}, nil
 }
 
-// pctComputePhase runs steps 2-7 of Algorithm 4 — the unique-set build,
-// the scene statistics and the master's eigendecomposition — returning the
-// step-7 broadcast state at the root (the zero message elsewhere).
-func pctComputePhase(c *mpi.Comm, own *cube.Cube, params PCTParams, bands int) (pctBcastMsg, error) {
-	// Step 2: each worker forms its local unique spectral set, reduced to
-	// c representatives before shipping.
-	var localReps []rep
-	if own != nil {
-		var calls int
-		localReps, calls = uniqueScan(own, params.Theta, params.MaxReps)
-		c.Compute(float64(calls)*spectral.FlopsSAD(bands), vtime.Par)
-		localReps, calls = pruneReps(localReps, params.minPopulationCount(own.NumPixels()))
-		c.ComputeFixed(float64(calls)*spectral.FlopsSAD(bands), vtime.Par)
-		localReps, calls = mergeReps(localReps, params.Classes)
-		c.ComputeFixed(float64(calls)*spectral.FlopsSAD(bands), vtime.Par)
-	}
-	allReps := mpi.GatherAs(c, 0, tagCandidate, localReps, repsBytes(localReps, bands))
+// pctStatistics runs steps 2-7 of Algorithm 4 — the unique-set build, the
+// scene statistics and the master's eigendecomposition — returning the
+// step-7 broadcast state at the root (the zero message elsewhere). Every
+// phase is pinned: unique sets, the population floor and the floating-
+// point sums all depend on where the spans are cut.
+func pctStatistics(c *mpi.Comm, s schedule, params PCTParams, chunked bool) (pctBcastMsg, error) {
+	_, samples, bands := s.shape()
+	sad := spectral.FlopsSAD(bands)
 
-	// Step 3: the master combines the P unique sets one pair of sets at
-	// a time, so the final set of c representatives emerges after P-1
+	// Step 2: a span's unique spectral set, reduced to c representatives
+	// before shipping.
+	unique := func(view *cube.Cube) []rep {
+		reps, calls := uniqueScan(view, params.Theta, params.MaxReps)
+		c.Compute(float64(calls)*sad, vtime.Par)
+		reps, calls = pruneReps(reps, params.minPopulationCount(view.NumPixels()))
+		c.ComputeFixed(float64(calls)*sad, vtime.Par)
+		reps, calls = mergeReps(reps, params.Classes)
+		c.ComputeFixed(float64(calls)*sad, vtime.Par)
+		return reps
+	}
+	// Step 4: a span's mean sums. Sums and counts cover only finite pixels
+	// (corrupt samples would poison every statistic downstream), but the
+	// compute charge stays the full scan — every pixel is still read.
+	sums := func(view *cube.Cube, st pctStat) pctStat {
+		st.sum, st.count = finiteMeanSums(view)
+		c.Compute(float64(view.NumPixels())*float64(bands), vtime.Par)
+		return st
+	}
+	// Step 3: the master combines the unique sets one pair of sets at a
+	// time, so the final set of c representatives emerges after P-1
 	// pairwise folds (linear in P, matching the paper's scaling).
 	var reps []rep
-	if c.Root() {
-		for _, rs := range allReps {
-			if len(rs) == 0 {
-				continue
+	foldReps := func(parts []balance.Partial) {
+		for _, p := range parts {
+			if rs := payloadOf[pctStat](p).reps; len(rs) > 0 {
+				var calls int
+				reps, calls = mergeReps(append(reps, rs...), params.Classes)
+				c.ComputeFixed(float64(calls)*sad, vtime.Seq)
 			}
-			var calls int
-			reps, calls = mergeReps(append(reps, rs...), params.Classes)
-			c.ComputeFixed(float64(calls)*spectral.FlopsSAD(bands), vtime.Seq)
 		}
 	}
-
-	// Step 4: the mean vector, computed concurrently. Sums and counts
-	// cover only finite pixels (corrupt samples would poison every
-	// statistic downstream), but the compute charge stays the full scan —
-	// every pixel is still read.
-	localSum := make([]float64, bands)
-	var localCount int
-	if own != nil {
-		localSum, localCount = finiteMeanSums(own)
-		c.Compute(float64(own.NumPixels())*float64(bands), vtime.Par)
+	var stats []balance.Partial
+	if chunked {
+		fpl := float64(samples) * (float64(params.MaxReps)*sad + float64(bands))
+		stats = s.run(phase{pinned: true, fpl: fpl}, func(view *cube.Cube, _, _ partition.Span) (any, int) {
+			st := sums(view, pctStat{reps: unique(view)})
+			return st, repsBytes(st.reps, bands) + 8*bands + 8
+		})
+		foldReps(stats)
+	} else {
+		foldReps(s.run(phase{tag: tagCandidate}, func(view *cube.Cube, _, _ partition.Span) (any, int) {
+			reps := unique(view)
+			return pctStat{reps: reps}, repsBytes(reps, bands)
+		}))
+		stats = s.run(phase{tag: tagPartial, idleBytes: 8 * bands}, func(view *cube.Cube, _, _ partition.Span) (any, int) {
+			return sums(view, pctStat{}), 8 * bands
+		})
+		// The counts are a gather of their own in the paper's protocol;
+		// the simulated wire only carries sizes, and the values already
+		// rode with the sums.
+		s.run(phase{tag: tagPartial, idleBytes: 8}, func(*cube.Cube, partition.Span, partition.Span) (any, int) {
+			return nil, 8
+		})
 	}
-	sums := mpi.GatherAs(c, 0, tagPartial, localSum, 8*bands)
-	counts := mpi.GatherAs(c, 0, tagPartial, localCount, 8)
 	var mean []float64
+	total := 0
 	if c.Root() {
 		mean = make([]float64, bands)
-		total := 0
-		for r := range sums {
-			for b := range mean {
-				mean[b] += sums[r][b]
+		for _, p := range stats {
+			st := payloadOf[pctStat](p)
+			for b, v := range st.sum {
+				mean[b] += v
 			}
-			total += counts[r]
+			total += st.count
 		}
 		if total == 0 {
 			return pctBcastMsg{}, fmt.Errorf("algo: no finite pixels in scene")
@@ -685,50 +725,47 @@ func pctComputePhase(c *mpi.Comm, own *cube.Cube, params PCTParams, bands int) (
 		for b := range mean {
 			mean[b] /= float64(total)
 		}
-		c.ComputeFixed(float64(len(sums))*float64(bands), vtime.Seq)
+		c.ComputeFixed(float64(len(stats))*float64(bands), vtime.Seq)
 	}
-	meanAny := c.Bcast(0, tagBroadcast, mean, 8*bands)
-	mean = meanAny.([]float64)
+	mean = c.Bcast(0, tagBroadcast, mean, 8*bands).([]float64)
 
 	// Steps 5-6: covariance components in parallel, summed at the master.
-	localCov := linalg.NewMat(bands, bands)
-	if own != nil {
-		flops := covarianceUpper(own, mean, localCov)
-		c.Compute(flops, vtime.Par)
+	cov := phase{tag: tagPartial, idleBytes: 8 * bands * bands, pinned: true,
+		fpl: float64(samples) * (float64(bands) + float64(bands)*float64(bands+1))}
+	covs := s.run(cov, func(view *cube.Cube, _, _ partition.Span) (any, int) {
+		local := linalg.NewMat(bands, bands)
+		c.Compute(covarianceUpper(view, mean, local), vtime.Par)
+		return local, 8 * bands * bands
+	})
+	if !c.Root() {
+		return pctBcastMsg{}, nil
 	}
-	covs := mpi.GatherAs(c, 0, tagPartial, localCov, 8*bands*bands)
-	var msg pctBcastMsg
-	if c.Root() {
-		cov := linalg.NewMat(bands, bands)
-		for _, partial := range covs {
-			for i := range cov.Data {
-				cov.Data[i] += partial.Data[i]
+	sum := linalg.NewMat(bands, bands)
+	for _, p := range covs {
+		if local := payloadOf[*linalg.Mat](p); local != nil {
+			for i, v := range local.Data {
+				sum.Data[i] += v
 			}
 		}
-		np := 0
-		for _, ct := range counts {
-			np += ct
-		}
-		mirrorLower(cov)
-		for i := range cov.Data {
-			cov.Data[i] /= float64(np)
-		}
-		c.ComputeFixed(float64(len(covs))*float64(bands)*float64(bands), vtime.Seq)
-
-		// Step 7: eigendecomposition, sequential at the master.
-		t, err := pctTransformMatrix(cov, min(params.Classes, len(reps)))
-		if err != nil {
-			return pctBcastMsg{}, err
-		}
-		c.ComputeFixed(linalg.FlopsSymEigen(params.eigenBands(bands)), vtime.Seq)
-		reduced := make([][]float64, len(reps))
-		buf := make([]float64, t.Rows)
-		for i, r := range reps {
-			pctProject(t, mean, r.sig, buf)
-			reduced[i] = append([]float64(nil), buf...)
-		}
-		c.ComputeFixed(float64(len(reps))*linalg.FlopsMulVec(t.Rows, bands), vtime.Seq)
-		msg = pctBcastMsg{t: t, mean: mean, reduced: reduced, classes: repsToClasses(reps)}
 	}
-	return msg, nil
+	mirrorLower(sum)
+	for i := range sum.Data {
+		sum.Data[i] /= float64(total)
+	}
+	c.ComputeFixed(float64(len(covs))*float64(bands)*float64(bands), vtime.Seq)
+
+	// Step 7: eigendecomposition, sequential at the master.
+	t, err := pctTransformMatrix(sum, min(params.Classes, len(reps)))
+	if err != nil {
+		return pctBcastMsg{}, err
+	}
+	c.ComputeFixed(linalg.FlopsSymEigen(params.eigenBands(bands)), vtime.Seq)
+	reduced := make([][]float64, len(reps))
+	buf := make([]float64, t.Rows)
+	for i, r := range reps {
+		pctProject(t, mean, r.sig, buf)
+		reduced[i] = append([]float64(nil), buf...)
+	}
+	c.ComputeFixed(float64(len(reps))*linalg.FlopsMulVec(t.Rows, bands), vtime.Seq)
+	return pctBcastMsg{t: t, mean: mean, reduced: reduced, classes: repsToClasses(reps)}, nil
 }

@@ -2,9 +2,12 @@ package algo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/balance"
+	"repro/internal/checkpoint"
 	"repro/internal/cube"
 	"repro/internal/mpi"
 	"repro/internal/partition"
@@ -177,5 +180,140 @@ func TestQuickWallTimeCoversRootTime(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// testSchedule is one way the tests schedule a parallel run.
+type testSchedule struct {
+	name     string
+	strat    partition.Strategy
+	balanced bool
+}
+
+var testSchedules = []testSchedule{
+	{"static-hetero", partition.Heterogeneous{}, false},
+	{"static-homo", partition.Homogeneous{}, false},
+	{"balanced", partition.Heterogeneous{}, true},
+}
+
+// runScheduled runs the named algorithm on f under sch with the given
+// checkpointer (nil for none). It returns the root's result, the run's
+// statistics and event trace, and — instead of all three — the error the
+// algorithm returned at the root, if it did.
+func runScheduled(t *testing.T, net *platform.Network, f *cube.Cube, alg string, sch testSchedule, ck checkpoint.Checkpointer) (any, *mpi.RunResult, *mpi.Trace, error) {
+	t.Helper()
+	var bal *balance.Balancer
+	if sch.balanced {
+		spans, err := sch.strat.Partition(f.Lines, f.Samples, f.Bands, net.Procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bal = balance.New(net, balance.DefaultPolicy(), spans, f)
+	}
+	det := DetectionParams{Targets: 5, Checkpoint: ck, Balance: bal}
+	pct := PCTParams{Classes: 4, Theta: 0.04, MaxReps: 24, Checkpoint: ck, Balance: bal}
+	mor := MorphParams{Classes: 4, Iterations: 2, Radius: 1, Theta: 0.06, Checkpoint: ck, Balance: bal}
+	var rootErr error
+	w := mpi.NewWorld(net)
+	trace := w.EnableTrace()
+	res, err := w.Run(func(c *mpi.Comm) any {
+		var r any
+		var err error
+		switch alg {
+		case ckptATDCA:
+			r, err = ATDCAParallel(c, rootCube(c, f), det, sch.strat)
+		case ckptUFCLS:
+			r, err = UFCLSParallel(c, rootCube(c, f), det, sch.strat)
+		case ckptPCT:
+			r, err = PCTParallel(c, rootCube(c, f), pct, sch.strat)
+		case ckptMORPH:
+			r, err = MorphParallel(c, rootCube(c, f), mor, sch.strat)
+		}
+		if err != nil {
+			if c.Root() {
+				rootErr = err
+			}
+			panic(err)
+		}
+		return r
+	})
+	if rootErr != nil {
+		return nil, nil, nil, rootErr
+	}
+	if err != nil {
+		t.Fatalf("%s/%s: %v", alg, sch.name, err)
+	}
+	return res.Root(), res, trace, nil
+}
+
+// Schedule x checkpoint: under every schedule a checkpointed run, and a
+// run resumed from any round's snapshot, returns exactly what the
+// uninterrupted run returns; and a static run without a checkpointer is
+// the original protocol message for message — in particular it never
+// sends the resume broadcast.
+func TestResumeFromEveryRoundUnderEverySchedule(t *testing.T) {
+	f := testScene(t).Cube
+	net := testHeteroNet(t)
+	workers := net.Size() - 1
+	// Messages per worker of a static run: the scatter, then per detector
+	// round a candidate gather and the U broadcast; for PCT the three
+	// statistics gathers, the mean broadcast, the covariance gather, the
+	// step-7 broadcast, the reduced-cube round trip and the label gather;
+	// for MORPH the candidate gather, the endmember broadcast and the
+	// label gather.
+	protocol := map[string]int{ckptATDCA: 1 + 2*5, ckptUFCLS: 1 + 2*5, ckptPCT: 10, ckptMORPH: 4}
+	sends := func(res *mpi.RunResult, trace *mpi.Trace) (total, resume int) {
+		for _, ctr := range res.Counters {
+			total += ctr.Sends
+		}
+		for _, e := range trace.Events() {
+			if e.Kind == mpi.EventSend && e.Tag == tagResume {
+				resume++
+			}
+		}
+		return total, resume
+	}
+	for _, alg := range []string{ckptATDCA, ckptUFCLS, ckptPCT, ckptMORPH} {
+		for _, sch := range testSchedules {
+			t.Run(alg+"/"+sch.name, func(t *testing.T) {
+				plain, res, trace, err := runScheduled(t, net, f, alg, sch, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total, resume := sends(res, trace)
+				if resume != 0 {
+					t.Errorf("run without a checkpointer sent %d resume messages", resume)
+				}
+				if want := protocol[alg] * workers; !sch.balanced && total != want {
+					t.Errorf("static run sent %d messages, the protocol has %d", total, want)
+				}
+
+				rec := &recordingStore{}
+				fresh, res, trace, err := runScheduled(t, net, f, alg, sch, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(plain, fresh) {
+					t.Error("checkpointing changed the result")
+				}
+				if _, resume := sends(res, trace); resume != workers {
+					t.Errorf("checkpointed run sent %d resume messages, want one per worker (%d)", resume, workers)
+				}
+				if len(rec.snaps) == 0 {
+					t.Fatal("checkpointed run saved nothing")
+				}
+				for i := range rec.snaps {
+					from := &checkpoint.MemStore{}
+					from.Seed(&rec.snaps[i])
+					resumed, _, _, err := runScheduled(t, net, f, alg, sch, from)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(plain, resumed) {
+						t.Errorf("resuming from snapshot %d (round %d) changed the result", i, rec.snaps[i].Round)
+					}
+				}
+			})
+		}
 	}
 }

@@ -118,15 +118,19 @@ func BrightestSpectralPartition(c *mpi.Comm, f *cube.Cube) (int, float64, error)
 // master. Returns the flat pixel index and its brightness at the root
 // (-1 elsewhere).
 func BrightestSpatialPartition(c *mpi.Comm, f *cube.Cube, strat partition.Strategy) (int, float64, error) {
-	part, _, geom, err := ScatterCube(c, f, strat, 0)
+	s, err := newStaticSchedule(c, f, strat, 0)
 	if err != nil {
 		return -1, 0, err
 	}
-	cand := localBrightest(c, part)
-	cands := mpi.GatherAs(c, 0, tagCandidate, cand, candidateBytes(geom[2]))
+	_, samples, bands := s.shape()
+	cr := brightness(bands)
+	parts := s.run(cr.phase(samples, bands), cr.work(c))
 	if !c.Root() {
 		return -1, 0, nil
 	}
-	best := pickBrightest(c, cands)
-	return best.Line*geom[1] + best.Sample, best.Score, nil
+	best, err := cr.pick(c, parts)
+	if err != nil {
+		return -1, 0, err
+	}
+	return best.Line*samples + best.Sample, best.Score, nil
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/par"
 	"repro/internal/partition"
-	"repro/internal/vtime"
 )
 
 // This file implements the Unsupervised Fully Constrained Least Squares
@@ -101,125 +100,29 @@ func UFCLSSequential(f *cube.Cube, t int) (*DetectionResult, error) {
 // version). It must run inside an mpi program; f is required at the root.
 // The result is returned at the root; other ranks return nil.
 func UFCLSParallel(c *mpi.Comm, f *cube.Cube, params DetectionParams, strat partition.Strategy) (*DetectionResult, error) {
-	if params.Balance != nil {
-		return ufclsBalanced(c, f, params)
-	}
-	t := params.Targets
-	if c.Root() {
-		if err := validateTargets(f, t); err != nil {
-			return nil, err
-		}
-	}
-	part, _, geom, err := ScatterCube(c, f, strat, 0)
-	if err != nil {
-		return nil, err
-	}
-	bands := geom[2]
-
-	var res *DetectionResult
-	var u uMatrix
-	start := 0
-	if c.Root() {
-		if targets := restoreTargets(c, params.Checkpoint, ckptUFCLS, t); len(targets) > 0 {
-			res = &DetectionResult{Targets: targets}
-			for _, tg := range targets {
-				u.rows = append(u.rows, toF64(tg.Signature))
-			}
-			start = len(targets)
-		}
-	}
-	if params.Checkpoint != nil {
-		start = syncResume(c, start)
-	}
-
-	if start == 0 {
-		// Steps 1-3 of Hetero-ATDCA: the brightest pixel seeds U.
-		cand := localBrightest(c, part)
-		cands := mpi.GatherAs(c, 0, tagCandidate, cand, candidateBytes(bands))
-		if c.Root() {
-			res = &DetectionResult{}
-			best := pickBrightest(c, cands)
-			res.Targets = append(res.Targets, best)
-			u.rows = append(u.rows, toF64(best.Signature))
-			if err := saveTargets(c, params.Checkpoint, ckptUFCLS, res.Targets); err != nil {
-				return nil, err
-			}
-		}
-		start = 1
-	}
-	u = broadcastU(c, u, bands)
-
-	for round := start; round < t; round++ {
-		// Each worker forms its local error image by fully constrained
-		// unmixing against U and reports the largest-error pixel.
-		cand, err := localMaxError(c, part, u, bands)
-		if err != nil {
-			return nil, err
-		}
-		cands := mpi.GatherAs(c, 0, tagCandidate, cand, candidateBytes(bands))
-		if c.Root() {
-			best, err := pickMaxError(c, cands, u, bands, params.eqBands(bands))
-			if err != nil {
-				return nil, err
-			}
-			res.Targets = append(res.Targets, best)
-			u.rows = append(u.rows, toF64(best.Signature))
-			if err := saveTargets(c, params.Checkpoint, ckptUFCLS, res.Targets); err != nil {
-				return nil, err
-			}
-		}
-		u = broadcastU(c, u, bands)
-	}
-	return res, nil
+	return detectRounds(c, f, params, ufclsDetector, func() (schedule, error) {
+		return newSchedule(c, f, strat, 0, params.Balance)
+	})
 }
 
-// localMaxError unmixes every owned pixel against U and returns the pixel
-// with the largest reconstruction error.
-func localMaxError(c *mpi.Comm, part LocalPart, u uMatrix, bands int) (candidate, error) {
-	own, err := part.OwnedView()
-	if err != nil {
-		return candidate{}, err
-	}
-	if own == nil {
-		return candidate{}, nil
-	}
-	t := len(u.rows)
-	c.ComputeFixed(linalg.FlopsGram(t, bands), vtime.Par) // endmember Gram matrix
-	best, bestScore, err := maxErrorScan(own, u, bands)
-	if err != nil {
-		return candidate{}, err
-	}
-	c.Compute(float64(own.NumPixels())*linalg.FlopsFCLSGram(bands, t), vtime.Par)
-	l, s := own.Coord(best)
-	sig := make([]float32, own.Bands)
-	copy(sig, own.PixelAt(best))
-	return candidate{line: l + part.Owned.Lo, sample: s, score: bestScore, sig: sig, valid: true}, nil
-}
+var ufclsDetector = detector{key: ckptUFCLS, round: errorCriterion}
 
-// pickMaxError re-unmixes the candidate pixels at the master and selects
-// the one with the largest error (step 4 of Algorithm 3). Fixed charges
-// use eqBands; see pickMaxProjection.
-func pickMaxError(c *mpi.Comm, cands []candidate, u uMatrix, bands, eqBands int) (Target, error) {
-	solver := linalg.NewFCLSSolver(ufclsEndmemberMat(u, bands))
+// errorCriterion scores a pixel by its reconstruction error under fully
+// constrained unmixing against U: each rank forms the error image of its
+// spans, and the master re-unmixes the champions (step 4 of Algorithm 3).
+func errorCriterion(u uMatrix, bands, eqBands int) (criterion, error) {
 	t := len(u.rows)
-	c.ComputeFixed(linalg.FlopsGram(t, eqBands), vtime.Seq)
-	best, bestScore := -1, -1.0
-	for i, cd := range cands {
-		if !cd.valid {
-			continue
-		}
-		_, err2, err := solver.UnmixF32(cd.sig)
-		if err != nil {
-			return Target{}, err
-		}
-		c.ComputeFixed(linalg.FlopsFCLSGram(eqBands, t), vtime.Seq)
-		if err2 > bestScore {
-			best, bestScore = i, err2
-		}
-	}
-	if best < 0 {
-		panic("algo: no valid error candidates")
-	}
-	cd := cands[best]
-	return Target{Line: cd.line, Sample: cd.sample, Score: bestScore, Signature: cd.sig}, nil
+	var solver *linalg.FCLSSolver // the master's; built on first use
+	return criterion{
+		setup: linalg.FlopsGram(t, bands), each: linalg.FlopsFCLSGram(bands, t),
+		mSetup: linalg.FlopsGram(t, eqBands), mEach: linalg.FlopsFCLSGram(eqBands, t),
+		best: func(view *cube.Cube) (int, float64, error) { return maxErrorScan(view, u, bands) },
+		score: func(sig []float32) (float64, error) {
+			if solver == nil {
+				solver = linalg.NewFCLSSolver(ufclsEndmemberMat(u, bands))
+			}
+			_, err2, err := solver.UnmixF32(sig)
+			return err2, err
+		},
+	}, nil
 }

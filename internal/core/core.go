@@ -232,82 +232,122 @@ func Run(net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, pa
 // the returned error wraps ctx.Err(), detectable with errors.Is. A nil ctx
 // behaves like context.Background().
 func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, params Params) (*RunReport, error) {
+	report, _, err := run(ctx, net, alg, variant, f, params, nil)
+	return report, err
+}
+
+// AdaptiveReport couples a RunReport with the rebalancer's convergence
+// trace.
+type AdaptiveReport struct {
+	RunReport
+	Trace *algo.AdaptiveTrace
+}
+
+// RunAdaptive executes the dynamically load-balanced ATDCA (the paper's
+// future-work direction): equal initial shares, measurement-driven
+// re-partitioning between rounds. See algo.ATDCAAdaptive.
+func RunAdaptive(net *platform.Network, f *cube.Cube, params Params, opts algo.AdaptiveOptions) (*AdaptiveReport, error) {
+	return RunAdaptiveContext(context.Background(), net, f, params, opts)
+}
+
+// RunAdaptiveContext is RunAdaptive under a cancellation context; see
+// RunContext for the cancellation semantics.
+func RunAdaptiveContext(ctx context.Context, net *platform.Network, f *cube.Cube, params Params, opts algo.AdaptiveOptions) (*AdaptiveReport, error) {
+	report, trace, err := run(ctx, net, ATDCA, "Adaptive", f, params, &opts)
+	if err != nil {
+		return nil, err
+	}
+	return &AdaptiveReport{RunReport: *report, Trace: trace}, nil
+}
+
+// run is the one execution path behind every Run* entry point. A non-nil
+// adaptive selects algo.ATDCAAdaptive, whose schedule keeps its own
+// partition state: it accepts fault injection (the rebalancer is exactly
+// what degradation windows are meant to stress) but there is no static
+// plan to recover onto and nothing for a balancer, a checkpointer or the
+// timeline renderer to act on, so those settings do not apply to it.
+func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, params Params,
+	adaptive *algo.AdaptiveOptions) (_ *RunReport, _ *algo.AdaptiveTrace, err error) {
 	if net == nil {
-		return nil, fmt.Errorf("core: nil network")
+		return nil, nil, fmt.Errorf("core: nil network")
 	}
 	if f == nil {
-		return nil, fmt.Errorf("core: nil cube")
+		return nil, nil, fmt.Errorf("core: nil cube")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	label := fmt.Sprintf("%s/%s", alg, variant)
+	if adaptive != nil {
+		label = "adaptive ATDCA"
+	}
+	fail := func(err error) error { return fmt.Errorf("core: %s on %s: %w", label, net.Name, err) }
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: %s/%s on %s: %w", alg, variant, net.Name, err)
+		return nil, nil, fail(err)
 	}
 	params = params.withDefaults()
-	strat, err := variant.Strategy()
-	if err != nil {
-		return nil, err
+	detParams := algo.DetectionParams{Targets: params.Targets, EquivalentBands: params.EquivalentBands}
+	var strat partition.Strategy
+	var pol balance.Policy
+	var cck *countingCheckpointer
+	if adaptive != nil {
+		params.Recovery, params.Trace = RecoveryOptions{}, false
+	} else {
+		if strat, err = variant.Strategy(); err != nil {
+			return nil, nil, err
+		}
+		pol = BalanceFrom(ctx)
+		if ck := CheckpointerFrom(ctx); ck != nil {
+			cck = &countingCheckpointer{inner: ck}
+			detParams.Checkpoint, params.PCT.Checkpoint, params.Morph.Checkpoint = cck, cck, cck
+		}
 	}
+	// From here on the run is counted: every error exit is a failed run.
 	tel := MetricsFrom(ctx)
 	tel.runStarted(alg)
-	var cck *countingCheckpointer
-	if ck := CheckpointerFrom(ctx); ck != nil {
-		cck = &countingCheckpointer{inner: ck}
-		params.PCT.Checkpoint = cck
-		params.Morph.Checkpoint = cck
-	}
-	detParams := algo.DetectionParams{Targets: params.Targets, EquivalentBands: params.EquivalentBands}
-	if cck != nil {
-		detParams.Checkpoint = cck
-	}
+	defer func() {
+		if err != nil {
+			tel.runFailed()
+		}
+	}()
+
 	// A fresh Balancer is built per attempt (degraded recovery shrinks the
 	// network); the program closure reads it at call time, after the
 	// attempt loop has set it and before world.Run starts the rank
 	// goroutines.
-	pol := BalanceFrom(ctx)
 	var bal *balance.Balancer
+	var trace *algo.AdaptiveTrace // set by rank 0, read once world.Run has returned
 	program := func(c *mpi.Comm) any {
 		var data *cube.Cube
 		if c.Root() {
 			data = f
 		}
-		switch alg {
-		case ATDCA:
-			dp := detParams
-			dp.Balance = bal
-			r, err := algo.ATDCAParallel(c, data, dp, strat)
-			if err != nil {
-				panic(err)
+		dp, pp, mp := detParams, params.PCT, params.Morph
+		dp.Balance, pp.Balance, mp.Balance = bal, bal, bal
+		var r any
+		var err error
+		switch {
+		case adaptive != nil:
+			var tr *algo.AdaptiveTrace
+			r, tr, err = algo.ATDCAAdaptive(c, data, dp, *adaptive)
+			if c.Root() {
+				trace = tr
 			}
-			return r
-		case UFCLS:
-			dp := detParams
-			dp.Balance = bal
-			r, err := algo.UFCLSParallel(c, data, dp, strat)
-			if err != nil {
-				panic(err)
-			}
-			return r
-		case PCT:
-			pp := params.PCT
-			pp.Balance = bal
-			r, err := algo.PCTParallel(c, data, pp, strat)
-			if err != nil {
-				panic(err)
-			}
-			return r
-		case MORPH:
-			mp := params.Morph
-			mp.Balance = bal
-			r, err := algo.MorphParallel(c, data, mp, strat)
-			if err != nil {
-				panic(err)
-			}
-			return r
+		case alg == ATDCA:
+			r, err = algo.ATDCAParallel(c, data, dp, strat)
+		case alg == UFCLS:
+			r, err = algo.UFCLSParallel(c, data, dp, strat)
+		case alg == PCT:
+			r, err = algo.PCTParallel(c, data, pp, strat)
+		case alg == MORPH:
+			r, err = algo.MorphParallel(c, data, mp, strat)
 		default:
 			panic(fmt.Sprintf("core: unknown algorithm %q", alg))
 		}
+		if err != nil {
+			panic(err)
+		}
+		return r
 	}
 
 	// The recovery loop: run, and when a worker rank dies with recovery
@@ -315,10 +355,7 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 	// WEA over the reduced processor list) and try again on the degraded
 	// platform. The first attempt number follows Params.FaultAttempt so
 	// the scheduler's own retries keep a single attempt axis.
-	attempt := params.FaultAttempt
-	if attempt < 1 {
-		attempt = 1
-	}
+	attempt := max(params.FaultAttempt, 1)
 	budget := params.Recovery.attempts()
 	curNet := net
 	plan := params.Faults
@@ -340,20 +377,18 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 			world.SetDataScale(params.DataScale)
 		}
 		if err := world.SetFaults(plan, attempt); err != nil {
-			tel.runFailed()
-			return nil, fmt.Errorf("core: %s/%s on %s: %w", alg, variant, net.Name, err)
+			return nil, nil, fail(err)
 		}
 		if pol.Enabled {
-			spans, perr := strat.Partition(f.Lines, f.Samples, f.Bands, curNet.Procs)
-			if perr != nil {
-				tel.runFailed()
-				return nil, fmt.Errorf("core: %s/%s on %s: %w", alg, variant, net.Name, perr)
+			spans, err := strat.Partition(f.Lines, f.Samples, f.Bands, curNet.Procs)
+			if err != nil {
+				return nil, nil, fail(err)
 			}
 			bal = balance.New(curNet, pol, spans, f)
 		}
-		var trace *mpi.Trace
+		var events *mpi.Trace
 		if params.Trace {
-			trace = world.EnableTrace()
+			events = world.EnableTrace()
 		}
 
 		savesBefore := 0
@@ -367,15 +402,14 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 			recoverable := params.Recovery.Enabled && errors.As(err, &rf) &&
 				rf.Rank != 0 && used < budget && curNet.Size() > 1
 			if !recoverable {
-				tel.runFailed()
-				return nil, fmt.Errorf("core: %s/%s on %s: %w", alg, variant, net.Name, err)
+				return nil, nil, fail(err)
 			}
 			tel.rankLost()
 			overhead += rf.VTime
 			failedRanks = append(failedRanks, alive[rf.Rank])
 			degraded, derr := curNet.Without(rf.Rank)
 			if derr != nil {
-				return nil, fmt.Errorf("core: %s/%s on %s: degrading after %v: %w", alg, variant, net.Name, err, derr)
+				return nil, nil, fmt.Errorf("core: %s on %s: degrading after %v: %w", label, net.Name, err, derr)
 			}
 			alive = append(alive[:rf.Rank], alive[rf.Rank+1:]...)
 			curNet = degraded
@@ -392,6 +426,8 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 			WallTime:         res.WallTime(),
 			ProcTimes:        res.ProcTimes(),
 			BusyTimes:        res.BusyTimes(),
+			DAll:             1,
+			DMinus:           1,
 			Attempts:         used,
 			FailedRanks:      failedRanks,
 			RecoveryOverhead: overhead,
@@ -400,10 +436,8 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		if curNet.Size() >= 2 {
 			report.DAll, report.DMinus, err = metrics.Imbalance(report.BusyTimes)
 			if err != nil {
-				return nil, fmt.Errorf("core: imbalance: %w", err)
+				return nil, nil, fmt.Errorf("core: imbalance: %w", err)
 			}
-		} else {
-			report.DAll, report.DMinus = 1, 1
 		}
 		switch v := res.Root().(type) {
 		case *algo.DetectionResult:
@@ -411,11 +445,11 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		case *algo.ClassificationResult:
 			report.Classification = v
 		default:
-			return nil, fmt.Errorf("core: unexpected result type %T", v)
+			return nil, nil, fmt.Errorf("core: unexpected result type %T", v)
 		}
-		if trace != nil {
-			report.Timeline = trace.Timeline(curNet.Size(), 100)
-			report.TraceEvents = trace.Events()
+		if events != nil {
+			report.Timeline = events.Timeline(curNet.Size(), 100)
+			report.TraceEvents = events.Events()
 		}
 		if bal != nil {
 			st := bal.Stats()
@@ -438,100 +472,8 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		}
 		tel.runDone(report)
 		tel.mpiRun(res.Counters)
-		return report, nil
+		return report, trace, nil
 	}
-}
-
-// AdaptiveReport couples a RunReport with the rebalancer's convergence
-// trace.
-type AdaptiveReport struct {
-	RunReport
-	Trace *algo.AdaptiveTrace
-}
-
-// RunAdaptive executes the dynamically load-balanced ATDCA (the paper's
-// future-work direction): equal initial shares, measurement-driven
-// re-partitioning between rounds. See algo.ATDCAAdaptive.
-func RunAdaptive(net *platform.Network, f *cube.Cube, params Params, opts algo.AdaptiveOptions) (*AdaptiveReport, error) {
-	return RunAdaptiveContext(context.Background(), net, f, params, opts)
-}
-
-// RunAdaptiveContext is RunAdaptive under a cancellation context; see
-// RunContext for the cancellation semantics.
-func RunAdaptiveContext(ctx context.Context, net *platform.Network, f *cube.Cube, params Params, opts algo.AdaptiveOptions) (*AdaptiveReport, error) {
-	if net == nil {
-		return nil, fmt.Errorf("core: nil network")
-	}
-	if f == nil {
-		return nil, fmt.Errorf("core: nil cube")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: adaptive ATDCA on %s: %w", net.Name, err)
-	}
-	params = params.withDefaults()
-	tel := MetricsFrom(ctx)
-	tel.runStarted(ATDCA)
-	world := mpi.NewWorld(net)
-	world.SetContext(ctx)
-	if params.WorkScale > 0 {
-		world.SetComputeScale(params.WorkScale)
-	}
-	if params.DataScale > 0 {
-		world.SetDataScale(params.DataScale)
-	}
-	// Adaptive runs accept fault injection (the rebalancer is exactly what
-	// degradation windows are meant to stress) but not degraded-mode
-	// recovery, which is a static-partitioning concept; retries are the
-	// scheduler's job here.
-	if err := world.SetFaults(params.Faults, max(params.FaultAttempt, 1)); err != nil {
-		return nil, fmt.Errorf("core: adaptive ATDCA on %s: %w", net.Name, err)
-	}
-	type pair struct {
-		det   *algo.DetectionResult
-		trace *algo.AdaptiveTrace
-	}
-	res, err := world.Run(func(c *mpi.Comm) any {
-		var data *cube.Cube
-		if c.Root() {
-			data = f
-		}
-		det, trace, err := algo.ATDCAAdaptive(c, data,
-			algo.DetectionParams{Targets: params.Targets, EquivalentBands: params.EquivalentBands}, opts)
-		if err != nil {
-			panic(err)
-		}
-		return pair{det: det, trace: trace}
-	})
-	if err != nil {
-		tel.runFailed()
-		return nil, fmt.Errorf("core: adaptive ATDCA on %s: %w", net.Name, err)
-	}
-	root := res.Root().(pair)
-	report := &AdaptiveReport{Trace: root.trace}
-	report.Attempts = 1
-	report.Algorithm = ATDCA
-	report.Variant = "Adaptive"
-	report.Network = net.Name
-	report.Procs = net.Size()
-	report.WallTime = res.WallTime()
-	report.ProcTimes = res.ProcTimes()
-	report.BusyTimes = res.BusyTimes()
-	report.Com, report.Seq, report.Par = res.RootBreakdown()
-	if net.Size() >= 2 {
-		report.DAll, report.DMinus, err = metrics.Imbalance(report.BusyTimes)
-		if err != nil {
-			return nil, fmt.Errorf("core: imbalance: %w", err)
-		}
-	} else {
-		report.DAll, report.DMinus = 1, 1
-	}
-	report.Detection = root.det
-	tel.runDone(&report.RunReport)
-	tel.mpiRun(res.Counters)
-	return report, nil
 }
 
 // RunSequential executes the single-threaded reference implementation of

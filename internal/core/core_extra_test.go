@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/algo"
+	"repro/internal/fault"
+	"repro/internal/telemetry"
 )
 
 func TestRunWithTraceProducesTimeline(t *testing.T) {
@@ -110,5 +113,39 @@ func TestRunWithScales(t *testing.T) {
 	}
 	if scaled.Com <= base.Com {
 		t.Errorf("data scale 10 did not grow COM: %v vs %v", scaled.Com, base.Com)
+	}
+}
+
+// Every run that is counted as started must end up counted exactly once
+// as done or failed — including the error exits that used to return
+// without reporting: an adaptive run whose fault plan names a rank the
+// network does not have.
+func TestRunAccountingBalances(t *testing.T) {
+	sc := smallScene(t)
+	net := smallNet(t, 3)
+	m := NewMetrics(telemetry.NewRegistry())
+	ctx := WithMetrics(context.Background(), m)
+	bad := smallParams()
+	bad.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 7, At: 0.001}}}
+
+	done := 0
+	if _, err := RunAdaptiveContext(ctx, net, sc.Cube, bad, algo.AdaptiveOptions{}); err == nil {
+		t.Fatal("out-of-range fault plan: expected error")
+	}
+	if _, err := RunContext(ctx, net, ATDCA, Hetero, sc.Cube, bad); err == nil {
+		t.Fatal("out-of-range fault plan: expected error")
+	}
+	if _, err := RunAdaptiveContext(ctx, net, sc.Cube, smallParams(), algo.AdaptiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	done++
+	if _, err := RunContext(ctx, net, PCT, Homo, sc.Cube, smallParams()); err != nil {
+		t.Fatal(err)
+	}
+	done++
+
+	started := m.runsStarted.With(string(ATDCA)).Value() + m.runsStarted.With(string(PCT)).Value()
+	if failed := m.runsFailed.Value(); started != float64(done)+failed || failed != 2 {
+		t.Errorf("runs started %v != done %d + failed %v (want 2 failed)", started, done, failed)
 	}
 }
