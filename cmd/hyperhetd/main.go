@@ -90,6 +90,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -261,7 +262,6 @@ func newServer(cfg hyperhet.SchedulerConfig, journalDir string) (*server, error)
 	s.flow, err = hyperhet.NewFlowEngine(hyperhet.FlowConfig{
 		Scheduler: s.sched,
 		Scenes:    s.provideScene,
-		Journal:   s.journal,
 		Registry:  reg,
 	})
 	if err != nil {
@@ -782,31 +782,37 @@ const maxJobsListing = 500
 
 // handleJobs lists the jobs the scheduler knows — queued, running and
 // retained finished — in deterministic order (ascending submit time,
-// ties by ID), optionally filtered by ?state= and capped by ?limit=. A
-// listing cut short by the cap carries "truncated": true so clients can
-// tell a short list from a complete one.
+// ties by ID), optionally filtered by ?state= and capped by ?limit=.
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	var filter hyperhet.JobState
-	if v := r.URL.Query().Get("state"); v != "" {
-		switch st := hyperhet.JobState(v); st {
-		case hyperhet.JobQueued, hyperhet.JobRunning, hyperhet.JobCompleted,
-			hyperhet.JobFailed, hyperhet.JobCancelled:
-			filter = st
-		default:
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("unknown state %q (want queued, running, completed, failed or cancelled)", v))
-			return
-		}
+	writeListing(w, r, "jobs", maxJobsListing, s.sched.Jobs(),
+		[]string{"queued", "running", "completed", "failed", "cancelled"},
+		func(j *hyperhet.Job) (hyperhet.JobStatus, string) {
+			st := j.Status()
+			return st, string(st.State)
+		})
+}
+
+// writeListing answers a listing endpoint from items already in listing
+// order: ?state= (validated against states) filters, ?limit= (capped at
+// max) truncates. A listing cut short by the cap carries "truncated":
+// true so clients can tell a short list from a complete one.
+func writeListing[T, S any](w http.ResponseWriter, r *http.Request, key string, max int, items []T, states []string, status func(T) (S, string)) {
+	filter := r.URL.Query().Get("state")
+	if filter != "" && !slices.Contains(states, filter) {
+		last := len(states) - 1
+		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown state %q (want %s or %s)",
+			filter, strings.Join(states[:last], ", "), states[last]))
+		return
 	}
-	limit, ok := parseLimit(w, r, maxJobsListing)
+	limit, ok := parseLimit(w, r, max)
 	if !ok {
 		return
 	}
-	statuses := []hyperhet.JobStatus{}
+	statuses := []S{}
 	truncated := false
-	for _, job := range s.sched.Jobs() {
-		st := job.Status()
-		if filter != "" && st.State != filter {
+	for _, item := range items {
+		st, state := status(item)
+		if filter != "" && state != filter {
 			continue
 		}
 		if len(statuses) >= limit {
@@ -815,7 +821,7 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		statuses = append(statuses, st)
 	}
-	body := map[string]any{"jobs": statuses, "count": len(statuses)}
+	body := map[string]any{key: statuses, "count": len(statuses)}
 	if truncated {
 		body["truncated"] = true
 	}

@@ -148,39 +148,12 @@ const maxPipelinesListing = 200
 // retained finished — oldest first, optionally filtered by ?state= and
 // capped by ?limit=.
 func (s *server) handlePipelines(w http.ResponseWriter, r *http.Request) {
-	var filter hyperhet.PipelineState
-	if v := r.URL.Query().Get("state"); v != "" {
-		switch st := hyperhet.PipelineState(v); st {
-		case "running", "completed", "failed", "cancelled":
-			filter = st
-		default:
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("unknown state %q (want running, completed, failed or cancelled)", v))
-			return
-		}
-	}
-	limit, ok := parseLimit(w, r, maxPipelinesListing)
-	if !ok {
-		return
-	}
-	statuses := []hyperhet.PipelineStatus{}
-	truncated := false
-	for _, p := range s.flow.Pipelines() {
-		st := p.Status()
-		if filter != "" && st.State != filter {
-			continue
-		}
-		if len(statuses) >= limit {
-			truncated = true
-			break
-		}
-		statuses = append(statuses, st)
-	}
-	body := map[string]any{"pipelines": statuses, "count": len(statuses)}
-	if truncated {
-		body["truncated"] = true
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeListing(w, r, "pipelines", maxPipelinesListing, s.flow.Pipelines(),
+		[]string{"running", "completed", "failed", "cancelled"},
+		func(p *hyperhet.FlowPipeline) (hyperhet.PipelineStatus, string) {
+			st := p.Status()
+			return st, string(st.State)
+		})
 }
 
 func (s *server) handlePipeline(w http.ResponseWriter, r *http.Request) {

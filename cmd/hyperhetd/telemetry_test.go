@@ -6,7 +6,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -215,5 +217,36 @@ func TestSceneCapRejectsHugeScenes(t *testing.T) {
 	}
 	if msg, _ := doc["error"].(string); !strings.Contains(msg, "voxels") {
 		t.Errorf("error %q does not mention the voxel cap", msg)
+	}
+}
+
+// The hyperhet_* name set is a contract: dashboards, bench/ and the guard
+// telemetry lint are written against it. A freshly booted server must
+// register exactly the committed list — adding, renaming or dropping an
+// instrument means editing testdata/metric_names.txt in the same change.
+func TestMetricNameSetMatchesCommittedList(t *testing.T) {
+	ts := testServer(t, hyperhet.SchedulerConfig{})
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			got = append(got, f[2])
+		}
+	}
+	sort.Strings(got)
+	want, err := os.ReadFile("testdata/metric_names.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := strings.Join(got, "\n")+"\n", string(want); g != w {
+		t.Fatalf("registered metric names drifted from testdata/metric_names.txt\nregistered:\n%s\ncommitted:\n%s", g, w)
 	}
 }

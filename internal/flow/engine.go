@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,15 +77,14 @@ func defaultScenes(cfg scene.Config) (*scene.Scene, string, bool, error) {
 type Config struct {
 	// Scheduler executes the analyze stages; required. Its LRU result
 	// cache is the pipeline memoization layer: two pipelines sharing a
-	// (scene, algorithm, params, platform) prefix compute it once.
+	// (scene, algorithm, params, platform) prefix compute it once. Its
+	// journal, if it has one, also makes pipelines durable: lifecycle
+	// edges (submitted, per-stage completion, finished) are appended
+	// through it, so a restarted engine resumes unfinished pipelines
+	// without redoing completed stages.
 	Scheduler *sched.Scheduler
 	// Scenes materializes scene stages (default: generate uncached).
 	Scenes SceneProvider
-	// Journal, when non-nil, makes pipelines durable: lifecycle edges
-	// (submitted, per-stage completion, finished) are appended so a
-	// restarted engine resumes unfinished pipelines without redoing
-	// completed stages. Share the scheduler's journal.
-	Journal *sched.Journal
 	// Registry, when non-nil, registers the engine's instruments: stage
 	// latency by kind, cache hits/misses, stage outcomes, running-stage
 	// and active-pipeline gauges.
@@ -129,7 +127,7 @@ func (cfg Config) withDefaults() Config {
 // when done.
 type Engine struct {
 	cfg Config
-	tel *flowMetrics // nil without a Registry
+	tel *flowMetrics
 	wg  sync.WaitGroup
 
 	// draining marks a Drain in progress: pipelines that settle without
@@ -139,11 +137,9 @@ type Engine struct {
 
 	mu        sync.Mutex
 	closed    bool
-	pipelines map[string]*Pipeline
-	finished  []string // finished pipeline IDs, oldest first, for retention
+	pipelines *sched.Ledger[*Pipeline]
 	active    int
 	running   int // stages currently executing, across pipelines
-	nextID    uint64
 }
 
 // New creates an engine. The configuration must name a scheduler.
@@ -151,10 +147,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Scheduler == nil {
 		return nil, errors.New("flow: config has no scheduler")
 	}
-	e := &Engine{cfg: cfg.withDefaults(), pipelines: make(map[string]*Pipeline)}
-	if cfg.Registry != nil {
-		e.tel = newFlowMetrics(e, cfg.Registry)
-	}
+	e := &Engine{cfg: cfg.withDefaults()}
+	e.pipelines = sched.NewLedger[*Pipeline]("pipe", e.cfg.RetainPipelines)
+	e.tel = newFlowMetrics(e)
 	return e, nil
 }
 
@@ -168,15 +163,17 @@ type Pipeline struct {
 	cancel  context.CancelFunc
 	done    chan struct{}
 	resumed bool
-
-	mu          sync.Mutex
-	state       PipelineState
-	err         error
+	// submittedAt is fixed before the pipeline is published: now for a
+	// fresh submission, the journaled time for a resumed or restored one.
 	submittedAt time.Time
-	finishedAt  time.Time
-	stages      []*stage
-	byName      map[string]*stage
-	restored    *PipelineStatus // non-nil for journal-restored history
+
+	mu         sync.Mutex
+	state      PipelineState
+	err        error
+	finishedAt time.Time
+	stages     []*stage
+	byName     map[string]*stage
+	restored   *PipelineStatus // non-nil for journal-restored history
 }
 
 // stage is the runtime state of one StageSpec. Mutable fields are
@@ -308,6 +305,10 @@ type PipelineStatus struct {
 func (p *Pipeline) Status() PipelineStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.statusLocked()
+}
+
+func (p *Pipeline) statusLocked() PipelineStatus {
 	if p.restored != nil {
 		return *p.restored
 	}
@@ -368,7 +369,7 @@ func (p *Pipeline) Status() PipelineStatus {
 // Submit validates and starts a pipeline. The pipeline's context derives
 // from ctx (nil means Background): cancelling it aborts every stage.
 func (e *Engine) Submit(ctx context.Context, spec PipelineSpec) (*Pipeline, error) {
-	return e.submit(ctx, spec, "", nil)
+	return e.submit(ctx, spec, nil)
 }
 
 // stageRecord is the journal encoding of one completed stage, the state
@@ -396,16 +397,11 @@ func (e *Engine) SubmitResumed(ctx context.Context, jp *sched.JournalPipeline, s
 	if jp.Finished {
 		return nil, fmt.Errorf("flow: pipeline %s already finished; restore it instead", jp.ID)
 	}
-	p, err := e.submit(ctx, spec, jp.ID, jp.Stages)
+	p, err := e.submit(ctx, spec, jp)
 	if err != nil {
 		return nil, err
 	}
-	if !jp.Submitted.IsZero() {
-		p.mu.Lock()
-		p.submittedAt = jp.Submitted
-		p.mu.Unlock()
-	}
-	e.tel.restoredInc("resumed")
+	e.tel.restored.With("resumed").Inc()
 	return p, nil
 }
 
@@ -422,13 +418,14 @@ func (e *Engine) RestoreFinished(jp *sched.JournalPipeline) (*Pipeline, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := &Pipeline{
-		id:       jp.ID,
-		eng:      e,
-		ctx:      ctx,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-		state:    PipelineState(jp.State),
-		restored: &status,
+		id:          jp.ID,
+		eng:         e,
+		ctx:         ctx,
+		cancel:      cancel,
+		done:        make(chan struct{}),
+		submittedAt: jp.Submitted,
+		state:       PipelineState(jp.State),
+		restored:    &status,
 	}
 	if jp.Error != "" {
 		p.err = errors.New(jp.Error)
@@ -440,20 +437,18 @@ func (e *Engine) RestoreFinished(jp *sched.JournalPipeline) (*Pipeline, error) {
 	if e.closed {
 		return nil, ErrEngineClosed
 	}
-	if _, ok := e.pipelines[p.id]; ok {
-		return nil, fmt.Errorf("flow: pipeline %s already known", p.id)
+	if _, err := e.pipelines.Reserve(p.id); err != nil {
+		return nil, fmt.Errorf("flow: pipeline %w", err)
 	}
-	e.pipelines[p.id] = p
-	e.finished = append(e.finished, p.id)
-	e.advanceIDLocked(p.id)
-	e.evictFinishedLocked()
-	e.tel.restoredInc("finished")
+	e.pipelines.Add(p.id, p.submittedAt, p)
+	e.pipelines.Retire(p.id)
+	e.tel.restored.With("finished").Inc()
 	return p, nil
 }
 
-// submit admits a pipeline; a non-empty id marks a journal resume (keep
-// the existing story, restore seeded stages).
-func (e *Engine) submit(ctx context.Context, spec PipelineSpec, id string, seeds map[string]json.RawMessage) (*Pipeline, error) {
+// submit admits a pipeline; a non-nil resume marks a journal resume (keep
+// the original ID, submit time and story, restore seeded stages).
+func (e *Engine) submit(ctx context.Context, spec PipelineSpec, resume *sched.JournalPipeline) (*Pipeline, error) {
 	order, err := spec.Validate(e.cfg.MaxStages)
 	if err != nil {
 		return nil, err
@@ -461,7 +456,15 @@ func (e *Engine) submit(ctx context.Context, spec PipelineSpec, id string, seeds
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	resumed := id != ""
+	resumed := resume != nil
+	id, submitted := "", time.Now()
+	var seeds map[string]json.RawMessage
+	if resumed {
+		id, seeds = resume.ID, resume.Stages
+		if !resume.Submitted.IsZero() {
+			submitted = resume.Submitted
+		}
+	}
 
 	e.mu.Lock()
 	if e.closed {
@@ -472,15 +475,10 @@ func (e *Engine) submit(ctx context.Context, spec PipelineSpec, id string, seeds
 		e.mu.Unlock()
 		return nil, ErrTooManyPipelines
 	}
-	if resumed {
-		if _, ok := e.pipelines[id]; ok {
-			e.mu.Unlock()
-			return nil, fmt.Errorf("flow: pipeline %s already known", id)
-		}
-		e.advanceIDLocked(id)
-	} else {
-		e.nextID++
-		id = fmt.Sprintf("pipe-%d", e.nextID)
+	id, err = e.pipelines.Reserve(id)
+	if err != nil {
+		e.mu.Unlock()
+		return nil, fmt.Errorf("flow: pipeline %w", err)
 	}
 	pctx, pcancel := context.WithCancel(ctx)
 	p := &Pipeline{
@@ -492,7 +490,7 @@ func (e *Engine) submit(ctx context.Context, spec PipelineSpec, id string, seeds
 		done:        make(chan struct{}),
 		resumed:     resumed,
 		state:       PipelineRunning,
-		submittedAt: time.Now(),
+		submittedAt: submitted,
 		byName:      make(map[string]*stage, len(spec.Stages)),
 	}
 	for i := range spec.Stages {
@@ -501,15 +499,14 @@ func (e *Engine) submit(ctx context.Context, spec PipelineSpec, id string, seeds
 		p.byName[st.spec.Name] = st
 	}
 	p.restoreSeeds(seeds)
-	e.pipelines[id] = p
+	e.pipelines.Add(id, submitted, p)
 	e.active++
-	e.evictFinishedLocked()
 	e.wg.Add(1)
 	e.mu.Unlock()
 
-	e.tel.submittedInc()
+	e.tel.submitted.Inc()
 	if !resumed {
-		e.journalAppend(sched.Record{Type: sched.RecPipelineSubmitted, Pipeline: id, Request: spec.JournalPayload})
+		e.cfg.Scheduler.JournalAppend(sched.Record{Type: sched.RecPipelineSubmitted, Pipeline: id, Request: spec.JournalPayload})
 	}
 	go e.run(p, order)
 	return p, nil
@@ -551,28 +548,11 @@ func (p *Pipeline) restoreSeeds(seeds map[string]json.RawMessage) {
 	}
 }
 
-// advanceIDLocked moves the ID counter past a replayed "pipe-N" so fresh
-// submissions never collide with recovered pipelines.
-func (e *Engine) advanceIDLocked(id string) {
-	var n uint64
-	if _, err := fmt.Sscanf(id, "pipe-%d", &n); err == nil && n > e.nextID {
-		e.nextID = n
-	}
-}
-
-// evictFinishedLocked trims finished-pipeline history to RetainPipelines.
-func (e *Engine) evictFinishedLocked() {
-	for len(e.finished) > e.cfg.RetainPipelines {
-		delete(e.pipelines, e.finished[0])
-		e.finished = e.finished[1:]
-	}
-}
-
 // Pipeline looks up a pipeline by ID.
 func (e *Engine) Pipeline(id string) (*Pipeline, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	p, ok := e.pipelines[id]
+	p, ok := e.pipelines.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownPipeline, id)
 	}
@@ -585,29 +565,9 @@ func (e *Engine) Pipeline(id string) (*Pipeline, error) {
 // restarts.
 func (e *Engine) Pipelines() []*Pipeline {
 	e.mu.Lock()
-	out := make([]*Pipeline, 0, len(e.pipelines))
-	for _, p := range e.pipelines {
-		out = append(out, p)
-	}
+	entries := e.pipelines.Entries()
 	e.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool {
-		ta, tb := out[a].submittedAt, out[b].submittedAt
-		if !ta.Equal(tb) {
-			return ta.Before(tb)
-		}
-		na, nb := pipeNumber(out[a].id), pipeNumber(out[b].id)
-		if na != nb {
-			return na < nb
-		}
-		return out[a].id < out[b].id
-	})
-	return out
-}
-
-func pipeNumber(id string) uint64 {
-	var n uint64
-	fmt.Sscanf(id, "pipe-%d", &n)
-	return n
+	return sched.Listing(entries)
 }
 
 // Wait blocks until the pipeline settles (returning it) or ctx is done.
@@ -634,9 +594,9 @@ func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
 	var active []*Pipeline
-	for _, p := range e.pipelines {
-		if !p.State().Final() {
-			active = append(active, p)
+	for _, en := range e.pipelines.Entries() {
+		if !en.Item.State().Final() {
+			active = append(active, en.Item)
 		}
 	}
 	e.mu.Unlock()
@@ -660,16 +620,6 @@ func (e *Engine) stageDone(p *Pipeline, stage string, state StageState) {
 	if e.cfg.OnStageDone != nil {
 		e.cfg.OnStageDone(p, stage, state)
 	}
-}
-
-// journalAppend writes one pipeline record. Append failures degrade
-// durability, never correctness, so they are dropped (the scheduler owns
-// the append-error counter for the shared journal file).
-func (e *Engine) journalAppend(rec sched.Record) {
-	if e.cfg.Journal == nil {
-		return
-	}
-	_ = e.cfg.Journal.Append(rec)
 }
 
 // run executes one pipeline: launch every ready stage concurrently, and
@@ -701,13 +651,13 @@ func (e *Engine) run(p *Pipeline, order []int) {
 	inFlight := 0
 	settledSet := make(map[*stage]bool, n)
 
-	// settle folds one finished stage into the graph state: decrement
+	// resolve folds one finished stage into the graph state: decrement
 	// dependents on success, transitively skip them on failure. The set
-	// guard makes settling idempotent — the initial ready-scan may
+	// guard makes resolving idempotent — the initial ready-scan may
 	// revisit a resumed stage the recursive cascade already folded in.
-	var settle func(st *stage, err error)
+	var resolve func(st *stage, err error)
 	var maybeStart func(st *stage)
-	settle = func(st *stage, err error) {
+	resolve = func(st *stage, err error) {
 		if settledSet[st] {
 			return
 		}
@@ -725,9 +675,9 @@ func (e *Engine) run(p *Pipeline, order []int) {
 					d.state = StageSkipped
 					d.err = fmt.Errorf("flow: upstream stage %s failed", st.spec.Name)
 					p.mu.Unlock()
-					e.tel.stageOutcome("skipped")
+					e.tel.outcomes.With("skipped").Inc()
 					e.stageDone(p, d.spec.Name, StageSkipped)
-					settle(d, nil) // the skip itself is not a new failure
+					resolve(d, nil) // the skip itself is not a new failure
 				}
 			}
 			return
@@ -741,8 +691,8 @@ func (e *Engine) run(p *Pipeline, order []int) {
 	maybeStart = func(st *stage) {
 		if st.state == StageCompleted && st.resumed {
 			// Journal-restored: settled without running.
-			e.tel.stageOutcome("resumed")
-			settle(st, nil)
+			e.tel.outcomes.With("resumed").Inc()
+			resolve(st, nil)
 			return
 		}
 		if st.state != StagePending {
@@ -795,26 +745,27 @@ func (e *Engine) run(p *Pipeline, order []int) {
 		elapsed := msg.st.finished.Sub(msg.st.started)
 		p.mu.Unlock()
 
+		e.tel.latency.With(string(msg.st.spec.Kind)).Observe(elapsed.Seconds())
 		if msg.err != nil {
-			e.tel.stageFinished(msg.st.spec.Kind, "failed", elapsed)
+			e.tel.outcomes.With("failed").Inc()
 			e.stageDone(p, msg.st.spec.Name, StageFailed)
 		} else {
-			e.tel.stageFinished(msg.st.spec.Kind, "completed", elapsed)
+			e.tel.outcomes.With("completed").Inc()
 			// Journal before notifying: an observer that tears the
 			// process down on this event must find the stage durable.
 			e.journalStage(p, msg.st)
 			e.stageDone(p, msg.st.spec.Name, StageCompleted)
 		}
-		settle(msg.st, msg.err)
+		resolve(msg.st, msg.err)
 	}
 
-	p.finish()
+	e.settle(p)
 }
 
 // journalStage appends the completed stage's record so a resumed
 // pipeline restores it instead of re-running it.
 func (e *Engine) journalStage(p *Pipeline, st *stage) {
-	if e.cfg.Journal == nil {
+	if !e.cfg.Scheduler.Journaled() {
 		return
 	}
 	rec := stageRecord{
@@ -836,7 +787,7 @@ func (e *Engine) journalStage(p *Pipeline, st *stage) {
 	if err != nil {
 		return
 	}
-	e.journalAppend(sched.Record{
+	e.cfg.Scheduler.JournalAppend(sched.Record{
 		Type:     sched.RecPipelineStage,
 		Pipeline: p.id,
 		Stage:    st.spec.Name,
@@ -844,49 +795,54 @@ func (e *Engine) journalStage(p *Pipeline, st *stage) {
 	})
 }
 
-// finish settles the pipeline and journals its terminal record — unless
-// a drain is in progress and the pipeline did not complete, in which
-// case the story stays open for the next boot to resume.
-func (p *Pipeline) finish() {
-	e := p.eng
+// settle is the one path by which a pipeline reaches a final state, in
+// the same order as the scheduler's: counters, ledger history, then the
+// terminal journal record, and only then do the terminal state and Done()
+// become visible — a waiter that closes the journal, reads /metrics or
+// lists Pipelines the moment the pipeline settles finds all of them
+// caught up. (Pipelines have no guard feedback and no latency histogram;
+// their stage jobs report both through the scheduler.) During a drain a
+// pipeline that did not complete gets no terminal record: its story
+// stays open for the next boot to resume.
+func (e *Engine) settle(p *Pipeline) {
+	finishedAt := time.Now()
 	p.mu.Lock()
+	state := PipelineFailed
 	switch {
 	case p.err == nil:
-		p.state = PipelineCompleted
+		state = PipelineCompleted
 	case errors.Is(p.err, context.Canceled) || errors.Is(p.err, context.DeadlineExceeded):
-		p.state = PipelineCancelled
-	default:
-		p.state = PipelineFailed
+		state = PipelineCancelled
 	}
-	p.finishedAt = time.Now()
-	state := p.state
-	errMsg := ""
-	if p.err != nil {
-		errMsg = p.err.Error()
-	}
+	status := p.statusLocked()
 	p.mu.Unlock()
-	p.cancel()
-	close(p.done)
-	e.tel.pipelineFinished(state)
+	status.State, status.Finished = state, finishedAt
 
-	if !(e.draining.Load() && state != PipelineCompleted) {
-		status := p.Status()
-		body, err := json.Marshal(&status)
-		if err == nil {
-			e.journalAppend(sched.Record{
+	e.tel.finished.With(string(state)).Inc()
+
+	e.mu.Lock()
+	e.active--
+	e.pipelines.Retire(p.id)
+	e.mu.Unlock()
+
+	if e.cfg.Scheduler.Journaled() && !(e.draining.Load() && state != PipelineCompleted) {
+		if body, err := json.Marshal(&status); err == nil {
+			e.cfg.Scheduler.JournalAppend(sched.Record{
 				Type:     sched.RecPipelineFinished,
 				Pipeline: p.id,
 				State:    string(state),
-				Error:    errMsg,
+				Error:    status.Error,
 				Report:   body,
 			})
 		}
 	}
 
-	e.mu.Lock()
-	e.active--
-	e.finished = append(e.finished, p.id)
-	e.mu.Unlock()
+	p.mu.Lock()
+	p.state = state
+	p.finishedAt = finishedAt
+	p.mu.Unlock()
+	p.cancel()
+	close(p.done)
 }
 
 // runStage executes one stage end to end and stores its output.
@@ -904,7 +860,7 @@ func (p *Pipeline) runStage(st *stage) error {
 		p.mu.Lock()
 		st.fromCache = cached
 		p.mu.Unlock()
-		e.tel.cacheResult(boolOutcome(cached))
+		e.tel.cache.With(boolOutcome(cached)).Inc()
 		return nil
 
 	case KindAnalyze:
@@ -940,7 +896,7 @@ func (p *Pipeline) runStage(st *stage) error {
 		st.out.report = job.Report()
 		st.out.adaptive = job.AdaptiveReport()
 		st.out.mu.Unlock()
-		e.tel.cacheResult(boolOutcome(job.FromCache()))
+		e.tel.cache.With(boolOutcome(job.FromCache())).Inc()
 		return nil
 
 	case KindSynthesize:

@@ -61,7 +61,7 @@ func TestDrainMidPipelineSkipsDependents(t *testing.T) {
 		RetryMaxDelay:  time.Minute,
 	})
 	events := newStageEvents()
-	e, err := New(Config{Scheduler: s, Journal: jl, OnStageDone: events.hook})
+	e, err := New(Config{Scheduler: s, OnStageDone: events.hook})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -362,7 +363,12 @@ func TestPipelineJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := newTestEngine(t, Config{Journal: jl})
+	s := sched.New(sched.Config{Workers: 4, QueueDepth: 64, CacheEntries: 32, Journal: jl})
+	e, err := New(Config{Scheduler: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { e.Close(); s.Close() }()
 
 	spec := fanoutSpec()
 	spec.JournalPayload = []byte(`{"doc":"original-submission"}`)
@@ -431,8 +437,8 @@ func TestDrainLeavesOpenStoryAndResumeSkipsCompletedStages(t *testing.T) {
 	}
 	// One worker and a gate: the scene completes, one analyze branch
 	// completes, the rest are parked when the drain hits.
-	s := sched.New(sched.Config{Workers: 1, QueueDepth: 64, CacheEntries: -1})
-	e, err := New(Config{Scheduler: s, Journal: jl})
+	s := sched.New(sched.Config{Workers: 1, QueueDepth: 64, CacheEntries: -1, Journal: jl})
+	e, err := New(Config{Scheduler: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,6 +531,65 @@ func TestDrainLeavesOpenStoryAndResumeSkipsCompletedStages(t *testing.T) {
 	if gens.Load() > 1 {
 		t.Fatalf("resume regenerated the scene %d times", gens.Load())
 	}
+}
+
+// Listing order survives a restart whichever way a pipeline came back: an
+// older pipeline resumed from its open story lists before a newer one
+// restored as finished history. The submit time is fixed when the ledger
+// registers the pipeline, so listing concurrently with the replay is
+// race-free (run under -race).
+func TestRestartListingOrderAndListWhileResuming(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	stop := make(chan struct{})
+	listed := make(chan struct{})
+	go func() {
+		defer close(listed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.Pipelines()
+			}
+		}
+	}()
+
+	t0 := time.Now().Add(-time.Hour)
+	status, err := json.Marshal(PipelineStatus{ID: "pipe-2", State: PipelineCompleted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := &sched.JournalPipeline{
+		ID: "pipe-2", Submitted: t0.Add(time.Minute),
+		Finished: true, State: string(PipelineCompleted), Status: status,
+	}
+	if _, err := e.RestoreFinished(newer); err != nil {
+		t.Fatal(err)
+	}
+	older := &sched.JournalPipeline{ID: "pipe-1", Submitted: t0}
+	p, err := e.SubmitResumed(context.Background(), older, fanoutSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := e.Submit(context.Background(), fanoutSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-listed
+
+	var got []string
+	for _, lp := range e.Pipelines() {
+		got = append(got, lp.ID())
+	}
+	if want := []string{"pipe-1", "pipe-2", "pipe-3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("listing order = %v, want %v (oldest submission first)", got, want)
+	}
+	if st := p.Status(); !st.Submitted.Equal(t0) {
+		t.Fatalf("resumed pipeline reports submitted %v, want the journaled %v", st.Submitted, t0)
+	}
+	waitPipeline(t, p)
+	waitPipeline(t, fresh)
 }
 
 func TestResumeIgnoresCorruptSeeds(t *testing.T) {

@@ -11,9 +11,16 @@
 // into real remote-sensing workflows: generate or ingest a scene, fan
 // out the detectors and classifiers over it, then synthesize an accuracy
 // report against the scene's ground truth (the Table 3 + Table 4 story
-// as one submission). With a journal, pipeline lifecycle edges are
-// durable: a restarted engine resumes unfinished pipelines without
-// redoing their completed stages.
+// as one submission). When the scheduler has a journal, pipeline
+// lifecycle edges are appended through it and are durable: a restarted
+// engine resumes unfinished pipelines without redoing their completed
+// stages.
+//
+// Pipelines are kept in the same sched.Ledger as the scheduler's jobs
+// (ID minting and adoption, retained history, listing order), and every
+// pipeline reaches its final state through one function, Engine.settle,
+// in the scheduler's order: counters, ledger history, the terminal
+// journal record, and only then the terminal state and Done().
 package flow
 
 import (

@@ -1,15 +1,11 @@
 package flow
 
-import (
-	"time"
+import "repro/internal/telemetry"
 
-	"repro/internal/telemetry"
-)
-
-// flowMetrics bundles the engine's instruments. As in the scheduler, a
-// nil *flowMetrics (no Config.Registry) is a valid no-op receiver
-// everywhere, so the orchestration path carries no telemetry
-// conditionals beyond a nil check.
+// flowMetrics bundles the engine's instruments. As in the scheduler they
+// are always built — against a private registry nobody scrapes when
+// Config.Registry is nil — so the orchestration path carries no telemetry
+// conditionals.
 type flowMetrics struct {
 	submitted *telemetry.Counter
 	finished  *telemetry.CounterVec   // state: completed | failed | cancelled
@@ -19,10 +15,15 @@ type flowMetrics struct {
 	restored  *telemetry.CounterVec   // disposition: finished | resumed
 }
 
-// newFlowMetrics registers the engine's instruments against reg. The
-// gauges read the engine live at scrape time. Registering twice against
-// one registry panics by design: one engine per registry.
-func newFlowMetrics(e *Engine, reg *telemetry.Registry) *flowMetrics {
+// newFlowMetrics registers the engine's instruments against
+// Config.Registry. The gauges read the engine live at scrape time.
+// Registering twice against one registry panics by design: one engine per
+// registry.
+func newFlowMetrics(e *Engine) *flowMetrics {
+	reg := e.cfg.Registry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	reg.NewGaugeFunc("hyperhet_flow_pipelines_active",
 		"Pipelines currently running.", func() float64 {
 			e.mu.Lock()
@@ -50,47 +51,4 @@ func newFlowMetrics(e *Engine, reg *telemetry.Registry) *flowMetrics {
 		restored: reg.NewCounterVec("hyperhet_flow_pipelines_restored_total",
 			"Pipelines rebuilt from a replayed journal, by disposition.", "disposition"),
 	}
-}
-
-func (m *flowMetrics) submittedInc() {
-	if m == nil {
-		return
-	}
-	m.submitted.Inc()
-}
-
-func (m *flowMetrics) pipelineFinished(state PipelineState) {
-	if m == nil {
-		return
-	}
-	m.finished.With(string(state)).Inc()
-}
-
-func (m *flowMetrics) stageFinished(kind StageKind, outcome string, elapsed time.Duration) {
-	if m == nil {
-		return
-	}
-	m.outcomes.With(outcome).Inc()
-	m.latency.With(string(kind)).Observe(elapsed.Seconds())
-}
-
-func (m *flowMetrics) stageOutcome(outcome string) {
-	if m == nil {
-		return
-	}
-	m.outcomes.With(outcome).Inc()
-}
-
-func (m *flowMetrics) cacheResult(outcome string) {
-	if m == nil {
-		return
-	}
-	m.cache.With(outcome).Inc()
-}
-
-func (m *flowMetrics) restoredInc(disposition string) {
-	if m == nil {
-		return
-	}
-	m.restored.With(disposition).Inc()
 }

@@ -86,49 +86,3 @@ func (s *Scheduler) Guard() *guard.Controller { return s.cfg.Guard }
 // GuardState snapshots the overload-control layer for /stats and
 // /readyz (the zero State when the guard is off).
 func (s *Scheduler) GuardState() guard.State { return s.cfg.Guard.State() }
-
-// noteShed counts one guard denial.
-func (s *Scheduler) noteShed(reason guard.Reason) {
-	s.mu.Lock()
-	s.ctr.rejected++
-	if reason == guard.ReasonBreakerOpen {
-		s.ctr.breakerRejects++
-	} else {
-		s.ctr.shed++
-	}
-	s.mu.Unlock()
-	s.tel.rejectedInc()
-	s.tel.shedInc(string(reason))
-}
-
-// noteExpired counts one queued job whose deadline passed before
-// dispatch. The job is settled without ever running — the whole point.
-func (s *Scheduler) noteExpired() {
-	s.mu.Lock()
-	s.ctr.expired++
-	s.mu.Unlock()
-	s.tel.expiredInc()
-}
-
-// noteHedge counts one hedge attempt launched against j.
-func (s *Scheduler) noteHedge(j *Job) {
-	j.mu.Lock()
-	j.hedged = true
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.ctr.hedges++
-	s.mu.Unlock()
-	s.tel.hedgeInc()
-}
-
-// noteHedgeWin counts one hedge attempt that finished before its
-// primary.
-func (s *Scheduler) noteHedgeWin(j *Job) {
-	j.mu.Lock()
-	j.hedgeWon = true
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.ctr.hedgeWins++
-	s.mu.Unlock()
-	s.tel.hedgeWinInc()
-}

@@ -297,6 +297,11 @@ func TestGuardHedgeDeterminism(t *testing.T) {
 	spec := faultSpec(t, 99, 1) // ModeRun on a real network, no effective faults
 	spec.Params.Faults = nil
 	spec.NoCache = true
+	// The big scene keeps the primary running long enough that it cannot
+	// finish before the worker goroutine, behind the rank goroutines on a
+	// small GOMAXPROCS, gets to see the 1ns hedge timer.
+	_, big := testScenes(t)
+	spec.Cube, spec.CubeDigest = big.Cube, ""
 
 	run := func(g *guard.Controller) ([]byte, *Job) {
 		s := New(Config{Workers: 1, Guard: g})

@@ -562,7 +562,7 @@ func (js *journaledStore) Save(s checkpoint.Snapshot) error {
 	if err := js.inner.Save(s); err != nil {
 		return err
 	}
-	js.sched.journalAppend(Record{
+	js.sched.JournalAppend(Record{
 		Type:     recCheckpointed,
 		Job:      js.job,
 		Round:    s.Round,

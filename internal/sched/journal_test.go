@@ -395,8 +395,8 @@ func TestDrainDefersRunningJobToNextBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jobNumber(fresh.ID()) <= jobNumber(resumed.ID()) {
-		t.Fatalf("fresh job id %s did not advance past recovered %s", fresh.ID(), resumed.ID())
+	if fresh.ID() == resumed.ID() {
+		t.Fatalf("fresh job reused the recovered id %s", resumed.ID())
 	}
 }
 
@@ -480,6 +480,45 @@ func TestJobsListing(t *testing.T) {
 		if j.ID() != want[i] {
 			t.Fatalf("listing order: got %s at %d, want %s", j.ID(), i, want[i])
 		}
+	}
+}
+
+// A resumed job keeps its journaled submit time, fixed before the job is
+// published: listing concurrently with SubmitResumed is race-free (run
+// under -race) and the older resumed job lists before a fresh one.
+func TestJobsListingWhileResuming(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	stop := make(chan struct{})
+	listed := make(chan struct{})
+	go func() {
+		defer close(listed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Jobs()
+			}
+		}
+	}()
+	fresh, err := s.Submit(context.Background(), tinySpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now().Add(-time.Hour)
+	resumed, err := s.SubmitResumed(context.Background(), &JournalJob{ID: "job-9", Submitted: t0}, tinySpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-listed
+	jobs := s.Jobs()
+	if len(jobs) != 2 || jobs[0] != resumed || jobs[1] != fresh {
+		t.Fatalf("listing = %v, want the older resumed job first", jobs)
+	}
+	if got := resumed.Status().Submitted; !got.Equal(t0) {
+		t.Fatalf("resumed job reports submitted %v, want the journaled %v", got, t0)
 	}
 }
 

@@ -17,6 +17,14 @@
 // aborts its simulation promptly and frees the worker slot for the next
 // job. Close drains the scheduler: queued jobs are cancelled, running
 // jobs are aborted, workers exit.
+//
+// The by-ID book — ID minting, adoption of journal-replayed IDs, retained
+// history, listing order — is a Ledger (ledger.go), the same one the flow
+// engine keeps its pipelines in. Every job reaches its final state through
+// one function, settle, whose order is fixed: guard feedback, counters,
+// ledger history, then the terminal state and Done() become visible — so
+// a waiter never observes a job that /stats or Jobs() has not caught up
+// with.
 package sched
 
 import (
@@ -24,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -254,6 +261,9 @@ type Job struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	done     chan struct{}
+	// submittedAt is fixed before the job is published: now for a fresh
+	// submission, the journaled time for a resumed or restored one.
+	submittedAt time.Time
 
 	// seed is the journal-recovered snapshot a resumed job starts from;
 	// ckpt is the job's checkpoint store, built by runJob when the spec
@@ -272,18 +282,17 @@ type Job struct {
 	queuedAhead int
 	deadline    time.Time
 
-	mu          sync.Mutex
-	state       State
-	submittedAt time.Time
-	startedAt   time.Time
-	finishedAt  time.Time
-	report      *core.RunReport
-	adaptive    *core.AdaptiveReport
-	err         error
-	fromCache   bool
-	hedged      bool
-	hedgeWon    bool
-	attempts    []AttemptRecord
+	mu         sync.Mutex
+	state      State
+	startedAt  time.Time
+	finishedAt time.Time
+	report     *core.RunReport
+	adaptive   *core.AdaptiveReport
+	err        error
+	fromCache  bool
+	hedged     bool
+	hedgeWon   bool
+	attempts   []AttemptRecord
 }
 
 // AttemptRecord is one scheduler-level execution attempt of a job,
@@ -590,57 +599,36 @@ type Stats struct {
 // Scheduler multiplexes analysis jobs over a worker pool. Create with
 // New; Close when done.
 type Scheduler struct {
-	cfg     Config
-	cache   *resultCache
-	tel     *schedMetrics // nil when Config.Registry is nil
-	journal *Journal      // nil when Config.Journal is nil
-	wg      sync.WaitGroup
+	cfg   Config
+	cache *resultCache
+	tel   *schedMetrics // the only counters; Stats reads them back
+	wg    sync.WaitGroup
 
 	// draining marks a Drain in progress: jobs cancelled from here on
 	// keep their unfinished journal story, so a restart resumes them.
 	draining atomic.Bool
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	closed   bool
-	queues   [numPriorities][]*Job // FIFO per class
-	jobs     map[string]*Job
-	finished []string // finished job IDs, oldest first, for retention
-	nextID   uint64
-	running  int
-	ctr      struct {
-		submitted, rejected          uint64
-		completed, failed, cancelled uint64
-		retries                      uint64
-		cacheHits, cacheMisses       uint64
-		shed, breakerRejects         uint64
-		expired                      uint64
-		hedges, hedgeWins            uint64
-		virtualSeconds               float64
-	}
-	rng *rand.Rand // backoff jitter; guarded by mu
-
-	// testHookRunning is Config.OnJobRunning (historically a test-only
-	// hook; package tests may still set it directly before any submit).
-	testHookRunning func(*Job)
+	mu      sync.Mutex
+	cond    *sync.Cond
+	closed  bool
+	queues  [numPriorities][]*Job // FIFO per class
+	jobs    *Ledger[*Job]
+	running int
+	rng     *rand.Rand // backoff jitter; guarded by mu
 }
 
 // New creates a scheduler and starts its worker pool.
 func New(cfg Config) *Scheduler {
 	s := &Scheduler{
-		cfg:  cfg.withDefaults(),
-		jobs: make(map[string]*Job),
-		rng:  rand.New(rand.NewSource(time.Now().UnixNano())),
+		cfg: cfg.withDefaults(),
+		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	s.journal = s.cfg.Journal
-	s.testHookRunning = s.cfg.OnJobRunning
+	s.jobs = NewLedger[*Job]("job", s.cfg.RetainJobs)
 	s.cache = newResultCache(s.cfg.CacheEntries)
 	if s.cfg.KernelWorkers > 0 {
 		par.SetMaxWorkers(s.cfg.KernelWorkers)
 	}
-	if s.cfg.Registry != nil {
-		s.tel = newSchedMetrics(s, s.cfg.Registry)
-	}
+	s.tel = newSchedMetrics(s)
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(s.cfg.Workers)
 	for i := 0; i < s.cfg.Workers; i++ {
@@ -659,31 +647,37 @@ func (s *Scheduler) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	}
 	// Hash the cube outside the lock: admission stays cheap under
 	// contention even for large scenes.
-	return s.admit(ctx, spec, spec.cacheKey(), "", nil)
+	return s.admit(ctx, spec, spec.cacheKey(), nil)
 }
 
-// admit enqueues a validated spec. A fresh submission (id == "") allocates
+// admit enqueues a validated spec. A fresh submission (resume == nil) mints
 // the next job ID and journals a submitted record before returning, so the
-// caller's acknowledgment is durable; a journal-replayed resubmission
-// passes the job's original id plus its recovered snapshot, keeps the
-// existing journal story and advances the ID counter past it.
-func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key, id string, seed *checkpoint.Snapshot) (*Job, error) {
+// caller's acknowledgment is durable; a journal-replayed resubmission keeps
+// its original ID, submit time and journal story and starts from its
+// recovered snapshot.
+func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key string, resume *JournalJob) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	resumed := id != ""
+	resumed := resume != nil
+	id, submitted := "", time.Now()
+	var seed *checkpoint.Snapshot
+	if resumed {
+		id, seed = resume.ID, resume.Snapshot
+		if !resume.Submitted.IsZero() {
+			submitted = resume.Submitted
+		}
+	}
 
 	s.mu.Lock()
 	if s.closed {
-		s.ctr.rejected++
 		s.mu.Unlock()
-		s.tel.rejectedInc()
+		s.tel.rejected.Inc()
 		return nil, ErrClosed
 	}
 	if s.queuedLocked() >= s.cfg.QueueDepth {
-		s.ctr.rejected++
 		s.mu.Unlock()
-		s.tel.rejectedInc()
+		s.tel.rejected.Inc()
 		return nil, ErrQueueFull
 	}
 	timeout := spec.Timeout
@@ -708,20 +702,16 @@ func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key, id string, see
 		})
 		if !v.Allow {
 			s.mu.Unlock()
-			s.noteShed(v.Reason)
+			s.tel.rejected.Inc()
+			s.tel.shed.With(string(v.Reason)).Inc()
 			return nil, &ShedError{Reason: v.Reason, RetryAfter: v.RetryAfter}
 		}
 		probe = v.Probe
 	}
-	if resumed {
-		if _, ok := s.jobs[id]; ok {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("sched: job %s already known", id)
-		}
-		s.advanceIDLocked(id)
-	} else {
-		s.nextID++
-		id = fmt.Sprintf("job-%d", s.nextID)
+	id, err := s.jobs.Reserve(id)
+	if err != nil {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("sched: job %w", err)
 	}
 	jctx, jcancel := context.WithCancel(ctx)
 	if timeout > 0 {
@@ -735,7 +725,7 @@ func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key, id string, see
 		cancel:      jcancel,
 		done:        make(chan struct{}),
 		state:       StateQueued,
-		submittedAt: time.Now(),
+		submittedAt: submitted,
 		seed:        seed,
 		backendKey:  backendKey,
 		probe:       probe,
@@ -744,15 +734,13 @@ func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key, id string, see
 	if dl, ok := jctx.Deadline(); ok {
 		j.deadline = dl
 	}
-	s.jobs[j.id] = j
+	s.jobs.Add(j.id, submitted, j)
 	s.queues[spec.Priority] = append(s.queues[spec.Priority], j)
-	s.ctr.submitted++
-	s.evictFinishedLocked()
 	s.cond.Signal()
 	s.mu.Unlock()
-	s.tel.submittedInc()
+	s.tel.submitted.Inc()
 	if !resumed && !spec.NoJournal {
-		s.journalAppend(Record{Type: recSubmitted, Job: j.id, Request: spec.JournalPayload, CacheKey: key})
+		s.JournalAppend(Record{Type: recSubmitted, Job: j.id, Request: spec.JournalPayload, CacheKey: key})
 	}
 
 	// A watcher finishes the job the moment its context dies while it is
@@ -760,15 +748,6 @@ func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key, id string, see
 	// instead of occupying a slot until a worker pops them.
 	go s.watchQueued(j)
 	return j, nil
-}
-
-// advanceIDLocked moves the ID counter past a replayed "job-N" so fresh
-// submissions never collide with recovered jobs.
-func (s *Scheduler) advanceIDLocked(id string) {
-	var n uint64
-	if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n > s.nextID {
-		s.nextID = n
-	}
 }
 
 // SubmitResumed resubmits a journal-replayed unfinished job under its
@@ -786,16 +765,11 @@ func (s *Scheduler) SubmitResumed(ctx context.Context, jj *JournalJob, spec JobS
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	j, err := s.admit(ctx, spec, spec.cacheKey(), jj.ID, jj.Snapshot)
+	j, err := s.admit(ctx, spec, spec.cacheKey(), jj)
 	if err != nil {
 		return nil, err
 	}
-	if !jj.Submitted.IsZero() {
-		j.mu.Lock()
-		j.submittedAt = jj.Submitted
-		j.mu.Unlock()
-	}
-	s.tel.restoredInc("resumed")
+	s.tel.restored.With("resumed").Inc()
 	return j, nil
 }
 
@@ -836,20 +810,18 @@ func (s *Scheduler) RestoreFinished(jj *JournalJob, spec JobSpec) (*Job, error) 
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if _, ok := s.jobs[j.id]; ok {
+	if _, err := s.jobs.Reserve(j.id); err != nil {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("sched: job %s already known", j.id)
+		return nil, fmt.Errorf("sched: job %w", err)
 	}
-	s.jobs[j.id] = j
-	s.finished = append(s.finished, j.id)
-	s.advanceIDLocked(j.id)
-	s.evictFinishedLocked()
+	s.jobs.Add(j.id, j.submittedAt, j)
+	s.jobs.Retire(j.id)
 	s.mu.Unlock()
 
 	if jj.State == StateCompleted && jj.Report != nil && jj.CacheKey != "" {
 		s.cache.put(jj.CacheKey, cachedResult{report: jj.Report, adaptive: jj.Adaptive})
 	}
-	s.tel.restoredInc("finished")
+	s.tel.restored.With("finished").Inc()
 	return j, nil
 }
 
@@ -872,14 +844,6 @@ func (s *Scheduler) queuedAtOrAboveLocked(p Priority) int {
 	return n
 }
 
-// evictFinishedLocked trims the finished-job history to RetainJobs.
-func (s *Scheduler) evictFinishedLocked() {
-	for len(s.finished) > s.cfg.RetainJobs {
-		delete(s.jobs, s.finished[0])
-		s.finished = s.finished[1:]
-	}
-}
-
 // watchQueued cancels a job out of the queue when its context dies
 // first. Deadline expiry while queued is counted separately from plain
 // cancellation: the lazy-expiry path is how dead work leaves the queue
@@ -888,7 +852,7 @@ func (s *Scheduler) watchQueued(j *Job) {
 	select {
 	case <-j.ctx.Done():
 		if s.dequeue(j) {
-			s.finish(j, StateCancelled, cachedResult{}, s.queuedDeathErr(j), false)
+			s.settle(j, time.Time{}, StateCancelled, cachedResult{}, s.queuedDeathErr(j), false)
 		}
 	case <-j.done:
 	}
@@ -899,14 +863,14 @@ func (s *Scheduler) watchQueued(j *Job) {
 func (s *Scheduler) queuedDeathErr(j *Job) error {
 	cause := context.Cause(j.ctx)
 	if errors.Is(cause, context.DeadlineExceeded) {
-		s.noteExpired()
+		s.tel.expired.Inc()
 		return fmt.Errorf("sched: job %s expired while queued (deadline passed before dispatch): %w", j.id, cause)
 	}
 	return fmt.Errorf("sched: job %s cancelled while queued: %w", j.id, cause)
 }
 
 // dequeue removes a still-queued job, reporting whether it was present.
-// Queue membership is the token that makes finish exactly-once between
+// Queue membership is the token that makes settle exactly-once between
 // the watcher and the workers.
 func (s *Scheduler) dequeue(j *Job) bool {
 	s.mu.Lock()
@@ -927,37 +891,16 @@ func (s *Scheduler) dequeue(j *Job) bool {
 // lists after job-9).
 func (s *Scheduler) Jobs() []*Job {
 	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
+	entries := s.jobs.Entries()
 	s.mu.Unlock()
-	sort.Slice(jobs, func(a, b int) bool {
-		ta, tb := jobs[a].submittedAt, jobs[b].submittedAt
-		if !ta.Equal(tb) {
-			return ta.Before(tb)
-		}
-		na, nb := jobNumber(jobs[a].id), jobNumber(jobs[b].id)
-		if na != nb {
-			return na < nb
-		}
-		return jobs[a].id < jobs[b].id
-	})
-	return jobs
-}
-
-// jobNumber extracts N from "job-N" for sorting (0 for foreign IDs).
-func jobNumber(id string) uint64 {
-	var n uint64
-	fmt.Sscanf(id, "job-%d", &n)
-	return n
+	return Listing(entries)
 }
 
 // Job looks up a job by ID.
 func (s *Scheduler) Job(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
@@ -992,27 +935,34 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (*Job, error) {
 	}
 }
 
-// Stats snapshots the aggregate counters.
+// Stats snapshots the aggregate counters: the gauges under the
+// scheduler's lock, the monotonic counts read back from the instruments.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	queued, running := s.queuedLocked(), s.running
+	s.mu.Unlock()
+	m := s.tel
+	var shed uint64
+	for _, r := range []guard.Reason{guard.ReasonLimit, guard.ReasonRate, guard.ReasonDeadline} {
+		shed += count(m.shed.With(string(r)))
+	}
 	return Stats{
-		Queued:         s.queuedLocked(),
-		Running:        s.running,
-		Submitted:      s.ctr.submitted,
-		Rejected:       s.ctr.rejected,
-		Completed:      s.ctr.completed,
-		Failed:         s.ctr.failed,
-		Cancelled:      s.ctr.cancelled,
-		Retries:        s.ctr.retries,
-		CacheHits:      s.ctr.cacheHits,
-		CacheMiss:      s.ctr.cacheMisses,
-		Shed:           s.ctr.shed,
-		BreakerRejects: s.ctr.breakerRejects,
-		Expired:        s.ctr.expired,
-		Hedges:         s.ctr.hedges,
-		HedgeWins:      s.ctr.hedgeWins,
-		VirtualSeconds: s.ctr.virtualSeconds,
+		Queued:         queued,
+		Running:        running,
+		Submitted:      count(m.submitted),
+		Rejected:       count(m.rejected),
+		Completed:      count(m.finished.With(string(StateCompleted))),
+		Failed:         count(m.finished.With(string(StateFailed))),
+		Cancelled:      count(m.finished.With(string(StateCancelled))),
+		Retries:        count(m.retries),
+		CacheHits:      count(m.cache.With("hit")),
+		CacheMiss:      count(m.cache.With("miss")),
+		Shed:           shed,
+		BreakerRejects: count(m.shed.With(string(guard.ReasonBreakerOpen))),
+		Expired:        count(m.expired),
+		Hedges:         count(m.hedges),
+		HedgeWins:      count(m.hedgeWins),
+		VirtualSeconds: m.virtualSeconds.Value(),
 		CacheEntries:   s.cache.len(),
 	}
 }
@@ -1034,16 +984,16 @@ func (s *Scheduler) Close() {
 		s.queues[p] = nil
 	}
 	var inFlight []*Job
-	for _, j := range s.jobs {
-		if !j.State().Final() {
-			inFlight = append(inFlight, j)
+	for _, en := range s.jobs.Entries() {
+		if !en.Item.State().Final() {
+			inFlight = append(inFlight, en.Item)
 		}
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
 	for _, j := range pending {
-		s.finish(j, StateCancelled, cachedResult{}, fmt.Errorf("sched: job %s: %w", j.id, ErrClosed), false)
+		s.settle(j, time.Time{}, StateCancelled, cachedResult{}, fmt.Errorf("sched: job %s: %w", j.id, ErrClosed), false)
 	}
 	for _, j := range inFlight {
 		j.Cancel()
@@ -1063,18 +1013,24 @@ func (s *Scheduler) Drain() {
 	s.Close()
 }
 
-// journalAppend writes one record to the journal, if any. An append
-// failure must not fail the job — the run's result is still correct, only
-// its durability is degraded — so errors are counted, not propagated.
-func (s *Scheduler) journalAppend(rec Record) {
-	if s.journal == nil {
+// Journaled reports whether the scheduler has a journal, so callers can
+// skip encoding records JournalAppend would drop.
+func (s *Scheduler) Journaled() bool { return s.cfg.Journal != nil }
+
+// JournalAppend writes one record to the journal, if any — the
+// scheduler's own job records and the flow engine's pipeline records
+// alike. An append failure must not fail the work — its result is still
+// correct, only its durability is degraded — so errors are counted, not
+// propagated.
+func (s *Scheduler) JournalAppend(rec Record) {
+	if s.cfg.Journal == nil {
 		return
 	}
-	if err := s.journal.Append(rec); err != nil {
-		s.tel.journalErrorInc()
+	if err := s.cfg.Journal.Append(rec); err != nil {
+		s.tel.journalEr.Inc()
 		return
 	}
-	s.tel.journalRecordInc(rec.Type)
+	s.tel.journal.With(rec.Type).Inc()
 }
 
 // worker runs jobs until the scheduler closes.
@@ -1116,37 +1072,29 @@ func (s *Scheduler) runJob(j *Job) {
 	// usually wins this race; this is the fallback, and it upholds the
 	// same invariant — an expired job is never dispatched.
 	if j.ctx.Err() != nil {
-		s.finish(j, StateCancelled, cachedResult{}, s.queuedDeathErr(j), false)
+		s.settle(j, time.Time{}, StateCancelled, cachedResult{}, s.queuedDeathErr(j), false)
 		return
 	}
 
 	if res, ok := s.cache.get(j.cacheKey); ok {
-		s.mu.Lock()
-		s.ctr.cacheHits++
-		s.mu.Unlock()
-		s.tel.cacheResult("hit")
-		s.finish(j, StateCompleted, res, nil, true)
+		s.tel.cache.With("hit").Inc()
+		s.settle(j, time.Time{}, StateCompleted, res, nil, true)
 		return
 	}
 	if j.cacheKey != "" {
-		s.mu.Lock()
-		s.ctr.cacheMisses++
-		s.mu.Unlock()
-		s.tel.cacheResult("miss")
+		s.tel.cache.With("miss").Inc()
 	}
 
-	started := time.Now()
+	jobStarted := time.Now()
 	j.mu.Lock()
 	j.state = StateRunning
-	j.startedAt = started
-	submitted := j.submittedAt // SubmitResumed rewrites it after enqueue
+	j.startedAt = jobStarted
 	j.mu.Unlock()
-	s.cfg.Guard.ObserveDispatch(guard.Class(j.spec.Priority), started.Sub(submitted), j.queuedAhead)
+	s.cfg.Guard.ObserveDispatch(guard.Class(j.spec.Priority), jobStarted.Sub(j.submittedAt), j.queuedAhead)
 	s.mu.Lock()
 	s.running++
-	hook := s.testHookRunning
 	s.mu.Unlock()
-	if hook != nil {
+	if hook := s.cfg.OnJobRunning; hook != nil {
 		hook(j)
 	}
 
@@ -1157,7 +1105,7 @@ func (s *Scheduler) runJob(j *Job) {
 		mem := &checkpoint.MemStore{}
 		mem.Seed(j.seed)
 		var store checkpoint.Checkpointer = mem
-		if s.journal != nil && !j.spec.NoJournal {
+		if s.cfg.Journal != nil && !j.spec.NoJournal {
 			store = &journaledStore{inner: mem, sched: s, job: j.id}
 		}
 		if hook := s.cfg.OnJobCheckpoint; hook != nil {
@@ -1177,7 +1125,7 @@ func (s *Scheduler) runJob(j *Job) {
 	for attempt := 1; ; attempt++ {
 		started := time.Now()
 		if !j.spec.NoJournal {
-			s.journalAppend(Record{Type: recStarted, Job: j.id, Attempt: attempt})
+			s.JournalAppend(Record{Type: recStarted, Job: j.id, Attempt: attempt})
 		}
 		res, err = s.executeAttempt(j, attempt)
 		rec := AttemptRecord{
@@ -1201,10 +1149,7 @@ func (s *Scheduler) runJob(j *Job) {
 		backoff := s.backoff(attempt)
 		rec.BackoffMS = backoff.Milliseconds()
 		j.recordAttempt(rec)
-		s.mu.Lock()
-		s.ctr.retries++
-		s.mu.Unlock()
-		s.tel.retryInc()
+		s.tel.retries.Inc()
 		if !sleepCtx(j.ctx, backoff) {
 			err = fmt.Errorf("sched: job %s cancelled during retry backoff: %w", j.id, context.Cause(j.ctx))
 			break
@@ -1218,11 +1163,11 @@ func (s *Scheduler) runJob(j *Job) {
 	switch {
 	case err == nil:
 		s.cache.put(j.cacheKey, res)
-		s.finish(j, StateCompleted, res, nil, false)
+		s.settle(j, jobStarted, StateCompleted, res, nil, false)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.finish(j, StateCancelled, cachedResult{}, err, false)
+		s.settle(j, jobStarted, StateCancelled, cachedResult{}, err, false)
 	default:
-		s.finish(j, StateFailed, cachedResult{}, err, false)
+		s.settle(j, jobStarted, StateFailed, cachedResult{}, err, false)
 	}
 }
 
@@ -1272,7 +1217,10 @@ func (s *Scheduler) executeHedged(j *Job, attempt int, delay time.Duration) (cac
 	}
 	hctx, hcancel := context.WithCancel(j.ctx)
 	defer hcancel()
-	s.noteHedge(j)
+	j.mu.Lock()
+	j.hedged = true
+	j.mu.Unlock()
+	s.tel.hedges.Inc()
 	go func() {
 		r, e := s.execute(hctx, j, attempt)
 		results <- outcome{r, e, true}
@@ -1282,7 +1230,10 @@ func (s *Scheduler) executeHedged(j *Job, attempt int, delay time.Duration) (cac
 	hcancel()
 	<-results // await the loser: leak-free by construction
 	if first.hedge {
-		s.noteHedgeWin(j)
+		j.mu.Lock()
+		j.hedgeWon = true
+		j.mu.Unlock()
+		s.tel.hedgeWins.Inc()
 	}
 	return first.res, first.err
 }
@@ -1301,7 +1252,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job, attempt int) (cachedRes
 	// The simulation instruments ride the context, not Params: Params is
 	// part of the cache key and must stay a pure value. The checkpoint
 	// store travels the same way, for the same reason.
-	ctx = core.WithMetrics(ctx, s.tel.coreMetrics())
+	ctx = core.WithMetrics(ctx, s.tel.core)
 	if j.ckpt != nil {
 		ctx = core.WithCheckpointer(ctx, j.ckpt)
 	}
@@ -1349,30 +1300,27 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// finish settles a job exactly once (callers guarantee single settlement
-// via queue-membership or worker ownership) and updates the counters.
-func (s *Scheduler) finish(j *Job, state State, res cachedResult, err error, fromCache bool) {
-	j.mu.Lock()
-	j.state = state
-	j.report = res.report
-	j.adaptive = res.adaptive
-	j.err = err
-	j.fromCache = fromCache
-	j.finishedAt = time.Now()
-	latency := j.finishedAt.Sub(j.submittedAt)
+// settle is the one path by which a job reaches a final state, called
+// exactly once per job (callers hold the token: queue membership or worker
+// ownership); started is when the job began running, zero if it never
+// did. The order is the contract: guard feedback, counters and ledger
+// history all land BEFORE the terminal state and Done() become visible, so
+// a waiter that resubmits, reads Stats or lists Jobs the moment the job
+// settles finds all three already caught up. Only the latency histogram
+// and the finished journal record come after.
+func (s *Scheduler) settle(j *Job, started time.Time, state State, res cachedResult, err error, fromCache bool) {
+	finishedAt := time.Now()
+	latency := finishedAt.Sub(j.submittedAt)
 	var exec time.Duration
-	if !j.startedAt.IsZero() {
-		exec = j.finishedAt.Sub(j.startedAt)
+	if !started.IsZero() {
+		exec = finishedAt.Sub(started)
 	}
-	j.mu.Unlock()
 
 	if g := s.cfg.Guard; g != nil {
 		// Classify the settlement for the breaker: only real backend
 		// verdicts count. Cancellations, expiries, cache hits and
 		// non-backend failures are neutral — they say nothing about the
-		// (network, fault-profile) backend's health. This feedback lands
-		// BEFORE close(done): a waiter resubmitting the moment the job
-		// settles must see the breaker already told.
+		// (network, fault-profile) backend's health.
 		outcome := guard.OutcomeNeutral
 		switch {
 		case state == StateCompleted && !fromCache:
@@ -1391,10 +1339,32 @@ func (s *Scheduler) finish(j *Job, state State, res cachedResult, err error, fro
 		}
 	}
 
+	s.tel.finished.With(string(state)).Inc()
+	if state == StateCompleted && res.report != nil && !fromCache {
+		s.tel.virtualSeconds.Add(res.report.WallTime)
+	}
+
+	s.mu.Lock()
+	s.jobs.Retire(j.id)
+	s.mu.Unlock()
+
+	j.mu.Lock()
+	j.state = state
+	j.report = res.report
+	j.adaptive = res.adaptive
+	j.err = err
+	j.fromCache = fromCache
+	j.finishedAt = finishedAt
+	j.mu.Unlock()
 	j.cancel() // release the context's timer resources
 	close(j.done)
-	s.tel.jobFinished(state, j.spec.Priority, latency)
 
+	s.tel.latency.With(j.spec.Priority.String()).Observe(latency.Seconds())
+
+	// The one deliberate exception to "done means durable": the finished
+	// record is appended AFTER the ack above (DESIGN.md "Durability &
+	// drain" has the poll-ladder reasoning). Making completion durable
+	// first means moving this block above the j.mu section, nothing else.
 	// A job cancelled by a drain is deferred, not settled: no finished
 	// record, so the journal's open story makes the next boot resume it.
 	if !j.spec.NoJournal && !(state == StateCancelled && s.draining.Load()) {
@@ -1406,21 +1376,6 @@ func (s *Scheduler) finish(j *Job, state State, res cachedResult, err error, fro
 			rec.Report = marshalReport(res.report)
 			rec.Adaptive = marshalAdaptive(res.adaptive)
 		}
-		s.journalAppend(rec)
+		s.JournalAppend(rec)
 	}
-
-	s.mu.Lock()
-	switch state {
-	case StateCompleted:
-		s.ctr.completed++
-		if res.report != nil && !fromCache {
-			s.ctr.virtualSeconds += res.report.WallTime
-		}
-	case StateFailed:
-		s.ctr.failed++
-	case StateCancelled:
-		s.ctr.cancelled++
-	}
-	s.finished = append(s.finished, j.id)
-	s.mu.Unlock()
 }

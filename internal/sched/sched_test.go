@@ -62,12 +62,13 @@ func waitState(t *testing.T, j *Job, want State) {
 	t.Fatalf("job %s stuck in %s, want %s", j.ID(), j.State(), want)
 }
 
-// setGate installs a test hook that parks any job labelled "blocker"
-// until the returned release function is called.
+// setGate installs an OnJobRunning hook that parks any job labelled
+// "blocker" until the returned release function is called. Call it before
+// the first submit: workers read the hook only after dequeuing a job.
 func setGate(s *Scheduler) (release func()) {
 	gate := make(chan struct{})
 	s.mu.Lock()
-	s.testHookRunning = func(j *Job) {
+	s.cfg.OnJobRunning = func(j *Job) {
 		if j.spec.Label == "blocker" {
 			<-gate
 		}

@@ -1,16 +1,15 @@
 package sched
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/telemetry"
 )
 
-// schedMetrics bundles the scheduler's instruments. A nil *schedMetrics
-// (no Config.Registry) is a valid no-op receiver everywhere, so the
-// scheduler's hot path carries no conditionals beyond a nil check.
+// schedMetrics bundles the scheduler's instruments. They are the only
+// counters the scheduler keeps: /metrics exposes them and Stats reads them
+// back, so the two views cannot disagree. Without a Config.Registry they
+// register against a private one nobody scrapes.
 type schedMetrics struct {
 	submitted *telemetry.Counter
 	rejected  *telemetry.Counter
@@ -25,17 +24,25 @@ type schedMetrics struct {
 	expired   *telemetry.Counter
 	hedges    *telemetry.Counter
 	hedgeWins *telemetry.Counter
+	// virtualSeconds bills the simulated wall time of every completed,
+	// non-cached run; Stats-only, so it is not registered.
+	virtualSeconds *telemetry.Counter
 
-	// core carries the simulation-level instruments; execute attaches it
-	// to each job's context.
+	// core carries the simulation-level instruments execute attaches to
+	// each job's context; nil (a no-op for core) without a Config.Registry.
 	core *core.Metrics
 }
 
-// newSchedMetrics registers the scheduler's instruments against reg. The
-// queue/running/cache gauges read the scheduler live at scrape time, so
-// they are exact, not sampled. Registering twice against one registry
-// panics by design: share a registry across at most one scheduler.
-func newSchedMetrics(s *Scheduler, reg *telemetry.Registry) *schedMetrics {
+// newSchedMetrics registers the scheduler's instruments against
+// Config.Registry. The queue/running/cache gauges read the scheduler live
+// at scrape time, so they are exact, not sampled. Registering twice
+// against one registry panics by design: share a registry across at most
+// one scheduler.
+func newSchedMetrics(s *Scheduler) *schedMetrics {
+	reg := s.cfg.Registry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	reg.NewGaugeFunc("hyperhet_sched_queue_depth",
 		"Jobs waiting in the submission queue, both priority classes.", func() float64 {
 			s.mu.Lock()
@@ -79,7 +86,7 @@ func newSchedMetrics(s *Scheduler, reg *telemetry.Registry) *schedMetrics {
 		func() float64 {
 			return float64(s.cfg.Guard.State().BreakerTrips)
 		})
-	return &schedMetrics{
+	m := &schedMetrics{
 		submitted: reg.NewCounter("hyperhet_sched_submitted_total",
 			"Jobs admitted to the queue."),
 		rejected: reg.NewCounter("hyperhet_sched_rejected_total",
@@ -107,100 +114,13 @@ func newSchedMetrics(s *Scheduler, reg *telemetry.Registry) *schedMetrics {
 			"Straggler hedge attempts launched."),
 		hedgeWins: reg.NewCounter("hyperhet_guard_hedge_wins_total",
 			"Hedge attempts that finished before their primary."),
-		core: core.NewMetrics(reg),
+		virtualSeconds: new(telemetry.Counter),
 	}
+	if s.cfg.Registry != nil {
+		m.core = core.NewMetrics(reg)
+	}
+	return m
 }
 
-func (m *schedMetrics) submittedInc() {
-	if m == nil {
-		return
-	}
-	m.submitted.Inc()
-}
-
-func (m *schedMetrics) rejectedInc() {
-	if m == nil {
-		return
-	}
-	m.rejected.Inc()
-}
-
-func (m *schedMetrics) retryInc() {
-	if m == nil {
-		return
-	}
-	m.retries.Inc()
-}
-
-func (m *schedMetrics) journalRecordInc(recType string) {
-	if m == nil {
-		return
-	}
-	m.journal.With(recType).Inc()
-}
-
-func (m *schedMetrics) journalErrorInc() {
-	if m == nil {
-		return
-	}
-	m.journalEr.Inc()
-}
-
-func (m *schedMetrics) restoredInc(disposition string) {
-	if m == nil {
-		return
-	}
-	m.restored.With(disposition).Inc()
-}
-
-func (m *schedMetrics) shedInc(reason string) {
-	if m == nil {
-		return
-	}
-	m.shed.With(reason).Inc()
-}
-
-func (m *schedMetrics) expiredInc() {
-	if m == nil {
-		return
-	}
-	m.expired.Inc()
-}
-
-func (m *schedMetrics) hedgeInc() {
-	if m == nil {
-		return
-	}
-	m.hedges.Inc()
-}
-
-func (m *schedMetrics) hedgeWinInc() {
-	if m == nil {
-		return
-	}
-	m.hedgeWins.Inc()
-}
-
-func (m *schedMetrics) cacheResult(outcome string) {
-	if m == nil {
-		return
-	}
-	m.cache.With(outcome).Inc()
-}
-
-func (m *schedMetrics) jobFinished(state State, class Priority, latency time.Duration) {
-	if m == nil {
-		return
-	}
-	m.finished.With(string(state)).Inc()
-	m.latency.With(class.String()).Observe(latency.Seconds())
-}
-
-// coreMetrics returns the simulation instruments to attach to job
-// contexts (nil when telemetry is off, which core treats as a no-op).
-func (m *schedMetrics) coreMetrics() *core.Metrics {
-	if m == nil {
-		return nil
-	}
-	return m.core
-}
+// count reads one counter back as the integer Stats reports.
+func count(c *telemetry.Counter) uint64 { return uint64(c.Value()) }

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -122,6 +125,86 @@ func pipeDigest(status flow.PipelineStatus) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
+}
+
+// settleWitness checks the settle-order invariant from the harness's
+// watcher goroutines, at the moment a job or pipeline reports done:
+// "done" means counted, listed and (for pipelines) journaled — a waiter
+// never runs ahead of the books.
+type settleWitness struct {
+	dir   string
+	sched *sched.Scheduler
+	// draining is set before the harness drains the engine: from then on
+	// a pipeline that did not complete legitimately has no terminal record.
+	draining atomic.Bool
+	seen     atomic.Uint64 // watched jobs observed settled so far
+
+	mu       sync.Mutex
+	breaches []string
+}
+
+// watched pairs a settlement channel with the check to run when it closes.
+type watched struct {
+	done  <-chan struct{}
+	check func()
+}
+
+func (w *settleWitness) fail(format string, args ...any) {
+	w.mu.Lock()
+	w.breaches = append(w.breaches, fmt.Sprintf(format, args...))
+	w.mu.Unlock()
+}
+
+// sorted returns the breaches in a stable order (watchers race).
+func (w *settleWitness) sorted() []string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	sort.Strings(w.breaches)
+	return w.breaches
+}
+
+// job asserts that the moment j's Done() closes, Stats already counts
+// every watched job seen settled (this one included) and Jobs() lists j in
+// a final state.
+func (w *settleWitness) job(j *sched.Job) watched {
+	return watched{done: j.Done(), check: func() {
+		seen := w.seen.Add(1)
+		st := w.sched.Stats()
+		if counted := st.Completed + st.Failed + st.Cancelled; counted < seen {
+			w.fail("settle-order: job %s (%s) reported done with %d watched jobs settled but only %d counted",
+				j.ID(), j.Spec().Label, seen, counted)
+		}
+		for _, lj := range w.sched.Jobs() {
+			if lj == j && lj.State().Final() {
+				return
+			}
+		}
+		w.fail("settle-order: job %s (%s) reported done but Jobs() does not list it as final", j.ID(), j.Spec().Label)
+	}}
+}
+
+// pipe asserts that the moment p's Done() closes, a replay of the journal
+// already shows its terminal record — unless a drain deferred it.
+func (w *settleWitness) pipe(p *flow.Pipeline) watched {
+	return watched{done: p.Done(), check: func() {
+		// Read the flag before the journal: if no drain had begun once Done
+		// was observed, the pipeline settled before it and owes a record.
+		draining := w.draining.Load()
+		if draining && p.State() != flow.PipelineCompleted {
+			return
+		}
+		state, err := sched.ReplayJournalState(w.dir)
+		if err != nil || state == nil {
+			w.fail("settle-order: pipeline %s reported done but the journal does not replay: %v", p.ID(), err)
+			return
+		}
+		for _, jp := range state.Pipelines {
+			if jp.ID == p.ID() && jp.Finished {
+				return
+			}
+		}
+		w.fail("settle-order: pipeline %s (%s) reported done before its terminal record was journaled", p.ID(), p.State())
+	}}
 }
 
 // Verdict is one scenario's check result. String() is deterministic:

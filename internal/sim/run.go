@@ -391,7 +391,6 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 	eng, err := flow.New(flow.Config{
 		Scheduler:       s,
 		Scenes:          opts.Scenes.Provide,
-		Journal:         jl,
 		RetainPipelines: 4096,
 		OnStageDone:     trig.stageDone,
 	})
@@ -402,7 +401,8 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 	}
 
 	ctx := context.Background()
-	var watch []<-chan struct{}
+	wit := &settleWitness{dir: opts.Dir, sched: s}
+	var watch []watched
 	seenJobs := make(map[string]bool)
 	seenPipes := make(map[string]bool)
 	if state != nil {
@@ -432,7 +432,7 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 				continue
 			}
 			ph.Resumed++
-			watch = append(watch, j.Done())
+			watch = append(watch, wit.job(j))
 		}
 		for _, jp := range state.Pipelines {
 			label := labelOf(jp.Request)
@@ -458,7 +458,7 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 				continue
 			}
 			ph.Resumed++
-			watch = append(watch, p.Done())
+			watch = append(watch, wit.pipe(p))
 		}
 	}
 	for _, pl := range scn.Jobs {
@@ -475,7 +475,7 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 			continue
 		}
 		ph.Fresh++
-		watch = append(watch, j.Done())
+		watch = append(watch, wit.job(j))
 	}
 	for _, pl := range scn.Pipelines {
 		if seenPipes[pl.Label] {
@@ -488,7 +488,7 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 			continue
 		}
 		ph.Fresh++
-		watch = append(watch, p.Done())
+		watch = append(watch, wit.pipe(p))
 	}
 
 	// The overload storm rides on top of the workload: burst submissions
@@ -507,13 +507,14 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 	}
 
 	var wg sync.WaitGroup
-	for _, done := range watch {
+	for _, w := range watch {
 		wg.Add(1)
-		go func(done <-chan struct{}) {
+		go func(w watched) {
 			defer wg.Done()
-			<-done
+			<-w.done
+			w.check()
 			trig.settle()
-		}(done)
+		}(w)
 	}
 	allDone := make(chan struct{})
 	go func() { wg.Wait(); close(allDone) }()
@@ -545,9 +546,16 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 		collect(out, s, eng, scn)
 	} else {
 		// Crash: drain so open journal stories survive for the next boot.
+		wit.draining.Store(true)
 		eng.Drain()
 		s.Drain()
 	}
+	if !wedged {
+		// Shutdown settled everything, so every watcher finishes; wait for
+		// their journal reads before the journal is closed and torn.
+		<-allDone
+	}
+	out.Failures = append(out.Failures, wit.sorted()...)
 	jl.Close()
 	if !final {
 		if err := tear(opts.Dir, cp); err != nil {
