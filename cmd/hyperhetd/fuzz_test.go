@@ -11,9 +11,11 @@ import (
 // FuzzSubmitJSON drives the /submit decode-and-parse path with arbitrary
 // bodies. The invariant under fuzz: malformed input yields an error (the
 // handler's 400), never a panic, and never a JobSpec that passes parsing
-// with an unbounded scene. Scene materialization is deliberately outside
-// the fuzzed path — parseSubmit is pure — so the fuzzer can run millions
-// of executions without allocating cubes.
+// with a scene that is unbounded or that the generator would refuse —
+// generation is deferred to a worker, so parseSubmit is the only place a
+// bad scene can still be a 400. Scene materialization is deliberately
+// outside the fuzzed path — parseSubmit is pure and allocates no cube —
+// so the fuzzer can run millions of executions cheaply.
 func FuzzSubmitJSON(f *testing.F) {
 	seeds := []string{
 		tinyJob,
@@ -32,6 +34,8 @@ func FuzzSubmitJSON(f *testing.F) {
 		`{"timeout_ms": -5}`,
 		`{"targets": -1}`,
 		`{"scene": {"lines": -3}}`,
+		`{"scene": {"lines": 15}}`,
+		`{"scene": {"bands": 7}, "no_cache": true}`,
 		`{"scene": {"lines": 2147483647, "samples": 2147483647, "bands": 2147483647}}`,
 		`{"faults": {"seed": 1, "crashes": [{"rank": 0, "at": 1}]}}`,
 		`{"unknown_field": true}`,
@@ -57,6 +61,13 @@ func FuzzSubmitJSON(f *testing.F) {
 		voxels := int64(cfg.Lines) * int64(cfg.Samples) * int64(cfg.Bands)
 		if voxels <= 0 || voxels > maxSceneVoxels {
 			t.Fatalf("parsed scene escapes the cap: %+v (%d voxels)", cfg, voxels)
+		}
+		// … name a scene the generator accepts, with nothing allocated yet …
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("parsed scene would fail on the worker, not the POST: %v", err)
+		}
+		if spec.Cube != nil || spec.Materialize != nil {
+			t.Fatalf("parseSubmit attached a cube: %+v", spec)
 		}
 		// … and must carry coherent fields for its mode.
 		switch spec.Mode {
@@ -150,6 +161,9 @@ func FuzzPipelineJSON(f *testing.F) {
 			voxels := int64(st.Scene.Lines) * int64(st.Scene.Samples) * int64(st.Scene.Bands)
 			if voxels <= 0 || voxels > maxSceneVoxels {
 				t.Fatalf("validated scene stage escapes the cap: %+v (%d voxels)", st.Scene, voxels)
+			}
+			if err := st.Scene.Validate(); err != nil {
+				t.Fatalf("validated scene stage would fail at run time, not the POST: %v", err)
 			}
 		}
 	})

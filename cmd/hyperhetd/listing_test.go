@@ -81,7 +81,7 @@ func scenePipeline(i int) string {
 		"name": "listing-%d",
 		"stages": [
 			{"name": "scene", "kind": "scene",
-			 "scene": {"lines": 16, "samples": 8, "bands": 4, "seed": %d}}
+			 "scene": {"lines": 16, "samples": 16, "bands": 8, "seed": %d}}
 		]
 	}`, i, i+1)
 }

@@ -32,8 +32,9 @@
 //	GET  /readyz           readiness probe; 503 while draining
 //
 // A submission names an algorithm, a platform and a scene; the server
-// generates (and caches) synthetic scenes on demand, so a job request is
-// a small JSON document, not a cube upload:
+// generates (and caches) synthetic scenes when a worker first needs
+// their voxels, so a job request is a small JSON document, not a cube
+// upload, and one answered from the result cache builds no scene at all:
 //
 //	curl -s localhost:8080/submit -d '{
 //	  "algorithm": "ATDCA", "variant": "Hetero", "network": "fully-het",
@@ -93,7 +94,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -186,13 +186,10 @@ func main() {
 	}
 }
 
-// maxCachedScenes bounds the server-side scene cache: scenes are a few
-// megabytes each and requests overwhelmingly reuse a handful of configs.
-const maxCachedScenes = 16
-
 // Server-side scene bounds: a submission is a small JSON document that
-// makes the server allocate lines*samples*bands float32 voxels, so the
-// decoder must refuse sizes that would let one request exhaust memory.
+// makes the server allocate lines*samples*bands float32 voxels (when a
+// worker first reads them), so the decoder must refuse sizes that would
+// let one request exhaust memory.
 // 64M voxels is 256 MB — comfortably above the paper's reduced scenes,
 // far below a parsed-from-JSON denial of service.
 const (
@@ -219,16 +216,8 @@ type server struct {
 	// dropped; nil without -journal. Surfaced in /stats.
 	replayStats *hyperhet.SchedReplayStats
 
-	mu     sync.Mutex
-	scenes map[hyperhet.SceneConfig]*sceneEntry
-}
-
-// sceneEntry is one generated scene (cube plus ground truth — pipeline
-// synthesis stages score against the truth) with its precomputed cache
-// digest.
-type sceneEntry struct {
-	sc     *hyperhet.Scene
-	digest string
+	// scenes hands out scene handles; see sceneCache.
+	scenes *sceneCache
 }
 
 // newServer builds the server. A non-empty journalDir makes it durable:
@@ -242,8 +231,9 @@ func newServer(cfg hyperhet.SchedulerConfig, journalDir string) (*server, error)
 		logger: slog.New(hyperhet.NewCountingLogHandler(reg,
 			slog.NewTextHandler(os.Stderr, nil))),
 		start:  time.Now(),
-		scenes: make(map[hyperhet.SceneConfig]*sceneEntry),
+		scenes: newSceneCache(sceneCacheBytes, maxSceneDigests),
 	}
+	s.scenes.register(reg)
 	var recovered *hyperhet.SchedJournalState
 	if journalDir != "" {
 		var err error
@@ -261,7 +251,7 @@ func newServer(cfg hyperhet.SchedulerConfig, journalDir string) (*server, error)
 	var err error
 	s.flow, err = hyperhet.NewFlowEngine(hyperhet.FlowConfig{
 		Scheduler: s.sched,
-		Scenes:    s.provideScene,
+		Scenes:    s.scenes.provide,
 		Registry:  reg,
 	})
 	if err != nil {
@@ -278,9 +268,12 @@ func newServer(cfg hyperhet.SchedulerConfig, journalDir string) (*server, error)
 
 // replay reinstalls journaled jobs into the fresh scheduler: finished
 // ones as queryable history, unfinished ones as live resubmissions under
-// their original IDs (resuming from their last checkpointed round). A job
-// whose recorded request no longer parses is logged and skipped — replay
-// must never prevent the server from starting.
+// their original IDs (resuming from their last checkpointed round). No
+// scene is generated here — resubmissions carry the lazy handle, and a
+// cacheable one takes its cube digest from its journaled cache key — so
+// boot time does not scale with the scenes in the journal. A job whose
+// recorded request no longer parses is logged and skipped — replay must
+// never prevent the server from starting.
 func (s *server) replay(jobs []*hyperhet.JournalJob) {
 	for _, jj := range jobs {
 		var req submitRequest
@@ -305,13 +298,7 @@ func (s *server) replay(jobs []*hyperhet.JournalJob) {
 			}
 			continue
 		}
-		entry, _, err := s.scene(sceneCfg)
-		if err != nil {
-			s.logger.Warn("journal replay: scene failed", "id", jj.ID, "error", err)
-			continue
-		}
-		spec.Cube = entry.sc.Cube
-		spec.CubeDigest = entry.digest
+		spec.Materialize = s.scenes.cube(sceneCfg)
 		if req.Scaled {
 			spec.Params = hyperhet.ScaledParams(spec.Params, sceneCfg)
 		}
@@ -487,15 +474,17 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.defaultBalance {
 		spec.Balance = true
 	}
-	// Materialize the (validated, size-capped) scene only after the whole
-	// request parsed: parseSubmit allocates nothing.
-	entry, _, err := s.scene(sceneCfg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	// The scene is a handle: a worker builds the cube only once the
+	// result cache has missed. A cacheable job owes the scheduler the
+	// cube's digest up front, which costs a generation only on first
+	// sight of the (validated, size-capped) config.
+	spec.Materialize = s.scenes.cube(sceneCfg)
+	if spec.Cacheable() {
+		if spec.CubeDigest, err = s.scenes.digest(r.Context(), sceneCfg); err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
 	}
-	spec.Cube = entry.sc.Cube
-	spec.CubeDigest = entry.digest
 	if req.Scaled {
 		spec.Params = hyperhet.ScaledParams(spec.Params, sceneCfg)
 	}
@@ -530,7 +519,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseSubmit resolves a submit request into a scheduler JobSpec plus the
-// scene configuration to materialize. It is pure — no allocation beyond
+// configuration of the scene it names. It is pure — no allocation beyond
 // the spec, no scene generation — so the fuzzer drives it directly with
 // arbitrary decoded requests; every malformed field must surface as an
 // error here, never as a panic or an allocation downstream.
@@ -646,49 +635,11 @@ func parseSubmit(req *submitRequest) (hyperhet.JobSpec, hyperhet.SceneConfig, er
 	return spec, sceneCfg, nil
 }
 
-// scene returns the cached scene for cfg, generating it on first use;
-// the second return reports a cache hit.
-func (s *server) scene(cfg hyperhet.SceneConfig) (*sceneEntry, bool, error) {
-	s.mu.Lock()
-	if entry, ok := s.scenes[cfg]; ok {
-		s.mu.Unlock()
-		return entry, true, nil
-	}
-	s.mu.Unlock()
-
-	// Generate outside the lock: scenes take real time to synthesize and
-	// concurrent submissions must not serialize behind one another. A
-	// duplicate generation race just wastes one generation.
-	sc, err := hyperhet.GenerateScene(cfg)
-	if err != nil {
-		return nil, false, fmt.Errorf("scene generation: %w", err)
-	}
-	entry := &sceneEntry{sc: sc, digest: hyperhet.SchedCubeDigest(sc.Cube)}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.scenes) >= maxCachedScenes {
-		// Simple reset beats tracking recency for a cache this small.
-		s.scenes = make(map[hyperhet.SceneConfig]*sceneEntry)
-	}
-	s.scenes[cfg] = entry
-	return entry, false, nil
-}
-
-// provideScene adapts the server's scene cache to the pipeline engine's
-// provider contract.
-func (s *server) provideScene(cfg hyperhet.SceneConfig) (*hyperhet.Scene, string, bool, error) {
-	entry, cached, err := s.scene(cfg)
-	if err != nil {
-		return nil, "", false, err
-	}
-	return entry.sc, entry.digest, cached, nil
-}
-
 // parseScene resolves the scene request against the reduced-WTC defaults
-// and enforces the server-side size cap before anything is allocated.
-// The per-dimension bound keeps the voxel product far from int64
-// overflow even on hostile inputs.
+// and enforces the server-side size cap and the generator's own minimums
+// before anything is allocated: generation is deferred to a worker, so
+// every refusal it could make must be a 400 here. The per-dimension bound
+// keeps the voxel product far from int64 overflow even on hostile inputs.
 func parseScene(req sceneRequest) (hyperhet.SceneConfig, error) {
 	cfg := hyperhet.DefaultSceneConfig()
 	if req.Lines != 0 {
@@ -717,7 +668,7 @@ func parseScene(req sceneRequest) (hyperhet.SceneConfig, error) {
 	if voxels := int64(cfg.Lines) * int64(cfg.Samples) * int64(cfg.Bands); voxels > maxSceneVoxels {
 		return cfg, fmt.Errorf("scene: %d voxels exceeds the server cap of %d", voxels, int64(maxSceneVoxels))
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 func resolveNetwork(name string, cpus int) (*hyperhet.Network, error) {
@@ -931,7 +882,9 @@ func parseLimit(w http.ResponseWriter, r *http.Request, max int) (int, bool) {
 type statsResponse struct {
 	hyperhet.SchedulerStats
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	ScenesCached  int     `json:"scenes_cached"`
+	// SceneCache snapshots the scene cache: resident scenes and bytes, the
+	// digest memo, and the hit/miss/generation counters /metrics exports.
+	SceneCache sceneCacheStats `json:"scene_cache"`
 	// Guard snapshots the overload-control layer (adaptive limit, latency
 	// baseline, open breakers); absent without -shed/-hedge.
 	Guard *hyperhet.GuardState `json:"guard,omitempty"`
@@ -942,13 +895,10 @@ type statsResponse struct {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	scenes := len(s.scenes)
-	s.mu.Unlock()
 	resp := statsResponse{
 		SchedulerStats: s.sched.Stats(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
-		ScenesCached:   scenes,
+		SceneCache:     s.scenes.stats(),
 		JournalReplay:  s.replayStats,
 	}
 	if s.sched.Guard() != nil {

@@ -236,6 +236,13 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		{"bad network", `{"algorithm": "atdca", "network": "ethernet"}`},
 		{"bad priority", `{"algorithm": "atdca", "priority": "urgent"}`},
 		{"bad scene", `{"algorithm": "atdca", "scene": {"lines": 2, "samples": 2, "bands": 2}}`},
+		// The generator's own minimums, on jobs that defer generation to
+		// the worker (no digest needed) and on one that does not.
+		{"too few lines", `{"algorithm": "atdca", "no_cache": true, "scene": {"lines": 15, "samples": 16, "bands": 8}}`},
+		{"too few samples", `{"algorithm": "atdca", "checkpoint": true, "scene": {"lines": 16, "samples": 15, "bands": 8}}`},
+		{"too few bands", `{"algorithm": "atdca", "scene": {"lines": 16, "samples": 16, "bands": 7}}`},
+		{"too few bands under faults", `{"algorithm": "atdca", "scene": {"bands": 7},
+			"faults": {"crashes": [{"rank": 1, "at": 1}]}}`},
 	}
 	for _, tc := range cases {
 		resp, doc := postJSON(t, ts.URL+"/submit", tc.body)
@@ -245,6 +252,10 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		if msg, _ := doc["error"].(string); msg == "" {
 			t.Errorf("%s: error body missing", tc.name)
 		}
+	}
+	// A refused submission never reaches the scene cache.
+	if st := sceneStats(t, ts.URL); st != (sceneCacheStats{MaxBytes: sceneCacheBytes}) {
+		t.Errorf("scene_cache after refusals = %+v, want untouched", st)
 	}
 }
 

@@ -87,8 +87,8 @@ func TestPipelineFanoutOverHTTP(t *testing.T) {
 	}
 	// Exactly one scene generation: the four analyze stages share it.
 	_, stats := getJSON(t, ts.URL+"/stats")
-	if n, _ := stats["scenes_cached"].(float64); n != 1 {
-		t.Fatalf("scenes_cached = %v, want 1", stats["scenes_cached"])
+	if n, _ := stats["scene_cache"].(map[string]any)["generations"].(float64); n != 1 {
+		t.Fatalf("scene_cache = %v, want 1 generation", stats["scene_cache"])
 	}
 	stages := pipelineStages(t, final)
 	syn, _ := stages["report"]["synthesis"].(map[string]any)
@@ -173,6 +173,8 @@ func TestPipelineRejectsBadRequests(t *testing.T) {
 			{"name": "a", "kind": "analyze", "after": ["s"], "job": {"algorithm": "maybe"}}]}`, "unknown algorithm"},
 		{"oversized scene", `{"stages": [
 			{"name": "s", "kind": "scene", "scene": {"lines": 65536, "samples": 65536, "bands": 65536}}]}`, "voxels"},
+		{"undersized scene", `{"stages": [
+			{"name": "s", "kind": "scene", "scene": {"lines": 16, "samples": 8, "bands": 8}}]}`, "too small"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

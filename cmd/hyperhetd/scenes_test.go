@@ -1,0 +1,399 @@
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+
+	hyperhet "repro"
+)
+
+// tinyCfg is the smallest scene the generator accepts; seeds tell
+// configs apart.
+func tinyCfg(seed int64) hyperhet.SceneConfig {
+	return hyperhet.SceneConfig{Lines: 16, Samples: 16, Bands: 8, Seed: seed, SNRdB: 30}
+}
+
+const tinyCfgBytes = 16 * 16 * 8 * 4
+
+func mustScene(t *testing.T, c *sceneCache, cfg hyperhet.SceneConfig) (*sceneEntry, bool) {
+	t.Helper()
+	e, cached, err := c.scene(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, cached
+}
+
+// The resident set is an LRU bounded in bytes: recently used scenes
+// survive, the coldest goes, and the bound holds after every insert.
+func TestSceneCacheEvictsLRUWithinByteBound(t *testing.T) {
+	const bound = 3*tinyCfgBytes + 100
+	c := newSceneCache(bound, 16)
+	steps := []struct {
+		seed                int64
+		wantCached          bool
+		wantResident        int
+		wantGenerations     uint64
+		wantResidentConfigs []int64
+	}{
+		{1, false, 1, 1, []int64{1}},
+		{2, false, 2, 2, []int64{1, 2}},
+		{3, false, 3, 3, []int64{1, 2, 3}},
+		{1, true, 3, 3, []int64{1, 2, 3}},  // touch 1: 2 is now coldest
+		{4, false, 3, 4, []int64{1, 3, 4}}, // evicts 2 only — not a reset
+		{3, true, 3, 4, []int64{1, 3, 4}},
+		{2, false, 3, 5, []int64{2, 3, 4}}, // 1 is coldest by now
+	}
+	for i, st := range steps {
+		_, cached := mustScene(t, c, tinyCfg(st.seed))
+		got := c.stats()
+		if cached != st.wantCached || got.Resident != st.wantResident || got.Generations != st.wantGenerations {
+			t.Fatalf("step %d (seed %d): cached=%v stats=%+v, want cached=%v resident=%d generations=%d",
+				i, st.seed, cached, got, st.wantCached, st.wantResident, st.wantGenerations)
+		}
+		if got.Bytes > bound || got.Bytes != int64(got.Resident)*tinyCfgBytes {
+			t.Fatalf("step %d: %d resident bytes for %d scenes under a %d bound", i, got.Bytes, got.Resident, bound)
+		}
+		c.mu.Lock()
+		for _, seed := range st.wantResidentConfigs {
+			if _, ok := c.scenes.items[tinyCfg(seed)]; !ok {
+				t.Errorf("step %d: seed %d is not resident", i, seed)
+			}
+		}
+		c.mu.Unlock()
+	}
+}
+
+// A scene larger than the whole bound is served to its caller and not
+// kept; its digest is.
+func TestSceneCacheServesOverBoundSceneWithoutKeepingIt(t *testing.T) {
+	c := newSceneCache(tinyCfgBytes-1, 16)
+	for i := 1; i <= 2; i++ {
+		e, cached := mustScene(t, c, tinyCfg(1))
+		if e == nil || e.sc.Cube == nil || cached {
+			t.Fatalf("call %d: entry %v cached=%v, want a fresh scene", i, e, cached)
+		}
+		if st := c.stats(); st.Resident != 0 || st.Bytes != 0 || st.Generations != uint64(i) {
+			t.Fatalf("call %d: stats %+v, want nothing resident and %d generations", i, st, i)
+		}
+	}
+	if _, err := c.digest(context.Background(), tinyCfg(1)); err != nil || c.stats().Generations != 2 {
+		t.Fatalf("digest of an unkept scene: err %v, stats %+v; want the memo to answer", err, c.stats())
+	}
+}
+
+// The digest memo outlives the cube: that is what lets a result-cache
+// hit skip generation. It is count-bounded and evicts, it does not reset.
+func TestSceneCacheDigestMemoSurvivesCubeEviction(t *testing.T) {
+	c := newSceneCache(tinyCfgBytes, 2) // one resident scene, two digests
+	ctx := context.Background()
+	d1, err := c.digest(ctx, tinyCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, _ := mustScene(t, c, tinyCfg(2)) // evicts scene 1
+	if st := c.stats(); st.Resident != 1 || st.Digests != 2 || st.Generations != 2 {
+		t.Fatalf("stats %+v, want 1 resident / 2 digests / 2 generations", st)
+	}
+	again, err := c.digest(ctx, tinyCfg(1))
+	if err != nil || again != d1 || d1 == e2.digest || c.stats().Generations != 2 {
+		t.Fatalf("memoized digest %q (err %v) vs first %q, stats %+v; want the same digest and no generation", again, err, d1, c.stats())
+	}
+	// A third config pushes the coldest digest (2) out; 1 was just used.
+	if _, err := c.digest(ctx, tinyCfg(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.digest(ctx, tinyCfg(1)); err != nil || c.stats().Generations != 3 {
+		t.Fatalf("digest 1 after memo eviction of 2: err %v stats %+v, want still memoized", err, c.stats())
+	}
+	// A regenerated scene has the digest it had before.
+	e1, _ := mustScene(t, c, tinyCfg(1))
+	if e1.digest != d1 {
+		t.Fatalf("regenerated scene digests to %q, first generation to %q", e1.digest, d1)
+	}
+}
+
+// Concurrent first requests for one config — lookups by cube, by digest
+// and through the pipeline provider alike — wait on one generation.
+func TestSceneCacheSingleFlight(t *testing.T) {
+	c := newSceneCache(sceneCacheBytes, maxSceneDigests)
+	cfg := hyperhet.SceneConfig{Lines: 96, Samples: 64, Bands: 32, Seed: 9, SNRdB: 30}
+	const callers = 8
+	start := make(chan struct{})
+	digests := make([]string, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var err error
+			switch i % 3 {
+			case 0:
+				digests[i], err = c.digest(context.Background(), cfg)
+			case 1:
+				var cube *hyperhet.Cube
+				if cube, err = c.cube(cfg)(context.Background()); err == nil {
+					digests[i] = hyperhet.SchedCubeDigest(cube)
+				}
+			default:
+				_, digests[i], _, err = c.provide(cfg)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	st := c.stats()
+	if st.Generations != 1 || st.Hits+st.Misses != callers || st.Misses < 1 {
+		t.Fatalf("stats %+v, want 1 generation and %d lookups", st, callers)
+	}
+	for i, d := range digests {
+		if d == "" || d != digests[0] {
+			t.Fatalf("caller %d saw digest %q, caller 0 %q", i, d, digests[0])
+		}
+	}
+}
+
+// A caller waiting on someone else's generation gives up with its context.
+func TestSceneCacheJoinerHonoursContext(t *testing.T) {
+	c := newSceneCache(sceneCacheBytes, maxSceneDigests)
+	cfg := tinyCfg(1)
+	c.mu.Lock()
+	c.inflight[cfg] = &sceneFlight{done: make(chan struct{})} // a generation that never lands
+	c.mu.Unlock()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := c.scene(ctx, cfg); err != context.Canceled {
+		t.Fatalf("joiner returned %v, want context.Canceled", err)
+	}
+}
+
+func sceneStats(t *testing.T, baseURL string) sceneCacheStats {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		SceneCache sceneCacheStats `json:"scene_cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.SceneCache
+}
+
+func submitOK(t *testing.T, baseURL, body string) string {
+	t.Helper()
+	resp, doc := postJSON(t, baseURL+"/submit", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d %v", resp.StatusCode, doc)
+	}
+	return doc["id"].(string)
+}
+
+// Over HTTP: the first cacheable job on a config generates its scene
+// once (the POST learns the digest, the worker finds the cube resident);
+// the repeat is a result-cache hit that generates nothing. Non-cacheable
+// jobs skip the digest and generate on the worker only.
+func TestSceneCacheSubmitGeneratesEachSceneOnce(t *testing.T) {
+	const configs = 40
+	job := func(seed int, extra string) string {
+		return fmt.Sprintf(`{"algorithm": "atdca", "mode": "sequential", "targets": 4%s,
+			"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": %d}}`, extra, seed)
+	}
+	cases := []struct {
+		name, extra     string
+		rounds          int
+		repeatFromCache bool
+	}{
+		{"cacheable twice", "", 2, true},
+		{"no_cache twice", `, "no_cache": true`, 2, false},
+		{"checkpointed once", `, "checkpoint": true`, 1, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := testServer(t, hyperhet.SchedulerConfig{QueueDepth: 64})
+			for round := 1; round <= tc.rounds; round++ {
+				ids := make([]string, configs)
+				for seed := range ids {
+					ids[seed] = submitOK(t, ts.URL, job(seed+1, tc.extra))
+				}
+				for _, id := range ids {
+					doc := waitSettled(t, ts.URL, id)
+					if doc["state"] != "completed" {
+						t.Fatalf("round %d job %s settled as %v (%v)", round, id, doc["state"], doc["error"])
+					}
+					if hit, _ := doc["from_cache"].(bool); hit != (round == 2 && tc.repeatFromCache) {
+						t.Fatalf("round %d job %s from_cache=%v", round, id, hit)
+					}
+				}
+				if st := sceneStats(t, ts.URL); st.Generations != configs || st.Resident != configs {
+					t.Fatalf("after round %d: scene_cache %+v, want %d generations, all resident", round, st, configs)
+				}
+			}
+		})
+	}
+}
+
+func TestSceneCacheConcurrentFirstSubmitsShareOneGeneration(t *testing.T) {
+	ts := testServer(t, hyperhet.SchedulerConfig{QueueDepth: 16})
+	const body = `{"algorithm": "pct", "mode": "sequential",
+		"scene": {"lines": 96, "samples": 64, "bands": 32, "seed": 11}}`
+	const clients = 8
+	ids := make([]string, clients)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, doc := postJSON(t, ts.URL+"/submit", body)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Errorf("submit %d = %d %v", i, resp.StatusCode, doc)
+				return
+			}
+			ids[i], _ = doc["id"].(string)
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, id := range ids {
+		if doc := waitSettled(t, ts.URL, id); doc["state"] != "completed" {
+			t.Fatalf("job %s settled as %v (%v)", id, doc["state"], doc["error"])
+		}
+	}
+	if st := sceneStats(t, ts.URL); st.Generations != 1 {
+		t.Fatalf("scene_cache %+v, want 1 generation for %d concurrent first submits", st, clients)
+	}
+}
+
+// /submit and a pipeline's scene stage name the same config: one
+// generation serves both, whichever arrives first.
+func TestSceneCacheSubmitAndPipelineShareOneGeneration(t *testing.T) {
+	ts := testServer(t, hyperhet.SchedulerConfig{Workers: 4, QueueDepth: 32})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	var jobID, pipeID string
+	go func() {
+		defer wg.Done()
+		if resp, doc := postJSON(t, ts.URL+"/submit", tinyJob); resp.StatusCode == http.StatusAccepted {
+			jobID, _ = doc["id"].(string)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		if resp, doc := postJSON(t, ts.URL+"/pipelines", fanoutPipeline); resp.StatusCode == http.StatusAccepted {
+			pipeID, _ = doc["id"].(string)
+		}
+	}()
+	wg.Wait()
+	if jobID == "" || pipeID == "" {
+		t.Fatalf("submissions refused: job %q pipeline %q", jobID, pipeID)
+	}
+	if doc := waitSettled(t, ts.URL, jobID); doc["state"] != "completed" {
+		t.Fatalf("job settled as %v (%v)", doc["state"], doc["error"])
+	}
+	if doc := waitPipelineSettled(t, ts.URL, pipeID); doc["state"] != "completed" {
+		t.Fatalf("pipeline settled as %v (%v)", doc["state"], doc["error"])
+	}
+	if st := sceneStats(t, ts.URL); st.Generations != 1 {
+		t.Fatalf("scene_cache %+v, want the job and the pipeline to share 1 generation", st)
+	}
+}
+
+// Boot replay generates nothing: resubmissions carry the lazy handle, a
+// cacheable one takes its digest from its journaled cache key, so only
+// the job a worker actually picks up builds a scene — and the restored
+// key is the content-digest key a fresh submission computes.
+func TestSceneCacheReplayGeneratesNoScene(t *testing.T) {
+	dir := t.TempDir()
+	// One worker, held by a blocker that crashes instantly and then sleeps
+	// through long retry backoffs: everything behind it stays queued.
+	cfg := hyperhet.SchedulerConfig{
+		Workers: 1, QueueDepth: 32,
+		RetryBaseDelay: 5 * time.Second, RetryMaxDelay: 5 * time.Second,
+	}
+	const blocker = `{
+		"algorithm": "atdca", "network": "fully-het", "targets": 4,
+		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 99},
+		"faults": {"crashes": [{"rank": 1, "at": 0, "attempt": -1}], "max_attempts": 10}}`
+	queuedJob := func(seed int, extra string) string {
+		return fmt.Sprintf(`{"algorithm": "atdca", "mode": "sequential", "targets": 4%s,
+			"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": %d}}`, extra, seed)
+	}
+
+	srv1, err := newServer(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.routes())
+	blockerID := submitOK(t, ts1.URL, blocker)
+	var cacheable, uncached []string
+	for seed := 1; seed <= 4; seed++ {
+		cacheable = append(cacheable, submitOK(t, ts1.URL, queuedJob(seed, "")))
+		uncached = append(uncached, submitOK(t, ts1.URL, queuedJob(seed+10, `, "no_cache": true`)))
+	}
+	srv1.drain(10 * time.Second)
+	ts1.Close()
+
+	srv2, err := newServer(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2.routes())
+	defer func() {
+		ts2.Close()
+		srv2.close()
+	}()
+	// Nine jobs on nine scenes came back; at most the blocker, first in
+	// line for the one worker, has built its scene.
+	if st := srv2.scenes.stats(); st.Generations > 1 || st.Digests > 1 {
+		t.Fatalf("scene_cache after replay = %+v, want no generation beyond the running blocker's", st)
+	}
+	if jobs := srv2.sched.Jobs(); len(jobs) != 9 {
+		t.Fatalf("replay restored %d jobs, want 9", len(jobs))
+	}
+	if resp, _ := postJSON(t, ts2.URL+"/jobs/"+blockerID+"/cancel", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel blocker = %d", resp.StatusCode)
+	}
+	for _, id := range append(cacheable, uncached...) {
+		if doc := waitSettled(t, ts2.URL, id); doc["state"] != "completed" || doc["from_cache"] != false {
+			t.Fatalf("resumed job %s: state %v from_cache %v (%v)", id, doc["state"], doc["from_cache"], doc["error"])
+		}
+	}
+	for seed := 1; seed <= 4; seed++ {
+		doc := waitSettled(t, ts2.URL, submitOK(t, ts2.URL, queuedJob(seed, "")))
+		if doc["state"] != "completed" || doc["from_cache"] != true {
+			t.Fatalf("fresh repeat of resumed seed %d: state %v from_cache %v; the resumed job's journaled key should match",
+				seed, doc["state"], doc["from_cache"])
+		}
+	}
+}
+
+// The scene_cache block of /stats reads the counters /metrics exports
+// (TestMetricsEndpoint pins the same scenario's exposition lines).
+func TestSceneCacheStatsBlock(t *testing.T) {
+	ts := testServer(t, hyperhet.SchedulerConfig{})
+	for i := 0; i < 2; i++ {
+		waitSettled(t, ts.URL, submitOK(t, ts.URL, tinyJob))
+	}
+	// POST 1 misses and generates, its worker hits the resident cube; POST
+	// 2 hits the digest memo and the result cache.
+	want := sceneCacheStats{Resident: 1, Bytes: 24 * 16 * 8 * 4, MaxBytes: sceneCacheBytes,
+		Digests: 1, Hits: 2, Misses: 1, Generations: 1}
+	if st := sceneStats(t, ts.URL); st != want {
+		t.Fatalf("scene_cache = %+v, want %+v", st, want)
+	}
+}

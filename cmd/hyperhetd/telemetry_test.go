@@ -74,6 +74,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hyperhet_core_virtual_seconds_total",
 		`hyperhet_mpi_flops_total{rank="0"}`,
 		`hyperhet_log_records_total{level="INFO"} 2`,
+		// POST 1 generates (miss) and its worker finds the cube resident;
+		// POST 2 is answered by the digest memo and the result cache.
+		"hyperhet_scene_cache_hits_total 2",
+		"hyperhet_scene_cache_misses_total 1",
+		"hyperhet_scene_cache_bytes 12288",
+		"hyperhet_scene_generations_total 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)

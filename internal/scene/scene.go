@@ -131,14 +131,23 @@ type Scene struct {
 // and seven separated hot spots.
 const minDimension = 16
 
-// Generate builds a scene. Lines and Samples must be at least 16 and
-// Bands at least 8.
-func Generate(cfg Config) (*Scene, error) {
+// Validate reports whether Generate accepts the configuration: Lines and
+// Samples must be at least 16 and Bands at least 8. It is pure, so callers
+// that defer generation (hyperhetd) can refuse a bad scene up front.
+func (cfg Config) Validate() error {
 	if cfg.Lines < minDimension || cfg.Samples < minDimension {
-		return nil, fmt.Errorf("scene: %dx%d too small (need at least %dx%d)", cfg.Lines, cfg.Samples, minDimension, minDimension)
+		return fmt.Errorf("scene: %dx%d too small (need at least %dx%d)", cfg.Lines, cfg.Samples, minDimension, minDimension)
 	}
 	if cfg.Bands < 8 {
-		return nil, fmt.Errorf("scene: %d bands too few (need at least 8)", cfg.Bands)
+		return fmt.Errorf("scene: %d bands too few (need at least 8)", cfg.Bands)
+	}
+	return nil
+}
+
+// Generate builds a scene from a configuration that passes Validate.
+func Generate(cfg Config) (*Scene, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.SNRdB == 0 {
 		cfg.SNRdB = DefaultSNRdB

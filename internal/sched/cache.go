@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -72,6 +73,13 @@ func networkFingerprint(net *platform.Network) string {
 	return fmt.Sprintf("%s/%d/%v/%.6f", net.Name, net.Size(), net.CycleTimes(), net.AverageLinkMS())
 }
 
+// Cacheable reports whether the spec's result may be served from, and
+// stored in, the result cache — what decides whether a submitter with a
+// lazy cube owes the scheduler a CubeDigest.
+func (spec *JobSpec) Cacheable() bool {
+	return !spec.NoCache && !spec.Checkpoint && spec.Params.Faults.Empty()
+}
+
 // cacheKey builds the result-cache key of a spec: (scene digest,
 // algorithm, variant, mode, params, platform). An empty key disables
 // caching for the job. Jobs with a fault plan never cache: chaos runs
@@ -81,11 +89,14 @@ func networkFingerprint(net *platform.Network) string {
 // overhead and resume state that depend on the store's history, not on
 // the spec alone.
 func (spec *JobSpec) cacheKey() string {
-	if spec.NoCache || spec.Checkpoint || !spec.Params.Faults.Empty() {
+	if !spec.Cacheable() {
 		return ""
 	}
 	digest := spec.CubeDigest
 	if digest == "" {
+		if spec.Cube == nil {
+			return "" // lazy and undigested: nothing to key on
+		}
 		digest = CubeDigest(spec.Cube)
 	}
 	h := fnv.New64a()
@@ -94,6 +105,13 @@ func (spec *JobSpec) cacheKey() string {
 		spec.Params, spec.Adaptive, spec.CycleTime,
 		networkFingerprint(spec.Network), spec.Balance)
 	return fmt.Sprintf("%s-%016x", digest, h.Sum64())
+}
+
+// keyDigest recovers the cube digest a cache key leads with ("" for the
+// empty key of an uncacheable job).
+func keyDigest(key string) string {
+	digest, _, _ := strings.Cut(key, "-")
+	return digest
 }
 
 // cachedResult is one memoized job outcome. Reports are shared by

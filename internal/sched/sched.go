@@ -142,11 +142,19 @@ type JobSpec struct {
 	// seconds per megaflop (0 selects the paper's 0.0072 baseline).
 	CycleTime float64
 	// Cube is the scene to analyze. The scheduler treats it as immutable
-	// for the lifetime of the job.
+	// for the lifetime of the job and lets go of it when the job settles.
+	// It may be nil when Materialize is set.
 	Cube *cube.Cube
 	// CubeDigest optionally carries a precomputed CubeDigest(Cube);
-	// empty means the scheduler hashes the cube at submission.
+	// empty means the scheduler hashes the cube at submission. With a nil
+	// Cube it is the only source of the result-cache key: a lazy spec
+	// without a digest runs uncached.
 	CubeDigest string
+	// Materialize builds the cube of a spec submitted with a nil Cube. It
+	// is called at most once per job, on the worker, after the result-cache
+	// lookup has missed — a cache hit, and a job that settles without
+	// running, never calls it. It must return the cube CubeDigest names.
+	Materialize func(context.Context) (*cube.Cube, error)
 	// Params are the per-algorithm parameters.
 	Params core.Params
 	// Adaptive tunes ModeAdaptive jobs.
@@ -202,7 +210,7 @@ func Retryable(err error) bool { return mpi.IsRetryable(err) }
 
 // validate normalizes defaults and rejects malformed specs.
 func (spec *JobSpec) validate() error {
-	if spec.Cube == nil {
+	if spec.Cube == nil && spec.Materialize == nil {
 		return errors.New("sched: job spec has no cube")
 	}
 	if spec.Mode == "" {
@@ -317,8 +325,13 @@ type AttemptRecord struct {
 // ID returns the scheduler-assigned job identifier.
 func (j *Job) ID() string { return j.id }
 
-// Spec returns the job's specification.
-func (j *Job) Spec() JobSpec { return j.spec }
+// Spec returns the job's specification. Once the job has settled, Cube
+// and Materialize are nil: a retained job keeps its report, not its scene.
+func (j *Job) Spec() JobSpec {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.spec
+}
 
 // Done returns a channel closed when the job reaches a final state.
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -762,6 +775,11 @@ func (s *Scheduler) SubmitResumed(ctx context.Context, jj *JournalJob, spec JobS
 	if jj.Finished {
 		return nil, fmt.Errorf("sched: job %s already finished; restore it instead", jj.ID)
 	}
+	if spec.Cube == nil && spec.CubeDigest == "" {
+		// A lazy spec need not build its scene just to re-derive the
+		// digest the journal already holds.
+		spec.CubeDigest = keyDigest(jj.CacheKey)
+	}
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -1116,44 +1134,18 @@ func (s *Scheduler) runJob(j *Job) {
 		j.ckpt = store
 	}
 
-	maxAttempts := j.spec.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
+	// Only now — the result cache missed and a worker is committed — is
+	// a lazy cube built, once for every attempt and both hedge racers.
 	var res cachedResult
 	var err error
-	for attempt := 1; ; attempt++ {
-		started := time.Now()
-		if !j.spec.NoJournal {
-			s.JournalAppend(Record{Type: recStarted, Job: j.id, Attempt: attempt})
-		}
-		res, err = s.executeAttempt(j, attempt)
-		rec := AttemptRecord{
-			Attempt:  attempt,
-			Started:  started,
-			Finished: time.Now(),
-		}
-		if err == nil {
-			if res.report != nil {
-				rec.VirtualSeconds = res.report.WallTime
-			}
-			j.recordAttempt(rec)
-			break
-		}
-		rec.Error = err.Error()
-		rec.Retryable = Retryable(err)
-		if !rec.Retryable || attempt >= maxAttempts {
-			j.recordAttempt(rec)
-			break
-		}
-		backoff := s.backoff(attempt)
-		rec.BackoffMS = backoff.Milliseconds()
-		j.recordAttempt(rec)
-		s.tel.retries.Inc()
-		if !sleepCtx(j.ctx, backoff) {
-			err = fmt.Errorf("sched: job %s cancelled during retry backoff: %w", j.id, context.Cause(j.ctx))
-			break
-		}
+	c := j.spec.Cube
+	if c == nil {
+		c, err = j.spec.Materialize(j.ctx)
+	}
+	if err != nil {
+		err = fmt.Errorf("sched: job %s: materializing cube: %w", j.id, err)
+	} else {
+		res, err = s.runAttempts(j, c)
 	}
 
 	s.mu.Lock()
@@ -1171,17 +1163,59 @@ func (s *Scheduler) runJob(j *Job) {
 	}
 }
 
+// runAttempts drives the job's attempt loop over cube c: the first run,
+// then retries of retryable failures — after capped, jittered backoff —
+// up to the spec's budget.
+func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (cachedResult, error) {
+	maxAttempts := j.spec.MaxAttempts
+	if maxAttempts < 1 {
+		maxAttempts = 1
+	}
+	for attempt := 1; ; attempt++ {
+		started := time.Now()
+		if !j.spec.NoJournal {
+			s.JournalAppend(Record{Type: recStarted, Job: j.id, Attempt: attempt})
+		}
+		res, err := s.executeAttempt(j, c, attempt)
+		rec := AttemptRecord{
+			Attempt:  attempt,
+			Started:  started,
+			Finished: time.Now(),
+		}
+		if err == nil {
+			if res.report != nil {
+				rec.VirtualSeconds = res.report.WallTime
+			}
+			j.recordAttempt(rec)
+			return res, nil
+		}
+		rec.Error = err.Error()
+		rec.Retryable = Retryable(err)
+		if !rec.Retryable || attempt >= maxAttempts {
+			j.recordAttempt(rec)
+			return res, err
+		}
+		backoff := s.backoff(attempt)
+		rec.BackoffMS = backoff.Milliseconds()
+		j.recordAttempt(rec)
+		s.tel.retries.Inc()
+		if !sleepCtx(j.ctx, backoff) {
+			return res, fmt.Errorf("sched: job %s cancelled during retry backoff: %w", j.id, context.Cause(j.ctx))
+		}
+	}
+}
+
 // executeAttempt runs one attempt of the job, hedged when the guard's
 // straggler policy asks for it. Checkpointed jobs never hedge: both
 // racers would write rounds to one shared store, and the resume state
 // would depend on the race.
-func (s *Scheduler) executeAttempt(j *Job, attempt int) (cachedResult, error) {
+func (s *Scheduler) executeAttempt(j *Job, c *cube.Cube, attempt int) (cachedResult, error) {
 	if g := s.cfg.Guard; g.HedgeEnabled() && j.ckpt == nil {
 		if delay := g.HedgeDelay(guard.Class(j.spec.Priority)); delay > 0 {
-			return s.executeHedged(j, attempt, delay)
+			return s.executeHedged(j, c, attempt, delay)
 		}
 	}
-	return s.execute(j.ctx, j, attempt)
+	return s.execute(j.ctx, j, c, attempt)
 }
 
 // executeHedged runs one attempt with straggler hedging: the primary
@@ -1193,7 +1227,7 @@ func (s *Scheduler) executeAttempt(j *Job, attempt int) (cachedResult, error) {
 // never results. The loser is cancelled AND awaited before returning, so
 // the attempt leaves no goroutine behind (clean under -race, and the
 // close/drain accounting stays exact).
-func (s *Scheduler) executeHedged(j *Job, attempt int, delay time.Duration) (cachedResult, error) {
+func (s *Scheduler) executeHedged(j *Job, c *cube.Cube, attempt int, delay time.Duration) (cachedResult, error) {
 	type outcome struct {
 		res   cachedResult
 		err   error
@@ -1203,7 +1237,7 @@ func (s *Scheduler) executeHedged(j *Job, attempt int, delay time.Duration) (cac
 	pctx, pcancel := context.WithCancel(j.ctx)
 	defer pcancel()
 	go func() {
-		r, e := s.execute(pctx, j, attempt)
+		r, e := s.execute(pctx, j, c, attempt)
 		results <- outcome{r, e, false}
 	}()
 	timer := time.NewTimer(delay)
@@ -1222,7 +1256,7 @@ func (s *Scheduler) executeHedged(j *Job, attempt int, delay time.Duration) (cac
 	j.mu.Unlock()
 	s.tel.hedges.Inc()
 	go func() {
-		r, e := s.execute(hctx, j, attempt)
+		r, e := s.execute(hctx, j, c, attempt)
 		results <- outcome{r, e, true}
 	}()
 	first = <-results
@@ -1238,12 +1272,13 @@ func (s *Scheduler) executeHedged(j *Job, attempt int, delay time.Duration) (cac
 	return first.res, first.err
 }
 
-// execute runs one attempt of the job on ctx (the job's own context, or
-// a racer's child of it under hedging). The attempt number is threaded
-// to the fault plan through Params.FaultAttempt, so an injected crash
-// pinned to attempt 1 spares the retry — the transient-failure model —
-// and both hedge racers of one attempt see an identical world.
-func (s *Scheduler) execute(ctx context.Context, j *Job, attempt int) (cachedResult, error) {
+// execute runs one attempt of the job over cube c on ctx (the job's own
+// context, or a racer's child of it under hedging). The attempt number
+// is threaded to the fault plan through Params.FaultAttempt, so an
+// injected crash pinned to attempt 1 spares the retry — the
+// transient-failure model — and both hedge racers of one attempt see an
+// identical world.
+func (s *Scheduler) execute(ctx context.Context, j *Job, c *cube.Cube, attempt int) (cachedResult, error) {
 	var res cachedResult
 	var err error
 	spec := &j.spec
@@ -1261,14 +1296,14 @@ func (s *Scheduler) execute(ctx context.Context, j *Job, attempt int) (cachedRes
 	}
 	switch spec.Mode {
 	case ModeAdaptive:
-		res.adaptive, err = core.RunAdaptiveContext(ctx, spec.Network, spec.Cube, params, spec.Adaptive)
+		res.adaptive, err = core.RunAdaptiveContext(ctx, spec.Network, c, params, spec.Adaptive)
 		if res.adaptive != nil {
 			res.report = &res.adaptive.RunReport
 		}
 	case ModeSequential:
-		res.report, err = core.RunSequentialContext(ctx, spec.CycleTime, spec.Algorithm, spec.Cube, params)
+		res.report, err = core.RunSequentialContext(ctx, spec.CycleTime, spec.Algorithm, c, params)
 	default: // ModeRun
-		res.report, err = core.RunContext(ctx, spec.Network, spec.Algorithm, spec.Variant, spec.Cube, params)
+		res.report, err = core.RunContext(ctx, spec.Network, spec.Algorithm, spec.Variant, c, params)
 	}
 	return res, err
 }
@@ -1355,6 +1390,9 @@ func (s *Scheduler) settle(j *Job, started time.Time, state State, res cachedRes
 	j.err = err
 	j.fromCache = fromCache
 	j.finishedAt = finishedAt
+	// A settled job costs its report, not its scene: nothing reads the
+	// cube (or the closure that would build it) past this point.
+	j.spec.Cube, j.spec.Materialize = nil, nil
 	j.mu.Unlock()
 	j.cancel() // release the context's timer resources
 	close(j.done)
