@@ -43,13 +43,7 @@ func ATDCASequential(f *cube.Cube, t int) (*DetectionResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		dense := proj.Dense()
-		best, bestScore = -1, -1.0
-		for p := 0; p < f.NumPixels(); p++ {
-			if s := linalg.DenseScore(dense, f.PixelAt(p)); s > bestScore {
-				best, bestScore = p, s
-			}
-		}
+		best, bestScore = maxProjection(proj.Dense(), f)
 		appendTarget(res, f, best, bestScore)
 	}
 	return res, nil
@@ -82,16 +76,25 @@ func projectionCriterion(u uMatrix, bands, eqBands int) (criterion, error) {
 		setup: linalg.FlopsOSPDenseBuild(t, bands), each: linalg.FlopsOSPDenseApply(bands),
 		mSetup: linalg.FlopsOSPDenseBuild(t, eqBands), mEach: linalg.FlopsOSPDenseApply(eqBands),
 		best: func(view *cube.Cube) (int, float64, error) {
-			best, bestScore := -1, -1.0
-			for p := 0; p < view.NumPixels(); p++ {
-				if s := linalg.DenseScore(dense, view.PixelAt(p)); s > bestScore {
-					best, bestScore = p, s
-				}
-			}
+			best, bestScore := maxProjection(dense, view)
 			return best, bestScore, nil
 		},
 		score: func(sig []float32) (float64, error) { return linalg.DenseScore(dense, sig), nil },
 	}, nil
+}
+
+// maxProjection returns the pixel of view with the largest dense
+// projection score (the lowest index on ties) and that score, or (-1, -1)
+// for an empty view. Each pixel is widened once into the scan's buffer.
+func maxProjection(dense *linalg.Mat, view *cube.Cube) (int, float64) {
+	best, bestScore := -1, -1.0
+	wide := make([]float64, view.Bands)
+	for p := 0; p < view.NumPixels(); p++ {
+		if s := linalg.DenseScoreWide(dense, linalg.Widen(wide, view.PixelAt(p))); s > bestScore {
+			best, bestScore = p, s
+		}
+	}
+	return best, bestScore
 }
 
 func validateTargets(f *cube.Cube, t int) error {

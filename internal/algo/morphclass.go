@@ -97,34 +97,55 @@ func (p MorphParams) fuseTheta() float64 { return 0.5 * p.Theta }
 // evaluations.
 func filterBySupport(cands []candidate, own *cube.Cube, radius float64, minCount, c int) ([]candidate, int) {
 	var out []candidate
-	sadCalls := 0
+	scanned := 0
 	bands := own.Bands
-	for _, cd := range cands {
-		if len(out) == c {
-			break
+	within := spectral.NewLimit(radius)
+	// Four candidates are scored per pass over the pixels. A block may
+	// run past the candidate that fills the cap; the walk below stops
+	// there, so the survivors and the count of candidates charged are
+	// those of scanning one candidate at a time.
+	for b := 0; b < len(cands) && len(out) < c; b += 4 {
+		block := cands[b:min(b+4, len(cands))]
+		var sigs [4][]float32
+		var norms [4]float64
+		var counts [4]int
+		var means [4][]float64
+		for k := range sigs {
+			sigs[k] = block[min(k, len(block)-1)].sig
+			norms[k] = spectral.SqNorm(sigs[k])
+			means[k] = make([]float64, bands)
 		}
-		count := 0
-		mean := make([]float64, bands)
 		for p := 0; p < own.NumPixels(); p++ {
-			sadCalls++
 			v := own.PixelAt(p)
-			if spectral.SAD(v, cd.sig) <= radius {
-				count++
-				for b, x := range v {
-					mean[b] += float64(x)
+			var dots [4]float64
+			var nv float64
+			nv, dots[0], dots[1], dots[2], dots[3] = spectral.Dot4(v, sigs[0], sigs[1], sigs[2], sigs[3])
+			for k := range block {
+				if within.Holds(dots[k], nv, norms[k]) {
+					counts[k]++
+					for i, x := range v {
+						means[k][i] += float64(x)
+					}
 				}
 			}
 		}
-		if count < minCount {
-			continue
+		for k, cd := range block {
+			if len(out) == c {
+				break
+			}
+			scanned++
+			if counts[k] < minCount {
+				continue
+			}
+			refined := make([]float32, bands)
+			for i := range refined {
+				refined[i] = float32(means[k][i] / float64(counts[k]))
+			}
+			cd.sig = refined
+			out = append(out, cd)
 		}
-		refined := make([]float32, bands)
-		for b := range refined {
-			refined[b] = float32(mean[b] / float64(count))
-		}
-		cd.sig = refined
-		out = append(out, cd)
 	}
+	sadCalls := scanned * own.NumPixels()
 	if len(out) == 0 {
 		// Degenerate partition (every candidate below the floor — e.g. a
 		// sliver of a scene where everything is a class border): fall
@@ -191,6 +212,8 @@ func selectCandidates(f *cube.Cube, scores []float64, loLine, hiLine, c int, the
 		return order[a] < order[b]
 	})
 	var out []candidate
+	kept := spectral.NewSet(nil)
+	within := spectral.NewLimit(theta)
 	sadCalls := 0
 	for _, p := range order {
 		if len(out) == c {
@@ -205,23 +228,28 @@ func selectCandidates(f *cube.Cube, scores []float64, loLine, hiLine, c int, the
 		if !spectral.Finite(v) {
 			continue
 		}
-		distinct := true
-		for _, prev := range out {
-			sadCalls++
-			if spectral.SAD(v, prev.sig) <= theta {
-				distinct = false
-				break
-			}
-		}
-		if !distinct {
+		dup := kept.FirstWithin(v, within)
+		sadCalls += sadsUntil(dup, kept.Len())
+		if dup >= 0 {
 			continue
 		}
 		sig := make([]float32, len(v))
 		copy(sig, v)
 		l, s := f.Coord(p)
 		out = append(out, candidate{line: l, sample: s, score: scores[p], sig: sig, valid: true})
+		kept.Add(sig)
 	}
 	return out, sadCalls
+}
+
+// sadsUntil is the number of SAD evaluations the cost model charges for
+// a first-match scan over n signatures that stopped at index hit (-1: no
+// match, all n evaluated).
+func sadsUntil(hit, n int) int {
+	if hit >= 0 {
+		return hit + 1
+	}
+	return n
 }
 
 // fuseCandidates merges candidate lists into at most c spectrally
@@ -235,6 +263,8 @@ func fuseCandidates(cands []candidate, c int, theta float64) ([][]float32, int) 
 	}
 	sort.SliceStable(order, func(a, b int) bool { return cands[order[a]].score > cands[order[b]].score })
 	var out [][]float32
+	kept := spectral.NewSet(nil)
+	within := spectral.NewLimit(theta)
 	sadCalls := 0
 	for _, i := range order {
 		if len(out) == c {
@@ -243,16 +273,11 @@ func fuseCandidates(cands []candidate, c int, theta float64) ([][]float32, int) 
 		if !cands[i].valid {
 			continue
 		}
-		distinct := true
-		for _, prev := range out {
-			sadCalls++
-			if spectral.SAD(cands[i].sig, prev) <= theta {
-				distinct = false
-				break
-			}
-		}
-		if distinct {
+		dup := kept.FirstWithin(cands[i].sig, within)
+		sadCalls += sadsUntil(dup, kept.Len())
+		if dup < 0 {
 			out = append(out, cands[i].sig)
+			kept.Add(cands[i].sig)
 		}
 	}
 	return out, sadCalls
@@ -265,10 +290,10 @@ func fuseCandidates(cands []candidate, c int, theta float64) ([][]float32, int) 
 func labelBySAD(f *cube.Cube, endmembers [][]float32) ([]int, float64) {
 	np := f.NumPixels()
 	labels := make([]int, np)
+	set := spectral.NewSet(endmembers)
 	par.Ranges(np, par.Chunks(np, 512), func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
-			i, _ := spectral.MostSimilar(f.PixelAt(p), endmembers)
-			labels[p] = i
+			labels[p], _ = set.Nearest(f.PixelAt(p), spectral.NoLimit)
 		}
 	})
 	return labels, float64(np) * float64(len(endmembers)) * spectral.FlopsSAD(f.Bands)

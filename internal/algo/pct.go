@@ -174,6 +174,8 @@ func repsBytes(reps []rep, bands int) int { return len(reps) * (4*bands + 8) }
 // performed, for cost accounting.
 func uniqueScan(f *cube.Cube, theta float64, maxReps int) ([]rep, int) {
 	var reps []rep
+	set := spectral.NewSet(nil)
+	below := spectral.NewLimit(theta)
 	sadCalls := 0
 	for p := 0; p < f.NumPixels(); p++ {
 		v := f.PixelAt(p)
@@ -183,33 +185,22 @@ func uniqueScan(f *cube.Cube, theta float64, maxReps int) ([]rep, int) {
 		if !spectral.Finite(v) {
 			continue
 		}
-		bestI, bestD := -1, theta
-		for i := range reps {
-			d := spectral.SAD(v, reps[i].sig)
-			sadCalls++
-			if d < bestD {
-				bestI, bestD = i, d
-			}
-		}
+		// The cost model charges one SAD per representative scanned.
+		sadCalls += len(reps)
+		i, _ := set.Nearest(v, below)
 		switch {
-		case bestI >= 0:
-			reps[bestI].count++
+		case i >= 0:
+			reps[i].count++
 		case len(reps) < maxReps:
 			sig := make([]float32, len(v))
 			copy(sig, v)
 			reps = append(reps, rep{sig: sig, count: 1})
+			set.Add(sig)
 		default:
 			// Set is full: absorb into the nearest representative.
-			nearest, nearestD := 0, spectral.SAD(v, reps[0].sig)
-			sadCalls++
-			for i := 1; i < len(reps); i++ {
-				d := spectral.SAD(v, reps[i].sig)
-				sadCalls++
-				if d < nearestD {
-					nearest, nearestD = i, d
-				}
-			}
-			reps[nearest].count++
+			sadCalls += len(reps)
+			i, _ = set.Nearest(v, spectral.NoLimit)
+			reps[i].count++
 		}
 	}
 	return reps, sadCalls

@@ -436,9 +436,22 @@ func TestDrainLeavesOpenStoryAndResumeSkipsCompletedStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One worker and a gate: the scene completes, one analyze branch
-	// completes, the rest are parked when the drain hits.
+	// completes, and the pipeline's run loop parks in the stage hook —
+	// after that stage's journal record, before any dependent can start —
+	// until the drain cancels the pipeline. The other analyze stages are
+	// therefore still outstanding whenever the drain lands.
+	reached := make(chan struct{})
+	parked := false // run-loop goroutine only
+	gate := func(p *Pipeline, stage string, state StageState) {
+		if parked || state != StageCompleted || p.byName[stage].spec.Kind != KindAnalyze {
+			return
+		}
+		parked = true
+		close(reached)
+		<-p.ctx.Done()
+	}
 	s := sched.New(sched.Config{Workers: 1, QueueDepth: 64, CacheEntries: -1, Journal: jl})
-	e, err := New(Config{Scheduler: s})
+	e, err := New(Config{Scheduler: s, OnStageDone: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,23 +460,10 @@ func TestDrainLeavesOpenStoryAndResumeSkipsCompletedStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until at least one analyze stage has completed.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		st := p.Status()
-		done := 0
-		for _, ss := range st.Stages {
-			if ss.Kind == KindAnalyze && ss.State == StageCompleted {
-				done++
-			}
-		}
-		if done >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no analyze stage completed in time")
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-reached:
+	case <-time.After(20 * time.Second):
+		t.Fatal("no analyze stage completed in time")
 	}
 
 	// Graceful drain: engine first (cancels the pipeline without a

@@ -60,13 +60,25 @@ func (p *OSP) Apply(y []float64, dst []float64) float64 {
 	return norm
 }
 
-// ApplyF32 is Apply for a float32 pixel vector, converting on the fly.
-func (p *OSP) ApplyF32(y []float32) float64 {
-	tmp := make([]float64, len(y))
-	for i, v := range y {
-		tmp[i] = float64(v)
+// Widen returns y converted to float64. The result lives in buf's
+// storage when buf has the capacity — a scan over many pixels passes the
+// same band-sized buffer every time and never allocates — and is freshly
+// allocated otherwise.
+func Widen(buf []float64, y []float32) []float64 {
+	if cap(buf) < len(y) {
+		buf = make([]float64, len(y))
 	}
-	return p.Apply(tmp, nil)
+	buf = buf[:len(y)]
+	for i, v := range y {
+		buf[i] = float64(v)
+	}
+	return buf
+}
+
+// ApplyF32 is Apply for a float32 pixel vector, widened into buf (see
+// Widen).
+func (p *OSP) ApplyF32(y []float32, buf []float64) float64 {
+	return p.Apply(Widen(buf, y), nil)
 }
 
 // Dense materializes the projector as the n x n matrix
@@ -97,16 +109,45 @@ func (p *OSP) Dense() *Mat {
 }
 
 // DenseScore computes (P y)^T (P y) for a dense projector P and a float32
-// pixel y.
+// pixel y. A scan over many pixels widens each into one buffer of its own
+// and calls DenseScoreWide instead.
 func DenseScore(p *Mat, y []float32) float64 {
+	return DenseScoreWide(p, Widen(nil, y))
+}
+
+// DenseScoreWide is DenseScore for a pixel already widened to float64
+// (see Widen). Four projector rows are scored per pass over y; each row
+// keeps its own accumulator and its own left-to-right band order, and
+// the squares are summed in row order, so the result is bit-identical to
+// scoring the rows one at a time.
+func DenseScoreWide(p *Mat, y []float64) float64 {
+	n := p.Cols
+	if len(y) != n {
+		panic(fmt.Sprintf("linalg: DenseScore on %d-vector, want %d", len(y), n))
+	}
 	var norm float64
-	for i := 0; i < p.Rows; i++ {
-		row := p.Row(i)
-		var s float64
+	last := p.Rows - 1
+	for i := 0; i < p.Rows; i += 4 {
+		// Slots past the last row repeat it; their sums are not used.
+		r0, r1 := p.Row(i)[:n], p.Row(min(i+1, last))[:n]
+		r2, r3 := p.Row(min(i+2, last))[:n], p.Row(min(i+3, last))[:n]
+		var s0, s1, s2, s3 float64
 		for j, v := range y {
-			s += row[j] * float64(v)
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
 		}
-		norm += s * s
+		norm += s0 * s0
+		if i+1 < p.Rows {
+			norm += s1 * s1
+		}
+		if i+2 < p.Rows {
+			norm += s2 * s2
+		}
+		if i+3 < p.Rows {
+			norm += s3 * s3
+		}
 	}
 	return norm
 }

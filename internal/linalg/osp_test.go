@@ -107,7 +107,7 @@ func TestOSPApplyF32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.ApplyF32([]float32{7, 3, 4})
+	got := p.ApplyF32([]float32{7, 3, 4}, make([]float64, 3))
 	if !almostEq(got, 25, 1e-9) {
 		t.Errorf("ApplyF32 = %v, want 25", got)
 	}

@@ -42,7 +42,8 @@ func (se StructuringElement) Size() int {
 // marks spectrally mixed pixels, low D_B spectrally pure ones relative to
 // their surroundings.
 func DistanceMap(f *cube.Cube, se StructuringElement) []float64 {
-	return distanceMapRange(f, se, 0, f.Lines)
+	dist, _ := distanceMapRange(f, se, 0, f.Lines)
+	return dist
 }
 
 // argOver scans the clamped B-neighbourhood of (l,s) and returns the
@@ -159,17 +160,20 @@ func MEIRange(f *cube.Cube, se StructuringElement, imax, ownedLo, ownedHi int) *
 		// The distance map is consulted for rows within RadiusL of the
 		// output region.
 		mapLo, mapHi := clamp(outLo-se.RadiusL), clamp(outHi+se.RadiusL)
-		dist := distanceMapRange(cur, se, mapLo, mapHi)
+		dist, norms := distanceMapRange(cur, se, mapLo, mapHi)
 		flops += float64(mapHi-mapLo) * cols * float64(se.Size()-1) * sadCost
 		next := cur.Clone()
 		// Each row writes only its own score and output entries, so the
 		// erode/dilate/MEI pass fans out over rows byte-identically.
-		par.Lines(outHi-outLo, 1, func(_, clo, chi int) {
+		par.Lines(outHi-outLo, rowGrain(cur), func(_, clo, chi int) {
 			for l := outLo + clo; l < outLo+chi; l++ {
 				for s := 0; s < cur.Samples; s++ {
 					el, es := ErodeAt(cur, dist, se, l, s)
 					dl, ds := DilateAt(cur, dist, se, l, s)
-					mei := spectral.SAD(cur.Pixel(el, es), cur.Pixel(dl, ds))
+					// Both pixels lie within the map's rows, so the map
+					// already holds their norms.
+					mei := spectral.Angle(spectral.Dot(cur.Pixel(el, es), cur.Pixel(dl, ds)),
+						norms[cur.FlatIndex(el, es)], norms[cur.FlatIndex(dl, ds)])
 					p := cur.FlatIndex(l, s)
 					if mei > scores[p] {
 						scores[p] = mei
@@ -184,40 +188,133 @@ func MEIRange(f *cube.Cube, se StructuringElement, imax, ownedLo, ownedHi int) *
 	return &MEIResult{Scores: scores, Final: cur, Flops: flops}
 }
 
-// distanceMapRange computes D_B for rows [lo, hi) only; entries outside
-// the range are zero and must not be consulted. Rows are independent
-// (each writes only its own output entries), so they fan out over the
-// par worker budget; results are byte-identical at any parallelism.
-func distanceMapRange(f *cube.Cube, se StructuringElement, lo, hi int) []float64 {
-	out := make([]float64, f.NumPixels())
-	par.Lines(hi-lo, 1, func(_, clo, chi int) {
-		distanceMapRows(f, se, lo+clo, lo+chi, out)
-	})
+// offsets lists the kernel's neighbour offsets (dl, ds) in the row-major
+// order Eq. 2 sums them in, the centre left out. The list is symmetric:
+// offsets[j] is the negation of offsets[len-1-j], so its second half —
+// the offsets that follow the centre — names every unordered neighbour
+// pair exactly once.
+func (se StructuringElement) offsets() [][2]int {
+	out := make([][2]int, 0, se.Size()-1)
+	for dl := -se.RadiusL; dl <= se.RadiusL; dl++ {
+		for ds := -se.RadiusS; ds <= se.RadiusS; ds++ {
+			if dl != 0 || ds != 0 {
+				out = append(out, [2]int{dl, ds})
+			}
+		}
+	}
 	return out
 }
 
-func distanceMapRows(f *cube.Cube, se StructuringElement, lo, hi int, out []float64) {
+// chunkWork is the least work, in samples x bands, worth handing to a
+// helper goroutine: below it waking the helper costs more than the rows
+// it takes (see CHANGES.md PR 16 for the measurement).
+const chunkWork = 1 << 16
+
+// rowGrain returns the number of rows of f per chunk of the row fan-outs
+// below: enough rows to hold chunkWork. It depends on the cube's geometry
+// alone, so chunk boundaries are the same at any worker budget.
+func rowGrain(f *cube.Cube) int {
+	return max(1, (chunkWork+f.Samples*f.Bands-1)/(f.Samples*f.Bands))
+}
+
+// distanceMapRange computes D_B for rows [lo, hi) only; entries of dist
+// outside the range are zero and must not be consulted. It also returns
+// every pixel's squared norm, valid for the rows within the kernel's
+// reach of [lo, hi).
+//
+// SAD(a, b) and SAD(b, a) are the same bits — the products and na*nb
+// commute — so each unordered neighbour pair is evaluated once, by the
+// pixel that comes first in row-major order, in three steps: a row
+// fan-out takes every pixel's norm and its dot products with the
+// neighbours that follow it (four per pass of spectral.Dot4); a second
+// turns the dot products into angles, now that both norms are known;
+// then each pixel's D_B is summed from its own pairs and its earlier
+// neighbours', in Eq. 2's order. Rows are independent within a step
+// (each writes only its own entries), so results are byte-identical at
+// any parallelism.
+func distanceMapRange(f *cube.Cube, se StructuringElement, lo, hi int) (dist, norms []float64) {
+	offs := se.offsets()
+	k := len(offs) / 2
+	fwd := offs[k:]
+	rlo, rhi := max(0, lo-se.RadiusL), min(f.Lines, hi+se.RadiusL)
+	norms = make([]float64, f.NumPixels())
+	pairs := make([]float64, f.NumPixels()*k)
+	grain := rowGrain(f)
+	par.Lines(rhi-rlo, grain, func(_, clo, chi int) {
+		pairDots(f, fwd, rlo+clo, rlo+chi, hi, norms, pairs)
+	})
+	par.Lines(hi-rlo, grain, func(_, clo, chi int) {
+		pairAngles(f, fwd, rlo+clo, rlo+chi, norms, pairs)
+	})
+	dist = make([]float64, f.NumPixels())
 	for l := lo; l < hi; l++ {
 		for s := 0; s < f.Samples; s++ {
-			center := f.Pixel(l, s)
+			p := f.FlatIndex(l, s)
 			var sum float64
-			for dl := -se.RadiusL; dl <= se.RadiusL; dl++ {
-				nl := l + dl
-				if nl < 0 || nl >= f.Lines {
+			for j, o := range offs {
+				nl, ns := l+o[0], s+o[1]
+				if nl < 0 || nl >= f.Lines || ns < 0 || ns >= f.Samples {
 					continue
 				}
-				for ds := -se.RadiusS; ds <= se.RadiusS; ds++ {
-					ns := s + ds
-					if ns < 0 || ns >= f.Samples {
-						continue
-					}
-					if dl == 0 && ds == 0 {
-						continue
-					}
-					sum += spectral.SAD(center, f.Pixel(nl, ns))
+				if j >= k {
+					sum += pairs[p*k+j-k]
+				} else {
+					// An earlier neighbour holds the pair, under the
+					// negated offset.
+					sum += pairs[f.FlatIndex(nl, ns)*k+k-1-j]
 				}
 			}
-			out[f.FlatIndex(l, s)] = sum
+			dist[p] = sum
+		}
+	}
+	return dist, norms
+}
+
+// pairDots fills norms for rows [lo, hi) and, for the rows before
+// pairHi, pairs with each pixel's dot products against its fwd
+// neighbours (len(fwd) slots per pixel; a slot whose neighbour falls
+// outside the image is left unspecified).
+func pairDots(f *cube.Cube, fwd [][2]int, lo, hi, pairHi int, norms, pairs []float64) {
+	k := len(fwd)
+	for l := lo; l < hi; l++ {
+		for s := 0; s < f.Samples; s++ {
+			p := f.FlatIndex(l, s)
+			center := f.Pixel(l, s)
+			if l >= pairHi || k == 0 {
+				norms[p] = spectral.SqNorm(center)
+				continue
+			}
+			for b := 0; b < k; b += 4 {
+				// A spare or out-of-image slot scores the centre against
+				// itself; the result is never read.
+				nb := [4][]float32{center, center, center, center}
+				for i := 0; i < 4 && b+i < k; i++ {
+					nl, ns := l+fwd[b+i][0], s+fwd[b+i][1]
+					if nl < f.Lines && ns >= 0 && ns < f.Samples {
+						nb[i] = f.Pixel(nl, ns)
+					}
+				}
+				var d [4]float64
+				norms[p], d[0], d[1], d[2], d[3] = spectral.Dot4(center, nb[0], nb[1], nb[2], nb[3])
+				copy(pairs[p*k+b:(p+1)*k], d[:])
+			}
+		}
+	}
+}
+
+// pairAngles turns the dot products pairDots left for rows [lo, hi) into
+// spectral angles.
+func pairAngles(f *cube.Cube, fwd [][2]int, lo, hi int, norms, pairs []float64) {
+	k := len(fwd)
+	for l := lo; l < hi; l++ {
+		for s := 0; s < f.Samples; s++ {
+			p := f.FlatIndex(l, s)
+			for i, o := range fwd {
+				nl, ns := l+o[0], s+o[1]
+				if nl < f.Lines && ns >= 0 && ns < f.Samples {
+					pairs[p*k+i] = spectral.Angle(pairs[p*k+i], norms[p], norms[f.FlatIndex(nl, ns)])
+				}
+			}
 		}
 	}
 }

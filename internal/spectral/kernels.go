@@ -1,0 +1,182 @@
+package spectral
+
+import "math"
+
+// This file holds the blocked forms of SAD used by the hot scans: pixel
+// labelling, unique-set construction, candidate deduplication and the
+// morphological distance map. They return bit-for-bit what a loop over
+// SAD returns, because every output keeps its own accumulator and its
+// own left-to-right band order (DESIGN.md "Kernel exactness"); speed
+// comes from running four outputs at once, from caching squared norms,
+// and from deciding comparisons on the cosine when the arccosine cannot
+// change the outcome.
+
+// SqNorm returns the squared Euclidean norm of v, accumulated band by
+// band exactly as SAD accumulates its norms.
+func SqNorm(v []float32) float64 { return Dot(v, v) }
+
+// Dot returns the dot product of a and b, accumulated band by band
+// exactly as SAD accumulates it. With the norms cached it is a third of
+// SAD's arithmetic.
+func Dot(a, b []float32) float64 {
+	if len(a) != len(b) {
+		panic("spectral: Dot length mismatch")
+	}
+	var dot float64
+	for i := range a {
+		dot += float64(a[i]) * float64(b[i])
+	}
+	return dot
+}
+
+// Dot4 returns the squared norm of x and its dot products with a, b, c
+// and d, each accumulated band by band exactly as SAD accumulates them.
+// The five sums are independent add chains, so the processor overlaps
+// them where a lone SAD waits on one; callers with fewer than four
+// operands pass any n-band vector in the spare slots and ignore the
+// result.
+func Dot4(x, a, b, c, d []float32) (nx, da, db, dc, dd float64) {
+	n := len(x)
+	if len(a) != n || len(b) != n || len(c) != n || len(d) != n {
+		panic("spectral: Dot4 length mismatch")
+	}
+	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
+	for i, s := range x {
+		w := float64(s)
+		nx += w * w
+		da += w * float64(a[i])
+		db += w * float64(b[i])
+		dc += w * float64(c[i])
+		dd += w * float64(d[i])
+	}
+	return
+}
+
+// cosSlack is how far a cosine must sit from a decision boundary before
+// the decision is taken without the arccosine. |acos'| >= 1 on [-1, 1],
+// so cosines 1e-12 apart have angles at least 1e-12 apart, four orders
+// of magnitude beyond the rounding error of cos, the division and
+// math.Acos combined.
+const cosSlack = 1e-12
+
+// A Limit is an angle threshold prepared for many comparisons: it keeps
+// the cosine of the angle so that a scan can settle most comparisons
+// without an arccosine.
+type Limit struct {
+	rad float64
+	cos float64 // cos(rad); -Inf when every angle passes, +Inf when none can
+}
+
+// NoLimit passes every angle.
+var NoLimit = NewLimit(math.Inf(1))
+
+// NewLimit prepares the threshold rad (radians).
+func NewLimit(rad float64) Limit {
+	switch {
+	case rad >= math.Pi:
+		return Limit{rad: rad, cos: math.Inf(-1)}
+	case rad < 0: // no angle is negative
+		return Limit{rad: rad, cos: math.Inf(1)}
+	}
+	// A NaN rad has a NaN cosine, which disables every shortcut below;
+	// the exact comparison then admits nothing.
+	return Limit{rad: rad, cos: math.Cos(rad)}
+}
+
+// Holds reports Angle(dot, na, nb) <= the limit, for the dot product and
+// squared norms of one pair of vectors a and b — SAD(a, b) <= limit —
+// taking the arccosine only when the cosine is within cosSlack of the
+// limit's. A NaN cosine (zero norm, NaN or Inf sample) fails both
+// shortcuts and falls through to Angle's conventions.
+func (l Limit) Holds(dot, na, nb float64) bool {
+	c := dot / math.Sqrt(na*nb)
+	if c > l.cos+cosSlack {
+		return true
+	}
+	if c < l.cos-cosSlack {
+		return false
+	}
+	return Angle(dot, na, nb) <= l.rad
+}
+
+// A Set is a list of signatures with their squared norms cached, so a
+// scan of many pixels against it never recomputes a per-signature
+// invariant.
+type Set struct {
+	sigs  [][]float32
+	norms []float64
+}
+
+// NewSet builds a set over sigs. The signatures are referenced, not
+// copied, and must not change while the set is in use.
+func NewSet(sigs [][]float32) *Set {
+	s := &Set{sigs: sigs, norms: make([]float64, len(sigs))}
+	for i, sig := range sigs {
+		s.norms[i] = SqNorm(sig)
+	}
+	return s
+}
+
+// Add appends a signature.
+func (s *Set) Add(sig []float32) {
+	s.sigs = append(s.sigs, sig)
+	s.norms = append(s.norms, SqNorm(sig))
+}
+
+// Len returns the number of signatures.
+func (s *Set) Len() int { return len(s.sigs) }
+
+// block returns the dot products of pixel with signatures i..i+3 and the
+// pixel's squared norm; slots past the end of the set repeat the last
+// signature.
+func (s *Set) block(pixel []float32, i int) (np float64, dots [4]float64) {
+	last := len(s.sigs) - 1
+	np, dots[0], dots[1], dots[2], dots[3] = Dot4(pixel,
+		s.sigs[i], s.sigs[min(i+1, last)], s.sigs[min(i+2, last)], s.sigs[min(i+3, last)])
+	return
+}
+
+// Nearest returns the index of the signature with the smallest SAD to
+// pixel among those strictly below limit (the lowest index on ties) and
+// that distance, or (-1, limit's angle) when there is none — what the
+// loop
+//
+//	best, bestD := -1, limit
+//	for i, s := range set { if d := SAD(pixel, s); d < bestD { best, bestD = i, d } }
+//
+// returns. A signature whose cosine lies more than cosSlack below the
+// best so far cannot win and is passed over without its arccosine.
+func (s *Set) Nearest(pixel []float32, limit Limit) (int, float64) {
+	best, bestD := -1, limit.rad
+	bound := limit.cos // no greater than cos(bestD), up to rounding
+	for i := 0; i < len(s.sigs); i += 4 {
+		np, dots := s.block(pixel, i)
+		for k := 0; k < 4 && i+k < len(s.sigs); k++ {
+			c := dots[k] / math.Sqrt(np*s.norms[i+k])
+			if c < bound-cosSlack {
+				continue
+			}
+			if d := Angle(dots[k], np, s.norms[i+k]); d < bestD {
+				best, bestD = i+k, d
+				if c > bound {
+					bound = min(c, 1)
+				}
+			}
+		}
+	}
+	return best, bestD
+}
+
+// FirstWithin returns the lowest index whose signature has
+// SAD(pixel, signature) <= limit, or -1.
+func (s *Set) FirstWithin(pixel []float32, limit Limit) int {
+	for i := 0; i < len(s.sigs); i += 4 {
+		np, dots := s.block(pixel, i)
+		for k := 0; k < 4 && i+k < len(s.sigs); k++ {
+			if limit.Holds(dots[k], np, s.norms[i+k]) {
+				return i + k
+			}
+		}
+	}
+	return -1
+}

@@ -25,7 +25,7 @@ func SAD(a, b []float32) float64 {
 		na += x * x
 		nb += y * y
 	}
-	return angle(dot, na, nb)
+	return Angle(dot, na, nb)
 }
 
 // SADf64 is SAD for float64 vectors.
@@ -39,10 +39,14 @@ func SADf64(a, b []float64) float64 {
 		na += a[i] * a[i]
 		nb += b[i] * b[i]
 	}
-	return angle(dot, na, nb)
+	return Angle(dot, na, nb)
 }
 
-func angle(dot, na, nb float64) float64 {
+// Angle returns the spectral angle of two vectors from their dot product
+// and squared norms: SAD(a, b) is Angle(a.b, |a|^2, |b|^2). It is the one
+// place the zero-vector, NaN and clamping conventions live, for SAD and
+// for the blocked kernels that cache the norms.
+func Angle(dot, na, nb float64) float64 {
 	if na == 0 || nb == 0 {
 		return math.Pi / 2
 	}
@@ -87,11 +91,5 @@ func MostSimilar(pixel []float32, set [][]float32) (int, float64) {
 	if len(set) == 0 {
 		panic("spectral: MostSimilar over empty set")
 	}
-	best, bestD := 0, math.Inf(1)
-	for i, s := range set {
-		if d := SAD(pixel, s); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
+	return NewSet(set).Nearest(pixel, NoLimit)
 }
