@@ -4,7 +4,7 @@ package hyperhet
 // figure of the paper's evaluation, plus ablations of the design choices
 // called out in DESIGN.md and micro-benchmarks of the hot kernels.
 //
-// The table benchmarks execute the same code paths as cmd/wtcbench on
+// The table benchmarks execute the same code paths as `hyperhet tables` on
 // reduced scenes; virtual-time results (the tables' content) are attached
 // as custom benchmark metrics (vsec = virtual seconds, speedup, D_all),
 // while the standard ns/op measures the real cost of the simulation

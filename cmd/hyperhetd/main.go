@@ -537,26 +537,12 @@ func parseSubmit(req *submitRequest) (hyperhet.JobSpec, hyperhet.SceneConfig, er
 	spec.Mode = mode
 
 	if mode != hyperhet.ModeAdaptive {
-		switch strings.ToLower(req.Algorithm) {
-		case "atdca":
-			spec.Algorithm = hyperhet.ATDCA
-		case "ufcls":
-			spec.Algorithm = hyperhet.UFCLS
-		case "pct":
-			spec.Algorithm = hyperhet.PCT
-		case "morph":
-			spec.Algorithm = hyperhet.MORPH
-		default:
-			return spec, sceneCfg, fmt.Errorf("unknown algorithm %q (want atdca, ufcls, pct or morph)", req.Algorithm)
+		if spec.Algorithm, err = hyperhet.ParseAlgorithm(req.Algorithm); err != nil {
+			return spec, sceneCfg, err
 		}
 	}
-	switch strings.ToLower(req.Variant) {
-	case "", "hetero":
-		spec.Variant = hyperhet.Hetero
-	case "homo":
-		spec.Variant = hyperhet.Homo
-	default:
-		return spec, sceneCfg, fmt.Errorf("unknown variant %q (want hetero or homo)", req.Variant)
+	if spec.Variant, err = hyperhet.ParseVariant(req.Variant); err != nil {
+		return spec, sceneCfg, err
 	}
 	if mode == hyperhet.ModeSequential {
 		if req.CycleTime < 0 {
@@ -671,23 +657,16 @@ func parseScene(req sceneRequest) (hyperhet.SceneConfig, error) {
 	return cfg, cfg.Validate()
 }
 
+// resolveNetwork applies the server's defaults — fully-het, and 16
+// Thunderhead nodes — to a request's network name.
 func resolveNetwork(name string, cpus int) (*hyperhet.Network, error) {
-	switch strings.ToLower(name) {
-	case "", "fully-het":
+	if name == "" {
 		return hyperhet.FullyHeterogeneous(), nil
-	case "fully-homo":
-		return hyperhet.FullyHomogeneous(), nil
-	case "part-het":
-		return hyperhet.PartiallyHeterogeneous(), nil
-	case "part-homo":
-		return hyperhet.PartiallyHomogeneous(), nil
-	case "thunderhead":
-		if cpus == 0 {
-			cpus = 16
-		}
-		return hyperhet.Thunderhead(cpus)
 	}
-	return nil, fmt.Errorf("unknown network %q (want fully-het, fully-homo, part-het, part-homo or thunderhead)", name)
+	if cpus == 0 {
+		cpus = 16
+	}
+	return hyperhet.NetworkByName(name, cpus)
 }
 
 // jobResponse decorates the scheduler's status with a result summary.

@@ -228,20 +228,24 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	ts := testServer(t, hyperhet.SchedulerConfig{})
 	cases := []struct {
 		name, body string
+		want       string // the exact error text, where clients may match on it
 	}{
-		{"garbage", "{"},
-		{"unknown field", `{"algorithm": "atdca", "frobnicate": true}`},
-		{"bad algorithm", `{"algorithm": "fft"}`},
-		{"bad variant", `{"algorithm": "atdca", "variant": "diagonal"}`},
-		{"bad network", `{"algorithm": "atdca", "network": "ethernet"}`},
-		{"bad priority", `{"algorithm": "atdca", "priority": "urgent"}`},
-		{"bad scene", `{"algorithm": "atdca", "scene": {"lines": 2, "samples": 2, "bands": 2}}`},
+		{name: "garbage", body: "{"},
+		{name: "unknown field", body: `{"algorithm": "atdca", "frobnicate": true}`},
+		{name: "bad algorithm", body: `{"algorithm": "fft"}`,
+			want: `unknown algorithm "fft" (want atdca, ufcls, pct or morph)`},
+		{name: "bad variant", body: `{"algorithm": "atdca", "variant": "diagonal"}`,
+			want: `unknown variant "diagonal" (want hetero or homo)`},
+		{name: "bad network", body: `{"algorithm": "atdca", "network": "ethernet"}`,
+			want: `unknown network "ethernet" (want fully-het, fully-homo, part-het, part-homo or thunderhead)`},
+		{name: "bad priority", body: `{"algorithm": "atdca", "priority": "urgent"}`},
+		{name: "bad scene", body: `{"algorithm": "atdca", "scene": {"lines": 2, "samples": 2, "bands": 2}}`},
 		// The generator's own minimums, on jobs that defer generation to
 		// the worker (no digest needed) and on one that does not.
-		{"too few lines", `{"algorithm": "atdca", "no_cache": true, "scene": {"lines": 15, "samples": 16, "bands": 8}}`},
-		{"too few samples", `{"algorithm": "atdca", "checkpoint": true, "scene": {"lines": 16, "samples": 15, "bands": 8}}`},
-		{"too few bands", `{"algorithm": "atdca", "scene": {"lines": 16, "samples": 16, "bands": 7}}`},
-		{"too few bands under faults", `{"algorithm": "atdca", "scene": {"bands": 7},
+		{name: "too few lines", body: `{"algorithm": "atdca", "no_cache": true, "scene": {"lines": 15, "samples": 16, "bands": 8}}`},
+		{name: "too few samples", body: `{"algorithm": "atdca", "checkpoint": true, "scene": {"lines": 16, "samples": 15, "bands": 8}}`},
+		{name: "too few bands", body: `{"algorithm": "atdca", "scene": {"lines": 16, "samples": 16, "bands": 7}}`},
+		{name: "too few bands under faults", body: `{"algorithm": "atdca", "scene": {"bands": 7},
 			"faults": {"crashes": [{"rank": 1, "at": 1}]}}`},
 	}
 	for _, tc := range cases {
@@ -249,13 +253,40 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d (%v), want 400", tc.name, resp.StatusCode, doc)
 		}
-		if msg, _ := doc["error"].(string); msg == "" {
-			t.Errorf("%s: error body missing", tc.name)
+		if msg, _ := doc["error"].(string); msg == "" || tc.want != "" && msg != tc.want {
+			t.Errorf("%s: error body %q, want %q", tc.name, msg, tc.want)
 		}
 	}
 	// A refused submission never reaches the scene cache.
 	if st := sceneStats(t, ts.URL); st != (sceneCacheStats{MaxBytes: sceneCacheBytes}) {
 		t.Errorf("scene_cache after refusals = %+v, want untouched", st)
+	}
+}
+
+// Names are spelled case-insensitively, and what a request leaves out is
+// the server's default: WEA partitioning on the fully heterogeneous
+// network, 16 Thunderhead nodes.
+func TestParseSubmitNamesAndDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		req     submitRequest
+		alg     hyperhet.Algorithm
+		variant hyperhet.Variant
+		network string
+		procs   int
+	}{
+		{submitRequest{Algorithm: "atdca"}, hyperhet.ATDCA, hyperhet.Hetero, "fully-heterogeneous", 16},
+		{submitRequest{Algorithm: "Morph", Variant: "HOMO", Network: "Part-Homo"}, hyperhet.MORPH, hyperhet.Homo, "partially-homogeneous", 16},
+		{submitRequest{Algorithm: "PCT", Variant: "hetero", Network: "thunderhead"}, hyperhet.PCT, hyperhet.Hetero, "thunderhead", 16},
+		{submitRequest{Algorithm: "ufcls", Network: "THUNDERHEAD", CPUs: 4}, hyperhet.UFCLS, hyperhet.Hetero, "thunderhead", 4},
+	} {
+		spec, _, err := parseSubmit(&tc.req)
+		if err != nil {
+			t.Errorf("%+v: %v", tc.req, err)
+			continue
+		}
+		if spec.Algorithm != tc.alg || spec.Variant != tc.variant || spec.Network.Name != tc.network || spec.Network.Size() != tc.procs {
+			t.Errorf("%+v: parsed to %s/%s on %s (%d)", tc.req, spec.Algorithm, spec.Variant, spec.Network.Name, spec.Network.Size())
+		}
 	}
 }
 

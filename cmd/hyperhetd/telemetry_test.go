@@ -226,10 +226,11 @@ func TestSceneCapRejectsHugeScenes(t *testing.T) {
 	}
 }
 
-// The hyperhet_* name set is a contract: dashboards, bench/ and the guard
-// telemetry lint are written against it. A freshly booted server must
-// register exactly the committed list — adding, renaming or dropping an
-// instrument means editing testdata/metric_names.txt in the same change.
+// The hyperhet_* name set is a contract: dashboards and bench/ are written
+// against it. A freshly booted server must register exactly the committed
+// list, and DESIGN.md's Telemetry inventory must document exactly that
+// list — adding, renaming or dropping an instrument means editing
+// testdata/metric_names.txt and the inventory in the same change.
 func TestMetricNameSetMatchesCommittedList(t *testing.T) {
 	ts := testServer(t, hyperhet.SchedulerConfig{})
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -254,5 +255,26 @@ func TestMetricNameSetMatchesCommittedList(t *testing.T) {
 	}
 	if g, w := strings.Join(got, "\n")+"\n", string(want); g != w {
 		t.Fatalf("registered metric names drifted from testdata/metric_names.txt\nregistered:\n%s\ncommitted:\n%s", g, w)
+	}
+
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, inventory, _ := strings.Cut(string(design), "\n## Telemetry ")
+	inventory, _, _ = strings.Cut(inventory, "\n## ")
+	registered := map[string]bool{}
+	for _, name := range got {
+		registered[name] = true
+		if !strings.Contains(inventory, "| `"+name+"` |") {
+			t.Errorf("%s is registered but has no row in DESIGN.md's Telemetry inventory", name)
+		}
+	}
+	// A match ending in "_" is a prefix mention ("hyperhet_scene_*",
+	// "hyperhet_*_finished_total"), not a name.
+	for _, name := range regexp.MustCompile("hyperhet_[a-z0-9_]+").FindAllString(string(design), -1) {
+		if !strings.HasSuffix(name, "_") && !registered[name] {
+			t.Errorf("DESIGN.md names %s, which no instrument registers", name)
+		}
 	}
 }

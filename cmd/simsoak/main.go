@@ -32,6 +32,11 @@ func main() {
 		verbose = flag.Bool("v", false, "print every seed's verdict line")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "simsoak: unexpected argument %q (all options are flags)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	scenes := sim.NewSceneCache()
 	opts := sim.CheckOptions{Scenes: scenes, Timeout: *timeout}

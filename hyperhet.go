@@ -379,6 +379,17 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler { return sched.New(cfg) }
 // ParseJobPriority maps "interactive" or "batch" (or "") to a JobPriority.
 func ParseJobPriority(s string) (JobPriority, error) { return sched.ParsePriority(s) }
 
+// ParseAlgorithm maps "atdca", "ufcls", "pct" or "morph" (any case) to an
+// Algorithm.
+func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
+
+// ParseVariant maps "hetero" or "homo" (any case, "" is Hetero) to a Variant.
+func ParseVariant(s string) (Variant, error) { return core.ParseVariant(s) }
+
+// NetworkByName maps "fully-het", "fully-homo", "part-het", "part-homo" or
+// "thunderhead" (any case; cpus is Thunderhead's node count) to its Network.
+func NetworkByName(name string, cpus int) (*Network, error) { return platform.ByName(name, cpus) }
+
 // SchedCubeDigest returns the scene component of the scheduler's result
 // cache key; precompute it when submitting one cube many times.
 func SchedCubeDigest(f *Cube) string { return sched.CubeDigest(f) }

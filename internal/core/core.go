@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/algo"
 	"repro/internal/balance"
@@ -37,6 +38,22 @@ const (
 // report them.
 var Algorithms = []Algorithm{ATDCA, UFCLS, PCT, MORPH}
 
+// ParseAlgorithm maps the case-insensitive name of an algorithm, as job
+// requests and command lines spell it, to the Algorithm.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch strings.ToLower(s) {
+	case "atdca":
+		return ATDCA, nil
+	case "ufcls":
+		return UFCLS, nil
+	case "pct":
+		return PCT, nil
+	case "morph":
+		return MORPH, nil
+	}
+	return "", fmt.Errorf("unknown algorithm %q (want atdca, ufcls, pct or morph)", s)
+}
+
 // Variant selects the workload partitioning: the heterogeneous WEA
 // (speed-proportional) or the homogeneous equal-share version.
 type Variant string
@@ -49,6 +66,18 @@ const (
 
 // Variants lists both variants in table order.
 var Variants = []Variant{Hetero, Homo}
+
+// ParseVariant maps "hetero" or "homo" (case-insensitive; "" is Hetero,
+// the default everywhere) to a Variant.
+func ParseVariant(s string) (Variant, error) {
+	switch strings.ToLower(s) {
+	case "", "hetero":
+		return Hetero, nil
+	case "homo":
+		return Homo, nil
+	}
+	return "", fmt.Errorf("unknown variant %q (want hetero or homo)", s)
+}
 
 // Strategy returns the partition strategy implementing the variant.
 func (v Variant) Strategy() (partition.Strategy, error) {

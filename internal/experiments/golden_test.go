@@ -164,21 +164,58 @@ func (l *snapshotLog) Save(s checkpoint.Snapshot) error {
 	return l.MemStore.Save(s)
 }
 
-// TestGoldenSchedules pins what the table goldens do not: the balanced
-// schedule (clean and under the BenchmarkBalance drift plan), the
-// adaptive schedule on all four UMD networks, and checkpointed and
-// resumed runs of the static and balanced schedules.
-func TestGoldenSchedules(t *testing.T) {
+// scheduleScene is the scene of BenchmarkBalance with its two parameter
+// sets: clean, and "drift" — rank 5 degraded to 6x its modelled cycle time
+// for the whole run, the slowdown the WEA model cannot see.
+func scheduleScene(t *testing.T) (sc *scene.Scene, clean, drift core.Params) {
+	t.Helper()
 	cfg := scene.Config{Lines: 256, Samples: 16, Bands: 24, Seed: 20010916}
 	sc, err := scene.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := scaledParams(core.DefaultParams(), cfg)
-	drift := clean
+	clean = scaledParams(core.DefaultParams(), cfg)
+	drift = clean
 	drift.Faults = &fault.Plan{Degrades: []fault.Degrade{
 		{Rank: 5, From: 0, To: math.Inf(1), Factor: 6, Attempt: -1},
 	}}
+	return sc, clean, drift
+}
+
+// TestBalanceReducesDriftImbalance is what the balanced schedule is for:
+// under drift on the fully heterogeneous network its max/mean per-rank
+// busy time is below the static WEA schedule's, for every algorithm.
+func TestBalanceReducesDriftImbalance(t *testing.T) {
+	sc, _, drift := scheduleScene(t)
+	net := platform.FullyHeterogeneous()
+	imbalance := func(ctx context.Context, alg core.Algorithm) float64 {
+		rep, err := core.RunContext(ctx, net, alg, core.Hetero, sc.Cube, drift)
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		var max, sum float64
+		for _, busy := range rep.BusyTimes {
+			max = math.Max(max, busy)
+			sum += busy
+		}
+		return max * float64(len(rep.BusyTimes)) / sum
+	}
+	balanced := core.WithBalance(context.Background(), balance.DefaultPolicy())
+	for _, alg := range core.Algorithms {
+		st, ba := imbalance(context.Background(), alg), imbalance(balanced, alg)
+		if !(ba < st) {
+			t.Errorf("%s: drift imbalance %.3f balanced, %.3f static; want balanced below static", alg, ba, st)
+		}
+		t.Logf("%s: drift imbalance %.2f -> %.2f", alg, st, ba)
+	}
+}
+
+// TestGoldenSchedules pins what the table goldens do not: the balanced
+// schedule (clean and under the BenchmarkBalance drift plan), the
+// adaptive schedule on all four UMD networks, and checkpointed and
+// resumed runs of the static and balanced schedules.
+func TestGoldenSchedules(t *testing.T) {
+	sc, clean, drift := scheduleScene(t)
 	balanced := core.WithBalance(context.Background(), balance.DefaultPolicy())
 	var cells []scheduleCell
 

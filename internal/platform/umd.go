@@ -1,6 +1,9 @@
 package platform
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // This file encodes the concrete evaluation platforms of the paper:
 // the four networks of workstations distributed among different locations
@@ -158,6 +161,26 @@ func UMDNetworks() []*Network {
 		PartiallyHeterogeneous(),
 		PartiallyHomogeneous(),
 	}
+}
+
+// ByName resolves the short, case-insensitive platform name that job
+// requests, command lines and simulation scenarios all spell the same way:
+// fully-het, fully-homo, part-het, part-homo, or thunderhead with cpus
+// nodes. It is the one table of those spellings.
+func ByName(name string, cpus int) (*Network, error) {
+	switch strings.ToLower(name) {
+	case "fully-het":
+		return FullyHeterogeneous(), nil
+	case "fully-homo":
+		return FullyHomogeneous(), nil
+	case "part-het":
+		return PartiallyHeterogeneous(), nil
+	case "part-homo":
+		return PartiallyHomogeneous(), nil
+	case "thunderhead":
+		return Thunderhead(cpus)
+	}
+	return nil, fmt.Errorf("unknown network %q (want fully-het, fully-homo, part-het, part-homo or thunderhead)", name)
 }
 
 // Thunderhead parameters. The cluster is composed of 256 dual 2.4 GHz

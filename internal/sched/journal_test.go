@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -589,5 +590,99 @@ func TestReplayFoldsPipelineRecords(t *testing.T) {
 	}
 	if p2.ID != "pipe-2" || !p2.Finished || p2.State != "completed" {
 		t.Fatalf("pipe-2 fold = %+v", p2)
+	}
+}
+
+// journalTypes reads the raw record types of dir's journal, in file order.
+func journalTypes(t *testing.T, dir string) []string {
+	t.Helper()
+	b, err := os.ReadFile(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := decodeJournal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, rec := range recs {
+		types = append(types, rec.Type)
+	}
+	return types
+}
+
+// The submitted record is the first record of its job's story in the file.
+// The test parks the submitter where Submit sits during its fsync — the
+// job already poppable, its submission not yet journaled — and lets the
+// only worker run the job towards its started record.
+func TestSubmittedRecordLeadsJobStory(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := make(chan struct{})
+	s := New(Config{Workers: 1, Journal: jl, OnJobRunning: func(*Job) { close(running) }})
+	spec := tinySpec(t)
+	spec.JournalPayload = []byte(`{"label":"parked"}`)
+	j, err := s.enqueue(context.Background(), spec, spec.cacheKey(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	// The job itself takes a millisecond: were the worker free to journal,
+	// its records would be in the file long before this loop ends.
+	for i := 0; i < 50; i++ {
+		if types := journalTypes(t, dir); len(types) > 0 {
+			t.Fatalf("records %v landed before the job's submitted record", types)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.journalSubmitted(j, true)
+	<-j.Done()
+	s.Close() // the finished record follows the ack; the worker's exit follows it
+	jl.Close()
+	if got := journalTypes(t, dir); !reflect.DeepEqual(got, []string{recSubmitted, recStarted, recFinished}) {
+		t.Fatalf("journal holds %v, want submitted, started, finished", got)
+	}
+}
+
+// foldJournal does not care where in the file a story's records sit, but
+// only the submitted record carries the request: a story cut off before
+// it — which the order above rules out for journals written since — folds
+// into a job nobody can resume or restore.
+func TestFoldJournalStoryOrder(t *testing.T) {
+	req := json.RawMessage(`{"algorithm":"atdca"}`)
+	for _, tc := range []struct {
+		name     string
+		recs     []Record
+		request  string
+		attempts int
+		finished bool
+	}{
+		{"in order", []Record{
+			{Type: recSubmitted, Job: "job-1", Request: req},
+			{Type: recStarted, Job: "job-1", Attempt: 1},
+			{Type: recFinished, Job: "job-1", State: string(StateCompleted)},
+		}, string(req), 1, true},
+		{"started first, both present", []Record{
+			{Type: recStarted, Job: "job-1", Attempt: 1},
+			{Type: recSubmitted, Job: "job-1", Request: req},
+		}, string(req), 1, false},
+		{"orphan prefix: torn before submitted", []Record{
+			{Type: recStarted, Job: "job-1", Attempt: 1},
+		}, "", 1, false},
+		{"orphan outcome: cache hit torn before submitted", []Record{
+			{Type: recFinished, Job: "job-1", State: string(StateCompleted)},
+		}, "", 0, true},
+	} {
+		jobs, _ := foldJournal(tc.recs)
+		if len(jobs) != 1 {
+			t.Fatalf("%s: %d jobs, want 1", tc.name, len(jobs))
+		}
+		jj := jobs[0]
+		if string(jj.Request) != tc.request || jj.Attempts != tc.attempts || jj.Finished != tc.finished {
+			t.Errorf("%s: folded to request %q, %d attempts, finished %v", tc.name, jj.Request, jj.Attempts, jj.Finished)
+		}
 	}
 }

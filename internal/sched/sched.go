@@ -269,6 +269,9 @@ type Job struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	done     chan struct{}
+	// journaled closes once the job's submitted record is in the journal
+	// (at once when it writes none); see Scheduler.appendStory.
+	journaled chan struct{}
 	// submittedAt is fixed before the job is published: now for a fresh
 	// submission, the journaled time for a resumed or restored one.
 	submittedAt time.Time
@@ -669,6 +672,44 @@ func (s *Scheduler) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 // its original ID, submit time and journal story and starts from its
 // recovered snapshot.
 func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key string, resume *JournalJob) (*Job, error) {
+	j, err := s.enqueue(ctx, spec, key, resume)
+	if err != nil {
+		return nil, err
+	}
+	s.journalSubmitted(j, resume == nil)
+
+	// A watcher finishes the job the moment its context dies while it is
+	// still queued, so expired jobs free queue capacity immediately
+	// instead of occupying a slot until a worker pops them.
+	go s.watchQueued(j)
+	return j, nil
+}
+
+// journalSubmitted appends a fresh job's submitted record and opens the
+// gate its later records wait behind. The job is already poppable: s.mu is
+// never held across the fsync.
+func (s *Scheduler) journalSubmitted(j *Job, fresh bool) {
+	if fresh && !j.spec.NoJournal {
+		s.JournalAppend(Record{Type: recSubmitted, Job: j.id, Request: j.spec.JournalPayload, CacheKey: j.cacheKey})
+	}
+	close(j.journaled)
+}
+
+// appendStory appends a started or finished record of j. The submitted
+// record is the first record of a job's story in the file — an invariant
+// replay relies on: a tear may cut a story short, but never leaves
+// attempts or an outcome without the request that explains them. A worker
+// that pops the job while the submitter is still in its fsync waits here,
+// and so queues for the journal later than it used to (DESIGN.md
+// "Durability & drain" has what that costs).
+func (s *Scheduler) appendStory(j *Job, rec Record) {
+	<-j.journaled
+	s.JournalAppend(rec)
+}
+
+// enqueue is admit up to the point where a worker can pop the job; the
+// caller owes it journalSubmitted.
+func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resume *JournalJob) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -737,6 +778,7 @@ func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key string, resume 
 		ctx:         jctx,
 		cancel:      jcancel,
 		done:        make(chan struct{}),
+		journaled:   make(chan struct{}),
 		state:       StateQueued,
 		submittedAt: submitted,
 		seed:        seed,
@@ -752,14 +794,6 @@ func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key string, resume 
 	s.cond.Signal()
 	s.mu.Unlock()
 	s.tel.submitted.Inc()
-	if !resumed && !spec.NoJournal {
-		s.JournalAppend(Record{Type: recSubmitted, Job: j.id, Request: spec.JournalPayload, CacheKey: key})
-	}
-
-	// A watcher finishes the job the moment its context dies while it is
-	// still queued, so expired jobs free queue capacity immediately
-	// instead of occupying a slot until a worker pops them.
-	go s.watchQueued(j)
 	return j, nil
 }
 
@@ -1174,7 +1208,7 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (cachedResult, error) {
 	for attempt := 1; ; attempt++ {
 		started := time.Now()
 		if !j.spec.NoJournal {
-			s.JournalAppend(Record{Type: recStarted, Job: j.id, Attempt: attempt})
+			s.appendStory(j, Record{Type: recStarted, Job: j.id, Attempt: attempt})
 		}
 		res, err := s.executeAttempt(j, c, attempt)
 		rec := AttemptRecord{
@@ -1414,6 +1448,6 @@ func (s *Scheduler) settle(j *Job, started time.Time, state State, res cachedRes
 			rec.Report = marshalReport(res.report)
 			rec.Adaptive = marshalAdaptive(res.adaptive)
 		}
-		s.JournalAppend(rec)
+		s.appendStory(j, rec)
 	}
 }

@@ -211,19 +211,11 @@ type Scenario struct {
 // networkNames are the four UMD platform menus of the paper.
 var networkNames = []string{"fully-het", "fully-homo", "part-het", "part-homo"}
 
-// networkFor maps a scenario network name to its platform.
+// networkFor maps a scenario network name to its platform (nil for a
+// name outside networkNames).
 func networkFor(name string) *platform.Network {
-	switch name {
-	case "fully-het":
-		return platform.FullyHeterogeneous()
-	case "fully-homo":
-		return platform.FullyHomogeneous()
-	case "part-het":
-		return platform.PartiallyHeterogeneous()
-	case "part-homo":
-		return platform.PartiallyHomogeneous()
-	}
-	return nil
+	net, _ := platform.ByName(name, 0)
+	return net
 }
 
 // umdRanks is the processor count of every UMD platform; crash ranks
