@@ -43,7 +43,7 @@ func ATDCASequential(f *cube.Cube, t int) (*DetectionResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		best, bestScore = maxProjection(proj.Dense(), f)
+		best, bestScore = maxProjection(proj.DenseScan(), f)
 		appendTarget(res, f, best, bestScore)
 	}
 	return res, nil
@@ -63,35 +63,42 @@ var atdcaDetector = detector{key: ckptATDCA, round: projectionCriterion}
 
 // projectionCriterion scores a pixel by the norm of its projection onto
 // the orthogonal complement of span(U). Every rank materializes the dense
-// projector P⊥_U once per round; the master re-applying it to the
-// champions is the compute-intensive sequential step the paper calls out
-// for ATDCA.
+// projector P⊥_U (and its filter) once per round; the master re-applying
+// it to the champions is the compute-intensive sequential step the paper
+// calls out for ATDCA.
 func projectionCriterion(u uMatrix, bands, eqBands int) (criterion, error) {
 	proj, err := linalg.NewOSP(u.mat(bands))
 	if err != nil {
 		return criterion{}, err
 	}
-	dense, t := proj.Dense(), len(u.rows)
+	scan, t := proj.DenseScan(), len(u.rows)
 	return criterion{
 		setup: linalg.FlopsOSPDenseBuild(t, bands), each: linalg.FlopsOSPDenseApply(bands),
 		mSetup: linalg.FlopsOSPDenseBuild(t, eqBands), mEach: linalg.FlopsOSPDenseApply(eqBands),
 		best: func(view *cube.Cube) (int, float64, error) {
-			best, bestScore := maxProjection(dense, view)
+			best, bestScore := maxProjection(scan, view)
 			return best, bestScore, nil
 		},
-		score: func(sig []float32) (float64, error) { return linalg.DenseScore(dense, sig), nil },
+		score: func(sig []float32) (float64, error) { return linalg.DenseScore(scan.Dense, sig), nil },
 	}, nil
 }
 
 // maxProjection returns the pixel of view with the largest dense
 // projection score (the lowest index on ties) and that score, or (-1, -1)
-// for an empty view. Each pixel is widened once into the scan's buffer.
-func maxProjection(dense *linalg.Mat, view *cube.Cube) (int, float64) {
+// for an empty view. Each pixel is widened once into the scan's buffer;
+// only a pixel that is not provably below the best so far goes through the
+// dense kernel, so the winner, its score and every comparison are the
+// kernel's.
+func maxProjection(s *linalg.DenseScan, view *cube.Cube) (int, float64) {
 	best, bestScore := -1, -1.0
 	wide := make([]float64, view.Bands)
 	for p := 0; p < view.NumPixels(); p++ {
-		if s := linalg.DenseScoreWide(dense, linalg.Widen(wide, view.PixelAt(p))); s > bestScore {
-			best, bestScore = p, s
+		y := linalg.Widen(wide, view.PixelAt(p))
+		if s.Below(y, bestScore) {
+			continue
+		}
+		if score := linalg.DenseScoreWide(s.Dense, y); score > bestScore {
+			best, bestScore = p, score
 		}
 	}
 	return best, bestScore

@@ -3,7 +3,9 @@ package algo
 import (
 	"testing"
 
+	"repro/internal/cube"
 	"repro/internal/linalg"
+	"repro/internal/scene"
 )
 
 // The data-parallel kernel benchmarks. Run with -cpu 1,4,8 to measure
@@ -21,6 +23,52 @@ func BenchmarkKernelCovariance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		acc := linalg.NewMat(f.Bands, f.Bands)
 		covarianceUpper(f, mean, acc)
+	}
+}
+
+// detectionScan returns the 96x64x64 seed-1 Table 5 scene and its first
+// seven ATDCA targets: the U of one round-8 scan for either detector.
+func detectionScan(b *testing.B) (*cube.Cube, uMatrix) {
+	sc, err := scene.Generate(scene.Config{Lines: 96, Samples: 64, Bands: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := ATDCASequential(sc.Cube, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var u uMatrix
+	for _, tg := range res.Targets {
+		u.rows = append(u.rows, toF64(tg.Signature))
+	}
+	return sc.Cube, u
+}
+
+// BenchmarkKernelATDCAScan is one ATDCA round at t = 7: the projector and
+// its filter, then the scan for the largest projection.
+func BenchmarkKernelATDCAScan(b *testing.B) {
+	f, u := detectionScan(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cr, err := projectionCriterion(u, f.Bands, f.Bands)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := cr.best(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKernelUFCLSScan is one UFCLS round at t = 7: every pixel
+// unmixed for the largest reconstruction error.
+func BenchmarkKernelUFCLSScan(b *testing.B) {
+	f, u := detectionScan(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := maxErrorScan(f, u, f.Bands); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

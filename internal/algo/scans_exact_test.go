@@ -1,12 +1,16 @@
 package algo
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/cube"
+	"repro/internal/linalg"
 	"repro/internal/morph"
 	"repro/internal/scene"
 	"repro/internal/spectral"
@@ -243,4 +247,271 @@ func spectralNearest(pixel []float32, set [][]float32) (int, float64) {
 		}
 	}
 	return best, bestD
+}
+
+// maxProjectionDense is the all-dense scan maxProjection replaced: every
+// pixel goes through the dense kernel. Along the way it counts the pixels
+// s.Below would have let skip the kernel against its best so far — the
+// best maxProjection holds at that pixel too — and fails the test if one
+// of them scored at or above that best.
+func maxProjectionDense(t testing.TB, s *linalg.DenseScan, view *cube.Cube) (best int, bestScore float64, skippable int) {
+	t.Helper()
+	best, bestScore = -1, -1.0
+	wide := make([]float64, view.Bands)
+	for p := 0; p < view.NumPixels(); p++ {
+		y := linalg.Widen(wide, view.PixelAt(p))
+		score := linalg.DenseScoreWide(s.Dense, y)
+		if s.Below(y, bestScore) {
+			skippable++
+			if !(score < bestScore) {
+				t.Fatalf("pixel %d scores %v but Below(y, %v) let it skip the dense kernel", p, score, bestScore)
+			}
+		}
+		if score > bestScore {
+			best, bestScore = p, score
+		}
+	}
+	return best, bestScore, skippable
+}
+
+// checkMaxProjection compares maxProjection with the all-dense scan:
+// == on the index, Float64bits on the score. It returns the reference's
+// winner and how many pixels skipped the dense kernel.
+func checkMaxProjection(t testing.TB, name string, s *linalg.DenseScan, view *cube.Cube) (int, int) {
+	t.Helper()
+	wantI, wantS, skipped := maxProjectionDense(t, s, view)
+	gotI, gotS := maxProjection(s, view)
+	if gotI != wantI || math.Float64bits(gotS) != math.Float64bits(wantS) {
+		t.Fatalf("%s: maxProjection (%d, %v), all-dense scan (%d, %v)", name, gotI, gotS, wantI, wantS)
+	}
+	return wantI, skipped
+}
+
+// scanOf builds the round's projector scan from target signatures, or
+// returns nil when they are linearly dependent.
+func scanOf(sigs [][]float32) *linalg.DenseScan {
+	u := linalg.NewMat(len(sigs), len(sigs[0]))
+	for i, sig := range sigs {
+		copy(u.Row(i), toF64(sig))
+	}
+	proj, err := linalg.NewOSP(u)
+	if err != nil {
+		return nil
+	}
+	return proj.DenseScan()
+}
+
+func TestMaxProjectionMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for bands := 1; bands <= 70; bands++ {
+		for tg := 1; tg <= min(bands, 12); tg++ {
+			f := cube.MustNew(6, 5, bands)
+			for i := range f.Data {
+				f.Data[i] = rng.Float32()
+			}
+			sigs := make([][]float32, tg)
+			for i := range sigs {
+				sigs[i] = append([]float32(nil), f.PixelAt(rng.Intn(f.NumPixels()))...)
+			}
+			s := scanOf(sigs)
+			if s == nil {
+				continue
+			}
+			name := fmt.Sprintf("%d bands, %d targets", bands, tg)
+			w, _ := checkMaxProjection(t, name, s, f)
+			// An exact duplicate of the winner later on: the first index wins.
+			last := f.NumPixels() - 1
+			if w != last {
+				copy(f.PixelAt(last), f.PixelAt(w))
+				if got, _ := checkMaxProjection(t, name+", duplicate winner", s, f); got != w {
+					t.Fatalf("%s: duplicate winner moved the pick from %d to %d", name, w, got)
+				}
+			}
+			clear(f.PixelAt(4))
+			checkMaxProjection(t, name+", zero pixel", s, f)
+			poison(f, []int{9, 13, 17})
+			f.PixelAt(21)[0] = float32(math.Inf(-1))
+			checkMaxProjection(t, name+", NaN and ±Inf pixels", s, f)
+			for p := 0; p < f.NumPixels(); p++ {
+				copy(f.PixelAt(p), sigs[0])
+				f.PixelAt(p)[0] += 0.5
+			}
+			if got, _ := checkMaxProjection(t, name+", constant scene", s, f); got != 0 {
+				t.Fatalf("%s: constant scene picked pixel %d, want 0", name, got)
+			}
+		}
+	}
+}
+
+// Two targets a float32 ulp or so apart: the projector and Q are both
+// inaccurate, η is large (TestDenseScanEtaGrowsWhenTargetsNearlyCollinear
+// in internal/linalg) and the scan must still match.
+func TestMaxProjectionMatchesDenseNearlyCollinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	built := 0
+	for trial := 0; trial < 40; trial++ {
+		bands, tg := 8+rng.Intn(60), 2+rng.Intn(4)
+		f := cube.MustNew(16, 8, bands)
+		for i := range f.Data {
+			f.Data[i] = 100 + 900*rng.Float32()
+		}
+		sigs := make([][]float32, tg)
+		for i := range sigs {
+			sigs[i] = append([]float32(nil), f.PixelAt(rng.Intn(f.NumPixels()))...)
+		}
+		for b := range sigs[1] {
+			// A 1e-7 relative perturbation is one float32 ulp either way.
+			sigs[1][b] = sigs[0][b] * (1 + 1e-7*float32(rng.Intn(3)-1))
+		}
+		if s := scanOf(sigs); s != nil {
+			built++
+			checkMaxProjection(t, fmt.Sprintf("trial %d", trial), s, f)
+		}
+	}
+	if built < 20 {
+		t.Fatalf("only %d of 40 nearly collinear target sets were invertible", built)
+	}
+}
+
+// Pixels that differ by integer combinations of integer targets have the
+// same exact projection, so their dense scores differ only by rounding.
+// Every ordered pair of them a few ulps apart is a near-tie: the later,
+// higher pixel must win exactly as in the all-dense scan.
+func TestMaxProjectionMatchesDenseNearTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	nearTies := 0
+	for trial := 0; trial < 20; trial++ {
+		bands, tg := 8+rng.Intn(40), 1+rng.Intn(5)
+		sigs := make([][]float32, tg)
+		for i := range sigs {
+			sigs[i] = make([]float32, bands)
+			for b := range sigs[i] {
+				sigs[i][b] = float32(1 + rng.Intn(16))
+			}
+		}
+		s := scanOf(sigs)
+		if s == nil {
+			continue
+		}
+		const k = 48
+		cloud := cube.MustNew(k, 1, bands)
+		base := make([]float32, bands)
+		for b := range base {
+			base[b] = float32(rng.Intn(256))
+		}
+		scores := make([]float64, k)
+		for v := 0; v < k; v++ {
+			px := cloud.PixelAt(v)
+			copy(px, base)
+			for _, sig := range sigs {
+				c := float32(rng.Intn(7) - 3)
+				for b := range px {
+					px[b] += c * sig[b]
+				}
+			}
+			scores[v] = linalg.DenseScore(s.Dense, px)
+		}
+		pair := cube.MustNew(2, 1, bands)
+		for a := 0; a < k; a++ {
+			for y := 0; y < k; y++ {
+				if !(scores[a] < scores[y]) || scores[y]-scores[a] > 8*(math.Nextafter(scores[y], math.Inf(1))-scores[y]) {
+					continue
+				}
+				nearTies++
+				copy(pair.PixelAt(0), cloud.PixelAt(a))
+				copy(pair.PixelAt(1), cloud.PixelAt(y))
+				if got, _ := checkMaxProjection(t, fmt.Sprintf("trial %d pair (%d, %d)", trial, a, y), s, pair); got != 1 {
+					t.Fatalf("trial %d: near-tie pair (%d, %d) picked %d", trial, a, y, got)
+				}
+			}
+		}
+	}
+	if nearTies == 0 {
+		t.Fatal("no near-tie within 8 ulps was generated")
+	}
+}
+
+// atdcaRounds runs ATDCA for targets rounds on f, checking maxProjection
+// against the all-dense scan in every round, and returns the number of
+// pixel scores that skipped the dense kernel and the number scored.
+func atdcaRounds(t *testing.T, f *cube.Cube, targets int) (skipped, scored int) {
+	t.Helper()
+	best, bestScore := 0, -1.0
+	for p := 0; p < f.NumPixels(); p++ {
+		if s := f.Brightness(p); s > bestScore {
+			best, bestScore = p, s
+		}
+	}
+	sigs := [][]float32{f.PixelAt(best)}
+	for len(sigs) < targets {
+		s := scanOf(sigs)
+		if s == nil {
+			t.Fatalf("round %d: targets linearly dependent", len(sigs))
+		}
+		w, n := checkMaxProjection(t, fmt.Sprintf("%dx%dx%d round %d", f.Lines, f.Samples, f.Bands, len(sigs)), s, f)
+		skipped, scored = skipped+n, scored+f.NumPixels()
+		sigs = append(sigs, f.PixelAt(w))
+	}
+	return skipped, scored
+}
+
+func TestMaxProjectionMatchesDenseOnBenchScenes(t *testing.T) {
+	for _, g := range []scene.Config{
+		{Lines: 24, Samples: 16, Bands: 8, Seed: 1},
+		{Lines: 64, Samples: 64, Bands: 32, Seed: 1},
+		{Lines: 24, Samples: 16, Bands: 8, Seed: 7},
+		{Lines: 64, Samples: 64, Bands: 32, Seed: 7},
+	} {
+		sc, err := scene.Generate(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atdcaRounds(t, sc.Cube, min(g.Bands, 8))
+	}
+}
+
+// On the Table 5 scene nearly every pixel is provably below the best so
+// far; a bound that silently got too loose shows up here first.
+func TestMaxProjectionSkipsDenseKernel(t *testing.T) {
+	sc, err := scene.Generate(scene.Config{Lines: 96, Samples: 64, Bands: 64, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped, scored := atdcaRounds(t, sc.Cube, 8)
+	t.Logf("%d of %d pixel scores skipped the dense kernel (%.1f%%)", skipped, scored, 100*float64(skipped)/float64(scored))
+	if float64(skipped) < 0.9*float64(scored) {
+		t.Fatalf("only %d of %d pixel scores skipped the dense kernel, want >= 90%%", skipped, scored)
+	}
+}
+
+// FuzzMaxProjectionMatchesDense decodes bands (1-70), a target count
+// (1-min(bands, 12)) and float32 bit patterns — NaN, ±Inf and denormals
+// all occur — cut into bands-long vectors: the first are the targets,
+// the rest the pixels of the view.
+func FuzzMaxProjectionMatchesDense(f *testing.F) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 64, 64, 0, 0, 128, 64, 0, 0, 160, 64, 0, 0, 192, 64}, uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, bands, targets uint8) {
+		n := int(bands%70) + 1
+		tg := int(targets)%min(n, 12) + 1
+		var vecs [][]float32
+		for len(data) >= 4*n {
+			v := make([]float32, n)
+			for i := range v {
+				v[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+			}
+			vecs, data = append(vecs, v), data[4*n:]
+		}
+		if len(vecs) <= tg {
+			return
+		}
+		s := scanOf(vecs[:tg])
+		if s == nil {
+			return
+		}
+		view := cube.MustNew(len(vecs)-tg, 1, n)
+		for p, v := range vecs[tg:] {
+			copy(view.PixelAt(p), v)
+		}
+		checkMaxProjection(t, "fuzz", s, view)
+	})
 }

@@ -194,7 +194,7 @@ type stage struct {
 // stageOutput is what a completed stage hands its dependents.
 type stageOutput struct {
 	mu       sync.Mutex
-	sc       *scene.Scene
+	sc       *scene.Scene // nil again once the pipeline settles
 	digest   string
 	report   *core.RunReport
 	adaptive *core.AdaptiveReport
@@ -803,7 +803,9 @@ func (e *Engine) journalStage(p *Pipeline, st *stage) {
 // caught up. (Pipelines have no guard feedback and no latency histogram;
 // their stage jobs report both through the scheduler.) During a drain a
 // pipeline that did not complete gets no terminal record: its story
-// stays open for the next boot to resume.
+// stays open for the next boot to resume. Before the state turns, every
+// stage lets go of its scene: a retained pipeline costs its digests,
+// reports and synthesis, not its cubes.
 func (e *Engine) settle(p *Pipeline) {
 	finishedAt := time.Now()
 	p.mu.Lock()
@@ -837,6 +839,11 @@ func (e *Engine) settle(p *Pipeline) {
 		}
 	}
 
+	for _, st := range p.stages {
+		st.out.mu.Lock()
+		st.out.sc = nil
+		st.out.mu.Unlock()
+	}
 	p.mu.Lock()
 	p.state = state
 	p.finishedAt = finishedAt

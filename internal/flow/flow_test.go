@@ -331,6 +331,69 @@ func TestCancelPipeline(t *testing.T) {
 	}
 }
 
+// A settled pipeline costs its reports, not its cubes: after Done() no
+// stage holds a scene, however the pipeline ended, and the release does
+// not race a concurrent Status() reader.
+func TestPipelineSettleReleasesCube(t *testing.T) {
+	failing := fanoutSpec()
+	for i := range failing.Stages {
+		if failing.Stages[i].Name == "ufcls" {
+			failing.Stages[i].Job.Params.Targets = -4
+		}
+	}
+	for _, tc := range []struct {
+		spec   PipelineSpec
+		cancel bool
+		want   PipelineState
+	}{
+		{fanoutSpec(), false, PipelineCompleted},
+		{failing, false, PipelineFailed},
+		{fanoutSpec(), true, PipelineCancelled},
+	} {
+		var gens atomic.Int64
+		cfg := Config{Scenes: countingProvider(&gens)}
+		if tc.cancel {
+			// Cancel once the scene exists, before any analysis can finish.
+			cfg.OnStageDone = func(p *Pipeline, stage string, _ StageState) {
+				if stage == "scene" {
+					p.Cancel()
+				}
+			}
+		}
+		e, _ := newTestEngine(t, cfg)
+		p, err := e.Submit(context.Background(), tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop, read := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(read)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = p.Status()
+				}
+			}
+		}()
+		st := waitPipeline(t, p)
+		close(stop)
+		<-read
+		if st.State != tc.want || gens.Load() != 1 {
+			t.Fatalf("pipeline %s: state %s after %d scene generations, want %s after 1", p.ID(), st.State, gens.Load(), tc.want)
+		}
+		for _, s := range p.stages {
+			s.out.mu.Lock()
+			held := s.out.sc != nil
+			s.out.mu.Unlock()
+			if held {
+				t.Fatalf("%s pipeline: stage %s still holds its scene", st.State, s.spec.Name)
+			}
+		}
+	}
+}
+
 func TestEngineCaps(t *testing.T) {
 	e, _ := newTestEngine(t, Config{MaxActive: 1, MaxStages: 3})
 	if _, err := e.Submit(context.Background(), fanoutSpec()); !errors.Is(err, ErrInvalidPipeline) {

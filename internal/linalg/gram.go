@@ -13,124 +13,7 @@ import (
 // precomputed Gram matrix M^T M removes the band dimension from the inner
 // iteration entirely (the classical normal-equations formulation of
 // Lawson-Hanson), which is the difference between minutes and seconds on
-// the full scene.
-
-// NNLSGram solves min ||A x - b||^2 s.t. x >= 0 given only the Gram
-// matrix ata = A^T A (n x n, SPD) and atb = A^T b. It is algebraically
-// the Lawson-Hanson active-set method: the dual vector is
-// w = atb - ata*x and each passive-set solve uses the corresponding
-// submatrix of ata.
-func NNLSGram(ata *Mat, atb []float64) ([]float64, error) {
-	n := ata.Rows
-	if ata.Cols != n || len(atb) != n {
-		return nil, fmt.Errorf("linalg: NNLSGram shape mismatch %dx%d with %d", ata.Rows, ata.Cols, len(atb))
-	}
-	x := make([]float64, n)
-	passive := make([]bool, n)
-	w := make([]float64, n)
-	computeW := func() {
-		for j := 0; j < n; j++ {
-			s := atb[j]
-			row := ata.Row(j)
-			for k := 0; k < n; k++ {
-				if x[k] != 0 {
-					s -= row[k] * x[k]
-				}
-			}
-			w[j] = s
-		}
-	}
-	solvePassive := func() ([]float64, []int, error) {
-		var idx []int
-		for j := 0; j < n; j++ {
-			if passive[j] {
-				idx = append(idx, j)
-			}
-		}
-		k := len(idx)
-		if k == 0 {
-			return nil, nil, nil
-		}
-		sub := NewMat(k, k)
-		rhs := make([]float64, k)
-		for p := 0; p < k; p++ {
-			for q := 0; q < k; q++ {
-				sub.Set(p, q, ata.At(idx[p], idx[q]))
-			}
-			// Relative ridge: keeps nearly collinear endmembers solvable
-			// without distorting well-conditioned systems.
-			sub.Set(p, p, sub.At(p, p)*(1+1e-10)+1e-12)
-			rhs[p] = atb[idx[p]]
-		}
-		z, err := SolveSPD(sub, rhs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return z, idx, nil
-	}
-
-	const tol = 1e-10
-	for outer := 0; outer < nnlsMaxOuter(n); outer++ {
-		computeW()
-		best, bestW := -1, tol
-		for j := 0; j < n; j++ {
-			if !passive[j] && w[j] > bestW {
-				best, bestW = j, w[j]
-			}
-		}
-		if best < 0 {
-			return x, nil
-		}
-		passive[best] = true
-		for {
-			z, idx, err := solvePassive()
-			if err != nil {
-				return nil, err
-			}
-			neg := false
-			for p := range idx {
-				if z[p] <= tol {
-					neg = true
-					break
-				}
-			}
-			if !neg {
-				for j := range x {
-					x[j] = 0
-				}
-				for p, j := range idx {
-					x[j] = z[p]
-				}
-				break
-			}
-			alpha := math.Inf(1)
-			for p, j := range idx {
-				if z[p] <= tol {
-					den := x[j] - z[p]
-					if den > 0 {
-						if r := x[j] / den; r < alpha {
-							alpha = r
-						}
-					}
-				}
-			}
-			if math.IsInf(alpha, 1) {
-				alpha = 0
-			}
-			for p, j := range idx {
-				x[j] += alpha * (z[p] - x[j])
-				if x[j] <= tol {
-					x[j] = 0
-					passive[j] = false
-				}
-			}
-		}
-	}
-	// Iteration cap hit (rare numerical cycling): the current iterate is
-	// feasible and near-optimal; return it rather than failing the whole
-	// image over one pathological pixel.
-	return x, nil
-}
+// the full scene. NNLS and FCLS in nnls.go stay as the slow references.
 
 // FCLSSolver unmixes pixels against a fixed endmember set under the fully
 // constrained (non-negative, sum-to-one) linear mixture model, amortizing
@@ -140,11 +23,13 @@ func NNLSGram(ata *Mat, atb []float64) ([]float64, error) {
 // the scene each round, so per-call allocation would dominate), which
 // makes it single-goroutine: create one solver per worker.
 type FCLSSolver struct {
-	m   *Mat // bands x t endmembers, one per column
-	ata *Mat // augmented Gram: M^T M + delta^2 * 1 1^T
-	ws  nnlsWorkspace
-	atb []float64
-	y64 []float64
+	// mt is M^T, one endmember per row, with zero rows appended up to a
+	// multiple of four so Unmix reads four endmembers per pass.
+	mt       *Mat
+	ata      *Mat // augmented Gram: M^T M + delta^2 * 1 1^T
+	ws       nnlsWorkspace
+	atb      []float64 // one slot per row of mt
+	y64, res []float64
 }
 
 // nnlsWorkspace holds the per-solve scratch of the Gram-form
@@ -170,10 +55,16 @@ func newNNLSWorkspace(n int) nnlsWorkspace {
 	}
 }
 
-// solve runs Gram-form Lawson-Hanson using the workspace; the returned
-// slice aliases the workspace and is valid until the next call.
+// solve solves min ||A x - b||^2 s.t. x >= 0 given only ata = A^T A
+// (n x n, SPD) and atb = A^T b: Lawson-Hanson with the dual vector
+// w = atb - ata*x and each passive-set solve on the matching submatrix of
+// ata. The returned slice aliases the workspace and is valid until the
+// next call.
 func (ws *nnlsWorkspace) solve(ata *Mat, atb []float64) ([]float64, error) {
 	n := ata.Rows
+	if ata.Cols != n || len(atb) != n || n > len(ws.x) {
+		return nil, fmt.Errorf("linalg: Gram-form NNLS shape mismatch %dx%d with %d (workspace %d)", ata.Rows, ata.Cols, len(atb), len(ws.x))
+	}
 	x := ws.x[:n]
 	w := ws.w[:n]
 	passive := ws.passive[:n]
@@ -258,6 +149,9 @@ func (ws *nnlsWorkspace) solve(ata *Mat, atb []float64) ([]float64, error) {
 			}
 		}
 	}
+	// Iteration cap hit (rare numerical cycling): the current iterate is
+	// feasible and near-optimal; return it rather than failing the whole
+	// image over one pathological pixel.
 	return x, nil
 }
 
@@ -271,6 +165,8 @@ func (ws *nnlsWorkspace) solvePassive(ata *Mat, atb []float64, idx []int) ([]flo
 		for q := 0; q < k; q++ {
 			sub.Data[p*sub.Cols+q] = ata.At(idx[p], idx[q])
 		}
+		// Relative ridge: keeps nearly collinear endmembers solvable
+		// without distorting well-conditioned systems.
 		sub.Data[p*sub.Cols+p] = sub.Data[p*sub.Cols+p]*(1+1e-10) + 1e-12
 		rhs[p] = atb[idx[p]]
 	}
@@ -314,75 +210,108 @@ func (ws *nnlsWorkspace) solvePassive(ata *Mat, atb []float64, idx []int) ([]flo
 
 // NewFCLSSolver precomputes the augmented Gram matrix for the endmember
 // matrix m (bands x t, one endmember per column). Each Gram entry is an
-// independent dot product, so rows of the upper triangle fan out over the
-// par worker budget with byte-identical results at any parallelism.
+// independent dot product of two endmember rows of M^T, so rows of the
+// upper triangle fan out over the par worker budget with byte-identical
+// results at any parallelism.
 func NewFCLSSolver(m *Mat) *FCLSSolver {
 	t := m.Cols
+	mt := NewMat((t+3)/4*4, m.Rows)
+	for b := 0; b < m.Rows; b++ {
+		for j, v := range m.Row(b) {
+			mt.Set(j, b, v)
+		}
+	}
 	ata := NewMat(t, t)
 	par.Lines(t, 2, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := i; j < t; j++ {
-				var s float64
-				for b := 0; b < m.Rows; b++ {
-					s += m.At(b, i) * m.At(b, j)
-				}
-				s += FCLSDelta * FCLSDelta
+				s := Dot(mt.Row(i), mt.Row(j)) + FCLSDelta*FCLSDelta
 				ata.Set(i, j, s)
 				ata.Set(j, i, s)
 			}
 		}
 	})
 	return &FCLSSolver{
-		m:   m,
+		mt:  mt,
 		ata: ata,
 		ws:  newNNLSWorkspace(t),
-		atb: make([]float64, t),
+		atb: make([]float64, mt.Rows),
 		y64: make([]float64, m.Rows),
+		res: make([]float64, m.Rows),
 	}
 }
 
 // Endmembers returns the number of endmembers t.
-func (f *FCLSSolver) Endmembers() int { return f.m.Cols }
+func (f *FCLSSolver) Endmembers() int { return f.ata.Rows }
 
 // Bands returns the band count of the endmember matrix.
-func (f *FCLSSolver) Bands() int { return f.m.Rows }
+func (f *FCLSSolver) Bands() int { return f.mt.Cols }
+
+func (f *FCLSSolver) checkBands(n int) error {
+	if n != f.Bands() {
+		return fmt.Errorf("linalg: Unmix on %d-vector, want %d bands", n, f.Bands())
+	}
+	return nil
+}
 
 // Unmix solves FCLS for pixel y, returning the abundance vector and the
 // squared reconstruction error ||M alpha - y||^2. The returned abundance
 // slice aliases the solver's workspace and is only valid until the next
 // Unmix call; copy it if it must outlive the call.
+//
+// Both band-length passes read M^T row by row and keep the addends and
+// order of the column-order loops they replace (DESIGN.md "Kernel
+// exactness"): each entry of M^T y has one accumulator adding in band
+// order, then delta^2; each band's residual starts at -y and adds every
+// endmember's term in endmember order — zero abundances included, so an
+// infinite endmember sample still contributes its Inf*0 = NaN.
 func (f *FCLSSolver) Unmix(y []float64) (alpha []float64, err2 float64, err error) {
-	if len(y) != f.m.Rows {
-		return nil, 0, fmt.Errorf("linalg: Unmix on %d-vector, want %d bands", len(y), f.m.Rows)
+	if err := f.checkBands(len(y)); err != nil {
+		return nil, 0, err
 	}
-	t := f.m.Cols
+	mt, n := f.mt, len(y)
 	// Augmented A^T b = M^T y + delta^2 (sum-to-one row contributes
-	// delta * delta*1).
-	atb := f.atb[:t]
-	for j := 0; j < t; j++ {
-		var s float64
-		for b := 0; b < f.m.Rows; b++ {
-			s += f.m.At(b, j) * y[b]
+	// delta * delta*1), four endmembers per pass over y.
+	for j := 0; j < mt.Rows; j += 4 {
+		r0, r1 := mt.Row(j)[:n], mt.Row(j + 1)[:n]
+		r2, r3 := mt.Row(j + 2)[:n], mt.Row(j + 3)[:n]
+		var s0, s1, s2, s3 float64
+		for b, v := range y {
+			s0 += r0[b] * v
+			s1 += r1[b] * v
+			s2 += r2[b] * v
+			s3 += r3[b] * v
 		}
-		atb[j] = s + FCLSDelta*FCLSDelta
+		const d2 = FCLSDelta * FCLSDelta
+		f.atb[j], f.atb[j+1], f.atb[j+2], f.atb[j+3] = s0+d2, s1+d2, s2+d2, s3+d2
 	}
-	alpha, errSolve := f.ws.solve(f.ata, atb)
-	if errSolve != nil {
-		return nil, 0, errSolve
+	alpha, err = f.ws.solve(f.ata, f.atb[:f.Endmembers()])
+	if err != nil {
+		return nil, 0, err
 	}
 	// Error in the original (unaugmented) system.
-	err2 = ReconstructionError(f.m, alpha, y)
+	res := f.res[:n]
+	for b, v := range y {
+		res[b] = -v
+	}
+	for j, a := range alpha {
+		for b, m := range mt.Row(j)[:n] {
+			res[b] += m * a
+		}
+	}
+	for _, r := range res {
+		err2 += r * r
+	}
 	return alpha, err2, nil
 }
 
 // UnmixF32 is Unmix for a float32 pixel vector; the same workspace
 // aliasing rules apply.
 func (f *FCLSSolver) UnmixF32(y []float32) (alpha []float64, err2 float64, err error) {
-	tmp := f.y64[:len(y)]
-	for i, v := range y {
-		tmp[i] = float64(v)
+	if err := f.checkBands(len(y)); err != nil {
+		return nil, 0, err
 	}
-	return f.Unmix(tmp)
+	return f.Unmix(Widen(f.y64, y))
 }
 
 // FlopsFCLSGram is the per-pixel cost of the Gram-form FCLS: forming

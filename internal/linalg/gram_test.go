@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -21,9 +23,10 @@ func TestNNLSGramMatchesNNLS(t *testing.T) {
 		}
 		ata := Mul(a.T(), a)
 		atb := MulVec(a.T(), b)
-		got, err := NNLSGram(ata, atb)
+		ws := newNNLSWorkspace(n)
+		got, err := ws.solve(ata, atb)
 		if err != nil {
-			t.Fatalf("trial %d: NNLSGram: %v", trial, err)
+			t.Fatalf("trial %d: Gram-form solve: %v", trial, err)
 		}
 		for j := range want {
 			if math.Abs(got[j]-want[j]) > 1e-6 {
@@ -34,11 +37,20 @@ func TestNNLSGramMatchesNNLS(t *testing.T) {
 }
 
 func TestNNLSGramShapeMismatch(t *testing.T) {
-	if _, err := NNLSGram(NewMat(2, 3), []float64{1, 2}); err == nil {
-		t.Error("non-square Gram: expected error")
-	}
-	if _, err := NNLSGram(NewMat(2, 2), []float64{1}); err == nil {
-		t.Error("wrong atb length: expected error")
+	ws := newNNLSWorkspace(2)
+	for _, tc := range []struct {
+		ata *Mat
+		atb []float64
+	}{
+		{NewMat(2, 3), []float64{1, 2}},   // non-square Gram
+		{NewMat(2, 2), []float64{1}},      // wrong atb length
+		{Identity(3), []float64{1, 2, 3}}, // larger than the workspace
+		{Identity(1), []float64{1}},       // smaller is fine
+	} {
+		_, err := ws.solve(tc.ata, tc.atb)
+		if fits := tc.ata.Rows == 1; (err == nil) != fits {
+			t.Errorf("%dx%d Gram with %d-vector on a 2-workspace: err = %v", tc.ata.Rows, tc.ata.Cols, len(tc.atb), err)
+		}
 	}
 }
 
@@ -153,11 +165,127 @@ func TestFCLSSolverUnmixF32(t *testing.T) {
 	}
 }
 
+// A pixel shorter or longer than the endmembers is an error naming both
+// lengths, from either entry point — UnmixF32 used to slice its widening
+// buffer first and panic on a long pixel.
 func TestFCLSSolverWrongLength(t *testing.T) {
-	solver := NewFCLSSolver(NewMat(4, 2))
-	if _, _, err := solver.Unmix([]float64{1, 2}); err == nil {
-		t.Error("wrong length: expected error")
+	solver := NewFCLSSolver(MatFromRows([][]float64{{1, 0}, {0, 1}, {0.5, 0.5}, {0.25, 0.75}}))
+	for _, n := range []int{0, 1, 3, 4, 5, 9} {
+		want := fmt.Sprintf("linalg: Unmix on %d-vector, want 4 bands", n)
+		if n == 4 {
+			want = ""
+		}
+		for name, unmix := range map[string]func() error{
+			"Unmix":    func() error { _, _, err := solver.Unmix(make([]float64, n)); return err },
+			"UnmixF32": func() error { _, _, err := solver.UnmixF32(make([]float32, n)); return err },
+		} {
+			got := ""
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got = fmt.Sprint("panic: ", r)
+					}
+				}()
+				if err := unmix(); err != nil {
+					got = err.Error()
+				}
+			}()
+			if got != want {
+				t.Errorf("%s on a %d-vector: %q, want %q", name, n, got, want)
+			}
+		}
 	}
+}
+
+// unmixColumnOrder is the parent's FCLSSolver built and run the way it
+// was: the Gram matrix and M^T y down M's columns, then the reference
+// reconstructionError band by band. Unmix must return its bits.
+func unmixColumnOrder(m *Mat, y []float64) ([]float64, float64, error) {
+	t := m.Cols
+	ata := NewMat(t, t)
+	for i := 0; i < t; i++ {
+		for j := i; j < t; j++ {
+			var s float64
+			for b := 0; b < m.Rows; b++ {
+				s += m.At(b, i) * m.At(b, j)
+			}
+			s += FCLSDelta * FCLSDelta
+			ata.Set(i, j, s)
+			ata.Set(j, i, s)
+		}
+	}
+	atb := make([]float64, t)
+	for j := 0; j < t; j++ {
+		var s float64
+		for b := 0; b < m.Rows; b++ {
+			s += m.At(b, j) * y[b]
+		}
+		atb[j] = s + FCLSDelta*FCLSDelta
+	}
+	ws := newNNLSWorkspace(t)
+	alpha, err := ws.solve(ata, atb)
+	if err != nil {
+		return nil, 0, err
+	}
+	return append([]float64(nil), alpha...), reconstructionError(m, alpha, y), nil
+}
+
+func TestUnmixMatchesColumnOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	infAtZero := 0 // cases where an infinite endmember sample met a zero abundance
+	for tEnd := 1; tEnd <= 12; tEnd++ {
+		for trial := 0; trial < 24; trial++ {
+			bands := 1 + rng.Intn(70)
+			m := NewMat(bands, tEnd)
+			for i := range m.Data {
+				m.Data[i] = math.Abs(rng.NormFloat64()) + 0.05
+			}
+			inf := -1
+			if trial%4 == 3 {
+				// One endmember sample infinite, as a brightest-pixel
+				// target with a ±Inf sample makes it.
+				inf = rng.Intn(tEnd)
+				m.Set(rng.Intn(bands), inf, math.Inf(1-2*rng.Intn(2)))
+			}
+			solver := NewFCLSSolver(m)
+			for k := 0; k < 6; k++ {
+				y := make([]float64, bands)
+				for i := range y {
+					y[i] = math.Abs(rng.NormFloat64())
+				}
+				switch k {
+				case 1: // an exact endmember: other abundances are zero
+					j := rng.Intn(tEnd)
+					for b := range y {
+						y[b] = m.At(b, j)
+					}
+				case 2:
+					y = make([]float64, bands)
+				case 3:
+					y[rng.Intn(bands)] = math.NaN()
+				}
+				want, wantE, wantErr := unmixColumnOrder(m, y)
+				got, gotE, gotErr := solver.Unmix(y)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.EqualFunc(got, want, sameBits) || !sameBits(gotE, wantE) {
+					t.Fatalf("t=%d bands=%d case %d: Unmix (%v, %v, %v), column order (%v, %v, %v)",
+						tEnd, bands, k, got, gotE, gotErr, want, wantE, wantErr)
+				}
+				if inf >= 0 && gotErr == nil && got[inf] == 0 && math.IsNaN(gotE) {
+					infAtZero++
+				}
+			}
+		}
+	}
+	if infAtZero == 0 {
+		t.Fatal("no case put a zero abundance on an infinite endmember: skipping zero abundances would go unnoticed")
+	}
+}
+
+// sameBits compares bit patterns, except that any two NaNs are equal: when
+// two different NaNs meet in a sum, which one survives depends on the
+// operand order the compiler picks, and a NaN score never wins a scan.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
 
 func TestFlopsFCLSGramCheaperThanDense(t *testing.T) {

@@ -228,23 +228,9 @@ func SolveSPD(a *Mat, b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("linalg: SolveSPD shape mismatch %dx%d with %d", a.Rows, a.Cols, len(b))
 	}
 	n := a.Rows
-	// Cholesky: a = L L^T, lower triangular L stored densely.
-	l := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 1e-14 {
-					return nil, ErrSingular
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
+	l, err := cholesky(a)
+	if err != nil {
+		return nil, err
 	}
 	// Forward substitution L y = b.
 	y := make([]float64, n)
@@ -265,6 +251,30 @@ func SolveSPD(a *Mat, b []float64) ([]float64, error) {
 		x[i] = sum / l.At(i, i)
 	}
 	return x, nil
+}
+
+// cholesky returns the lower triangular L with a = L L^T (stored densely),
+// or ErrSingular when a is not numerically positive definite.
+func cholesky(a *Mat) (*Mat, error) {
+	n := a.Rows
+	l := NewMat(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			sum := a.At(i, j)
+			for k := 0; k < j; k++ {
+				sum -= l.At(i, k) * l.At(j, k)
+			}
+			if i == j {
+				if sum <= 1e-14 {
+					return nil, ErrSingular
+				}
+				l.Set(i, i, math.Sqrt(sum))
+			} else {
+				l.Set(i, j, sum/l.At(j, j))
+			}
+		}
+	}
+	return l, nil
 }
 
 // Flop-count helpers for the virtual-time cost model. Counts follow the

@@ -115,10 +115,9 @@ func NNLS(a *Mat, b []float64) ([]float64, error) {
 			}
 			// If the unconstrained sub-solution is feasible, accept it.
 			neg := false
-			for p, j := range idx {
+			for p := range idx {
 				if z[p] <= tol {
 					neg = true
-					_ = j
 					break
 				}
 			}
@@ -191,21 +190,6 @@ func FCLS(m *Mat, y []float64) ([]float64, error) {
 	copy(b, y)
 	b[m.Rows] = FCLSDelta
 	return NNLS(aug, b)
-}
-
-// ReconstructionError returns ||M*alpha - y||^2, the least squares error
-// UFCLS scores each pixel with.
-func ReconstructionError(m *Mat, alpha, y []float64) float64 {
-	var e float64
-	for i := 0; i < m.Rows; i++ {
-		s := -y[i]
-		row := m.Row(i)
-		for j, a := range alpha {
-			s += row[j] * a
-		}
-		e += s * s
-	}
-	return e
 }
 
 // FlopsNNLS estimates the cost of one NNLS solve with m equations and n

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 )
 
 // OSP is the orthogonal subspace projector P⊥_U = I - U^T (U U^T)^-1 U of
@@ -150,6 +151,119 @@ func DenseScoreWide(p *Mat, y []float64) float64 {
 		}
 	}
 	return norm
+}
+
+// DenseScan is the dense projector P̂ = Dense() with what a scan for the
+// pixel of largest DenseScoreWide needs to skip the n² kernel for a pixel
+// that provably cannot win (DESIGN.md "Kernel exactness"): the whitened
+// target basis Q = L⁻¹U, where U U^T = L L^T, so that I - Q^T Q is the
+// projector in factored form, and η, which covers the rounding of both
+// forms and the measured gap between them. For every finite pixel y,
+//
+//	DenseScoreWide(Dense, y) <= ‖y‖² - ‖Qy‖² + η‖y‖²,
+//
+// and the right side costs t·n + n multiply-adds against the kernel's n².
+type DenseScan struct {
+	Dense *Mat
+	q     *Mat    // Q, zero rows appended up to a multiple of four
+	eta   float64 // NaN when Q cannot be formed: nothing is then skipped
+}
+
+// DenseScan materializes the dense projector with its filter, measuring
+// η on the matrices: E = ‖P̂ - (I - Q^T Q)‖_F and ρ = ‖Q Q^T - I‖_F bound
+// the gap between the two forms by ((1+ρ)ρ + 2(1+ρ)E + E²)‖y‖², and
+// 3γ‖P̂‖²_F and 3γ(1 + ‖Q‖²_F) their rounding, γ = (n+1)u/(1-(n+1)u);
+// η is four times the sum.
+func (p *OSP) DenseScan() *DenseScan {
+	t, n := p.u.Rows, p.u.Cols
+	s := &DenseScan{Dense: p.Dense(), q: NewMat((t+3)/4*4, n), eta: math.NaN()}
+	l, err := cholesky(Gram(p.u))
+	if err != nil {
+		return s
+	}
+	for i := 0; i < t; i++ { // Q_i = (U_i - Σ_{k<i} L_ik Q_k) / L_ii
+		qi := s.q.Row(i)
+		copy(qi, p.u.Row(i))
+		for k := 0; k < i; k++ {
+			lik := l.At(i, k)
+			for j, v := range s.q.Row(k) {
+				qi[j] -= lik * v
+			}
+		}
+		for j := range qi {
+			qi[j] /= l.At(i, i)
+		}
+	}
+	var pF, qF, rho, e float64 // all squared until the end
+	for _, v := range s.q.Data {
+		qF += v * v
+	}
+	for i := 0; i < t; i++ {
+		for j := 0; j < t; j++ {
+			d := Dot(s.q.Row(i), s.q.Row(j))
+			if i == j {
+				d--
+			}
+			rho += d * d
+		}
+	}
+	d := make([]float64, n)
+	for i := 0; i < n; i++ { // row i of P̂ - (I - Q^T Q)
+		copy(d, s.Dense.Row(i))
+		for _, v := range d {
+			pF += v * v
+		}
+		d[i]--
+		for k := 0; k < t; k++ {
+			qki := s.q.At(k, i)
+			for j, v := range s.q.Row(k) {
+				d[j] += qki * v
+			}
+		}
+		for _, v := range d {
+			e += v * v
+		}
+	}
+	rho, e = math.Sqrt(rho), math.Sqrt(e)
+	gamma := float64(n+1) * 0x1p-53 / (1 - float64(n+1)*0x1p-53)
+	s.eta = 4 * (3*gamma*(pF+1+qF) + (1+rho)*rho + 2*(1+rho)*e + e*e)
+	return s
+}
+
+// Below reports whether DenseScoreWide(s.Dense, y) is provably below
+// best, so that a scan for the maximum may skip y. A NaN or an infinity
+// in the bound — from η, ‖y‖² or ‖Qy‖² — is never below anything, so such
+// a pixel goes to the dense kernel.
+func (s *DenseScan) Below(y []float64, best float64) bool {
+	ny, qy := s.norms(y)
+	b := ny - qy + s.eta*ny
+	return b < best && b > math.Inf(-1)
+}
+
+// norms returns ‖y‖² and ‖Qy‖², four rows of Q per pass over y, each pass
+// also summing ‖y‖². The padding rows of Q add exact zeros (or a NaN,
+// which only stops the skip). Unlike the dense kernel these sums need no
+// fixed order: η bounds their rounding.
+func (s *DenseScan) norms(y []float64) (ny, qy float64) {
+	n := len(y)
+	if n != s.q.Cols {
+		panic(fmt.Sprintf("linalg: DenseScan on %d-vector, want %d", n, s.q.Cols))
+	}
+	for i := 0; i < s.q.Rows; i += 4 {
+		r0, r1 := s.q.Row(i)[:n], s.q.Row(i + 1)[:n]
+		r2, r3 := s.q.Row(i + 2)[:n], s.q.Row(i + 3)[:n]
+		var s0, s1, s2, s3, yy float64
+		for j, v := range y {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+			yy += v * v
+		}
+		ny = yy
+		qy += s0*s0 + s1*s1 + s2*s2 + s3*s3
+	}
+	return ny, qy
 }
 
 // FlopsOSPBuild is the cost of constructing the factored projector for t

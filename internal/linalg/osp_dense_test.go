@@ -137,6 +137,132 @@ func TestDenseScoreLengthMismatchPanics(t *testing.T) {
 	}
 }
 
+// checkBelow holds DenseScan.Below to its contract for one pixel — Below
+// only when the dense score is strictly below best — at bests around the
+// dense score d and the filter value f = ‖y‖² - ‖Qy‖², and returns how
+// many of those bests lay strictly between f and d: the near-ties an η of
+// 0 or -η would wrongly skip.
+func checkBelow(t *testing.T, s *DenseScan, y []float64) (between int) {
+	t.Helper()
+	d := DenseScoreWide(s.Dense, y)
+	ny, qy := s.norms(y)
+	f := ny - qy
+	for _, best := range []float64{-1, 0, f, (f + d) / 2, math.Nextafter(d, math.Inf(-1)), d, math.Nextafter(d, math.Inf(1))} {
+		if f < best && best < d {
+			between++
+		}
+		if s.Below(y, best) && !(d < best) {
+			t.Fatalf("Below(y, %v) for dense score %v (f = %v, η = %v)\ny = %v", best, d, f, s.eta, y)
+		}
+	}
+	return between
+}
+
+func randPixel(rng *rand.Rand, n int) []float64 {
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = float64(float32(rng.NormFloat64()))
+	}
+	return y
+}
+
+func TestDenseScanBoundCoversDenseScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	between := 0
+	for n := 1; n <= 70; n++ {
+		for tg := 1; tg <= min(n, 12); tg++ {
+			u := randMat(rng, tg, n)
+			p, err := NewOSP(u)
+			if err != nil {
+				continue
+			}
+			s := p.DenseScan()
+			if !(s.eta > 0) || s.eta > 1e-6 {
+				t.Fatalf("%dx%d random targets: η = %v", tg, n, s.eta)
+			}
+			for k := 0; k < 8; k++ {
+				y := randPixel(rng, n)
+				switch k {
+				case 1:
+					y = make([]float64, n)
+				case 2: // a target: its projection is rounding noise
+					copy(y, u.Row(rng.Intn(tg)))
+				case 3:
+					y[rng.Intn(n)] = math.NaN()
+				case 4:
+					y[rng.Intn(n)] = math.Inf(1 - 2*rng.Intn(2))
+				case 5:
+					for i := range y {
+						y[i] *= 0x1p100
+					}
+				}
+				between += checkBelow(t, s, y)
+			}
+		}
+	}
+	if between == 0 {
+		t.Fatal("no best fell strictly between f(y) and the dense score: η = 0 would go unnoticed")
+	}
+}
+
+// Targets 1e-7 apart leave both the projector and Q inaccurate: η must
+// grow by orders of magnitude to cover the gap it measures, and still
+// bound every pixel; well separated ones keep it at the rounding floor.
+func TestDenseScanEtaGrowsWhenTargetsNearlyCollinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 10; trial++ {
+		n, tg := 16+rng.Intn(48), 2+rng.Intn(6)
+		u := randMat(rng, tg, n)
+		for i := range u.Data {
+			u.Data[i] *= 100
+		}
+		good, err := NewOSP(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		near := u.Clone()
+		for j, v := range near.Row(0) {
+			near.Set(1, j, v*(1+1e-7*rng.NormFloat64()))
+		}
+		bad, err := NewOSP(near)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		sg, sb := good.DenseScan(), bad.DenseScan()
+		// Well separated, the measured gap vanishes next to the rounding
+		// terms (12γ(‖P̂‖²_F + 1 + ‖Q‖²_F) < 7e-12 here): a looser η would
+		// skip fewer pixels for nothing.
+		if !(sg.eta < 1e-10) {
+			t.Fatalf("trial %d: η %v for %d well separated targets of %d bands", trial, sg.eta, tg, n)
+		}
+		if !(sb.eta > 1e3*sg.eta) {
+			t.Fatalf("trial %d: η %v for nearly collinear targets, %v for well separated ones", trial, sb.eta, sg.eta)
+		}
+		for k := 0; k < 16; k++ {
+			y := randPixel(rng, n)
+			checkBelow(t, sg, y)
+			checkBelow(t, sb, y)
+		}
+	}
+}
+
+// Targets with an infinite sample make the projector NaN: η is NaN, and
+// nothing is below anything.
+func TestDenseScanNaNEtaSkipsNothing(t *testing.T) {
+	u := MatFromRows([][]float64{{1, 2, math.Inf(1)}, {0, 1, 0}})
+	p, err := NewOSP(u)
+	if err != nil {
+		t.Skip("singular on this platform:", err)
+	}
+	s := p.DenseScan()
+	if !math.IsNaN(s.eta) {
+		t.Fatalf("η = %v, want NaN", s.eta)
+	}
+	if s.Below([]float64{0, 0, 0}, 1) || s.Below([]float64{1, 1, 1}, math.Inf(1)) {
+		t.Fatal("a NaN η let a pixel skip the dense kernel")
+	}
+}
+
 func TestWidenReusesBuffer(t *testing.T) {
 	buf := make([]float64, 8)
 	y := []float32{1.5, -2, 3}
