@@ -2,9 +2,11 @@ package hyperhet
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -50,17 +52,187 @@ func TestWorkflowStepsHaveNoRepeatedKeys(t *testing.T) {
 	if got := duplicateStepKeys(fused); len(got) != 1 || !strings.Contains(got[0], "line 6") {
 		t.Fatalf("lint missed the fused step: %v", got)
 	}
+	for f, doc := range workflows(t) {
+		for _, d := range duplicateStepKeys(doc) {
+			t.Errorf("%s: %s", f, d)
+		}
+	}
+}
+
+// workflows reads every workflow file, keyed by path.
+func workflows(t *testing.T) map[string]string {
+	t.Helper()
 	files, err := filepath.Glob(".github/workflows/*.yml")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no workflow files found: %v", err)
 	}
+	docs := make(map[string]string, len(files))
 	for _, f := range files {
 		doc, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range duplicateStepKeys(string(doc)) {
-			t.Errorf("%s: %s", f, d)
+		docs[f] = string(doc)
+	}
+	return docs
+}
+
+// A `go test -run X` step whose pattern matches no test passes without
+// running anything, so deleting or renaming a test can silently empty a
+// CI step. emptySelections finds every `go test` command in a workflow
+// whose -run pattern or -fuzz target selects no Test, Fuzz or Example
+// function declared in the command's own packages. The scan is static
+// (the `func` lines of the packages' _test.go files, with "./dir/..."
+// expanded as go does), and like go test it matches only the part of a
+// -run pattern before the first slash. `-run '^$'`, the idiom for "no
+// tests, only fuzzing or benchmarks", is exempt.
+func emptySelections(doc string) ([]string, error) {
+	var empty []string
+	for n, line := range strings.Split(doc, "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue
+		}
+		args := shellFields(cmd)
+		var pkgs []string
+		var sels [][2]string // flag, pattern
+		for i := 0; i < len(args); i++ {
+			switch a := args[i]; {
+			case (a == "-run" || a == "-fuzz") && i+1 < len(args):
+				sels = append(sels, [2]string{a, args[i+1]})
+				i++
+			case a == "." || strings.HasPrefix(a, "./"):
+				pkgs = append(pkgs, a)
+			}
+		}
+		names, err := declaredTests(pkgs)
+		if err != nil {
+			return nil, err
+		}
+		for _, sel := range sels {
+			flag, pattern := sel[0], sel[1]
+			if pattern == "^$" {
+				continue
+			}
+			if flag == "-run" {
+				pattern, _, _ = strings.Cut(pattern, "/")
+			}
+			re, err := regexp.Compile(pattern)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %s %q: %w", n+1, flag, pattern, err)
+			}
+			if !slices.ContainsFunc(names, func(name string) bool {
+				return re.MatchString(name) && (flag == "-run" || strings.HasPrefix(name, "Fuzz"))
+			}) {
+				empty = append(empty, fmt.Sprintf("line %d: %s %q matches nothing in %s",
+					n+1, flag, sel[1], strings.Join(pkgs, " ")))
+			}
+		}
+	}
+	return empty, nil
+}
+
+// shellFields splits a command line on spaces outside single or double
+// quotes and drops the quotes.
+func shellFields(s string) []string {
+	var fields []string
+	var cur strings.Builder
+	var quote rune
+	inField := false
+	for _, r := range s {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			cur.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, inField = r, true
+		case r == ' ' || r == '\t':
+			if inField {
+				fields = append(fields, cur.String())
+				cur.Reset()
+				inField = false
+			}
+		default:
+			cur.WriteRune(r)
+			inField = true
+		}
+	}
+	if inField {
+		fields = append(fields, cur.String())
+	}
+	return fields
+}
+
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+
+// declaredTests lists the Test, Fuzz and Example functions declared in
+// the _test.go files of the given package paths. A "/..." suffix walks
+// the tree below, skipping testdata and directories starting with "." or
+// "_" as the go command does.
+func declaredTests(pkgs []string) ([]string, error) {
+	var dirs []string
+	for _, p := range pkgs {
+		root, recursive := strings.CutSuffix(p, "/...")
+		if !recursive {
+			dirs = append(dirs, p)
+			continue
+		}
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if name := d.Name(); path != root && (name == "testdata" || name[0] == '.' || name[0] == '_') {
+				return filepath.SkipDir
+			}
+			dirs = append(dirs, path)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	var names []string
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				return nil, err
+			}
+			for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+				names = append(names, m[1])
+			}
+		}
+	}
+	return names, nil
+}
+
+func TestWorkflowTestSelectionsAreNotEmpty(t *testing.T) {
+	stale := "      - name: Guard stress alone\n" +
+		"        run: GOMAXPROCS=2 go test -race -run 'TestGuardStressScheduler' ./internal/sched\n" +
+		"      - name: Wrong package\n" +
+		"        run: |\n" +
+		"          go test -run TestGuardStressScheduler ./internal/guard\n" +
+		"          go test ./internal/algo -run '^$' -fuzz FuzzMaxProjectionMatchesDense -fuzztime=10s\n" +
+		"          go test ./internal/algo -run '^$' -fuzz FuzzNearestMatchesReference -fuzztime=10s\n"
+	got, err := emptySelections(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || !strings.HasPrefix(got[0], "line 5:") || !strings.HasPrefix(got[1], "line 7:") {
+		t.Fatalf("lint found %q, want lines 5 and 7", got)
+	}
+	for f, doc := range workflows(t) {
+		empty, err := emptySelections(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for _, e := range empty {
+			t.Errorf("%s: %s", f, e)
 		}
 	}
 }

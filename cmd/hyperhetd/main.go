@@ -114,7 +114,6 @@ func main() {
 		drainTO = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 		kernelW = flag.Int("kernel-workers", 0, "host goroutine budget for data-parallel kernels, shared across jobs (0 = GOMAXPROCS)")
 		shed    = flag.Bool("shed", false, "enable overload control: adaptive AIMD admission, deadline-aware shedding (429 + Retry-After) and per-backend circuit breaking (503)")
-		hedge   = flag.Bool("hedge", false, "enable straggler hedging: a job running past its class p95 races a second attempt, first finisher wins")
 		balance = flag.Bool("balance", false, "schedule every job's parallel phases demand-driven by default (per-request \"balance\": true opts single jobs in regardless)")
 	)
 	flag.Parse()
@@ -144,19 +143,8 @@ func main() {
 		DefaultTimeout: *timeout,
 		KernelWorkers:  *kernelW,
 	}
-	if *shed || *hedge {
-		gcfg := hyperhet.GuardConfig{
-			Hedge: hyperhet.GuardHedgeConfig{Enabled: *hedge},
-		}
-		if !*shed {
-			// Hedging without -shed: run the admission side wide open (the
-			// limit pinned far above any realistic in-flight count, no
-			// breakers) so the guard only supplies hedge timing.
-			const wideOpen = 1 << 20
-			gcfg.Limiter = hyperhet.GuardLimiterConfig{Initial: wideOpen, Min: wideOpen, Max: wideOpen}
-			gcfg.DisableBreaker = true
-		}
-		cfg.Guard = hyperhet.NewGuard(gcfg)
+	if *shed {
+		cfg.Guard = hyperhet.NewGuard(hyperhet.GuardConfig{})
 	}
 	srv, err := newServer(cfg, *journal)
 	if err != nil {
@@ -180,7 +168,7 @@ func main() {
 		httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("hyperhetd listening on %s (%d workers, queue %d, shed=%v, hedge=%v)", *addr, *workers, *queue, *shed, *hedge)
+	log.Printf("hyperhetd listening on %s (%d workers, queue %d, shed=%v)", *addr, *workers, *queue, *shed)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("hyperhetd: %v", err)
 	}
@@ -865,7 +853,7 @@ type statsResponse struct {
 	// digest memo, and the hit/miss/generation counters /metrics exports.
 	SceneCache sceneCacheStats `json:"scene_cache"`
 	// Guard snapshots the overload-control layer (adaptive limit, latency
-	// baseline, open breakers); absent without -shed/-hedge.
+	// baseline, open breakers); absent without -shed.
 	Guard *hyperhet.GuardState `json:"guard,omitempty"`
 	// JournalReplay reports what the boot-time journal replay read and
 	// dropped (records folded, torn tails truncated, unknown schema

@@ -342,7 +342,7 @@ var (
 // scheduler. Construct one with NewGuard and pass it through
 // SchedulerConfig.Guard; submissions then flow through adaptive AIMD
 // admission, per-class token buckets, deadline-aware rejection and
-// per-backend circuit breaking, and long-running jobs may be hedged.
+// per-backend circuit breaking.
 type (
 	// GuardConfig parameterizes NewGuard.
 	GuardConfig = guard.Config
@@ -352,8 +352,6 @@ type (
 	GuardState = guard.State
 	// GuardBucketConfig is one class's token-bucket tuning.
 	GuardBucketConfig = guard.BucketConfig
-	// GuardHedgeConfig tunes straggler hedging.
-	GuardHedgeConfig = guard.HedgeConfig
 	// GuardBreakerConfig tunes the per-backend circuit breakers.
 	GuardBreakerConfig = guard.BreakerConfig
 	// GuardLimiterConfig tunes the AIMD concurrency limiter.

@@ -109,102 +109,3 @@ func (e *WaitEstimator) Estimate(class Class, ahead int) time.Duration {
 	}
 	return time.Duration(e.perSlot[class] * float64(ahead+1) * float64(time.Second))
 }
-
-// Window is a fixed-size ring of recent latency samples per class, the
-// source of the p95 that triggers straggler hedging.
-type Window struct {
-	mu      sync.Mutex
-	size    int
-	samples [][]time.Duration // ring per class
-	next    []int
-	filled  []bool
-}
-
-// NewWindow returns a window of `size` samples per class (default 64).
-func NewWindow(nClasses, size int) *Window {
-	if size <= 0 {
-		size = 64
-	}
-	w := &Window{
-		size:    size,
-		samples: make([][]time.Duration, nClasses),
-		next:    make([]int, nClasses),
-		filled:  make([]bool, nClasses),
-	}
-	return w
-}
-
-// Observe records one execution latency.
-func (w *Window) Observe(class Class, d time.Duration) {
-	if w == nil || d < 0 {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	c := int(class)
-	if c < 0 || c >= len(w.samples) {
-		return
-	}
-	if w.samples[c] == nil {
-		w.samples[c] = make([]time.Duration, 0, w.size)
-	}
-	if len(w.samples[c]) < w.size {
-		w.samples[c] = append(w.samples[c], d)
-		return
-	}
-	w.samples[c][w.next[c]] = d
-	w.next[c] = (w.next[c] + 1) % w.size
-	w.filled[c] = true
-}
-
-// Count returns the number of samples held for the class.
-func (w *Window) Count(class Class) int {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	c := int(class)
-	if c < 0 || c >= len(w.samples) {
-		return 0
-	}
-	return len(w.samples[c])
-}
-
-// Quantile returns the q-quantile (0 < q <= 1) of the class's window,
-// 0 when empty.
-func (w *Window) Quantile(class Class, q float64) time.Duration {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	c := int(class)
-	if c < 0 || c >= len(w.samples) || len(w.samples[c]) == 0 {
-		w.mu.Unlock()
-		return 0
-	}
-	buf := append([]time.Duration(nil), w.samples[c]...)
-	w.mu.Unlock()
-	// Insertion sort: windows are small (<= a few hundred samples).
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	if q <= 0 {
-		q = 0.95
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Ceiling rank: the smallest sample with at least q of the window at
-	// or below it, so a 4-sample p95 is the max, not the 3rd value.
-	idx := int(q*float64(len(buf))+0.9999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(buf) {
-		idx = len(buf) - 1
-	}
-	return buf[idx]
-}

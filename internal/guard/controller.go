@@ -13,34 +13,6 @@ type BucketConfig struct {
 	Rate float64
 }
 
-// HedgeConfig parameterizes straggler hedging. The guard only supplies
-// the trigger delay; launching the hedge attempt and racing the two is
-// the scheduler's job.
-type HedgeConfig struct {
-	// Enabled turns hedging on.
-	Enabled bool
-	// Quantile is the class-latency quantile a running job must exceed
-	// to be hedged (default 0.95).
-	Quantile float64
-	// Delay, when positive, bypasses the quantile window entirely and
-	// hedges any job still running after the fixed delay (tests and the
-	// simulation harness use it).
-	Delay time.Duration
-	// MinSamples is the class window population required before the
-	// quantile is trusted (default 16); below it no hedging happens.
-	MinSamples int
-}
-
-func (h HedgeConfig) withDefaults() HedgeConfig {
-	if h.Quantile <= 0 || h.Quantile > 1 {
-		h.Quantile = 0.95
-	}
-	if h.MinSamples <= 0 {
-		h.MinSamples = 16
-	}
-	return h
-}
-
 // Config parameterizes a Controller. The zero value is NOT a valid
 // configuration — construct through New, which applies defaults.
 type Config struct {
@@ -59,10 +31,6 @@ type Config struct {
 	Breaker BreakerConfig
 	// DisableBreaker turns circuit breaking off.
 	DisableBreaker bool
-	// Hedge tunes straggler hedging.
-	Hedge HedgeConfig
-	// WindowSize is the per-class latency window population (default 64).
-	WindowSize int
 	// EstimatorAlpha is the queue-wait EWMA weight (default 0.2).
 	EstimatorAlpha float64
 }
@@ -99,14 +67,13 @@ const (
 
 // Controller composes the guard mechanisms behind one Admit/Observe
 // API. All methods are safe for concurrent use; a nil *Controller is a
-// valid no-op that admits everything and never hedges.
+// valid no-op that admits everything.
 type Controller struct {
 	cfg       Config
 	limiter   *Limiter
 	buckets   []*Bucket
 	breakers  *BreakerSet
 	estimator *WaitEstimator
-	window    *Window
 }
 
 // New builds a controller.
@@ -125,12 +92,10 @@ func New(cfg Config) *Controller {
 		}
 	}
 	cfg.ClassFractions = fr
-	cfg.Hedge = cfg.Hedge.withDefaults()
 	c := &Controller{
 		cfg:       cfg,
 		limiter:   NewLimiter(cfg.Limiter),
 		estimator: NewWaitEstimator(cfg.Classes, cfg.EstimatorAlpha),
-		window:    NewWindow(cfg.Classes, cfg.WindowSize),
 	}
 	c.buckets = make([]*Bucket, cfg.Classes)
 	for i := range c.buckets {
@@ -212,17 +177,13 @@ func (c *Controller) ObserveDispatch(class Class, wait time.Duration, ahead int)
 }
 
 // ObserveDone feeds one settled job back: total submit-to-settle
-// latency (the limiter's signal), pure execution latency (the hedge
-// window's signal), success, backend outcome and whether the job was a
-// half-open probe.
-func (c *Controller) ObserveDone(class Class, key string, latency, exec time.Duration, ok bool, outcome Outcome, probe bool) {
+// latency (the limiter's signal), success, backend outcome and whether
+// the job was a half-open probe. The execution-time argument is ignored.
+func (c *Controller) ObserveDone(class Class, key string, latency, _ time.Duration, ok bool, outcome Outcome, probe bool) {
 	if c == nil {
 		return
 	}
 	c.limiter.Observe(latency, ok)
-	if ok && exec > 0 {
-		c.window.Observe(class, exec)
-	}
 	if c.breakers != nil && outcome != OutcomeNeutral {
 		c.breakers.Record(key, outcome == OutcomeBackendOK, probe)
 	}
@@ -239,28 +200,6 @@ func (c *Controller) ReleaseProbe(key string) {
 	c.breakers.Record(key, false, true)
 }
 
-// HedgeDelay returns how long a class's job may run before a hedge
-// attempt launches; 0 disables hedging for the job. A fixed
-// HedgeConfig.Delay wins; otherwise the class window's quantile, once
-// populated past MinSamples.
-func (c *Controller) HedgeDelay(class Class) time.Duration {
-	if c == nil || !c.cfg.Hedge.Enabled {
-		return 0
-	}
-	if c.cfg.Hedge.Delay > 0 {
-		return c.cfg.Hedge.Delay
-	}
-	if c.window.Count(class) < c.cfg.Hedge.MinSamples {
-		return 0
-	}
-	return c.window.Quantile(class, c.cfg.Hedge.Quantile)
-}
-
-// HedgeEnabled reports whether hedging is configured at all.
-func (c *Controller) HedgeEnabled() bool {
-	return c != nil && c.cfg.Hedge.Enabled
-}
-
 // State is a JSON-shaped snapshot of the controller for /stats and
 // /readyz.
 type State struct {
@@ -268,8 +207,6 @@ type State struct {
 	Limit int `json:"limit"`
 	// BaselineMS is the moving latency baseline in milliseconds.
 	BaselineMS float64 `json:"baseline_ms"`
-	// HedgeEnabled reports whether straggler hedging is on.
-	HedgeEnabled bool `json:"hedge_enabled,omitempty"`
 	// BreakersOpen counts backends currently rejecting.
 	BreakersOpen int `json:"breakers_open"`
 	// BreakerTrips counts lifetime closed-to-open transitions.
@@ -286,7 +223,6 @@ func (c *Controller) State() State {
 	return State{
 		Limit:        c.limiter.Limit(),
 		BaselineMS:   c.limiter.Baseline() * 1000,
-		HedgeEnabled: c.cfg.Hedge.Enabled,
 		BreakersOpen: c.breakers.OpenCount(),
 		BreakerTrips: c.breakers.Trips(),
 		Breakers:     c.breakers.Snapshot(),

@@ -2,7 +2,7 @@
 // admission-time and dispatch-time defenses that keep a saturated
 // serving stack doing useful work instead of queueing doomed jobs.
 //
-// It bundles five cooperating mechanisms, each usable on its own and all
+// It bundles four cooperating mechanisms, each usable on its own and all
 // pure control logic (no scheduler imports, no I/O):
 //
 //   - an AIMD adaptive concurrency limiter (Limiter) that grows the
@@ -18,9 +18,7 @@
 //   - a per-backend circuit breaker set (BreakerSet) with the classic
 //     closed / open / half-open state machine and probe admissions, so
 //     a configuration that keeps killing ranks fails fast instead of
-//     consuming workers;
-//   - a per-class latency quantile window (Window) whose p95 drives
-//     straggler hedging in the scheduler.
+//     consuming workers.
 //
 // Controller composes them behind one Admit/Observe API shaped for
 // package sched. Every decision is reported as a Verdict carrying the

@@ -136,32 +136,6 @@ func TestWaitEstimator(t *testing.T) {
 	}
 }
 
-func TestWindowQuantile(t *testing.T) {
-	w := NewWindow(1, 100)
-	if q := w.Quantile(0, 0.95); q != 0 {
-		t.Fatalf("quantile of empty window = %v, want 0", q)
-	}
-	for i := 1; i <= 100; i++ {
-		w.Observe(0, time.Duration(i)*time.Millisecond)
-	}
-	if got := w.Count(0); got != 100 {
-		t.Fatalf("count = %d, want 100", got)
-	}
-	if q := w.Quantile(0, 0.95); q != 95*time.Millisecond {
-		t.Fatalf("p95 = %v, want 95ms", q)
-	}
-	if q := w.Quantile(0, 1); q != 100*time.Millisecond {
-		t.Fatalf("p100 = %v, want 100ms", q)
-	}
-	// Ring overwrite: 50 new 1s samples displace the oldest 50.
-	for i := 0; i < 50; i++ {
-		w.Observe(0, time.Second)
-	}
-	if q := w.Quantile(0, 0.95); q != time.Second {
-		t.Fatalf("p95 after displacement = %v, want 1s", q)
-	}
-}
-
 func TestBreakerLifecycle(t *testing.T) {
 	s := NewBreakerSet(BreakerConfig{Threshold: 3, Cooldown: time.Second})
 	now := time.Unix(0, 0)
@@ -283,12 +257,6 @@ func TestControllerNilSafe(t *testing.T) {
 	c.ObserveDispatch(0, time.Second, 1)
 	c.ObserveDone(0, "k", time.Second, time.Second, true, OutcomeBackendOK, false)
 	c.ReleaseProbe("k")
-	if d := c.HedgeDelay(0); d != 0 {
-		t.Fatalf("nil controller hedge delay = %v, want 0", d)
-	}
-	if c.HedgeEnabled() {
-		t.Fatal("nil controller reports hedging enabled")
-	}
 	if st := c.State(); st.Limit != 0 {
 		t.Fatalf("nil controller state = %+v, want zero", st)
 	}
@@ -419,38 +387,5 @@ func TestControllerProbeBypassesShedding(t *testing.T) {
 	c.ObserveDone(1, key, time.Millisecond, time.Millisecond, true, OutcomeBackendOK, true)
 	if v := c.Admit(Request{Class: 1, BackendKey: key, InFlight: 100}); v.Allow {
 		t.Fatalf("closed-breaker saturated admit = %+v, want limit shed", v)
-	}
-}
-
-func TestControllerHedgeDelay(t *testing.T) {
-	c := New(Config{Hedge: HedgeConfig{Enabled: true, MinSamples: 4, Quantile: 0.95}})
-	if !c.HedgeEnabled() {
-		t.Fatal("hedging not enabled")
-	}
-	if d := c.HedgeDelay(1); d != 0 {
-		t.Fatalf("hedge delay before samples = %v, want 0", d)
-	}
-	for i := 1; i <= 4; i++ {
-		c.ObserveDone(1, "", time.Duration(i)*100*time.Millisecond, time.Duration(i)*100*time.Millisecond, true, OutcomeNeutral, false)
-	}
-	if d := c.HedgeDelay(1); d != 400*time.Millisecond {
-		t.Fatalf("hedge delay = %v, want 400ms (p95 of 4 samples)", d)
-	}
-	// Failed and zero-exec completions must not feed the window.
-	c2 := New(Config{Hedge: HedgeConfig{Enabled: true, MinSamples: 1}})
-	c2.ObserveDone(1, "", time.Second, time.Second, false, OutcomeNeutral, false)
-	c2.ObserveDone(1, "", time.Second, 0, true, OutcomeNeutral, false)
-	if d := c2.HedgeDelay(1); d != 0 {
-		t.Fatalf("hedge delay from non-signals = %v, want 0", d)
-	}
-	// Fixed delay override skips the window entirely.
-	c3 := New(Config{Hedge: HedgeConfig{Enabled: true, Delay: 25 * time.Millisecond}})
-	if d := c3.HedgeDelay(0); d != 25*time.Millisecond {
-		t.Fatalf("fixed hedge delay = %v, want 25ms", d)
-	}
-	// Disabled hedging always reports 0.
-	c4 := New(Config{})
-	if d := c4.HedgeDelay(1); d != 0 || c4.HedgeEnabled() {
-		t.Fatal("disabled hedging leaked a delay")
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // TestGuardStressConcurrent hammers one controller from many goroutines
 // mixing admissions, completions, breaker trips/recoveries, probe
-// releases, hedge-delay reads and state snapshots. It asserts only
+// releases, open-breaker reads and state snapshots. It asserts only
 // invariants that hold under any interleaving — the point of the test is
 // the race detector plus "no panic, no deadlock, sane aggregates".
 func TestGuardStressConcurrent(t *testing.T) {
@@ -17,7 +17,6 @@ func TestGuardStressConcurrent(t *testing.T) {
 		Limiter: LimiterConfig{Initial: 8, Min: 2, Max: 64, Cooldown: time.Microsecond},
 		Buckets: []BucketConfig{{Capacity: 64, Rate: 100000}, {Capacity: 64, Rate: 100000}},
 		Breaker: BreakerConfig{Threshold: 3, Cooldown: 100 * time.Microsecond},
-		Hedge:   HedgeConfig{Enabled: true, MinSamples: 8},
 	})
 
 	keys := []string{"netA|clean", "netA|chaos", "netB|clean", "netB|chaos"}
@@ -72,7 +71,7 @@ func TestGuardStressConcurrent(t *testing.T) {
 					c.ObserveDispatch(class, time.Duration(i%50)*time.Millisecond, i%5)
 					c.ObserveDone(class, key, 5*time.Millisecond, 4*time.Millisecond, true, OutcomeBackendOK, v.Probe)
 				case 3:
-					_ = c.HedgeDelay(class)
+					_ = c.OpenBreakers()
 					c.ObserveDone(class, key, 2*time.Millisecond, 2*time.Millisecond, true, OutcomeBackendOK, v.Probe)
 				default:
 					st := c.State()

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sort"
 	"strings"
@@ -289,80 +288,6 @@ func TestGuardBreakerTripProbeRecover(t *testing.T) {
 	}
 }
 
-// Hedged execution returns byte-identical results: the same spec run
-// with hedging forced on (every job races a hedge) and with no guard at
-// all must produce identical report JSON — hedging may change latency,
-// never bytes.
-func TestGuardHedgeDeterminism(t *testing.T) {
-	spec := faultSpec(t, 99, 1) // ModeRun on a real network, no effective faults
-	spec.Params.Faults = nil
-	spec.NoCache = true
-	// The big scene keeps the primary running long enough that it cannot
-	// finish before the worker goroutine, behind the rank goroutines on a
-	// small GOMAXPROCS, gets to see the 1ns hedge timer.
-	_, big := testScenes(t)
-	spec.Cube, spec.CubeDigest = big.Cube, ""
-
-	run := func(g *guard.Controller) ([]byte, *Job) {
-		s := New(Config{Workers: 1, Guard: g})
-		defer s.Close()
-		j, err := s.Submit(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Wait(context.Background(), j.ID()); err != nil {
-			t.Fatal(err)
-		}
-		if j.State() != StateCompleted {
-			t.Fatalf("job settled as %s (err %v)", j.State(), j.Err())
-		}
-		raw, err := json.Marshal(j.Report())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw, j
-	}
-
-	baseline, _ := run(nil)
-	hedged, hj := run(guard.New(guard.Config{
-		Hedge: guard.HedgeConfig{Enabled: true, Delay: time.Nanosecond},
-	}))
-	if string(baseline) != string(hedged) {
-		t.Fatalf("hedged report differs from baseline:\n%s\nvs\n%s", hedged, baseline)
-	}
-	if !hj.Status().Hedged {
-		t.Fatal("hedge never launched despite the 1ns trigger")
-	}
-}
-
-// Checkpointed jobs are excluded from hedging: two racers would share
-// one checkpoint store and the resume state would depend on the race.
-func TestGuardHedgeSkipsCheckpointedJobs(t *testing.T) {
-	s := New(Config{Workers: 1, Guard: guard.New(guard.Config{
-		Hedge: guard.HedgeConfig{Enabled: true, Delay: time.Nanosecond},
-	})})
-	defer s.Close()
-	spec := faultSpec(t, 99, 1)
-	spec.Params.Faults = nil
-	spec.Checkpoint = true
-	j, err := s.Submit(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Wait(context.Background(), j.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if j.State() != StateCompleted {
-		t.Fatalf("job settled as %s (err %v)", j.State(), j.Err())
-	}
-	if j.Status().Hedged {
-		t.Fatal("checkpointed job was hedged")
-	}
-	if st := s.Stats(); st.Hedges != 0 {
-		t.Fatalf("stats.Hedges = %d, want 0", st.Hedges)
-	}
-}
-
 // The job document carries queue_ms and deadline_remaining_ms so expiry
 // and shed decisions are auditable after the fact.
 func TestJobStatusQueueAndDeadlineFields(t *testing.T) {
@@ -424,7 +349,7 @@ func TestJobStatusQueueAndDeadlineFields(t *testing.T) {
 }
 
 // TestGuardStressScheduler hammers a fully-armed guard (tight limiter,
-// buckets, fast breaker, aggressive hedging) through the scheduler from
+// buckets, fast breaker) through the scheduler from
 // many goroutines mixing clean jobs, breaker-tripping fault jobs,
 // deadline-doomed jobs and explicit cancellations. The CI -race step
 // runs it with GOMAXPROCS=8; here it asserts the ledger invariants:
@@ -440,7 +365,6 @@ func TestGuardStressScheduler(t *testing.T) {
 			Limiter: guard.LimiterConfig{Initial: 16, Min: 4, Max: 64, Cooldown: time.Millisecond},
 			Buckets: []guard.BucketConfig{{Capacity: 64, Rate: 2000}, {Capacity: 64, Rate: 4000}},
 			Breaker: guard.BreakerConfig{Threshold: 2, Cooldown: 5 * time.Millisecond},
-			Hedge:   guard.HedgeConfig{Enabled: true, Delay: 500 * time.Microsecond},
 		}),
 	})
 	defer s.Close()
@@ -523,7 +447,6 @@ func TestGuardStressScheduler(t *testing.T) {
 	if st.Expired > st.Cancelled {
 		t.Fatalf("expired %d > cancelled %d", st.Expired, st.Cancelled)
 	}
-	t.Logf("admitted=%d rejected=%d shed=%d breaker=%d expired=%d hedges=%d hedgeWins=%d trips=%d",
-		st.Submitted, st.Rejected, st.Shed, st.BreakerRejects, st.Expired,
-		st.Hedges, st.HedgeWins, s.GuardState().BreakerTrips)
+	t.Logf("admitted=%d rejected=%d shed=%d breaker=%d expired=%d trips=%d",
+		st.Submitted, st.Rejected, st.Shed, st.BreakerRejects, st.Expired, s.GuardState().BreakerTrips)
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cube"
-	"repro/internal/guard"
 	"repro/internal/scene"
 )
 
@@ -116,24 +115,18 @@ func TestLazyCubeResultEvictedBetweenAdmitAndDispatch(t *testing.T) {
 	}
 }
 
-func TestLazyCubeHedgedJobMaterializesOnce(t *testing.T) {
-	_, big := testScenes(t)
-	spec := faultSpec(t, 99, 1)
-	spec.Params.Faults = nil
-	spec.NoCache = true
-	spec.Cube, spec.CubeDigest = big.Cube, ""
-
-	s := New(Config{Workers: 1, Guard: guard.New(guard.Config{
-		Hedge: guard.HedgeConfig{Enabled: true, Delay: time.Nanosecond},
-	})})
+// A retried job builds its cube once: the attempt loop reuses the one
+// materialization instead of calling Materialize per attempt.
+func TestLazyCubeRetriedJobMaterializesOnce(t *testing.T) {
+	s := New(Config{Workers: 1, RetryBaseDelay: time.Millisecond, RetryMaxDelay: time.Millisecond})
 	defer s.Close()
 	var calls atomic.Int32
-	j := runToEnd(t, s, lazySpec(spec, &calls))
-	if j.State() != StateCompleted || !j.Status().Hedged {
-		t.Fatalf("state %s hedged=%v (err %v), want a completed hedged run", j.State(), j.Status().Hedged, j.Err())
+	j := runToEnd(t, s, lazySpec(faultSpec(t, 1, 3), &calls))
+	if j.State() != StateCompleted || len(j.Attempts()) != 2 {
+		t.Fatalf("state %s after %d attempts (err %v), want completed after 2", j.State(), len(j.Attempts()), j.Err())
 	}
 	if calls.Load() != 1 {
-		t.Fatalf("materialized %d times across the hedge race, want 1", calls.Load())
+		t.Fatalf("materialized %d times across the retry, want 1", calls.Load())
 	}
 }
 

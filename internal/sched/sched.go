@@ -301,8 +301,6 @@ type Job struct {
 	adaptive   *core.AdaptiveReport
 	err        error
 	fromCache  bool
-	hedged     bool
-	hedgeWon   bool
 	attempts   []AttemptRecord
 }
 
@@ -427,10 +425,6 @@ type JobStatus struct {
 	// snapshot time (negative once passed; frozen at settlement for
 	// finished jobs). Omitted for jobs without a deadline.
 	DeadlineRemainingMS *int64 `json:"deadline_remaining_ms,omitempty"`
-	// Hedged reports a straggler hedge attempt was launched; HedgeWon
-	// that the hedge finished first.
-	Hedged   bool `json:"hedged,omitempty"`
-	HedgeWon bool `json:"hedge_won,omitempty"`
 }
 
 // Status snapshots the job.
@@ -462,8 +456,6 @@ func (j *Job) Status() JobStatus {
 	}
 	st.Attempts = len(j.attempts)
 	st.AttemptHistory = append([]AttemptRecord(nil), j.attempts...)
-	st.Hedged = j.hedged
-	st.HedgeWon = j.hedgeWon
 	now := time.Now()
 	switch {
 	case !j.startedAt.IsZero():
@@ -525,10 +517,9 @@ type Config struct {
 	// Guard, when non-nil, is the overload-control layer: every fresh
 	// submission passes its admission pipeline (adaptive AIMD limit with
 	// batch-first shedding, per-class token buckets, deadline-aware
-	// rejection, per-backend circuit breaking), denials surface as
-	// *ShedError, and when its hedging is enabled, running jobs that
-	// exceed their class's p95 race one hedge attempt. Journal-resumed
-	// jobs bypass admission — they were admitted by a previous process.
+	// rejection, per-backend circuit breaking) and denials surface as
+	// *ShedError. Journal-resumed jobs bypass admission — they were
+	// admitted by a previous process.
 	Guard *guard.Controller
 	// Registry, when non-nil, registers the scheduler's instruments (and
 	// the simulation-level ones of package core) against it: queue depth,
@@ -601,10 +592,6 @@ type Stats struct {
 	// Expired counts queued jobs settled because their deadline passed
 	// before dispatch — dead work never handed to a worker.
 	Expired uint64 `json:"expired"`
-	// Hedges counts straggler hedge attempts launched; HedgeWins those
-	// that finished before their primary.
-	Hedges    uint64 `json:"hedges"`
-	HedgeWins uint64 `json:"hedge_wins"`
 	// VirtualSeconds accumulates the simulated wall time of every
 	// completed (non-cached) run.
 	VirtualSeconds float64 `json:"virtual_seconds"`
@@ -904,7 +891,7 @@ func (s *Scheduler) watchQueued(j *Job) {
 	select {
 	case <-j.ctx.Done():
 		if s.dequeue(j) {
-			s.settle(j, time.Time{}, StateCancelled, cachedResult{}, s.queuedDeathErr(j), false)
+			s.settle(j, StateCancelled, cachedResult{}, s.queuedDeathErr(j), false)
 		}
 	case <-j.done:
 	}
@@ -1012,8 +999,6 @@ func (s *Scheduler) Stats() Stats {
 		Shed:           shed,
 		BreakerRejects: count(m.shed.With(string(guard.ReasonBreakerOpen))),
 		Expired:        count(m.expired),
-		Hedges:         count(m.hedges),
-		HedgeWins:      count(m.hedgeWins),
 		VirtualSeconds: m.virtualSeconds.Value(),
 		CacheEntries:   s.cache.len(),
 	}
@@ -1045,7 +1030,7 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 
 	for _, j := range pending {
-		s.settle(j, time.Time{}, StateCancelled, cachedResult{}, fmt.Errorf("sched: job %s: %w", j.id, ErrClosed), false)
+		s.settle(j, StateCancelled, cachedResult{}, fmt.Errorf("sched: job %s: %w", j.id, ErrClosed), false)
 	}
 	for _, j := range inFlight {
 		j.Cancel()
@@ -1124,13 +1109,13 @@ func (s *Scheduler) runJob(j *Job) {
 	// usually wins this race; this is the fallback, and it upholds the
 	// same invariant — an expired job is never dispatched.
 	if j.ctx.Err() != nil {
-		s.settle(j, time.Time{}, StateCancelled, cachedResult{}, s.queuedDeathErr(j), false)
+		s.settle(j, StateCancelled, cachedResult{}, s.queuedDeathErr(j), false)
 		return
 	}
 
 	if res, ok := s.cache.get(j.cacheKey); ok {
 		s.tel.cache.With("hit").Inc()
-		s.settle(j, time.Time{}, StateCompleted, res, nil, true)
+		s.settle(j, StateCompleted, res, nil, true)
 		return
 	}
 	if j.cacheKey != "" {
@@ -1169,7 +1154,7 @@ func (s *Scheduler) runJob(j *Job) {
 	}
 
 	// Only now — the result cache missed and a worker is committed — is
-	// a lazy cube built, once for every attempt and both hedge racers.
+	// a lazy cube built, once, for all attempts to share.
 	var res cachedResult
 	var err error
 	c := j.spec.Cube
@@ -1189,11 +1174,11 @@ func (s *Scheduler) runJob(j *Job) {
 	switch {
 	case err == nil:
 		s.cache.put(j.cacheKey, res)
-		s.settle(j, jobStarted, StateCompleted, res, nil, false)
+		s.settle(j, StateCompleted, res, nil, false)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.settle(j, jobStarted, StateCancelled, cachedResult{}, err, false)
+		s.settle(j, StateCancelled, cachedResult{}, err, false)
 	default:
-		s.settle(j, jobStarted, StateFailed, cachedResult{}, err, false)
+		s.settle(j, StateFailed, cachedResult{}, err, false)
 	}
 }
 
@@ -1210,7 +1195,7 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (cachedResult, error) {
 		if !j.spec.NoJournal {
 			s.appendStory(j, Record{Type: recStarted, Job: j.id, Attempt: attempt})
 		}
-		res, err := s.executeAttempt(j, c, attempt)
+		res, err := s.execute(j, c, attempt)
 		rec := AttemptRecord{
 			Attempt:  attempt,
 			Started:  started,
@@ -1239,80 +1224,11 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (cachedResult, error) {
 	}
 }
 
-// executeAttempt runs one attempt of the job, hedged when the guard's
-// straggler policy asks for it. Checkpointed jobs never hedge: both
-// racers would write rounds to one shared store, and the resume state
-// would depend on the race.
-func (s *Scheduler) executeAttempt(j *Job, c *cube.Cube, attempt int) (cachedResult, error) {
-	if g := s.cfg.Guard; g.HedgeEnabled() && j.ckpt == nil {
-		if delay := g.HedgeDelay(guard.Class(j.spec.Priority)); delay > 0 {
-			return s.executeHedged(j, c, attempt, delay)
-		}
-	}
-	return s.execute(j.ctx, j, c, attempt)
-}
-
-// executeHedged runs one attempt with straggler hedging: the primary
-// runs immediately, and if it is still going after delay (the class's
-// p95, or the configured fixed delay), one hedge launches and the first
-// finisher wins. Taking either result is safe because runs are
-// byte-deterministic in (spec, attempt) — both racers see the same fault
-// plan and compute identical bytes; hedging can only change latency,
-// never results. The loser is cancelled AND awaited before returning, so
-// the attempt leaves no goroutine behind (clean under -race, and the
-// close/drain accounting stays exact).
-func (s *Scheduler) executeHedged(j *Job, c *cube.Cube, attempt int, delay time.Duration) (cachedResult, error) {
-	type outcome struct {
-		res   cachedResult
-		err   error
-		hedge bool
-	}
-	results := make(chan outcome, 2) // both racers always complete their send
-	pctx, pcancel := context.WithCancel(j.ctx)
-	defer pcancel()
-	go func() {
-		r, e := s.execute(pctx, j, c, attempt)
-		results <- outcome{r, e, false}
-	}()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	var first outcome
-	select {
-	case first = <-results:
-		// On-time primary: no hedge needed.
-		return first.res, first.err
-	case <-timer.C:
-	}
-	hctx, hcancel := context.WithCancel(j.ctx)
-	defer hcancel()
-	j.mu.Lock()
-	j.hedged = true
-	j.mu.Unlock()
-	s.tel.hedges.Inc()
-	go func() {
-		r, e := s.execute(hctx, j, c, attempt)
-		results <- outcome{r, e, true}
-	}()
-	first = <-results
-	pcancel()
-	hcancel()
-	<-results // await the loser: leak-free by construction
-	if first.hedge {
-		j.mu.Lock()
-		j.hedgeWon = true
-		j.mu.Unlock()
-		s.tel.hedgeWins.Inc()
-	}
-	return first.res, first.err
-}
-
-// execute runs one attempt of the job over cube c on ctx (the job's own
-// context, or a racer's child of it under hedging). The attempt number
-// is threaded to the fault plan through Params.FaultAttempt, so an
-// injected crash pinned to attempt 1 spares the retry — the
-// transient-failure model — and both hedge racers of one attempt see an
-// identical world.
-func (s *Scheduler) execute(ctx context.Context, j *Job, c *cube.Cube, attempt int) (cachedResult, error) {
+// execute runs one attempt of the job over cube c on the job's context.
+// The attempt number is threaded to the fault plan through
+// Params.FaultAttempt, so an injected crash pinned to attempt 1 spares
+// the retry — the transient-failure model.
+func (s *Scheduler) execute(j *Job, c *cube.Cube, attempt int) (cachedResult, error) {
 	var res cachedResult
 	var err error
 	spec := &j.spec
@@ -1321,7 +1237,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job, c *cube.Cube, attempt i
 	// The simulation instruments ride the context, not Params: Params is
 	// part of the cache key and must stay a pure value. The checkpoint
 	// store travels the same way, for the same reason.
-	ctx = core.WithMetrics(ctx, s.tel.core)
+	ctx := core.WithMetrics(j.ctx, s.tel.core)
 	if j.ckpt != nil {
 		ctx = core.WithCheckpointer(ctx, j.ckpt)
 	}
@@ -1371,19 +1287,14 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // settle is the one path by which a job reaches a final state, called
 // exactly once per job (callers hold the token: queue membership or worker
-// ownership); started is when the job began running, zero if it never
-// did. The order is the contract: guard feedback, counters and ledger
-// history all land BEFORE the terminal state and Done() become visible, so
-// a waiter that resubmits, reads Stats or lists Jobs the moment the job
-// settles finds all three already caught up. Only the latency histogram
-// and the finished journal record come after.
-func (s *Scheduler) settle(j *Job, started time.Time, state State, res cachedResult, err error, fromCache bool) {
+// ownership). The order is the contract: guard feedback, counters and
+// ledger history all land BEFORE the terminal state and Done() become
+// visible, so a waiter that resubmits, reads Stats or lists Jobs the
+// moment the job settles finds all three already caught up. Only the
+// latency histogram and the finished journal record come after.
+func (s *Scheduler) settle(j *Job, state State, res cachedResult, err error, fromCache bool) {
 	finishedAt := time.Now()
 	latency := finishedAt.Sub(j.submittedAt)
-	var exec time.Duration
-	if !started.IsZero() {
-		exec = finishedAt.Sub(started)
-	}
 
 	if g := s.cfg.Guard; g != nil {
 		// Classify the settlement for the breaker: only real backend
@@ -1403,7 +1314,7 @@ func (s *Scheduler) settle(j *Job, started time.Time, state State, res cachedRes
 			g.ReleaseProbe(j.backendKey)
 		}
 		if !fromCache {
-			g.ObserveDone(guard.Class(j.spec.Priority), j.backendKey, latency, exec,
+			g.ObserveDone(guard.Class(j.spec.Priority), j.backendKey, latency, 0,
 				state == StateCompleted, outcome, j.probe)
 		}
 	}

@@ -22,8 +22,6 @@ type schedMetrics struct {
 	restored  *telemetry.CounterVec // disposition: finished | resumed
 	shed      *telemetry.CounterVec // reason: limit | rate | deadline | breaker-open
 	expired   *telemetry.Counter
-	hedges    *telemetry.Counter
-	hedgeWins *telemetry.Counter
 	// virtualSeconds bills the simulated wall time of every completed,
 	// non-cached run; Stats-only, so it is not registered.
 	virtualSeconds *telemetry.Counter
@@ -110,10 +108,6 @@ func newSchedMetrics(s *Scheduler) *schedMetrics {
 			"Submissions denied by the overload-control layer, by reason.", "reason"),
 		expired: reg.NewCounter("hyperhet_guard_expired_total",
 			"Queued jobs settled because their deadline passed before dispatch."),
-		hedges: reg.NewCounter("hyperhet_guard_hedges_total",
-			"Straggler hedge attempts launched."),
-		hedgeWins: reg.NewCounter("hyperhet_guard_hedge_wins_total",
-			"Hedge attempts that finished before their primary."),
 		virtualSeconds: new(telemetry.Counter),
 	}
 	if s.cfg.Registry != nil {

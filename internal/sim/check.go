@@ -257,10 +257,7 @@ type CheckOptions struct {
 // balance (asserted inside Run), plus cross-run determinism (the
 // crashed-and-resumed run must match the uncrashed baseline label for
 // label) and cache transparency (a duplicate submission's digest equals
-// its source's). Overload scenarios strip hedging from the baseline
-// too, so digest equality doubles as the hedging-transparency
-// invariant: a hedged winner must be byte-identical to the unhedged
-// run.
+// its source's).
 func Check(scn *Scenario, opts CheckOptions) (*Verdict, error) {
 	dir := opts.Dir
 	if dir == "" {
@@ -281,9 +278,6 @@ func Check(scn *Scenario, opts CheckOptions) (*Verdict, error) {
 	}
 	base := scn.clone()
 	base.Crashes = nil
-	if base.Overload != nil {
-		base.Overload.Hedge = false
-	}
 	baseline, err := Run(base, Options{Dir: filepath.Join(dir, "baseline"), Scenes: opts.Scenes, Timeout: opts.Timeout})
 	if err != nil {
 		return nil, err

@@ -58,15 +58,11 @@ func overloadGuard(ov *OverloadPlan) *guard.Controller {
 	if ov == nil {
 		return nil
 	}
-	cfg := guard.Config{
+	return guard.New(guard.Config{
 		Limiter:        guard.LimiterConfig{Initial: ov.Limit, Min: ov.Limit, Max: ov.Limit},
 		DisableBreaker: !ov.Breaker,
 		Breaker:        guard.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
-	}
-	if ov.Hedge {
-		cfg.Hedge = guard.HedgeConfig{Enabled: true, Delay: 200 * time.Microsecond}
-	}
-	return guard.New(cfg)
+	})
 }
 
 // stormSpec is one storm submission: a tiny sequential job that does

@@ -172,8 +172,7 @@ type PipelinePlan struct {
 // so the limit never drifts with wall-clock latency and the scenario
 // stays reproducible), injects a submit storm each phase, and asserts
 // the overload invariants — shed counters balance submitted vs
-// admitted, expired jobs never dispatch, a tripped breaker rejects, and
-// hedged results are byte-identical to an unhedged baseline.
+// admitted, expired jobs never dispatch, and a tripped breaker rejects.
 type OverloadPlan struct {
 	// Limit pins the AIMD admission limit (Min == Max == Limit).
 	Limit int
@@ -182,9 +181,6 @@ type OverloadPlan struct {
 	// Doomed is how many storm jobs carry a deadline so short it usually
 	// passes while they sit in queue — the lazy-expiry invariant's food.
 	Doomed int
-	// Hedge enables straggler hedging with a fixed tiny delay, so nearly
-	// every job races a hedge and the determinism invariant bites.
-	Hedge bool
 	// Breaker runs the breaker-trip sequence: two permanent-crash jobs
 	// against one backend profile, then a third that must be rejected by
 	// the opened circuit.
@@ -285,15 +281,14 @@ func FromSeed(seed uint64) *Scenario {
 	}
 
 	// Roughly a quarter of scenarios run under overload: a guard with a
-	// pinned limit, a per-phase submit storm, and (sometimes) doomed
-	// deadlines, hedging and a breaker trip. The draw happens before the
-	// pipeline draw because overload scenarios exclude pipelines.
+	// pinned limit, a per-phase submit storm with doomed deadlines, and
+	// (sometimes) a breaker trip. The draw happens before the pipeline
+	// draw because overload scenarios exclude pipelines.
 	if r.chance(0.25) {
 		s.Overload = &OverloadPlan{
 			Limit:   s.Workers * r.rangeInt(2, 4),
 			Storm:   r.rangeInt(6, 12),
 			Doomed:  r.rangeInt(1, 3),
-			Hedge:   r.chance(0.5),
 			Breaker: r.chance(0.5),
 		}
 	}
@@ -608,9 +603,6 @@ func (s *Scenario) String() string {
 		s.Seed, s.Workers, s.QueueDepth, s.CacheEntries)
 	if ov := s.Overload; ov != nil {
 		fmt.Fprintf(&b, "  overload: limit=%d storm=%d doomed=%d", ov.Limit, ov.Storm, ov.Doomed)
-		if ov.Hedge {
-			b.WriteString(" hedge")
-		}
 		if ov.Breaker {
 			b.WriteString(" breaker")
 		}

@@ -130,7 +130,7 @@ func Minimize(scn *Scenario, opts CheckOptions, budget int) (*ShrinkResult, erro
 			}
 		}
 		// The overload plan rides on top of the workload: try dropping it
-		// wholesale, then its optional halves, before touching the jobs.
+		// wholesale, then its breaker half, before touching the jobs.
 		if cur.Overload != nil && runs < budget {
 			cand := cur.clone()
 			cand.Overload = nil
@@ -141,18 +141,9 @@ func Minimize(scn *Scenario, opts CheckOptions, budget int) (*ShrinkResult, erro
 				improved = true
 			}
 		}
-		for _, strip := range []func(*OverloadPlan){
-			func(ov *OverloadPlan) { ov.Hedge = false },
-			func(ov *OverloadPlan) { ov.Breaker = false },
-		} {
-			if cur.Overload == nil || runs >= budget {
-				break
-			}
+		if cur.Overload != nil && cur.Overload.Breaker && runs < budget {
 			cand := cur.clone()
-			strip(cand.Overload)
-			if *cand.Overload == *cur.Overload {
-				continue
-			}
+			cand.Overload.Breaker = false
 			if v, bad, err := fails(cand); err != nil {
 				return nil, err
 			} else if bad {
