@@ -385,7 +385,7 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 		var rep *AdaptiveReport
 		var err error
 		for i := 0; i < b.N; i++ {
-			rep, err = RunAdaptive(net, sc.Cube, params, AdaptiveOptions{})
+			rep, err = RunAdaptive(net, sc.Cube, params)
 			if err != nil {
 				b.Fatal(err)
 			}

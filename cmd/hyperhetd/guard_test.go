@@ -3,6 +3,7 @@ package main
 import (
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,29 +34,35 @@ func retryAfterSeconds(t *testing.T, resp *http.Response) int {
 	return secs
 }
 
-// A guard-rate-limited server sheds the second submission with 429 and a
-// Retry-After header, independent of how fast the first job finishes:
-// the batch bucket holds exactly one token and refills at a crawl.
+// A guard pinned at a limit of one in-flight job sheds the second
+// submission with 429 and a Retry-After header. The first job crashes
+// instantly on every attempt and sits in a long retry backoff, so it
+// stays in flight however fast the machine is.
 func TestSubmitShed429RetryAfter(t *testing.T) {
-	const pinned = 1024
 	ts := testServer(t, hyperhet.SchedulerConfig{
+		Workers: 1, CacheEntries: -1,
+		RetryBaseDelay: 2 * time.Second, RetryMaxDelay: 2 * time.Second,
 		Guard: hyperhet.NewGuard(hyperhet.GuardConfig{
-			Limiter: hyperhet.GuardLimiterConfig{Initial: pinned, Min: pinned, Max: pinned},
-			Buckets: []hyperhet.GuardBucketConfig{
-				{Capacity: 1, Rate: 0.001},
-				{Capacity: 1, Rate: 0.001},
-			},
+			Limiter:        hyperhet.GuardLimiterConfig{Initial: 1, Min: 1, Max: 1},
 			DisableBreaker: true,
 		}),
 	})
+	const blocker = `{
+		"algorithm": "atdca", "network": "fully-het", "targets": 4,
+		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3},
+		"faults": {"crashes": [{"rank": 1, "at": 0, "attempt": -1}], "max_attempts": 10}
+	}`
 
-	resp, doc := postJSON(t, ts.URL+"/submit", tinyJob)
+	resp, doc := postJSON(t, ts.URL+"/submit", blocker)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit = %d %v, want 202", resp.StatusCode, doc)
 	}
 	resp, doc = postJSON(t, ts.URL+"/submit", tinyJob)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second submit = %d %v, want 429", resp.StatusCode, doc)
+	}
+	if msg, _ := doc["error"].(string); !strings.Contains(msg, "submission shed (limit)") {
+		t.Fatalf("429 error = %q, want a limit shed", msg)
 	}
 	retryAfterSeconds(t, resp)
 

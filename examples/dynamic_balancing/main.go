@@ -1,8 +1,10 @@
 // Dynamic load balancing: the paper's future-work direction, implemented.
 // The adaptive ATDCA starts from equal shares — it is told nothing about
 // the platform — and re-partitions between detection rounds from measured
-// busy times. Within one round it converges to the balance the WEA
-// achieves only when the cycle-times are known and correct.
+// busy times whenever the busiest worker's time exceeds the least busy
+// one's by more than 15% (a fixed threshold; below ~5% rebalancing
+// thrashes on noise). Within one round it converges to the balance the
+// WEA achieves only when the cycle-times are known and correct.
 package main
 
 import (
@@ -27,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	adaptive, err := hyperhet.RunAdaptive(net, sc.Cube, params, hyperhet.AdaptiveOptions{})
+	adaptive, err := hyperhet.RunAdaptive(net, sc.Cube, params)
 	if err != nil {
 		log.Fatal(err)
 	}

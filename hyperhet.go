@@ -197,8 +197,6 @@ func Run(net *Network, alg Algorithm, v Variant, f *Cube, p Params) (*RunReport,
 
 // Adaptive (dynamic) load balancing: the paper's future-work direction.
 type (
-	// AdaptiveOptions tunes the measurement-driven rebalancer.
-	AdaptiveOptions = algo.AdaptiveOptions
 	// AdaptiveTrace records per-round imbalance and re-partitions.
 	AdaptiveTrace = algo.AdaptiveTrace
 	// AdaptiveReport couples a RunReport with the convergence trace.
@@ -207,10 +205,12 @@ type (
 
 // RunAdaptive executes ATDCA with dynamic load balancing: equal initial
 // shares (no platform knowledge), re-partitioned between rounds from
-// measured busy times. It converges to WEA-grade balance without knowing
-// the cycle-times — and stays balanced if they were declared wrong.
-func RunAdaptive(net *Network, f *Cube, p Params, opts AdaptiveOptions) (*AdaptiveReport, error) {
-	return core.RunAdaptive(net, f, p, opts)
+// measured busy times whenever the busiest worker's time exceeds the
+// least busy one's by more than 15%. It converges to WEA-grade balance
+// without knowing the cycle-times — and stays balanced if they were
+// declared wrong.
+func RunAdaptive(net *Network, f *Cube, p Params) (*AdaptiveReport, error) {
+	return core.RunAdaptive(net, f, p)
 }
 
 // RunSequential executes the single-threaded baseline on one processor of
@@ -230,8 +230,8 @@ func RunContext(ctx context.Context, net *Network, alg Algorithm, v Variant, f *
 }
 
 // RunAdaptiveContext is RunAdaptive under a cancellation context.
-func RunAdaptiveContext(ctx context.Context, net *Network, f *Cube, p Params, opts AdaptiveOptions) (*AdaptiveReport, error) {
-	return core.RunAdaptiveContext(ctx, net, f, p, opts)
+func RunAdaptiveContext(ctx context.Context, net *Network, f *Cube, p Params) (*AdaptiveReport, error) {
+	return core.RunAdaptiveContext(ctx, net, f, p)
 }
 
 // RunSequentialContext is RunSequential under a cancellation context.
@@ -330,8 +330,8 @@ var (
 	ErrSchedulerClosed = sched.ErrClosed
 	ErrUnknownJob      = sched.ErrUnknownJob
 	// ErrShed matches submissions denied by the overload-control layer
-	// (adaptive limit, rate smoothing, unaffordable deadline, or an open
-	// circuit breaker). Serve it as 429 with a Retry-After header.
+	// (adaptive limit, unaffordable deadline, or an open circuit
+	// breaker). Serve it as 429 with a Retry-After header.
 	ErrShed = sched.ErrShed
 	// ErrBreakerOpen matches the breaker subset of ErrShed: the job's
 	// backend, not the client's rate, is the problem. Serve it as 503.
@@ -340,9 +340,9 @@ var (
 
 // Overload control: the guard layer between the HTTP front-end and the
 // scheduler. Construct one with NewGuard and pass it through
-// SchedulerConfig.Guard; submissions then flow through adaptive AIMD
-// admission, per-class token buckets, deadline-aware rejection and
-// per-backend circuit breaking.
+// SchedulerConfig.Guard; submissions then flow through per-backend
+// circuit breaking, adaptive AIMD admission (batch sheds first) and
+// deadline-aware rejection.
 type (
 	// GuardConfig parameterizes NewGuard.
 	GuardConfig = guard.Config
@@ -350,8 +350,6 @@ type (
 	GuardController = guard.Controller
 	// GuardState is a JSON-shaped snapshot of the controller.
 	GuardState = guard.State
-	// GuardBucketConfig is one class's token-bucket tuning.
-	GuardBucketConfig = guard.BucketConfig
 	// GuardBreakerConfig tunes the per-backend circuit breakers.
 	GuardBreakerConfig = guard.BreakerConfig
 	// GuardLimiterConfig tunes the AIMD concurrency limiter.
@@ -362,7 +360,9 @@ type (
 	ShedError = sched.ShedError
 )
 
-// NewGuard builds an overload controller from cfg (zero value = defaults).
+// NewGuard builds an overload controller from cfg. The zero value is the
+// production configuration: limit 16 within [1, 1024], breakers tripping
+// after 3 consecutive backend failures with a 5s cooldown.
 func NewGuard(cfg GuardConfig) *GuardController { return guard.New(cfg) }
 
 // RetryAfterHint extracts the suggested client back-off from a scheduler

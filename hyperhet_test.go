@@ -117,7 +117,7 @@ func TestFacadeAdaptive(t *testing.T) {
 	// redistribution cost that only amortizes when computation dominates.
 	params := ScaledParams(DefaultParams(), sc.Config)
 	params.Targets = 5
-	rep, err := RunAdaptive(FullyHeterogeneous(), sc.Cube, params, AdaptiveOptions{})
+	rep, err := RunAdaptive(FullyHeterogeneous(), sc.Cube, params)
 	if err != nil {
 		t.Fatal(err)
 	}

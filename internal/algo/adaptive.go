@@ -1,8 +1,6 @@
 package algo
 
 import (
-	"sort"
-
 	"repro/internal/balance"
 	"repro/internal/cube"
 	"repro/internal/mpi"
@@ -19,20 +17,10 @@ import (
 // so the algorithm matches WEA's balance without WEA's requirement that
 // cycle-times be known (and stays balanced if they were declared wrong).
 
-// AdaptiveOptions tunes the rebalancer.
-type AdaptiveOptions struct {
-	// Threshold is the busy-time imbalance (max/min over workers with
-	// rows) above which the master re-partitions; 0 selects 1.15.
-	// Rebalancing below ~1.05 thrashes on measurement noise.
-	Threshold float64
-}
-
-func (o AdaptiveOptions) threshold() float64 {
-	if o.Threshold <= 0 {
-		return 1.15
-	}
-	return o.Threshold
-}
+// rebalanceThreshold is the busy-time imbalance (max/min over workers
+// with rows) above which the master re-partitions. Rebalancing below
+// ~1.05 thrashes on measurement noise.
+const rebalanceThreshold = 1.15
 
 // AdaptiveTrace records, per detection round, the measured imbalance and
 // whether the master re-partitioned — the convergence story of the
@@ -68,7 +56,7 @@ type adaptiveUpdate struct {
 // root. The result and trace are returned at the root; other ranks return
 // nils. The schedule keeps its own partition state, so params.Checkpoint
 // and params.Balance do not apply and are ignored.
-func ATDCAAdaptive(c *mpi.Comm, f *cube.Cube, params DetectionParams, opts AdaptiveOptions) (*DetectionResult, *AdaptiveTrace, error) {
+func ATDCAAdaptive(c *mpi.Comm, f *cube.Cube, params DetectionParams) (*DetectionResult, *AdaptiveTrace, error) {
 	params.Checkpoint, params.Balance = nil, nil
 	var a *adaptiveSchedule
 	res, err := detectRounds(c, f, params, atdcaDetector, func() (schedule, error) {
@@ -78,7 +66,7 @@ func ATDCAAdaptive(c *mpi.Comm, f *cube.Cube, params DetectionParams, opts Adapt
 		if err != nil {
 			return nil, err
 		}
-		a = &adaptiveSchedule{staticSchedule: *st, scene: f, opts: opts}
+		a = &adaptiveSchedule{staticSchedule: *st, scene: f}
 		return a, nil
 	})
 	if err != nil || !c.Root() {
@@ -93,8 +81,7 @@ func ATDCAAdaptive(c *mpi.Comm, f *cube.Cube, params DetectionParams, opts Adapt
 // U re-partitions the scene when the measurements are out of balance.
 type adaptiveSchedule struct {
 	staticSchedule
-	scene   *cube.Cube // root only
-	opts    AdaptiveOptions
+	scene   *cube.Cube    // root only
 	reports []roundReport // root only: the last phase's measurements
 	trace   AdaptiveTrace
 }
@@ -130,11 +117,10 @@ func (a *adaptiveSchedule) publish(u uMatrix) uMatrix {
 
 	// Measure imbalance over workers that actually had rows.
 	imb, speeds := measureRound(a.reports)
-	rebalance := imb > a.opts.threshold()
+	rebalance := imb > rebalanceThreshold
 	newSpans := a.spans
 	if rebalance {
-		counts := apportionRows(lastLine(a.spans), speeds)
-		newSpans = spansFromCounts(counts)
+		newSpans = apportionRows(lastLine(a.spans), speeds)
 		// Re-partitioning is master bookkeeping.
 		c.ComputeFixed(float64(len(a.spans))*20, vtime.Seq)
 	}
@@ -195,11 +181,12 @@ func measureRound(reports []roundReport) (float64, []float64) {
 	return maxB / minB, speeds
 }
 
-// apportionRows distributes the scene's lines proportionally to the
-// estimated speeds (largest-remainder). Workers with no estimate (no rows
-// last round) receive a share equal to the slowest measured worker, so a
-// starved processor can re-enter.
-func apportionRows(lines int, speeds []float64) []int {
+// apportionRows re-partitions the scene's lines proportionally to the
+// estimated speeds. Workers with no estimate (no rows last round) weigh
+// as much as the slowest measured worker, so a starved processor can
+// re-enter. publish calls it only on a measured imbalance, so at least
+// one speed is positive.
+func apportionRows(lines int, speeds []float64) []partition.Span {
 	minSpeed := 0.0
 	for _, s := range speeds {
 		if s > 0 && (minSpeed == 0 || s < minSpeed) {
@@ -207,57 +194,15 @@ func apportionRows(lines int, speeds []float64) []int {
 		}
 	}
 	weights := make([]float64, len(speeds))
-	var sum float64
 	for i, s := range speeds {
-		if s <= 0 {
-			s = minSpeed
-		}
 		weights[i] = s
-		sum += s
-	}
-	counts := make([]int, len(weights))
-	if sum == 0 {
-		// No measurements at all: equal shares.
-		for i := range counts {
-			counts[i] = lines / len(counts)
+		if s <= 0 {
+			weights[i] = minSpeed
 		}
-		counts[0] += lines - (lines/len(counts))*len(counts)
-		return counts
 	}
-	type frac struct {
-		idx  int
-		part float64
-	}
-	assigned := 0
-	fracs := make([]frac, 0, len(weights))
-	for i, w := range weights {
-		quota := float64(lines) * w / sum
-		counts[i] = int(quota)
-		assigned += counts[i]
-		fracs = append(fracs, frac{idx: i, part: quota - float64(int(quota))})
-	}
-	sort.Slice(fracs, func(a, b int) bool {
-		if fracs[a].part != fracs[b].part {
-			return fracs[a].part > fracs[b].part
-		}
-		return fracs[a].idx < fracs[b].idx
-	})
-	for _, fr := range fracs {
-		if assigned == lines {
-			break
-		}
-		counts[fr.idx]++
-		assigned++
-	}
-	return counts
-}
-
-func spansFromCounts(counts []int) []partition.Span {
-	spans := make([]partition.Span, len(counts))
-	at := 0
-	for i, n := range counts {
-		spans[i] = partition.Span{Lo: at, Hi: at + n}
-		at += n
+	spans, err := partition.ByWeight(lines, weights)
+	if err != nil {
+		panic(err)
 	}
 	return spans
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/partition"
 	"repro/internal/platform"
+	"repro/internal/scene"
 )
 
 // adaptiveNet builds a 4-processor platform with an 8x speed spread. The
@@ -46,7 +47,7 @@ func TestAdaptiveMatchesStaticDetections(t *testing.T) {
 	net := adaptiveNet(t)
 	w := mpi.NewWorld(net)
 	res, err := w.Run(func(c *mpi.Comm) any {
-		r, _, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6}, AdaptiveOptions{})
+		r, _, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6})
 		if err != nil {
 			panic(err)
 		}
@@ -66,7 +67,7 @@ func TestAdaptiveConvergesToBalance(t *testing.T) {
 	net := adaptiveNet(t)
 	w := mpi.NewWorld(net)
 	res, err := w.Run(func(c *mpi.Comm) any {
-		_, trace, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8}, AdaptiveOptions{})
+		_, trace, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8})
 		if err != nil {
 			panic(err)
 		}
@@ -115,7 +116,7 @@ func TestAdaptiveBeatsEqualShares(t *testing.T) {
 		return res.WallTime()
 	}
 	adaptive := timeOf(func(c *mpi.Comm) any {
-		r, _, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8}, AdaptiveOptions{})
+		r, _, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8})
 		if err != nil {
 			panic(err)
 		}
@@ -154,7 +155,7 @@ func TestAdaptiveSingleProcessor(t *testing.T) {
 	}
 	w := mpi.NewWorld(net)
 	res, err := w.Run(func(c *mpi.Comm) any {
-		r, trace, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, AdaptiveOptions{})
+		r, trace, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4})
 		if err != nil {
 			panic(err)
 		}
@@ -179,7 +180,7 @@ func TestAdaptiveValidation(t *testing.T) {
 	net := adaptiveNet(t)
 	w := mpi.NewWorld(net)
 	_, err := w.Run(func(c *mpi.Comm) any {
-		_, _, err := ATDCAAdaptive(c, nil, DetectionParams{Targets: 4}, AdaptiveOptions{})
+		_, _, err := ATDCAAdaptive(c, nil, DetectionParams{Targets: 4})
 		if c.Root() {
 			if err == nil {
 				panic("expected error for nil cube")
@@ -195,12 +196,20 @@ func TestAdaptiveValidation(t *testing.T) {
 }
 
 func TestAdaptiveThresholdSuppressesRebalance(t *testing.T) {
-	// A huge threshold means the run stays on equal shares throughout.
-	sc := testScene(t)
-	net := adaptiveNet(t)
+	if rebalanceThreshold != 1.15 {
+		t.Fatalf("rebalance threshold = %v, want 1.15", rebalanceThreshold)
+	}
+	// On identical processors with lines dividing evenly among them,
+	// equal shares are already balanced: every round's imbalance stays
+	// within the threshold, so no row ever moves.
+	net := platform.FullyHomogeneous()
+	sc, err := scene.Generate(scene.Config{Lines: 2 * net.Size(), Samples: 28, Bands: 16, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := mpi.NewWorld(net)
 	res, err := w.Run(func(c *mpi.Comm) any {
-		_, trace, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 5}, AdaptiveOptions{Threshold: 1e9})
+		_, trace, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 5})
 		if err != nil {
 			panic(err)
 		}
@@ -210,33 +219,35 @@ func TestAdaptiveThresholdSuppressesRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := res.Root().(*AdaptiveTrace)
+	if len(trace.Imbalance) != 5 {
+		t.Fatalf("trace has %d rounds, want 5", len(trace.Imbalance))
+	}
+	for r, imb := range trace.Imbalance {
+		if imb > rebalanceThreshold {
+			t.Errorf("round %d imbalance %v exceeds %v on a homogeneous network", r, imb, rebalanceThreshold)
+		}
+	}
 	for r, moved := range trace.MovedRows {
-		if moved != 0 {
-			t.Errorf("round %d moved %d rows despite an infinite threshold", r, moved)
+		if moved != 0 || trace.Rebalanced[r] {
+			t.Errorf("round %d moved %d rows (rebalanced %v) on a homogeneous network", r, moved, trace.Rebalanced[r])
 		}
 	}
 }
 
+// TestApportionRows covers what the adaptive schedule adds to
+// partition.ByWeight: a worker with no measured speed weighs as much as
+// the slowest measured one.
 func TestApportionRows(t *testing.T) {
-	counts := apportionRows(100, []float64{1, 3, 0, 4})
-	// Zero-speed worker gets the slowest measured speed (1).
-	total := 0
-	for _, c := range counts {
-		total += c
+	spans := apportionRows(100, []float64{1, 3, 0, 4})
+	if err := partition.Validate(spans, 100); err != nil {
+		t.Fatal(err)
 	}
-	if total != 100 {
-		t.Fatalf("apportioned %d of 100", total)
-	}
-	if counts[3] <= counts[0] || counts[1] <= counts[2] {
-		t.Errorf("counts %v not speed-ordered", counts)
-	}
-	if counts[2] == 0 {
-		t.Error("unmeasured worker starved")
-	}
-	// All-zero speeds: equal shares.
-	eq := apportionRows(10, []float64{0, 0})
-	if eq[0]+eq[1] != 10 {
-		t.Errorf("zero-speed apportionment %v", eq)
+	// Weights 1:3:1:4 over 100 lines.
+	want := []int{11, 33, 11, 45}
+	for i, s := range spans {
+		if s.Len() != want[i] {
+			t.Fatalf("spans %v, want lengths %v", spans, want)
+		}
 	}
 }
 

@@ -208,7 +208,7 @@ func runScheduled(t *testing.T, net *platform.Network, f *cube.Cube, alg string,
 		if err != nil {
 			t.Fatal(err)
 		}
-		bal = balance.New(net, balance.DefaultPolicy(), spans, f)
+		bal = balance.New(net, spans, f)
 	}
 	det := DetectionParams{Targets: 5, Checkpoint: ck, Balance: bal}
 	pct := PCTParams{Classes: 4, Theta: 0.04, MaxReps: 24, Checkpoint: ck, Balance: bal}

@@ -53,22 +53,16 @@ const (
 const grantFlops = 32
 
 // Policy configures demand-driven balancing for a run. The zero value
-// means disabled; DefaultPolicy returns an enabled policy with the
-// package defaults. Policy is a pure value — it travels on the context
-// and in job specs, never inside Params.
+// means disabled; DefaultPolicy returns an enabled policy. Chunk sizing
+// and the estimator's weight are fixed in package partition. Policy is a
+// pure value — it travels on the context and in job specs, never inside
+// Params.
 type Policy struct {
 	// Enabled turns the demand-driven scheduler on.
 	Enabled bool
-	// Grain is the chunk-size floor in lines (0 = partition.DefaultGrain).
-	Grain int
-	// Factor is the guided-self-scheduling divisor (0 =
-	// partition.DefaultFactor).
-	Factor float64
-	// Alpha is the estimator's EWMA weight (0 = 0.3).
-	Alpha float64
 }
 
-// DefaultPolicy returns an enabled policy with default tuning.
+// DefaultPolicy returns an enabled policy.
 func DefaultPolicy() Policy { return Policy{Enabled: true} }
 
 // Stats is the master-side accounting of one balanced run.
@@ -98,7 +92,6 @@ type Stats struct {
 // mutable state — workers exchange messages with the master and nothing
 // else.
 type Balancer struct {
-	policy Policy
 	static []partition.Span
 	scene  *cube.Cube
 	est    *partition.Estimator
@@ -110,29 +103,19 @@ type Balancer struct {
 // degraded-recovery-reduced) platform, static the WEA plan the variant
 // would have used — the baseline steals are measured against — and f the
 // master's full scene.
-func New(net *platform.Network, pol Policy, static []partition.Span, f *cube.Cube) *Balancer {
-	if pol.Grain <= 0 {
-		pol.Grain = partition.DefaultGrain
-	}
-	if !(pol.Factor > 0) {
-		pol.Factor = partition.DefaultFactor
-	}
+func New(net *platform.Network, static []partition.Span, f *cube.Cube) *Balancer {
 	held := make([][]bool, net.Size())
 	for i := range held {
 		held[i] = make([]bool, f.Lines)
 	}
 	return &Balancer{
-		policy: pol,
 		static: append([]partition.Span(nil), static...),
 		scene:  f,
-		est:    partition.NewEstimator(net.CycleTimes(), pol.Alpha),
+		est:    partition.NewEstimator(net.CycleTimes()),
 		held:   held,
 		stats:  Stats{AssignedLines: make([]int, net.Size())},
 	}
 }
-
-// Policy returns the run's balance policy.
-func (b *Balancer) Policy() Policy { return b.policy }
 
 // Estimator exposes the online throughput estimator (master-side use
 // only).
@@ -258,7 +241,7 @@ func newChunkSource(b *Balancer, ph Phase, fpl float64) *chunkSource {
 		s.taken = make([]bool, len(s.tasks))
 		return s
 	}
-	s.plan = partition.NewDynamicPlan(ph.Lines, b.policy.Grain, b.policy.Factor)
+	s.plan = partition.NewDynamicPlan(ph.Lines)
 	return s
 }
 

@@ -111,7 +111,7 @@ func runPhases(t *testing.T, net *platform.Network, f *cube.Cube, phases int, pl
 		}
 	}
 	static := evenSpans(f.Lines, net.Size())
-	b := New(net, DefaultPolicy(), static, f)
+	b := New(net, static, f)
 	res, err := w.Run(func(c *mpi.Comm) any {
 		var out phaseOutcome
 		for i := 0; i < phases; i++ {
@@ -194,7 +194,7 @@ func TestRunPhaseTaskMode(t *testing.T) {
 	static := evenSpans(f.Lines, net.Size())
 	tasks := append([]partition.Span{{Lo: 0, Hi: 0}}, static...) // empty task must be filtered
 	w := mpi.NewWorld(net)
-	b := New(net, DefaultPolicy(), static, f)
+	b := New(net, static, f)
 	res, err := w.Run(func(c *mpi.Comm) any {
 		parts := RunPhase(c, b, Phase{Lines: f.Lines, Tasks: tasks, FlopsPerLine: 100}, sumWork(c))
 		if !c.Root() {
@@ -288,7 +288,7 @@ func TestHaloViewsCoverOwnedSpan(t *testing.T) {
 	f := testCube(t, 24, 8, 6)
 	net := testNet(t, 3)
 	w := mpi.NewWorld(net)
-	b := New(net, DefaultPolicy(), evenSpans(f.Lines, net.Size()), f)
+	b := New(net, evenSpans(f.Lines, net.Size()), f)
 	const halo = 2
 	_, err := w.Run(func(c *mpi.Comm) any {
 		RunPhase(c, b, Phase{Lines: f.Lines, Halo: halo, FlopsPerLine: 100},

@@ -261,7 +261,7 @@ func Run(net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, pa
 // the returned error wraps ctx.Err(), detectable with errors.Is. A nil ctx
 // behaves like context.Background().
 func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, params Params) (*RunReport, error) {
-	report, _, err := run(ctx, net, alg, variant, f, params, nil)
+	report, _, err := run(ctx, net, alg, variant, f, params, false)
 	return report, err
 }
 
@@ -275,28 +275,28 @@ type AdaptiveReport struct {
 // RunAdaptive executes the dynamically load-balanced ATDCA (the paper's
 // future-work direction): equal initial shares, measurement-driven
 // re-partitioning between rounds. See algo.ATDCAAdaptive.
-func RunAdaptive(net *platform.Network, f *cube.Cube, params Params, opts algo.AdaptiveOptions) (*AdaptiveReport, error) {
-	return RunAdaptiveContext(context.Background(), net, f, params, opts)
+func RunAdaptive(net *platform.Network, f *cube.Cube, params Params) (*AdaptiveReport, error) {
+	return RunAdaptiveContext(context.Background(), net, f, params)
 }
 
 // RunAdaptiveContext is RunAdaptive under a cancellation context; see
 // RunContext for the cancellation semantics.
-func RunAdaptiveContext(ctx context.Context, net *platform.Network, f *cube.Cube, params Params, opts algo.AdaptiveOptions) (*AdaptiveReport, error) {
-	report, trace, err := run(ctx, net, ATDCA, "Adaptive", f, params, &opts)
+func RunAdaptiveContext(ctx context.Context, net *platform.Network, f *cube.Cube, params Params) (*AdaptiveReport, error) {
+	report, trace, err := run(ctx, net, ATDCA, "Adaptive", f, params, true)
 	if err != nil {
 		return nil, err
 	}
 	return &AdaptiveReport{RunReport: *report, Trace: trace}, nil
 }
 
-// run is the one execution path behind every Run* entry point. A non-nil
-// adaptive selects algo.ATDCAAdaptive, whose schedule keeps its own
-// partition state: it accepts fault injection (the rebalancer is exactly
+// run is the one execution path behind every Run* entry point. adaptive
+// selects algo.ATDCAAdaptive, whose schedule keeps its own partition
+// state: it accepts fault injection (the rebalancer is exactly
 // what degradation windows are meant to stress) but there is no static
 // plan to recover onto and nothing for a balancer, a checkpointer or the
 // timeline renderer to act on, so those settings do not apply to it.
 func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, params Params,
-	adaptive *algo.AdaptiveOptions) (_ *RunReport, _ *algo.AdaptiveTrace, err error) {
+	adaptive bool) (_ *RunReport, _ *algo.AdaptiveTrace, err error) {
 	if net == nil {
 		return nil, nil, fmt.Errorf("core: nil network")
 	}
@@ -307,7 +307,7 @@ func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Vari
 		ctx = context.Background()
 	}
 	label := fmt.Sprintf("%s/%s", alg, variant)
-	if adaptive != nil {
+	if adaptive {
 		label = "adaptive ATDCA"
 	}
 	fail := func(err error) error { return fmt.Errorf("core: %s on %s: %w", label, net.Name, err) }
@@ -319,7 +319,7 @@ func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Vari
 	var strat partition.Strategy
 	var pol balance.Policy
 	var cck *countingCheckpointer
-	if adaptive != nil {
+	if adaptive {
 		params.Recovery, params.Trace = RecoveryOptions{}, false
 	} else {
 		if strat, err = variant.Strategy(); err != nil {
@@ -356,9 +356,9 @@ func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Vari
 		var r any
 		var err error
 		switch {
-		case adaptive != nil:
+		case adaptive:
 			var tr *algo.AdaptiveTrace
-			r, tr, err = algo.ATDCAAdaptive(c, data, dp, *adaptive)
+			r, tr, err = algo.ATDCAAdaptive(c, data, dp)
 			if c.Root() {
 				trace = tr
 			}
@@ -413,7 +413,7 @@ func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Vari
 			if err != nil {
 				return nil, nil, fail(err)
 			}
-			bal = balance.New(curNet, pol, spans, f)
+			bal = balance.New(curNet, spans, f)
 		}
 		var events *mpi.Trace
 		if params.Trace {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/platform"
 	"repro/internal/scene"
 )
@@ -36,7 +35,7 @@ func TestRunContextDeadlineMidRun(t *testing.T) {
 	// and surface DeadlineExceeded, not produce a partial report.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	rep, err := RunAdaptiveContext(ctx, platform.FullyHeterogeneous(), sc.Cube, DefaultParams(), algo.AdaptiveOptions{})
+	rep, err := RunAdaptiveContext(ctx, platform.FullyHeterogeneous(), sc.Cube, DefaultParams())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunAdaptiveContext error = %v, want context.DeadlineExceeded", err)
 	}

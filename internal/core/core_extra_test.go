@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/algo"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
 )
@@ -42,7 +41,7 @@ func TestRunAdaptiveReport(t *testing.T) {
 	sc := smallScene(t)
 	net := smallNet(t, 4)
 	params := smallParams()
-	rep, err := RunAdaptive(net, sc.Cube, params, algo.AdaptiveOptions{})
+	rep, err := RunAdaptive(net, sc.Cube, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +73,10 @@ func TestRunAdaptiveReport(t *testing.T) {
 func TestRunAdaptiveValidation(t *testing.T) {
 	sc := smallScene(t)
 	net := smallNet(t, 2)
-	if _, err := RunAdaptive(nil, sc.Cube, smallParams(), algo.AdaptiveOptions{}); err == nil {
+	if _, err := RunAdaptive(nil, sc.Cube, smallParams()); err == nil {
 		t.Error("nil network: expected error")
 	}
-	if _, err := RunAdaptive(net, nil, smallParams(), algo.AdaptiveOptions{}); err == nil {
+	if _, err := RunAdaptive(net, nil, smallParams()); err == nil {
 		t.Error("nil cube: expected error")
 	}
 }
@@ -85,7 +84,7 @@ func TestRunAdaptiveValidation(t *testing.T) {
 func TestRunAdaptiveSingleNode(t *testing.T) {
 	sc := smallScene(t)
 	net := smallNet(t, 1)
-	rep, err := RunAdaptive(net, sc.Cube, smallParams(), algo.AdaptiveOptions{})
+	rep, err := RunAdaptive(net, sc.Cube, smallParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +128,13 @@ func TestRunAccountingBalances(t *testing.T) {
 	bad.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 7, At: 0.001}}}
 
 	done := 0
-	if _, err := RunAdaptiveContext(ctx, net, sc.Cube, bad, algo.AdaptiveOptions{}); err == nil {
+	if _, err := RunAdaptiveContext(ctx, net, sc.Cube, bad); err == nil {
 		t.Fatal("out-of-range fault plan: expected error")
 	}
 	if _, err := RunContext(ctx, net, ATDCA, Hetero, sc.Cube, bad); err == nil {
 		t.Fatal("out-of-range fault plan: expected error")
 	}
-	if _, err := RunAdaptiveContext(ctx, net, sc.Cube, smallParams(), algo.AdaptiveOptions{}); err != nil {
+	if _, err := RunAdaptiveContext(ctx, net, sc.Cube, smallParams()); err != nil {
 		t.Fatal(err)
 	}
 	done++

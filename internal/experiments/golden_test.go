@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/algo"
 	"repro/internal/balance"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -237,7 +236,7 @@ func TestGoldenSchedules(t *testing.T) {
 
 	for _, net := range platform.UMDNetworks() {
 		name := "adaptive/" + net.Name
-		rep, err := core.RunAdaptive(net, sc.Cube, clean, algo.AdaptiveOptions{})
+		rep, err := core.RunAdaptive(net, sc.Cube, clean)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

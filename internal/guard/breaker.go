@@ -21,6 +21,11 @@ const (
 	BreakerHalfOpen BreakerState = "half-open"
 )
 
+// maxBreakerKeys bounds the tracked backend keys; beyond it, unknown
+// keys are admitted untracked so a key-cardinality attack cannot grow
+// memory.
+const maxBreakerKeys = 256
+
 // BreakerConfig parameterizes a breaker set. Zero values select the
 // defaults.
 type BreakerConfig struct {
@@ -30,10 +35,6 @@ type BreakerConfig struct {
 	// Cooldown is how long an open breaker rejects before letting one
 	// probe through (default 5s; tests shorten it).
 	Cooldown time.Duration
-	// MaxKeys bounds the tracked backend keys; beyond it, unknown keys
-	// are admitted untracked so a key-cardinality attack cannot grow
-	// memory (default 256).
-	MaxKeys int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -42,9 +43,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
-	}
-	if c.MaxKeys <= 0 {
-		c.MaxKeys = 256
 	}
 	return c
 }
@@ -77,8 +75,8 @@ type BreakerSet struct {
 	m  map[string]*breaker
 }
 
-// NewBreakerSet returns an empty set.
-func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
+// newBreakerSet returns an empty set.
+func newBreakerSet(cfg BreakerConfig) *BreakerSet {
 	return &BreakerSet{cfg: cfg.withDefaults(), m: make(map[string]*breaker)}
 }
 
@@ -95,7 +93,7 @@ func (s *BreakerSet) allowAt(now time.Time, key string) Verdict {
 	defer s.mu.Unlock()
 	b, ok := s.m[key]
 	if !ok {
-		if len(s.m) >= s.cfg.MaxKeys {
+		if len(s.m) >= maxBreakerKeys {
 			return Verdict{Allow: true} // untracked: cardinality cap
 		}
 		b = &breaker{state: BreakerClosed}

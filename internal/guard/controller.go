@@ -4,35 +4,15 @@ import (
 	"time"
 )
 
-// BucketConfig parameterizes one class's token bucket; zero capacity or
-// rate disables rate smoothing for the class.
-type BucketConfig struct {
-	// Capacity is the burst size in submissions.
-	Capacity int
-	// Rate is the sustained refill in submissions per second.
-	Rate float64
-}
-
-// Config parameterizes a Controller. The zero value is NOT a valid
-// configuration — construct through New, which applies defaults.
+// Config parameterizes a Controller. The zero value selects the
+// defaults of every mechanism.
 type Config struct {
-	// Classes is the scheduling-class count (default 2: batch=0,
-	// interactive=1). Higher classes shed later.
-	Classes int
 	// Limiter tunes the AIMD concurrency limiter.
 	Limiter LimiterConfig
-	// ClassFractions[i] is the fraction of the adaptive limit class i
-	// may fill; lower classes get smaller fractions so they shed first.
-	// Defaults: the top class 1.0, every lower class 0.75.
-	ClassFractions []float64
-	// Buckets[i] is class i's token bucket (missing or zero disables).
-	Buckets []BucketConfig
 	// Breaker tunes the per-backend circuit breakers.
 	Breaker BreakerConfig
 	// DisableBreaker turns circuit breaking off.
 	DisableBreaker bool
-	// EstimatorAlpha is the queue-wait EWMA weight (default 0.2).
-	EstimatorAlpha float64
 }
 
 // Request is one admission question.
@@ -69,42 +49,19 @@ const (
 // API. All methods are safe for concurrent use; a nil *Controller is a
 // valid no-op that admits everything.
 type Controller struct {
-	cfg       Config
 	limiter   *Limiter
-	buckets   []*Bucket
 	breakers  *BreakerSet
 	estimator *WaitEstimator
 }
 
 // New builds a controller.
 func New(cfg Config) *Controller {
-	if cfg.Classes <= 0 {
-		cfg.Classes = 2
-	}
-	fr := make([]float64, cfg.Classes)
-	for i := range fr {
-		fr[i] = 0.75
-		if i == cfg.Classes-1 {
-			fr[i] = 1.0
-		}
-		if i < len(cfg.ClassFractions) && cfg.ClassFractions[i] > 0 && cfg.ClassFractions[i] <= 1 {
-			fr[i] = cfg.ClassFractions[i]
-		}
-	}
-	cfg.ClassFractions = fr
 	c := &Controller{
-		cfg:       cfg,
-		limiter:   NewLimiter(cfg.Limiter),
-		estimator: NewWaitEstimator(cfg.Classes, cfg.EstimatorAlpha),
-	}
-	c.buckets = make([]*Bucket, cfg.Classes)
-	for i := range c.buckets {
-		if i < len(cfg.Buckets) {
-			c.buckets[i] = NewBucket(cfg.Buckets[i].Capacity, cfg.Buckets[i].Rate)
-		}
+		limiter:   newLimiter(cfg.Limiter),
+		estimator: newWaitEstimator(len(classFractions)),
 	}
 	if !cfg.DisableBreaker {
-		c.breakers = NewBreakerSet(cfg.Breaker)
+		c.breakers = newBreakerSet(cfg.Breaker)
 	}
 	return c
 }
@@ -116,8 +73,7 @@ func New(cfg Config) *Controller {
 //     (a probe that could be shed would never resolve the breaker);
 //  2. AIMD limit — the class's fraction of the adaptive limit against
 //     current in-flight work, so lower classes shed first;
-//  3. token bucket — the class's burst budget;
-//  4. deadline — the estimated queue wait against the job's timeout,
+//  3. deadline — the estimated queue wait against the job's timeout,
 //     so work that would expire unserved is rejected at the door.
 func (c *Controller) Admit(req Request) Verdict {
 	if c == nil {
@@ -132,22 +88,13 @@ func (c *Controller) Admit(req Request) Verdict {
 			return v
 		}
 	}
-	cl := int(req.Class)
-	if cl < 0 {
-		cl = 0
-	}
-	if cl >= c.cfg.Classes {
-		cl = c.cfg.Classes - 1
-	}
-	limit := int(float64(c.limiter.Limit()) * c.cfg.ClassFractions[cl])
+	cl := min(max(int(req.Class), 0), len(classFractions)-1)
+	limit := int(float64(c.limiter.Limit()) * classFractions[cl])
 	if limit < 1 {
 		limit = 1
 	}
 	if req.InFlight >= limit {
 		return Verdict{Reason: ReasonLimit, RetryAfter: c.slotRetry()}
-	}
-	if ok, wait := c.buckets[cl].Take(); !ok {
-		return Verdict{Reason: ReasonRate, RetryAfter: wait}
 	}
 	if req.Timeout > 0 {
 		if est := c.estimator.Estimate(req.Class, req.QueuedAhead); est > req.Timeout {

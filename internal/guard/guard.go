@@ -2,16 +2,13 @@
 // admission-time and dispatch-time defenses that keep a saturated
 // serving stack doing useful work instead of queueing doomed jobs.
 //
-// It bundles four cooperating mechanisms, each usable on its own and all
-// pure control logic (no scheduler imports, no I/O):
+// It bundles three cooperating mechanisms, all pure control logic (no
+// scheduler imports, no I/O):
 //
 //   - an AIMD adaptive concurrency limiter (Limiter) that grows the
 //     effective admission limit by one slot per limit's worth of
 //     on-baseline completions and shrinks it multiplicatively when
 //     observed job latency exceeds a moving baseline;
-//   - per-class token buckets (Bucket) for burst smoothing, so a submit
-//     storm is clipped to a sustainable rate instead of filling the
-//     queue with work that will expire unserved;
 //   - a per-class queue-wait estimator (WaitEstimator) that prices a
 //     submission's expected time-in-queue, so deadline-carrying jobs
 //     whose timeout is already unaffordable are rejected at the door;
@@ -31,10 +28,14 @@ import (
 	"time"
 )
 
-// Class is a scheduling class index. The guard is class-count agnostic;
-// package sched passes its Priority values (0 = batch, 1 = interactive).
-// Higher classes shed later and dispatch first.
+// Class is a scheduling class index: package sched passes its Priority
+// values (0 = batch, 1 = interactive). Higher classes shed later and
+// dispatch first.
 type Class int
+
+// classFractions[i] is the fraction of the adaptive limit class i may
+// fill: batch sheds at three quarters of it, before interactive.
+var classFractions = [...]float64{0.75, 1.0}
 
 // Reason classifies a denial.
 type Reason string
@@ -43,8 +44,6 @@ const (
 	// ReasonLimit reports the AIMD concurrency limit was reached (for
 	// the submission's class: lower classes shed at a fraction of it).
 	ReasonLimit Reason = "limit"
-	// ReasonRate reports the class's token bucket was empty.
-	ReasonRate Reason = "rate"
 	// ReasonDeadline reports the estimated queue wait already exceeded
 	// the submission's timeout: the job would expire unserved.
 	ReasonDeadline Reason = "deadline"
@@ -66,6 +65,18 @@ type Verdict struct {
 	RetryAfter time.Duration
 }
 
+// The limiter's fixed tuning.
+const (
+	// limiterTolerance is the latency-to-baseline ratio above which a
+	// completion is an overload signal.
+	limiterTolerance = 2.0
+	// limiterDecrease is the multiplicative shrink on an overload signal.
+	limiterDecrease = 0.7
+	// baselineAlpha is the EWMA weight of a fresh on-baseline latency
+	// sample.
+	baselineAlpha = 0.1
+)
+
 // LimiterConfig parameterizes the AIMD limiter. Zero values select the
 // documented defaults.
 type LimiterConfig struct {
@@ -73,15 +84,6 @@ type LimiterConfig struct {
 	Initial int
 	// Min and Max clamp the adaptive limit (defaults 1 and 1024).
 	Min, Max int
-	// Tolerance is the latency-to-baseline ratio above which a
-	// completion is an overload signal (default 2.0).
-	Tolerance float64
-	// DecreaseFactor is the multiplicative shrink on an overload signal
-	// (default 0.7).
-	DecreaseFactor float64
-	// BaselineAlpha is the EWMA weight of a fresh on-baseline latency
-	// sample (default 0.1).
-	BaselineAlpha float64
 	// Cooldown bounds how often the limit may shrink, so one burst of
 	// slow completions costs one decrease, not one per completion
 	// (default 1s; tests shorten it).
@@ -107,15 +109,6 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 	if c.Initial > c.Max {
 		c.Initial = c.Max
 	}
-	if c.Tolerance <= 1 {
-		c.Tolerance = 2.0
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.7
-	}
-	if c.BaselineAlpha <= 0 || c.BaselineAlpha > 1 {
-		c.BaselineAlpha = 0.1
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = time.Second
 	}
@@ -129,10 +122,10 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 // Additive increase: every on-baseline completion adds 1/limit slots,
 // so the limit grows by one slot per limit's worth of healthy
 // completions (one "RTT" in TCP terms). Multiplicative decrease: a
-// completion whose latency exceeds baseline*Tolerance shrinks the limit
-// by DecreaseFactor, at most once per Cooldown. The baseline is an EWMA
-// of on-baseline latencies only, so a slow spell widens the limit's
-// definition of "slow" no faster than BaselineAlpha allows.
+// completion whose latency exceeds baseline*limiterTolerance shrinks the
+// limit by limiterDecrease, at most once per Cooldown. The baseline is an
+// EWMA of on-baseline latencies only, so a slow spell widens the limit's
+// definition of "slow" no faster than baselineAlpha allows.
 type Limiter struct {
 	cfg LimiterConfig
 
@@ -142,8 +135,8 @@ type Limiter struct {
 	lastDec  time.Time
 }
 
-// NewLimiter returns a limiter at cfg.Initial.
-func NewLimiter(cfg LimiterConfig) *Limiter {
+// newLimiter returns a limiter at cfg.Initial.
+func newLimiter(cfg LimiterConfig) *Limiter {
 	cfg = cfg.withDefaults()
 	return &Limiter{cfg: cfg, limit: float64(cfg.Initial)}
 }
@@ -182,10 +175,10 @@ func (l *Limiter) observeAt(now time.Time, latency time.Duration, ok bool) {
 		l.baseline = sec
 		return
 	}
-	if sec > l.baseline*l.cfg.Tolerance {
+	if sec > l.baseline*limiterTolerance {
 		// Overload signal: multiplicative decrease, rate-limited.
 		if now.Sub(l.lastDec) >= l.cfg.Cooldown {
-			l.limit *= l.cfg.DecreaseFactor
+			l.limit *= limiterDecrease
 			if l.limit < float64(l.cfg.Min) {
 				l.limit = float64(l.cfg.Min)
 			}
@@ -194,7 +187,7 @@ func (l *Limiter) observeAt(now time.Time, latency time.Duration, ok bool) {
 		return
 	}
 	// On-baseline completion: additive increase plus baseline tracking.
-	l.baseline += l.cfg.BaselineAlpha * (sec - l.baseline)
+	l.baseline += baselineAlpha * (sec - l.baseline)
 	l.limit += 1 / l.limit
 	if l.limit > float64(l.cfg.Max) {
 		l.limit = float64(l.cfg.Max)

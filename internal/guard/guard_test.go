@@ -1,22 +1,41 @@
 package guard
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
 func TestLimiterDefaults(t *testing.T) {
-	l := NewLimiter(LimiterConfig{})
+	l := newLimiter(LimiterConfig{})
 	if got := l.Limit(); got != 16 {
 		t.Fatalf("default initial limit = %d, want 16", got)
 	}
 	if b := l.Baseline(); b != 0 {
 		t.Fatalf("baseline before samples = %v, want 0", b)
 	}
+	// The fixed tuning: changing any of these changes admission
+	// behaviour, so it is a deliberate edit here too.
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"limiter tolerance", limiterTolerance, 2.0},
+		{"limiter decrease", limiterDecrease, 0.7},
+		{"baseline alpha", baselineAlpha, 0.1},
+		{"batch fraction", classFractions[0], 0.75},
+		{"interactive fraction", classFractions[1], 1.0},
+		{"wait-estimator alpha", waitAlpha, 0.2},
+		{"breaker key cap", maxBreakerKeys, 256},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
 }
 
 func TestLimiterAdditiveIncrease(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 4, Max: 8})
+	l := newLimiter(LimiterConfig{Initial: 4, Max: 8})
 	now := time.Unix(0, 0)
 	// First sample sets the baseline without moving the limit.
 	l.observeAt(now, 100*time.Millisecond, true)
@@ -40,7 +59,7 @@ func TestLimiterAdditiveIncrease(t *testing.T) {
 }
 
 func TestLimiterMultiplicativeDecrease(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 10, Cooldown: time.Second})
+	l := newLimiter(LimiterConfig{Initial: 10, Cooldown: time.Second})
 	now := time.Unix(1000, 0)
 	l.observeAt(now, 100*time.Millisecond, true) // baseline = 0.1s
 	// 3x baseline exceeds the 2.0 tolerance: one decrease.
@@ -63,7 +82,7 @@ func TestLimiterMultiplicativeDecrease(t *testing.T) {
 }
 
 func TestLimiterIgnoresFailures(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 10})
+	l := newLimiter(LimiterConfig{Initial: 10})
 	now := time.Unix(0, 0)
 	l.observeAt(now, 10*time.Millisecond, true)
 	// A fault-injected crash is fast and unsuccessful: not a latency signal.
@@ -76,47 +95,8 @@ func TestLimiterIgnoresFailures(t *testing.T) {
 	}
 }
 
-func TestBucketRefill(t *testing.T) {
-	b := NewBucket(2, 10) // 2-burst, 10 tokens/s
-	now := time.Unix(0, 0)
-	for i := 0; i < 2; i++ {
-		if ok, _ := b.takeAt(now); !ok {
-			t.Fatalf("take %d from full bucket denied", i)
-		}
-	}
-	ok, wait := b.takeAt(now)
-	if ok {
-		t.Fatal("take from empty bucket allowed")
-	}
-	if wait <= 0 || wait > 200*time.Millisecond {
-		t.Fatalf("retry-after from empty bucket = %v, want ~100ms", wait)
-	}
-	// 100ms refills one token at 10/s.
-	if ok, _ := b.takeAt(now.Add(100 * time.Millisecond)); !ok {
-		t.Fatal("take after refill denied")
-	}
-	// Refill clamps at capacity: a long idle spell grants 2, not 100.
-	long := now.Add(time.Hour)
-	for i := 0; i < 2; i++ {
-		if ok, _ := b.takeAt(long); !ok {
-			t.Fatalf("take %d after idle denied", i)
-		}
-	}
-	if ok, _ := b.takeAt(long); ok {
-		t.Fatal("burst exceeded capacity after idle")
-	}
-}
-
-func TestBucketDisabled(t *testing.T) {
-	for _, b := range []*Bucket{nil, NewBucket(0, 0), NewBucket(5, 0), NewBucket(0, 5)} {
-		if ok, _ := b.Take(); !ok {
-			t.Fatal("disabled bucket denied")
-		}
-	}
-}
-
 func TestWaitEstimator(t *testing.T) {
-	e := NewWaitEstimator(2, 0.5)
+	e := newWaitEstimator(2)
 	if est := e.Estimate(0, 100); est != 0 {
 		t.Fatalf("estimate before observations = %v, want 0 (never reject empty)", est)
 	}
@@ -137,7 +117,7 @@ func TestWaitEstimator(t *testing.T) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{Threshold: 3, Cooldown: time.Second})
+	s := newBreakerSet(BreakerConfig{Threshold: 3, Cooldown: time.Second})
 	now := time.Unix(0, 0)
 	key := "netA|clean"
 
@@ -210,27 +190,37 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerKeyCap(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{MaxKeys: 2})
-	if v := s.Allow("a"); !v.Allow {
-		t.Fatal("a denied")
+	s := newBreakerSet(BreakerConfig{})
+	for i := 0; i < maxBreakerKeys; i++ {
+		if v := s.Allow(fmt.Sprintf("k%d", i)); !v.Allow {
+			t.Fatalf("key %d denied", i)
+		}
 	}
-	if v := s.Allow("b"); !v.Allow {
-		t.Fatal("b denied")
-	}
-	// Beyond the cap, unknown keys are admitted untracked.
-	if v := s.Allow("c"); !v.Allow {
+	// Beyond the cap, unknown keys are admitted untracked: nothing is
+	// evicted to make room for them.
+	if v := s.Allow("over"); !v.Allow {
 		t.Fatal("over-cap key denied")
 	}
-	s.Record("c", false, false)
-	s.Record("c", false, false)
-	s.Record("c", false, false)
-	if v := s.Allow("c"); !v.Allow {
+	for i := 0; i < 3; i++ {
+		s.Record("over", false, false)
+	}
+	if v := s.Allow("over"); !v.Allow {
 		t.Fatal("untracked key tripped a breaker")
+	}
+	if len(s.m) != maxBreakerKeys {
+		t.Fatalf("tracked %d keys, want the cap %d", len(s.m), maxBreakerKeys)
+	}
+	// A key tracked before the cap filled still trips.
+	for i := 0; i < 3; i++ {
+		s.Record("k0", false, false)
+	}
+	if v := s.Allow("k0"); v.Allow {
+		t.Fatal("tracked key did not trip after the cap filled")
 	}
 }
 
 func TestBreakerSnapshot(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{Threshold: 2, Cooldown: time.Minute})
+	s := newBreakerSet(BreakerConfig{Threshold: 2, Cooldown: time.Minute})
 	now := time.Unix(0, 0)
 	if snap := s.snapshotAt(now); len(snap) != 0 {
 		t.Fatalf("healthy snapshot = %v, want empty", snap)
@@ -290,28 +280,6 @@ func TestControllerShedOrdering(t *testing.T) {
 	}
 	if v := c.Admit(Request{Class: 9, InFlight: 7}); !v.Allow {
 		t.Fatalf("clamped high class denied: %+v", v)
-	}
-}
-
-func TestControllerRateShed(t *testing.T) {
-	c := New(Config{
-		Buckets: []BucketConfig{{Capacity: 1, Rate: 0.001}}, // batch: 1 burst, ~never refills
-	})
-	if v := c.Admit(Request{Class: 0}); !v.Allow {
-		t.Fatalf("first batch submit denied: %+v", v)
-	}
-	v := c.Admit(Request{Class: 0})
-	if v.Allow || v.Reason != ReasonRate {
-		t.Fatalf("second batch submit verdict = %+v, want rate shed", v)
-	}
-	if v.RetryAfter <= 0 {
-		t.Fatal("rate shed without retry-after")
-	}
-	// Interactive has no bucket configured: unlimited.
-	for i := 0; i < 10; i++ {
-		if v := c.Admit(Request{Class: 1}); !v.Allow {
-			t.Fatalf("interactive submit %d denied: %+v", i, v)
-		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 func TestGuardStressConcurrent(t *testing.T) {
 	c := New(Config{
 		Limiter: LimiterConfig{Initial: 8, Min: 2, Max: 64, Cooldown: time.Microsecond},
-		Buckets: []BucketConfig{{Capacity: 64, Rate: 100000}, {Capacity: 64, Rate: 100000}},
 		Breaker: BreakerConfig{Threshold: 3, Cooldown: 100 * time.Microsecond},
 	})
 
@@ -108,7 +107,7 @@ func TestGuardStressConcurrent(t *testing.T) {
 // invariant under contention: when a breaker goes half-open, at most one
 // caller at a time holds the probe slot no matter how many race for it.
 func TestGuardStressBreakerProbeExclusion(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Nanosecond})
+	s := newBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Nanosecond})
 	s.Allow("k")
 	s.Record("k", false, false) // trip
 	time.Sleep(time.Millisecond)

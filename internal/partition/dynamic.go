@@ -24,24 +24,20 @@ import (
 type Estimator struct {
 	cycle  []float64 // seconds per megaflop, from the platform model
 	factor []float64 // EWMA slowdown; 1 = nominal
-	alpha  float64   // EWMA weight for new observations
 
 	driftSum float64 // sum of |actual-predicted|/predicted
 	driftN   int
 }
 
+// estimatorAlpha is the EWMA weight of a fresh slowdown observation.
+const estimatorAlpha = 0.3
+
 // NewEstimator builds an estimator for the given per-rank cycle times
-// (seconds per megaflop, platform.Network.CycleTimes()). alpha is the
-// EWMA weight for new observations; values outside (0, 1] fall back to
-// 0.3.
-func NewEstimator(cycleTimes []float64, alpha float64) *Estimator {
-	if !(alpha > 0 && alpha <= 1) {
-		alpha = 0.3
-	}
+// (seconds per megaflop, platform.Network.CycleTimes()).
+func NewEstimator(cycleTimes []float64) *Estimator {
 	e := &Estimator{
 		cycle:  append([]float64(nil), cycleTimes...),
 		factor: make([]float64, len(cycleTimes)),
-		alpha:  alpha,
 	}
 	for i := range e.factor {
 		e.factor[i] = 1
@@ -53,7 +49,8 @@ func NewEstimator(cycleTimes []float64, alpha float64) *Estimator {
 func (e *Estimator) Ranks() int { return len(e.cycle) }
 
 // Rate returns rank's estimated throughput in lines per virtual second
-// for a phase costing flopsPerLine flops per line. Disabled ranks rate 0.
+// for a phase costing flopsPerLine flops per line. A rank whose estimated
+// cost per line is infinite rates 0.
 func (e *Estimator) Rate(rank int, flopsPerLine float64) float64 {
 	secPerLine := e.secondsPerLine(rank, flopsPerLine)
 	if !(secPerLine > 0) {
@@ -93,12 +90,8 @@ func (e *Estimator) Observe(rank, lines int, flopsPerLine, seconds float64) {
 		return
 	}
 	observed := seconds / nominal // instantaneous slowdown factor
-	e.factor[rank] = (1-e.alpha)*e.factor[rank] + e.alpha*observed
+	e.factor[rank] = (1-estimatorAlpha)*e.factor[rank] + estimatorAlpha*observed
 }
-
-// Disable zeroes rank's throughput (a crashed or excluded rank): Rate
-// returns 0 and Replan assigns it nothing.
-func (e *Estimator) Disable(rank int) { e.factor[rank] = math.Inf(1) }
 
 // Drift returns the mean relative error between predicted and observed
 // chunk times over every observation so far — how far reality has
@@ -110,80 +103,30 @@ func (e *Estimator) Drift() float64 {
 	return e.driftSum / float64(e.driftN)
 }
 
-// Replan re-partitions lines across all ranks proportionally to the
-// current throughput estimates — the between-round re-estimation that
-// replaces a static WEA plan once observations have accumulated. Ranks
-// with zero estimated throughput receive empty spans. An error is
-// returned only when no rank has positive throughput.
-func (e *Estimator) Replan(lines int) ([]Span, error) {
-	if lines < 0 {
-		return nil, fmt.Errorf("partition: replan over %d lines", lines)
-	}
-	n := len(e.cycle)
-	if n == 0 {
-		return nil, fmt.Errorf("partition: replan with no ranks")
-	}
-	weights := make([]float64, n)
-	caps := make([]int, n)
-	var wsum float64
-	for i := range weights {
-		w := e.Rate(i, 1e6) // any common flopsPerLine: proportions cancel
-		if math.IsInf(w, 1) {
-			w = math.MaxFloat64 / float64(n)
-		}
-		weights[i] = w
-		caps[i] = lines
-		wsum += w
-	}
-	if wsum == 0 {
-		return nil, fmt.Errorf("partition: replan with no live throughput")
-	}
-	counts, err := apportion(lines, weights, caps)
-	if err != nil {
-		return nil, err
-	}
-	spans := make([]Span, n)
-	at := 0
-	for i, c := range counts {
-		spans[i] = Span{Lo: at, Hi: at + c}
-		at += c
-	}
-	return spans, nil
-}
-
 // DynamicPlan is the frontier of one demand-driven phase: the lines not
 // yet granted to any rank. Chunks are cut off the front in request
 // order, so the sequence of grants tiles [0, lines) exactly — coverage
 // is structural, not bookkeeping.
 type DynamicPlan struct {
-	lines  int
-	next   int
-	grain  int
-	factor float64
+	lines int
+	next  int
 }
 
-// DefaultGrain is the chunk-size floor (lines) when a policy does not
-// set one.
-const DefaultGrain = 4
+// chunkGrain is the chunk-size floor in lines, so the grant/report
+// overhead cannot dominate a chunk.
+const chunkGrain = 4
 
-// DefaultFactor is the guided-self-scheduling divisor: each grant takes
+// guidedFactor is the guided-self-scheduling divisor: each grant takes
 // its rank's proportional share of the remaining lines divided by this,
 // so early chunks are large and later ones shrink toward the grain.
-const DefaultFactor = 2
+const guidedFactor = 2
 
-// NewDynamicPlan starts a frontier over lines lines. Non-positive grain
-// or factor take the defaults.
-func NewDynamicPlan(lines, grain int, factor float64) *DynamicPlan {
+// NewDynamicPlan starts a frontier over lines lines.
+func NewDynamicPlan(lines int) *DynamicPlan {
 	if lines < 0 {
 		panic(fmt.Sprintf("partition: dynamic plan over %d lines", lines))
 	}
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if !(factor > 0) {
-		factor = DefaultFactor
-	}
-	return &DynamicPlan{lines: lines, grain: grain, factor: factor}
+	return &DynamicPlan{lines: lines}
 }
 
 // Lines returns the total lines the plan covers.
@@ -192,23 +135,20 @@ func (p *DynamicPlan) Lines() int { return p.lines }
 // Remaining returns the lines not yet granted.
 func (p *DynamicPlan) Remaining() int { return p.lines - p.next }
 
-// Grain returns the chunk-size floor.
-func (p *DynamicPlan) Grain() int { return p.grain }
-
 // ChunkSize returns the guided chunk length for a requester whose
 // estimated throughput is rate out of total aggregate throughput:
-// max(grain, remaining * rate / (factor * total)), clamped to what is
-// left. A zero-rate requester still gets the grain floor — a slow rank
-// that asks for work is idle, and grain lines is the smallest useful
-// assignment.
+// max(chunkGrain, remaining * rate / (guidedFactor * total)), clamped to
+// what is left. A zero-rate requester still gets the grain floor — a
+// slow rank that asks for work is idle, and chunkGrain lines is the
+// smallest useful assignment.
 func (p *DynamicPlan) ChunkSize(rate, total float64) int {
 	rem := p.Remaining()
 	if rem == 0 {
 		return 0
 	}
-	n := p.grain
+	n := chunkGrain
 	if total > 0 && rate > 0 {
-		share := float64(rem) * (rate / total) / p.factor
+		share := float64(rem) * (rate / total) / guidedFactor
 		if g := int(math.Ceil(share)); g > n {
 			n = g
 		}
@@ -217,7 +157,7 @@ func (p *DynamicPlan) ChunkSize(rate, total float64) int {
 		n = rem
 	}
 	// Don't strand a sub-grain tail for one more round trip.
-	if tail := rem - n; tail > 0 && tail < p.grain {
+	if tail := rem - n; tail > 0 && tail < chunkGrain {
 		n = rem
 	}
 	return n

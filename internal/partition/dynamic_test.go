@@ -9,7 +9,7 @@ import (
 // cycle-time model exactly: factors start at 1, so predicted chunk times
 // are the WEA proportions.
 func TestEstimatorSeededFromModel(t *testing.T) {
-	e := NewEstimator([]float64{0.01, 0.02, 0.04}, 0.3)
+	e := NewEstimator([]float64{0.01, 0.02, 0.04})
 	if e.Ranks() != 3 {
 		t.Fatalf("Ranks() = %d, want 3", e.Ranks())
 	}
@@ -27,11 +27,19 @@ func TestEstimatorSeededFromModel(t *testing.T) {
 }
 
 // TestEstimatorObserveConverges asserts the EWMA pulls the slowdown
-// factor toward reality: a rank consistently running 3x slower than the
-// model converges to rate/3.
+// factor toward reality at the fixed weight: one 3x-slow observation
+// moves the factor by estimatorAlpha of the gap, and a rank consistently
+// running 3x slower than the model converges to rate/3.
 func TestEstimatorObserveConverges(t *testing.T) {
-	e := NewEstimator([]float64{0.01, 0.01}, 0.5)
+	if estimatorAlpha != 0.3 {
+		t.Fatalf("estimator alpha = %v, want 0.3", estimatorAlpha)
+	}
+	e := NewEstimator([]float64{0.01, 0.01})
 	nominal := e.Rate(1, 1e6)
+	e.Observe(1, 8, 1e6, 3*8*0.01)
+	if got, want := e.Rate(1, 1e6), nominal/(1+2*estimatorAlpha); math.Abs(got-want)/want > 1e-12 {
+		t.Errorf("rate after one observation %v, want %v", got, want)
+	}
 	for i := 0; i < 20; i++ {
 		// 8 lines at 1e6 flops/line should take 8*0.01 s; report 3x that.
 		e.Observe(1, 8, 1e6, 3*8*0.01)
@@ -52,7 +60,7 @@ func TestEstimatorObserveConverges(t *testing.T) {
 // TestEstimatorObserveIgnoresGarbage asserts zero-line and negative-time
 // observations leave the estimate untouched.
 func TestEstimatorObserveIgnoresGarbage(t *testing.T) {
-	e := NewEstimator([]float64{0.01}, 0.5)
+	e := NewEstimator([]float64{0.01})
 	before := e.Rate(0, 1e6)
 	e.Observe(0, 0, 1e6, 1)
 	e.Observe(0, 5, 1e6, math.NaN())
@@ -63,13 +71,13 @@ func TestEstimatorObserveIgnoresGarbage(t *testing.T) {
 	}
 }
 
-// TestReplanEdgeCases drives the between-round re-partitioning through
-// the boundary shapes the balancer can produce mid-run.
+// TestReplanEdgeCases drives ByWeight, the adaptive schedule's
+// between-round re-partitioning, through the boundary shapes a round's
+// measurements can produce. A zero weight is a rank that gets nothing.
 func TestReplanEdgeCases(t *testing.T) {
 	tests := []struct {
 		name    string
-		cycles  []float64
-		disable []int
+		weights []float64
 		lines   int
 		wantErr bool
 		// want[i] is rank i's expected line count; nil skips the check.
@@ -77,71 +85,73 @@ func TestReplanEdgeCases(t *testing.T) {
 	}{
 		{
 			name:    "single surviving rank takes everything",
-			cycles:  []float64{0.01, 0.01, 0.01},
-			disable: []int{0, 2},
+			weights: []float64{0, 1, 0},
 			lines:   37,
 			want:    []int{0, 37, 0},
 		},
 		{
-			name:   "zero-weight rank gets an empty span",
-			cycles: []float64{0.01, math.Inf(1), 0.01},
-			lines:  10,
-			want:   []int{5, 0, 5},
+			name:    "zero-weight rank gets an empty span",
+			weights: []float64{1, 0, 1},
+			lines:   10,
+			want:    []int{5, 0, 5},
 		},
 		{
 			name:    "every rank disabled is an error",
-			cycles:  []float64{0.01, 0.01},
-			disable: []int{0, 1},
+			weights: []float64{0, 0},
 			lines:   10,
 			wantErr: true,
 		},
 		{
-			name:   "zero lines yields empty spans",
-			cycles: []float64{0.01, 0.01},
-			lines:  0,
-			want:   []int{0, 0},
+			name:    "zero lines yields empty spans",
+			weights: []float64{1, 1},
+			lines:   0,
+			want:    []int{0, 0},
 		},
 		{
 			name:    "negative lines is an error",
-			cycles:  []float64{0.01},
+			weights: []float64{1},
 			lines:   -1,
 			wantErr: true,
 		},
 		{
 			name:    "no ranks is an error",
-			cycles:  nil,
+			weights: nil,
 			lines:   10,
 			wantErr: true,
 		},
 		{
-			name:   "zero-cost model splits evenly",
-			cycles: []float64{0, 0},
-			lines:  8,
-			want:   []int{4, 4},
+			// A zero-cost rank's speed is as large as a weight gets; the
+			// weight mass overflows float64 but the split stays even.
+			name:    "zero-cost model splits evenly",
+			weights: []float64{math.MaxFloat64, math.MaxFloat64},
+			lines:   8,
+			want:    []int{4, 4},
+		},
+		{
+			name:    "non-finite weight is an error",
+			weights: []float64{1, math.Inf(1)},
+			lines:   8,
+			wantErr: true,
 		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEstimator(tc.cycles, 0.3)
-			for _, r := range tc.disable {
-				e.Disable(r)
-			}
-			spans, err := e.Replan(tc.lines)
+			spans, err := ByWeight(tc.lines, tc.weights)
 			if tc.wantErr {
 				if err == nil {
-					t.Fatalf("Replan(%d) = %v, want error", tc.lines, spans)
+					t.Fatalf("ByWeight(%d, %v) = %v, want error", tc.lines, tc.weights, spans)
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("Replan(%d): %v", tc.lines, err)
+				t.Fatalf("ByWeight(%d, %v): %v", tc.lines, tc.weights, err)
 			}
 			if err := Validate(spans, tc.lines); err != nil {
-				t.Fatalf("replan does not tile: %v", err)
+				t.Fatalf("spans do not tile: %v", err)
 			}
 			if tc.want != nil {
 				for i, w := range tc.want {
-					if got := spans[i].Hi - spans[i].Lo; got != w {
+					if got := spans[i].Len(); got != w {
 						t.Errorf("rank %d got %d lines, want %d (spans %v)", i, got, w, spans)
 					}
 				}
@@ -150,35 +160,14 @@ func TestReplanEdgeCases(t *testing.T) {
 	}
 }
 
-// TestReplanTracksObservations asserts re-partitioning follows the
-// learned rates, not the static model: after a rank observes slow, its
-// replanned share shrinks below the model share.
-func TestReplanTracksObservations(t *testing.T) {
-	e := NewEstimator([]float64{0.01, 0.01}, 1) // alpha 1: adopt immediately
-	spans, err := e.Replan(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := spans[1]; s.Hi-s.Lo != 50 {
-		t.Fatalf("model replan gave rank 1 %d lines, want 50", s.Hi-s.Lo)
-	}
-	e.Observe(1, 10, 1e6, 4*10*0.01) // rank 1 runs 4x slow
-	spans, err = e.Replan(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := spans[1].Hi - spans[1].Lo; got >= 50 {
-		t.Errorf("slow rank kept %d of 100 lines after replan", got)
-	}
-	if err := Validate(spans, 100); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestDynamicPlanEdgeCases tables the frontier's boundary behavior.
+// TestDynamicPlanEdgeCases tables the frontier's boundary behavior at
+// the fixed grain (4 lines) and guided factor (2).
 func TestDynamicPlanEdgeCases(t *testing.T) {
+	if chunkGrain != 4 || guidedFactor != 2 {
+		t.Fatalf("grain %d, factor %d: want 4 and 2", chunkGrain, guidedFactor)
+	}
 	t.Run("grain floor above total lines", func(t *testing.T) {
-		p := NewDynamicPlan(3, 8, DefaultFactor)
+		p := NewDynamicPlan(3)
 		if n := p.ChunkSize(1, 1); n != 3 {
 			t.Fatalf("ChunkSize = %d, want the whole 3-line frontier", n)
 		}
@@ -191,13 +180,13 @@ func TestDynamicPlanEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("zero-rate requester still gets the grain", func(t *testing.T) {
-		p := NewDynamicPlan(100, 4, DefaultFactor)
+		p := NewDynamicPlan(100)
 		if n := p.ChunkSize(0, 10); n != 4 {
 			t.Errorf("ChunkSize(rate=0) = %d, want grain 4", n)
 		}
 	})
 	t.Run("sub-grain tail is absorbed", func(t *testing.T) {
-		p := NewDynamicPlan(10, 4, DefaultFactor)
+		p := NewDynamicPlan(10)
 		p.Take(p.ChunkSize(0, 0)) // 4 lines
 		// 6 remain; a 4-line grant would strand a 2-line tail below the
 		// grain, so the chunk takes everything.
@@ -206,7 +195,7 @@ func TestDynamicPlanEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("guided chunks shrink toward the grain", func(t *testing.T) {
-		p := NewDynamicPlan(1000, 4, 2)
+		p := NewDynamicPlan(1000)
 		first := p.ChunkSize(1, 1) // sole rank: rem/factor = 500
 		if first != 500 {
 			t.Fatalf("first chunk %d, want 500", first)
@@ -218,7 +207,7 @@ func TestDynamicPlanEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("zero lines", func(t *testing.T) {
-		p := NewDynamicPlan(0, 4, 2)
+		p := NewDynamicPlan(0)
 		if p.ChunkSize(1, 1) != 0 || p.Remaining() != 0 {
 			t.Error("empty plan offered work")
 		}
@@ -229,7 +218,7 @@ func TestDynamicPlanEdgeCases(t *testing.T) {
 				t.Error("Take(5) of 3 remaining did not panic")
 			}
 		}()
-		NewDynamicPlan(3, 4, 2).Take(5)
+		NewDynamicPlan(3).Take(5)
 	})
 }
 
@@ -239,8 +228,8 @@ func TestDynamicPlanEdgeCases(t *testing.T) {
 // tiles [0, lines) exactly, covering every line once.
 func TestDynamicPlanGrantsTile(t *testing.T) {
 	for _, lines := range []int{1, 4, 5, 64, 517} {
-		e := NewEstimator([]float64{0.01, 0.03, 0.02, 0.09}, 0.5)
-		p := NewDynamicPlan(lines, 4, 2)
+		e := NewEstimator([]float64{0.01, 0.03, 0.02, 0.09})
+		p := NewDynamicPlan(lines)
 		var grants []Span
 		rank := 0
 		for p.Remaining() > 0 {

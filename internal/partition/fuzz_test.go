@@ -11,9 +11,11 @@ import (
 // FuzzPartition throws arbitrary geometries and processor sets (cycle
 // times decoded straight from raw bits, so NaN, ±Inf, zero, denormals and
 // negatives all occur; memory bounds from tiny to overflowing) at both
-// strategies. The invariant: every call either returns an error or a
-// complete, non-overlapping partition of [0, lines) with one span per
-// processor — never a panic, never a malformed tiling.
+// strategies, and the same raw bits as weights at ByWeight. The
+// invariant: every call either returns an error or a complete,
+// non-overlapping partition of [0, lines) with one span per processor —
+// never a panic, never a malformed tiling — and ByWeight gives every
+// zero weight an empty span.
 func FuzzPartition(f *testing.F) {
 	seed := func(lines, samples, bands int, procs []byte) {
 		f.Add(lines, samples, bands, procs)
@@ -35,6 +37,8 @@ func FuzzPartition(f *testing.F) {
 	seed(1<<30, 1, 1, enc([]float64{0.01}, []uint16{65535}))
 	seed(10, 1<<30, 1<<30, enc([]float64{0.01}, []uint16{65535}))
 	seed(5, 4, 4, nil)
+	seed(1<<30, 1, 1, enc([]float64{math.MaxFloat64, math.MaxFloat64}, []uint16{1, 1})) // weight mass overflows
+	seed(math.MaxInt64, 1, 1, enc([]float64{1, 0, 3}, []uint16{1, 1, 1}))
 
 	f.Fuzz(func(t *testing.T, lines, samples, bands int, raw []byte) {
 		const chunk = 10
@@ -71,6 +75,26 @@ func FuzzPartition(f *testing.F) {
 				if got, max := s.Len(), MaxLines(procs[i], samples, bands); got > max {
 					t.Fatalf("%s: span %d holds %d lines, memory bound is %d", strat.Name(), i, got, max)
 				}
+			}
+		}
+
+		weights := make([]float64, n)
+		for i := range weights {
+			weights[i] = math.Float64frombits(le.Uint64(raw[i*chunk:]))
+		}
+		spans, err := ByWeight(lines, weights)
+		if err != nil {
+			return
+		}
+		if len(spans) != n {
+			t.Fatalf("ByWeight: %d spans for %d weights", len(spans), n)
+		}
+		if err := Validate(spans, lines); err != nil {
+			t.Fatalf("ByWeight(%d, %v): accepted input yields invalid tiling: %v", lines, weights, err)
+		}
+		for i, w := range weights {
+			if w == 0 && spans[i].Len() != 0 {
+				t.Fatalf("ByWeight(%d, %v): zero weight %d got span %v", lines, weights, i, spans[i])
 			}
 		}
 	})

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/platform"
@@ -134,13 +135,43 @@ func partitionByWeight(lines, samples, bands int, procs []platform.Processor, we
 	if err != nil {
 		return nil, err
 	}
-	spans := make([]Span, len(procs))
+	return layout(counts), nil
+}
+
+// ByWeight splits lines into contiguous spans, in rank order, whose
+// lengths are proportional to weights (largest-remainder rounding, no
+// memory bounds). A zero weight gets an empty span. Negative, NaN or
+// infinite weights, no weights, lines outside [0, MaxInt32] (the bound
+// MaxLines clamps to), or lines to place with no positive weight are
+// errors.
+func ByWeight(lines int, weights []float64) ([]Span, error) {
+	if lines < 0 || lines > math.MaxInt32 || len(weights) == 0 {
+		return nil, fmt.Errorf("partition: %d lines over %d weights", lines, len(weights))
+	}
+	caps := make([]int, len(weights))
+	for i := range caps {
+		caps[i] = lines
+	}
+	counts, err := apportion(lines, weights, caps)
+	if errors.Is(err, ErrInsufficientMemory) {
+		// Every cap holds all the lines: only a zero weight mass gets here.
+		return nil, errors.New("partition: no positive weight")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return layout(counts), nil
+}
+
+// layout turns per-rank line counts into contiguous spans in rank order.
+func layout(counts []int) []Span {
+	spans := make([]Span, len(counts))
 	at := 0
 	for i, c := range counts {
 		spans[i] = Span{Lo: at, Hi: at + c}
 		at += c
 	}
-	return spans, nil
+	return spans
 }
 
 // apportion distributes total units proportionally to weights with
@@ -162,6 +193,22 @@ func apportion(total int, weights []float64, caps []int) ([]int, error) {
 			active[i] = true
 			wsum += w
 		}
+	}
+	if math.IsInf(wsum, 1) {
+		// Finite weights near MaxFloat64 can sum past it, which would zero
+		// every quota. Rescaling by the largest keeps the proportions;
+		// a finite mass keeps its exact arithmetic.
+		top := slices.Max(weights)
+		scaled := make([]float64, n)
+		wsum = 0
+		for i, w := range weights {
+			scaled[i] = w / top
+			active[i] = scaled[i] > 0 && caps[i] > 0
+			if active[i] {
+				wsum += scaled[i]
+			}
+		}
+		weights = scaled
 	}
 	remaining := total
 	for remaining > 0 {

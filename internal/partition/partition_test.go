@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -363,6 +364,32 @@ func TestApportionDirect(t *testing.T) {
 	}
 	if counts[0] != 6 || counts[1] != 3 {
 		t.Errorf("counts = %v, want [6 3]", counts)
+	}
+	// Speeds 1:3:0:4 over 100 rows: quotas 12.5/37.5/0/50, the tied
+	// remainder goes to the lower index and the zero weight gets nothing.
+	counts, err = apportion(100, []float64{1, 3, 0, 4}, []int{100, 100, 100, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{13, 37, 0, 50}; !slices.Equal(counts, want) {
+		t.Errorf("counts = %v, want %v", counts, want)
+	}
+	// Equal weights: equal shares, the remainder to the lowest indexes.
+	counts, err = apportion(11, []float64{2, 2, 2}, []int{100, 100, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4, 4, 3}; !slices.Equal(counts, want) {
+		t.Errorf("counts = %v, want %v", counts, want)
+	}
+	// A weight mass past MaxFloat64 keeps its proportions instead of
+	// zeroing every quota and dealing rows out round-robin.
+	counts, err = apportion(9, []float64{math.MaxFloat64, math.MaxFloat64, 1}, []int{100, 100, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{5, 4, 0}; !slices.Equal(counts, want) {
+		t.Errorf("counts = %v, want %v", counts, want)
 	}
 	// Negative weight rejected.
 	if _, err := apportion(5, []float64{-1, 1}, []int{10, 10}); err == nil {

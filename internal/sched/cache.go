@@ -100,9 +100,9 @@ func (spec *JobSpec) cacheKey() string {
 		digest = CubeDigest(spec.Cube)
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%s|%+v|%+v|%.6f|%s|balance=%t",
+	fmt.Fprintf(h, "%s|%s|%s|%s|%+v|%.6f|%s|balance=%t",
 		digest, spec.Mode, spec.Algorithm, spec.Variant,
-		spec.Params, spec.Adaptive, spec.CycleTime,
+		spec.Params, spec.CycleTime,
 		networkFingerprint(spec.Network), spec.Balance)
 	return fmt.Sprintf("%s-%016x", digest, h.Sum64())
 }

@@ -12,9 +12,9 @@ import (
 // the concrete *ShedError the scheduler returns.
 var (
 	// ErrShed reports a submission denied by the overload-control layer
-	// (adaptive limit, rate smoothing, or unaffordable deadline). Shed
-	// work is healthy to retry after the error's RetryAfter hint; the
-	// HTTP layer maps it to 429 with a Retry-After header.
+	// (adaptive limit or unaffordable deadline). Shed work is healthy to
+	// retry after the error's RetryAfter hint; the HTTP layer maps it to
+	// 429 with a Retry-After header.
 	ErrShed = errors.New("sched: submission shed")
 	// ErrBreakerOpen reports a submission denied because its backend's
 	// circuit breaker is open (or half-open with the probe slot taken).
@@ -28,8 +28,8 @@ var (
 // every denial; errors.Is(err, ErrBreakerOpen) matches breaker denials
 // specifically.
 type ShedError struct {
-	// Reason classifies the denial (guard.ReasonLimit, ReasonRate,
-	// ReasonDeadline or ReasonBreakerOpen).
+	// Reason classifies the denial (guard.ReasonLimit, ReasonDeadline
+	// or ReasonBreakerOpen).
 	Reason guard.Reason
 	// RetryAfter is the suggested client back-off.
 	RetryAfter time.Duration

@@ -24,12 +24,12 @@ func pinnedGuard(limit int) *guard.Controller {
 // The shed error type maps onto the sentinels and carries a usable
 // Retry-After hint for every admission-failure class.
 func TestShedErrorSemantics(t *testing.T) {
-	se := &ShedError{Reason: guard.ReasonRate, RetryAfter: 250 * time.Millisecond}
+	se := &ShedError{Reason: guard.ReasonLimit, RetryAfter: 250 * time.Millisecond}
 	if !errors.Is(se, ErrShed) {
-		t.Fatal("rate shed does not match ErrShed")
+		t.Fatal("limit shed does not match ErrShed")
 	}
 	if errors.Is(se, ErrBreakerOpen) {
-		t.Fatal("rate shed matches ErrBreakerOpen")
+		t.Fatal("limit shed matches ErrBreakerOpen")
 	}
 	bo := &ShedError{Reason: guard.ReasonBreakerOpen, RetryAfter: time.Second}
 	if !errors.Is(bo, ErrShed) || !errors.Is(bo, ErrBreakerOpen) {
@@ -349,7 +349,7 @@ func TestJobStatusQueueAndDeadlineFields(t *testing.T) {
 }
 
 // TestGuardStressScheduler hammers a fully-armed guard (tight limiter,
-// buckets, fast breaker) through the scheduler from
+// fast breaker) through the scheduler from
 // many goroutines mixing clean jobs, breaker-tripping fault jobs,
 // deadline-doomed jobs and explicit cancellations. The CI -race step
 // runs it with GOMAXPROCS=8; here it asserts the ledger invariants:
@@ -363,7 +363,6 @@ func TestGuardStressScheduler(t *testing.T) {
 		RetryMaxDelay:  4 * time.Millisecond,
 		Guard: guard.New(guard.Config{
 			Limiter: guard.LimiterConfig{Initial: 16, Min: 4, Max: 64, Cooldown: time.Millisecond},
-			Buckets: []guard.BucketConfig{{Capacity: 64, Rate: 2000}, {Capacity: 64, Rate: 4000}},
 			Breaker: guard.BreakerConfig{Threshold: 2, Cooldown: 5 * time.Millisecond},
 		}),
 	})

@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/balance"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -157,8 +156,6 @@ type JobSpec struct {
 	Materialize func(context.Context) (*cube.Cube, error)
 	// Params are the per-algorithm parameters.
 	Params core.Params
-	// Adaptive tunes ModeAdaptive jobs.
-	Adaptive algo.AdaptiveOptions
 	// Priority is the scheduling class; default Batch.
 	Priority Priority
 	// Timeout is the per-job deadline measured from submission; 0 means
@@ -515,11 +512,11 @@ type Config struct {
 	// RetryMaxDelay caps the exponential backoff (default 2s).
 	RetryMaxDelay time.Duration
 	// Guard, when non-nil, is the overload-control layer: every fresh
-	// submission passes its admission pipeline (adaptive AIMD limit with
-	// batch-first shedding, per-class token buckets, deadline-aware
-	// rejection, per-backend circuit breaking) and denials surface as
-	// *ShedError. Journal-resumed jobs bypass admission — they were
-	// admitted by a previous process.
+	// submission passes its admission pipeline (per-backend circuit
+	// breaking, adaptive AIMD limit with batch-first shedding,
+	// deadline-aware rejection) and denials surface as *ShedError.
+	// Journal-resumed jobs bypass admission — they were admitted by a
+	// previous process.
 	Guard *guard.Controller
 	// Registry, when non-nil, registers the scheduler's instruments (and
 	// the simulation-level ones of package core) against it: queue depth,
@@ -982,7 +979,7 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Unlock()
 	m := s.tel
 	var shed uint64
-	for _, r := range []guard.Reason{guard.ReasonLimit, guard.ReasonRate, guard.ReasonDeadline} {
+	for _, r := range []guard.Reason{guard.ReasonLimit, guard.ReasonDeadline} {
 		shed += count(m.shed.With(string(r)))
 	}
 	return Stats{
@@ -1246,7 +1243,7 @@ func (s *Scheduler) execute(j *Job, c *cube.Cube, attempt int) (cachedResult, er
 	}
 	switch spec.Mode {
 	case ModeAdaptive:
-		res.adaptive, err = core.RunAdaptiveContext(ctx, spec.Network, c, params, spec.Adaptive)
+		res.adaptive, err = core.RunAdaptiveContext(ctx, spec.Network, c, params)
 		if res.adaptive != nil {
 			res.report = &res.adaptive.RunReport
 		}

@@ -20,7 +20,7 @@ type schedMetrics struct {
 	journal   *telemetry.CounterVec   // type: submitted | started | checkpointed | finished
 	journalEr *telemetry.Counter
 	restored  *telemetry.CounterVec // disposition: finished | resumed
-	shed      *telemetry.CounterVec // reason: limit | rate | deadline | breaker-open
+	shed      *telemetry.CounterVec // reason: limit | deadline | breaker-open
 	expired   *telemetry.Counter
 	// virtualSeconds bills the simulated wall time of every completed,
 	// non-cached run; Stats-only, so it is not registered.
