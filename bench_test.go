@@ -370,39 +370,22 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 	_, sc, _ := benchScenes(b)
 	params := benchParams(sc.Config)
 	net := FullyHeterogeneous()
-	b.Run("equal-shares", func(b *testing.B) {
-		var rep *RunReport
-		var err error
-		for i := 0; i < b.N; i++ {
-			rep, err = Run(net, ATDCA, Homo, sc.Cube, params)
-			if err != nil {
-				b.Fatal(err)
+	for _, v := range []struct {
+		name    string
+		variant Variant
+	}{{"equal-shares", Homo}, {"adaptive", Adaptive}, {"wea-oracle", Hetero}} {
+		b.Run(v.name, func(b *testing.B) {
+			var rep *RunReport
+			var err error
+			for i := 0; i < b.N; i++ {
+				rep, err = Run(net, ATDCA, v.variant, sc.Cube, params)
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(rep.WallTime, "vsec")
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		var rep *AdaptiveReport
-		var err error
-		for i := 0; i < b.N; i++ {
-			rep, err = RunAdaptive(net, sc.Cube, params)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(rep.WallTime, "vsec")
-	})
-	b.Run("wea-oracle", func(b *testing.B) {
-		var rep *RunReport
-		var err error
-		for i := 0; i < b.N; i++ {
-			rep, err = Run(net, ATDCA, Hetero, sc.Cube, params)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(rep.WallTime, "vsec")
-	})
+			b.ReportMetric(rep.WallTime, "vsec")
+		})
+	}
 }
 
 // BenchmarkAblationShrinkingHalo compares the morphological iteration

@@ -84,8 +84,10 @@ func workflows(t *testing.T) map[string]string {
 // function declared in the command's own packages. The scan is static
 // (the `func` lines of the packages' _test.go files, with "./dir/..."
 // expanded as go does), and like go test it matches only the part of a
-// -run pattern before the first slash. `-run '^$'`, the idiom for "no
-// tests, only fuzzing or benchmarks", is exempt.
+// -run pattern before the first slash. Each alternative of a pattern (see
+// alternatives) must select something on its own, so a stale name inside
+// a live pattern is caught too. `-run '^$'`, the idiom for "no tests, only
+// fuzzing or benchmarks", is exempt.
 func emptySelections(doc string) ([]string, error) {
 	var empty []string
 	for n, line := range strings.Split(doc, "\n") {
@@ -117,19 +119,49 @@ func emptySelections(doc string) ([]string, error) {
 			if flag == "-run" {
 				pattern, _, _ = strings.Cut(pattern, "/")
 			}
-			re, err := regexp.Compile(pattern)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %s %q: %w", n+1, flag, pattern, err)
-			}
-			if !slices.ContainsFunc(names, func(name string) bool {
-				return re.MatchString(name) && (flag == "-run" || strings.HasPrefix(name, "Fuzz"))
-			}) {
-				empty = append(empty, fmt.Sprintf("line %d: %s %q matches nothing in %s",
-					n+1, flag, sel[1], strings.Join(pkgs, " ")))
+			for _, alt := range alternatives(pattern) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					return nil, fmt.Errorf("line %d: %s %q: %w", n+1, flag, sel[1], err)
+				}
+				if !slices.ContainsFunc(names, func(name string) bool {
+					return re.MatchString(name) && (flag == "-run" || strings.HasPrefix(name, "Fuzz"))
+				}) {
+					empty = append(empty, fmt.Sprintf("line %d: %s %q: %q matches nothing in %s",
+						n+1, flag, sel[1], alt, strings.Join(pkgs, " ")))
+				}
 			}
 		}
 	}
 	return empty, nil
+}
+
+// alternatives splits a regular expression at its top-level "|": the ones
+// outside parentheses and character classes, and not escaped.
+func alternatives(pattern string) []string {
+	var alts []string
+	depth, class, start := 0, false, 0
+	for i := 0; i < len(pattern); i++ {
+		switch c := pattern[i]; {
+		case c == '\\':
+			i++
+		case class:
+			class = c != ']'
+		case c == '[':
+			class = true
+			if strings.HasPrefix(pattern[i+1:], "]") { // "[]" opens a class holding ']'
+				i++
+			}
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case c == '|' && depth == 0:
+			alts = append(alts, pattern[start:i])
+			start = i + 1
+		}
+	}
+	return append(alts, pattern[start:])
 }
 
 // shellFields splits a command line on spaces outside single or double
@@ -211,6 +243,21 @@ func declaredTests(pkgs []string) ([]string, error) {
 	return names, nil
 }
 
+func TestAlternatives(t *testing.T) {
+	for pattern, want := range map[string][]string{
+		"TestA":                  {"TestA"},
+		"TestA|TestB":            {"TestA", "TestB"},
+		"Kernel(SAD|MEI)$|TestC": {"Kernel(SAD|MEI)$", "TestC"},
+		`A[|]B|C\|D|E`:           {"A[|]B", `C\|D`, "E"},
+		"[]|]x|y":                {"[]|]x", "y"},
+		"^$":                     {"^$"},
+	} {
+		if got := alternatives(pattern); !slices.Equal(got, want) {
+			t.Errorf("alternatives(%q) = %q, want %q", pattern, got, want)
+		}
+	}
+}
+
 func TestWorkflowTestSelectionsAreNotEmpty(t *testing.T) {
 	stale := "      - name: Guard stress alone\n" +
 		"        run: GOMAXPROCS=2 go test -race -run 'TestGuardStressScheduler' ./internal/sched\n" +
@@ -218,13 +265,16 @@ func TestWorkflowTestSelectionsAreNotEmpty(t *testing.T) {
 		"        run: |\n" +
 		"          go test -run TestGuardStressScheduler ./internal/guard\n" +
 		"          go test ./internal/algo -run '^$' -fuzz FuzzMaxProjectionMatchesDense -fuzztime=10s\n" +
-		"          go test ./internal/algo -run '^$' -fuzz FuzzNearestMatchesReference -fuzztime=10s\n"
+		"          go test ./internal/algo -run '^$' -fuzz FuzzNearestMatchesReference -fuzztime=10s\n" +
+		"      - name: One dead alternative\n" +
+		"        run: go test -run 'TestGuardStressScheduler|TestAdaptiveMode' ./internal/sched\n"
 	got, err := emptySelections(stale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || !strings.HasPrefix(got[0], "line 5:") || !strings.HasPrefix(got[1], "line 7:") {
-		t.Fatalf("lint found %q, want lines 5 and 7", got)
+	if len(got) != 3 || !strings.HasPrefix(got[0], "line 5:") || !strings.HasPrefix(got[1], "line 7:") ||
+		!strings.HasPrefix(got[2], "line 9:") || !strings.Contains(got[2], `"TestAdaptiveMode" matches nothing`) {
+		t.Fatalf("lint found %q, want lines 5, 7 and line 9's dead alternative", got)
 	}
 	for f, doc := range workflows(t) {
 		empty, err := emptySelections(doc)

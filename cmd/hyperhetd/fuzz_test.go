@@ -71,9 +71,12 @@ func FuzzSubmitJSON(f *testing.F) {
 		}
 		// … and must carry coherent fields for its mode.
 		switch spec.Mode {
-		case "run", "adaptive":
+		case "run":
 			if spec.Network == nil {
 				t.Fatalf("networked spec without network: %+v", spec)
+			}
+			if err := spec.Variant.Check(spec.Algorithm); err != nil {
+				t.Fatalf("run spec the scheduler would refuse: %v", err)
 			}
 		case "sequential":
 			if spec.CycleTime < 0 {

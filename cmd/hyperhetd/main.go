@@ -381,7 +381,7 @@ func (s *server) routes() http.Handler {
 type submitRequest struct {
 	Algorithm string  `json:"algorithm"`
 	Variant   string  `json:"variant"`    // hetero (default) or homo
-	Mode      string  `json:"mode"`       // run (default), adaptive, sequential
+	Mode      string  `json:"mode"`       // run (default) or sequential; adaptive = run of ATDCA/Adaptive
 	Network   string  `json:"network"`    // fully-het, fully-homo, part-het, part-homo, thunderhead
 	CPUs      int     `json:"cpus"`       // thunderhead node count
 	CycleTime float64 `json:"cycle_time"` // sequential-mode processor speed
@@ -518,13 +518,14 @@ func parseSubmit(req *submitRequest) (hyperhet.JobSpec, hyperhet.SceneConfig, er
 		return spec, sceneCfg, err
 	}
 
-	mode := hyperhet.JobMode(strings.ToLower(req.Mode))
-	if req.Mode == "" {
-		mode = hyperhet.ModeRun
+	// "adaptive" is not a scheduler mode but the Adaptive variant of a run,
+	// which is ATDCA whatever the request's algorithm says.
+	spec.Mode = hyperhet.JobMode(strings.ToLower(req.Mode))
+	adaptive := spec.Mode == "adaptive"
+	if spec.Mode == "" || adaptive {
+		spec.Mode = hyperhet.ModeRun
 	}
-	spec.Mode = mode
-
-	if mode != hyperhet.ModeAdaptive {
+	if !adaptive {
 		if spec.Algorithm, err = hyperhet.ParseAlgorithm(req.Algorithm); err != nil {
 			return spec, sceneCfg, err
 		}
@@ -532,7 +533,10 @@ func parseSubmit(req *submitRequest) (hyperhet.JobSpec, hyperhet.SceneConfig, er
 	if spec.Variant, err = hyperhet.ParseVariant(req.Variant); err != nil {
 		return spec, sceneCfg, err
 	}
-	if mode == hyperhet.ModeSequential {
+	if adaptive {
+		spec.Algorithm, spec.Variant = hyperhet.ATDCA, hyperhet.Adaptive
+	}
+	if spec.Mode == hyperhet.ModeSequential {
 		if req.CycleTime < 0 {
 			return spec, sceneCfg, fmt.Errorf("invalid cycle_time %v", req.CycleTime)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -287,6 +288,45 @@ func TestParseSubmitNamesAndDefaults(t *testing.T) {
 		if spec.Algorithm != tc.alg || spec.Variant != tc.variant || spec.Network.Name != tc.network || spec.Network.Size() != tc.procs {
 			t.Errorf("%+v: parsed to %s/%s on %s (%d)", tc.req, spec.Algorithm, spec.Variant, spec.Network.Name, spec.Network.Size())
 		}
+	}
+}
+
+// "mode": "adaptive" is still accepted: it parses to the Adaptive variant
+// of an ATDCA run — whatever the algorithm field says — and is otherwise
+// the spec an ATDCA run request parses to. The job document reports it as
+// mode run, variant Adaptive.
+func TestSubmitAdaptiveMode(t *testing.T) {
+	for _, body := range []string{`{"mode": "adaptive"}`, `{"mode": "Adaptive", "algorithm": "pct", "variant": "homo"}`} {
+		var req submitRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		spec, _, err := parseSubmit(&req)
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		want, _, err := parseSubmit(&submitRequest{Algorithm: "atdca"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Variant = hyperhet.Adaptive
+		if !reflect.DeepEqual(spec, want) {
+			t.Errorf("%s parsed to %+v, want %+v", body, spec, want)
+		}
+	}
+	if _, _, err := parseSubmit(&submitRequest{Mode: "adaptive", Variant: "diagonal"}); err == nil {
+		t.Error("adaptive mode skipped the variant check")
+	}
+
+	ts := testServer(t, hyperhet.SchedulerConfig{})
+	resp, doc := postJSON(t, ts.URL+"/submit", `{"mode": "adaptive", "targets": 4,
+		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d (%v)", resp.StatusCode, doc)
+	}
+	job := waitSettled(t, ts.URL, doc["id"].(string))
+	if job["state"] != "completed" || job["mode"] != "run" || job["algorithm"] != "ATDCA" || job["variant"] != "Adaptive" {
+		t.Fatalf("adaptive job document = %v, want a completed run of ATDCA/Adaptive", job)
 	}
 }
 

@@ -1,9 +1,9 @@
-// Dynamic load balancing: the paper's future-work direction, implemented.
-// The adaptive ATDCA starts from equal shares — it is told nothing about
-// the platform — and re-partitions between detection rounds from measured
-// busy times whenever the busiest worker's time exceeds the least busy
-// one's by more than 15% (a fixed threshold; below ~5% rebalancing
-// thrashes on noise). Within one round it converges to the balance the
+// Dynamic load balancing: the paper's future-work direction, implemented
+// as a third variant next to the paper's two. Adaptive ATDCA starts from
+// equal shares — it is told nothing about the platform — and
+// re-partitions between detection rounds from measured busy times
+// whenever the busiest worker's time exceeds the least busy one's by more
+// than 15% (a fixed threshold; below ~5% rebalancing thrashes on noise). Within one round it converges to the balance the
 // WEA achieves only when the cycle-times are known and correct.
 package main
 
@@ -24,12 +24,12 @@ func main() {
 	params.Targets = 12
 	net := hyperhet.FullyHeterogeneous()
 
-	// Three schedulers, same platform, same scene.
+	// Three variants, same platform, same scene.
 	static, err := hyperhet.Run(net, hyperhet.ATDCA, hyperhet.Homo, sc.Cube, params)
 	if err != nil {
 		log.Fatal(err)
 	}
-	adaptive, err := hyperhet.RunAdaptive(net, sc.Cube, params)
+	adaptive, err := hyperhet.Run(net, hyperhet.ATDCA, hyperhet.Adaptive, sc.Cube, params)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,10 +44,11 @@ func main() {
 	fmt.Printf("  WEA oracle   (knows every cycle-time) %10.1f\n", oracle.WallTime)
 
 	fmt.Println("\nadaptive convergence (measured busy-time imbalance per round):")
-	for r, imb := range adaptive.Trace.Imbalance {
+	trace := adaptive.Adaptive
+	for r, imb := range trace.Imbalance {
 		marker := ""
-		if adaptive.Trace.Rebalanced[r] {
-			marker = fmt.Sprintf("  -> re-partitioned, %d rows moved", adaptive.Trace.MovedRows[r])
+		if trace.Rebalanced[r] {
+			marker = fmt.Sprintf("  -> re-partitioned, %d rows moved", trace.MovedRows[r])
 		}
 		fmt.Printf("  round %2d: %6.2f%s\n", r, imb, marker)
 	}

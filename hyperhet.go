@@ -8,7 +8,10 @@
 // table and figure of the paper's evaluation.
 //
 // The package is a facade over the internal packages; see README.md for a
-// tour and DESIGN.md for the architecture.
+// tour and DESIGN.md for the architecture. Every parallel run goes
+// through Run (or RunContext) with one of three variants: Hetero (WEA
+// shares), Homo (equal shares) or Adaptive (the paper's future-work
+// dynamic load balancing, ATDCA only).
 //
 // # Quick start
 //
@@ -70,7 +73,8 @@ type (
 type (
 	// Algorithm names one of the paper's four analysis algorithms.
 	Algorithm = core.Algorithm
-	// Variant selects heterogeneous (WEA) or homogeneous partitioning.
+	// Variant selects how rows reach processors: heterogeneous (WEA) or
+	// homogeneous partitioning, or the Adaptive schedule.
 	Variant = core.Variant
 	// Params bundles the per-algorithm parameters.
 	Params = core.Params
@@ -92,20 +96,26 @@ type (
 	Accuracy = metrics.Accuracy
 )
 
-// The four algorithms of the paper, and the two partitioning variants.
+// The four algorithms of the paper, its two partitioning variants, and
+// Adaptive, its future-work dynamic load balancing (ATDCA only): equal
+// initial shares re-partitioned between rounds from measured busy times
+// whenever the busiest worker's exceeds the least busy one's by more than
+// 15%, converging to WEA-grade balance without knowing the cycle-times.
+// Its convergence trace is RunReport.Adaptive.
 const (
-	ATDCA  = core.ATDCA
-	UFCLS  = core.UFCLS
-	PCT    = core.PCT
-	MORPH  = core.MORPH
-	Hetero = core.Hetero
-	Homo   = core.Homo
+	ATDCA    = core.ATDCA
+	UFCLS    = core.UFCLS
+	PCT      = core.PCT
+	MORPH    = core.MORPH
+	Hetero   = core.Hetero
+	Homo     = core.Homo
+	Adaptive = core.Adaptive
 )
 
 // Algorithms lists the four algorithms in the paper's table order.
 var Algorithms = core.Algorithms
 
-// Variants lists both partitioning variants.
+// Variants lists the paper's two partitioning variants.
 var Variants = core.Variants
 
 // Scenes.
@@ -195,23 +205,9 @@ func Run(net *Network, alg Algorithm, v Variant, f *Cube, p Params) (*RunReport,
 	return core.Run(net, alg, v, f, p)
 }
 
-// Adaptive (dynamic) load balancing: the paper's future-work direction.
-type (
-	// AdaptiveTrace records per-round imbalance and re-partitions.
-	AdaptiveTrace = algo.AdaptiveTrace
-	// AdaptiveReport couples a RunReport with the convergence trace.
-	AdaptiveReport = core.AdaptiveReport
-)
-
-// RunAdaptive executes ATDCA with dynamic load balancing: equal initial
-// shares (no platform knowledge), re-partitioned between rounds from
-// measured busy times whenever the busiest worker's time exceeds the
-// least busy one's by more than 15%. It converges to WEA-grade balance
-// without knowing the cycle-times — and stays balanced if they were
-// declared wrong.
-func RunAdaptive(net *Network, f *Cube, p Params) (*AdaptiveReport, error) {
-	return core.RunAdaptive(net, f, p)
-}
+// AdaptiveTrace records an Adaptive run's per-round imbalance and
+// re-partitions.
+type AdaptiveTrace = algo.AdaptiveTrace
 
 // RunSequential executes the single-threaded baseline on one processor of
 // the given cycle-time (seconds per megaflop).
@@ -227,11 +223,6 @@ func RunSequential(cycleTime float64, alg Algorithm, f *Cube, p Params) (*RunRep
 // RunContext is Run under a cancellation context.
 func RunContext(ctx context.Context, net *Network, alg Algorithm, v Variant, f *Cube, p Params) (*RunReport, error) {
 	return core.RunContext(ctx, net, alg, v, f, p)
-}
-
-// RunAdaptiveContext is RunAdaptive under a cancellation context.
-func RunAdaptiveContext(ctx context.Context, net *Network, f *Cube, p Params) (*AdaptiveReport, error) {
-	return core.RunAdaptiveContext(ctx, net, f, p)
 }
 
 // RunSequentialContext is RunSequential under a cancellation context.
@@ -315,7 +306,6 @@ const (
 	Batch          = sched.Batch
 	Interactive    = sched.Interactive
 	ModeRun        = sched.ModeRun
-	ModeAdaptive   = sched.ModeAdaptive
 	ModeSequential = sched.ModeSequential
 	JobQueued      = sched.StateQueued
 	JobRunning     = sched.StateRunning
@@ -452,13 +442,8 @@ func NewCheckpointFileStore(dir string) (*CheckpointFileStore, error) {
 
 // OpenSchedJournal opens (creating as needed) the scheduler job journal
 // in dir, positioned for appending. Replay existing records first with
-// ReplaySchedJournal; close the journal after the scheduler.
+// ReplaySchedJournalState; close the journal after the scheduler.
 func OpenSchedJournal(dir string) (*SchedJournal, error) { return sched.OpenJournal(dir) }
-
-// ReplaySchedJournal folds the journal in dir into per-job stories. A
-// missing journal yields (nil, nil); a torn tail truncates the readable
-// log without error.
-func ReplaySchedJournal(dir string) ([]*JournalJob, error) { return sched.ReplayJournal(dir) }
 
 // Telemetry: dependency-free instrumentation behind hyperhetd's /metrics
 // endpoint. Pass a registry to SchedulerConfig.Registry to instrument a

@@ -117,15 +117,15 @@ func TestFacadeAdaptive(t *testing.T) {
 	// redistribution cost that only amortizes when computation dominates.
 	params := ScaledParams(DefaultParams(), sc.Config)
 	params.Targets = 5
-	rep, err := RunAdaptive(FullyHeterogeneous(), sc.Cube, params)
+	rep, err := Run(FullyHeterogeneous(), ATDCA, Adaptive, sc.Cube, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Detection == nil || len(rep.Detection.Targets) != 5 {
 		t.Fatal("adaptive detection missing")
 	}
-	if rep.Trace == nil || len(rep.Trace.Imbalance) != 5 {
-		t.Fatalf("adaptive trace missing: %+v", rep.Trace)
+	if rep.Adaptive == nil || len(rep.Adaptive.Imbalance) != 5 {
+		t.Fatalf("adaptive trace missing: %+v", rep.Adaptive)
 	}
 	if rep.Variant != "Adaptive" {
 		t.Errorf("variant = %q", rep.Variant)

@@ -25,7 +25,9 @@
 //     static spans, handed out whole, so results stay bit-identical.
 //   - adaptive (ATDCAAdaptive): equal initial shares re-partitioned
 //     between detection rounds from measured busy times, for a platform
-//     whose speeds are not known at all.
+//     whose speeds are not known at all. Above this package it is not a
+//     separate entry point but the third partitioning variant,
+//     core.Adaptive, of an ATDCA run.
 //
 // The detectors share one round loop parameterised by the round's scoring
 // criterion. PCT is the one place a body asks which schedule it runs

@@ -54,18 +54,39 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return "", fmt.Errorf("unknown algorithm %q (want atdca, ufcls, pct or morph)", s)
 }
 
-// Variant selects the workload partitioning: the heterogeneous WEA
-// (speed-proportional) or the homogeneous equal-share version.
+// Variant selects how rows reach processors: the heterogeneous WEA
+// (speed-proportional) or the homogeneous equal-share partition, both
+// fixed up front, or the adaptive schedule that learns the speeds as it
+// runs.
 type Variant string
 
-// The two variants compared throughout Tables 5-7.
+// Hetero and Homo are the two variants compared throughout Tables 5-7.
+// Adaptive is the paper's future-work dynamic load balancing (see
+// algo.ATDCAAdaptive): equal initial shares, re-partitioned between
+// detection rounds from measured busy times. It runs ATDCA only.
 const (
-	Hetero Variant = "Hetero"
-	Homo   Variant = "Homo"
+	Hetero   Variant = "Hetero"
+	Homo     Variant = "Homo"
+	Adaptive Variant = "Adaptive"
 )
 
-// Variants lists both variants in table order.
+// Variants lists the paper's two variants in table order.
 var Variants = []Variant{Hetero, Homo}
+
+// Check reports whether the variant can run alg: Hetero and Homo run
+// every algorithm, Adaptive only ATDCA.
+func (v Variant) Check(alg Algorithm) error {
+	switch v {
+	case Hetero, Homo:
+		return nil
+	case Adaptive:
+		if alg == ATDCA {
+			return nil
+		}
+		return fmt.Errorf("core: the %s variant runs %s only, not %q", v, ATDCA, alg)
+	}
+	return fmt.Errorf("core: unknown variant %q", v)
+}
 
 // ParseVariant maps "hetero" or "homo" (case-insensitive; "" is Hetero,
 // the default everywhere) to a Variant.
@@ -248,6 +269,10 @@ type RunReport struct {
 	// EstimatorDrift is the mean relative error of the balancer's chunk
 	// time predictions over the successful attempt.
 	EstimatorDrift float64 `json:",omitempty"`
+
+	// Adaptive is the convergence trace of an Adaptive-variant run (nil
+	// for every other variant, which therefore serializes as before).
+	Adaptive *algo.AdaptiveTrace `json:",omitempty"`
 }
 
 // Run executes one algorithm variant on the given network against the
@@ -260,60 +285,32 @@ func Run(net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, pa
 // (or its deadline passes) the in-flight simulated run aborts promptly and
 // the returned error wraps ctx.Err(), detectable with errors.Is. A nil ctx
 // behaves like context.Background().
-func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, params Params) (*RunReport, error) {
-	report, _, err := run(ctx, net, alg, variant, f, params, false)
-	return report, err
-}
-
-// AdaptiveReport couples a RunReport with the rebalancer's convergence
-// trace.
-type AdaptiveReport struct {
-	RunReport
-	Trace *algo.AdaptiveTrace
-}
-
-// RunAdaptive executes the dynamically load-balanced ATDCA (the paper's
-// future-work direction): equal initial shares, measurement-driven
-// re-partitioning between rounds. See algo.ATDCAAdaptive.
-func RunAdaptive(net *platform.Network, f *cube.Cube, params Params) (*AdaptiveReport, error) {
-	return RunAdaptiveContext(context.Background(), net, f, params)
-}
-
-// RunAdaptiveContext is RunAdaptive under a cancellation context; see
-// RunContext for the cancellation semantics.
-func RunAdaptiveContext(ctx context.Context, net *platform.Network, f *cube.Cube, params Params) (*AdaptiveReport, error) {
-	report, trace, err := run(ctx, net, ATDCA, "Adaptive", f, params, true)
-	if err != nil {
-		return nil, err
-	}
-	return &AdaptiveReport{RunReport: *report, Trace: trace}, nil
-}
-
-// run is the one execution path behind every Run* entry point. adaptive
-// selects algo.ATDCAAdaptive, whose schedule keeps its own partition
-// state: it accepts fault injection (the rebalancer is exactly
-// what degradation windows are meant to stress) but there is no static
-// plan to recover onto and nothing for a balancer, a checkpointer or the
-// timeline renderer to act on, so those settings do not apply to it.
-func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, params Params,
-	adaptive bool) (_ *RunReport, _ *algo.AdaptiveTrace, err error) {
+//
+// The Adaptive variant (ATDCA only) runs algo.ATDCAAdaptive, whose
+// schedule keeps its own partition state: it accepts fault injection (the
+// rebalancer is exactly what degradation windows are meant to stress) but
+// there is no static plan to recover onto and nothing for a balancer, a
+// checkpointer or the timeline renderer to act on, so those settings do
+// not apply to it. Its convergence trace is RunReport.Adaptive.
+func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, params Params) (_ *RunReport, err error) {
 	if net == nil {
-		return nil, nil, fmt.Errorf("core: nil network")
+		return nil, fmt.Errorf("core: nil network")
 	}
 	if f == nil {
-		return nil, nil, fmt.Errorf("core: nil cube")
+		return nil, fmt.Errorf("core: nil cube")
+	}
+	if err := variant.Check(alg); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	label := fmt.Sprintf("%s/%s", alg, variant)
-	if adaptive {
-		label = "adaptive ATDCA"
-	}
 	fail := func(err error) error { return fmt.Errorf("core: %s on %s: %w", label, net.Name, err) }
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fail(err)
+		return nil, fail(err)
 	}
+	adaptive := variant == Adaptive
 	params = params.withDefaults()
 	detParams := algo.DetectionParams{Targets: params.Targets, EquivalentBands: params.EquivalentBands}
 	var strat partition.Strategy
@@ -323,7 +320,7 @@ func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Vari
 		params.Recovery, params.Trace = RecoveryOptions{}, false
 	} else {
 		if strat, err = variant.Strategy(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pol = BalanceFrom(ctx)
 		if ck := CheckpointerFrom(ctx); ck != nil {
@@ -406,12 +403,12 @@ func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Vari
 			world.SetDataScale(params.DataScale)
 		}
 		if err := world.SetFaults(plan, attempt); err != nil {
-			return nil, nil, fail(err)
+			return nil, fail(err)
 		}
 		if pol.Enabled {
 			spans, err := strat.Partition(f.Lines, f.Samples, f.Bands, curNet.Procs)
 			if err != nil {
-				return nil, nil, fail(err)
+				return nil, fail(err)
 			}
 			bal = balance.New(curNet, spans, f)
 		}
@@ -431,14 +428,14 @@ func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Vari
 			recoverable := params.Recovery.Enabled && errors.As(err, &rf) &&
 				rf.Rank != 0 && used < budget && curNet.Size() > 1
 			if !recoverable {
-				return nil, nil, fail(err)
+				return nil, fail(err)
 			}
 			tel.rankLost()
 			overhead += rf.VTime
 			failedRanks = append(failedRanks, alive[rf.Rank])
 			degraded, derr := curNet.Without(rf.Rank)
 			if derr != nil {
-				return nil, nil, fmt.Errorf("core: %s on %s: degrading after %v: %w", label, net.Name, err, derr)
+				return nil, fmt.Errorf("core: %s on %s: degrading after %v: %w", label, net.Name, err, derr)
 			}
 			alive = append(alive[:rf.Rank], alive[rf.Rank+1:]...)
 			curNet = degraded
@@ -460,12 +457,13 @@ func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Vari
 			Attempts:         used,
 			FailedRanks:      failedRanks,
 			RecoveryOverhead: overhead,
+			Adaptive:         trace,
 		}
 		report.Com, report.Seq, report.Par = res.RootBreakdown()
 		if curNet.Size() >= 2 {
 			report.DAll, report.DMinus, err = metrics.Imbalance(report.BusyTimes)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: imbalance: %w", err)
+				return nil, fmt.Errorf("core: imbalance: %w", err)
 			}
 		}
 		switch v := res.Root().(type) {
@@ -474,7 +472,7 @@ func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Vari
 		case *algo.ClassificationResult:
 			report.Classification = v
 		default:
-			return nil, nil, fmt.Errorf("core: unexpected result type %T", v)
+			return nil, fmt.Errorf("core: unexpected result type %T", v)
 		}
 		if events != nil {
 			report.Timeline = events.Timeline(curNet.Size(), 100)
@@ -501,7 +499,7 @@ func run(ctx context.Context, net *platform.Network, alg Algorithm, variant Vari
 		}
 		tel.runDone(report)
 		tel.mpiRun(res.Counters)
-		return report, trace, nil
+		return report, nil
 	}
 }
 

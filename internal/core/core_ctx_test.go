@@ -35,9 +35,9 @@ func TestRunContextDeadlineMidRun(t *testing.T) {
 	// and surface DeadlineExceeded, not produce a partial report.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	rep, err := RunAdaptiveContext(ctx, platform.FullyHeterogeneous(), sc.Cube, DefaultParams())
+	rep, err := RunContext(ctx, platform.FullyHeterogeneous(), ATDCA, Adaptive, sc.Cube, DefaultParams())
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunAdaptiveContext error = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("RunContext error = %v, want context.DeadlineExceeded", err)
 	}
 	if rep != nil {
 		t.Fatal("got a report from a run that never started")

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,26 +44,29 @@ func TestRunAdaptiveReport(t *testing.T) {
 	sc := smallScene(t)
 	net := smallNet(t, 4)
 	params := smallParams()
-	rep, err := RunAdaptive(net, sc.Cube, params)
+	rep, err := Run(net, ATDCA, Adaptive, sc.Cube, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Variant != "Adaptive" || rep.Algorithm != ATDCA {
-		t.Errorf("report header %+v", rep.RunReport)
+	if rep.Variant != Adaptive || rep.Algorithm != ATDCA {
+		t.Errorf("report header %+v", rep)
 	}
 	if rep.Detection == nil || len(rep.Detection.Targets) != params.Targets {
 		t.Error("adaptive detection missing")
 	}
-	if rep.Trace == nil || len(rep.Trace.Imbalance) != params.Targets {
+	if rep.Adaptive == nil || len(rep.Adaptive.Imbalance) != params.Targets {
 		t.Error("adaptive trace missing")
 	}
 	if rep.WallTime <= 0 || rep.DAll < 1 {
 		t.Errorf("timings wrong: wall=%v dall=%v", rep.WallTime, rep.DAll)
 	}
-	// Detections match the static run.
+	// Detections match the static run, which carries no trace.
 	static, err := Run(net, ATDCA, Hetero, sc.Cube, params)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if b, err := json.Marshal(static); err != nil || bytes.Contains(b, []byte(`"Adaptive"`)) {
+		t.Errorf("static report serializes an adaptive trace: %s (%v)", b, err)
 	}
 	for i := range static.Detection.Targets {
 		a, b := static.Detection.Targets[i], rep.Detection.Targets[i]
@@ -73,18 +79,49 @@ func TestRunAdaptiveReport(t *testing.T) {
 func TestRunAdaptiveValidation(t *testing.T) {
 	sc := smallScene(t)
 	net := smallNet(t, 2)
-	if _, err := RunAdaptive(nil, sc.Cube, smallParams()); err == nil {
+	if _, err := Run(nil, ATDCA, Adaptive, sc.Cube, smallParams()); err == nil {
 		t.Error("nil network: expected error")
 	}
-	if _, err := RunAdaptive(net, nil, smallParams()); err == nil {
+	if _, err := Run(net, ATDCA, Adaptive, nil, smallParams()); err == nil {
 		t.Error("nil cube: expected error")
+	}
+	for _, alg := range []Algorithm{UFCLS, PCT, MORPH} {
+		if _, err := Run(net, alg, Adaptive, sc.Cube, smallParams()); err == nil || !strings.Contains(err.Error(), "ATDCA only") {
+			t.Errorf("%s/Adaptive: error %v, want the ATDCA-only refusal", alg, err)
+		}
+	}
+}
+
+// Check is the one statement of which variant runs which algorithm.
+func TestVariantCheck(t *testing.T) {
+	for _, v := range Variants {
+		for _, alg := range Algorithms {
+			if err := v.Check(alg); err != nil {
+				t.Errorf("%s.Check(%s) = %v", v, alg, err)
+			}
+		}
+	}
+	if err := Adaptive.Check(ATDCA); err != nil {
+		t.Errorf("Adaptive.Check(ATDCA) = %v", err)
+	}
+	if err := Adaptive.Check(PCT); err == nil {
+		t.Error("Adaptive.Check(PCT) accepted")
+	}
+	if err := Variant("Oracle").Check(ATDCA); err == nil {
+		t.Error("unknown variant accepted")
+	}
+	if slices.Contains(Variants, Adaptive) {
+		t.Error("Variants lists Adaptive; it holds the paper's two")
+	}
+	if _, err := ParseVariant("adaptive"); err == nil {
+		t.Error(`ParseVariant("adaptive") accepted`)
 	}
 }
 
 func TestRunAdaptiveSingleNode(t *testing.T) {
 	sc := smallScene(t)
 	net := smallNet(t, 1)
-	rep, err := RunAdaptive(net, sc.Cube, smallParams())
+	rep, err := Run(net, ATDCA, Adaptive, sc.Cube, smallParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +165,13 @@ func TestRunAccountingBalances(t *testing.T) {
 	bad.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 7, At: 0.001}}}
 
 	done := 0
-	if _, err := RunAdaptiveContext(ctx, net, sc.Cube, bad); err == nil {
+	if _, err := RunContext(ctx, net, ATDCA, Adaptive, sc.Cube, bad); err == nil {
 		t.Fatal("out-of-range fault plan: expected error")
 	}
 	if _, err := RunContext(ctx, net, ATDCA, Hetero, sc.Cube, bad); err == nil {
 		t.Fatal("out-of-range fault plan: expected error")
 	}
-	if _, err := RunAdaptiveContext(ctx, net, sc.Cube, smallParams()); err != nil {
+	if _, err := RunContext(ctx, net, ATDCA, Adaptive, sc.Cube, smallParams()); err != nil {
 		t.Fatal(err)
 	}
 	done++

@@ -236,13 +236,13 @@ func TestGoldenSchedules(t *testing.T) {
 
 	for _, net := range platform.UMDNetworks() {
 		name := "adaptive/" + net.Name
-		rep, err := core.RunAdaptive(net, sc.Cube, clean)
+		rep, err := core.Run(net, core.ATDCA, core.Adaptive, sc.Cube, clean)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cell := cellOf(t, name, &rep.RunReport)
-		cell.Imbalance, cell.Rebalanced = rep.Trace.Imbalance, rep.Trace.Rebalanced
-		cell.MovedRows, cell.FinalSpans = rep.Trace.MovedRows, rep.Trace.FinalSpans
+		cell := cellOf(t, name, rep)
+		cell.Imbalance, cell.Rebalanced = rep.Adaptive.Imbalance, rep.Adaptive.Rebalanced
+		cell.MovedRows, cell.FinalSpans = rep.Adaptive.MovedRows, rep.Adaptive.FinalSpans
 		cells = append(cells, cell)
 	}
 

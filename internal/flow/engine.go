@@ -193,12 +193,11 @@ type stage struct {
 
 // stageOutput is what a completed stage hands its dependents.
 type stageOutput struct {
-	mu       sync.Mutex
-	sc       *scene.Scene // nil again once the pipeline settles
-	digest   string
-	report   *core.RunReport
-	adaptive *core.AdaptiveReport
-	synth    *Synthesis
+	mu     sync.Mutex
+	sc     *scene.Scene // nil again once the pipeline settles
+	digest string
+	report *core.RunReport
+	synth  *Synthesis
 }
 
 // materializeScene returns the stage's scene, generating it through the
@@ -376,13 +375,12 @@ func (e *Engine) Submit(ctx context.Context, spec PipelineSpec) (*Pipeline, erro
 // a resumed pipeline restores instead of re-running the stage. Reports
 // are stored with trace events stripped, as in the job journal.
 type stageRecord struct {
-	Kind      StageKind            `json:"kind"`
-	JobID     string               `json:"job_id,omitempty"`
-	FromCache bool                 `json:"from_cache,omitempty"`
-	Digest    string               `json:"digest,omitempty"`
-	Report    *core.RunReport      `json:"report,omitempty"`
-	Adaptive  *core.AdaptiveReport `json:"adaptive,omitempty"`
-	Synthesis *Synthesis           `json:"synthesis,omitempty"`
+	Kind      StageKind       `json:"kind"`
+	JobID     string          `json:"job_id,omitempty"`
+	FromCache bool            `json:"from_cache,omitempty"`
+	Digest    string          `json:"digest,omitempty"`
+	Report    *core.RunReport `json:"report,omitempty"`
+	Synthesis *Synthesis      `json:"synthesis,omitempty"`
 }
 
 // SubmitResumed restarts a journal-replayed unfinished pipeline under its
@@ -531,7 +529,6 @@ func (p *Pipeline) restoreSeeds(seeds map[string]json.RawMessage) {
 				continue
 			}
 			st.out.report = rec.Report
-			st.out.adaptive = rec.Adaptive
 		case KindSynthesize:
 			if rec.Synthesis == nil {
 				continue
@@ -773,7 +770,6 @@ func (e *Engine) journalStage(p *Pipeline, st *stage) {
 		JobID:     st.jobID,
 		FromCache: st.fromCache,
 		Digest:    st.out.digest,
-		Adaptive:  st.out.adaptive,
 		Synthesis: st.out.synth,
 	}
 	if rep := st.out.report; rep != nil {
@@ -901,7 +897,6 @@ func (p *Pipeline) runStage(st *stage) error {
 		p.mu.Unlock()
 		st.out.mu.Lock()
 		st.out.report = job.Report()
-		st.out.adaptive = job.AdaptiveReport()
 		st.out.mu.Unlock()
 		e.tel.cache.With(boolOutcome(job.FromCache())).Inc()
 		return nil

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algo"
 	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/scene"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -490,6 +492,75 @@ func TestPipelineJournalRoundTrip(t *testing.T) {
 		t.Fatalf("fresh pipeline reused restored ID %s", np.ID())
 	}
 	waitPipeline(t, np)
+}
+
+// An adaptive analyze stage journals its trace on its one report, and a
+// pipeline resumed from that record restores the trace with the stage.
+func TestAdaptiveStageResumesWithTrace(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := sched.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sched.New(sched.Config{Workers: 2, QueueDepth: 8, Journal: jl})
+	e, err := New(Config{Scheduler: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := PipelineSpec{Name: "adaptive", Stages: []StageSpec{
+		{Name: "scene", Kind: KindScene, Scene: testSceneCfg},
+		{Name: "adapt", Kind: KindAnalyze, After: []string{"scene"}, Job: sched.JobSpec{
+			Algorithm: core.ATDCA,
+			Variant:   core.Adaptive,
+			Network:   platform.FullyHeterogeneous(),
+			Params:    core.Params{Targets: 4},
+		}},
+	}}
+	p, err := e.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitPipeline(t, p); st.State != PipelineCompleted {
+		t.Fatalf("state = %s (err %q), want completed", st.State, st.Error)
+	}
+	e.Close()
+	s.Close()
+	jl.Close()
+	stageTrace := func(p *Pipeline) *algo.AdaptiveTrace {
+		out := &p.byName["adapt"].out
+		out.mu.Lock()
+		defer out.mu.Unlock()
+		if out.report == nil {
+			return nil
+		}
+		return out.report.Adaptive
+	}
+	live := stageTrace(p)
+	if live == nil || len(live.Imbalance) != 4 {
+		t.Fatalf("live stage trace = %+v, want one entry per detection round", live)
+	}
+
+	state, err := sched.ReplayJournalState(dir)
+	if err != nil || state == nil || len(state.Pipelines) != 1 {
+		t.Fatalf("replay: %+v, %v; want one pipeline", state, err)
+	}
+	jp := state.Pipelines[0]
+	if n := strings.Count(string(jp.Stages["adapt"]), `"WallTime"`); n != 1 {
+		t.Fatalf("stage record holds %d reports, want 1", n)
+	}
+	// Resume an open story holding the same stage records.
+	e2, _ := newTestEngine(t, Config{})
+	open := &sched.JournalPipeline{ID: jp.ID, Submitted: jp.Submitted, Stages: jp.Stages}
+	rp, err := e2.SubmitResumed(context.Background(), open, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitPipeline(t, rp); st.State != PipelineCompleted || st.StagesResumed != 2 {
+		t.Fatalf("resumed: state %s, %d stages resumed; want completed with 2", st.State, st.StagesResumed)
+	}
+	if got := stageTrace(rp); !reflect.DeepEqual(got, live) {
+		t.Fatalf("resumed stage trace = %+v, want %+v", got, live)
+	}
 }
 
 func TestDrainLeavesOpenStoryAndResumeSkipsCompletedStages(t *testing.T) {

@@ -114,14 +114,8 @@ func keyDigest(key string) string {
 	return digest
 }
 
-// cachedResult is one memoized job outcome. Reports are shared by
-// pointer across cache hits and must be treated as immutable by callers.
-type cachedResult struct {
-	report   *core.RunReport
-	adaptive *core.AdaptiveReport
-}
-
-// resultCache is a mutex-guarded LRU of job results.
+// resultCache is a mutex-guarded LRU of job reports. Reports are shared
+// by pointer across cache hits and must be treated as immutable by callers.
 type resultCache struct {
 	mu    sync.Mutex
 	max   int
@@ -131,7 +125,7 @@ type resultCache struct {
 
 type cacheSlot struct {
 	key string
-	res cachedResult
+	rep *core.RunReport
 }
 
 // newResultCache returns an LRU holding up to max entries; nil when the
@@ -143,32 +137,32 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, order: list.New(), items: make(map[string]*list.Element)}
 }
 
-func (rc *resultCache) get(key string) (cachedResult, bool) {
+func (rc *resultCache) get(key string) (*core.RunReport, bool) {
 	if rc == nil || key == "" {
-		return cachedResult{}, false
+		return nil, false
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	el, ok := rc.items[key]
 	if !ok {
-		return cachedResult{}, false
+		return nil, false
 	}
 	rc.order.MoveToFront(el)
-	return el.Value.(*cacheSlot).res, true
+	return el.Value.(*cacheSlot).rep, true
 }
 
-func (rc *resultCache) put(key string, res cachedResult) {
+func (rc *resultCache) put(key string, rep *core.RunReport) {
 	if rc == nil || key == "" {
 		return
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if el, ok := rc.items[key]; ok {
-		el.Value.(*cacheSlot).res = res
+		el.Value.(*cacheSlot).rep = rep
 		rc.order.MoveToFront(el)
 		return
 	}
-	rc.items[key] = rc.order.PushFront(&cacheSlot{key: key, res: res})
+	rc.items[key] = rc.order.PushFront(&cacheSlot{key: key, rep: rep})
 	for rc.order.Len() > rc.max {
 		last := rc.order.Back()
 		rc.order.Remove(last)

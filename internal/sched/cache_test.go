@@ -53,9 +53,10 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	mutations := map[string]func(*JobSpec){
 		"algorithm": func(s *JobSpec) { s.Algorithm = core.UFCLS },
 		"variant":   func(s *JobSpec) { s.Variant = core.Homo },
+		"adaptive":  func(s *JobSpec) { s.Variant = core.Adaptive },
 		"params":    func(s *JobSpec) { s.Params.Targets = 3 },
 		"network":   func(s *JobSpec) { s.Network = platform.FullyHomogeneous() },
-		"mode":      func(s *JobSpec) { s.Mode = ModeAdaptive },
+		"mode":      func(s *JobSpec) { s.Mode = ModeSequential },
 	}
 	for name, mut := range mutations {
 		if key(mut) == ref {
@@ -70,16 +71,16 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 func TestResultCacheLRUEviction(t *testing.T) {
 	rc := newResultCache(2)
 	r1, r2, r3 := &core.RunReport{}, &core.RunReport{}, &core.RunReport{}
-	rc.put("a", cachedResult{report: r1})
-	rc.put("b", cachedResult{report: r2})
+	rc.put("a", r1)
+	rc.put("b", r2)
 	if _, ok := rc.get("a"); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing")
 	}
-	rc.put("c", cachedResult{report: r3}) // evicts b
+	rc.put("c", r3) // evicts b
 	if _, ok := rc.get("b"); ok {
 		t.Fatal("LRU entry b survived eviction")
 	}
-	if got, ok := rc.get("a"); !ok || got.report != r1 {
+	if got, ok := rc.get("a"); !ok || got != r1 {
 		t.Fatal("refreshed entry a was evicted")
 	}
 	if rc.len() != 2 {
@@ -89,7 +90,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 
 func TestResultCacheDisabled(t *testing.T) {
 	rc := newResultCache(-1)
-	rc.put("a", cachedResult{report: &core.RunReport{}})
+	rc.put("a", &core.RunReport{})
 	if _, ok := rc.get("a"); ok {
 		t.Fatal("disabled cache stored an entry")
 	}

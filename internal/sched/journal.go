@@ -20,9 +20,9 @@ import (
 // scheduler configured with a Journal appends a record at every lifecycle
 // edge (submitted, started, checkpointed, finished), each one fsync'd
 // before the scheduler proceeds, and a restarted process folds the log
-// with ReplayJournal to rebuild its state — finished jobs become queryable
-// history again, unfinished jobs are resubmitted under their original IDs
-// and resume from their last checkpointed round.
+// with ReplayJournalState to rebuild its state — finished jobs become
+// queryable history again, unfinished jobs are resubmitted under their
+// original IDs and resume from their last checkpointed round.
 //
 // File layout: an 8-byte header (magic "HHWJ" plus a little-endian uint32
 // format version), then records framed as
@@ -106,12 +106,11 @@ type Record struct {
 	Round    int    `json:"round,omitempty"`
 	Snapshot []byte `json:"snapshot,omitempty"`
 
-	// State, Error, Report and Adaptive (finished) record the terminal
-	// outcome. Report is the JSON run report with trace events stripped.
-	State    string          `json:"state,omitempty"`
-	Error    string          `json:"error,omitempty"`
-	Report   json.RawMessage `json:"report,omitempty"`
-	Adaptive json.RawMessage `json:"adaptive,omitempty"`
+	// State, Error and Report (finished) record the terminal outcome.
+	// Report is the JSON run report with trace events stripped.
+	State  string          `json:"state,omitempty"`
+	Error  string          `json:"error,omitempty"`
+	Report json.RawMessage `json:"report,omitempty"`
 }
 
 // Journal is an append-only, fsync-per-record job log in a directory.
@@ -130,7 +129,7 @@ func JournalPath(dir string) string {
 
 // OpenJournal opens (creating directory and file as needed) the journal in
 // dir and positions it for appending. An existing file must carry the
-// expected header; replay the records first with ReplayJournal if the
+// expected header; replay the records first with ReplayJournalState if the
 // previous process may have left state behind.
 //
 // An existing file is first truncated to its readable prefix: a crash can
@@ -276,8 +275,6 @@ type JournalJob struct {
 	Error string
 	// Report is the completed run report (trace events stripped).
 	Report *core.RunReport
-	// Adaptive is the adaptive report of a completed ModeAdaptive job.
-	Adaptive *core.AdaptiveReport
 	// Snapshot is the latest checkpointed master round state of an
 	// unfinished job; a resubmitted job seeds its store from it and
 	// resumes at Snapshot.Round.
@@ -336,21 +333,11 @@ type JournalState struct {
 	Stats     ReplayStats
 }
 
-// ReplayJournal reads the journal in dir and folds it into per-job
-// stories, ordered by first appearance. A missing journal file yields
-// (nil, nil); a damaged tail truncates the readable log without error; a
-// damaged header is an error, since nothing after it can be trusted.
-func ReplayJournal(dir string) ([]*JournalJob, error) {
-	st, err := ReplayJournalState(dir)
-	if err != nil || st == nil {
-		return nil, err
-	}
-	return st.Jobs, nil
-}
-
 // ReplayJournalState reads the journal in dir and folds it into job and
-// pipeline stories plus replay counters. A missing journal file yields
-// (nil, nil); damaged-tail and header semantics match ReplayJournal.
+// pipeline stories, each list ordered by first appearance, plus replay
+// counters. A missing journal file yields (nil, nil); a damaged tail
+// truncates the readable log without error; a damaged header is an error,
+// since nothing after it can be trusted.
 func ReplayJournalState(dir string) (*JournalState, error) {
 	b, err := os.ReadFile(filepath.Join(dir, journalFileName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -509,12 +496,6 @@ func foldJournal(recs []Record) ([]*JournalJob, []*JournalPipeline) {
 					jj.Report = &rep
 				}
 			}
-			if len(rec.Adaptive) > 0 {
-				var ar core.AdaptiveReport
-				if json.Unmarshal(rec.Adaptive, &ar) == nil {
-					jj.Adaptive = &ar
-				}
-			}
 		}
 	}
 	return order, pipeOrder
@@ -530,19 +511,6 @@ func marshalReport(rep *core.RunReport) json.RawMessage {
 	r := *rep
 	r.TraceEvents = nil
 	b, err := json.Marshal(&r)
-	if err != nil {
-		return nil
-	}
-	return b
-}
-
-func marshalAdaptive(ar *core.AdaptiveReport) json.RawMessage {
-	if ar == nil {
-		return nil
-	}
-	a := *ar
-	a.TraceEvents = nil
-	b, err := json.Marshal(&a)
 	if err != nil {
 		return nil
 	}

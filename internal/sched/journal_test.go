@@ -35,6 +35,16 @@ func appendRaw(t *testing.T, dir string, body []byte) {
 	}
 }
 
+// replayJobs is ReplayJournalState cut down to the job stories; a missing
+// journal has none.
+func replayJobs(dir string) ([]*JournalJob, error) {
+	st, err := ReplayJournalState(dir)
+	if err != nil || st == nil {
+		return nil, err
+	}
+	return st.Jobs, nil
+}
+
 func TestJournalAppendReplay(t *testing.T) {
 	dir := t.TempDir()
 	jl, err := OpenJournal(dir)
@@ -63,7 +73,7 @@ func TestJournalAppendReplay(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 
-	jobs, err := ReplayJournal(dir)
+	jobs, err := replayJobs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +105,7 @@ func TestJournalAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	jl.Close()
-	jobs, err = ReplayJournal(dir)
+	jobs, err = replayJobs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +115,9 @@ func TestJournalAppendReplay(t *testing.T) {
 }
 
 func TestReplayMissingJournal(t *testing.T) {
-	jobs, err := ReplayJournal(t.TempDir())
-	if err != nil || jobs != nil {
-		t.Fatalf("missing journal: jobs=%v err=%v, want nil/nil", jobs, err)
+	st, err := ReplayJournalState(t.TempDir())
+	if err != nil || st != nil {
+		t.Fatalf("missing journal: state=%v err=%v, want nil/nil", st, err)
 	}
 }
 
@@ -128,7 +138,7 @@ func TestReplayTruncatedTail(t *testing.T) {
 		if err := os.WriteFile(path, b[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		jobs, err := ReplayJournal(dir)
+		jobs, err := replayJobs(dir)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -159,7 +169,7 @@ func TestReplayCorruptRecord(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := ReplayJournal(dir)
+	jobs, err := replayJobs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +193,7 @@ func TestReplaySkipsUnknownRecordVersion(t *testing.T) {
 	jl.Append(Record{Type: recFinished, Job: "job-1", State: string(StateFailed), Error: "boom"})
 	jl.Close()
 
-	jobs, err := ReplayJournal(dir)
+	jobs, err := replayJobs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +215,7 @@ func TestReplayRejectsBadHeader(t *testing.T) {
 	b, _ := os.ReadFile(path)
 	b[0] ^= 0xff
 	os.WriteFile(path, b, 0o644)
-	if _, err := ReplayJournal(dir); err == nil {
+	if _, err := ReplayJournalState(dir); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	if _, err := OpenJournal(dir); err == nil {
@@ -227,7 +237,7 @@ func TestReplayIgnoresCorruptSnapshot(t *testing.T) {
 	jl.Append(Record{Type: recCheckpointed, Job: "job-1", Round: 3, Snapshot: bad})
 	jl.Close()
 
-	jobs, err := ReplayJournal(dir)
+	jobs, err := replayJobs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +309,7 @@ func TestSchedulerJournalsCheckpointedJob(t *testing.T) {
 	s.Close()
 	jl.Close()
 
-	jobs, err := ReplayJournal(dir)
+	jobs, err := replayJobs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +365,7 @@ func TestDrainDefersRunningJobToNextBoot(t *testing.T) {
 		t.Fatalf("submit during/after drain = %v, want ErrClosed", err)
 	}
 
-	jobs, err := ReplayJournal(dir)
+	jobs, err := replayJobs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +431,7 @@ func TestRestoreFinishedJob(t *testing.T) {
 	s.Close()
 	jl.Close()
 
-	jobs, err := ReplayJournal(dir)
+	jobs, err := replayJobs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

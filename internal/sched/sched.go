@@ -1,5 +1,5 @@
 // Package sched is an admission-controlled job scheduler that multiplexes
-// many simulated analysis runs (core.Run / core.RunAdaptive /
+// many simulated analysis runs (core.Run, under any variant, or
 // core.RunSequential) across a pool of workers.
 //
 // The repository's execution layer is strictly one-run-at-a-time; this
@@ -97,10 +97,8 @@ func ParsePriority(s string) (Priority, error) {
 type Mode string
 
 const (
-	// ModeRun executes core.Run (static WEA or equal-share partitioning).
+	// ModeRun executes core.Run on a network under the spec's variant.
 	ModeRun Mode = "run"
-	// ModeAdaptive executes core.RunAdaptive (measurement-driven ATDCA).
-	ModeAdaptive Mode = "adaptive"
 	// ModeSequential executes core.RunSequential on one processor.
 	ModeSequential Mode = "sequential"
 )
@@ -129,13 +127,15 @@ const defaultSequentialCycleTime = 0.0072
 
 // JobSpec describes one analysis job.
 type JobSpec struct {
-	// Algorithm selects the analysis algorithm (ModeRun / ModeSequential).
+	// Algorithm selects the analysis algorithm.
 	Algorithm core.Algorithm
-	// Variant selects the partitioning (ModeRun only); default Hetero.
+	// Variant selects how rows reach processors (ModeRun only); default
+	// Hetero. core.Adaptive runs ATDCA only: Submit refuses it with any
+	// other algorithm.
 	Variant core.Variant
 	// Mode selects the execution entry point; default ModeRun.
 	Mode Mode
-	// Network is the simulated platform (ModeRun and ModeAdaptive).
+	// Network is the simulated platform (ModeRun only).
 	Network *platform.Network
 	// CycleTime is the processor speed for ModeSequential jobs, in
 	// seconds per megaflop (0 selects the paper's 0.0072 baseline).
@@ -201,10 +201,6 @@ type JobSpec struct {
 	MaxAttempts int
 }
 
-// Retryable reports whether a job error is transient — a failure class a
-// full re-run may survive. It mirrors mpi.IsRetryable.
-func Retryable(err error) bool { return mpi.IsRetryable(err) }
-
 // validate normalizes defaults and rejects malformed specs.
 func (spec *JobSpec) validate() error {
 	if spec.Cube == nil && spec.Materialize == nil {
@@ -226,9 +222,12 @@ func (spec *JobSpec) validate() error {
 		return fmt.Errorf("sched: negative max attempts %d", spec.MaxAttempts)
 	}
 	switch spec.Mode {
-	case ModeRun, ModeAdaptive:
+	case ModeRun:
 		if spec.Network == nil {
 			return fmt.Errorf("sched: %s job has no network", spec.Mode)
+		}
+		if err := spec.Variant.Check(spec.Algorithm); err != nil {
+			return err
 		}
 	case ModeSequential:
 		if spec.CycleTime == 0 {
@@ -240,12 +239,10 @@ func (spec *JobSpec) validate() error {
 	default:
 		return fmt.Errorf("sched: unknown mode %q", spec.Mode)
 	}
-	if spec.Mode == ModeRun || spec.Mode == ModeSequential {
-		switch spec.Algorithm {
-		case core.ATDCA, core.UFCLS, core.PCT, core.MORPH:
-		default:
-			return fmt.Errorf("sched: unknown algorithm %q", spec.Algorithm)
-		}
+	switch spec.Algorithm {
+	case core.ATDCA, core.UFCLS, core.PCT, core.MORPH:
+	default:
+		return fmt.Errorf("sched: unknown algorithm %q", spec.Algorithm)
 	}
 	ranks := 1
 	if spec.Network != nil {
@@ -295,7 +292,6 @@ type Job struct {
 	startedAt  time.Time
 	finishedAt time.Time
 	report     *core.RunReport
-	adaptive   *core.AdaptiveReport
 	err        error
 	fromCache  bool
 	attempts   []AttemptRecord
@@ -352,14 +348,6 @@ func (j *Job) Report() *core.RunReport {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.report
-}
-
-// AdaptiveReport returns the adaptive trace of a completed ModeAdaptive
-// job (nil otherwise).
-func (j *Job) AdaptiveReport() *core.AdaptiveReport {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.adaptive
 }
 
 // Err returns the job's terminal error: nil while in flight or on
@@ -441,10 +429,6 @@ func (j *Job) Status() JobStatus {
 		Started:   j.startedAt,
 		Finished:  j.finishedAt,
 	}
-	if j.spec.Mode == ModeAdaptive {
-		st.Algorithm = string(core.ATDCA)
-		st.Variant = "Adaptive"
-	}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
@@ -472,13 +456,6 @@ func (j *Job) Status() JobStatus {
 		st.DeadlineRemainingMS = &rem
 	}
 	return st
-}
-
-// startedAtTime returns when the job began running (zero if it never ran).
-func (j *Job) startedAtTime() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.startedAt
 }
 
 // Config parameterizes a Scheduler. Zero values select the defaults.
@@ -527,7 +504,7 @@ type Config struct {
 	// Journal, when non-nil, makes the scheduler durable: every job
 	// lifecycle edge (submitted, started, checkpointed, finished) is
 	// appended and fsync'd before the scheduler proceeds, and a restarted
-	// process rebuilds its state from ReplayJournal via RestoreFinished
+	// process rebuilds its state from ReplayJournalState via RestoreFinished
 	// and SubmitResumed. The scheduler never closes the journal; its
 	// owner does, after Close or Drain returns.
 	Journal *Journal
@@ -834,7 +811,6 @@ func (s *Scheduler) RestoreFinished(jj *JournalJob, spec JobSpec) (*Job, error) 
 		submittedAt: jj.Submitted,
 		finishedAt:  jj.FinishedAt,
 		report:      jj.Report,
-		adaptive:    jj.Adaptive,
 	}
 	if jj.Error != "" {
 		j.err = errors.New(jj.Error)
@@ -855,7 +831,7 @@ func (s *Scheduler) RestoreFinished(jj *JournalJob, spec JobSpec) (*Job, error) 
 	s.mu.Unlock()
 
 	if jj.State == StateCompleted && jj.Report != nil && jj.CacheKey != "" {
-		s.cache.put(jj.CacheKey, cachedResult{report: jj.Report, adaptive: jj.Adaptive})
+		s.cache.put(jj.CacheKey, jj.Report)
 	}
 	s.tel.restored.With("finished").Inc()
 	return j, nil
@@ -888,7 +864,7 @@ func (s *Scheduler) watchQueued(j *Job) {
 	select {
 	case <-j.ctx.Done():
 		if s.dequeue(j) {
-			s.settle(j, StateCancelled, cachedResult{}, s.queuedDeathErr(j), false)
+			s.settle(j, StateCancelled, nil, s.queuedDeathErr(j), false)
 		}
 	case <-j.done:
 	}
@@ -1027,7 +1003,7 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 
 	for _, j := range pending {
-		s.settle(j, StateCancelled, cachedResult{}, fmt.Errorf("sched: job %s: %w", j.id, ErrClosed), false)
+		s.settle(j, StateCancelled, nil, fmt.Errorf("sched: job %s: %w", j.id, ErrClosed), false)
 	}
 	for _, j := range inFlight {
 		j.Cancel()
@@ -1106,7 +1082,7 @@ func (s *Scheduler) runJob(j *Job) {
 	// usually wins this race; this is the fallback, and it upholds the
 	// same invariant — an expired job is never dispatched.
 	if j.ctx.Err() != nil {
-		s.settle(j, StateCancelled, cachedResult{}, s.queuedDeathErr(j), false)
+		s.settle(j, StateCancelled, nil, s.queuedDeathErr(j), false)
 		return
 	}
 
@@ -1119,12 +1095,11 @@ func (s *Scheduler) runJob(j *Job) {
 		s.tel.cache.With("miss").Inc()
 	}
 
-	jobStarted := time.Now()
+	dispatched := time.Now()
 	j.mu.Lock()
 	j.state = StateRunning
-	j.startedAt = jobStarted
 	j.mu.Unlock()
-	s.cfg.Guard.ObserveDispatch(guard.Class(j.spec.Priority), jobStarted.Sub(j.submittedAt), j.queuedAhead)
+	s.cfg.Guard.ObserveDispatch(guard.Class(j.spec.Priority), dispatched.Sub(j.submittedAt), j.queuedAhead)
 	s.mu.Lock()
 	s.running++
 	s.mu.Unlock()
@@ -1152,7 +1127,7 @@ func (s *Scheduler) runJob(j *Job) {
 
 	// Only now — the result cache missed and a worker is committed — is
 	// a lazy cube built, once, for all attempts to share.
-	var res cachedResult
+	var res *core.RunReport
 	var err error
 	c := j.spec.Cube
 	if c == nil {
@@ -1173,24 +1148,32 @@ func (s *Scheduler) runJob(j *Job) {
 		s.cache.put(j.cacheKey, res)
 		s.settle(j, StateCompleted, res, nil, false)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.settle(j, StateCancelled, cachedResult{}, err, false)
+		s.settle(j, StateCancelled, nil, err, false)
 	default:
-		s.settle(j, StateFailed, cachedResult{}, err, false)
+		s.settle(j, StateFailed, nil, err, false)
 	}
 }
 
 // runAttempts drives the job's attempt loop over cube c: the first run,
 // then retries of retryable failures — after capped, jittered backoff —
 // up to the spec's budget.
-func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (cachedResult, error) {
+func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (*core.RunReport, error) {
 	maxAttempts := j.spec.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
 	for attempt := 1; ; attempt++ {
-		started := time.Now()
 		if !j.spec.NoJournal {
 			s.appendStory(j, Record{Type: recStarted, Job: j.id, Attempt: attempt})
+		}
+		// An attempt starts once its started record is durable: the fsync
+		// is the journal's cost, not the run's. The job starts with its
+		// first attempt.
+		started := time.Now()
+		if attempt == 1 {
+			j.mu.Lock()
+			j.startedAt = started
+			j.mu.Unlock()
 		}
 		res, err := s.execute(j, c, attempt)
 		rec := AttemptRecord{
@@ -1199,14 +1182,12 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (cachedResult, error) {
 			Finished: time.Now(),
 		}
 		if err == nil {
-			if res.report != nil {
-				rec.VirtualSeconds = res.report.WallTime
-			}
+			rec.VirtualSeconds = res.WallTime
 			j.recordAttempt(rec)
 			return res, nil
 		}
 		rec.Error = err.Error()
-		rec.Retryable = Retryable(err)
+		rec.Retryable = mpi.IsRetryable(err)
 		if !rec.Retryable || attempt >= maxAttempts {
 			j.recordAttempt(rec)
 			return res, err
@@ -1225,9 +1206,7 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (cachedResult, error) {
 // The attempt number is threaded to the fault plan through
 // Params.FaultAttempt, so an injected crash pinned to attempt 1 spares
 // the retry — the transient-failure model.
-func (s *Scheduler) execute(j *Job, c *cube.Cube, attempt int) (cachedResult, error) {
-	var res cachedResult
-	var err error
+func (s *Scheduler) execute(j *Job, c *cube.Cube, attempt int) (*core.RunReport, error) {
 	spec := &j.spec
 	params := spec.Params
 	params.FaultAttempt = attempt
@@ -1241,18 +1220,10 @@ func (s *Scheduler) execute(j *Job, c *cube.Cube, attempt int) (cachedResult, er
 	if spec.Balance {
 		ctx = core.WithBalance(ctx, balance.DefaultPolicy())
 	}
-	switch spec.Mode {
-	case ModeAdaptive:
-		res.adaptive, err = core.RunAdaptiveContext(ctx, spec.Network, c, params)
-		if res.adaptive != nil {
-			res.report = &res.adaptive.RunReport
-		}
-	case ModeSequential:
-		res.report, err = core.RunSequentialContext(ctx, spec.CycleTime, spec.Algorithm, c, params)
-	default: // ModeRun
-		res.report, err = core.RunContext(ctx, spec.Network, spec.Algorithm, spec.Variant, c, params)
+	if spec.Mode == ModeSequential {
+		return core.RunSequentialContext(ctx, spec.CycleTime, spec.Algorithm, c, params)
 	}
-	return res, err
+	return core.RunContext(ctx, spec.Network, spec.Algorithm, spec.Variant, c, params)
 }
 
 // backoff computes the capped exponential delay before retry n+1 (after
@@ -1284,12 +1255,13 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // settle is the one path by which a job reaches a final state, called
 // exactly once per job (callers hold the token: queue membership or worker
-// ownership). The order is the contract: guard feedback, counters and
-// ledger history all land BEFORE the terminal state and Done() become
-// visible, so a waiter that resubmits, reads Stats or lists Jobs the
-// moment the job settles finds all three already caught up. Only the
-// latency histogram and the finished journal record come after.
-func (s *Scheduler) settle(j *Job, state State, res cachedResult, err error, fromCache bool) {
+// ownership). The order is the contract: guard feedback, counters (the
+// latency histogram included) and ledger history all land BEFORE the
+// terminal state and Done() become visible, so a waiter that resubmits,
+// reads Stats or /metrics, or lists Jobs the moment the job settles finds
+// all of them already caught up. Only the finished journal record comes
+// after.
+func (s *Scheduler) settle(j *Job, state State, res *core.RunReport, err error, fromCache bool) {
 	finishedAt := time.Now()
 	latency := finishedAt.Sub(j.submittedAt)
 
@@ -1317,9 +1289,10 @@ func (s *Scheduler) settle(j *Job, state State, res cachedResult, err error, fro
 	}
 
 	s.tel.finished.With(string(state)).Inc()
-	if state == StateCompleted && res.report != nil && !fromCache {
-		s.tel.virtualSeconds.Add(res.report.WallTime)
+	if state == StateCompleted && res != nil && !fromCache {
+		s.tel.virtualSeconds.Add(res.WallTime)
 	}
+	s.tel.latency.With(j.spec.Priority.String()).Observe(latency.Seconds())
 
 	s.mu.Lock()
 	s.jobs.Retire(j.id)
@@ -1327,8 +1300,7 @@ func (s *Scheduler) settle(j *Job, state State, res cachedResult, err error, fro
 
 	j.mu.Lock()
 	j.state = state
-	j.report = res.report
-	j.adaptive = res.adaptive
+	j.report = res
 	j.err = err
 	j.fromCache = fromCache
 	j.finishedAt = finishedAt
@@ -1338,8 +1310,6 @@ func (s *Scheduler) settle(j *Job, state State, res cachedResult, err error, fro
 	j.mu.Unlock()
 	j.cancel() // release the context's timer resources
 	close(j.done)
-
-	s.tel.latency.With(j.spec.Priority.String()).Observe(latency.Seconds())
 
 	// The one deliberate exception to "done means durable": the finished
 	// record is appended AFTER the ack above (DESIGN.md "Durability &
@@ -1353,8 +1323,7 @@ func (s *Scheduler) settle(j *Job, state State, res cachedResult, err error, fro
 			rec.Error = err.Error()
 		}
 		if state == StateCompleted {
-			rec.Report = marshalReport(res.report)
-			rec.Adaptive = marshalAdaptive(res.adaptive)
+			rec.Report = marshalReport(res)
 		}
 		s.appendStory(j, rec)
 	}

@@ -1,13 +1,19 @@
 package sched
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/algo"
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/scene"
@@ -188,9 +194,8 @@ func TestPriorityOrderingUnderContention(t *testing.T) {
 	// though all batch jobs were submitted first.
 	for _, ij := range interactive {
 		for _, bj := range batch {
-			if !ij.startedAtTime().Before(bj.startedAtTime()) {
-				t.Fatalf("interactive %s started %v, after batch %s at %v",
-					ij.ID(), ij.startedAtTime(), bj.ID(), bj.startedAtTime())
+			if is, bs := ij.Status().Started, bj.Status().Started; !is.Before(bs) {
+				t.Fatalf("interactive %s started %v, after batch %s at %v", ij.ID(), is, bj.ID(), bs)
 			}
 		}
 	}
@@ -446,28 +451,176 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	}
 }
 
-func TestAdaptiveMode(t *testing.T) {
+// The Adaptive variant is a plain ModeRun job whose trace rides its one
+// report through every layer: the live job, the journal's finished record
+// (which holds that report once) and a job restored from the journal,
+// whose result re-seeds the cache.
+func TestAdaptiveVariant(t *testing.T) {
 	tiny, _ := testScenes(t)
-	s := New(Config{Workers: 1, QueueDepth: 4})
-	defer s.Close()
-	j, err := s.Submit(context.Background(), JobSpec{
-		Mode:    ModeAdaptive,
-		Network: platform.FullyHeterogeneous(),
-		Cube:    tiny.Cube,
-		Params:  core.Params{Targets: 4},
+	dir := t.TempDir()
+	jl, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, QueueDepth: 4, Journal: jl})
+	spec := JobSpec{
+		Algorithm:  core.ATDCA,
+		Variant:    core.Adaptive,
+		Network:    platform.FullyHeterogeneous(),
+		Cube:       tiny.Cube,
+		CubeDigest: CubeDigest(tiny.Cube),
+		Params:     core.Params{Targets: 4},
+	}
+	j, err := s.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if j.State() != StateCompleted {
+		t.Fatalf("state = %s, want completed (err=%v)", j.State(), j.Err())
+	}
+	trace := j.Report().Adaptive
+	if trace == nil || len(trace.Imbalance) != spec.Params.Targets {
+		t.Fatalf("adaptive job trace = %+v, want one imbalance entry per detection round", trace)
+	}
+	if st := j.Status(); st.Mode != ModeRun || st.Algorithm != "ATDCA" || st.Variant != "Adaptive" {
+		t.Fatalf("status reads mode %s, %s/%s; want run, ATDCA/Adaptive", st.Mode, st.Algorithm, st.Variant)
+	}
+	s.Close()
+	jl.Close()
+
+	b, err := os.ReadFile(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(b, []byte(`"WallTime"`)); n != 1 {
+		t.Fatalf("journal holds %d run reports, want the finished record's one", n)
+	}
+	jobs, err := replayJobs(dir)
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("replayed %d jobs (err %v), want 1", len(jobs), err)
+	}
+	s2 := New(Config{Workers: 1})
+	defer s2.Close()
+	restored, err := s2.RestoreFinished(jobs[0], spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Report().Adaptive; !reflect.DeepEqual(got, trace) {
+		t.Fatalf("restored trace = %+v, want the live %+v", got, trace)
+	}
+	rerun, err := s2.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-rerun.Done()
+	if !rerun.FromCache() || !reflect.DeepEqual(rerun.Report().Adaptive, trace) {
+		t.Fatalf("resubmission: from cache %v, trace %+v; want a cache hit with the live trace", rerun.FromCache(), rerun.Report().Adaptive)
+	}
+}
+
+// A finished record written before the trace moved onto the report carries
+// the report twice, once under a legacy "adaptive" key. It still restores
+// as a completed job with its report.
+func TestRestoreLegacyAdaptiveRecord(t *testing.T) {
+	rep := core.RunReport{Algorithm: core.ATDCA, Variant: core.Adaptive, Network: "fully-het", WallTime: 2.5, Attempts: 1}
+	trace := &algo.AdaptiveTrace{Imbalance: []float64{3.1, 1.1}, Rebalanced: []bool{true, false}, MovedRows: []int{9, 0}}
+	legacy, err := json.Marshal(struct {
+		core.RunReport
+		Trace *algo.AdaptiveTrace
+	}{rep, trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished, err := json.Marshal(map[string]any{
+		"v": recordVersion, "type": recFinished, "job": "job-4", "time": time.Now().UTC(),
+		"state": string(StateCompleted), "report": json.RawMessage(marshalReport(&rep)),
+		"adaptive": json.RawMessage(legacy),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Wait(context.Background(), j.ID()); err != nil {
+	dir := t.TempDir()
+	jl, err := OpenJournal(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if j.State() != StateCompleted {
-		t.Fatalf("state = %s, want completed (err=%v)", j.State(), j.Err())
+	jl.Append(Record{Type: recSubmitted, Job: "job-4", Request: json.RawMessage(`{"mode":"adaptive"}`)})
+	jl.Close()
+	appendRaw(t, dir, finished)
+
+	jobs, err := replayJobs(dir)
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("replayed %d jobs (err %v), want 1", len(jobs), err)
 	}
-	if j.AdaptiveReport() == nil || j.AdaptiveReport().Trace == nil {
-		t.Fatal("adaptive job has no convergence trace")
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	j, err := s.RestoreFinished(jobs[0], JobSpec{Algorithm: core.ATDCA, Variant: core.Adaptive})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if j.State() != StateCompleted || j.Report() == nil || !reflect.DeepEqual(*j.Report(), rep) {
+		t.Fatalf("legacy record restored as %s with report %+v, want completed with %+v", j.State(), j.Report(), rep)
+	}
+}
+
+// Submit asks core which algorithms a variant runs: Adaptive with anything
+// but ATDCA is refused at admission, not on a worker.
+func TestSubmitRefusesAdaptiveWithoutATDCA(t *testing.T) {
+	tiny, _ := testScenes(t)
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	_, err := s.Submit(context.Background(), JobSpec{
+		Algorithm: core.PCT,
+		Variant:   core.Adaptive,
+		Network:   platform.FullyHeterogeneous(),
+		Cube:      tiny.Cube,
+	})
+	if err == nil || !strings.Contains(err.Error(), "ATDCA only") {
+		t.Fatalf("Submit(PCT/Adaptive) = %v, want the ATDCA-only refusal", err)
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Fatalf("refused spec counted as submitted: %+v", st)
+	}
+}
+
+// A journaled job starts running once its first started record is durable:
+// the fsync is queueing, not run time.
+func TestStartedFollowsStartedRecord(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, Journal: jl})
+	j, err := s.Submit(context.Background(), tinySpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	s.Close()
+	jl.Close()
+	started := j.Status().Started
+	if a := j.Attempts(); len(a) != 1 || !a[0].Started.Equal(started) {
+		t.Fatalf("attempts %+v, want one that starts with the job at %v", a, started)
+	}
+	b, err := os.ReadFile(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := decodeJournal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Type == recStarted && rec.Job == j.ID() {
+			if started.Before(rec.Time) {
+				t.Fatalf("job started at %v, before its started record at %v", started, rec.Time)
+			}
+			return
+		}
+	}
+	t.Fatalf("no started record for %s in %d records", j.ID(), len(recs))
 }
 
 func TestWaitRespectsContext(t *testing.T) {

@@ -128,17 +128,17 @@ type JobPlan struct {
 	WorkScale float64
 	Priority  sched.Priority
 	// Checkpoint opts into round-boundary snapshots (ModeRun only; the
-	// adaptive runner ignores checkpointers).
+	// Adaptive variant ignores checkpointers).
 	Checkpoint bool
-	// Balance schedules the job's parallel phases demand-driven (ModeRun
-	// only). Outputs stay identical to the static schedule, so every
+	// Balance schedules the job's parallel phases demand-driven (ModeRun,
+	// not Adaptive). Outputs stay identical to the static schedule, so every
 	// determinism invariant applies unchanged; only the timings and the
 	// report's balance accounting differ.
 	Balance bool
 	NoCache bool
 	// MaxAttempts is the scheduler retry budget (0 means 1).
 	MaxAttempts int
-	// Recovery enables degraded-mode recovery (ModeRun only).
+	// Recovery enables degraded-mode recovery (ModeRun, not Adaptive).
 	Recovery bool
 	Faults   *fault.Plan
 	// DuplicateOf names an earlier plan this one clones (same work,
@@ -328,12 +328,16 @@ func randJob(r *rng, label string) JobPlan {
 		Scene:   randScene(r),
 		Targets: r.rangeInt(4, 8),
 	}
+	// Each seed keeps its stream: an adaptive plan still draws (and
+	// ignores) the Hetero/Homo coin and skips the static runs' draws.
+	adaptive := false
 	switch {
 	case r.chance(0.12):
 		p.Mode = sched.ModeSequential
 		p.Algorithm = pick(r, algorithms)
 	case r.chance(0.14):
-		p.Mode = sched.ModeAdaptive
+		adaptive = true
+		p.Mode, p.Algorithm = sched.ModeRun, core.ATDCA
 		p.Network = pick(r, networkNames)
 	default:
 		p.Mode = sched.ModeRun
@@ -345,6 +349,9 @@ func randJob(r *rng, label string) JobPlan {
 		if r.chance(0.3) {
 			p.Variant = core.Homo
 		}
+		if adaptive {
+			p.Variant = core.Adaptive
+		}
 	}
 	if r.chance(0.25) {
 		p.WorkScale = 1 + r.float()*4
@@ -355,15 +362,16 @@ func randJob(r *rng, label string) JobPlan {
 	if r.chance(0.15) {
 		p.NoCache = true
 	}
-	if p.Mode == sched.ModeRun && r.chance(0.35) {
+	static := p.Mode == sched.ModeRun && !adaptive
+	if static && r.chance(0.35) {
 		p.Checkpoint = true
 	}
-	if p.Mode == sched.ModeRun && r.chance(0.3) {
+	if static && r.chance(0.3) {
 		p.Balance = true
 	}
 
-	switch p.Mode {
-	case sched.ModeRun:
+	switch {
+	case static:
 		if r.chance(0.45) {
 			roll := r.float()
 			switch {
@@ -420,7 +428,7 @@ func randJob(r *rng, label string) JobPlan {
 				p.Faults = plan
 			}
 		}
-	case sched.ModeAdaptive:
+	case adaptive:
 		if r.chance(0.25) {
 			p.Faults = transientCrash(r)
 			p.MaxAttempts = r.rangeInt(2, 3)
@@ -485,7 +493,7 @@ func randCrash(r *rng, s *Scenario) CrashPoint {
 	}
 	var ckpt []string
 	for _, j := range s.Jobs {
-		if j.Checkpoint && j.Mode == sched.ModeRun {
+		if j.Checkpoint {
 			ckpt = append(ckpt, j.Label)
 		}
 	}

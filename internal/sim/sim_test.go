@@ -244,8 +244,8 @@ func TestSeedsDrawOverload(t *testing.T) {
 }
 
 // TestSeedsDrawBalance asserts the generator actually emits
-// balance-enabled jobs — and only on ModeRun plans, the one mode whose
-// runner consumes the policy.
+// balance-enabled jobs — and only on static ModeRun plans, the one
+// schedule that consumes the policy.
 func TestSeedsDrawBalance(t *testing.T) {
 	drawn := 0
 	for seed := uint64(1); seed <= 100; seed++ {
@@ -254,8 +254,8 @@ func TestSeedsDrawBalance(t *testing.T) {
 				continue
 			}
 			drawn++
-			if j.Mode != sched.ModeRun {
-				t.Errorf("seed %d: balanced job %s has mode %s", seed, j.Label, j.Mode)
+			if j.Mode != sched.ModeRun || j.Variant == core.Adaptive {
+				t.Errorf("seed %d: balanced job %s is %s/%s", seed, j.Label, j.Mode, j.Variant)
 			}
 		}
 	}
