@@ -640,10 +640,27 @@ func BenchmarkKernelMEI(b *testing.B) {
 		b.Fatal(err)
 	}
 	se := morph.Square(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		morph.MEI(part, se, 2)
+	b.Run("imax2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			morph.MEI(part, se, 2)
+		}
+	})
+	// What one of 16 ranks runs in bench's table5-compute at the paper's
+	// imax = 5: 6 owned lines of the 96x64x64 seed-1 scene, with the
+	// 5-line halo on either side.
+	t5, err := scene.Generate(scene.Config{Lines: 96, Samples: 64, Bands: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
 	}
+	view, err := t5.Cube.Rows(43, 59)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("imax5-rank", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			morph.MEIRange(view, se, 5, 5, 11)
+		}
+	})
 }
 
 func BenchmarkKernelCovariance(b *testing.B) {

@@ -3,7 +3,6 @@ package morph
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/cube"
@@ -195,97 +194,6 @@ func TestMEIDoesNotMutateInput(t *testing.T) {
 		if c.Data[i] != before.Data[i] {
 			t.Fatal("MEI mutated its input")
 		}
-	}
-}
-
-func TestTopK(t *testing.T) {
-	scores := []float64{0.1, 0.9, 0.5, 0.9, 0.2}
-	got := TopK(scores, 3)
-	want := []int{1, 3, 2} // ties broken by lower index
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TopK = %v, want %v", got, want)
-		}
-	}
-	if len(TopK(scores, 0)) != 0 {
-		t.Error("TopK(0) not empty")
-	}
-	if len(TopK(scores, 99)) != len(scores) {
-		t.Error("TopK clamp failed")
-	}
-	if TopK(scores, -1) != nil {
-		t.Error("TopK negative k not nil")
-	}
-}
-
-func TestTopKDecreasing(t *testing.T) {
-	scores := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	got := TopK(scores, len(scores))
-	for i := 1; i < len(got); i++ {
-		if scores[got[i]] > scores[got[i-1]] {
-			t.Fatalf("TopK not decreasing: %v", got)
-		}
-	}
-}
-
-// topKReference is the quadratic selection the heap replaced: stable
-// sort by decreasing score with lower indices winning ties. The heap
-// must reproduce it exactly — same indices, same order.
-func topKReference(scores []float64, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	if k > len(scores) {
-		k = len(scores)
-	}
-	order := make([]int, len(scores))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := scores[order[a]], scores[order[b]]
-		if sa != sb {
-			return sa > sb
-		}
-		return order[a] < order[b]
-	})
-	return order[:k:k]
-}
-
-func TestTopKMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(200)
-		scores := make([]float64, n)
-		for i := range scores {
-			// A small value alphabet forces heavy score ties, the case
-			// where the index tie-break actually carries the ordering.
-			scores[i] = float64(rng.Intn(8)) / 4
-		}
-		k := rng.Intn(n + 2)
-		got, want := TopK(scores, k), topKReference(scores, k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (n=%d k=%d): len %d, want %d", trial, n, k, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (n=%d k=%d): TopK=%v want %v (scores %v)", trial, n, k, got, want, scores)
-			}
-		}
-	}
-}
-
-func BenchmarkTopK(b *testing.B) {
-	// MorphSequential's shape: all pixels scored, 6*classes survivors.
-	const n, k = 1 << 16, 42
-	rng := rand.New(rand.NewSource(3))
-	scores := make([]float64, n)
-	for i := range scores {
-		scores[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TopK(scores, k)
 	}
 }
 

@@ -52,6 +52,31 @@ func Dot4(x, a, b, c, d []float32) (nx, da, db, dc, dd float64) {
 	return
 }
 
+// DotPairs returns the dot products a[i]·b[i] of four pairs that share no
+// operand, each accumulated band by band exactly as SAD accumulates it.
+// It loads eight vectors where Dot4 loads five, so a pixel whose pairs
+// are all new still goes through Dot4; DotPairs serves pairs scattered
+// over the image. Callers with fewer than four pairs repeat one in the
+// spare slots and ignore its result.
+func DotPairs(a, b [4][]float32) [4]float64 {
+	n := len(a[0])
+	for i := range a {
+		if len(a[i]) != n || len(b[i]) != n {
+			panic("spectral: DotPairs length mismatch")
+		}
+	}
+	a0, a1, a2, a3 := a[0][:n], a[1][:n], a[2][:n], a[3][:n]
+	b0, b1, b2, b3 := b[0][:n], b[1][:n], b[2][:n], b[3][:n]
+	var d0, d1, d2, d3 float64
+	for i := range a0 {
+		d0 += float64(a0[i]) * float64(b0[i])
+		d1 += float64(a1[i]) * float64(b1[i])
+		d2 += float64(a2[i]) * float64(b2[i])
+		d3 += float64(a3[i]) * float64(b3[i])
+	}
+	return [4]float64{d0, d1, d2, d3}
+}
+
 // cosSlack is how far a cosine must sit from a decision boundary before
 // the decision is taken without the arccosine. |acos'| >= 1 on [-1, 1],
 // so cosines 1e-12 apart have angles at least 1e-12 apart, four orders

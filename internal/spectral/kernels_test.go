@@ -118,22 +118,40 @@ func TestDotKernelsAccumulateAsSAD(t *testing.T) {
 				t.Fatalf("bands %d slot %d: SAD(b,a) %v, SAD(a,b) %v", bands, k, got, want)
 			}
 		}
+		// DotPairs: four unrelated pairs, zero, NaN and ±Inf pixels among
+		// them and one vector against itself, each lane against Dot.
+		a, b := [4][]float32(hardSet(rng, x, 4)), [4][]float32(hardSet(rng, randVec(rng, bands), 4))
+		b[3] = a[3]
+		for k, d := range DotPairs(a, b) {
+			if want := Dot(a[k], b[k]); !sameBits(d, want) && !(math.IsNaN(d) && math.IsNaN(want)) {
+				t.Fatalf("bands %d slot %d: DotPairs %v, Dot %v", bands, k, d, want)
+			}
+		}
 	}
 }
 
 func TestDot4LengthMismatchPanics(t *testing.T) {
 	v := []float32{1, 2, 3}
-	for slot := 0; slot < 4; slot++ {
-		ops := [4][]float32{v, v, v, v}
-		ops[slot] = []float32{1, 2}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("short operand in slot %d did not panic", slot)
-				}
+	for _, kernel := range []struct {
+		name  string
+		slots int
+		call  func(ops [8][]float32)
+	}{
+		{"Dot4", 4, func(o [8][]float32) { Dot4(v, o[0], o[1], o[2], o[3]) }},
+		{"DotPairs", 8, func(o [8][]float32) { DotPairs([4][]float32(o[:4]), [4][]float32(o[4:])) }},
+	} {
+		for slot := 0; slot < kernel.slots; slot++ {
+			ops := [8][]float32{v, v, v, v, v, v, v, v}
+			ops[slot] = []float32{1, 2}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: short operand in slot %d did not panic", kernel.name, slot)
+					}
+				}()
+				kernel.call(ops)
 			}()
-			Dot4(v, ops[0], ops[1], ops[2], ops[3])
-		}()
+		}
 	}
 }
 
