@@ -10,15 +10,6 @@ import (
 	hyperhet "repro"
 )
 
-// faultJob is a run-mode submission whose injected crash exhausts its
-// single attempt: it settles failed with a rank-death error, which is
-// exactly what feeds the backend circuit breaker.
-const faultJob = `{
-	"algorithm": "atdca", "mode": "run", "network": "fully-het", "targets": 4,
-	"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3},
-	"faults": {"crashes": [{"rank": 2, "at": 0.0001, "attempt": 1}], "max_attempts": 1}
-}`
-
 // retryAfterSeconds parses the Retry-After header, failing the test when
 // it is absent or not a positive integer-second count.
 func retryAfterSeconds(t *testing.T, resp *http.Response) int {
@@ -43,8 +34,7 @@ func TestSubmitShed429RetryAfter(t *testing.T) {
 		Workers: 1, CacheEntries: -1,
 		RetryBaseDelay: 2 * time.Second, RetryMaxDelay: 2 * time.Second,
 		Guard: hyperhet.NewGuard(hyperhet.GuardConfig{
-			Limiter:        hyperhet.GuardLimiterConfig{Initial: 1, Min: 1, Max: 1},
-			DisableBreaker: true,
+			Limiter: hyperhet.GuardLimiterConfig{Initial: 1, Min: 1, Max: 1},
 		}),
 	})
 	const blocker = `{
@@ -76,58 +66,29 @@ func TestSubmitShed429RetryAfter(t *testing.T) {
 	}
 }
 
-// A tripped backend circuit breaker turns identical submissions into
-// 503s with Retry-After, flips /readyz to "breaker-open", and surfaces
-// in the /stats guard block. A clean job on a different backend profile
-// is admitted throughout.
-func TestSubmitBreakerOpen503(t *testing.T) {
-	const pinned = 1024
-	ts := testServer(t, hyperhet.SchedulerConfig{
-		Guard: hyperhet.NewGuard(hyperhet.GuardConfig{
-			Limiter: hyperhet.GuardLimiterConfig{Initial: pinned, Min: pinned, Max: pinned},
-			Breaker: hyperhet.GuardBreakerConfig{Threshold: 1, Cooldown: time.Minute},
-		}),
-	})
-
-	resp, doc := postJSON(t, ts.URL+"/submit", faultJob)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("fault submit = %d %v, want 202", resp.StatusCode, doc)
-	}
-	id, _ := doc["id"].(string)
-	job := waitSettled(t, ts.URL, id)
-	if job["state"] != "failed" {
-		t.Fatalf("fault job settled as %v, want failed", job["state"])
-	}
-
-	resp, doc = postJSON(t, ts.URL+"/submit", faultJob)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit against tripped backend = %d %v, want 503", resp.StatusCode, doc)
-	}
-	retryAfterSeconds(t, resp)
-
-	// Readiness reports the breaker distinctly from draining.
-	resp, doc = getJSON(t, ts.URL+"/readyz")
-	if resp.StatusCode != http.StatusServiceUnavailable || doc["status"] != "breaker-open" {
-		t.Fatalf("readyz = %d %v, want 503 breaker-open", resp.StatusCode, doc)
-	}
-
-	// The guard block names the open breaker.
-	_, stats := getJSON(t, ts.URL+"/stats")
-	guard, ok := stats["guard"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats carries no guard block: %v", stats)
-	}
-	if open, _ := guard["breakers_open"].(float64); open != 1 {
-		t.Fatalf("guard breakers_open = %v, want 1", guard["breakers_open"])
-	}
-	if rejects, _ := stats["breaker_rejects"].(float64); rejects != 1 {
-		t.Fatalf("stats breaker_rejects = %v, want 1", stats["breaker_rejects"])
-	}
-
-	// A clean sequential job has no backend at all, so no breaker ever
-	// applies to it: admitted.
-	resp, doc = postJSON(t, ts.URL+"/submit", tinyJob)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("clean submit while sibling breaker open = %d %v, want 202", resp.StatusCode, doc)
+// Overload control never refuses chaos the client asked for: the same
+// permanent-crash plan submitted again and again to a server built the
+// way -shed builds it is admitted and run every time, settles failed
+// with the rank-failure error every time, and leaves the server ready.
+func TestSubmitRepeatedChaosServed(t *testing.T) {
+	ts := testServer(t, hyperhet.SchedulerConfig{Guard: hyperhet.NewGuard(hyperhet.GuardConfig{})})
+	const chaosJob = `{
+		"algorithm": "atdca", "mode": "run", "network": "fully-het", "targets": 4,
+		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3},
+		"faults": {"crashes": [{"rank": 2, "at": 0.0001, "attempt": -1}], "max_attempts": 1}
+	}`
+	for i := 1; i <= 3; i++ {
+		resp, doc := postJSON(t, ts.URL+"/submit", chaosJob)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("chaos submit %d = %d %v, want 202", i, resp.StatusCode, doc)
+		}
+		job := waitSettled(t, ts.URL, doc["id"].(string))
+		if msg, _ := job["error"].(string); job["state"] != "failed" || !strings.Contains(msg, "rank 2 failed") {
+			t.Fatalf("chaos job %d settled %v with error %q, want failed with the rank-failure error", i, job["state"], msg)
+		}
+		resp, doc = getJSON(t, ts.URL+"/readyz")
+		if resp.StatusCode != http.StatusOK || doc["status"] != "ok" {
+			t.Fatalf("readyz after chaos job %d = %d %v, want 200 ok", i, resp.StatusCode, doc)
+		}
 	}
 }

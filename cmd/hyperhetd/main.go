@@ -6,12 +6,13 @@
 //
 //	hyperhetd [-addr :8080] [-workers N] [-queue N] [-cache N]
 //	          [-retain N] [-timeout D] [-journal DIR] [-drain-timeout D]
+//	          [-shed]
 //
 // Endpoints (JSON unless noted):
 //
 //	POST /submit           submit a job; 202 with {"id": ...} on admission,
-//	                       429 when the bounded queue is full, 503 while
-//	                       draining
+//	                       429 when the bounded queue is full or -shed's
+//	                       overload control sheds it, 503 while draining
 //	GET  /jobs             list jobs; ?state= filters, ?limit= caps
 //	GET  /jobs/{id}        job status, including result summary when done
 //	GET  /jobs/{id}/trace  Chrome trace-event JSON of a traced run (submit
@@ -75,6 +76,13 @@
 // restored, re-running only the rest. SIGTERM drains gracefully:
 // submissions get 503, running work stops without terminal journal
 // records, and the next boot resumes it.
+//
+// With -shed every fresh submission passes overload control, in order:
+// the AIMD adaptive admission limit (batch sheds at three quarters of
+// it), then deadline admission (a job whose estimated queue wait
+// already exceeds its timeout is refused). Either denial is a 429 with
+// Retry-After. A job whose fault plan kills ranks is always run: the
+// same plan fails the same way every time, and that is what it is for.
 package main
 
 import (
@@ -113,7 +121,7 @@ func main() {
 		journal = flag.String("journal", "", "job-journal directory; enables durability and crash/restart resume")
 		drainTO = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 		kernelW = flag.Int("kernel-workers", 0, "host goroutine budget for data-parallel kernels, shared across jobs (0 = GOMAXPROCS)")
-		shed    = flag.Bool("shed", false, "enable overload control: adaptive AIMD admission, deadline-aware shedding (429 + Retry-After) and per-backend circuit breaking (503)")
+		shed    = flag.Bool("shed", false, "enable overload control: adaptive AIMD admission and deadline-aware shedding (429 + Retry-After)")
 		balance = flag.Bool("balance", false, "schedule every job's parallel phases demand-driven by default (per-request \"balance\": true opts single jobs in regardless)")
 	)
 	flag.Parse()
@@ -352,20 +360,13 @@ func (s *server) routes() http.Handler {
 	})
 	// Readiness is distinct from liveness: a draining server is still
 	// alive (health checks pass, status queries answer) but must be
-	// rotated out of load balancing before it exits. The three bodies are
-	// deliberately distinct so probes can tell terminal unreadiness
-	// ("draining" — rotate out for good) from transient unreadiness
-	// ("breaker-open" — a backend circuit breaker is rejecting; the
-	// server recovers once its cooldown probe succeeds).
+	// rotated out of load balancing before it exits.
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case s.draining.Load():
+		if s.draining.Load() {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		case s.sched.GuardState().BreakersOpen > 0:
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "breaker-open"})
-		default:
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			return
 		}
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	if s.enablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -483,13 +484,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// r.Context(), which dies as soon as this handler returns.
 	job, err := s.sched.Submit(context.Background(), spec)
 	switch {
-	// Breaker denials before generic sheds: a ShedError matches both
-	// sentinels, and an open breaker is the backend's problem (503), not
-	// the client's rate (429).
-	case errors.Is(err, hyperhet.ErrBreakerOpen):
-		setRetryAfter(w, err)
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
 	case errors.Is(err, hyperhet.ErrShed), errors.Is(err, hyperhet.ErrQueueFull):
 		setRetryAfter(w, err)
 		writeError(w, http.StatusTooManyRequests, err)
@@ -856,8 +850,8 @@ type statsResponse struct {
 	// SceneCache snapshots the scene cache: resident scenes and bytes, the
 	// digest memo, and the hit/miss/generation counters /metrics exports.
 	SceneCache sceneCacheStats `json:"scene_cache"`
-	// Guard snapshots the overload-control layer (adaptive limit, latency
-	// baseline, open breakers); absent without -shed.
+	// Guard snapshots the overload-control layer (adaptive limit and
+	// latency baseline); absent without -shed.
 	Guard *hyperhet.GuardState `json:"guard,omitempty"`
 	// JournalReplay reports what the boot-time journal replay read and
 	// dropped (records folded, torn tails truncated, unknown schema

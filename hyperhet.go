@@ -320,19 +320,15 @@ var (
 	ErrSchedulerClosed = sched.ErrClosed
 	ErrUnknownJob      = sched.ErrUnknownJob
 	// ErrShed matches submissions denied by the overload-control layer
-	// (adaptive limit, unaffordable deadline, or an open circuit
-	// breaker). Serve it as 429 with a Retry-After header.
+	// (adaptive limit or unaffordable deadline). Serve it as 429 with a
+	// Retry-After header.
 	ErrShed = sched.ErrShed
-	// ErrBreakerOpen matches the breaker subset of ErrShed: the job's
-	// backend, not the client's rate, is the problem. Serve it as 503.
-	ErrBreakerOpen = sched.ErrBreakerOpen
 )
 
 // Overload control: the guard layer between the HTTP front-end and the
 // scheduler. Construct one with NewGuard and pass it through
-// SchedulerConfig.Guard; submissions then flow through per-backend
-// circuit breaking, adaptive AIMD admission (batch sheds first) and
-// deadline-aware rejection.
+// SchedulerConfig.Guard; submissions then flow through adaptive AIMD
+// admission (batch sheds first) and deadline-aware rejection.
 type (
 	// GuardConfig parameterizes NewGuard.
 	GuardConfig = guard.Config
@@ -340,19 +336,16 @@ type (
 	GuardController = guard.Controller
 	// GuardState is a JSON-shaped snapshot of the controller.
 	GuardState = guard.State
-	// GuardBreakerConfig tunes the per-backend circuit breakers.
-	GuardBreakerConfig = guard.BreakerConfig
 	// GuardLimiterConfig tunes the AIMD concurrency limiter.
 	GuardLimiterConfig = guard.LimiterConfig
 	// ShedError is the concrete admission denial carrying the reason and
-	// the suggested client back-off; matches ErrShed (and ErrBreakerOpen
-	// for breaker denials) through errors.Is.
+	// the suggested client back-off; matches ErrShed through errors.Is.
 	ShedError = sched.ShedError
 )
 
 // NewGuard builds an overload controller from cfg. The zero value is the
-// production configuration: limit 16 within [1, 1024], breakers tripping
-// after 3 consecutive backend failures with a 5s cooldown.
+// production configuration: limit 16 within [1, 1024], shrinking at most
+// once a second.
 func NewGuard(cfg GuardConfig) *GuardController { return guard.New(cfg) }
 
 // RetryAfterHint extracts the suggested client back-off from a scheduler

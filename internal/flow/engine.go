@@ -938,7 +938,7 @@ func (p *Pipeline) runStage(st *stage) error {
 // submitJob submits a stage job, absorbing transient queue-full and
 // overload-shed rejects with capped exponential backoff: a wide fan-out
 // must not fail just because it momentarily outruns the scheduler's
-// admission queue or trips the guard's rate/limit shedding. Shed waits
+// admission queue or the guard's limit or deadline shedding. Shed waits
 // start from the guard's own Retry-After hint when it is shorter than
 // the cap — the guard knows when a slot frees better than a blind
 // doubling does.

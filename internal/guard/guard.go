@@ -2,25 +2,22 @@
 // admission-time and dispatch-time defenses that keep a saturated
 // serving stack doing useful work instead of queueing doomed jobs.
 //
-// It bundles three cooperating mechanisms, all pure control logic (no
+// It bundles two cooperating mechanisms, both pure control logic (no
 // scheduler imports, no I/O):
 //
 //   - an AIMD adaptive concurrency limiter (Limiter) that grows the
 //     effective admission limit by one slot per limit's worth of
 //     on-baseline completions and shrinks it multiplicatively when
 //     observed job latency exceeds a moving baseline;
-//   - a per-class queue-wait estimator (WaitEstimator) that prices a
-//     submission's expected time-in-queue, so deadline-carrying jobs
-//     whose timeout is already unaffordable are rejected at the door;
-//   - a per-backend circuit breaker set (BreakerSet) with the classic
-//     closed / open / half-open state machine and probe admissions, so
-//     a configuration that keeps killing ranks fails fast instead of
-//     consuming workers.
+//   - deadline admission: a per-class queue-wait estimator
+//     (WaitEstimator) that prices a submission's expected time-in-queue,
+//     so deadline-carrying jobs whose timeout is already unaffordable
+//     are rejected at the door.
 //
 // Controller composes them behind one Admit/Observe API shaped for
 // package sched. Every decision is reported as a Verdict carrying the
 // deny reason and a Retry-After hint, which the HTTP layer translates
-// to 429 (shed) or 503 (breaker open) responses.
+// to a 429 response.
 package guard
 
 import (
@@ -47,18 +44,12 @@ const (
 	// ReasonDeadline reports the estimated queue wait already exceeded
 	// the submission's timeout: the job would expire unserved.
 	ReasonDeadline Reason = "deadline"
-	// ReasonBreakerOpen reports the submission's backend breaker is open
-	// (or half-open with its probe slot taken).
-	ReasonBreakerOpen Reason = "breaker-open"
 )
 
 // Verdict is one admission decision.
 type Verdict struct {
 	// Allow grants admission.
 	Allow bool
-	// Probe marks an admission granted as a half-open breaker's probe:
-	// the job's outcome decides whether the breaker closes or re-opens.
-	Probe bool
 	// Reason classifies a denial ("" when allowed).
 	Reason Reason
 	// RetryAfter is the suggested client back-off on denial.
@@ -75,6 +66,9 @@ const (
 	// baselineAlpha is the EWMA weight of a fresh on-baseline latency
 	// sample.
 	baselineAlpha = 0.1
+	// limiterCooldown bounds how often the limit may shrink, so one burst
+	// of slow completions costs one decrease, not one per completion.
+	limiterCooldown = time.Second
 )
 
 // LimiterConfig parameterizes the AIMD limiter. Zero values select the
@@ -84,10 +78,6 @@ type LimiterConfig struct {
 	Initial int
 	// Min and Max clamp the adaptive limit (defaults 1 and 1024).
 	Min, Max int
-	// Cooldown bounds how often the limit may shrink, so one burst of
-	// slow completions costs one decrease, not one per completion
-	// (default 1s; tests shorten it).
-	Cooldown time.Duration
 }
 
 func (c LimiterConfig) withDefaults() LimiterConfig {
@@ -109,9 +99,6 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 	if c.Initial > c.Max {
 		c.Initial = c.Max
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Second
-	}
 	return c
 }
 
@@ -123,9 +110,10 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 // so the limit grows by one slot per limit's worth of healthy
 // completions (one "RTT" in TCP terms). Multiplicative decrease: a
 // completion whose latency exceeds baseline*limiterTolerance shrinks the
-// limit by limiterDecrease, at most once per Cooldown. The baseline is an
-// EWMA of on-baseline latencies only, so a slow spell widens the limit's
-// definition of "slow" no faster than baselineAlpha allows.
+// limit by limiterDecrease, at most once per limiterCooldown. The
+// baseline is an EWMA of on-baseline latencies only, so a slow spell
+// widens the limit's definition of "slow" no faster than baselineAlpha
+// allows.
 type Limiter struct {
 	cfg LimiterConfig
 
@@ -177,7 +165,7 @@ func (l *Limiter) observeAt(now time.Time, latency time.Duration, ok bool) {
 	}
 	if sec > l.baseline*limiterTolerance {
 		// Overload signal: multiplicative decrease, rate-limited.
-		if now.Sub(l.lastDec) >= l.cfg.Cooldown {
+		if now.Sub(l.lastDec) >= limiterCooldown {
 			l.limit *= limiterDecrease
 			if l.limit < float64(l.cfg.Min) {
 				l.limit = float64(l.cfg.Min)

@@ -1,7 +1,6 @@
 package guard
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -26,7 +25,7 @@ func TestLimiterDefaults(t *testing.T) {
 		{"batch fraction", classFractions[0], 0.75},
 		{"interactive fraction", classFractions[1], 1.0},
 		{"wait-estimator alpha", waitAlpha, 0.2},
-		{"breaker key cap", maxBreakerKeys, 256},
+		{"limiter cooldown (s)", limiterCooldown.Seconds(), 1},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
@@ -59,7 +58,7 @@ func TestLimiterAdditiveIncrease(t *testing.T) {
 }
 
 func TestLimiterMultiplicativeDecrease(t *testing.T) {
-	l := newLimiter(LimiterConfig{Initial: 10, Cooldown: time.Second})
+	l := newLimiter(LimiterConfig{Initial: 10})
 	now := time.Unix(1000, 0)
 	l.observeAt(now, 100*time.Millisecond, true) // baseline = 0.1s
 	// 3x baseline exceeds the 2.0 tolerance: one decrease.
@@ -116,142 +115,15 @@ func TestWaitEstimator(t *testing.T) {
 	}
 }
 
-func TestBreakerLifecycle(t *testing.T) {
-	s := newBreakerSet(BreakerConfig{Threshold: 3, Cooldown: time.Second})
-	now := time.Unix(0, 0)
-	key := "netA|clean"
-
-	// Closed admits; sub-threshold failures keep it closed.
-	for i := 0; i < 2; i++ {
-		if v := s.allowAt(now, key); !v.Allow {
-			t.Fatalf("closed breaker denied at failure %d", i)
-		}
-		s.recordAt(now, key, false, false)
-	}
-	// A success resets the streak.
-	s.recordAt(now, key, true, false)
-	for i := 0; i < 2; i++ {
-		s.recordAt(now, key, false, false)
-	}
-	if v := s.allowAt(now, key); !v.Allow {
-		t.Fatal("breaker tripped below threshold after reset")
-	}
-	// Third consecutive failure trips it.
-	s.recordAt(now, key, false, false)
-	v := s.allowAt(now, key)
-	if v.Allow {
-		t.Fatal("open breaker admitted")
-	}
-	if v.Reason != ReasonBreakerOpen {
-		t.Fatalf("reason = %q, want breaker-open", v.Reason)
-	}
-	if v.RetryAfter <= 0 || v.RetryAfter > time.Second {
-		t.Fatalf("retry-after = %v, want (0, 1s]", v.RetryAfter)
-	}
-	if got := s.OpenCount(); got != 1 {
-		t.Fatalf("open count = %d, want 1", got)
-	}
-	if got := s.Trips(); got != 1 {
-		t.Fatalf("trips = %d, want 1", got)
-	}
-
-	// Cooldown over: exactly one probe is granted, everyone else denied.
-	later := now.Add(2 * time.Second)
-	v = s.allowAt(later, key)
-	if !v.Allow || !v.Probe {
-		t.Fatalf("post-cooldown verdict = %+v, want probe admission", v)
-	}
-	if v2 := s.allowAt(later, key); v2.Allow {
-		t.Fatal("second caller admitted while probe in flight")
-	}
-	// A non-probe straggler's failure must not settle the half-open state.
-	s.recordAt(later, key, false, false)
-	// Probe success closes the breaker.
-	s.recordAt(later, key, true, true)
-	if v := s.allowAt(later, key); !v.Allow || v.Probe {
-		t.Fatalf("verdict after probe success = %+v, want plain admission", v)
-	}
-
-	// Trip again, probe fails, breaker re-opens.
-	for i := 0; i < 3; i++ {
-		s.recordAt(later, key, false, false)
-	}
-	later2 := later.Add(2 * time.Second)
-	if v := s.allowAt(later2, key); !v.Probe {
-		t.Fatalf("expected probe admission, got %+v", v)
-	}
-	s.recordAt(later2, key, false, true)
-	if v := s.allowAt(later2, key); v.Allow {
-		t.Fatal("breaker admitted right after failed probe")
-	}
-	if got := s.Trips(); got != 3 {
-		t.Fatalf("trips = %d, want 3", got)
-	}
-}
-
-func TestBreakerKeyCap(t *testing.T) {
-	s := newBreakerSet(BreakerConfig{})
-	for i := 0; i < maxBreakerKeys; i++ {
-		if v := s.Allow(fmt.Sprintf("k%d", i)); !v.Allow {
-			t.Fatalf("key %d denied", i)
-		}
-	}
-	// Beyond the cap, unknown keys are admitted untracked: nothing is
-	// evicted to make room for them.
-	if v := s.Allow("over"); !v.Allow {
-		t.Fatal("over-cap key denied")
-	}
-	for i := 0; i < 3; i++ {
-		s.Record("over", false, false)
-	}
-	if v := s.Allow("over"); !v.Allow {
-		t.Fatal("untracked key tripped a breaker")
-	}
-	if len(s.m) != maxBreakerKeys {
-		t.Fatalf("tracked %d keys, want the cap %d", len(s.m), maxBreakerKeys)
-	}
-	// A key tracked before the cap filled still trips.
-	for i := 0; i < 3; i++ {
-		s.Record("k0", false, false)
-	}
-	if v := s.Allow("k0"); v.Allow {
-		t.Fatal("tracked key did not trip after the cap filled")
-	}
-}
-
-func TestBreakerSnapshot(t *testing.T) {
-	s := newBreakerSet(BreakerConfig{Threshold: 2, Cooldown: time.Minute})
-	now := time.Unix(0, 0)
-	if snap := s.snapshotAt(now); len(snap) != 0 {
-		t.Fatalf("healthy snapshot = %v, want empty", snap)
-	}
-	s.allowAt(now, "bad")
-	s.recordAt(now, "bad", false, false)
-	s.recordAt(now, "bad", false, false)
-	s.allowAt(now, "good")
-	s.recordAt(now, "good", true, false)
-	snap := s.snapshotAt(now.Add(time.Second))
-	if len(snap) != 1 || snap[0].Key != "bad" || snap[0].State != BreakerOpen {
-		t.Fatalf("snapshot = %+v, want one open 'bad'", snap)
-	}
-	if snap[0].RetryAfterMS <= 0 {
-		t.Fatalf("open snapshot retry_after_ms = %d, want > 0", snap[0].RetryAfterMS)
-	}
-}
-
 func TestControllerNilSafe(t *testing.T) {
 	var c *Controller
 	if v := c.Admit(Request{Class: 1, InFlight: 1 << 20}); !v.Allow {
 		t.Fatal("nil controller denied")
 	}
 	c.ObserveDispatch(0, time.Second, 1)
-	c.ObserveDone(0, "k", time.Second, time.Second, true, OutcomeBackendOK, false)
-	c.ReleaseProbe("k")
+	c.ObserveDone(0, "", time.Second, time.Second, true, OutcomeNeutral, false)
 	if st := c.State(); st.Limit != 0 {
 		t.Fatalf("nil controller state = %+v, want zero", st)
-	}
-	if c.OpenBreakers() != 0 {
-		t.Fatal("nil controller reports open breakers")
 	}
 }
 
@@ -298,62 +170,5 @@ func TestControllerDeadlineShed(t *testing.T) {
 	}
 	if v := c.Admit(Request{Class: 1, QueuedAhead: 1 << 20}); !v.Allow {
 		t.Fatalf("no-timeout submission deadline-shed: %+v", v)
-	}
-}
-
-func TestControllerBreakerIntegration(t *testing.T) {
-	c := New(Config{Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour}})
-	key := "netB|plan42"
-	for i := 0; i < 2; i++ {
-		if v := c.Admit(Request{Class: 1, BackendKey: key}); !v.Allow {
-			t.Fatalf("pre-trip admit %d denied", i)
-		}
-		c.ObserveDone(1, key, 10*time.Millisecond, 10*time.Millisecond, false, OutcomeBackendFailure, false)
-	}
-	v := c.Admit(Request{Class: 1, BackendKey: key})
-	if v.Allow || v.Reason != ReasonBreakerOpen {
-		t.Fatalf("post-trip verdict = %+v, want breaker-open", v)
-	}
-	if c.OpenBreakers() != 1 {
-		t.Fatalf("open breakers = %d, want 1", c.OpenBreakers())
-	}
-	// A sibling backend is unaffected.
-	if v := c.Admit(Request{Class: 1, BackendKey: "netB|clean"}); !v.Allow {
-		t.Fatalf("sibling backend denied: %+v", v)
-	}
-	st := c.State()
-	if st.BreakersOpen != 1 || st.BreakerTrips != 1 || len(st.Breakers) != 1 {
-		t.Fatalf("state = %+v, want one open breaker with one trip", st)
-	}
-}
-
-func TestControllerProbeBypassesShedding(t *testing.T) {
-	// Limit pinned at 1 and in-flight saturated: a normal submit sheds,
-	// but the half-open probe must still be admitted or the breaker can
-	// never close.
-	c := New(Config{
-		Limiter: LimiterConfig{Initial: 1, Min: 1, Max: 1},
-		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Nanosecond},
-	})
-	key := "netC|plan"
-	if v := c.Admit(Request{Class: 1, BackendKey: key}); !v.Allow {
-		t.Fatal("initial admit denied")
-	}
-	c.ObserveDone(1, key, time.Millisecond, time.Millisecond, false, OutcomeBackendFailure, false)
-	time.Sleep(time.Millisecond) // let the 1ns cooldown lapse
-	v := c.Admit(Request{Class: 1, BackendKey: key, InFlight: 100})
-	if !v.Allow || !v.Probe {
-		t.Fatalf("saturated probe verdict = %+v, want probe admission", v)
-	}
-	// ReleaseProbe frees the slot for a later probe without closing it.
-	c.ReleaseProbe(key)
-	v = c.Admit(Request{Class: 1, BackendKey: key, InFlight: 100})
-	if !v.Allow || !v.Probe {
-		t.Fatalf("verdict after probe release = %+v, want fresh probe", v)
-	}
-	// Probe success closes the breaker; now the limit shed applies again.
-	c.ObserveDone(1, key, time.Millisecond, time.Millisecond, true, OutcomeBackendOK, true)
-	if v := c.Admit(Request{Class: 1, BackendKey: key, InFlight: 100}); v.Allow {
-		t.Fatalf("closed-breaker saturated admit = %+v, want limit shed", v)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // CascadeError) match them under errors.Is, so callers triage failures
 // without string inspection:
 //
-//	errors.Is(err, mpi.ErrRankFailed)  // a rank died (injected fault or panic at a known vtime)
+//	errors.Is(err, mpi.ErrRankFailed)  // a rank died (injected fault at a known vtime)
 //	errors.Is(err, mpi.ErrCascade)     // a surviving rank aborted because another rank failed
 var (
 	// ErrRankFailed classifies the death of a single rank at a known

@@ -83,10 +83,10 @@ func TestInjectedCrashTypedError(t *testing.T) {
 	}
 }
 
-// A rank that never charges after another rank's death aborts through the
-// failed channel and reports a CascadeError; with the origin suppressed
-// (it is the only failure mode left) the cascade classifies under
-// errors.Is(., ErrCascade).
+// A rank that dies makes its survivors abort through the failed channel,
+// yet Run reports the origin, not their cascade: a raw panic origin
+// matches no ErrCascade, and an injected crash origin matches
+// ErrRankFailed and is retryable.
 func TestCascadeTypedError(t *testing.T) {
 	w := NewWorld(faultNet(t, 2))
 	_, err := w.Run(func(c *Comm) any {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -239,6 +240,11 @@ func TestPanicOnOneRankDoesNotDeadlock(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "worker died") {
 		t.Errorf("err = %v, want the originating panic", err)
+	}
+	// A program panic is a bug, not a rank failure: only an injected
+	// fault (package fault) produces the retryable failure classes.
+	if errors.Is(err, ErrRankFailed) || errors.Is(err, ErrCascade) || IsRetryable(err) {
+		t.Errorf("panic err = %v classifies as a rank failure or cascade, or is retryable", err)
 	}
 }
 

@@ -28,12 +28,8 @@ func TestShedErrorSemantics(t *testing.T) {
 	if !errors.Is(se, ErrShed) {
 		t.Fatal("limit shed does not match ErrShed")
 	}
-	if errors.Is(se, ErrBreakerOpen) {
-		t.Fatal("limit shed matches ErrBreakerOpen")
-	}
-	bo := &ShedError{Reason: guard.ReasonBreakerOpen, RetryAfter: time.Second}
-	if !errors.Is(bo, ErrShed) || !errors.Is(bo, ErrBreakerOpen) {
-		t.Fatal("breaker denial must match both ErrShed and ErrBreakerOpen")
+	if errors.Is(se, ErrQueueFull) {
+		t.Fatal("limit shed matches ErrQueueFull")
 	}
 	if d, ok := RetryAfterHint(se); !ok || d != 250*time.Millisecond {
 		t.Fatalf("hint(shed) = %v/%v, want 250ms/true", d, ok)
@@ -205,89 +201,6 @@ func TestGuardOverloadBurstInteractiveDominatesBatch(t *testing.T) {
 	}
 }
 
-// Consecutive backend failures trip the per-(network, fault-profile)
-// breaker: further submissions to that backend fail fast with
-// ErrBreakerOpen while other backends stay admitted; after the cooldown
-// a probe runs, and a healthy outcome closes the breaker.
-func TestGuardBreakerTripProbeRecover(t *testing.T) {
-	s := New(Config{
-		Workers:        1,
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  4 * time.Millisecond,
-		Guard: guard.New(guard.Config{
-			Breaker: guard.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond},
-		}),
-	})
-	defer s.Close()
-
-	// Two crashing jobs on one backend trip its breaker: the crash is
-	// pinned to attempt 1 and the budget is 1 attempt, so each fails.
-	// The later probe uses the IDENTICAL fault plan (same fingerprint,
-	// same breaker key) with a budget of 2, so it survives the crash.
-	for i := 0; i < 2; i++ {
-		j, err := s.Submit(context.Background(), faultSpec(t, 1, 1))
-		if err != nil {
-			t.Fatalf("pre-trip submit %d: %v", i, err)
-		}
-		if _, err := s.Wait(context.Background(), j.ID()); err != nil {
-			t.Fatal(err)
-		}
-		if j.State() != StateFailed {
-			t.Fatalf("fault job %d settled as %s", i, j.State())
-		}
-	}
-
-	// The tripped backend fails fast...
-	_, err := s.Submit(context.Background(), faultSpec(t, 1, 1))
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("post-trip submit error = %v, want ErrBreakerOpen", err)
-	}
-	if d, ok := RetryAfterHint(err); !ok || d <= 0 {
-		t.Fatalf("breaker denial hint = %v/%v, want positive", d, ok)
-	}
-	// ...while backend-less jobs and the same network without the fault
-	// plan are unaffected.
-	for _, spec := range []JobSpec{tinySpec(t), faultSpec(t, 99, 1)} {
-		j, err := s.Submit(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("sibling submit rejected: %v", err)
-		}
-		if _, err := s.Wait(context.Background(), j.ID()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gs := s.GuardState()
-	if gs.BreakersOpen != 1 || gs.BreakerTrips != 1 {
-		t.Fatalf("guard state = %+v, want one open breaker with one trip", gs)
-	}
-	st := s.Stats()
-	if st.BreakerRejects != 1 || st.Shed != 0 {
-		t.Fatalf("stats = breakerRejects %d shed %d, want 1/0", st.BreakerRejects, st.Shed)
-	}
-
-	// Past the cooldown the next submission is the probe. The same fault
-	// fingerprint with a retry budget crashes on attempt 1 and completes
-	// on attempt 2: a healthy probe that closes the breaker.
-	time.Sleep(80 * time.Millisecond)
-	probe, err := s.Submit(context.Background(), faultSpec(t, 1, 2))
-	if err != nil {
-		t.Fatalf("probe submit rejected: %v", err)
-	}
-	if _, err := s.Wait(context.Background(), probe.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if probe.State() != StateCompleted {
-		t.Fatalf("probe settled as %s (err %v)", probe.State(), probe.Err())
-	}
-	if gs := s.GuardState(); gs.BreakersOpen != 0 {
-		t.Fatalf("breaker still open after healthy probe: %+v", gs)
-	}
-	// Closed again: the backend admits normally.
-	if _, err := s.Submit(context.Background(), faultSpec(t, 1, 2)); err != nil {
-		t.Fatalf("post-recovery submit rejected: %v", err)
-	}
-}
-
 // The job document carries queue_ms and deadline_remaining_ms so expiry
 // and shed decisions are auditable after the fact.
 func TestJobStatusQueueAndDeadlineFields(t *testing.T) {
@@ -348,9 +261,8 @@ func TestJobStatusQueueAndDeadlineFields(t *testing.T) {
 	}
 }
 
-// TestGuardStressScheduler hammers a fully-armed guard (tight limiter,
-// fast breaker) through the scheduler from
-// many goroutines mixing clean jobs, breaker-tripping fault jobs,
+// TestGuardStressScheduler hammers a tight guard through the scheduler
+// from many goroutines mixing clean jobs, permanent-crash fault jobs,
 // deadline-doomed jobs and explicit cancellations. The CI -race step
 // runs it with GOMAXPROCS=8; here it asserts the ledger invariants:
 // every admission settles, counters balance, and no expired job ever
@@ -362,8 +274,7 @@ func TestGuardStressScheduler(t *testing.T) {
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  4 * time.Millisecond,
 		Guard: guard.New(guard.Config{
-			Limiter: guard.LimiterConfig{Initial: 16, Min: 4, Max: 64, Cooldown: time.Millisecond},
-			Breaker: guard.BreakerConfig{Threshold: 2, Cooldown: 5 * time.Millisecond},
+			Limiter: guard.LimiterConfig{Initial: 16, Min: 4, Max: 64},
 		}),
 	})
 	defer s.Close()
@@ -384,7 +295,7 @@ func TestGuardStressScheduler(t *testing.T) {
 				case 0: // clean batch work
 					spec = tinySpec(t)
 					spec.NoCache = true
-				case 1: // breaker-tripping backend
+				case 1: // permanent crash: settles failed
 					spec = faultSpec(t, -1, 1)
 				case 2: // doomed deadline: expires behind the queue
 					spec = tinySpec(t)
@@ -446,6 +357,6 @@ func TestGuardStressScheduler(t *testing.T) {
 	if st.Expired > st.Cancelled {
 		t.Fatalf("expired %d > cancelled %d", st.Expired, st.Cancelled)
 	}
-	t.Logf("admitted=%d rejected=%d shed=%d breaker=%d expired=%d trips=%d",
-		st.Submitted, st.Rejected, st.Shed, st.BreakerRejects, st.Expired, s.GuardState().BreakerTrips)
+	t.Logf("admitted=%d rejected=%d shed=%d expired=%d",
+		st.Submitted, st.Rejected, st.Shed, st.Expired)
 }

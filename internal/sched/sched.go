@@ -277,13 +277,10 @@ type Job struct {
 	seed *checkpoint.Snapshot
 	ckpt checkpoint.Checkpointer
 
-	// Guard bookkeeping, set once at admission: the circuit-breaker key,
-	// whether this admission is a half-open breaker's probe, the queue
-	// population ahead of the job when it was admitted (the wait
-	// estimator's teaching signal), and the wall-clock deadline (zero
-	// when the job has none).
-	backendKey  string
-	probe       bool
+	// Guard bookkeeping, set once at admission: the queue population
+	// ahead of the job when it was admitted (the wait estimator's
+	// teaching signal), and the wall-clock deadline (zero when the job
+	// has none).
 	queuedAhead int
 	deadline    time.Time
 
@@ -489,9 +486,9 @@ type Config struct {
 	// RetryMaxDelay caps the exponential backoff (default 2s).
 	RetryMaxDelay time.Duration
 	// Guard, when non-nil, is the overload-control layer: every fresh
-	// submission passes its admission pipeline (per-backend circuit
-	// breaking, adaptive AIMD limit with batch-first shedding,
-	// deadline-aware rejection) and denials surface as *ShedError.
+	// submission passes its admission pipeline (adaptive AIMD limit with
+	// batch-first shedding, then deadline-aware rejection) and denials
+	// surface as *ShedError.
 	// Journal-resumed jobs bypass admission — they were admitted by a
 	// previous process.
 	Guard *guard.Controller
@@ -558,11 +555,9 @@ type Stats struct {
 	Retries   uint64 `json:"retries"`
 	CacheHits uint64 `json:"cache_hits"`
 	CacheMiss uint64 `json:"cache_misses"`
-	// Overload-control counters (all zero when Config.Guard is nil).
-	// Shed and BreakerRejects partition the guard's share of Rejected:
-	// Rejected == queue-full/closed rejections + Shed + BreakerRejects.
-	Shed           uint64 `json:"shed"`
-	BreakerRejects uint64 `json:"breaker_rejects"`
+	// Shed is the guard's share of Rejected (zero when Config.Guard is
+	// nil): Rejected == queue-full/closed rejections + Shed.
+	Shed uint64 `json:"shed"`
 	// Expired counts queued jobs settled because their deadline passed
 	// before dispatch — dead work never handed to a worker.
 	Expired uint64 `json:"expired"`
@@ -702,15 +697,11 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 	// Overload control. Resumed jobs bypass it: a previous process
 	// already admitted them, and refusing the replay would lose work the
 	// journal promised to finish.
-	var probe bool
 	var queuedAhead int
-	backendKey := ""
 	if g := s.cfg.Guard; g != nil && !resumed {
-		backendKey = spec.backendKey()
 		queuedAhead = s.queuedAtOrAboveLocked(spec.Priority)
 		v := g.Admit(guard.Request{
 			Class:       guard.Class(spec.Priority),
-			BackendKey:  backendKey,
 			Timeout:     timeout,
 			QueuedAhead: queuedAhead,
 			InFlight:    s.queuedLocked() + s.running,
@@ -721,7 +712,6 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 			s.tel.shed.With(string(v.Reason)).Inc()
 			return nil, &ShedError{Reason: v.Reason, RetryAfter: v.RetryAfter}
 		}
-		probe = v.Probe
 	}
 	id, err := s.jobs.Reserve(id)
 	if err != nil {
@@ -743,8 +733,6 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 		state:       StateQueued,
 		submittedAt: submitted,
 		seed:        seed,
-		backendKey:  backendKey,
-		probe:       probe,
 		queuedAhead: queuedAhead,
 	}
 	if dl, ok := jctx.Deadline(); ok {
@@ -970,7 +958,6 @@ func (s *Scheduler) Stats() Stats {
 		CacheHits:      count(m.cache.With("hit")),
 		CacheMiss:      count(m.cache.With("miss")),
 		Shed:           shed,
-		BreakerRejects: count(m.shed.With(string(guard.ReasonBreakerOpen))),
 		Expired:        count(m.expired),
 		VirtualSeconds: m.virtualSeconds.Value(),
 		CacheEntries:   s.cache.len(),
@@ -1265,27 +1252,10 @@ func (s *Scheduler) settle(j *Job, state State, res *core.RunReport, err error, 
 	finishedAt := time.Now()
 	latency := finishedAt.Sub(j.submittedAt)
 
-	if g := s.cfg.Guard; g != nil {
-		// Classify the settlement for the breaker: only real backend
-		// verdicts count. Cancellations, expiries, cache hits and
-		// non-backend failures are neutral — they say nothing about the
-		// (network, fault-profile) backend's health.
-		outcome := guard.OutcomeNeutral
-		switch {
-		case state == StateCompleted && !fromCache:
-			outcome = guard.OutcomeBackendOK
-		case state == StateFailed && (errors.Is(err, mpi.ErrRankFailed) || errors.Is(err, mpi.ErrCascade)):
-			outcome = guard.OutcomeBackendFailure
-		}
-		if j.probe && outcome == guard.OutcomeNeutral {
-			// The probe never reached its backend; free the slot so the
-			// half-open breaker can try another.
-			g.ReleaseProbe(j.backendKey)
-		}
-		if !fromCache {
-			g.ObserveDone(guard.Class(j.spec.Priority), j.backendKey, latency, 0,
-				state == StateCompleted, outcome, j.probe)
-		}
+	if !fromCache {
+		// A cache hit never ran, so its latency says nothing about load.
+		s.cfg.Guard.ObserveDone(guard.Class(j.spec.Priority), "", latency, 0,
+			state == StateCompleted, guard.OutcomeNeutral, false)
 	}
 
 	s.tel.finished.With(string(state)).Inc()

@@ -20,7 +20,7 @@ type schedMetrics struct {
 	journal   *telemetry.CounterVec   // type: submitted | started | checkpointed | finished
 	journalEr *telemetry.Counter
 	restored  *telemetry.CounterVec // disposition: finished | resumed
-	shed      *telemetry.CounterVec // reason: limit | deadline | breaker-open
+	shed      *telemetry.CounterVec // reason: limit | deadline
 	expired   *telemetry.Counter
 	// virtualSeconds bills the simulated wall time of every completed,
 	// non-cached run; Stats-only, so it is not registered.
@@ -67,22 +67,12 @@ func newSchedMetrics(s *Scheduler) *schedMetrics {
 		func() float64 {
 			return float64(par.Snapshot().Chunks)
 		})
-	// Guard gauges read the controller live; with no guard configured
-	// they report zero rather than being absent, so dashboards and the
+	// The guard gauge reads the controller live; with no guard configured
+	// it reports zero rather than being absent, so dashboards and the
 	// telemetry lint see a stable name set either way.
 	reg.NewGaugeFunc("hyperhet_guard_admission_limit",
 		"Current AIMD adaptive admission limit (0 when the guard is off).", func() float64 {
 			return float64(s.cfg.Guard.State().Limit)
-		})
-	reg.NewGaugeFunc("hyperhet_guard_breakers_open",
-		"Backend circuit breakers currently rejecting (open, or half-open with the probe taken).",
-		func() float64 {
-			return float64(s.cfg.Guard.OpenBreakers())
-		})
-	reg.NewCounterFunc("hyperhet_guard_breaker_trips_total",
-		"Lifetime closed-to-open circuit breaker transitions across all backends.",
-		func() float64 {
-			return float64(s.cfg.Guard.State().BreakerTrips)
 		})
 	m := &schedMetrics{
 		submitted: reg.NewCounter("hyperhet_sched_submitted_total",

@@ -282,7 +282,7 @@ func tear(dir string, cp *CrashPoint) error {
 }
 
 // submitJobRetry absorbs transient admission denials — queue-full and
-// guard sheds other than breaker-open — with a bounded retry: scenario
+// guard sheds — with a bounded retry: scenario
 // queue depths (and overload limits) are drawn small on purpose, so
 // transient refusal is expected, but a queue that never drains is a
 // harness failure. Every attempt's outcome lands in the tally so the
@@ -491,13 +491,13 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 		watch = append(watch, wit.pipe(p))
 	}
 
-	// The overload storm rides on top of the workload: burst submissions
-	// (some doomed by design) and, when asked, the breaker-trip sequence.
+	// The overload storm rides on top of the workload: burst submissions,
+	// some doomed by design.
 	// Storm handles stay out of `watch` — they are load, not settlement
 	// milestones, and the settled-count crash trigger must not see them.
 	var stormHandles []*sched.Job
 	if scn.Overload != nil {
-		stormHandles, err = runStorm(scn, phase, s, opts.Scenes, out, tally, opts.Timeout)
+		stormHandles, err = runStorm(scn, phase, s, opts.Scenes, tally)
 		if err != nil {
 			eng.Close()
 			s.Close()

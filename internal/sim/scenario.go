@@ -172,7 +172,7 @@ type PipelinePlan struct {
 // so the limit never drifts with wall-clock latency and the scenario
 // stays reproducible), injects a submit storm each phase, and asserts
 // the overload invariants — shed counters balance submitted vs
-// admitted, expired jobs never dispatch, and a tripped breaker rejects.
+// admitted, and expired jobs never dispatch.
 type OverloadPlan struct {
 	// Limit pins the AIMD admission limit (Min == Max == Limit).
 	Limit int
@@ -181,10 +181,6 @@ type OverloadPlan struct {
 	// Doomed is how many storm jobs carry a deadline so short it usually
 	// passes while they sit in queue — the lazy-expiry invariant's food.
 	Doomed int
-	// Breaker runs the breaker-trip sequence: two permanent-crash jobs
-	// against one backend profile, then a third that must be rejected by
-	// the opened circuit.
-	Breaker bool
 }
 
 // Scenario is one fully expanded workload. It is pure data: FromSeed
@@ -281,15 +277,14 @@ func FromSeed(seed uint64) *Scenario {
 	}
 
 	// Roughly a quarter of scenarios run under overload: a guard with a
-	// pinned limit, a per-phase submit storm with doomed deadlines, and
-	// (sometimes) a breaker trip. The draw happens before the pipeline
-	// draw because overload scenarios exclude pipelines.
+	// pinned limit and a per-phase submit storm with doomed deadlines.
+	// The draw happens before the pipeline draw because overload
+	// scenarios exclude pipelines.
 	if r.chance(0.25) {
 		s.Overload = &OverloadPlan{
-			Limit:   s.Workers * r.rangeInt(2, 4),
-			Storm:   r.rangeInt(6, 12),
-			Doomed:  r.rangeInt(1, 3),
-			Breaker: r.chance(0.5),
+			Limit:  s.Workers * r.rangeInt(2, 4),
+			Storm:  r.rangeInt(6, 12),
+			Doomed: r.rangeInt(1, 3),
 		}
 	}
 
@@ -610,11 +605,7 @@ func (s *Scenario) String() string {
 	fmt.Fprintf(&b, "scenario(seed=%d workers=%d queue=%d cache=%d)\n",
 		s.Seed, s.Workers, s.QueueDepth, s.CacheEntries)
 	if ov := s.Overload; ov != nil {
-		fmt.Fprintf(&b, "  overload: limit=%d storm=%d doomed=%d", ov.Limit, ov.Storm, ov.Doomed)
-		if ov.Breaker {
-			b.WriteString(" breaker")
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "  overload: limit=%d storm=%d doomed=%d\n", ov.Limit, ov.Storm, ov.Doomed)
 	}
 	for _, j := range s.Jobs {
 		fmt.Fprintf(&b, "  job %s: %s", j.Label, j.Mode)

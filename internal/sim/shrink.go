@@ -130,20 +130,10 @@ func Minimize(scn *Scenario, opts CheckOptions, budget int) (*ShrinkResult, erro
 			}
 		}
 		// The overload plan rides on top of the workload: try dropping it
-		// wholesale, then its breaker half, before touching the jobs.
+		// before touching the jobs.
 		if cur.Overload != nil && runs < budget {
 			cand := cur.clone()
 			cand.Overload = nil
-			if v, bad, err := fails(cand); err != nil {
-				return nil, err
-			} else if bad {
-				cur, curV = cand, v
-				improved = true
-			}
-		}
-		if cur.Overload != nil && cur.Overload.Breaker && runs < budget {
-			cand := cur.clone()
-			cand.Overload.Breaker = false
 			if v, bad, err := fails(cand); err != nil {
 				return nil, err
 			} else if bad {

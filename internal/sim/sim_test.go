@@ -153,9 +153,8 @@ func TestBrokenInvariantIsCaughtAndShrunk(t *testing.T) {
 }
 
 // overloadScenario is a handcrafted overload exercise: a small worker
-// pool behind a pinned guard limit, a submit storm with doomed
-// deadlines, and the breaker-trip sequence — every overload invariant
-// in one scenario.
+// pool behind a pinned guard limit and a submit storm with doomed
+// deadlines — every overload invariant in one scenario.
 func overloadScenario() *Scenario {
 	sc := scene.Config{Lines: 24, Samples: 16, Bands: 8, Seed: 1}
 	return &Scenario{
@@ -169,14 +168,13 @@ func overloadScenario() *Scenario {
 			{Label: "j2", Scene: sc, Mode: sched.ModeSequential, Algorithm: core.PCT,
 				Targets: 4, Priority: sched.Interactive},
 		},
-		Overload: &OverloadPlan{Limit: 6, Storm: 8, Doomed: 2, Breaker: true},
+		Overload: &OverloadPlan{Limit: 6, Storm: 8, Doomed: 2},
 	}
 }
 
 // TestOverloadScenario drives the handcrafted overload plan through the
 // checker, both crash-free and with a mid-run crash/restart, and
-// asserts every invariant holds: shed balance, lazy expiry and the
-// tripped breaker.
+// asserts every invariant holds: shed balance and lazy expiry.
 func TestOverloadScenario(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
 		t.Parallel()
@@ -214,19 +212,16 @@ func TestOverloadRejectsPipelines(t *testing.T) {
 }
 
 // TestSeedsDrawOverload asserts the generator actually emits overload
-// plans, with and without the breaker-trip half — and that every one it
-// emits is storm-capable and pipeline-free.
+// plans — and that every one it emits is storm-capable and
+// pipeline-free.
 func TestSeedsDrawOverload(t *testing.T) {
-	drawn, breaker := 0, 0
+	drawn := 0
 	for seed := uint64(1); seed <= 100; seed++ {
 		s := FromSeed(seed)
 		if s.Overload == nil {
 			continue
 		}
 		drawn++
-		if s.Overload.Breaker {
-			breaker++
-		}
 		if len(s.Pipelines) != 0 {
 			t.Errorf("seed %d: overload scenario carries %d pipelines", seed, len(s.Pipelines))
 		}
@@ -237,10 +232,7 @@ func TestSeedsDrawOverload(t *testing.T) {
 	if drawn == 0 {
 		t.Fatal("no seed in 1..100 drew an overload plan")
 	}
-	if breaker == 0 || breaker == drawn {
-		t.Fatalf("%d of %d overload plans in seeds 1..100 trip the breaker; want some with and some without", breaker, drawn)
-	}
-	t.Logf("%d/100 seeds drew overload plans, %d with the breaker trip", drawn, breaker)
+	t.Logf("%d/100 seeds drew overload plans", drawn)
 }
 
 // TestSeedsDrawBalance asserts the generator actually emits
