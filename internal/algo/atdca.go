@@ -66,7 +66,7 @@ var atdcaDetector = detector{key: ckptATDCA, round: projectionCriterion}
 // projector P⊥_U (and its filter) once per round; the master re-applying
 // it to the champions is the compute-intensive sequential step the paper
 // calls out for ATDCA.
-func projectionCriterion(u uMatrix, bands, eqBands int) (criterion, error) {
+func projectionCriterion(u uMatrix, bands, eqBands int, _ *lineBounds) (criterion, error) {
 	proj, err := linalg.NewOSP(u.mat(bands))
 	if err != nil {
 		return criterion{}, err
@@ -75,7 +75,7 @@ func projectionCriterion(u uMatrix, bands, eqBands int) (criterion, error) {
 	return criterion{
 		setup: linalg.FlopsOSPDenseBuild(t, bands), each: linalg.FlopsOSPDenseApply(bands),
 		mSetup: linalg.FlopsOSPDenseBuild(t, eqBands), mEach: linalg.FlopsOSPDenseApply(eqBands),
-		best: func(view *cube.Cube) (int, float64, error) {
+		best: func(view *cube.Cube, _ int) (int, float64, error) {
 			best, bestScore := maxProjection(scan, view)
 			return best, bestScore, nil
 		},

@@ -50,11 +50,11 @@ func BenchmarkKernelATDCAScan(b *testing.B) {
 	f, u := detectionScan(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cr, err := projectionCriterion(u, f.Bands, f.Bands)
+		cr, err := projectionCriterion(u, f.Bands, f.Bands, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := cr.best(f); err != nil {
+		if _, _, err := cr.best(f, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,10 +66,38 @@ func BenchmarkKernelUFCLSScan(b *testing.B) {
 	f, u := detectionScan(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := maxErrorScan(f, u, f.Bands); err != nil {
+		if _, _, _, err := maxErrorScan(f, u, f.Bands, new(lineBounds).rows(f, 0)); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkKernelUFCLSRounds is UFCLS's seven scan rounds at t = 8 on
+// the same scene, with the bounds carried from round to round as a rank
+// carries them: the solves the bounds save show here, not in one round.
+func BenchmarkKernelUFCLSRounds(b *testing.B) {
+	f, _ := detectionScan(b)
+	res, err := UFCLSSequential(f, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	solves := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var bounds lineBounds
+		var u uMatrix
+		for _, tg := range res.Targets[:7] {
+			u.rows = append(u.rows, toF64(tg.Signature))
+			_, _, n, err := maxErrorScan(f, u, f.Bands, bounds.rows(f, 0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			solves += n
+		}
+	}
+	perOp := float64(solves) / float64(b.N)
+	b.ReportMetric(perOp, "solves/op")
+	b.ReportMetric(100*(1-perOp/float64(7*f.NumPixels())), "skip%")
 }
 
 func BenchmarkKernelLabelBySAD(b *testing.B) {

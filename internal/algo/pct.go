@@ -171,7 +171,9 @@ func repsBytes(reps []rep, bands int) int { return len(reps) * (4*bands + 8) }
 // representative when their SAD is below theta, otherwise it founds a new
 // one (until maxReps, after which outliers are absorbed by their nearest
 // representative). Returns the set and the number of SAD evaluations
-// performed, for cost accounting.
+// the paper's scan performs, for cost accounting. Once the set is full,
+// one Nearest serves both of the paper's scans (DESIGN.md "Kernel
+// exactness").
 func uniqueScan(f *cube.Cube, theta float64, maxReps int) ([]rep, int) {
 	var reps []rep
 	set := spectral.NewSet(nil)
@@ -187,9 +189,13 @@ func uniqueScan(f *cube.Cube, theta float64, maxReps int) ([]rep, int) {
 		}
 		// The cost model charges one SAD per representative scanned.
 		sadCalls += len(reps)
-		i, _ := set.Nearest(v, below)
+		limit := below
+		if len(reps) == maxReps {
+			limit = spectral.NoLimit
+		}
+		i, d := set.Nearest(v, limit)
 		switch {
-		case i >= 0:
+		case i >= 0 && d < theta:
 			reps[i].count++
 		case len(reps) < maxReps:
 			sig := make([]float32, len(v))
@@ -197,9 +203,9 @@ func uniqueScan(f *cube.Cube, theta float64, maxReps int) ([]rep, int) {
 			reps = append(reps, rep{sig: sig, count: 1})
 			set.Add(sig)
 		default:
-			// Set is full: absorb into the nearest representative.
+			// Set is full: absorb into the nearest representative, the
+			// paper's second scan.
 			sadCalls += len(reps)
-			i, _ = set.Nearest(v, spectral.NoLimit)
 			reps[i].count++
 		}
 	}

@@ -179,9 +179,9 @@ type criterion struct {
 	// master's, re-scoring each span's champion — sequential work, charged
 	// at the equivalent band count.
 	setup, each, mSetup, mEach float64
-	// best returns the highest-scoring pixel of view and its score; the
-	// pixel is -1 when none scored (every one non-finite).
-	best func(view *cube.Cube) (pixel int, score float64, err error)
+	// best returns the highest-scoring pixel of view (global lines from
+	// lo on) and its score; the pixel is -1 when none scored (all NaN).
+	best func(view *cube.Cube, lo int) (pixel int, score float64, err error)
 	// score re-applies the criterion to one champion at the master.
 	score func(sig []float32) (float64, error)
 }
@@ -191,7 +191,7 @@ func brightness(bands int) criterion {
 	dot := linalg.FlopsDot(bands)
 	return criterion{
 		each: dot, mEach: dot,
-		best: func(view *cube.Cube) (int, float64, error) {
+		best: func(view *cube.Cube, _ int) (int, float64, error) {
 			best, bestScore := -1, -1.0
 			for p := 0; p < view.NumPixels(); p++ {
 				if s := view.Brightness(p); s > bestScore {
@@ -225,7 +225,7 @@ func (cr criterion) work(c *mpi.Comm) balance.Work {
 			c.ComputeFixed(setup, vtime.Par)
 			setup = 0
 		}
-		p, score, err := cr.best(view)
+		p, score, err := cr.best(view, owned.Lo)
 		if err != nil {
 			return candidate{err: err}, bytes
 		}
@@ -274,10 +274,10 @@ func (cr criterion) pick(c *mpi.Comm, parts []balance.Partial) (Target, error) {
 
 // detector is what distinguishes ATDCA from UFCLS: the snapshot name and
 // the criterion of the rounds after the first, built from the current U
-// with the master's charges at eqBands.
+// with the master's charges at eqBands and the rank's bounds.
 type detector struct {
 	key   string
-	round func(u uMatrix, bands, eqBands int) (criterion, error)
+	round func(u uMatrix, bands, eqBands int, bounds *lineBounds) (criterion, error)
 }
 
 // detectRounds is the round loop of both detectors under any schedule:
@@ -315,10 +315,11 @@ func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, det detecto
 	if start > 0 {
 		u = s.publish(u)
 	}
+	var bounds lineBounds
 	for round := start; round < t; round++ {
 		cr := brightness(bands)
 		if round > 0 {
-			if cr, err = det.round(u, bands, params.eqBands(bands)); err != nil {
+			if cr, err = det.round(u, bands, params.eqBands(bands), &bounds); err != nil {
 				return nil, err
 			}
 		}

@@ -195,6 +195,47 @@ func TestUniqueScanMatchesScalarScan(t *testing.T) {
 	}
 }
 
+// Once the set is full, uniqueScan scans it once per pixel where
+// refUniqueScan, like the two-call loop it replaced, scans it twice for an
+// absorbed pixel. Pixels at exactly theta from their nearest
+// representative, one ulp either side of it, exactly between two
+// representatives or orthogonal to all of them must join or be absorbed
+// alike and charge the same SADs.
+func TestUniqueScanMatchesScalarScanAtTheta(t *testing.T) {
+	const bands, founders = 8, 5
+	rng := rand.New(rand.NewSource(29))
+	f := cube.MustNew(40, 1, bands)
+	for p := 0; p < founders; p++ { // mutually orthogonal: every one founds
+		f.PixelAt(p)[p] = 1 + float32(p)
+	}
+	for p := founders; p < f.NumPixels(); p++ {
+		px := f.PixelAt(p)
+		switch p % 4 {
+		case 0: // exactly between representatives 0 and 1, or 2 and 3
+			px[p%8/4*2], px[p%8/4*2+1] = 1, 1
+		case 1:
+			px[bands-1] = 1
+		default: // near representative p%founders, leaning off the set
+			px[p%founders] = 1
+			px[founders+rng.Intn(bands-founders)] = rng.Float32() * 0.3
+		}
+	}
+	set := spectral.NewSet(nil)
+	for p := 0; p < founders; p++ {
+		set.Add(f.PixelAt(p))
+	}
+	for p := founders; p < f.NumPixels(); p++ {
+		_, d := set.Nearest(f.PixelAt(p), spectral.NoLimit)
+		for _, theta := range []float64{d, math.Nextafter(d, 0), math.Nextafter(d, 4)} {
+			want, wantCalls := refUniqueScan(f, theta, founders)
+			got, gotCalls := uniqueScan(f, theta, founders)
+			if gotCalls != wantCalls || !reflect.DeepEqual(got, want) {
+				t.Fatalf("pixel %d theta %v: %v / %d SADs, scalar scan %v / %d SADs", p, theta, got, gotCalls, want, wantCalls)
+			}
+		}
+	}
+}
+
 func TestMorphScansMatchScalarScans(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		f := exactScene(t, 32, 24, 16, seed)

@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"math"
+
 	"repro/internal/cube"
 	"repro/internal/linalg"
 	"repro/internal/mpi"
@@ -27,46 +29,79 @@ func ufclsEndmemberMat(u uMatrix, bands int) *linalg.Mat {
 	return m
 }
 
+// lineBounds is a rank's UFCLS bounds (UnmixBound's J from each pixel's
+// last solve; NaN for none), one row per global scene line, allocated when
+// the rank first scores the line. They are not checkpointed.
+type lineBounds [][]float64
+
+// rows returns the bound rows of view, whose first line is global line
+// lo, allocating the rows never scored before.
+func (lb *lineBounds) rows(view *cube.Cube, lo int) [][]float64 {
+	if n := lo + view.Lines; len(*lb) < n {
+		*lb = append(*lb, make([][]float64, n-len(*lb))...)
+	}
+	rows := (*lb)[lo : lo+view.Lines]
+	for i := range rows {
+		if rows[i] == nil {
+			rows[i] = make([]float64, view.Samples)
+			for s := range rows[i] {
+				rows[i][s] = math.NaN()
+			}
+		}
+	}
+	return rows
+}
+
 // maxErrorScan unmixes every pixel of f against U and returns the index
 // and reconstruction error of the worst-reconstructed pixel. The scan is
 // chunked over pixels with one FCLS solver (and workspace) per chunk;
 // per-chunk maxima are folded in ascending chunk order with a strict
 // greater-than, so ties resolve to the earliest pixel index exactly as a
 // serial scan would and the result is identical at any par budget.
-func maxErrorScan(f *cube.Cube, u uMatrix, bands int) (int, float64, error) {
+// A pixel whose bound (bounds has one row per line of f) lies more than
+// BoundSlack below its chunk's best so far cannot reach that best and is
+// not solved (DESIGN.md "Kernel exactness"). Also returns the solve count.
+func maxErrorScan(f *cube.Cube, u uMatrix, bands int, bounds [][]float64) (int, float64, int, error) {
 	np := f.NumPixels()
 	chunks := par.Chunks(np, 2048)
 	type chunkMax struct {
-		best  int
-		score float64
-		err   error
+		best, solves int
+		score        float64
+		err          error
 	}
 	out := make([]chunkMax, chunks)
 	par.Ranges(np, chunks, func(c, lo, hi int) {
 		solver := linalg.NewFCLSSolver(ufclsEndmemberMat(u, bands))
-		best, bestScore := -1, -1.0
+		best, bestScore, below, solves := -1, -1.0, math.Inf(-1), 0
 		for p := lo; p < hi; p++ {
-			_, err2, err := solver.UnmixF32(f.PixelAt(p))
+			bound := &bounds[p/f.Samples][p%f.Samples]
+			if *bound < below {
+				continue
+			}
+			solves++
+			err2, j, err := solver.UnmixBound(f.PixelAt(p))
 			if err != nil {
 				out[c] = chunkMax{err: err}
 				return
 			}
+			*bound = j
 			if err2 > bestScore {
 				best, bestScore = p, err2
+				below = bestScore - solver.BoundSlack(bestScore)
 			}
 		}
-		out[c] = chunkMax{best: best, score: bestScore}
+		out[c] = chunkMax{best: best, solves: solves, score: bestScore}
 	})
-	best, bestScore := -1, -1.0
+	best, bestScore, solves := -1, -1.0, 0
 	for _, r := range out {
 		if r.err != nil {
-			return 0, 0, r.err
+			return 0, 0, 0, r.err
 		}
-		if r.score > bestScore {
+		if solves += r.solves; r.score > bestScore {
 			best, bestScore = r.best, r.score
 		}
 	}
-	return best, bestScore, nil
+	return best, bestScore, solves, nil
 }
 
 // UFCLSSequential runs UFCLS on the whole scene in a single thread.
@@ -84,9 +119,10 @@ func UFCLSSequential(f *cube.Cube, t int) (*DetectionResult, error) {
 	appendTarget(res, f, best, bestScore)
 	var u uMatrix
 	u.rows = append(u.rows, toF64(res.Targets[0].Signature))
+	var bounds lineBounds
 	for len(res.Targets) < t {
 		var err error
-		best, bestScore, err = maxErrorScan(f, u, f.Bands)
+		best, bestScore, _, err = maxErrorScan(f, u, f.Bands, bounds.rows(f, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -109,14 +145,18 @@ var ufclsDetector = detector{key: ckptUFCLS, round: errorCriterion}
 
 // errorCriterion scores a pixel by its reconstruction error under fully
 // constrained unmixing against U: each rank forms the error image of its
-// spans, and the master re-unmixes the champions (step 4 of Algorithm 3).
-func errorCriterion(u uMatrix, bands, eqBands int) (criterion, error) {
+// spans, less the pixels its bounds rule out, and the master re-unmixes
+// the champions (step 4 of Algorithm 3).
+func errorCriterion(u uMatrix, bands, eqBands int, bounds *lineBounds) (criterion, error) {
 	t := len(u.rows)
 	var solver *linalg.FCLSSolver // the master's; built on first use
 	return criterion{
 		setup: linalg.FlopsGram(t, bands), each: linalg.FlopsFCLSGram(bands, t),
 		mSetup: linalg.FlopsGram(t, eqBands), mEach: linalg.FlopsFCLSGram(eqBands, t),
-		best: func(view *cube.Cube) (int, float64, error) { return maxErrorScan(view, u, bands) },
+		best: func(view *cube.Cube, lo int) (int, float64, error) {
+			best, score, _, err := maxErrorScan(view, u, bands, bounds.rows(view, lo))
+			return best, score, err
+		},
 		score: func(sig []float32) (float64, error) {
 			if solver == nil {
 				solver = linalg.NewFCLSSolver(ufclsEndmemberMat(u, bands))

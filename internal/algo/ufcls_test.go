@@ -1,11 +1,15 @@
 package algo
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cube"
 	"repro/internal/mpi"
 	"repro/internal/partition"
+	"repro/internal/platform"
+	"repro/internal/scene"
 )
 
 func TestUFCLSSequentialValidation(t *testing.T) {
@@ -137,5 +141,46 @@ func TestATDCASlowerThanUFCLSPerTarget(t *testing.T) {
 	})
 	if at <= uf {
 		t.Errorf("ATDCA PAR %v not above UFCLS PAR %v (paper: dense projector dominates)", at, uf)
+	}
+}
+
+// The bounds a rank carries between rounds are keyed by global line and
+// start empty, so a balanced schedule whose guided chunks move lines
+// between ranks, and a run resumed from any round (bounds are not
+// checkpointed), return the sequential scan's targets and scores bit for
+// bit.
+func TestUFCLSSkipMatchesSequentialUnderEveryScheduleAndResume(t *testing.T) {
+	sc, err := scene.Generate(scene.Config{Lines: 64, Samples: 64, Bands: 32, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := platform.ByName("fully-het", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := UFCLSSequential(sc.Cube, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sch := range testSchedules {
+		rec := &recordingStore{}
+		got, _, _, err := runScheduled(t, net, sc.Cube, ckptUFCLS, sch, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, seq) {
+			t.Errorf("%s: targets differ from the sequential run", sch.name)
+		}
+		for i, snap := range rec.snaps {
+			from := &checkpoint.MemStore{}
+			from.Seed(&snap)
+			resumed, _, _, err := runScheduled(t, net, sc.Cube, ckptUFCLS, sch, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(resumed, seq) {
+				t.Errorf("%s: resuming from snapshot %d (round %d) changed the targets", sch.name, i, snap.Round)
+			}
+		}
 	}
 }

@@ -25,11 +25,12 @@ import (
 type FCLSSolver struct {
 	// mt is M^T, one endmember per row, with zero rows appended up to a
 	// multiple of four so Unmix reads four endmembers per pass.
-	mt       *Mat
-	ata      *Mat // augmented Gram: M^T M + delta^2 * 1 1^T
-	ws       nnlsWorkspace
-	atb      []float64 // one slot per row of mt
-	y64, res []float64
+	mt        *Mat
+	ata       *Mat // augmented Gram: M^T M + delta^2 * 1 1^T
+	ws        nnlsWorkspace
+	converged bool      // whether the last Unmix's solve converged
+	atb       []float64 // one slot per row of mt
+	y64, res  []float64
 }
 
 // nnlsWorkspace holds the per-solve scratch of the Gram-form
@@ -55,15 +56,19 @@ func newNNLSWorkspace(n int) nnlsWorkspace {
 	}
 }
 
+// nnlsTol is the Gram-form solve's threshold on duals and passive values.
+const nnlsTol = 1e-10
+
 // solve solves min ||A x - b||^2 s.t. x >= 0 given only ata = A^T A
 // (n x n, SPD) and atb = A^T b: Lawson-Hanson with the dual vector
 // w = atb - ata*x and each passive-set solve on the matching submatrix of
 // ata. The returned slice aliases the workspace and is valid until the
-// next call.
-func (ws *nnlsWorkspace) solve(ata *Mat, atb []float64) ([]float64, error) {
+// next call. The flag reports convergence: false when the iteration cap
+// ended the solve, whose iterate then meets no optimality condition.
+func (ws *nnlsWorkspace) solve(ata *Mat, atb []float64) ([]float64, bool, error) {
 	n := ata.Rows
 	if ata.Cols != n || len(atb) != n || n > len(ws.x) {
-		return nil, fmt.Errorf("linalg: Gram-form NNLS shape mismatch %dx%d with %d (workspace %d)", ata.Rows, ata.Cols, len(atb), len(ws.x))
+		return nil, false, fmt.Errorf("linalg: Gram-form NNLS shape mismatch %dx%d with %d (workspace %d)", ata.Rows, ata.Cols, len(atb), len(ws.x))
 	}
 	x := ws.x[:n]
 	w := ws.w[:n]
@@ -72,7 +77,7 @@ func (ws *nnlsWorkspace) solve(ata *Mat, atb []float64) ([]float64, error) {
 		x[j] = 0
 		passive[j] = false
 	}
-	const tol = 1e-10
+	const tol = nnlsTol
 	for outer := 0; outer < nnlsMaxOuter(n); outer++ {
 		// Dual vector w = atb - ata*x.
 		for j := 0; j < n; j++ {
@@ -92,7 +97,7 @@ func (ws *nnlsWorkspace) solve(ata *Mat, atb []float64) ([]float64, error) {
 			}
 		}
 		if best < 0 {
-			return x, nil
+			return x, true, nil
 		}
 		passive[best] = true
 		for {
@@ -108,7 +113,7 @@ func (ws *nnlsWorkspace) solve(ata *Mat, atb []float64) ([]float64, error) {
 			}
 			z, err := ws.solvePassive(ata, atb, idx)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			neg := false
 			for p := 0; p < k; p++ {
@@ -150,9 +155,9 @@ func (ws *nnlsWorkspace) solve(ata *Mat, atb []float64) ([]float64, error) {
 		}
 	}
 	// Iteration cap hit (rare numerical cycling): the current iterate is
-	// feasible and near-optimal; return it rather than failing the whole
-	// image over one pathological pixel.
-	return x, nil
+	// feasible; return it rather than failing the whole image over one
+	// pathological pixel, and say so.
+	return x, false, nil
 }
 
 // solvePassive solves the passive-set normal equations with an in-place
@@ -285,7 +290,7 @@ func (f *FCLSSolver) Unmix(y []float64) (alpha []float64, err2 float64, err erro
 		const d2 = FCLSDelta * FCLSDelta
 		f.atb[j], f.atb[j+1], f.atb[j+2], f.atb[j+3] = s0+d2, s1+d2, s2+d2, s3+d2
 	}
-	alpha, err = f.ws.solve(f.ata, f.atb[:f.Endmembers()])
+	alpha, f.converged, err = f.ws.solve(f.ata, f.atb[:f.Endmembers()])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -312,6 +317,53 @@ func (f *FCLSSolver) UnmixF32(y []float32) (alpha []float64, err2 float64, err e
 		return nil, 0, err
 	}
 	return f.Unmix(Widen(f.y64, y))
+}
+
+// UnmixBound is UnmixF32 returning, instead of alpha, the augmented
+// objective J = err2 + delta^2 (sum(alpha) - 1)^2: up to BoundSlack, the
+// pixel's error bound against any endmembers appended to these. It is NaN
+// when the solve did not converge or J is not finite.
+func (f *FCLSSolver) UnmixBound(y []float32) (err2, bound float64, err error) {
+	alpha, err2, err := f.UnmixF32(y)
+	if err != nil {
+		return 0, 0, err
+	}
+	bound = math.NaN()
+	if f.converged {
+		var sum float64
+		for _, a := range alpha {
+			sum += a
+		}
+		if j := err2 + FCLSDelta*FCLSDelta*(sum-1)*(sum-1); !math.IsInf(j, 0) {
+			bound = j
+		}
+	}
+	return err2, bound, nil
+}
+
+// BoundSlack returns epsilon, four times DESIGN.md "Kernel exactness" rule
+// 6: a pixel with a bound B <= score from a prefix of these endmembers
+// has an error of at most B + epsilon here if its solve here converges.
+// It is +Inf for a negative or NaN score or a Gram matrix out of reach.
+func (f *FCLSSolver) BoundSlack(score float64) float64 {
+	const u, d2 = 0x1p-53, FCLSDelta * FCLSDelta
+	var g float64 // max |ata_ij|; NaN or Inf when ata holds one
+	for _, v := range f.ata.Data {
+		g = math.Max(g, math.Abs(v))
+	}
+	lam := float64(f.Bands()+4*f.Endmembers()+16) * u
+	if !(score >= 0) || !(lam*(g+d2) <= 1e-5) || !((1e-10+4*lam)*g <= 1) {
+		return math.Inf(1)
+	}
+	z := 2*score + 1                                   // bounds the earlier solve's exact J
+	s := 2 + 3*math.Sqrt(2*z+1)/FCLSDelta              // bounds every sum(alpha)
+	rg := math.Sqrt(g)                                 // bounds every endmember norm
+	y := math.Sqrt(z) + rg*s                           // bounds the pixel's norm
+	rho := (1e-10+2*lam)*g + 3e-12                     // ridge plus Cholesky backward error
+	v := y + rg*s                                      // bounds the residual terms
+	return 4 * (2*u*z + 3*lam*(2*v*v+d2*(s+1)*(s+1)) + // rounding of err2 and J
+		2*nnlsTol*s + 4*rho*s*s + // dual tolerance and ridged passive solves
+		lam*s*(10*rg*y+10*d2+8*g*s)) // rounding of M^T y, the Gram and w
 }
 
 // FlopsFCLSGram is the per-pixel cost of the Gram-form FCLS: forming

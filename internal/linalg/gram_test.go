@@ -24,7 +24,7 @@ func TestNNLSGramMatchesNNLS(t *testing.T) {
 		ata := Mul(a.T(), a)
 		atb := MulVec(a.T(), b)
 		ws := newNNLSWorkspace(n)
-		got, err := ws.solve(ata, atb)
+		got, _, err := ws.solve(ata, atb)
 		if err != nil {
 			t.Fatalf("trial %d: Gram-form solve: %v", trial, err)
 		}
@@ -47,7 +47,7 @@ func TestNNLSGramShapeMismatch(t *testing.T) {
 		{Identity(3), []float64{1, 2, 3}}, // larger than the workspace
 		{Identity(1), []float64{1}},       // smaller is fine
 	} {
-		_, err := ws.solve(tc.ata, tc.atb)
+		_, _, err := ws.solve(tc.ata, tc.atb)
 		if fits := tc.ata.Rows == 1; (err == nil) != fits {
 			t.Errorf("%dx%d Gram with %d-vector on a 2-workspace: err = %v", tc.ata.Rows, tc.ata.Cols, len(tc.atb), err)
 		}
@@ -223,7 +223,7 @@ func unmixColumnOrder(m *Mat, y []float64) ([]float64, float64, error) {
 		atb[j] = s + FCLSDelta*FCLSDelta
 	}
 	ws := newNNLSWorkspace(t)
-	alpha, err := ws.solve(ata, atb)
+	alpha, _, err := ws.solve(ata, atb)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -291,5 +291,138 @@ func sameBits(a, b float64) bool {
 func TestFlopsFCLSGramCheaperThanDense(t *testing.T) {
 	if FlopsFCLSGram(224, 18) >= FlopsFCLS(224, 18) {
 		t.Error("Gram-form FCLS should be cheaper than dense for large band counts")
+	}
+}
+
+// fclsPrefixes returns one solver per prefix of m's columns: the solvers
+// of successive UFCLS rounds.
+func fclsPrefixes(m *Mat) []*FCLSSolver {
+	solvers := make([]*FCLSSolver, m.Cols)
+	for k := range solvers {
+		p := NewMat(m.Rows, k+1)
+		for b := 0; b < m.Rows; b++ {
+			copy(p.Row(b), m.Row(b)[:k+1])
+		}
+		solvers[k] = NewFCLSSolver(p)
+	}
+	return solvers
+}
+
+// A pixel's bound from an earlier round, plus the un-headroomed quarter of
+// BoundSlack, must cover its error in every later round (DESIGN.md "Kernel
+// exactness"). The corpus holds what the derivation worries about:
+// endmembers as pixels (J near 0, where rounding is all there is), dim
+// and bright multiples of an endmember (the sum-to-one penalty dominates
+// J), nearly collinear endmembers (the ridge does the work) and scales
+// from 1e-3 to 1e3.
+func TestBoundSlackCoversLaterRounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	excess, capped := 0.0, 0 // the largest err2_t - J_s seen; later solves with no bound
+	for trial := 0; trial < 200; trial++ {
+		bands, tg := 1+rng.Intn(40), 2+rng.Intn(11)
+		scale := math.Pow(10, float64(rng.Intn(7)-3))
+		m := NewMat(bands, tg)
+		for b := 0; b < bands; b++ {
+			for j := 0; j < tg; j++ {
+				m.Set(b, j, float64(float32(scale*rng.Float64())))
+			}
+			if trial%4 == 0 { // column 1 one float32 ulp from column 0
+				m.Set(b, 1, float64(float32(m.At(b, 0))*(1+1e-7*float32(rng.Intn(3)-1))))
+			}
+		}
+		solvers := fclsPrefixes(m)
+		y := make([]float32, bands)
+		for k := 0; k < 12; k++ {
+			src := rng.Intn(tg)
+			for b := range y {
+				switch k % 4 {
+				case 0:
+					y[b] = float32(scale * rng.Float64())
+				case 1:
+					y[b] = float32(m.At(b, src))
+				default:
+					y[b] = float32(m.At(b, src) * []float64{0.2, 3}[k%4-2])
+				}
+			}
+			bounds := make([]float64, tg)
+			for r, s := range solvers {
+				err2, bound, err := s.UnmixBound(y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for prev, j := range bounds[:r] {
+					if math.IsNaN(j) {
+						capped++
+						continue
+					}
+					eps := s.BoundSlack(j)
+					if !(eps > 0) || math.IsInf(eps, 1) {
+						t.Fatalf("trial %d: BoundSlack(%v) = %v with %d endmembers at scale %v", trial, j, eps, r+1, scale)
+					}
+					if d := err2 - j; d > eps/4 {
+						t.Fatalf("trial %d pixel %d: error %v with %d endmembers exceeds the bound %v from %d by %v > epsilon/4 = %v",
+							trial, k, err2, r+1, j, prev+1, d, eps/4)
+					} else {
+						excess = max(excess, d)
+					}
+				}
+				bounds[r] = bound
+			}
+		}
+	}
+	t.Logf("largest error above an earlier bound: %v (%d later solves had no bound to check)", excess, capped)
+	if !(excess > 0) {
+		t.Fatal("no error exceeded an earlier bound: epsilon = 0 would go unnoticed")
+	}
+}
+
+func TestBoundSlackRefusesWhatItCannotBound(t *testing.T) {
+	m := NewMat(3, 2)
+	copy(m.Data, []float64{1, 0, 0, 1, 0.5, 0.5})
+	s := NewFCLSSolver(m)
+	prev := 0.0
+	for _, score := range []float64{0, 1e-300, 1, 1e6, 1e300} {
+		eps := s.BoundSlack(score)
+		if !(eps >= prev && eps > 0) || math.IsInf(eps, 1) {
+			t.Fatalf("BoundSlack(%v) = %v after %v", score, eps, prev)
+		}
+		prev = eps
+	}
+	for _, score := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if eps := s.BoundSlack(score); !math.IsInf(eps, 1) {
+			t.Errorf("BoundSlack(%v) = %v, want +Inf", score, eps)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), 1e10} {
+		m.Set(0, 1, v)
+		if eps := NewFCLSSolver(m).BoundSlack(1); !math.IsInf(eps, 1) {
+			t.Errorf("endmember sample %v: BoundSlack = %v, want +Inf", v, eps)
+		}
+	}
+}
+
+// A pixel with a NaN or infinite sample, or an unfinished solve, leaves no
+// bound; a converged one leaves err2 plus the sum-to-one penalty.
+func TestUnmixBound(t *testing.T) {
+	m := NewMat(3, 2)
+	copy(m.Data, []float64{1, 0, 0, 1, 0.5, 0.5})
+	s := NewFCLSSolver(m)
+	y := []float32{0.5, 0.25, 2}
+	alpha, wantErr2, err := s.UnmixF32(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := alpha[0] + alpha[1]
+	err2, bound, err := s.UnmixBound(y)
+	if err != nil || !sameBits(err2, wantErr2) || !sameBits(bound, err2+FCLSDelta*FCLSDelta*(sum-1)*(sum-1)) {
+		t.Fatalf("UnmixBound = (%v, %v, %v), want (%v, err2 + penalty)", err2, bound, err, wantErr2)
+	}
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(-1))} {
+		if _, bound, err := s.UnmixBound([]float32{v, 0, 1}); err != nil || !math.IsNaN(bound) {
+			t.Errorf("sample %v: bound %v (%v), want NaN", v, bound, err)
+		}
+	}
+	if _, _, err := s.UnmixBound(y[:2]); err == nil {
+		t.Error("UnmixBound accepted a 2-vector for 3 bands")
 	}
 }
