@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	hyperhet "repro"
 )
@@ -26,24 +25,17 @@ func retryAfterSeconds(t *testing.T, resp *http.Response) int {
 }
 
 // A guard pinned at a limit of one in-flight job sheds the second
-// submission with 429 and a Retry-After header. The first job crashes
-// instantly on every attempt and sits in a long retry backoff, so it
-// stays in flight however fast the machine is.
+// submission with 429 and a Retry-After header. The first job is parked
+// by holdBlockers, so it stays in flight however fast the machine is.
 func TestSubmitShed429RetryAfter(t *testing.T) {
 	ts := testServer(t, hyperhet.SchedulerConfig{
-		Workers: 1, CacheEntries: -1,
-		RetryBaseDelay: 2 * time.Second, RetryMaxDelay: 2 * time.Second,
+		Workers: 1, CacheEntries: -1, OnJobRunning: holdBlockers,
 		Guard: hyperhet.NewGuard(hyperhet.GuardConfig{
 			Limiter: hyperhet.GuardLimiterConfig{Initial: 1, Min: 1, Max: 1},
 		}),
 	})
-	const blocker = `{
-		"algorithm": "atdca", "network": "fully-het", "targets": 4,
-		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3},
-		"faults": {"crashes": [{"rank": 1, "at": 0, "attempt": -1}], "max_attempts": 10}
-	}`
 
-	resp, doc := postJSON(t, ts.URL+"/submit", blocker)
+	resp, doc := postJSON(t, ts.URL+"/submit", blockerJob)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit = %d %v, want 202", resp.StatusCode, doc)
 	}

@@ -45,9 +45,9 @@
 //
 // An optional "faults" block injects a deterministic failure plan —
 // explicit rank crashes, link slowdowns and compute degradations, or a
-// seeded random plan — plus a scheduler retry budget and an in-run
-// degraded-mode recovery switch; the job's status then carries its full
-// attempt history:
+// seeded random plan — plus the job's attempt budget and a recovery
+// switch that reruns on the survivors when a worker dies; the job's
+// status then carries its full attempt history:
 //
 //	"faults": {"crashes": [{"rank": 2, "at": 0.5}], "max_attempts": 3}
 //
@@ -409,16 +409,16 @@ type submitRequest struct {
 }
 
 // faultRequest injects a deterministic failure plan into the run: either
-// explicit events or a seeded random plan, plus the scheduler's retry
-// budget and an optional degraded-mode recovery switch. Fault jobs bypass
-// the result cache — chaos runs exist to exercise the failure path.
+// explicit events or a seeded random plan, plus the job's attempt budget
+// and an optional recovery switch. Fault jobs bypass the result cache —
+// chaos runs exist to exercise the failure path.
 type faultRequest struct {
 	Crashes       []hyperhet.FaultCrash    `json:"crashes"`
 	LinkSlowdowns []hyperhet.FaultLinkSlow `json:"link_slowdowns"`
 	Degradations  []hyperhet.FaultDegrade  `json:"degradations"`
 	Seed          int64                    `json:"seed"`         // nonzero: generate a random plan instead
-	MaxAttempts   int                      `json:"max_attempts"` // scheduler retry budget (0 = default)
-	Recovery      bool                     `json:"recovery"`     // in-run degraded-mode recovery on worker death
+	MaxAttempts   int                      `json:"max_attempts"` // attempt budget (0 = 1, or 3 with recovery)
+	Recovery      bool                     `json:"recovery"`     // rerun on the survivors when a worker dies
 }
 
 // sceneRequest selects the synthetic scene; zero values take the reduced
@@ -595,11 +595,12 @@ func parseSubmit(req *submitRequest) (hyperhet.JobSpec, hyperhet.SceneConfig, er
 			return spec, sceneCfg, fmt.Errorf("faults: invalid max_attempts %d", req.Faults.MaxAttempts)
 		}
 		spec.Params.Faults = plan
-		spec.Params.Recovery = hyperhet.RecoveryOptions{Enabled: req.Faults.Recovery}
+		spec.Recovery = req.Faults.Recovery
 		spec.MaxAttempts = req.Faults.MaxAttempts
-		// A fault job that may re-run — scheduler retries or in-run
-		// recovery — checkpoints by default, so the second pass resumes
-		// instead of recomputing (fault jobs never cache anyway).
+		// A fault job that may re-run — on the same network or, with
+		// recovery, on the survivors — checkpoints by default, so the
+		// rerun resumes instead of recomputing (fault jobs never cache
+		// anyway).
 		if req.Faults.MaxAttempts > 1 || req.Faults.Recovery {
 			spec.Checkpoint = true
 		}
@@ -672,9 +673,9 @@ type resultSummary struct {
 	ImbalanceDAll  float64 `json:"imbalance_d_all"`
 	Targets        int     `json:"targets,omitempty"`
 	Classes        int     `json:"classes,omitempty"`
-	// Degraded-mode recovery bookkeeping (in-run, distinct from the
-	// scheduler-level attempt history in the job status).
-	RunAttempts      int     `json:"run_attempts,omitempty"`
+	// Rerun bookkeeping: the ranks excluded before the successful attempt
+	// and the virtual time the failed attempts burned (the count of
+	// attempts is the job status's).
 	FailedRanks      []int   `json:"failed_ranks,omitempty"`
 	RecoveryOverhead float64 `json:"recovery_overhead_seconds,omitempty"`
 	// Checkpoint bookkeeping of a checkpointed run: the round the
@@ -768,7 +769,6 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 			sum.Classes = len(rep.Classification.Classes)
 		}
 		if rep.Attempts > 1 {
-			sum.RunAttempts = rep.Attempts
 			sum.FailedRanks = rep.FailedRanks
 			sum.RecoveryOverhead = rep.RecoveryOverhead
 		}

@@ -33,6 +33,22 @@ func testServer(t *testing.T, cfg hyperhet.SchedulerConfig) *httptest.Server {
 	return ts
 }
 
+// holdBlockers is an OnJobRunning hook that parks every job labelled
+// "blocker" on its worker until the job is cancelled (by a client, a
+// drain or the server's close). The hold costs no CPU, so a loaded
+// runner can neither finish it early nor starve the HTTP handler with it.
+func holdBlockers(j *hyperhet.Job) {
+	if j.Spec().Label == "blocker" {
+		<-j.Context().Done()
+	}
+}
+
+// blockerJob is a networked submission for holdBlockers to park.
+const blockerJob = `{
+	"algorithm": "atdca", "network": "fully-het", "targets": 4, "label": "blocker", "no_cache": true,
+	"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3}
+}`
+
 // tinyJob is a fast sequential submission on a minimal scene.
 const tinyJob = `{
 	"algorithm": "atdca", "mode": "sequential", "targets": 4,
@@ -134,9 +150,7 @@ func waitSettled(t *testing.T, url, id string) map[string]any {
 // retried by the scheduler, and completes — with the attempt history
 // visible in the job JSON.
 func TestChaosJobRetriesOverHTTP(t *testing.T) {
-	ts := testServer(t, hyperhet.SchedulerConfig{
-		RetryBaseDelay: time.Millisecond, RetryMaxDelay: 10 * time.Millisecond,
-	})
+	ts := testServer(t, hyperhet.SchedulerConfig{})
 	const chaos = `{
 		"algorithm": "atdca", "network": "fully-het", "targets": 4,
 		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3},
@@ -166,9 +180,10 @@ func TestChaosJobRetriesOverHTTP(t *testing.T) {
 	}
 }
 
-// A permanent worker crash with in-run recovery enabled completes in a
-// single scheduler attempt via degraded-mode re-partitioning, and the
-// result summary reports the recovery bookkeeping.
+// A permanent worker crash with recovery enabled completes on the
+// survivors in a second attempt: the job counts both attempts, and the
+// result summary reports the lost rank and the overhead but no count of
+// its own.
 func TestChaosJobDegradedRecoveryOverHTTP(t *testing.T) {
 	ts := testServer(t, hyperhet.SchedulerConfig{})
 	const chaos = `{
@@ -188,8 +203,11 @@ func TestChaosJobDegradedRecoveryOverHTTP(t *testing.T) {
 	if !ok {
 		t.Fatalf("completed job has no result: %v", job)
 	}
-	if n, _ := result["run_attempts"].(float64); n != 2 {
-		t.Fatalf("run_attempts = %v, want 2", result["run_attempts"])
+	if n, _ := job["attempts"].(float64); n != 2 {
+		t.Fatalf("attempts = %v, want 2", job["attempts"])
+	}
+	if _, ok := result["run_attempts"]; ok {
+		t.Fatalf("result carries a second attempt count: %v", result)
 	}
 	ranks, _ := result["failed_ranks"].([]any)
 	if len(ranks) != 1 || ranks[0].(float64) != 3 {
@@ -333,24 +351,17 @@ func TestSubmitAdaptiveMode(t *testing.T) {
 func TestBackpressureReturns429(t *testing.T) {
 	// One worker and a one-slot queue: with the worker occupied and the
 	// slot taken, a further submission must be rejected with 429. The
-	// blocker job crashes instantly on every attempt and then sits in a
-	// long retry backoff, so the worker is held by a *sleep*, not by
-	// computation — a CPU-heavy blocker starves the HTTP handler itself
-	// on a single-core runner, letting the worker drain the queue
-	// between slowed-down submissions (the old, flaky shape of this
-	// test).
+	// blockers are parked by holdBlockers, so the worker is held by a
+	// wait, not by computation — a CPU-heavy blocker starves the HTTP
+	// handler itself on a single-core runner, letting the worker drain
+	// the queue between slowed-down submissions (the old, flaky shape of
+	// this test).
 	ts := testServer(t, hyperhet.SchedulerConfig{
-		Workers: 1, QueueDepth: 1, CacheEntries: -1,
-		RetryBaseDelay: 2 * time.Second, RetryMaxDelay: 2 * time.Second,
+		Workers: 1, QueueDepth: 1, CacheEntries: -1, OnJobRunning: holdBlockers,
 	})
-	const slow = `{
-		"algorithm": "atdca", "network": "fully-het", "targets": 4, "no_cache": true,
-		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3},
-		"faults": {"crashes": [{"rank": 1, "at": 0, "attempt": -1}], "max_attempts": 4}
-	}`
 	sawFull := false
 	for i := 0; i < 8 && !sawFull; i++ {
-		resp, doc := postJSON(t, ts.URL+"/submit", slow)
+		resp, doc := postJSON(t, ts.URL+"/submit", blockerJob)
 		switch resp.StatusCode {
 		case http.StatusAccepted:
 		case http.StatusTooManyRequests:
@@ -368,20 +379,14 @@ func TestBackpressureReturns429(t *testing.T) {
 }
 
 func TestCancelEndpoint(t *testing.T) {
-	// The job crashes instantly and then sits in long retry backoffs, so
-	// there is a wide, CPU-independent window in which the cancel lands
-	// (racing a cancel against a real compute run is flaky on a loaded
-	// single-core runner — the run can finish first).
+	// The job is parked by holdBlockers until cancelled, so the cancel
+	// always lands before it can finish (racing a cancel against a real
+	// compute run is flaky on a loaded single-core runner — the run can
+	// finish first).
 	ts := testServer(t, hyperhet.SchedulerConfig{
-		Workers: 1, QueueDepth: 4, CacheEntries: -1,
-		RetryBaseDelay: 2 * time.Second, RetryMaxDelay: 2 * time.Second,
+		Workers: 1, QueueDepth: 4, CacheEntries: -1, OnJobRunning: holdBlockers,
 	})
-	body := `{
-		"algorithm": "atdca", "network": "fully-het", "targets": 4,
-		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3},
-		"faults": {"crashes": [{"rank": 1, "at": 0, "attempt": -1}], "max_attempts": 10}
-	}`
-	resp, doc := postJSON(t, ts.URL+"/submit", body)
+	resp, doc := postJSON(t, ts.URL+"/submit", blockerJob)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d (%v)", resp.StatusCode, doc)
 	}

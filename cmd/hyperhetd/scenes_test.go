@@ -319,16 +319,13 @@ func TestSceneCacheSubmitAndPipelineShareOneGeneration(t *testing.T) {
 // key is the content-digest key a fresh submission computes.
 func TestSceneCacheReplayGeneratesNoScene(t *testing.T) {
 	dir := t.TempDir()
-	// One worker, held by a blocker that crashes instantly and then sleeps
-	// through long retry backoffs: everything behind it stays queued.
-	cfg := hyperhet.SchedulerConfig{
-		Workers: 1, QueueDepth: 32,
-		RetryBaseDelay: 5 * time.Second, RetryMaxDelay: 5 * time.Second,
-	}
+	// One worker, held by a blocker that holdBlockers parks until the
+	// drain (and, after the restart, the cancel below): everything behind
+	// it stays queued.
+	cfg := hyperhet.SchedulerConfig{Workers: 1, QueueDepth: 32, OnJobRunning: holdBlockers}
 	const blocker = `{
-		"algorithm": "atdca", "network": "fully-het", "targets": 4,
-		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 99},
-		"faults": {"crashes": [{"rank": 1, "at": 0, "attempt": -1}], "max_attempts": 10}}`
+		"algorithm": "atdca", "network": "fully-het", "targets": 4, "label": "blocker", "no_cache": true,
+		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 99}}`
 	queuedJob := func(seed int, extra string) string {
 		return fmt.Sprintf(`{"algorithm": "atdca", "mode": "sequential", "targets": 4%s,
 			"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": %d}}`, extra, seed)

@@ -230,9 +230,10 @@ func RunSequentialContext(ctx context.Context, cycleTime float64, alg Algorithm,
 	return core.RunSequentialContext(ctx, cycleTime, alg, f, p)
 }
 
-// Fault injection and recovery: deterministic failure plans consulted by
-// the message layer at every virtual-time charge, typed failure errors,
-// and degraded-mode recovery in the run drivers.
+// Fault injection: deterministic failure plans consulted by the message
+// layer at every virtual-time charge, and typed failure errors. A run is
+// one attempt; re-running a failed job — on the survivors with
+// JobSpec.Recovery — is the scheduler's.
 type (
 	// FaultPlan is one reproducible failure scenario (crashes, link
 	// slowdowns, compute degradations) injected into a simulated run via
@@ -246,10 +247,6 @@ type (
 	FaultDegrade = fault.Degrade
 	// RandomFaultConfig tunes RandomFaultPlan.
 	RandomFaultConfig = fault.RandomConfig
-	// RecoveryOptions enables degraded-mode recovery in Run/RunContext:
-	// when a worker rank dies, the master re-partitions the survivors and
-	// reruns, recording attempts and overhead in the RunReport.
-	RecoveryOptions = core.RecoveryOptions
 	// RankFailedError is the typed error for an injected rank death; match
 	// with errors.Is(err, ErrRankFailed) or errors.As.
 	RankFailedError = mpi.RankFailedError
@@ -389,7 +386,7 @@ type (
 	// CheckpointSnapshot is one saved master round state.
 	CheckpointSnapshot = checkpoint.Snapshot
 	// CheckpointMemStore is an in-memory Checkpointer (zero value ready),
-	// the store behind scheduler-level retries.
+	// the store behind a scheduler job's attempts.
 	CheckpointMemStore = checkpoint.MemStore
 	// CheckpointFileStore is a Checkpointer over an atomically-replaced
 	// file, for resume across processes without a scheduler.

@@ -7,10 +7,9 @@ import (
 	"sync"
 )
 
-// MemStore keeps the latest snapshot in memory: the store a scheduler
-// retry loop threads through every attempt of one job, and the degraded-
-// mode recovery loop reuses across in-run attempts. The zero value is
-// ready to use.
+// MemStore keeps the latest snapshot in memory: the store a scheduler's
+// attempt loop threads through every attempt of one job, on the full or
+// the degraded platform alike. The zero value is ready to use.
 type MemStore struct {
 	mu     sync.Mutex
 	latest Snapshot

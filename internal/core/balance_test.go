@@ -118,54 +118,6 @@ func TestBalancedDegradedRankShedsWork(t *testing.T) {
 	}
 }
 
-// A crashed worker's outstanding chunks must be recomputed exactly once:
-// the recovery attempt restarts the run on the survivors and the final
-// result matches the no-fault baseline bit for bit.
-func TestBalancedCrashRecoveryMatchesBaseline(t *testing.T) {
-	sc := smallScene(t)
-	net := smallNet(t, 4)
-	params := smallParams()
-	params.Recovery = RecoveryOptions{Enabled: true}
-
-	// The recovered attempt reruns on the survivors, so the reference is a
-	// clean static run on the degraded network: equality proves every
-	// outstanding chunk was reissued exactly once — none lost, none
-	// double-computed.
-	degradedNet, err := net.Without(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range Algorithms {
-		pf := params
-		pf.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 2, At: 0.0005, Attempt: 1}}}
-		crashed, err := RunContext(balancedCtx(), net, alg, Hetero, sc.Cube, pf)
-		if err != nil {
-			t.Fatalf("%s crashed: %v", alg, err)
-		}
-		if crashed.Attempts < 2 {
-			t.Fatalf("%s: crash did not trigger recovery (attempts=%d)", alg, crashed.Attempts)
-		}
-		if crashed.Procs != 3 {
-			t.Errorf("%s: expected 3 survivors, got %d", alg, crashed.Procs)
-		}
-		if !crashed.Balanced || crashed.BalanceChunks <= 0 {
-			t.Errorf("%s: recovered run lost its balance accounting", alg)
-		}
-		want, err := Run(degradedNet, alg, Hetero, sc.Cube, Params{
-			Targets: params.Targets, PCT: params.PCT, Morph: params.Morph,
-		})
-		if err != nil {
-			t.Fatalf("%s static reference: %v", alg, err)
-		}
-		if !reflect.DeepEqual(want.Detection, crashed.Detection) {
-			t.Errorf("%s: recovered detection diverged from clean static run", alg)
-		}
-		if !reflect.DeepEqual(want.Classification, crashed.Classification) {
-			t.Errorf("%s: recovered classification diverged from clean static run", alg)
-		}
-	}
-}
-
 // TestBalancePropertyAllPlatforms is the cross-platform property sweep:
 // on every UMD platform (plus a Thunderhead slice) and every algorithm,
 // a balanced run must (a) reproduce the static-WEA baseline's outputs

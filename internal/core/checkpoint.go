@@ -15,10 +15,10 @@ type checkpointerKey struct{}
 
 // WithCheckpointer returns a context carrying ck; runs started under it
 // save master round state at every round boundary and resume from the
-// store's latest snapshot — including across the degraded-mode recovery
-// loop, whose retries reuse the same store and therefore restart from the
-// last completed round instead of round zero. A nil ck (or a context
-// without one) leaves runs checkpoint-free and byte-identical to before.
+// store's latest snapshot, so a rerun over the same store — the
+// scheduler's next attempt of a job — restarts from the last completed
+// round instead of round zero. A nil ck (or a context without one) leaves
+// runs checkpoint-free and byte-identical to before.
 func WithCheckpointer(ctx context.Context, ck checkpoint.Checkpointer) context.Context {
 	return context.WithValue(ctx, checkpointerKey{}, ck)
 }
@@ -31,7 +31,7 @@ func CheckpointerFrom(ctx context.Context) checkpoint.Checkpointer {
 
 // countingCheckpointer wraps the attached store to account snapshot
 // traffic for the RunReport. Only the master rank's goroutine touches it
-// during a run, and attempts are sequential, so plain fields suffice.
+// during a run, so plain fields suffice.
 type countingCheckpointer struct {
 	inner checkpoint.Checkpointer
 	saves int

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/fault"
 )
 
 func sameDetections(t *testing.T, a, b *RunReport) {
@@ -74,65 +73,6 @@ func TestCheckpointCleanRunBookkeeping(t *testing.T) {
 	}
 	if rep2.Seq+rep2.Par >= rep.Seq+rep.Par {
 		t.Errorf("full resume did not reduce compute: %v >= %v", rep2.Seq+rep2.Par, rep.Seq+rep.Par)
-	}
-}
-
-// The tentpole scenario: a worker dies mid-run, degraded-mode recovery
-// retries on the surviving processors, and the retry resumes from the last
-// checkpointed round instead of recomputing — same detections, strictly
-// less compute than the checkpoint-free recovery of the identical failure.
-func TestCheckpointResumeAfterRankFailure(t *testing.T) {
-	sc := smallScene(t)
-	net := smallNet(t, 4)
-	params := smallParams()
-	params.Recovery = RecoveryOptions{Enabled: true}
-	// Scale the per-round compute well above the fixed checkpoint-write
-	// latency, as in any realistically sized scene; on the tiny test scene
-	// the fsync cost would otherwise swamp the rounds it saves.
-	params.WorkScale = 50
-
-	// Calibrate the crash instant to the middle of a checkpointed clean
-	// run, so attempt 1 completes some rounds before rank 2 dies.
-	ctxClean := WithCheckpointer(context.Background(), &checkpoint.MemStore{})
-	clean, err := RunContext(ctxClean, net, ATDCA, Hetero, sc.Cube, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 2, At: clean.WallTime / 2, Attempt: 1}}}
-
-	// Checkpoint-free baseline: recovery reruns from scratch.
-	scratch, err := Run(net, ATDCA, Hetero, sc.Cube, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scratch.Attempts != 2 {
-		t.Fatalf("baseline attempts = %d, want 2", scratch.Attempts)
-	}
-
-	ctx := WithCheckpointer(context.Background(), &checkpoint.MemStore{})
-	rep, err := RunContext(ctx, net, ATDCA, Hetero, sc.Cube, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", rep.Attempts)
-	}
-	if rep.ResumedFromRound < 1 || rep.ResumedFromRound >= params.Targets {
-		t.Fatalf("resumed from round %d, want a mid-run round in [1,%d)", rep.ResumedFromRound, params.Targets)
-	}
-	sameDetections(t, scratch, rep)
-	if rep.Seq+rep.Par >= scratch.Seq+scratch.Par {
-		t.Errorf("resumed retry compute %v not below from-scratch retry %v", rep.Seq+rep.Par, scratch.Seq+scratch.Par)
-	}
-
-	// Determinism: the whole crash-resume sequence replays identically.
-	rep2, err := RunContext(WithCheckpointer(context.Background(), &checkpoint.MemStore{}), net, ATDCA, Hetero, sc.Cube, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.WallTime != rep.WallTime || rep2.ResumedFromRound != rep.ResumedFromRound {
-		t.Fatalf("resume replay diverged: wall %v vs %v, round %d vs %d",
-			rep2.WallTime, rep.WallTime, rep2.ResumedFromRound, rep.ResumedFromRound)
 	}
 }
 

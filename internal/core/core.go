@@ -9,7 +9,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -139,35 +138,9 @@ type Params struct {
 	// injects nothing); see package fault.
 	Faults *fault.Plan
 	// FaultAttempt is the 1-based execution attempt used to filter the
-	// fault plan (0 means 1). The scheduler bumps it across job retries
-	// so a crash pinned to attempt 1 spares the rerun.
+	// fault plan (0 means 1). The scheduler bumps it across a job's
+	// attempts so a crash pinned to attempt 1 spares the rerun.
 	FaultAttempt int
-	// Recovery enables degraded-mode recovery for Run/RunContext.
-	Recovery RecoveryOptions
-}
-
-// RecoveryOptions configures degraded-mode recovery: when a worker rank
-// dies (an injected fault), the master excludes it, re-partitions the
-// surviving processors with the run's strategy (WEA for the Hetero
-// variant) and reruns. The death of rank 0 — the master holding the
-// scene — is unrecoverable by design.
-type RecoveryOptions struct {
-	// Enabled turns recovery on.
-	Enabled bool
-	// MaxAttempts bounds the total executions, first run included
-	// (0 means 3).
-	MaxAttempts int
-}
-
-// attempts returns the total execution budget.
-func (r RecoveryOptions) attempts() int {
-	if !r.Enabled {
-		return 1
-	}
-	if r.MaxAttempts <= 0 {
-		return 3
-	}
-	return r.MaxAttempts
 }
 
 // DefaultParams returns the paper's parameter choices.
@@ -228,11 +201,11 @@ type RunReport struct {
 	// slice as immutable: cached reports are shared between jobs.
 	TraceEvents []mpi.Event
 
-	// Attempts counts the executions behind this report: 1 for a clean
-	// run, more when degraded-mode recovery rescued the job.
+	// Attempts counts the executions behind this report: 1 for one run,
+	// more when the scheduler re-ran a job after a rank died.
 	Attempts int
 	// FailedRanks lists the processors (rank numbers of the originally
-	// submitted network) that died and were excluded by recovery, in
+	// submitted network) that died and were excluded before a rerun, in
 	// failure order.
 	FailedRanks []int
 	// RecoveryOverhead is the virtual time in seconds consumed by failed
@@ -246,7 +219,7 @@ type RunReport struct {
 	// Checkpointer was attached via WithCheckpointer.
 	ResumedFromRound int
 	// CheckpointSaves and CheckpointBytes count the snapshot writes (and
-	// their payload bytes) across every attempt of this run.
+	// their payload bytes) of the run, or of every attempt of a job.
 	CheckpointSaves int
 	CheckpointBytes int64
 	// CheckpointOverhead is the virtual time in seconds the successful
@@ -286,12 +259,16 @@ func Run(net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, pa
 // the returned error wraps ctx.Err(), detectable with errors.Is. A nil ctx
 // behaves like context.Background().
 //
+// RunContext executes exactly one attempt: a rank death fails it with the
+// typed error, and re-running — on the same network or on the survivors —
+// is the caller's choice (package sched makes it).
+//
 // The Adaptive variant (ATDCA only) runs algo.ATDCAAdaptive, whose
 // schedule keeps its own partition state: it accepts fault injection (the
 // rebalancer is exactly what degradation windows are meant to stress) but
-// there is no static plan to recover onto and nothing for a balancer, a
-// checkpointer or the timeline renderer to act on, so those settings do
-// not apply to it. Its convergence trace is RunReport.Adaptive.
+// there is nothing for a balancer, a checkpointer or the timeline
+// renderer to act on, so those settings do not apply to it. Its
+// convergence trace is RunReport.Adaptive.
 func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, params Params) (_ *RunReport, err error) {
 	if net == nil {
 		return nil, fmt.Errorf("core: nil network")
@@ -305,8 +282,7 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	label := fmt.Sprintf("%s/%s", alg, variant)
-	fail := func(err error) error { return fmt.Errorf("core: %s on %s: %w", label, net.Name, err) }
+	fail := func(err error) error { return fmt.Errorf("core: %s/%s on %s: %w", alg, variant, net.Name, err) }
 	if err := ctx.Err(); err != nil {
 		return nil, fail(err)
 	}
@@ -317,7 +293,7 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 	var pol balance.Policy
 	var cck *countingCheckpointer
 	if adaptive {
-		params.Recovery, params.Trace = RecoveryOptions{}, false
+		params.Trace = false
 	} else {
 		if strat, err = variant.Strategy(); err != nil {
 			return nil, err
@@ -337,13 +313,32 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		}
 	}()
 
-	// A fresh Balancer is built per attempt (degraded recovery shrinks the
-	// network); the program closure reads it at call time, after the
-	// attempt loop has set it and before world.Run starts the rank
-	// goroutines.
+	world := mpi.NewWorld(net)
+	world.SetContext(ctx)
+	if params.WorkScale > 0 {
+		world.SetComputeScale(params.WorkScale)
+	}
+	if params.DataScale > 0 {
+		world.SetDataScale(params.DataScale)
+	}
+	if err := world.SetFaults(params.Faults, max(params.FaultAttempt, 1)); err != nil {
+		return nil, fail(err)
+	}
 	var bal *balance.Balancer
+	if pol.Enabled {
+		spans, err := strat.Partition(f.Lines, f.Samples, f.Bands, net.Procs)
+		if err != nil {
+			return nil, fail(err)
+		}
+		bal = balance.New(net, spans, f)
+	}
+	var events *mpi.Trace
+	if params.Trace {
+		events = world.EnableTrace()
+	}
+
 	var trace *algo.AdaptiveTrace // set by rank 0, read once world.Run has returned
-	program := func(c *mpi.Comm) any {
+	res, err := world.Run(func(c *mpi.Comm) any {
 		var data *cube.Cube
 		if c.Root() {
 			data = f
@@ -374,133 +369,65 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 			panic(err)
 		}
 		return r
+	})
+	if err != nil {
+		return nil, fail(err)
 	}
 
-	// The recovery loop: run, and when a worker rank dies with recovery
-	// enabled, exclude it, re-partition the survivors (the strategy runs
-	// WEA over the reduced processor list) and try again on the degraded
-	// platform. The first attempt number follows Params.FaultAttempt so
-	// the scheduler's own retries keep a single attempt axis.
-	attempt := max(params.FaultAttempt, 1)
-	budget := params.Recovery.attempts()
-	curNet := net
-	plan := params.Faults
-	// alive maps the current network's ranks back to the submitted
-	// network's rank numbers, for reporting.
-	alive := make([]int, net.Size())
-	for i := range alive {
-		alive[i] = i
+	report := &RunReport{
+		Algorithm: alg,
+		Variant:   variant,
+		Network:   net.Name,
+		Procs:     net.Size(),
+		WallTime:  res.WallTime(),
+		ProcTimes: res.ProcTimes(),
+		BusyTimes: res.BusyTimes(),
+		DAll:      1,
+		DMinus:    1,
+		Attempts:  1,
+		Adaptive:  trace,
 	}
-	var failedRanks []int
-	var overhead float64
-	for used := 1; ; used++ {
-		world := mpi.NewWorld(curNet)
-		world.SetContext(ctx)
-		if params.WorkScale > 0 {
-			world.SetComputeScale(params.WorkScale)
-		}
-		if params.DataScale > 0 {
-			world.SetDataScale(params.DataScale)
-		}
-		if err := world.SetFaults(plan, attempt); err != nil {
-			return nil, fail(err)
-		}
-		if pol.Enabled {
-			spans, err := strat.Partition(f.Lines, f.Samples, f.Bands, curNet.Procs)
-			if err != nil {
-				return nil, fail(err)
-			}
-			bal = balance.New(curNet, spans, f)
-		}
-		var events *mpi.Trace
-		if params.Trace {
-			events = world.EnableTrace()
-		}
-
-		savesBefore := 0
-		if cck != nil {
-			savesBefore = cck.saves
-			cck.offered = 0
-		}
-		res, err := world.Run(program)
+	report.Com, report.Seq, report.Par = res.RootBreakdown()
+	if net.Size() >= 2 {
+		report.DAll, report.DMinus, err = metrics.Imbalance(report.BusyTimes)
 		if err != nil {
-			var rf *mpi.RankFailedError
-			recoverable := params.Recovery.Enabled && errors.As(err, &rf) &&
-				rf.Rank != 0 && used < budget && curNet.Size() > 1
-			if !recoverable {
-				return nil, fail(err)
-			}
-			tel.rankLost()
-			overhead += rf.VTime
-			failedRanks = append(failedRanks, alive[rf.Rank])
-			degraded, derr := curNet.Without(rf.Rank)
-			if derr != nil {
-				return nil, fmt.Errorf("core: %s on %s: degrading after %v: %w", label, net.Name, err, derr)
-			}
-			alive = append(alive[:rf.Rank], alive[rf.Rank+1:]...)
-			curNet = degraded
-			plan = plan.Without(rf.Rank)
-			attempt++
-			continue
+			return nil, fmt.Errorf("core: imbalance: %w", err)
 		}
-
-		report := &RunReport{
-			Algorithm:        alg,
-			Variant:          variant,
-			Network:          curNet.Name,
-			Procs:            curNet.Size(),
-			WallTime:         res.WallTime(),
-			ProcTimes:        res.ProcTimes(),
-			BusyTimes:        res.BusyTimes(),
-			DAll:             1,
-			DMinus:           1,
-			Attempts:         used,
-			FailedRanks:      failedRanks,
-			RecoveryOverhead: overhead,
-			Adaptive:         trace,
-		}
-		report.Com, report.Seq, report.Par = res.RootBreakdown()
-		if curNet.Size() >= 2 {
-			report.DAll, report.DMinus, err = metrics.Imbalance(report.BusyTimes)
-			if err != nil {
-				return nil, fmt.Errorf("core: imbalance: %w", err)
-			}
-		}
-		switch v := res.Root().(type) {
-		case *algo.DetectionResult:
-			report.Detection = v
-		case *algo.ClassificationResult:
-			report.Classification = v
-		default:
-			return nil, fmt.Errorf("core: unexpected result type %T", v)
-		}
-		if events != nil {
-			report.Timeline = events.Timeline(curNet.Size(), 100)
-			report.TraceEvents = events.Events()
-		}
-		if bal != nil {
-			st := bal.Stats()
-			report.Balanced = true
-			report.BalanceChunks = st.Chunks
-			report.StealEvents = st.StealEvents
-			report.ReassignedLines = st.ReassignedLines
-			report.EstimatorDrift = st.EstimatorDrift
-		}
-		if cck != nil {
-			report.CheckpointSaves = cck.saves
-			report.CheckpointBytes = cck.bytes
-			report.CheckpointOverhead = res.Counters[0].CheckpointSeconds
-			// A restore charge on the master's counters — beyond this
-			// attempt's saves — means the attempt actually consumed the
-			// snapshot Latest offered, not merely looked at it.
-			if res.Counters[0].Checkpoints > cck.saves-savesBefore {
-				report.ResumedFromRound = cck.offered
-			}
-		}
-		tel.runDone(report)
-		tel.mpiRun(res.Counters)
-		return report, nil
 	}
+	switch v := res.Root().(type) {
+	case *algo.DetectionResult:
+		report.Detection = v
+	case *algo.ClassificationResult:
+		report.Classification = v
+	default:
+		return nil, fmt.Errorf("core: unexpected result type %T", v)
+	}
+	if events != nil {
+		report.Timeline = events.Timeline(net.Size(), 100)
+		report.TraceEvents = events.Events()
+	}
+	if bal != nil {
+		st := bal.Stats()
+		report.Balanced = true
+		report.BalanceChunks = st.Chunks
+		report.StealEvents = st.StealEvents
+		report.ReassignedLines = st.ReassignedLines
+		report.EstimatorDrift = st.EstimatorDrift
+	}
+	if cck != nil {
+		report.CheckpointSaves = cck.saves
+		report.CheckpointBytes = cck.bytes
+		report.CheckpointOverhead = res.Counters[0].CheckpointSeconds
+		// A restore charge on the master's counters — beyond this run's
+		// saves — means the run actually consumed the snapshot Latest
+		// offered, not merely looked at it.
+		if res.Counters[0].Checkpoints > cck.saves {
+			report.ResumedFromRound = cck.offered
+		}
+	}
+	tel.runDone(report)
+	tel.mpiRun(res.Counters)
+	return report, nil
 }
 
 // RunSequential executes the single-threaded reference implementation of

@@ -198,3 +198,16 @@ func TestVariantStrategy(t *testing.T) {
 		t.Errorf("Homo.Strategy = %v, %v", s, err)
 	}
 }
+
+// A clean run reports exactly one attempt and no recovery bookkeeping.
+func TestCleanRunAttempts(t *testing.T) {
+	sc := smallScene(t)
+	rep, err := Run(smallNet(t, 3), ATDCA, Hetero, sc.Cube, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Attempts != 1 || len(rep.FailedRanks) != 0 || rep.RecoveryOverhead != 0 {
+		t.Fatalf("clean run bookkeeping = attempts %d, failed %v, overhead %v",
+			rep.Attempts, rep.FailedRanks, rep.RecoveryOverhead)
+	}
+}

@@ -17,9 +17,7 @@ import (
 type Metrics struct {
 	runsStarted     *telemetry.CounterVec
 	runsFailed      *telemetry.Counter
-	runsRecovered   *telemetry.Counter
 	runsResumed     *telemetry.Counter
-	ranksLost       *telemetry.Counter
 	virtualSeconds  *telemetry.CounterVec
 	checkpointSaves *telemetry.Counter
 	checkpointBytes *telemetry.Counter
@@ -46,16 +44,12 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Simulated runs started, by algorithm.", "algorithm"),
 		runsFailed: reg.NewCounter("hyperhet_core_runs_failed_total",
 			"Simulated runs that returned an error."),
-		runsRecovered: reg.NewCounter("hyperhet_core_runs_recovered_total",
-			"Runs that completed only after degraded-mode recovery."),
 		runsResumed: reg.NewCounter("hyperhet_core_runs_resumed_total",
 			"Runs whose successful attempt resumed from a checkpoint instead of round zero."),
 		checkpointSaves: reg.NewCounter("hyperhet_core_checkpoint_saves_total",
 			"Master round-state snapshots written."),
 		checkpointBytes: reg.NewCounter("hyperhet_core_checkpoint_bytes_total",
 			"Payload bytes written to checkpoint stores."),
-		ranksLost: reg.NewCounter("hyperhet_core_ranks_lost_total",
-			"Worker ranks excluded from a platform by degraded-mode recovery."),
 		virtualSeconds: reg.NewCounterVec("hyperhet_core_virtual_seconds_total",
 			"Root-timeline virtual time simulated, by category (PAR includes root idle, per the paper's convention).", "category"),
 		lastDAll: reg.NewGauge("hyperhet_core_imbalance_d_all",
@@ -93,19 +87,9 @@ func (m *Metrics) runFailed() {
 	m.runsFailed.Inc()
 }
 
-func (m *Metrics) rankLost() {
-	if m == nil {
-		return
-	}
-	m.ranksLost.Inc()
-}
-
 func (m *Metrics) runDone(rep *RunReport) {
 	if m == nil {
 		return
-	}
-	if rep.Attempts > 1 {
-		m.runsRecovered.Inc()
 	}
 	if rep.ResumedFromRound > 0 {
 		m.runsResumed.Inc()

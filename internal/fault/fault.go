@@ -8,7 +8,8 @@
 // scheduler.
 //
 // Plans exist to exercise the recovery machinery above the message layer:
-// core's degraded-mode re-partitioning and sched's retry with backoff.
+// the scheduler's attempt loop, which reruns a failed job on the same
+// platform or, with recovery, re-partitions the survivors.
 // The master/worker literature the paper builds on (Dongarra et al. 2006)
 // treats worker loss as a first-class design axis; a deterministic
 // injector is what makes that axis testable.
@@ -25,7 +26,6 @@ package fault
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"strings"
 )
@@ -224,25 +224,6 @@ func (p *Plan) Without(rank int) *Plan {
 		}
 	}
 	return out
-}
-
-// Fingerprint returns a stable digest of the plan for cache keys and
-// logs; the empty plan fingerprints to "none".
-func (p *Plan) Fingerprint() string {
-	if p.Empty() {
-		return "none"
-	}
-	h := fnv.New64a()
-	for _, c := range p.Crashes {
-		fmt.Fprintf(h, "c|%d|%g|%d;", c.Rank, c.At, c.Attempt)
-	}
-	for _, l := range p.LinkSlows {
-		fmt.Fprintf(h, "l|%d|%d|%g|%g|%g|%d;", l.Src, l.Dst, l.From, l.To, l.Factor, l.Attempt)
-	}
-	for _, d := range p.Degrades {
-		fmt.Fprintf(h, "d|%d|%g|%g|%g|%d;", d.Rank, d.From, d.To, d.Factor, d.Attempt)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // String renders a compact human-readable summary.

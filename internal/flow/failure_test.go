@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/platform"
 	"repro/internal/scene"
 	"repro/internal/sched"
@@ -38,7 +37,7 @@ func (r *stageEvents) get(stage string) (StageState, bool) {
 }
 
 // TestDrainMidPipelineSkipsDependents drains the stack while an analyze
-// stage sits in its retry backoff: the stage must fail with the
+// stage's job is in flight: the stage must fail with the
 // cancellation, its dependent synthesize stage must be skipped (and
 // reported skipped to OnStageDone), and the pipeline's journal story
 // must stay open so a restart resumes it.
@@ -50,15 +49,16 @@ func TestDrainMidPipelineSkipsDependents(t *testing.T) {
 	}
 	defer jl.Close()
 
-	// A long retry backoff is the one deterministic mid-lifecycle hold
-	// point: the stage job's first attempt dies fast on an injected
-	// crash, then the scheduler parks it in an interruptible sleep that
-	// only the drain's cancellation can cut short.
+	// The deterministic mid-lifecycle hold point: the stage job is parked
+	// on its worker until the drain's cancellation reaches it.
+	running := make(chan struct{})
 	s := sched.New(sched.Config{
-		Workers:        2,
-		Journal:        jl,
-		RetryBaseDelay: 30 * time.Second,
-		RetryMaxDelay:  time.Minute,
+		Workers: 2,
+		Journal: jl,
+		OnJobRunning: func(j *sched.Job) {
+			close(running)
+			<-j.Context().Done()
+		},
 	})
 	events := newStageEvents()
 	e, err := New(Config{Scheduler: s, OnStageDone: events.hook})
@@ -70,13 +70,7 @@ func TestDrainMidPipelineSkipsDependents(t *testing.T) {
 		Mode:      sched.ModeRun,
 		Algorithm: core.ATDCA,
 		Network:   platform.FullyHeterogeneous(),
-		Params: core.Params{
-			Targets: 4,
-			Faults: &fault.Plan{Crashes: []fault.Crash{
-				{Rank: 1, At: 0.0001, Attempt: 1},
-			}},
-		},
-		MaxAttempts: 2,
+		Params:    core.Params{Targets: 4},
 	}
 	spec := PipelineSpec{
 		Name: "drain-victim",
@@ -92,12 +86,10 @@ func TestDrainMidPipelineSkipsDependents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Stats().Retries == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stage job never reached its retry backoff")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-running:
+	case <-time.After(30 * time.Second):
+		t.Fatal("stage job never started")
 	}
 	e.Drain()
 	s.Drain()

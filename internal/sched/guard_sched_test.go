@@ -269,10 +269,8 @@ func TestJobStatusQueueAndDeadlineFields(t *testing.T) {
 // ran.
 func TestGuardStressScheduler(t *testing.T) {
 	s := New(Config{
-		Workers:        4,
-		QueueDepth:     32,
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  4 * time.Millisecond,
+		Workers:    4,
+		QueueDepth: 32,
 		Guard: guard.New(guard.Config{
 			Limiter: guard.LimiterConfig{Initial: 16, Min: 4, Max: 64},
 		}),

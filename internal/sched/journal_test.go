@@ -282,7 +282,7 @@ func TestSchedulerJournalsCheckpointedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Workers: 1, Journal: jl, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond})
+	s := New(Config{Workers: 1, Journal: jl})
 
 	spec := checkpointResumeSpec(t)
 	spec.JournalPayload = []byte(`{"algorithm":"atdca","checkpoint":true}`)

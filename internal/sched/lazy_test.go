@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cube"
@@ -118,7 +117,7 @@ func TestLazyCubeResultEvictedBetweenAdmitAndDispatch(t *testing.T) {
 // A retried job builds its cube once: the attempt loop reuses the one
 // materialization instead of calling Materialize per attempt.
 func TestLazyCubeRetriedJobMaterializesOnce(t *testing.T) {
-	s := New(Config{Workers: 1, RetryBaseDelay: time.Millisecond, RetryMaxDelay: time.Millisecond})
+	s := New(Config{Workers: 1})
 	defer s.Close()
 	var calls atomic.Int32
 	j := runToEnd(t, s, lazySpec(faultSpec(t, 1, 3), &calls))

@@ -31,17 +31,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/balance"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/guard"
-	"repro/internal/mpi"
 	"repro/internal/par"
 	"repro/internal/platform"
 	"repro/internal/telemetry"
@@ -191,14 +188,16 @@ type JobSpec struct {
 	// submitted record, letting a restarted server rebuild the spec and
 	// resubmit the job. Ignored when the scheduler has no journal.
 	JournalPayload []byte
-	// MaxAttempts bounds the scheduler-level execution attempts of the
-	// job, first run included (0 and 1 both mean a single attempt). A
-	// failed attempt is retried — after capped exponential backoff with
-	// jitter — only when its error is retryable: a rank death (injected
-	// fault, see Params.Faults) or the cascade it triggered. Cancellation,
-	// deadline expiry and malformed runs are permanent. Degraded-mode
-	// recovery inside one attempt is separate: see core.RecoveryOptions.
+	// MaxAttempts bounds the job's execution attempts, first run included
+	// (0 means 1, or 3 with Recovery). A failed attempt is re-run only
+	// when its error is retryable: a rank death (injected fault, see
+	// Params.Faults) or the cascade it triggered. Cancellation, deadline
+	// expiry and malformed runs are permanent.
 	MaxAttempts int
+	// Recovery moves the rerun after a worker rank's death onto the
+	// survivors, which the strategy re-partitions. Rank 0 holds the scene:
+	// its death is retried on the same network like any other failure.
+	Recovery bool
 }
 
 // validate normalizes defaults and rejects malformed specs.
@@ -270,12 +269,8 @@ type Job struct {
 	// submission, the journaled time for a resumed or restored one.
 	submittedAt time.Time
 
-	// seed is the journal-recovered snapshot a resumed job starts from;
-	// ckpt is the job's checkpoint store, built by runJob when the spec
-	// asks for checkpointing and shared across the attempt loop so each
-	// retry resumes from the last completed round.
+	// seed is the journal-recovered snapshot a resumed job starts from.
 	seed *checkpoint.Snapshot
-	ckpt checkpoint.Checkpointer
 
 	// Guard bookkeeping, set once at admission: the queue population
 	// ahead of the job when it was admitted (the wait estimator's
@@ -294,8 +289,8 @@ type Job struct {
 	attempts   []AttemptRecord
 }
 
-// AttemptRecord is one scheduler-level execution attempt of a job,
-// JSON-shaped for the hyperhetd job document.
+// AttemptRecord is one execution attempt of a job, JSON-shaped for the
+// hyperhetd job document.
 type AttemptRecord struct {
 	// Attempt is the 1-based attempt number.
 	Attempt int `json:"attempt"`
@@ -306,9 +301,6 @@ type AttemptRecord struct {
 	Error string `json:"error,omitempty"`
 	// Retryable reports whether the failure class permitted a retry.
 	Retryable bool `json:"retryable,omitempty"`
-	// BackoffMS is the delay slept before the next attempt (0 on the
-	// final one).
-	BackoffMS int64 `json:"backoff_ms,omitempty"`
 	// VirtualSeconds is the simulated wall time of a successful attempt.
 	VirtualSeconds float64 `json:"virtual_seconds,omitempty"`
 }
@@ -330,6 +322,10 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // Cancel aborts the job: dequeues it if still queued, or aborts its
 // in-flight simulation if running. Safe to call at any time.
 func (j *Job) Cancel() { j.cancel() }
+
+// Context returns the job's context: done once the job is cancelled, its
+// deadline passes or the scheduler closes.
+func (j *Job) Context() context.Context { return j.ctx }
 
 // State returns the job's current lifecycle state.
 func (j *Job) State() State {
@@ -395,7 +391,7 @@ type JobStatus struct {
 	Finished  time.Time `json:"finished,omitzero"`
 	// VirtualSeconds is the completed run's simulated wall time.
 	VirtualSeconds float64 `json:"virtual_seconds,omitempty"`
-	// Attempts counts the scheduler-level execution attempts consumed.
+	// Attempts counts the execution attempts consumed.
 	Attempts int `json:"attempts,omitempty"`
 	// AttemptHistory details each attempt (omitted for cache hits).
 	AttemptHistory []AttemptRecord `json:"attempt_history,omitempty"`
@@ -479,12 +475,6 @@ type Config struct {
 	// RetainJobs bounds how many finished jobs stay queryable by ID
 	// before the oldest are evicted (default 1024).
 	RetainJobs int
-	// RetryBaseDelay is the backoff before the first retry; successive
-	// retries double it up to RetryMaxDelay, and each delay is jittered
-	// to between half and the full computed value (default 25ms).
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the exponential backoff (default 2s).
-	RetryMaxDelay time.Duration
 	// Guard, when non-nil, is the overload-control layer: every fresh
 	// submission passes its admission pipeline (adaptive AIMD limit with
 	// batch-first shedding, then deadline-aware rejection) and denials
@@ -508,8 +498,9 @@ type Config struct {
 	// OnJobRunning, when non-nil, is called from the worker goroutine
 	// after a job transitions to StateRunning and before its simulation
 	// starts. The simulation harness (internal/sim) uses it to drain the
-	// scheduler at a deterministic point in a job's life; the hook must
-	// not block — a drain initiated inside it would deadlock the worker.
+	// scheduler at a deterministic point in a job's life, and tests park a
+	// job on it until its Context is done; a drain initiated inside it
+	// would deadlock the worker.
 	OnJobRunning func(*Job)
 	// OnJobCheckpoint, when non-nil, observes every round snapshot a
 	// checkpointed job saves, after the store (and, with a journal, the
@@ -530,12 +521,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 1024
-	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = 25 * time.Millisecond
-	}
-	if cfg.RetryMaxDelay <= 0 {
-		cfg.RetryMaxDelay = 2 * time.Second
 	}
 	return cfg
 }
@@ -586,15 +571,11 @@ type Scheduler struct {
 	queues  [numPriorities][]*Job // FIFO per class
 	jobs    *Ledger[*Job]
 	running int
-	rng     *rand.Rand // backoff jitter; guarded by mu
 }
 
 // New creates a scheduler and starts its worker pool.
 func New(cfg Config) *Scheduler {
-	s := &Scheduler{
-		cfg: cfg.withDefaults(),
-		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
+	s := &Scheduler{cfg: cfg.withDefaults()}
 	s.jobs = NewLedger[*Job]("job", s.cfg.RetainJobs)
 	s.cache = newResultCache(s.cfg.CacheEntries)
 	if s.cfg.KernelWorkers > 0 {
@@ -1094,24 +1075,6 @@ func (s *Scheduler) runJob(j *Job) {
 		hook(j)
 	}
 
-	// The checkpoint store outlives the attempt loop, so a retry resumes
-	// from the last round the failed attempt saved; with a journal, every
-	// snapshot is also persisted for resume across a process restart.
-	if j.spec.Checkpoint {
-		mem := &checkpoint.MemStore{}
-		mem.Seed(j.seed)
-		var store checkpoint.Checkpointer = mem
-		if s.cfg.Journal != nil && !j.spec.NoJournal {
-			store = &journaledStore{inner: mem, sched: s, job: j.id}
-		}
-		if hook := s.cfg.OnJobCheckpoint; hook != nil {
-			store = &checkpoint.NotifyStore{Inner: store, OnSave: func(snap checkpoint.Snapshot) {
-				hook(j, snap.Round)
-			}}
-		}
-		j.ckpt = store
-	}
-
 	// Only now — the result cache missed and a worker is committed — is
 	// a lazy cube built, once, for all attempts to share.
 	var res *core.RunReport
@@ -1138,105 +1101,6 @@ func (s *Scheduler) runJob(j *Job) {
 		s.settle(j, StateCancelled, nil, err, false)
 	default:
 		s.settle(j, StateFailed, nil, err, false)
-	}
-}
-
-// runAttempts drives the job's attempt loop over cube c: the first run,
-// then retries of retryable failures — after capped, jittered backoff —
-// up to the spec's budget.
-func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (*core.RunReport, error) {
-	maxAttempts := j.spec.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	for attempt := 1; ; attempt++ {
-		if !j.spec.NoJournal {
-			s.appendStory(j, Record{Type: recStarted, Job: j.id, Attempt: attempt})
-		}
-		// An attempt starts once its started record is durable: the fsync
-		// is the journal's cost, not the run's. The job starts with its
-		// first attempt.
-		started := time.Now()
-		if attempt == 1 {
-			j.mu.Lock()
-			j.startedAt = started
-			j.mu.Unlock()
-		}
-		res, err := s.execute(j, c, attempt)
-		rec := AttemptRecord{
-			Attempt:  attempt,
-			Started:  started,
-			Finished: time.Now(),
-		}
-		if err == nil {
-			rec.VirtualSeconds = res.WallTime
-			j.recordAttempt(rec)
-			return res, nil
-		}
-		rec.Error = err.Error()
-		rec.Retryable = mpi.IsRetryable(err)
-		if !rec.Retryable || attempt >= maxAttempts {
-			j.recordAttempt(rec)
-			return res, err
-		}
-		backoff := s.backoff(attempt)
-		rec.BackoffMS = backoff.Milliseconds()
-		j.recordAttempt(rec)
-		s.tel.retries.Inc()
-		if !sleepCtx(j.ctx, backoff) {
-			return res, fmt.Errorf("sched: job %s cancelled during retry backoff: %w", j.id, context.Cause(j.ctx))
-		}
-	}
-}
-
-// execute runs one attempt of the job over cube c on the job's context.
-// The attempt number is threaded to the fault plan through
-// Params.FaultAttempt, so an injected crash pinned to attempt 1 spares
-// the retry — the transient-failure model.
-func (s *Scheduler) execute(j *Job, c *cube.Cube, attempt int) (*core.RunReport, error) {
-	spec := &j.spec
-	params := spec.Params
-	params.FaultAttempt = attempt
-	// The simulation instruments ride the context, not Params: Params is
-	// part of the cache key and must stay a pure value. The checkpoint
-	// store travels the same way, for the same reason.
-	ctx := core.WithMetrics(j.ctx, s.tel.core)
-	if j.ckpt != nil {
-		ctx = core.WithCheckpointer(ctx, j.ckpt)
-	}
-	if spec.Balance {
-		ctx = core.WithBalance(ctx, balance.DefaultPolicy())
-	}
-	if spec.Mode == ModeSequential {
-		return core.RunSequentialContext(ctx, spec.CycleTime, spec.Algorithm, c, params)
-	}
-	return core.RunContext(ctx, spec.Network, spec.Algorithm, spec.Variant, c, params)
-}
-
-// backoff computes the capped exponential delay before retry n+1 (after
-// attempt n failed), jittered to [d/2, d] so synchronized failures don't
-// retry in lockstep.
-func (s *Scheduler) backoff(attempt int) time.Duration {
-	d := s.cfg.RetryBaseDelay << (attempt - 1)
-	if d > s.cfg.RetryMaxDelay || d <= 0 { // <= 0 guards shift overflow
-		d = s.cfg.RetryMaxDelay
-	}
-	s.mu.Lock()
-	f := 0.5 + s.rng.Float64()/2
-	s.mu.Unlock()
-	return time.Duration(float64(d) * f)
-}
-
-// sleepCtx sleeps for d unless ctx dies first, reporting whether the full
-// delay elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }
 

@@ -138,7 +138,6 @@ func jobSpec(p JobPlan, scenes *SceneCache) (sched.JobSpec, error) {
 			Targets:   p.Targets,
 			WorkScale: p.WorkScale,
 			Faults:    p.Faults,
-			Recovery:  core.RecoveryOptions{Enabled: p.Recovery},
 		},
 		Priority:       p.Priority,
 		Label:          p.Label,
@@ -146,6 +145,7 @@ func jobSpec(p JobPlan, scenes *SceneCache) (sched.JobSpec, error) {
 		Checkpoint:     p.Checkpoint,
 		Balance:        p.Balance,
 		MaxAttempts:    p.MaxAttempts,
+		Recovery:       p.Recovery,
 		JournalPayload: labelPayload(p.Label),
 	}, nil
 }
@@ -381,8 +381,6 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 		QueueDepth:      scn.QueueDepth,
 		CacheEntries:    scn.CacheEntries,
 		RetainJobs:      4096,
-		RetryBaseDelay:  time.Millisecond,
-		RetryMaxDelay:   4 * time.Millisecond,
 		Journal:         jl,
 		Guard:           overloadGuard(scn.Overload),
 		OnJobRunning:    trig.jobRunning,
