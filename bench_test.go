@@ -23,15 +23,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/experiments"
 	"repro/internal/flow"
 	"repro/internal/linalg"
 	"repro/internal/morph"
-	"repro/internal/mpi"
-	"repro/internal/partition"
 	"repro/internal/platform"
 	"repro/internal/scene"
 	"repro/internal/sched"
@@ -500,39 +497,6 @@ func BenchmarkAblationMemoryBound(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFCLSForm compares dense Lawson-Hanson against the
-// Gram-form solver used in the UFCLS hot loop.
-func BenchmarkAblationFCLSForm(b *testing.B) {
-	sc, _, _ := benchScenes(b)
-	bands, t := sc.Cube.Bands, 12
-	m := linalg.NewMat(bands, t)
-	for j := 0; j < t; j++ {
-		for i := 0; i < bands; i++ {
-			m.Set(i, j, float64(sc.Cube.PixelAt(j * 31)[i]))
-		}
-	}
-	y := make([]float64, bands)
-	for i := range y {
-		y[i] = float64(sc.Cube.PixelAt(4242)[i])
-	}
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := linalg.FCLS(m, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gram", func(b *testing.B) {
-		solver := linalg.NewFCLSSolver(m)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := solver.Unmix(y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationOSPForm compares the paper's dense N x N projector
 // application against the factored O(tN) form.
 func BenchmarkAblationOSPForm(b *testing.B) {
@@ -564,60 +528,6 @@ func BenchmarkAblationOSPForm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			proj.Apply(y, nil)
 		}
-	})
-}
-
-// BenchmarkAblationPartitionAxis quantifies Section 2.1's argument for
-// the hybrid spatial partitioning: the same brightest-pixel query under
-// spatial-domain decomposition (one candidate per processor) vs
-// spectral-domain decomposition (per-pixel partial results combined
-// across all processors). The vsec_com metric is the master's
-// communication time.
-func BenchmarkAblationPartitionAxis(b *testing.B) {
-	_, sc, _ := benchScenes(b)
-	params := benchParams(sc.Config)
-	net := FullyHomogeneous()
-	runOnce := func(spectral bool) (float64, float64) {
-		world := mpi.NewWorld(net)
-		world.SetComputeScale(params.WorkScale)
-		world.SetDataScale(params.DataScale)
-		res, err := world.Run(func(c *mpi.Comm) any {
-			var data *cube.Cube
-			if c.Root() {
-				data = sc.Cube
-			}
-			var err error
-			if spectral {
-				_, _, err = algo.BrightestSpectralPartition(c, data)
-			} else {
-				_, _, err = algo.BrightestSpatialPartition(c, data, partition.Heterogeneous{})
-			}
-			if err != nil {
-				panic(err)
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		com, _, _ := res.RootBreakdown()
-		return com, res.WallTime()
-	}
-	b.Run("spatial-hybrid", func(b *testing.B) {
-		var com, wall float64
-		for i := 0; i < b.N; i++ {
-			com, wall = runOnce(false)
-		}
-		b.ReportMetric(com, "vsec_com")
-		b.ReportMetric(wall, "vsec")
-	})
-	b.Run("spectral-domain", func(b *testing.B) {
-		var com, wall float64
-		for i := 0; i < b.N; i++ {
-			com, wall = runOnce(true)
-		}
-		b.ReportMetric(com, "vsec_com")
-		b.ReportMetric(wall, "vsec")
 	})
 }
 
@@ -661,37 +571,6 @@ func BenchmarkKernelMEI(b *testing.B) {
 			morph.MEIRange(view, se, 5, 5, 11)
 		}
 	})
-}
-
-func BenchmarkKernelCovariance(b *testing.B) {
-	sc, _, _ := benchScenes(b)
-	params := algo.DefaultPCTParams()
-	_ = params
-	mean := sc.Cube.MeanVector()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = mean
-		// One covariance accumulation pass over a 32-line slab.
-		slab, err := sc.Cube.Rows(0, 32)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc := linalg.NewMat(slab.Bands, slab.Bands)
-		d := make([]float64, slab.Bands)
-		for p := 0; p < slab.NumPixels(); p++ {
-			v := slab.PixelAt(p)
-			for k := 0; k < slab.Bands; k++ {
-				d[k] = float64(v[k]) - mean[k]
-			}
-			for r := 0; r < slab.Bands; r++ {
-				row := acc.Row(r)
-				dr := d[r]
-				for cidx := r; cidx < slab.Bands; cidx++ {
-					row[cidx] += dr * d[cidx]
-				}
-			}
-		}
-	}
 }
 
 func BenchmarkKernelSceneGeneration(b *testing.B) {

@@ -249,3 +249,75 @@ func TestJournalRestartResumesJobs(t *testing.T) {
 		t.Fatalf("resumed run found %v targets, want 10", result["targets"])
 	}
 }
+
+// A job's schedule is part of its journaled request: a submission with
+// "balance": true reports a balanced result and one without does not, and
+// each keeps its value through a restart — restored from the journal when
+// it finished before, resumed when the restart interrupted it.
+func TestBalanceSurvivesJournalRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := hyperhet.SchedulerConfig{Workers: 2, QueueDepth: 16, CacheEntries: -1, OnJobRunning: holdBlockers}
+	srv1, err := newServer(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.routes())
+	submit := func(url, label string, balance bool) string {
+		t.Helper()
+		resp, doc := postJSON(t, url+"/submit", fmt.Sprintf(`{
+			"algorithm": "atdca", "network": "fully-het", "targets": 4, "label": %q, "balance": %t,
+			"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3}}`, label, balance))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s balance=%t = %d %v", label, balance, resp.StatusCode, doc)
+		}
+		id, _ := doc["id"].(string)
+		return id
+	}
+	check := func(job map[string]any, when string, balance bool) {
+		t.Helper()
+		result, _ := job["result"].(map[string]any)
+		if got, _ := result["balanced"].(bool); job["state"] != "completed" || got != balance {
+			t.Fatalf("%s job submitted with balance=%t: state %v (%v), balanced %v",
+				when, balance, job["state"], job["error"], result["balanced"])
+		}
+	}
+
+	finished := map[bool]string{}
+	for _, balance := range []bool{true, false} {
+		finished[balance] = submit(ts1.URL, "done", balance)
+		check(waitSettled(t, ts1.URL, finished[balance]), "first-boot", balance)
+	}
+	held := map[bool]string{}
+	for _, balance := range []bool{true, false} {
+		held[balance] = submit(ts1.URL, "blocker", balance)
+		j, err := srv1.sched.Job(held[balance])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); j.State() != hyperhet.JobRunning; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("held job never started running (state %s)", j.State())
+			}
+		}
+	}
+	srv1.drain(10 * time.Second)
+	ts1.Close()
+
+	cfg.OnJobRunning = nil
+	srv2, err := newServer(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2.routes())
+	defer func() {
+		ts2.Close()
+		srv2.close()
+	}()
+	for balance, id := range finished {
+		_, job := getJSON(t, ts2.URL+"/jobs/"+id)
+		check(job, "restored", balance)
+	}
+	for balance, id := range held {
+		check(waitSettled(t, ts2.URL, id), "resumed", balance)
+	}
+}

@@ -122,7 +122,6 @@ func main() {
 		drainTO = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 		kernelW = flag.Int("kernel-workers", 0, "host goroutine budget for data-parallel kernels, shared across jobs (0 = GOMAXPROCS)")
 		shed    = flag.Bool("shed", false, "enable overload control: adaptive AIMD admission and deadline-aware shedding (429 + Retry-After)")
-		balance = flag.Bool("balance", false, "schedule every job's parallel phases demand-driven by default (per-request \"balance\": true opts single jobs in regardless)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -159,7 +158,6 @@ func main() {
 		log.Fatalf("hyperhetd: %v", err)
 	}
 	srv.enablePprof = *pprofOn
-	srv.defaultBalance = *balance
 	defer srv.close()
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
@@ -203,10 +201,6 @@ type server struct {
 	start       time.Time
 	enablePprof bool
 	draining    atomic.Bool
-
-	// defaultBalance makes every submitted job demand-driven (-balance);
-	// requests can still opt in individually with "balance": true.
-	defaultBalance bool
 
 	// replayStats records what the boot-time journal replay read and
 	// dropped; nil without -journal. Surfaced in /stats.
@@ -281,9 +275,6 @@ func (s *server) replay(jobs []*hyperhet.JournalJob) {
 		if err != nil {
 			s.logger.Warn("journal replay: bad request", "id", jj.ID, "error", err)
 			continue
-		}
-		if s.defaultBalance {
-			spec.Balance = true
 		}
 		if jj.Finished {
 			// History only: no scene materialization, no execution.
@@ -459,9 +450,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.logger.Warn("submit rejected", "error", err)
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	if s.defaultBalance {
-		spec.Balance = true
 	}
 	// The scene is a handle: a worker builds the cube only once the
 	// result cache has missed. A cacheable job owes the scheduler the

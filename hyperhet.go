@@ -419,7 +419,7 @@ func DefaultBalancePolicy() BalancePolicy { return balance.DefaultPolicy() }
 
 // WithBalance attaches a demand-driven balance policy to a run context
 // (see BalancePolicy). Scheduler jobs opt in with JobSpec.Balance;
-// hyperhetd with the -balance flag or a "balance": true submit field.
+// hyperhetd with a "balance": true submit field.
 func WithBalance(ctx context.Context, pol BalancePolicy) context.Context {
 	return core.WithBalance(ctx, pol)
 }

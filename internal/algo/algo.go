@@ -1,11 +1,11 @@
 // Package algo implements the paper's four hyperspectral analysis
 // algorithms — ATDCA and UFCLS target detection (Algorithms 2-3), PCT and
-// MORPH classification (Algorithms 4-5) — each in two forms:
-//
-//   - a plain sequential implementation, the baseline the paper times on a
-//     single Thunderhead processor (Tables 3-4);
-//   - a master/worker parallel implementation running on the simulated
-//     message-passing cluster of package mpi.
+// MORPH classification (Algorithms 4-5) — as master/worker programs
+// running on the simulated message-passing cluster of package mpi. The
+// sequential baseline the paper times on a single Thunderhead processor
+// (Tables 3-4) is the same program on a one-processor network
+// (core.RunSequential); the single-threaded forms in sequential_test.go
+// are test oracles only.
 //
 // Every parallel implementation is one body: a sequence of phases (per-
 // span work over the scene's lines, folded by the master in span order)
@@ -38,7 +38,7 @@
 // All parallel implementations are deterministic: given the same scene,
 // parameters and platform they return identical results and identical
 // virtual timings on every run, and their detections/classifications match
-// the sequential implementations under every schedule.
+// the sequential test oracles under every schedule.
 package algo
 
 import (
@@ -190,18 +190,6 @@ func ScatterCube(c *mpi.Comm, f *cube.Cube, strat partition.Strategy, halo int) 
 	}
 	msg := mpi.RecvAs[scatterMsg](c, 0, tagScatter)
 	return msg.part, nil, msg.geom, nil
-}
-
-// GatherLabels collects per-rank label slices (one label per owned line
-// pixel) at the root and assembles the full label image. Workers pass
-// their owned-span labels; the root passes its own and receives the rest
-// in rank order. Returns the assembled image at root, nil elsewhere.
-func GatherLabels(c *mpi.Comm, spans []partition.Span, samples int, local []int) []int {
-	parts := gatherSpans(c, spans, tagLabels, local, int(8*float64(len(local))*c.DataScale()))
-	if !c.Root() {
-		return nil
-	}
-	return assembleLabels(c, parts, lastLine(spans), samples)
 }
 
 // candidate is a span's proposal for one selection round: its champion

@@ -167,34 +167,3 @@ func TestScatterCubeRootNeedsData(t *testing.T) {
 		t.Error("expected run failure")
 	}
 }
-
-func TestGatherLabelsAssembles(t *testing.T) {
-	sc := testScene(t)
-	net := testNet(t, 4)
-	root, _ := runParallel(t, net, func(c *mpi.Comm) any {
-		part, spans, geom, err := ScatterCube(c, rootCube(c, sc.Cube), partition.Homogeneous{}, 0)
-		if err != nil {
-			panic(err)
-		}
-		labels := make([]int, part.Owned.Len()*geom[1])
-		for i := range labels {
-			labels[i] = c.Rank()
-		}
-		return GatherLabels(c, spans, geom[1], labels)
-	})
-	labels := root.([]int)
-	if len(labels) != sc.Cube.NumPixels() {
-		t.Fatalf("assembled %d labels, want %d", len(labels), sc.Cube.NumPixels())
-	}
-	// Labels must be non-decreasing rank numbers down the image.
-	prev := 0
-	for _, v := range labels {
-		if v < prev {
-			t.Fatal("labels out of rank order: spans not assembled correctly")
-		}
-		prev = v
-	}
-	if prev != 3 {
-		t.Errorf("last rank label %d, want 3", prev)
-	}
-}

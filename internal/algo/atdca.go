@@ -16,39 +16,6 @@ import (
 // projection norm relative to the subspace spanned by the targets found
 // so far.
 
-// ATDCASequential runs ATDCA on the whole scene in a single thread,
-// returning t targets.
-func ATDCASequential(f *cube.Cube, t int) (*DetectionResult, error) {
-	if err := validateTargets(f, t); err != nil {
-		return nil, err
-	}
-	res := &DetectionResult{}
-	// Brightest pixel.
-	best, bestScore := 0, -1.0
-	for p := 0; p < f.NumPixels(); p++ {
-		if s := f.Brightness(p); s > bestScore {
-			best, bestScore = p, s
-		}
-	}
-	appendTarget(res, f, best, bestScore)
-	// Orthogonal projection rounds. Following the paper's formulation,
-	// the projector is materialized as an N x N matrix and applied to
-	// every pixel vector.
-	for len(res.Targets) < t {
-		u := linalg.NewMat(len(res.Targets), f.Bands)
-		for i, tgt := range res.Targets {
-			copy(u.Row(i), toF64(tgt.Signature))
-		}
-		proj, err := linalg.NewOSP(u)
-		if err != nil {
-			return nil, err
-		}
-		best, bestScore = maxProjection(proj.DenseScan(), f)
-		appendTarget(res, f, best, bestScore)
-	}
-	return res, nil
-}
-
 // ATDCAParallel is the Hetero-ATDCA of Algorithm 2 (or its homogeneous
 // version, depending on the partitioning strategy). It must run inside an
 // mpi program; f is required at the root and ignored elsewhere. The
@@ -118,11 +85,4 @@ func validateTargets(f *cube.Cube, t int) error {
 		return fmt.Errorf("algo: %d targets exceed %d pixels", t, f.NumPixels())
 	}
 	return nil
-}
-
-func appendTarget(res *DetectionResult, f *cube.Cube, p int, score float64) {
-	l, s := f.Coord(p)
-	sig := make([]float32, f.Bands)
-	copy(sig, f.PixelAt(p))
-	res.Targets = append(res.Targets, Target{Line: l, Sample: s, Score: score, Signature: sig})
 }

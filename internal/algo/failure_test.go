@@ -129,46 +129,3 @@ func TestDegenerateSingleMaterialScene(t *testing.T) {
 		t.Errorf("degenerate ATDCA err = %v, want linear dependence", err)
 	}
 }
-
-func TestSpectralVsSpatialPartitionAgree(t *testing.T) {
-	// Both partitioning axes must find the same brightest pixel; the
-	// spectral-domain variant just pays vastly more communication.
-	sc := testScene(t)
-	net := testNet(t, 4)
-	run := func(spectral bool) (int, float64, float64) {
-		w := mpi.NewWorld(net)
-		res, err := w.Run(func(c *mpi.Comm) any {
-			var idx int
-			var v float64
-			var err error
-			if spectral {
-				idx, v, err = BrightestSpectralPartition(c, rootCube(c, sc.Cube))
-			} else {
-				idx, v, err = BrightestSpatialPartition(c, rootCube(c, sc.Cube), partition.Homogeneous{})
-			}
-			if err != nil {
-				panic(err)
-			}
-			return [2]float64{float64(idx), v}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := res.Root().([2]float64)
-		com, _, _ := res.RootBreakdown()
-		return int(out[0]), out[1], com
-	}
-	si, sv, scom := run(true)
-	pi, pv, pcom := run(false)
-	if si != pi {
-		t.Fatalf("spectral found pixel %d, spatial %d", si, pi)
-	}
-	if sv != pv {
-		t.Errorf("brightness differs: %v vs %v", sv, pv)
-	}
-	// The communication blow-up of Section 2.1: the spectral-domain
-	// combination ships per-pixel partials from every worker.
-	if scom <= pcom {
-		t.Errorf("spectral-domain COM %v not above spatial COM %v", scom, pcom)
-	}
-}

@@ -299,24 +299,6 @@ func labelBySAD(f *cube.Cube, endmembers [][]float32) ([]int, float64) {
 	return labels, float64(np) * float64(len(endmembers)) * spectral.FlopsSAD(f.Bands)
 }
 
-// MorphSequential runs the morphological classifier on the whole scene in
-// a single thread.
-func MorphSequential(f *cube.Cube, params MorphParams) (*ClassificationResult, error) {
-	if err := params.validate(f); err != nil {
-		return nil, err
-	}
-	se := morph.Square(params.Radius)
-	res := morph.MEI(f, se, params.Iterations)
-	cands, _ := selectCandidates(res.Final, res.Scores, 0, f.Lines, 6*params.Classes, params.Theta)
-	cands, _ = filterBySupport(cands, f, params.supportRadius(), params.minSupportCount(f.NumPixels()), 3*params.Classes)
-	endmembers, _ := fuseCandidates(cands, params.Classes, params.fuseTheta())
-	if len(endmembers) == 0 {
-		return nil, fmt.Errorf("algo: no endmembers found")
-	}
-	labels, _ := labelBySAD(f, endmembers)
-	return &ClassificationResult{Labels: labels, Classes: endmembers}, nil
-}
-
 // MorphParallel is the Hetero-MORPH of Algorithm 5 (or its homogeneous
 // version). It must run inside an mpi program; f is required at the root.
 // The result is returned at the root; other ranks return nil.

@@ -75,7 +75,8 @@ func (p PCTParams) eigenBands(actual int) int {
 
 // DefaultPCTParams mirrors the paper's setup: c=7 classes (the USGS
 // dust/debris map), with a dedup threshold below the smallest inter-class
-// angle of the USGS-style materials and a 0.5% population floor.
+// angle of the USGS-style materials and a 2% population floor (a zero
+// MinPopulation falls back to 0.5%).
 func DefaultPCTParams() PCTParams {
 	return PCTParams{Classes: 7, Theta: 0.04, MaxReps: 48, MinPopulation: 0.02}
 }
@@ -432,28 +433,6 @@ func classifyReducedVectors(reduced [][]float64, reps [][]float64, comps int) ([
 	return labels, float64(len(reduced)) * float64(len(reps)) * spectral.FlopsSAD(comps)
 }
 
-// classifyReduced labels every pixel of f with the index of the most
-// similar projected representative. Returns labels and the flop count.
-func classifyReduced(f *cube.Cube, t *linalg.Mat, mean []float64, reduced [][]float64) ([]int, float64) {
-	labels := make([]int, f.NumPixels())
-	par.Ranges(f.NumPixels(), par.Chunks(f.NumPixels(), 512), func(_, lo, hi int) {
-		buf := par.GetFloat64s(t.Rows)
-		defer par.PutFloat64s(buf)
-		for p := lo; p < hi; p++ {
-			pctProject(t, mean, f.PixelAt(p), buf)
-			best, bestD := 0, spectral.SADf64(buf, reduced[0])
-			for k := 1; k < len(reduced); k++ {
-				if d := spectral.SADf64(buf, reduced[k]); d < bestD {
-					best, bestD = k, d
-				}
-			}
-			labels[p] = best
-		}
-	})
-	flops := float64(f.NumPixels()) * (linalg.FlopsMulVec(t.Rows, t.Cols) + float64(len(reduced))*spectral.FlopsSAD(t.Rows))
-	return labels, flops
-}
-
 // repsToResult converts representatives into the classification result's
 // class signatures.
 func repsToClasses(reps []rep) [][]float32 {
@@ -462,43 +441,6 @@ func repsToClasses(reps []rep) [][]float32 {
 		out[i] = r.sig
 	}
 	return out
-}
-
-// PCTSequential runs the PCT classifier on the whole scene in a single
-// thread.
-func PCTSequential(f *cube.Cube, params PCTParams) (*ClassificationResult, error) {
-	if err := params.validate(f); err != nil {
-		return nil, err
-	}
-	reps, _ := uniqueScan(f, params.Theta, params.MaxReps)
-	reps, _ = pruneReps(reps, params.minPopulationCount(f.NumPixels()))
-	reps, _ = mergeReps(reps, params.Classes)
-	sum, finite := finiteMeanSums(f)
-	if finite == 0 {
-		return nil, fmt.Errorf("algo: no finite pixels in scene")
-	}
-	mean := make([]float64, f.Bands)
-	for b := range mean {
-		mean[b] = sum[b] / float64(finite)
-	}
-	cov := linalg.NewMat(f.Bands, f.Bands)
-	covarianceUpper(f, mean, cov)
-	mirrorLower(cov)
-	for i := range cov.Data {
-		cov.Data[i] /= float64(finite)
-	}
-	t, err := pctTransformMatrix(cov, min(params.Classes, len(reps)))
-	if err != nil {
-		return nil, err
-	}
-	reduced := make([][]float64, len(reps))
-	buf := make([]float64, t.Rows)
-	for i, r := range reps {
-		pctProject(t, mean, r.sig, buf)
-		reduced[i] = append([]float64(nil), buf...)
-	}
-	labels, _ := classifyReduced(f, t, mean, reduced)
-	return &ClassificationResult{Labels: labels, Classes: repsToClasses(reps)}, nil
 }
 
 // pctBcastMsg carries the transform, mean and reduced representatives

@@ -104,34 +104,6 @@ func maxErrorScan(f *cube.Cube, u uMatrix, bands int, bounds [][]float64) (int, 
 	return best, bestScore, solves, nil
 }
 
-// UFCLSSequential runs UFCLS on the whole scene in a single thread.
-func UFCLSSequential(f *cube.Cube, t int) (*DetectionResult, error) {
-	if err := validateTargets(f, t); err != nil {
-		return nil, err
-	}
-	res := &DetectionResult{}
-	best, bestScore := 0, -1.0
-	for p := 0; p < f.NumPixels(); p++ {
-		if s := f.Brightness(p); s > bestScore {
-			best, bestScore = p, s
-		}
-	}
-	appendTarget(res, f, best, bestScore)
-	var u uMatrix
-	u.rows = append(u.rows, toF64(res.Targets[0].Signature))
-	var bounds lineBounds
-	for len(res.Targets) < t {
-		var err error
-		best, bestScore, _, err = maxErrorScan(f, u, f.Bands, bounds.rows(f, 0))
-		if err != nil {
-			return nil, err
-		}
-		appendTarget(res, f, best, bestScore)
-		u.rows = append(u.rows, toF64(res.Targets[len(res.Targets)-1].Signature))
-	}
-	return res, nil
-}
-
 // UFCLSParallel is the Hetero-UFCLS of Algorithm 3 (or its homogeneous
 // version). It must run inside an mpi program; f is required at the root.
 // The result is returned at the root; other ranks return nil.

@@ -117,10 +117,6 @@ func New(net *platform.Network, static []partition.Span, f *cube.Cube) *Balancer
 	}
 }
 
-// Estimator exposes the online throughput estimator (master-side use
-// only).
-func (b *Balancer) Estimator() *partition.Estimator { return b.est }
-
 // Static returns the static reference plan the balancer measures steals
 // against. Partition-sensitive phases use it as their fixed task list so
 // their numerics run at exactly the static boundaries.

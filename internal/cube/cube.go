@@ -52,18 +52,6 @@ func MustNew(lines, samples, bands int) *Cube {
 	return c
 }
 
-// FromData wraps an existing BIP sample slice; the slice length must be
-// exactly lines*samples*bands.
-func FromData(lines, samples, bands int, data []float32) (*Cube, error) {
-	if lines <= 0 || samples <= 0 || bands <= 0 {
-		return nil, fmt.Errorf("%w: %dx%dx%d", ErrBadShape, lines, samples, bands)
-	}
-	if len(data) != lines*samples*bands {
-		return nil, fmt.Errorf("%w: %d samples for %dx%dx%d", ErrBadShape, len(data), lines, samples, bands)
-	}
-	return &Cube{Lines: lines, Samples: samples, Bands: bands, Data: data}, nil
-}
-
 // NumPixels returns the number of pixel vectors, Lines*Samples.
 func (c *Cube) NumPixels() int { return c.Lines * c.Samples }
 
@@ -129,15 +117,6 @@ func (c *Cube) Rows(lo, hi int) (*Cube, error) {
 	}, nil
 }
 
-// CopyRows returns a deep copy of lines [lo, hi).
-func (c *Cube) CopyRows(lo, hi int) (*Cube, error) {
-	v, err := c.Rows(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return v.Clone(), nil
-}
-
 // Coord converts a flat pixel index into (line, sample) coordinates.
 func (c *Cube) Coord(p int) (line, sample int) {
 	return p / c.Samples, p % c.Samples
@@ -201,22 +180,4 @@ func (c *Cube) BandImage(band int) ([]float32, error) {
 		out[p] = c.Data[p*c.Bands+band]
 	}
 	return out, nil
-}
-
-// MeanVector returns the N-dimensional mean spectrum m of the cube (each
-// component the average over all pixels of one band), as used by the PCT
-// algorithm.
-func (c *Cube) MeanVector() []float64 {
-	m := make([]float64, c.Bands)
-	np := c.NumPixels()
-	for p := 0; p < np; p++ {
-		v := c.PixelAt(p)
-		for b, x := range v {
-			m[b] += float64(x)
-		}
-	}
-	for b := range m {
-		m[b] /= float64(np)
-	}
-	return m
 }

@@ -35,23 +35,6 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(0, 0, 0)
 }
 
-func TestFromData(t *testing.T) {
-	d := make([]float32, 24)
-	c, err := FromData(4, 3, 2, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Lines != 4 || c.Samples != 3 || c.Bands != 2 {
-		t.Errorf("geometry %dx%dx%d", c.Lines, c.Samples, c.Bands)
-	}
-	if _, err := FromData(4, 3, 2, make([]float32, 23)); err == nil {
-		t.Error("short data: expected error")
-	}
-	if _, err := FromData(0, 3, 2, nil); err == nil {
-		t.Error("zero lines: expected error")
-	}
-}
-
 func TestBIPLayout(t *testing.T) {
 	c := MustNew(2, 3, 4)
 	c.Set(1, 2, 3, 42)
@@ -151,22 +134,6 @@ func TestRowsView(t *testing.T) {
 	}
 }
 
-func TestCopyRowsIsDeep(t *testing.T) {
-	c := MustNew(4, 2, 2)
-	c.Set(2, 0, 0, 8)
-	cp, err := c.CopyRows(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Set(0, 0, 0, 1)
-	if c.At(2, 0, 0) != 8 {
-		t.Error("CopyRows shares storage")
-	}
-	if _, err := c.CopyRows(3, 2); err == nil {
-		t.Error("invalid range: expected error")
-	}
-}
-
 func TestBrightness(t *testing.T) {
 	c := MustNew(1, 2, 3)
 	c.SetPixel(0, 1, []float32{1, 2, 2})
@@ -213,16 +180,6 @@ func TestBandImage(t *testing.T) {
 	}
 	if _, err := c.BandImage(-1); err == nil {
 		t.Error("negative band: expected error")
-	}
-}
-
-func TestMeanVector(t *testing.T) {
-	c := MustNew(1, 2, 2)
-	c.SetPixel(0, 0, []float32{2, 4})
-	c.SetPixel(0, 1, []float32{4, 8})
-	m := c.MeanVector()
-	if math.Abs(m[0]-3) > 1e-9 || math.Abs(m[1]-6) > 1e-9 {
-		t.Errorf("mean vector = %v", m)
 	}
 }
 

@@ -115,46 +115,3 @@ func FromSamples3D(lines, samples, bands int, il Interleave, data []float32) (*C
 	}
 	return c, nil
 }
-
-// SelectBands returns a new cube containing only the given bands, in the
-// given order. Band indices may repeat; each must be in range.
-func (c *Cube) SelectBands(bands []int) (*Cube, error) {
-	if len(bands) == 0 {
-		return nil, fmt.Errorf("%w: no bands selected", ErrBadShape)
-	}
-	for _, b := range bands {
-		if b < 0 || b >= c.Bands {
-			return nil, fmt.Errorf("%w: band %d of %d", ErrBadShape, b, c.Bands)
-		}
-	}
-	out, err := New(c.Lines, c.Samples, len(bands))
-	if err != nil {
-		return nil, err
-	}
-	for p := 0; p < c.NumPixels(); p++ {
-		src := c.PixelAt(p)
-		dst := out.PixelAt(p)
-		for i, b := range bands {
-			dst[i] = src[b]
-		}
-	}
-	return out, nil
-}
-
-// SpatialSubset returns a deep copy of the rectangle of lines [l0,l1) and
-// samples [s0,s1).
-func (c *Cube) SpatialSubset(l0, l1, s0, s1 int) (*Cube, error) {
-	if l0 < 0 || l1 > c.Lines || l0 >= l1 || s0 < 0 || s1 > c.Samples || s0 >= s1 {
-		return nil, fmt.Errorf("%w: subset [%d,%d)x[%d,%d) of %dx%d", ErrBadShape, l0, l1, s0, s1, c.Lines, c.Samples)
-	}
-	out, err := New(l1-l0, s1-s0, c.Bands)
-	if err != nil {
-		return nil, err
-	}
-	for l := l0; l < l1; l++ {
-		for s := s0; s < s1; s++ {
-			out.SetPixel(l-l0, s-s0, c.Pixel(l, s))
-		}
-	}
-	return out, nil
-}

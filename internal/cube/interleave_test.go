@@ -111,58 +111,6 @@ func TestQuickInterleaveRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSelectBands(t *testing.T) {
-	c := numberedCube()
-	sub, err := c.SelectBands([]int{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Bands != 2 {
-		t.Fatalf("bands = %d", sub.Bands)
-	}
-	for p := 0; p < c.NumPixels(); p++ {
-		if sub.PixelAt(p)[0] != c.PixelAt(p)[3] || sub.PixelAt(p)[1] != c.PixelAt(p)[1] {
-			t.Fatalf("pixel %d band selection wrong", p)
-		}
-	}
-	if _, err := c.SelectBands(nil); err == nil {
-		t.Error("empty selection: expected error")
-	}
-	if _, err := c.SelectBands([]int{4}); err == nil {
-		t.Error("out-of-range band: expected error")
-	}
-	if _, err := c.SelectBands([]int{-1}); err == nil {
-		t.Error("negative band: expected error")
-	}
-}
-
-func TestSpatialSubset(t *testing.T) {
-	c := MustNew(4, 5, 2)
-	for i := range c.Data {
-		c.Data[i] = float32(i)
-	}
-	sub, err := c.SpatialSubset(1, 3, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Lines != 2 || sub.Samples != 3 {
-		t.Fatalf("subset geometry %dx%d", sub.Lines, sub.Samples)
-	}
-	if sub.At(0, 0, 0) != c.At(1, 2, 0) || sub.At(1, 2, 1) != c.At(2, 4, 1) {
-		t.Error("subset values wrong")
-	}
-	// Deep copy.
-	sub.Set(0, 0, 0, -5)
-	if c.At(1, 2, 0) == -5 {
-		t.Error("subset shares storage")
-	}
-	for _, bad := range [][4]int{{-1, 2, 0, 2}, {0, 5, 0, 2}, {2, 2, 0, 2}, {0, 2, 3, 3}, {0, 2, 0, 6}} {
-		if _, err := c.SpatialSubset(bad[0], bad[1], bad[2], bad[3]); err == nil {
-			t.Errorf("subset %v: expected error", bad)
-		}
-	}
-}
-
 func BenchmarkKernelInterleave(b *testing.B) {
 	f := MustNew(128, 64, 64)
 	for i := range f.Data {

@@ -2,7 +2,7 @@
 // simulated heterogeneous cluster: rank crashes at a virtual time,
 // transient link slowdowns over a virtual-time window, and per-rank
 // compute degradation. Package mpi consults a plan at every Send, Recv,
-// Compute and Elapse charge, so an injected failure fires at exactly the
+// Compute and Checkpoint charge, so an injected failure fires at exactly the
 // same virtual instant on every replay — virtual clocks are a function of
 // the platform description and the program only, never of the host
 // scheduler.
@@ -57,7 +57,7 @@ type LinkSlow struct {
 	Attempt int     `json:"attempt,omitempty"`
 }
 
-// Degrade is a per-rank compute slowdown: flop and Elapse charges that
+// Degrade is a per-rank compute slowdown: flop and checkpoint charges that
 // start inside [From, To) on Rank cost Factor times their nominal
 // virtual time (a thermally throttled or contended processor).
 type Degrade struct {

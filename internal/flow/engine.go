@@ -248,19 +248,6 @@ func (p *Pipeline) Err() error {
 	return p.err
 }
 
-// Synthesis returns the output of the named synthesize stage of a
-// completed pipeline (nil when absent or not completed).
-func (p *Pipeline) Synthesis(stageName string) *Synthesis {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if st, ok := p.byName[stageName]; ok {
-		st.out.mu.Lock()
-		defer st.out.mu.Unlock()
-		return st.out.synth
-	}
-	return nil
-}
-
 // StageStatus is an immutable snapshot of one stage, shaped for JSON.
 type StageStatus struct {
 	Name      string     `json:"name"`
@@ -565,23 +552,6 @@ func (e *Engine) Pipelines() []*Pipeline {
 	entries := e.pipelines.Entries()
 	e.mu.Unlock()
 	return sched.Listing(entries)
-}
-
-// Wait blocks until the pipeline settles (returning it) or ctx is done.
-func (e *Engine) Wait(ctx context.Context, id string) (*Pipeline, error) {
-	p, err := e.Pipeline(id)
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-p.done:
-		return p, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // Close stops the engine: new submissions are rejected, active pipelines

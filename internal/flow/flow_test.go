@@ -792,3 +792,16 @@ func grepLines(s, sub string) string {
 	}
 	return b.String()
 }
+
+// Synthesis returns the output of the named synthesize stage of a
+// completed pipeline (nil when absent or not completed).
+func (p *Pipeline) Synthesis(stageName string) *Synthesis {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if st, ok := p.byName[stageName]; ok {
+		st.out.mu.Lock()
+		defer st.out.mu.Unlock()
+		return st.out.synth
+	}
+	return nil
+}

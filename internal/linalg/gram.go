@@ -13,7 +13,7 @@ import (
 // precomputed Gram matrix M^T M removes the band dimension from the inner
 // iteration entirely (the classical normal-equations formulation of
 // Lawson-Hanson), which is the difference between minutes and seconds on
-// the full scene. NNLS and FCLS in nnls.go stay as the slow references.
+// the full scene. NNLS and FCLS in nnls_test.go stay as the slow references.
 
 // FCLSSolver unmixes pixels against a fixed endmember set under the fully
 // constrained (non-negative, sum-to-one) linear mixture model, amortizing

@@ -288,12 +288,6 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
 
-func TestFlopsFCLSGramCheaperThanDense(t *testing.T) {
-	if FlopsFCLSGram(224, 18) >= FlopsFCLS(224, 18) {
-		t.Error("Gram-form FCLS should be cheaper than dense for large band counts")
-	}
-}
-
 // fclsPrefixes returns one solver per prefix of m's columns: the solvers
 // of successive UFCLS rounds.
 func fclsPrefixes(m *Mat) []*FCLSSolver {

@@ -32,21 +32,6 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// MatFromRows builds a matrix from row slices, which must be equal length.
-func MatFromRows(rows [][]float64) *Mat {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: MatFromRows with no data")
-	}
-	m := NewMat(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: ragged row %d", i))
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Mat {
 	m := NewMat(n, n)
@@ -134,9 +119,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the squared Euclidean norm of v.
-func Norm2(v []float64) float64 { return Dot(v, v) }
-
 // ErrSingular reports a numerically singular matrix.
 var ErrSingular = errors.New("linalg: singular matrix")
 
@@ -221,38 +203,6 @@ func Gram(u *Mat) *Mat {
 	return g
 }
 
-// SolveSPD solves a*x = b for symmetric positive definite a via Cholesky
-// decomposition; it returns ErrSingular when a is not positive definite.
-func SolveSPD(a *Mat, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols || a.Rows != len(b) {
-		return nil, fmt.Errorf("linalg: SolveSPD shape mismatch %dx%d with %d", a.Rows, a.Cols, len(b))
-	}
-	n := a.Rows
-	l, err := cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	// Forward substitution L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= l.At(i, k) * y[k]
-		}
-		y[i] = sum / l.At(i, i)
-	}
-	// Back substitution L^T x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l.At(k, i) * x[k]
-		}
-		x[i] = sum / l.At(i, i)
-	}
-	return x, nil
-}
-
 // cholesky returns the lower triangular L with a = L L^T (stored densely),
 // or ErrSingular when a is not numerically positive definite.
 func cholesky(a *Mat) (*Mat, error) {
@@ -292,9 +242,3 @@ func FlopsGram(t, n int) float64 { return float64(t) * float64(t+1) * float64(n)
 
 // FlopsInverse is the cost of Gauss-Jordan inversion of an n x n matrix.
 func FlopsInverse(n int) float64 { return 2 * float64(n) * float64(n) * float64(n) }
-
-// FlopsCholeskySolve is the cost of one SPD solve of size n.
-func FlopsCholeskySolve(n int) float64 {
-	nf := float64(n)
-	return nf*nf*nf/3 + 2*nf*nf
-}

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -204,4 +205,202 @@ func TestReconstructionErrorMatchesResidual(t *testing.T) {
 	if got := reconstructionError(m, alpha, y); !almostEq(got, want, 1e-10) {
 		t.Errorf("reconstructionError = %v, want %v", got, want)
 	}
+}
+
+// NNLS solves min ||A*x - b||^2 subject to x >= 0 using the Lawson-Hanson
+// active set method. A is m x n with m >= 1, n >= 1.
+func NNLS(a *Mat, b []float64) ([]float64, error) {
+	if a.Rows != len(b) {
+		return nil, fmt.Errorf("linalg: NNLS shape mismatch %dx%d with %d", a.Rows, a.Cols, len(b))
+	}
+	m, n := a.Rows, a.Cols
+	x := make([]float64, n)
+	passive := make([]bool, n)
+	resid := make([]float64, m)
+	copy(resid, b)
+
+	// w = A^T * resid, the dual vector.
+	w := make([]float64, n)
+	computeW := func() {
+		for j := 0; j < n; j++ {
+			var s float64
+			for i := 0; i < m; i++ {
+				s += a.At(i, j) * resid[i]
+			}
+			w[j] = s
+		}
+	}
+	// solvePassive solves the unconstrained LS restricted to the passive
+	// set via normal equations (the passive set is small in our use).
+	solvePassive := func() ([]float64, []int, error) {
+		var idx []int
+		for j := 0; j < n; j++ {
+			if passive[j] {
+				idx = append(idx, j)
+			}
+		}
+		k := len(idx)
+		if k == 0 {
+			return nil, nil, nil
+		}
+		ata := NewMat(k, k)
+		atb := make([]float64, k)
+		for p := 0; p < k; p++ {
+			for q := p; q < k; q++ {
+				var s float64
+				for i := 0; i < m; i++ {
+					s += a.At(i, idx[p]) * a.At(i, idx[q])
+				}
+				ata.Set(p, q, s)
+				ata.Set(q, p, s)
+			}
+			var s float64
+			for i := 0; i < m; i++ {
+				s += a.At(i, idx[p]) * b[i]
+			}
+			atb[p] = s
+		}
+		// Tiny ridge keeps nearly collinear endmember sets solvable.
+		for p := 0; p < k; p++ {
+			ata.Set(p, p, ata.At(p, p)+1e-12)
+		}
+		z, err := SolveSPD(ata, atb)
+		if err != nil {
+			return nil, nil, err
+		}
+		return z, idx, nil
+	}
+	updateResid := func() {
+		for i := 0; i < m; i++ {
+			s := b[i]
+			for j := 0; j < n; j++ {
+				if x[j] != 0 {
+					s -= a.At(i, j) * x[j]
+				}
+			}
+			resid[i] = s
+		}
+	}
+
+	const tol = 1e-10
+	for outer := 0; outer < nnlsMaxOuter(n); outer++ {
+		computeW()
+		// Pick the most violated constraint among the active set.
+		best, bestW := -1, tol
+		for j := 0; j < n; j++ {
+			if !passive[j] && w[j] > bestW {
+				best, bestW = j, w[j]
+			}
+		}
+		if best < 0 {
+			return x, nil // KKT satisfied
+		}
+		passive[best] = true
+		for {
+			z, idx, err := solvePassive()
+			if err != nil {
+				return nil, err
+			}
+			// If the unconstrained sub-solution is feasible, accept it.
+			neg := false
+			for p := range idx {
+				if z[p] <= tol {
+					neg = true
+					break
+				}
+			}
+			if !neg {
+				for j := range x {
+					x[j] = 0
+				}
+				for p, j := range idx {
+					x[j] = z[p]
+				}
+				updateResid()
+				break
+			}
+			// Otherwise step from x toward z until the first variable
+			// hits zero, then move that variable to the active set.
+			alpha := math.Inf(1)
+			for p, j := range idx {
+				if z[p] <= tol {
+					den := x[j] - z[p]
+					if den > 0 {
+						if r := x[j] / den; r < alpha {
+							alpha = r
+						}
+					}
+				}
+			}
+			if math.IsInf(alpha, 1) {
+				alpha = 0
+			}
+			for p, j := range idx {
+				x[j] += alpha * (z[p] - x[j])
+				if x[j] <= tol {
+					x[j] = 0
+					passive[j] = false
+				}
+			}
+			updateResid()
+		}
+	}
+	// Iteration cap hit (rare numerical cycling): the current iterate is
+	// feasible and near-optimal; return it rather than failing the whole
+	// image over one pathological pixel.
+	return x, nil
+}
+
+// FCLS solves the fully constrained linear unmixing problem: given
+// endmember matrix M (bands x t, one endmember per column) and a pixel
+// y (length bands), find abundances alpha >= 0 with sum(alpha) ~= 1
+// minimizing ||M*alpha - y||. Implemented, as is standard, by augmenting
+// the system with a heavily weighted sum-to-one row and solving NNLS.
+func FCLS(m *Mat, y []float64) ([]float64, error) {
+	if m.Rows != len(y) {
+		return nil, fmt.Errorf("linalg: FCLS shape mismatch %dx%d with %d", m.Rows, m.Cols, len(y))
+	}
+	aug := NewMat(m.Rows+1, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		copy(aug.Row(i), m.Row(i))
+	}
+	for j := 0; j < m.Cols; j++ {
+		aug.Set(m.Rows, j, FCLSDelta)
+	}
+	b := make([]float64, m.Rows+1)
+	copy(b, y)
+	b[m.Rows] = FCLSDelta
+	return NNLS(aug, b)
+}
+
+// SolveSPD solves a*x = b for symmetric positive definite a via Cholesky
+// decomposition; it returns ErrSingular when a is not positive definite.
+func SolveSPD(a *Mat, b []float64) ([]float64, error) {
+	if a.Rows != a.Cols || a.Rows != len(b) {
+		return nil, fmt.Errorf("linalg: SolveSPD shape mismatch %dx%d with %d", a.Rows, a.Cols, len(b))
+	}
+	n := a.Rows
+	l, err := cholesky(a)
+	if err != nil {
+		return nil, err
+	}
+	// Forward substitution L y = b.
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		sum := b[i]
+		for k := 0; k < i; k++ {
+			sum -= l.At(i, k) * y[k]
+		}
+		y[i] = sum / l.At(i, i)
+	}
+	// Back substitution L^T x = y.
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		sum := y[i]
+		for k := i + 1; k < n; k++ {
+			sum -= l.At(k, i) * x[k]
+		}
+		x[i] = sum / l.At(i, i)
+	}
+	return x, nil
 }

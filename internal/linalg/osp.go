@@ -30,12 +30,6 @@ func NewOSP(u *Mat) (*OSP, error) {
 	return &OSP{u: u, gInv: gInv}, nil
 }
 
-// Targets returns the number of rows t of U.
-func (p *OSP) Targets() int { return p.u.Rows }
-
-// Bands returns the signature length n.
-func (p *OSP) Bands() int { return p.u.Cols }
-
 // Apply projects y onto the orthogonal complement of the row space of U,
 // writing the residual into dst (which must have length n) and returning
 // its squared norm — the ATDCA score (P⊥_U y)^T (P⊥_U y). dst may be nil,
@@ -74,12 +68,6 @@ func Widen(buf []float64, y []float32) []float64 {
 		buf[i] = float64(v)
 	}
 	return buf
-}
-
-// ApplyF32 is Apply for a float32 pixel vector, widened into buf (see
-// Widen).
-func (p *OSP) ApplyF32(y []float32, buf []float64) float64 {
-	return p.Apply(Widen(buf, y), nil)
 }
 
 // Dense materializes the projector as the n x n matrix
@@ -269,12 +257,6 @@ func (s *DenseScan) norms(y []float64) (ny, qy float64) {
 // FlopsOSPBuild is the cost of constructing the factored projector for t
 // targets of n bands: the Gram matrix plus its inversion.
 func FlopsOSPBuild(t, n int) float64 { return FlopsGram(t, n) + FlopsInverse(t) }
-
-// FlopsOSPApply is the per-pixel cost of applying the factored projector.
-func FlopsOSPApply(t, n int) float64 {
-	tf, nf := float64(t), float64(n)
-	return 2*tf*nf + 2*tf*tf + 2*tf*nf + 2*nf
-}
 
 // FlopsOSPDenseBuild is the cost of materializing the n x n projector.
 func FlopsOSPDenseBuild(t, n int) float64 {

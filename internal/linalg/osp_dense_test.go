@@ -61,9 +61,6 @@ func TestFlopsOSPDense(t *testing.T) {
 	if FlopsOSPDenseBuild(3, 50) <= FlopsOSPBuild(3, 50) {
 		t.Error("dense build should cost more than factored build")
 	}
-	if FlopsOSPDenseApply(224) <= FlopsOSPApply(18, 224) {
-		t.Error("dense apply at t=18 should cost more than factored")
-	}
 	if FlopsOSPDenseApply(10) <= 0 {
 		t.Error("dense apply cost not positive")
 	}
@@ -277,15 +274,5 @@ func TestWidenReusesBuffer(t *testing.T) {
 	}
 	if grown := Widen(buf[:0:2], y); len(grown) != 3 || grown[2] != 3 {
 		t.Fatalf("Widen into a short buffer = %v", grown)
-	}
-	u := NewMat(1, 3)
-	copy(u.Row(0), []float64{1, 0, 0})
-	p, err := NewOSP(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() { p.ApplyF32(y, buf) }); n > 2 {
-		// Apply's own two MulVec results; the widening adds none.
-		t.Errorf("ApplyF32 with a buffer allocates %v times per call", n)
 	}
 }

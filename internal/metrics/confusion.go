@@ -67,38 +67,6 @@ func (cm *ConfusionMatrix) OverallAccuracy() float64 {
 	return float64(diag) / float64(total)
 }
 
-// ProducersAccuracy returns, per truth class, the fraction of its pixels
-// predicted correctly (recall).
-func (cm *ConfusionMatrix) ProducersAccuracy() []float64 {
-	out := make([]float64, cm.Classes)
-	for t := 0; t < cm.Classes; t++ {
-		var rowTotal int
-		for _, c := range cm.Counts[t] {
-			rowTotal += c
-		}
-		if rowTotal > 0 {
-			out[t] = float64(cm.Counts[t][t]) / float64(rowTotal)
-		}
-	}
-	return out
-}
-
-// UsersAccuracy returns, per predicted class, the fraction of its pixels
-// that truly belong to it (precision).
-func (cm *ConfusionMatrix) UsersAccuracy() []float64 {
-	out := make([]float64, cm.Classes)
-	for p := 0; p < cm.Classes; p++ {
-		var colTotal int
-		for t := 0; t < cm.Classes; t++ {
-			colTotal += cm.Counts[t][p]
-		}
-		if colTotal > 0 {
-			out[p] = float64(cm.Counts[p][p]) / float64(colTotal)
-		}
-	}
-	return out
-}
-
 // Kappa returns Cohen's kappa coefficient: agreement beyond chance,
 // (po - pe) / (1 - pe). 1 is perfect, 0 chance-level.
 func (cm *ConfusionMatrix) Kappa() float64 {

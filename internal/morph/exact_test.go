@@ -243,3 +243,30 @@ func TestMEIRangeReusesPairs(t *testing.T) {
 		t.Errorf("MEI dots %d, more than 70%% of %d", dots[1], meis)
 	}
 }
+
+// DistanceMap returns D_B for every pixel of f: the sum of spectral angle
+// distances between the pixel and every pixel in its B-neighbourhood
+// (Eq. 2), with the neighbourhood clamped at the image border. High D_B
+// marks spectrally mixed pixels, low D_B spectrally pure ones relative to
+// their surroundings.
+func DistanceMap(f *cube.Cube, se StructuringElement) []float64 {
+	m := newAMEE(f, se)
+	m.distanceMap(0, f.Lines)
+	return m.dist
+}
+
+// ErodeAt returns the coordinates selected by vector erosion at (l,s):
+// the neighbourhood pixel with minimal cumulative distance — the most
+// highly mixed pixel (Eq. 3). dist must be DistanceMap(f, se).
+func ErodeAt(f *cube.Cube, dist []float64, se StructuringElement, l, s int) (int, int) {
+	el, es, _, _ := argOver(f, dist, se, l, s)
+	return el, es
+}
+
+// DilateAt returns the coordinates selected by vector dilation at (l,s):
+// the neighbourhood pixel with maximal cumulative distance — the most
+// highly pure pixel (Eq. 4).
+func DilateAt(f *cube.Cube, dist []float64, se StructuringElement, l, s int) (int, int) {
+	_, _, dl, ds := argOver(f, dist, se, l, s)
+	return dl, ds
+}

@@ -36,17 +36,6 @@ func (se StructuringElement) Size() int {
 	return (2*se.RadiusL + 1) * (2*se.RadiusS + 1)
 }
 
-// DistanceMap returns D_B for every pixel of f: the sum of spectral angle
-// distances between the pixel and every pixel in its B-neighbourhood
-// (Eq. 2), with the neighbourhood clamped at the image border. High D_B
-// marks spectrally mixed pixels, low D_B spectrally pure ones relative to
-// their surroundings.
-func DistanceMap(f *cube.Cube, se StructuringElement) []float64 {
-	m := newAMEE(f, se)
-	m.distanceMap(0, f.Lines)
-	return m.dist
-}
-
 // argOver scans the clamped B-neighbourhood of (l,s) once and returns the
 // coordinates with minimal and with maximal D_B; each is the first met on
 // ties, the centre before all others.
@@ -66,37 +55,6 @@ func argOver(f *cube.Cube, dist []float64, se StructuringElement, l, s int) (min
 		}
 	}
 	return minL, minS, maxL, maxS
-}
-
-// ErodeAt returns the coordinates selected by vector erosion at (l,s):
-// the neighbourhood pixel with minimal cumulative distance — the most
-// highly mixed pixel (Eq. 3). dist must be DistanceMap(f, se).
-func ErodeAt(f *cube.Cube, dist []float64, se StructuringElement, l, s int) (int, int) {
-	el, es, _, _ := argOver(f, dist, se, l, s)
-	return el, es
-}
-
-// DilateAt returns the coordinates selected by vector dilation at (l,s):
-// the neighbourhood pixel with maximal cumulative distance — the most
-// highly pure pixel (Eq. 4).
-func DilateAt(f *cube.Cube, dist []float64, se StructuringElement, l, s int) (int, int) {
-	_, _, dl, ds := argOver(f, dist, se, l, s)
-	return dl, ds
-}
-
-// Dilate returns the morphological dilation of the whole cube: each output
-// pixel is the neighbourhood pixel selected by DilateAt. The input is
-// unchanged.
-func Dilate(f *cube.Cube, se StructuringElement) *cube.Cube {
-	dist := DistanceMap(f, se)
-	out := cube.MustNew(f.Lines, f.Samples, f.Bands)
-	for l := 0; l < f.Lines; l++ {
-		for s := 0; s < f.Samples; s++ {
-			nl, ns := DilateAt(f, dist, se, l, s)
-			out.SetPixel(l, s, f.Pixel(nl, ns))
-		}
-	}
-	return out
 }
 
 // MEIResult carries the outcome of the AMEE iteration.

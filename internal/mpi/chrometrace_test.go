@@ -39,7 +39,7 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 func TestWriteChromeTraceSingleRank(t *testing.T) {
 	events := []Event{
 		{Rank: 0, Kind: EventCompute, Peer: -1, Start: 0, Dur: 1.5, Cat: vtime.Seq},
-		{Rank: 0, Kind: EventElapse, Peer: -1, Start: 1.5, Dur: 0.25, Cat: vtime.Seq},
+		{Rank: 0, Kind: EventCheckpoint, Peer: -1, Start: 1.5, Dur: 0.25, Cat: vtime.Seq},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, events); err != nil {
@@ -154,14 +154,13 @@ func TestRankCountersCollected(t *testing.T) {
 	res := mustRun(t, w, func(c *Comm) any {
 		c.Bcast(0, 2, "hello", 100)
 		c.Compute(1e6, vtime.Par)
-		c.Elapse(0.001, vtime.Seq)
 		return nil
 	})
 	root := res.Counters[0]
 	if root.Sends != 2 || root.BytesSent != 200 {
 		t.Errorf("root counters %+v", root)
 	}
-	if root.Computes != 1 || root.Flops != 1e6 || root.Elapses != 1 {
+	if root.Computes != 1 || root.Flops != 1e6 {
 		t.Errorf("root compute counters %+v", root)
 	}
 	for r := 1; r < 3; r++ {

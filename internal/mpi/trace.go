@@ -20,8 +20,7 @@ const (
 	EventRecv
 	// EventCompute is a computation charge.
 	EventCompute
-	// EventElapse is a non-flop local-work charge (e.g. disk access).
-	EventElapse
+	_ // unused: RunReport.TraceEvents marshals kinds as numbers, which must not shift
 	// EventCheckpoint is a round-boundary snapshot write or restore at the
 	// master (Bytes = snapshot payload size), so timelines and Chrome
 	// exports show where a run checkpointed and what the I/O cost.
@@ -37,8 +36,6 @@ func (k EventKind) String() string {
 		return "recv"
 	case EventCompute:
 		return "compute"
-	case EventElapse:
-		return "elapse"
 	case EventCheckpoint:
 		return "checkpoint"
 	default:
@@ -152,7 +149,7 @@ func (t *Trace) Timeline(ranks int, width int) string {
 	}
 	for _, e := range events {
 		switch e.Kind {
-		case EventCompute, EventElapse, EventCheckpoint:
+		case EventCompute, EventCheckpoint:
 			mark(e.Rank, e.Start, e.Dur, '#')
 		default:
 			mark(e.Rank, e.Start, e.Dur, '~')
@@ -171,36 +168,4 @@ func (t *Trace) Timeline(ranks int, width int) string {
 		fmt.Fprintf(&b, "p%-3d |%s|\n", r+1, grid[r])
 	}
 	return b.String()
-}
-
-// Summary aggregates the trace: per-rank event counts and bytes.
-type Summary struct {
-	Sends, Recvs, Computes, Elapses int
-	Checkpoints                     int
-	BytesSent                       int
-}
-
-// Summarize returns per-rank totals.
-func (t *Trace) Summarize(ranks int) []Summary {
-	out := make([]Summary, ranks)
-	for _, e := range t.Events() {
-		if e.Rank < 0 || e.Rank >= ranks {
-			continue
-		}
-		s := &out[e.Rank]
-		switch e.Kind {
-		case EventSend:
-			s.Sends++
-			s.BytesSent += e.Bytes
-		case EventRecv:
-			s.Recvs++
-		case EventCompute:
-			s.Computes++
-		case EventElapse:
-			s.Elapses++
-		case EventCheckpoint:
-			s.Checkpoints++
-		}
-	}
-	return out
 }

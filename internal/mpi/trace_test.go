@@ -136,3 +136,33 @@ func TestEventKindString(t *testing.T) {
 		t.Error("unknown kind label wrong")
 	}
 }
+
+// Summary aggregates the trace: per-rank event counts and bytes.
+type Summary struct {
+	Sends, Recvs, Computes int
+	Checkpoints            int
+	BytesSent              int
+}
+
+// Summarize returns per-rank totals.
+func (t *Trace) Summarize(ranks int) []Summary {
+	out := make([]Summary, ranks)
+	for _, e := range t.Events() {
+		if e.Rank < 0 || e.Rank >= ranks {
+			continue
+		}
+		s := &out[e.Rank]
+		switch e.Kind {
+		case EventSend:
+			s.Sends++
+			s.BytesSent += e.Bytes
+		case EventRecv:
+			s.Recvs++
+		case EventCompute:
+			s.Computes++
+		case EventCheckpoint:
+			s.Checkpoints++
+		}
+	}
+	return out
+}

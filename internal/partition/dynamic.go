@@ -129,9 +129,6 @@ func NewDynamicPlan(lines int) *DynamicPlan {
 	return &DynamicPlan{lines: lines}
 }
 
-// Lines returns the total lines the plan covers.
-func (p *DynamicPlan) Lines() int { return p.lines }
-
 // Remaining returns the lines not yet granted.
 func (p *DynamicPlan) Remaining() int { return p.lines - p.next }
 

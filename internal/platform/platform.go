@@ -8,14 +8,13 @@
 // as the time in milliseconds to transfer a one-megabit message between a
 // processor pair. The paper's evaluation framework (Lastovetsky & Reddy,
 // Parallel Computing 30, 2004) compares a heterogeneous network against an
-// "equivalent" homogeneous one; Equivalent reports how close two networks
-// are under that framework's three principles.
+// "equivalent" homogeneous one; the package tests check the UMD pair
+// under that framework's three principles.
 package platform
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -181,17 +180,6 @@ func (n *Network) CycleTimes() []float64 {
 	return w
 }
 
-// AggregateSpeed returns the sum of processor speeds Σ 1/w_i in megaflops
-// per second; the ideal runtime of a perfectly balanced compute-bound
-// workload is W/AggregateSpeed.
-func (n *Network) AggregateSpeed() float64 {
-	var s float64
-	for _, p := range n.Procs {
-		s += p.Speed()
-	}
-	return s
-}
-
 // AverageLinkMS returns the mean capacity over all ordered pairs i != j,
 // the "aggregate communication characteristic" used by the equivalence
 // framework.
@@ -209,38 +197,4 @@ func (n *Network) AverageLinkMS() float64 {
 		}
 	}
 	return sum / float64(p*(p-1))
-}
-
-// Equivalence quantifies how close two networks are under the three
-// principles of the Lastovetsky-Reddy evaluation framework quoted in
-// Section 3.1 of the paper.
-type Equivalence struct {
-	// SameSize reports whether both networks have the same processor count.
-	SameSize bool
-	// SpeedRatio is the ratio of mean processor speeds (a/b); 1 means the
-	// homogeneous environment matches the average heterogeneous speed.
-	SpeedRatio float64
-	// LinkRatio is the ratio of average link capacities (a/b).
-	LinkRatio float64
-}
-
-// Equivalent compares two networks under the evaluation framework.
-func Equivalent(a, b *Network) Equivalence {
-	meanSpeed := func(n *Network) float64 { return n.AggregateSpeed() / float64(n.Size()) }
-	eq := Equivalence{SameSize: a.Size() == b.Size()}
-	if mb := meanSpeed(b); mb > 0 {
-		eq.SpeedRatio = meanSpeed(a) / mb
-	}
-	if lb := b.AverageLinkMS(); lb > 0 {
-		eq.LinkRatio = a.AverageLinkMS() / lb
-	}
-	return eq
-}
-
-// Close reports whether the equivalence ratios are within the given
-// relative tolerance of 1.
-func (e Equivalence) Close(tol float64) bool {
-	return e.SameSize &&
-		math.Abs(e.SpeedRatio-1) <= tol &&
-		math.Abs(e.LinkRatio-1) <= tol
 }

@@ -69,57 +69,6 @@ func WriteQuicklook(w io.Writer, c *cube.Cube) error {
 	return bw.Flush()
 }
 
-// WriteHotSpotOverlay renders the quicklook with the ground-truth hot
-// spots marked as 3x3 bright red squares — the right panel of Figure 1.
-func (sc *Scene) WriteHotSpotOverlay(w io.Writer) error {
-	// Render into memory first, then overlay.
-	c := sc.Cube
-	bandsRGB := [3]int{
-		nearestBand(c.Bands, Figure1Wavelengths[0]),
-		nearestBand(c.Bands, Figure1Wavelengths[1]),
-		nearestBand(c.Bands, Figure1Wavelengths[2]),
-	}
-	var lo, hi [3]float32
-	for ch, b := range bandsRGB {
-		img, err := c.BandImage(b)
-		if err != nil {
-			return err
-		}
-		lo[ch], hi[ch] = percentiles(img, 0.02, 0.98)
-	}
-	buf := make([]byte, c.Lines*c.Samples*3)
-	for l := 0; l < c.Lines; l++ {
-		for s := 0; s < c.Samples; s++ {
-			at := (l*c.Samples + s) * 3
-			for ch, b := range bandsRGB {
-				buf[at+ch] = stretch(c.At(l, s, b), lo[ch], hi[ch])
-			}
-		}
-	}
-	mark := func(l, s int) {
-		if l < 0 || l >= c.Lines || s < 0 || s >= c.Samples {
-			return
-		}
-		at := (l*c.Samples + s) * 3
-		buf[at], buf[at+1], buf[at+2] = 255, 32, 32
-	}
-	for _, h := range sc.Truth.HotSpots {
-		for dl := -1; dl <= 1; dl++ {
-			for ds := -1; ds <= 1; ds++ {
-				mark(h.Line+dl, h.Sample+ds)
-			}
-		}
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := fmt.Fprintf(bw, "P6\n%d %d\n255\n", c.Samples, c.Lines); err != nil {
-		return err
-	}
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // SaveQuicklook writes the false-color composite to a PPM file.
 func SaveQuicklook(path string, c *cube.Cube) error {
 	f, err := os.Create(path)

@@ -39,23 +39,6 @@ func TestWriteQuicklookPPM(t *testing.T) {
 	}
 }
 
-func TestHotSpotOverlayMarksTargets(t *testing.T) {
-	sc := mustGenerate(t, testConfig())
-	var buf bytes.Buffer
-	if err := sc.WriteHotSpotOverlay(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	header := fmt.Sprintf("P6\n%d %d\n255\n", sc.Cube.Samples, sc.Cube.Lines)
-	body := out[len(header):]
-	for _, h := range sc.Truth.HotSpots {
-		at := (h.Line*sc.Cube.Samples + h.Sample) * 3
-		if body[at] != 255 || body[at+1] != 32 {
-			t.Errorf("hot spot %s not marked red: %v", h.Label, body[at:at+3])
-		}
-	}
-}
-
 func TestSaveQuicklookFile(t *testing.T) {
 	sc := mustGenerate(t, testConfig())
 	path := filepath.Join(t.TempDir(), "fig1.ppm")

@@ -219,7 +219,12 @@ func TestDebrisPixelsResembleTheirClass(t *testing.T) {
 		if cls == -1 || hot[p] {
 			continue
 		}
-		got, _ := spectral.MostSimilar(c.PixelAt(p), sc.Truth.ClassSigs)
+		got, best := 0, spectral.SAD(c.PixelAt(p), sc.Truth.ClassSigs[0])
+		for k, sig := range sc.Truth.ClassSigs[1:] {
+			if d := spectral.SAD(c.PixelAt(p), sig); d < best {
+				got, best = k+1, d
+			}
+		}
 		total++
 		if got == cls {
 			agree++

@@ -360,14 +360,6 @@ func (j *Job) FromCache() bool {
 	return j.fromCache
 }
 
-// Attempts returns the job's execution-attempt history so far (empty for
-// cache hits and jobs that never ran).
-func (j *Job) Attempts() []AttemptRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]AttemptRecord(nil), j.attempts...)
-}
-
 // recordAttempt appends one attempt to the job's history.
 func (j *Job) recordAttempt(rec AttemptRecord) {
 	j.mu.Lock()
@@ -896,24 +888,6 @@ func (s *Scheduler) Cancel(id string) error {
 	}
 	j.Cancel()
 	return nil
-}
-
-// Wait blocks until the job settles (returning the job) or ctx is done
-// (returning ctx's error).
-func (s *Scheduler) Wait(ctx context.Context, id string) (*Job, error) {
-	j, err := s.Job(id)
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-j.done:
-		return j, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // Stats snapshots the aggregate counters: the gauges under the

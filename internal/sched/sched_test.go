@@ -643,3 +643,29 @@ func TestWaitRespectsContext(t *testing.T) {
 		t.Fatalf("Wait on unknown job error = %v, want ErrUnknownJob", err)
 	}
 }
+
+// Attempts returns the job's execution-attempt history so far (empty for
+// cache hits and jobs that never ran).
+func (j *Job) Attempts() []AttemptRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return append([]AttemptRecord(nil), j.attempts...)
+}
+
+// Wait blocks until the job settles (returning the job) or ctx is done
+// (returning ctx's error).
+func (s *Scheduler) Wait(ctx context.Context, id string) (*Job, error) {
+	j, err := s.Job(id)
+	if err != nil {
+		return nil, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	select {
+	case <-j.done:
+		return j, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}

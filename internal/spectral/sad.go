@@ -54,7 +54,7 @@ func Angle(dot, na, nb float64) float64 {
 	if math.IsNaN(c) {
 		// A NaN sample (or inf*0 in the dot product) would otherwise make
 		// every comparison against this distance false, silently poisoning
-		// argmin scans like MostSimilar. Treat the pixel as maximally
+		// argmin scans like Set.Nearest. Treat the pixel as maximally
 		// dissimilar instead.
 		return math.Pi
 	}
@@ -84,12 +84,3 @@ func Finite(v []float32) bool {
 
 // FlopsSAD is the cost of one SAD evaluation on n-band vectors.
 func FlopsSAD(n int) float64 { return 6*float64(n) + 10 }
-
-// MostSimilar returns the index of the signature in set closest (smallest
-// SAD) to pixel, and the distance. It panics on an empty set.
-func MostSimilar(pixel []float32, set [][]float32) (int, float64) {
-	if len(set) == 0 {
-		panic("spectral: MostSimilar over empty set")
-	}
-	return NewSet(set).Nearest(pixel, NoLimit)
-}

@@ -132,13 +132,6 @@ func (l *Library) Get(name string) ([]float32, bool) {
 	return nil, false
 }
 
-// Classify returns the name and distance of the library signature most
-// similar to pixel.
-func (l *Library) Classify(pixel []float32) (string, float64) {
-	i, d := MostSimilar(pixel, l.Sigs)
-	return l.Names[i], d
-}
-
 // Mix returns the linear mixture sum_i abundances[i]*sigs[i]; slices must
 // be equal length and signatures of common band count.
 func Mix(sigs [][]float32, abundances []float64) []float32 {

@@ -100,7 +100,7 @@ func TestQuickSADSymmetricBounded(t *testing.T) {
 
 // Regression: a NaN (or Inf-contaminated) sample used to yield a NaN
 // distance, and NaN compares false against everything — argmin scans
-// like MostSimilar would silently keep their initial +Inf "best" and
+// like Set.Nearest would silently keep their initial +Inf "best" and
 // report garbage. Non-finite inputs must map to pi instead.
 func TestSADNonFiniteMaximallyDissimilar(t *testing.T) {
 	nan := float32(math.NaN())
@@ -127,7 +127,7 @@ func TestSADNonFiniteMaximallyDissimilar(t *testing.T) {
 
 func TestMostSimilarNaNPixelNotPoisoned(t *testing.T) {
 	set := [][]float32{{1, 0}, {0, 1}}
-	i, d := MostSimilar([]float32{float32(math.NaN()), 1}, set)
+	i, d := NewSet(set).Nearest([]float32{float32(math.NaN()), 1}, NoLimit)
 	if math.IsNaN(d) || math.IsInf(d, 0) {
 		t.Fatalf("NaN pixel poisoned the scan: d = %v", d)
 	}
@@ -140,24 +140,10 @@ func TestMostSimilarSkipsNaNSignature(t *testing.T) {
 	// A corrupt library entry must lose to any finite match, and lose
 	// deterministically even when it is scanned first.
 	set := [][]float32{{float32(math.NaN()), 0.5}, {0, 1}}
-	i, d := MostSimilar([]float32{0, 2}, set)
+	i, d := NewSet(set).Nearest([]float32{0, 2}, NoLimit)
 	if i != 1 || d > 1e-6 {
 		t.Errorf("got (%d, %v), want the clean matching signature (1, ~0)", i, d)
 	}
-}
-
-func TestMostSimilar(t *testing.T) {
-	set := [][]float32{{1, 0}, {0, 1}, {1, 1}}
-	i, d := MostSimilar([]float32{2, 2.1}, set)
-	if i != 2 {
-		t.Errorf("MostSimilar picked %d (d=%v)", i, d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("empty set did not panic")
-		}
-	}()
-	MostSimilar([]float32{1}, nil)
 }
 
 func TestWavelengths(t *testing.T) {
@@ -279,10 +265,6 @@ func TestLibrary(t *testing.T) {
 	}
 	if _, ok := l.Get("missing"); ok {
 		t.Error("Get(missing) succeeded")
-	}
-	name, d := l.Classify([]float32{0.9, 0, 0, 0.1})
-	if name != "a" {
-		t.Errorf("Classify picked %q (d=%v)", name, d)
 	}
 }
 

@@ -316,14 +316,6 @@ func newHistogram(name, help string, buckets []float64) *Histogram {
 	}
 }
 
-// NewHistogram creates and registers a histogram with the given bucket
-// upper bounds (DefBuckets when empty).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	h := newHistogram(name, help, buckets)
-	r.register(h)
-	return h
-}
-
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
@@ -337,22 +329,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.sum.add(v)
 	h.count.Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.get()
 }
 
 func (h *Histogram) desc() (string, string, string) { return h.name, h.help, "histogram" }
@@ -448,29 +424,6 @@ func (cv *CounterVec) With(values ...string) *Counter {
 
 func (cv *CounterVec) desc() (string, string, string) { return cv.v.name, cv.v.help, "counter" }
 func (cv *CounterVec) collect(b *strings.Builder)     { cv.v.collect(b) }
-
-// GaugeVec is a family of gauges partitioned by labels.
-type GaugeVec struct{ v *vec[*Gauge] }
-
-// NewGaugeVec creates and registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	gv := &GaugeVec{v: newVec(name, help, labelNames, func(labels string) *Gauge {
-		return &Gauge{name: name, labels: labels}
-	})}
-	r.register(gv)
-	return gv
-}
-
-// With returns (creating if needed) the child for the label values.
-func (gv *GaugeVec) With(values ...string) *Gauge {
-	if gv == nil {
-		return nil
-	}
-	return gv.v.with(values...)
-}
-
-func (gv *GaugeVec) desc() (string, string, string) { return gv.v.name, gv.v.help, "gauge" }
-func (gv *GaugeVec) collect(b *strings.Builder)     { gv.v.collect(b) }
 
 // HistogramVec is a family of histograms partitioned by labels.
 type HistogramVec struct{ v *vec[*Histogram] }

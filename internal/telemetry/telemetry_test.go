@@ -53,25 +53,22 @@ func TestGaugeAndGaugeFunc(t *testing.T) {
 
 func TestHistogramBucketsAreCumulative(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("test_lat_seconds", "Latency.", []float64{0.1, 1, 10})
+	h := r.NewHistogramVec("test_lat_seconds", "Latency.", []float64{0.1, 1, 10}, "k").With("a")
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
 	out := render(t, r)
 	for _, want := range []string{
-		`test_lat_seconds_bucket{le="0.1"} 1`,
-		`test_lat_seconds_bucket{le="1"} 3`,
-		`test_lat_seconds_bucket{le="10"} 4`,
-		`test_lat_seconds_bucket{le="+Inf"} 5`,
-		`test_lat_seconds_sum 56.05`,
-		`test_lat_seconds_count 5`,
+		`test_lat_seconds_bucket{k="a",le="0.1"} 1`,
+		`test_lat_seconds_bucket{k="a",le="1"} 3`,
+		`test_lat_seconds_bucket{k="a",le="10"} 4`,
+		`test_lat_seconds_bucket{k="a",le="+Inf"} 5`,
+		`test_lat_seconds_sum{k="a"} 56.05`,
+		`test_lat_seconds_count{k="a"} 5`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
-	}
-	if h.Count() != 5 || h.Sum() != 56.05 {
-		t.Errorf("Count/Sum = %d/%v", h.Count(), h.Sum())
 	}
 }
 
@@ -115,7 +112,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(1)
 	cv.With("x").Inc()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil instruments must read as zero")
 	}
 }
@@ -128,7 +125,7 @@ func TestRegistryRejectsDuplicatesAndBadNames(t *testing.T) {
 		"bad name":   func() { r.NewCounter("7bad", "x") },
 		"bad label":  func() { r.NewCounterVec("ok_total", "x", "bad-label") },
 		"no labels":  func() { r.NewCounterVec("ok2_total", "x") },
-		"bad bucket": func() { r.NewHistogram("ok3", "x", []float64{2, 1}) },
+		"bad bucket": func() { r.NewHistogramVec("ok3", "x", []float64{2, 1}, "k").With("a") },
 	} {
 		func() {
 			defer func() {
@@ -157,7 +154,7 @@ func TestHandlerContentType(t *testing.T) {
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_conc_total", "x")
-	h := r.NewHistogram("test_conc_seconds", "x", nil)
+	h := r.NewHistogramVec("test_conc_seconds", "x", nil, "k").With("a")
 	cv := r.NewCounterVec("test_conc_vec_total", "x", "i")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -175,8 +172,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Errorf("counter = %v, want 8000", c.Value())
 	}
-	if h.Count() != 8000 {
-		t.Errorf("histogram count = %d, want 8000", h.Count())
+	if out := render(t, r); !strings.Contains(out, `test_conc_seconds_count{k="a"} 8000`+"\n") {
+		t.Errorf("histogram count is not 8000:\n%s", out)
 	}
 	if got := cv.With("0").Value() + cv.With("1").Value(); got != 8000 {
 		t.Errorf("vec total = %v, want 8000", got)
@@ -206,7 +203,7 @@ func TestExpositionWellFormed(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("a_total", "with \\ backslash\nand newline").Add(1.5)
 	r.NewGauge("b", "").Set(-2)
-	r.NewHistogram("c_seconds", "h", nil).Observe(0.3)
+	r.NewHistogramVec("c_seconds", "h", nil, "k").With("v").Observe(0.3)
 	r.NewCounterVec("d_total", "v", "k").With(`quote " here`).Inc()
 	validateText(t, render(t, r))
 }

@@ -87,21 +87,6 @@ func (c *Clock) CycleTime() float64 { return c.cycleTime }
 // Now reports the current virtual time in seconds.
 func (c *Clock) Now() float64 { return c.now }
 
-// Bucket reports the time accumulated in the given category.
-func (c *Clock) Bucket(cat Category) float64 { return c.buckets[cat] }
-
-// Com reports accumulated communication time.
-func (c *Clock) Com() float64 { return c.buckets[Com] }
-
-// Seq reports accumulated root-only sequential computation time.
-func (c *Clock) Seq() float64 { return c.buckets[Seq] }
-
-// Par reports accumulated parallel computation time (busy only).
-func (c *Clock) Par() float64 { return c.buckets[Par] }
-
-// Idle reports accumulated waiting time.
-func (c *Clock) Idle() float64 { return c.buckets[Idle] }
-
 // Busy reports Now minus idle time: the processor's actual run time for
 // load-balance purposes.
 func (c *Clock) Busy() float64 { return c.now - c.buckets[Idle] }
@@ -124,13 +109,6 @@ func (c *Clock) AdvanceTo(t float64, cat Category) {
 		return
 	}
 	c.Add(t-c.now, cat)
-}
-
-// Compute charges the cost of executing the given number of floating-point
-// operations on this processor: flops/1e6 * cycleTime seconds, in category
-// cat (Seq for root-only phases, Par for concurrent phases).
-func (c *Clock) Compute(flops float64, cat Category) {
-	c.ComputeDegraded(flops, 1, cat)
 }
 
 // ComputeDegraded charges flops like Compute but multiplies the cost by a
@@ -168,10 +146,6 @@ func (c *Clock) Snapshot() Snapshot {
 		Idle: c.buckets[Idle],
 	}
 }
-
-// Total returns Com+Seq+Par+Idle, which equals Now for a clock advanced
-// only through Add/AdvanceTo/Compute.
-func (s Snapshot) Total() float64 { return s.Com + s.Seq + s.Par + s.Idle }
 
 // Busy returns Now minus idle time.
 func (s Snapshot) Busy() float64 { return s.Now - s.Idle }

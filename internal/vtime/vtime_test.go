@@ -27,10 +27,8 @@ func TestNewClockFields(t *testing.T) {
 	if c.Now() != 0 {
 		t.Errorf("fresh clock Now = %v, want 0", c.Now())
 	}
-	for _, cat := range []Category{Com, Seq, Par} {
-		if c.Bucket(cat) != 0 {
-			t.Errorf("fresh clock bucket %v = %v, want 0", cat, c.Bucket(cat))
-		}
+	if c.Com() != 0 || c.Seq() != 0 || c.Par() != 0 {
+		t.Errorf("fresh clock buckets COM %v SEQ %v PAR %v, want 0", c.Com(), c.Seq(), c.Par())
 	}
 }
 
@@ -251,3 +249,26 @@ func TestComputeDegraded(t *testing.T) {
 	}()
 	d.ComputeDegraded(1e6, 0, Par)
 }
+
+// Com reports accumulated communication time.
+func (c *Clock) Com() float64 { return c.buckets[Com] }
+
+// Seq reports accumulated root-only sequential computation time.
+func (c *Clock) Seq() float64 { return c.buckets[Seq] }
+
+// Par reports accumulated parallel computation time (busy only).
+func (c *Clock) Par() float64 { return c.buckets[Par] }
+
+// Idle reports accumulated waiting time.
+func (c *Clock) Idle() float64 { return c.buckets[Idle] }
+
+// Compute charges the cost of executing the given number of floating-point
+// operations on this processor: flops/1e6 * cycleTime seconds, in category
+// cat (Seq for root-only phases, Par for concurrent phases).
+func (c *Clock) Compute(flops float64, cat Category) {
+	c.ComputeDegraded(flops, 1, cat)
+}
+
+// Total returns Com+Seq+Par+Idle, which equals Now for a clock advanced
+// only through Add/AdvanceTo/Compute.
+func (s Snapshot) Total() float64 { return s.Com + s.Seq + s.Par + s.Idle }
