@@ -30,7 +30,8 @@
 //     core.Adaptive, of an ATDCA run.
 //
 // The detectors share one round loop parameterised by the round's scoring
-// criterion. PCT is the one place a body asks which schedule it runs
+// criterion, and each rank carries per-pixel state from round to round —
+// UFCLS's bounds, ATDCA's filter sums — keyed by global line. PCT is the one place a body asks which schedule it runs
 // under: the paper's static protocol gathers its statistics in three
 // messages and routes the reduced cube through the master, which a
 // demand-driven grant makes unnecessary.

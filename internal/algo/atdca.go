@@ -32,40 +32,56 @@ var atdcaDetector = detector{key: ckptATDCA, round: projectionCriterion}
 // the orthogonal complement of span(U). Every rank materializes the dense
 // projector P⊥_U (and its filter) once per round; the master re-applying
 // it to the champions is the compute-intensive sequential step the paper
-// calls out for ATDCA.
-func projectionCriterion(u uMatrix, bands, eqBands int, _ *lineBounds) (criterion, error) {
+// calls out for ATDCA. The rank's filter sums carry over from the last
+// round, unless this round's filter cannot skip anything.
+func projectionCriterion(u uMatrix, bands, eqBands int, st *carried) (criterion, error) {
 	proj, err := linalg.NewOSP(u.mat(bands))
 	if err != nil {
 		return criterion{}, err
 	}
 	scan, t := proj.DenseScan(), len(u.rows)
+	if !scan.Filters() {
+		st.sums = nil
+	}
 	return criterion{
 		setup: linalg.FlopsOSPDenseBuild(t, bands), each: linalg.FlopsOSPDenseApply(bands),
 		mSetup: linalg.FlopsOSPDenseBuild(t, eqBands), mEach: linalg.FlopsOSPDenseApply(eqBands),
-		best: func(view *cube.Cube, _ int) (int, float64, error) {
-			best, bestScore := maxProjection(scan, view)
+		best: func(view *cube.Cube, lo int) (int, float64, error) {
+			best, bestScore := maxProjection(scan, view, st.sums.rows(view, lo))
 			return best, bestScore, nil
 		},
 		score: func(sig []float32) (float64, error) { return linalg.DenseScore(scan.Dense, sig), nil },
 	}, nil
 }
 
+// lineSums is a rank's ATDCA filter sums, one row per global scene line.
+type lineSums [][]linalg.FilterSum
+
+// rows returns the sum rows of view, whose first line is global line lo,
+// allocating the rows never scanned before.
+func (ls *lineSums) rows(view *cube.Cube, lo int) [][]linalg.FilterSum {
+	return lineRows((*[][]linalg.FilterSum)(ls), view, lo, linalg.FilterSum{})
+}
+
 // maxProjection returns the pixel of view with the largest dense
 // projection score (the lowest index on ties) and that score, or (-1, -1)
-// for an empty view. Each pixel is widened once into the scan's buffer;
-// only a pixel that is not provably below the best so far goes through the
-// dense kernel, so the winner, its score and every comparison are the
-// kernel's.
-func maxProjection(s *linalg.DenseScan, view *cube.Cube) (int, float64) {
+// for an empty view; sums holds the filter sums of view's pixels, one row
+// per line. Only a pixel that is not provably below the best so far is
+// widened and goes through the dense kernel, so the winner, its score and
+// every comparison are the kernel's.
+func maxProjection(s *linalg.DenseScan, view *cube.Cube, sums [][]linalg.FilterSum) (int, float64) {
 	best, bestScore := -1, -1.0
 	wide := make([]float64, view.Bands)
-	for p := 0; p < view.NumPixels(); p++ {
-		y := linalg.Widen(wide, view.PixelAt(p))
-		if s.Below(y, bestScore) {
-			continue
-		}
-		if score := linalg.DenseScoreWide(s.Dense, y); score > bestScore {
-			best, bestScore = p, score
+	for l, row := range sums {
+		for smp := range row {
+			p := l*view.Samples + smp
+			y := view.PixelAt(p)
+			if s.Skip(y, &row[smp], bestScore) {
+				continue
+			}
+			if score := linalg.DenseScoreWide(s.Dense, linalg.Widen(wide, y)); score > bestScore {
+				best, bestScore = p, score
+			}
 		}
 	}
 	return best, bestScore

@@ -50,12 +50,35 @@ func BenchmarkKernelATDCAScan(b *testing.B) {
 	f, u := detectionScan(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cr, err := projectionCriterion(u, f.Bands, f.Bands, nil)
+		cr, err := projectionCriterion(u, f.Bands, f.Bands, new(carried))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := cr.best(f, 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKernelATDCARounds is ATDCA's seven projection rounds at t = 8
+// on the same scene, with the filter sums carried from round to round as
+// a rank carries them: after the first, a round adds one row of Q per
+// pixel, which shows here, not in one round.
+func BenchmarkKernelATDCARounds(b *testing.B) {
+	f, targets := detectionScan(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var st carried
+		var u uMatrix
+		for _, row := range targets.rows {
+			u.rows = append(u.rows, row)
+			cr, err := projectionCriterion(u, f.Bands, f.Bands, &st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := cr.best(f, 0); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -103,28 +103,36 @@ func filterBySupport(cands []candidate, own *cube.Cube, radius float64, minCount
 	// Four candidates are scored per pass over the pixels. A block may
 	// run past the candidate that fills the cap; the walk below stops
 	// there, so the survivors and the count of candidates charged are
-	// those of scanning one candidate at a time.
+	// those of scanning one candidate at a time. The span's pixels are
+	// widened, with their norms, once for every block, and each block's
+	// signatures once for the span.
+	var pix []spectral.Pixel
+	if len(cands) > 0 && c > 0 {
+		pix = make([]spectral.Pixel, own.NumPixels())
+		buf := make([]float64, len(own.Data))
+		for p := range pix {
+			pix[p].V = buf[p*bands : (p+1)*bands : (p+1)*bands]
+			pix[p].Load(own.PixelAt(p))
+		}
+	}
 	for b := 0; b < len(cands) && len(out) < c; b += 4 {
 		block := cands[b:min(b+4, len(cands))]
-		var sigs [4][]float32
-		var norms [4]float64
+		var sigs [4]spectral.Pixel
 		var counts [4]int
 		var means [4][]float64
 		for k := range sigs {
-			sigs[k] = block[min(k, len(block)-1)].sig
-			norms[k] = spectral.SqNorm(sigs[k])
+			sigs[k].Load(block[min(k, len(block)-1)].sig)
 			means[k] = make([]float64, bands)
 		}
-		for p := 0; p < own.NumPixels(); p++ {
-			v := own.PixelAt(p)
+		for p := range pix {
+			x := &pix[p]
 			var dots [4]float64
-			var nv float64
-			nv, dots[0], dots[1], dots[2], dots[3] = spectral.Dot4(v, sigs[0], sigs[1], sigs[2], sigs[3])
+			dots[0], dots[1], dots[2], dots[3] = spectral.Dots4(x.V, sigs[0].V, sigs[1].V, sigs[2].V, sigs[3].V)
 			for k := range block {
-				if within.Holds(dots[k], nv, norms[k]) {
+				if within.Holds(dots[k], x.Norm, sigs[k].Norm) {
 					counts[k]++
-					for i, x := range v {
-						means[k][i] += float64(x)
+					for i, w := range x.V {
+						means[k][i] += w
 					}
 				}
 			}
@@ -214,6 +222,7 @@ func selectCandidates(f *cube.Cube, scores []float64, loLine, hiLine, c int, the
 	var out []candidate
 	kept := spectral.NewSet(nil)
 	within := spectral.NewLimit(theta)
+	var px spectral.Pixel
 	sadCalls := 0
 	for _, p := range order {
 		if len(out) == c {
@@ -228,7 +237,7 @@ func selectCandidates(f *cube.Cube, scores []float64, loLine, hiLine, c int, the
 		if !spectral.Finite(v) {
 			continue
 		}
-		dup := kept.FirstWithin(v, within)
+		dup := kept.FirstWithin(px.Load(v), within)
 		sadCalls += sadsUntil(dup, kept.Len())
 		if dup >= 0 {
 			continue
@@ -265,6 +274,7 @@ func fuseCandidates(cands []candidate, c int, theta float64) ([][]float32, int) 
 	var out [][]float32
 	kept := spectral.NewSet(nil)
 	within := spectral.NewLimit(theta)
+	var px spectral.Pixel
 	sadCalls := 0
 	for _, i := range order {
 		if len(out) == c {
@@ -273,7 +283,7 @@ func fuseCandidates(cands []candidate, c int, theta float64) ([][]float32, int) 
 		if !cands[i].valid {
 			continue
 		}
-		dup := kept.FirstWithin(cands[i].sig, within)
+		dup := kept.FirstWithin(px.Load(cands[i].sig), within)
 		sadCalls += sadsUntil(dup, kept.Len())
 		if dup < 0 {
 			out = append(out, cands[i].sig)
@@ -292,8 +302,9 @@ func labelBySAD(f *cube.Cube, endmembers [][]float32) ([]int, float64) {
 	labels := make([]int, np)
 	set := spectral.NewSet(endmembers)
 	par.Ranges(np, par.Chunks(np, 512), func(_, lo, hi int) {
+		var px spectral.Pixel
 		for p := lo; p < hi; p++ {
-			labels[p], _ = set.Nearest(f.PixelAt(p), spectral.NoLimit)
+			labels[p], _ = set.Nearest(px.Load(f.PixelAt(p)), spectral.NoLimit)
 		}
 	})
 	return labels, float64(np) * float64(len(endmembers)) * spectral.FlopsSAD(f.Bands)

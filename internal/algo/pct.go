@@ -179,6 +179,7 @@ func uniqueScan(f *cube.Cube, theta float64, maxReps int) ([]rep, int) {
 	var reps []rep
 	set := spectral.NewSet(nil)
 	below := spectral.NewLimit(theta)
+	var px spectral.Pixel
 	sadCalls := 0
 	for p := 0; p < f.NumPixels(); p++ {
 		v := f.PixelAt(p)
@@ -194,7 +195,7 @@ func uniqueScan(f *cube.Cube, theta float64, maxReps int) ([]rep, int) {
 		if len(reps) == maxReps {
 			limit = spectral.NoLimit
 		}
-		i, d := set.Nearest(v, limit)
+		i, d := set.Nearest(px.Load(v), limit)
 		switch {
 		case i >= 0 && d < theta:
 			reps[i].count++
@@ -319,7 +320,11 @@ func finiteMeanSums(f *cube.Cube) ([]float64, int) {
 // the cube into acc (bands x bands). Returns the flop count charged.
 // Pixels are split into chunks whose partial matrices are folded into acc
 // in ascending chunk order, so the result is bit-identical at any par
-// worker budget.
+// worker budget. Within a chunk, four finite pixels are centred and then
+// added to the triangle in one pass: each entry adds their four products
+// left to right, in pixel order, so it takes the additions of four
+// one-pixel passes in the same order (DESIGN.md "Kernel exactness"). The
+// last one to three pixels of a chunk take the one-pixel pass.
 func covarianceUpper(f *cube.Cube, mean []float64, acc *linalg.Mat) float64 {
 	n := f.Bands
 	np := f.NumPixels()
@@ -328,7 +333,8 @@ func covarianceUpper(f *cube.Cube, mean []float64, acc *linalg.Mat) float64 {
 	bufs := make([][]float64, chunks)
 	par.Ranges(np, chunks, func(c, lo, hi int) {
 		buf := par.GetFloat64s(sz)
-		d := par.GetFloat64s(n)
+		d := par.GetFloat64s(4 * n) // up to four centred pixels
+		k := 0
 		for p := lo; p < hi; p++ {
 			v := f.PixelAt(p)
 			// Non-finite pixels are excluded from the statistics, matching
@@ -337,16 +343,17 @@ func covarianceUpper(f *cube.Cube, mean []float64, acc *linalg.Mat) float64 {
 			if !spectral.Finite(v) {
 				continue
 			}
-			for i := 0; i < n; i++ {
-				d[i] = float64(v[i]) - mean[i]
+			e := d[k*n : (k+1)*n]
+			for i, x := range v {
+				e[i] = float64(x) - mean[i]
 			}
-			for i := 0; i < n; i++ {
-				row := buf[i*n : (i+1)*n]
-				di := d[i]
-				for j := i; j < n; j++ {
-					row[j] += di * d[j]
-				}
+			if k++; k == 4 {
+				addOuter4(buf, d, n)
+				k = 0
 			}
+		}
+		for j := 0; j < k; j++ {
+			addOuter(buf, d[j*n:(j+1)*n])
 		}
 		par.PutFloat64s(d)
 		bufs[c] = buf
@@ -358,6 +365,33 @@ func covarianceUpper(f *cube.Cube, mean []float64, acc *linalg.Mat) float64 {
 		par.PutFloat64s(buf)
 	}
 	return float64(np) * (float64(n) + float64(n)*float64(n+1))
+}
+
+// addOuter adds the upper triangle of e e^T to buf (n x n, n = len(e)).
+func addOuter(buf, e []float64) {
+	n := len(e)
+	for i, ei := range e {
+		row := buf[i*n+i : (i+1)*n]
+		for j, ej := range e[i:] {
+			row[j] += ei * ej
+		}
+	}
+}
+
+// addOuter4 adds the upper triangles of the outer products of the four
+// n-vectors in d, in order. Go evaluates the sum left to right, so every
+// entry gets addOuter's four additions in the same order.
+func addOuter4(buf, d []float64, n int) {
+	e0, e1, e2, e3 := d[:n], d[n:2*n], d[2*n:3*n], d[3*n:4*n]
+	for i := 0; i < n; i++ {
+		a0, a1, a2, a3 := e0[i], e1[i], e2[i], e3[i]
+		row := buf[i*n+i : (i+1)*n]
+		m := len(row)
+		f0, f1, f2, f3 := e0[i:][:m], e1[i:][:m], e2[i:][:m], e3[i:][:m]
+		for j := range row {
+			row[j] = row[j] + a0*f0[j] + a1*f1[j] + a2*f2[j] + a3*f3[j]
+		}
+	}
 }
 
 func mirrorLower(m *linalg.Mat) {

@@ -274,10 +274,18 @@ func (cr criterion) pick(c *mpi.Comm, parts []balance.Partial) (Target, error) {
 
 // detector is what distinguishes ATDCA from UFCLS: the snapshot name and
 // the criterion of the rounds after the first, built from the current U
-// with the master's charges at eqBands and the rank's bounds.
+// with the master's charges at eqBands and what the rank carries.
 type detector struct {
 	key   string
-	round func(u uMatrix, bands, eqBands int, bounds *lineBounds) (criterion, error)
+	round func(u uMatrix, bands, eqBands int, st *carried) (criterion, error)
+}
+
+// carried is what a rank keeps of the pixels it scans from one detection
+// round to the next, keyed by global line: UFCLS's bounds and ATDCA's
+// filter sums.
+type carried struct {
+	bounds lineBounds
+	sums   lineSums
 }
 
 // detectRounds is the round loop of both detectors under any schedule:
@@ -315,11 +323,11 @@ func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, det detecto
 	if start > 0 {
 		u = s.publish(u)
 	}
-	var bounds lineBounds
+	var st carried
 	for round := start; round < t; round++ {
 		cr := brightness(bands)
 		if round > 0 {
-			if cr, err = det.round(u, bands, params.eqBands(bands), &bounds); err != nil {
+			if cr, err = det.round(u, bands, params.eqBands(bands), &st); err != nil {
 				return nil, err
 			}
 		}

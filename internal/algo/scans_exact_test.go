@@ -225,7 +225,7 @@ func TestUniqueScanMatchesScalarScanAtTheta(t *testing.T) {
 		set.Add(f.PixelAt(p))
 	}
 	for p := founders; p < f.NumPixels(); p++ {
-		_, d := set.Nearest(f.PixelAt(p), spectral.NoLimit)
+		_, d := set.Nearest(new(spectral.Pixel).Load(f.PixelAt(p)), spectral.NoLimit)
 		for _, theta := range []float64{d, math.Nextafter(d, 0), math.Nextafter(d, 4)} {
 			want, wantCalls := refUniqueScan(f, theta, founders)
 			got, gotCalls := uniqueScan(f, theta, founders)
@@ -292,20 +292,19 @@ func spectralNearest(pixel []float32, set [][]float32) (int, float64) {
 
 // maxProjectionDense is the all-dense scan maxProjection replaced: every
 // pixel goes through the dense kernel. Along the way it counts the pixels
-// s.Below would have let skip the kernel against its best so far — the
-// best maxProjection holds at that pixel too — and fails the test if one
-// of them scored at or above that best.
+// the filter, summing afresh, would have let skip the kernel against its
+// best so far — the best maxProjection holds at that pixel too — and
+// fails the test if one of them scored at or above that best.
 func maxProjectionDense(t testing.TB, s *linalg.DenseScan, view *cube.Cube) (best int, bestScore float64, skippable int) {
 	t.Helper()
 	best, bestScore = -1, -1.0
 	wide := make([]float64, view.Bands)
 	for p := 0; p < view.NumPixels(); p++ {
-		y := linalg.Widen(wide, view.PixelAt(p))
-		score := linalg.DenseScoreWide(s.Dense, y)
-		if s.Below(y, bestScore) {
+		score := linalg.DenseScoreWide(s.Dense, linalg.Widen(wide, view.PixelAt(p)))
+		if s.Skip(view.PixelAt(p), new(linalg.FilterSum), bestScore) {
 			skippable++
 			if !(score < bestScore) {
-				t.Fatalf("pixel %d scores %v but Below(y, %v) let it skip the dense kernel", p, score, bestScore)
+				t.Fatalf("pixel %d scores %v but Skip(y, %v) let it skip the dense kernel", p, score, bestScore)
 			}
 		}
 		if score > bestScore {
@@ -321,7 +320,7 @@ func maxProjectionDense(t testing.TB, s *linalg.DenseScan, view *cube.Cube) (bes
 func checkMaxProjection(t testing.TB, name string, s *linalg.DenseScan, view *cube.Cube) (int, int) {
 	t.Helper()
 	wantI, wantS, skipped := maxProjectionDense(t, s, view)
-	gotI, gotS := maxProjection(s, view)
+	gotI, gotS := maxProjection(s, view, new(lineSums).rows(view, 0))
 	if gotI != wantI || math.Float64bits(gotS) != math.Float64bits(wantS) {
 		t.Fatalf("%s: maxProjection (%d, %v), all-dense scan (%d, %v)", name, gotI, gotS, wantI, wantS)
 	}
@@ -522,6 +521,95 @@ func TestMaxProjectionSkipsDenseKernel(t *testing.T) {
 	t.Logf("%d of %d pixel scores skipped the dense kernel (%.1f%%)", skipped, scored, 100*float64(skipped)/float64(scored))
 	if float64(skipped) < 0.9*float64(scored) {
 		t.Fatalf("only %d of %d pixel scores skipped the dense kernel, want >= 90%%", skipped, scored)
+	}
+}
+
+// carriedRounds runs ATDCA rounds from first over the lines of f with the
+// filter sums carried in st, each round on a random set of line spans —
+// so a line may sit a round out, or be scanned for the first time in a
+// late round — and checks every span's pick against the all-dense scan.
+// The next target is the all-dense winner of the whole scene.
+func carriedRounds(t *testing.T, name string, rng *rand.Rand, f *cube.Cube, st *carried, first []float32, rounds int) {
+	t.Helper()
+	sigs := [][]float32{first}
+	for len(sigs) <= rounds {
+		var u uMatrix
+		for _, sig := range sigs {
+			u.rows = append(u.rows, toF64(sig))
+		}
+		cr, err := projectionCriterion(u, f.Bands, f.Bands, st)
+		if err != nil {
+			t.Fatalf("%s, %d targets: %v", name, len(sigs), err)
+		}
+		s := scanOf(sigs)
+		size := 1 + rng.Intn(6)
+		for lo := 0; lo < f.Lines; lo += size {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			view, err := f.Rows(lo, min(lo+size, f.Lines))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantI, wantS, _ := maxProjectionDense(t, s, view)
+			gotI, gotS, _ := cr.best(view, lo)
+			if gotI != wantI || math.Float64bits(gotS) != math.Float64bits(wantS) {
+				t.Fatalf("%s, %d targets, lines [%d,%d): carried scan (%d, %v), all-dense scan (%d, %v)",
+					name, len(sigs), lo, lo+size, gotI, gotS, wantI, wantS)
+			}
+		}
+		w, _, _ := maxProjectionDense(t, s, f)
+		sigs = append(sigs, f.PixelAt(w))
+	}
+}
+
+// With the sums a rank carries, maxProjection picks what the all-dense
+// scan picks in every round: while the lines it scans change from round
+// to round, and across a round whose Cholesky factorization fails, after
+// which the targets start over and no sum of the old chain may survive.
+func TestMaxProjectionCarriedMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	for _, g := range []scene.Config{
+		{Lines: 24, Samples: 16, Bands: 8, Seed: 3},
+		{Lines: 40, Samples: 24, Bands: 32, Seed: 1},
+		{Lines: 32, Samples: 16, Bands: 64, Seed: 7},
+	} {
+		sc, err := scene.Generate(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := sc.Cube
+		name := fmt.Sprintf("%dx%dx%d", g.Lines, g.Samples, g.Bands)
+		bright, bestB := 0, -1.0
+		for p := 0; p < f.NumPixels(); p++ {
+			if b := f.Brightness(p); b > bestB {
+				bright, bestB = p, b
+			}
+		}
+		var st carried
+		carriedRounds(t, name, rng, f, &st, f.PixelAt(bright), min(g.Bands-1, 7))
+
+		// A first target of norm ~1e-8 fails Cholesky's pivot floor, which
+		// Gauss-Jordan, pivoting on the second target, passes: the round
+		// has a projector and no filter.
+		tiny := append([]float32(nil), f.PixelAt(5)...)
+		for i := range tiny {
+			tiny[i] *= 1e-8
+		}
+		other := f.PixelAt(f.NumPixels() - 7)
+		if s := scanOf([][]float32{tiny, other}); s == nil || s.Filters() {
+			t.Fatalf("%s: targets of norms 1e-8 and 1 did not make a Cholesky failure", name)
+		}
+		u := uMatrix{rows: [][]float64{toF64(tiny), toF64(other)}}
+		cr, err := projectionCriterion(u, f.Bands, f.Bands, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantI, wantS, _ := maxProjectionDense(t, scanOf([][]float32{tiny, other}), f)
+		if gotI, gotS, _ := cr.best(f, 0); gotI != wantI || math.Float64bits(gotS) != math.Float64bits(wantS) {
+			t.Fatalf("%s, Cholesky failure: (%d, %v), all-dense scan (%d, %v)", name, gotI, gotS, wantI, wantS)
+		}
+		carriedRounds(t, name+" after the failure", rng, f, &st, f.PixelAt(f.NumPixels()/2), min(g.Bands-1, 7))
 	}
 }
 

@@ -42,7 +42,7 @@ func ATDCASequential(f *cube.Cube, t int) (*DetectionResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		best, bestScore = maxProjection(proj.DenseScan(), f)
+		best, bestScore = maxProjection(proj.DenseScan(), f, new(lineSums).rows(f, 0))
 		appendTarget(res, f, best, bestScore)
 	}
 	return res, nil

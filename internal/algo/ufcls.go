@@ -30,23 +30,43 @@ func ufclsEndmemberMat(u uMatrix, bands int) *linalg.Mat {
 }
 
 // lineBounds is a rank's UFCLS bounds (UnmixBound's J from each pixel's
-// last solve; NaN for none), one row per global scene line, allocated when
-// the rank first scores the line. They are not checkpointed.
+// last solve; NaN for none), one row per global scene line.
 type lineBounds [][]float64
 
 // rows returns the bound rows of view, whose first line is global line
 // lo, allocating the rows never scored before.
 func (lb *lineBounds) rows(view *cube.Cube, lo int) [][]float64 {
-	if n := lo + view.Lines; len(*lb) < n {
-		*lb = append(*lb, make([][]float64, n-len(*lb))...)
+	return lineRows((*[][]float64)(lb), view, lo, math.NaN())
+}
+
+// lineRows returns the rows of a rank's per-pixel state ls — one row per
+// global scene line, allocated when the rank first scans the line and
+// filled with init — for view, whose first line is global line lo. The
+// state lives as long as the rank's run and is not checkpointed.
+func lineRows[T comparable](ls *[][]T, view *cube.Cube, lo int, init T) [][]T {
+	if n := lo + view.Lines; len(*ls) < n {
+		*ls = append(*ls, make([][]T, n-len(*ls))...)
 	}
-	rows := (*lb)[lo : lo+view.Lines]
-	for i := range rows {
-		if rows[i] == nil {
-			rows[i] = make([]float64, view.Samples)
-			for s := range rows[i] {
-				rows[i][s] = math.NaN()
-			}
+	rows := (*ls)[lo : lo+view.Lines]
+	missing := 0
+	for _, r := range rows {
+		if r == nil {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return rows
+	}
+	fresh := make([]T, missing*view.Samples)
+	var zero T
+	if init != zero {
+		for i := range fresh {
+			fresh[i] = init
+		}
+	}
+	for i, r := range rows {
+		if r == nil {
+			rows[i], fresh = fresh[:view.Samples:view.Samples], fresh[view.Samples:]
 		}
 	}
 	return rows
@@ -119,14 +139,14 @@ var ufclsDetector = detector{key: ckptUFCLS, round: errorCriterion}
 // constrained unmixing against U: each rank forms the error image of its
 // spans, less the pixels its bounds rule out, and the master re-unmixes
 // the champions (step 4 of Algorithm 3).
-func errorCriterion(u uMatrix, bands, eqBands int, bounds *lineBounds) (criterion, error) {
+func errorCriterion(u uMatrix, bands, eqBands int, st *carried) (criterion, error) {
 	t := len(u.rows)
 	var solver *linalg.FCLSSolver // the master's; built on first use
 	return criterion{
 		setup: linalg.FlopsGram(t, bands), each: linalg.FlopsFCLSGram(bands, t),
 		mSetup: linalg.FlopsGram(t, eqBands), mEach: linalg.FlopsFCLSGram(eqBands, t),
 		best: func(view *cube.Cube, lo int) (int, float64, error) {
-			best, score, _, err := maxErrorScan(view, u, bands, bounds.rows(view, lo))
+			best, score, _, err := maxErrorScan(view, u, bands, st.bounds.rows(view, lo))
 			return best, score, err
 		},
 		score: func(sig []float32) (float64, error) {

@@ -245,11 +245,11 @@ func TestMaxErrorScanBoundsFollowGlobalLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bounds lineBounds
+	var st carried
 	var u uMatrix
 	for round, tg := range seq.Targets[:7] {
 		u.rows = append(u.rows, toF64(tg.Signature))
-		cr, err := errorCriterion(u, f.Bands, f.Bands, &bounds)
+		cr, err := errorCriterion(u, f.Bands, f.Bands, &st)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,12 +42,12 @@ func SymEigen(a *Mat) (*Eigen, error) {
 	}
 
 	w := a.Clone()
-	v := Identity(n)
+	vt := Identity(n) // the eigenvectors transposed: row i is column i of V
 	for sweep := 0; sweep < maxJacobiSweeps; sweep++ {
 		var off float64
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
+			for _, x := range w.Row(i)[i+1:] {
+				off += x * x
 			}
 		}
 		if off < 1e-22*math.Max(scale*scale, 1) {
@@ -64,7 +64,7 @@ func SymEigen(a *Mat) (*Eigen, error) {
 				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
 				c := 1 / math.Sqrt(t*t+1)
 				s := t * c
-				rotate(w, v, p, q, c, s)
+				rotate(w, vt, p, q, c, s)
 			}
 		}
 	}
@@ -80,31 +80,36 @@ func SymEigen(a *Mat) (*Eigen, error) {
 	sort.Slice(order, func(x, y int) bool { return diag[order[x]] > diag[order[y]] })
 	for rank, idx := range order {
 		eig.Values[rank] = diag[idx]
-		for r := 0; r < n; r++ {
-			eig.Vectors.Set(r, rank, v.At(r, idx))
+		for r, x := range vt.Row(idx) {
+			eig.Vectors.Set(r, rank, x)
 		}
 	}
 	return eig, nil
 }
 
 // rotate applies the Jacobi rotation J(p,q,c,s) to w (two-sided) and
-// accumulates it into the eigenvector matrix v (right side only).
-func rotate(w, v *Mat, p, q int, c, s float64) {
-	n := w.Rows
-	for k := 0; k < n; k++ {
-		wkp, wkq := w.At(k, p), w.At(k, q)
-		w.Set(k, p, c*wkp-s*wkq)
-		w.Set(k, q, s*wkp+c*wkq)
+// accumulates it into the eigenvector matrix V (right side only), held
+// transposed in vt so that V's columns p and q are rows. Every entry
+// takes the arithmetic of the textbook loop over columns p and q, then
+// rows p and q of w, then columns p and q of V, in that order.
+func rotate(w, vt *Mat, p, q int, c, s float64) {
+	d, n := w.Data, w.Cols
+	for kp, kq := p, q; kq < len(d); kp, kq = kp+n, kq+n {
+		wkp, wkq := d[kp], d[kq]
+		d[kp] = c*wkp - s*wkq
+		d[kq] = s*wkp + c*wkq
 	}
-	for k := 0; k < n; k++ {
-		wpk, wqk := w.At(p, k), w.At(q, k)
-		w.Set(p, k, c*wpk-s*wqk)
-		w.Set(q, k, s*wpk+c*wqk)
-	}
-	for k := 0; k < n; k++ {
-		vkp, vkq := v.At(k, p), v.At(k, q)
-		v.Set(k, p, c*vkp-s*vkq)
-		v.Set(k, q, s*vkp+c*vkq)
+	rotateRows(w.Row(p), w.Row(q), c, s)
+	rotateRows(vt.Row(p), vt.Row(q), c, s)
+}
+
+// rotateRows sets x, y to c*x - s*y, s*x + c*y.
+func rotateRows(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for k, xk := range x {
+		yk := y[k]
+		x[k] = c*xk - s*yk
+		y[k] = s*xk + c*yk
 	}
 }
 

@@ -150,10 +150,12 @@ func DenseScoreWide(p *Mat, y []float64) float64 {
 //
 //	DenseScoreWide(Dense, y) <= ‖y‖² - ‖Qy‖² + η‖y‖²,
 //
-// and the right side costs t·n + n multiply-adds against the kernel's n².
+// and the right side costs t·n + n multiply-adds against the kernel's n²
+// — or n, when the sums of the last round's Q are carried (FilterSum).
 type DenseScan struct {
 	Dense *Mat
-	q     *Mat    // Q, zero rows appended up to a multiple of four
+	q     *Mat    // Q, then three zero rows: a pass of four may start at any row
+	t     int     // rows of Q
 	eta   float64 // NaN when Q cannot be formed: nothing is then skipped
 }
 
@@ -164,7 +166,7 @@ type DenseScan struct {
 // η is four times the sum.
 func (p *OSP) DenseScan() *DenseScan {
 	t, n := p.u.Rows, p.u.Cols
-	s := &DenseScan{Dense: p.Dense(), q: NewMat((t+3)/4*4, n), eta: math.NaN()}
+	s := &DenseScan{Dense: p.Dense(), q: NewMat(t+3, n), t: t, eta: math.NaN()}
 	l, err := cholesky(Gram(p.u))
 	if err != nil {
 		return s
@@ -218,40 +220,82 @@ func (p *OSP) DenseScan() *DenseScan {
 	return s
 }
 
-// Below reports whether DenseScoreWide(s.Dense, y) is provably below
-// best, so that a scan for the maximum may skip y. A NaN or an infinity
-// in the bound — from η, ‖y‖² or ‖Qy‖² — is never below anything, so such
-// a pixel goes to the dense kernel.
-func (s *DenseScan) Below(y []float64, best float64) bool {
-	ny, qy := s.norms(y)
-	b := ny - qy + s.eta*ny
+// A FilterSum is what a pixel's filter keeps between rounds: ‖y‖² and
+// the sum of (Q_i·y)² over the first rows of Q, up to rows. The zero
+// value has summed nothing. A sum is valid for a scan whose Q begins with
+// the rows it summed: the scans of successive ATDCA rounds, whose target
+// lists only grow, are such a chain, since row i of Q depends on targets
+// 0..i alone (DESIGN.md "Kernel exactness"). A scan without a filter
+// (Filters) ends the chain, and its caller drops every sum.
+type FilterSum struct {
+	ny, qy float64
+	rows   int
+}
+
+// Filters reports whether the scan can skip a pixel at all: it cannot
+// when η is NaN (Q not formed, or a target not finite).
+func (s *DenseScan) Filters() bool { return !math.IsNaN(s.eta) }
+
+// Skip reports whether DenseScoreWide(s.Dense, y) is provably below best,
+// so that a scan for the maximum may skip y, after bringing sum up to all
+// of Q's rows: one new row in one pass over y, or any number in passes of
+// four rows. A NaN or an infinity in the bound — from η, ‖y‖² or ‖Qy‖² —
+// is never below anything, so such a pixel goes to the dense kernel.
+// Without a filter Skip is false and leaves sum alone.
+func (s *DenseScan) Skip(y []float32, sum *FilterSum, best float64) bool {
+	if !s.Filters() {
+		return false
+	}
+	if sum.rows < s.t {
+		s.extend(y, sum)
+	}
+	b := sum.ny - sum.qy + s.eta*sum.ny
 	return b < best && b > math.Inf(-1)
 }
 
-// norms returns ‖y‖² and ‖Qy‖², four rows of Q per pass over y, each pass
-// also summing ‖y‖². The padding rows of Q add exact zeros (or a NaN,
-// which only stops the skip). Unlike the dense kernel these sums need no
-// fixed order: η bounds their rounding.
-func (s *DenseScan) norms(y []float64) (ny, qy float64) {
+// extend adds the squares of Q's rows sum.rows..t-1 against y to sum.
+// The padding rows of Q add exact zeros (or a NaN, which only stops the
+// skip). Unlike the dense kernel these sums need no fixed order: η bounds
+// their rounding, so the one-row pass splits its dot product four ways.
+func (s *DenseScan) extend(y []float32, sum *FilterSum) {
 	n := len(y)
 	if n != s.q.Cols {
 		panic(fmt.Sprintf("linalg: DenseScan on %d-vector, want %d", n, s.q.Cols))
 	}
-	for i := 0; i < s.q.Rows; i += 4 {
+	if i := sum.rows; i > 0 && i == s.t-1 {
+		r := s.q.Row(i)[:n]
+		var s0, s1, s2, s3 float64
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			s0 += r[j] * float64(y[j])
+			s1 += r[j+1] * float64(y[j+1])
+			s2 += r[j+2] * float64(y[j+2])
+			s3 += r[j+3] * float64(y[j+3])
+		}
+		for ; j < n; j++ {
+			s0 += r[j] * float64(y[j])
+		}
+		d := (s0 + s1) + (s2 + s3)
+		sum.qy += d * d
+		sum.rows = s.t
+		return
+	}
+	for i := sum.rows; i < s.t; i += 4 {
 		r0, r1 := s.q.Row(i)[:n], s.q.Row(i + 1)[:n]
 		r2, r3 := s.q.Row(i + 2)[:n], s.q.Row(i + 3)[:n]
 		var s0, s1, s2, s3, yy float64
 		for j, v := range y {
-			s0 += r0[j] * v
-			s1 += r1[j] * v
-			s2 += r2[j] * v
-			s3 += r3[j] * v
-			yy += v * v
+			w := float64(v)
+			s0 += r0[j] * w
+			s1 += r1[j] * w
+			s2 += r2[j] * w
+			s3 += r3[j] * w
+			yy += w * w
 		}
-		ny = yy
-		qy += s0*s0 + s1*s1 + s2*s2 + s3*s3
+		sum.ny = yy
+		sum.qy += s0*s0 + s1*s1 + s2*s2 + s3*s3
 	}
-	return ny, qy
+	sum.rows = s.t
 }
 
 // FlopsOSPBuild is the cost of constructing the factored projector for t

@@ -134,6 +134,41 @@ func TestDenseScoreLengthMismatchPanics(t *testing.T) {
 	}
 }
 
+// Below is the filter without carried sums, the reference Skip is held
+// to: whether DenseScoreWide(s.Dense, y) is provably below best, from
+// ‖y‖² and ‖Qy‖² summed afresh.
+func (s *DenseScan) Below(y []float64, best float64) bool {
+	ny, qy := s.norms(y)
+	b := ny - qy + s.eta*ny
+	return b < best && b > math.Inf(-1)
+}
+
+// norms returns ‖y‖² and ‖Qy‖², four rows of Q per pass over y, each pass
+// also summing ‖y‖². The padding rows of Q add exact zeros (or a NaN,
+// which only stops the skip). Unlike the dense kernel these sums need no
+// fixed order: η bounds their rounding.
+func (s *DenseScan) norms(y []float64) (ny, qy float64) {
+	n := len(y)
+	if n != s.q.Cols {
+		panic(fmt.Sprintf("linalg: DenseScan on %d-vector, want %d", n, s.q.Cols))
+	}
+	for i := 0; i < s.t; i += 4 {
+		r0, r1 := s.q.Row(i)[:n], s.q.Row(i + 1)[:n]
+		r2, r3 := s.q.Row(i + 2)[:n], s.q.Row(i + 3)[:n]
+		var s0, s1, s2, s3, yy float64
+		for j, v := range y {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+			yy += v * v
+		}
+		ny = yy
+		qy += s0*s0 + s1*s1 + s2*s2 + s3*s3
+	}
+	return ny, qy
+}
+
 // checkBelow holds DenseScan.Below to its contract for one pixel — Below
 // only when the dense score is strictly below best — at bests around the
 // dense score d and the filter value f = ‖y‖² - ‖Qy‖², and returns how
@@ -240,6 +275,107 @@ func TestDenseScanEtaGrowsWhenTargetsNearlyCollinear(t *testing.T) {
 			checkBelow(t, sg, y)
 			checkBelow(t, sb, y)
 		}
+	}
+}
+
+// prefixScans returns the scans of rounds 1..rows(u): the targets u's
+// first k rows in round k, and nil from the first linearly dependent set.
+func prefixScans(u *Mat) []*DenseScan {
+	var scans []*DenseScan
+	for k := 1; k <= u.Rows; k++ {
+		p, err := NewOSP(MatFromRows(rowsOf(u)[:k]))
+		if err != nil {
+			break
+		}
+		scans = append(scans, p.DenseScan())
+	}
+	return scans
+}
+
+func rowsOf(m *Mat) [][]float64 {
+	rows := make([][]float64, m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	return rows
+}
+
+// Row i of Q depends on targets 0..i alone: every round's Q begins with
+// the last round's rows, bit for bit. Carrying the filter's sums from
+// round to round rests on this.
+func TestDenseScanQRowsArePrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(70)
+		scans := prefixScans(randMat(rng, min(n, 1+rng.Intn(18)), n))
+		for k := 1; k < len(scans); k++ {
+			prev, s := scans[k-1], scans[k]
+			for i := 0; i < prev.t; i++ {
+				for j, v := range prev.q.Row(i) {
+					if math.Float64bits(s.q.At(i, j)) != math.Float64bits(v) {
+						t.Fatalf("trial %d: Q(%d, %d) is %v with %d targets, %v with %d", trial, i, j, s.q.At(i, j), k+1, v, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Skip with sums carried over a chain of rounds keeps Below's contract in
+// every round — skip only a pixel whose dense score is strictly below
+// best — whether the pixel is first seen in round 1 or later, and
+// whether it sat rounds out.
+func TestSkipCarriedKeepsBelowContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	between := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(70)
+		u := randMat(rng, min(n, 1+rng.Intn(12)), n)
+		pixels := make([][]float32, 16)
+		for i := range pixels {
+			pixels[i] = make([]float32, n)
+			for j := range pixels[i] {
+				pixels[i][j] = float32(rng.NormFloat64())
+			}
+		}
+		copy32(pixels[1], u.Row(0)) // a target: its projection is rounding noise
+		pixels[2][rng.Intn(n)] = float32(math.NaN())
+		clear(pixels[3])
+		sums := make([]FilterSum, len(pixels))
+		for k, s := range prefixScans(u) {
+			for i, px := range pixels {
+				if rng.Intn(4) == 0 && k > 0 {
+					continue // sits this round out
+				}
+				y := Widen(nil, px)
+				d := DenseScoreWide(s.Dense, y)
+				sum := sums[i]
+				s.Skip(px, &sum, math.Inf(-1)) // only brings the sum up to date
+				if sum.rows != s.t {
+					t.Fatalf("trial %d round %d: sum covers %d rows of %d", trial, k+1, sum.rows, s.t)
+				}
+				f := sum.ny - sum.qy
+				for _, best := range []float64{-1, 0, f, (f + d) / 2, math.Nextafter(d, math.Inf(-1)), d, math.Nextafter(d, math.Inf(1))} {
+					if f < best && best < d {
+						between++
+					}
+					sum := sums[i]
+					if s.Skip(px, &sum, best) && !(d < best) {
+						t.Fatalf("trial %d round %d pixel %d: Skip(y, %v) for dense score %v (f = %v, η = %v)", trial, k+1, i, best, d, f, s.eta)
+					}
+				}
+				sums[i] = sum
+			}
+		}
+	}
+	if between == 0 {
+		t.Fatal("no best fell strictly between f(y) and the dense score: η = 0 would go unnoticed")
+	}
+}
+
+func copy32(dst []float32, src []float64) {
+	for i, v := range src {
+		dst[i] = float32(v)
 	}
 }
 

@@ -7,9 +7,10 @@ import "math"
 // morphological distance map. They return bit-for-bit what a loop over
 // SAD returns, because every output keeps its own accumulator and its
 // own left-to-right band order (DESIGN.md "Kernel exactness"); speed
-// comes from running four outputs at once, from caching squared norms,
-// and from deciding comparisons on the cosine when the arccosine cannot
-// change the outcome.
+// comes from running four outputs at once, from widening each operand to
+// float64 and taking its squared norm once per scan rather than once per
+// dot product, and from deciding comparisons on the cosine when the
+// arccosine cannot change the outcome.
 
 // SqNorm returns the squared Euclidean norm of v, accumulated band by
 // band exactly as SAD accumulates its norms.
@@ -124,64 +125,110 @@ func (l Limit) Holds(dot, na, nb float64) bool {
 	return Angle(dot, na, nb) <= l.rad
 }
 
-// A Set is a list of signatures with their squared norms cached, so a
-// scan of many pixels against it never recomputes a per-signature
-// invariant.
-type Set struct {
-	sigs  [][]float32
-	norms []float64
+// A Pixel is a vector widened once to float64, with its squared norm:
+// what a scan that compares one vector with many needs of it. Widening
+// float32 to float64 is exact, so every product formed from the widened
+// samples is the product SAD forms, and Norm is SqNorm's bits (the same
+// products added in the same order).
+type Pixel struct {
+	V    []float64
+	Norm float64
 }
 
-// NewSet builds a set over sigs. The signatures are referenced, not
-// copied, and must not change while the set is in use.
+// Load widens v into p, reusing p's storage when it has the capacity, and
+// returns p. A scan loads every vector into the same Pixel and allocates
+// nothing per vector.
+func (p *Pixel) Load(v []float32) *Pixel {
+	if cap(p.V) < len(v) {
+		p.V = make([]float64, len(v))
+	}
+	p.V = p.V[:len(v)]
+	var norm float64
+	for i, s := range v {
+		w := float64(s)
+		p.V[i] = w
+		norm += w * w
+	}
+	p.Norm = norm
+	return p
+}
+
+// Dots4 returns the dot products of x with a, b, c and d, all already
+// widened, each accumulated band by band exactly as SAD accumulates it:
+// Dot4 without the norm and without converting its operands.
+func Dots4(x, a, b, c, d []float64) (da, db, dc, dd float64) {
+	n := len(x)
+	if len(a) != n || len(b) != n || len(c) != n || len(d) != n {
+		panic("spectral: Dots4 length mismatch")
+	}
+	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
+	for i, w := range x {
+		da += w * a[i]
+		db += w * b[i]
+		dc += w * c[i]
+		dd += w * d[i]
+	}
+	return
+}
+
+// A Set is a list of signatures, each widened once with its squared norm
+// cached, so a scan of many pixels against it never recomputes a
+// per-signature invariant. The set keeps its own float64 copy of every
+// signature: one that changes after NewSet or Add is not seen, so a
+// signature must not change while the set stands for it.
+type Set struct {
+	sigs []Pixel
+}
+
+// NewSet builds a set over sigs.
 func NewSet(sigs [][]float32) *Set {
-	s := &Set{sigs: sigs, norms: make([]float64, len(sigs))}
-	for i, sig := range sigs {
-		s.norms[i] = SqNorm(sig)
+	s := &Set{sigs: make([]Pixel, 0, len(sigs))}
+	for _, sig := range sigs {
+		s.Add(sig)
 	}
 	return s
 }
 
 // Add appends a signature.
 func (s *Set) Add(sig []float32) {
-	s.sigs = append(s.sigs, sig)
-	s.norms = append(s.norms, SqNorm(sig))
+	var p Pixel
+	s.sigs = append(s.sigs, *p.Load(sig))
 }
 
 // Len returns the number of signatures.
 func (s *Set) Len() int { return len(s.sigs) }
 
-// block returns the dot products of pixel with signatures i..i+3 and the
-// pixel's squared norm; slots past the end of the set repeat the last
-// signature.
-func (s *Set) block(pixel []float32, i int) (np float64, dots [4]float64) {
+// block returns the dot products of x with signatures i..i+3; slots past
+// the end of the set repeat the last signature.
+func (s *Set) block(x *Pixel, i int) (dots [4]float64) {
 	last := len(s.sigs) - 1
-	np, dots[0], dots[1], dots[2], dots[3] = Dot4(pixel,
-		s.sigs[i], s.sigs[min(i+1, last)], s.sigs[min(i+2, last)], s.sigs[min(i+3, last)])
+	dots[0], dots[1], dots[2], dots[3] = Dots4(x.V,
+		s.sigs[i].V, s.sigs[min(i+1, last)].V, s.sigs[min(i+2, last)].V, s.sigs[min(i+3, last)].V)
 	return
 }
 
 // Nearest returns the index of the signature with the smallest SAD to
-// pixel among those strictly below limit (the lowest index on ties) and
-// that distance, or (-1, limit's angle) when there is none — what the
-// loop
+// the loaded pixel x among those strictly below limit (the lowest index
+// on ties) and that distance, or (-1, limit's angle) when there is none —
+// what the loop
 //
 //	best, bestD := -1, limit
 //	for i, s := range set { if d := SAD(pixel, s); d < bestD { best, bestD = i, d } }
 //
 // returns. A signature whose cosine lies more than cosSlack below the
 // best so far cannot win and is passed over without its arccosine.
-func (s *Set) Nearest(pixel []float32, limit Limit) (int, float64) {
+func (s *Set) Nearest(x *Pixel, limit Limit) (int, float64) {
 	best, bestD := -1, limit.rad
 	bound := limit.cos // no greater than cos(bestD), up to rounding
 	for i := 0; i < len(s.sigs); i += 4 {
-		np, dots := s.block(pixel, i)
+		dots := s.block(x, i)
 		for k := 0; k < 4 && i+k < len(s.sigs); k++ {
-			c := dots[k] / math.Sqrt(np*s.norms[i+k])
+			ns := s.sigs[i+k].Norm
+			c := dots[k] / math.Sqrt(x.Norm*ns)
 			if c < bound-cosSlack {
 				continue
 			}
-			if d := Angle(dots[k], np, s.norms[i+k]); d < bestD {
+			if d := Angle(dots[k], x.Norm, ns); d < bestD {
 				best, bestD = i+k, d
 				if c > bound {
 					bound = min(c, 1)
@@ -193,12 +240,12 @@ func (s *Set) Nearest(pixel []float32, limit Limit) (int, float64) {
 }
 
 // FirstWithin returns the lowest index whose signature has
-// SAD(pixel, signature) <= limit, or -1.
-func (s *Set) FirstWithin(pixel []float32, limit Limit) int {
+// SAD(pixel, signature) <= limit for the loaded pixel x, or -1.
+func (s *Set) FirstWithin(x *Pixel, limit Limit) int {
 	for i := 0; i < len(s.sigs); i += 4 {
-		np, dots := s.block(pixel, i)
+		dots := s.block(x, i)
 		for k := 0; k < 4 && i+k < len(s.sigs); k++ {
-			if limit.Holds(dots[k], np, s.norms[i+k]) {
+			if limit.Holds(dots[k], x.Norm, s.sigs[i+k].Norm) {
 				return i + k
 			}
 		}

@@ -104,9 +104,25 @@ func TestDotKernelsAccumulateAsSAD(t *testing.T) {
 		if !sameBits(nx, SqNorm(x)) {
 			t.Fatalf("bands %d: Dot4 norm %v, SqNorm %v", bands, nx, SqNorm(x))
 		}
+		// The widened forms: a Pixel's norm and Dots4 over Pixels.
+		var px Pixel
+		var ws [4]Pixel
+		for k := range ws {
+			ws[k].Load(sigs[k])
+		}
+		w0, w1, w2, w3 := Dots4(px.Load(x).V, ws[0].V, ws[1].V, ws[2].V, ws[3].V)
+		if !sameBits(px.Norm, nx) {
+			t.Fatalf("bands %d: Pixel norm %v, Dot4 norm %v", bands, px.Norm, nx)
+		}
 		for k, d := range []float64{d0, d1, d2, d3} {
 			if got := Dot(x, sigs[k]); !sameBits(d, got) && !(math.IsNaN(d) && math.IsNaN(got)) {
 				t.Fatalf("bands %d slot %d: Dot4 %v, Dot %v", bands, k, d, got)
+			}
+			if w := [4]float64{w0, w1, w2, w3}[k]; !sameBits(w, d) && !(math.IsNaN(w) && math.IsNaN(d)) {
+				t.Fatalf("bands %d slot %d: Dots4 %v, Dot4 %v", bands, k, w, d)
+			}
+			if !sameBits(ws[k].Norm, SqNorm(sigs[k])) && !math.IsNaN(ws[k].Norm) {
+				t.Fatalf("bands %d slot %d: Pixel norm %v, SqNorm %v", bands, k, ws[k].Norm, SqNorm(sigs[k]))
 			}
 			want := SAD(x, sigs[k])
 			if got := Angle(d, nx, SqNorm(sigs[k])); !sameBits(got, want) {
@@ -184,12 +200,12 @@ func TestNearestMatchesReference(t *testing.T) {
 			}
 			for _, lim := range testLimits {
 				wantI, wantD := refNearest(pixel, sigs, lim)
-				gotI, gotD := set.Nearest(pixel, NewLimit(lim))
+				gotI, gotD := set.Nearest(new(Pixel).Load(pixel), NewLimit(lim))
 				if gotI != wantI || !sameBits(gotD, wantD) {
 					t.Fatalf("bands %d size %d limit %v: Nearest (%d, %v), reference (%d, %v)\npixel %v\nset %v",
 						bands, size, lim, gotI, gotD, wantI, wantD, pixel, sigs)
 				}
-				if got, want := set.FirstWithin(pixel, NewLimit(lim)), refFirstWithin(pixel, sigs, lim); got != want {
+				if got, want := set.FirstWithin(new(Pixel).Load(pixel), NewLimit(lim)), refFirstWithin(pixel, sigs, lim); got != want {
 					t.Fatalf("bands %d size %d limit %v: FirstWithin %d, reference %d\npixel %v\nset %v",
 						bands, size, lim, got, want, pixel, sigs)
 				}
@@ -211,7 +227,7 @@ func TestNewSetMatchesAdd(t *testing.T) {
 	if a.Len() != len(sigs) {
 		t.Fatalf("Len = %d, want %d", a.Len(), len(sigs))
 	}
-	gi, gd := a.Nearest(pixel, NoLimit)
+	gi, gd := a.Nearest(new(Pixel).Load(pixel), NoLimit)
 	wi, wd := refNearest(pixel, sigs, math.Inf(1))
 	if gi != wi || !sameBits(gd, wd) {
 		t.Fatalf("NewSet scan (%d, %v), reference (%d, %v)", gi, gd, wi, wd)
@@ -244,11 +260,13 @@ func TestLimitHoldsMatchesAngle(t *testing.T) {
 	}
 }
 
-// fuzzCase decodes a fuzz input into a pixel and a set: the first byte is
-// the set size (0-11), the rest float32 bit patterns — so NaN, ±Inf and
-// denormal samples all occur — cut into bands-long vectors.
-func fuzzCase(data []byte, bands uint8) (pixel []float32, set [][]float32) {
-	n := int(bands%70) + 1
+// fuzzCase decodes a fuzz input into a pixel and a set: bands gives
+// 1-300 bands, past any fixed-size buffer a kernel might keep; the first
+// byte of data is the set size (0-11), the rest float32 bit patterns — so
+// NaN, ±Inf, zero and denormal samples all occur — cut into bands-long
+// vectors.
+func fuzzCase(data []byte, bands uint16) (pixel []float32, set [][]float32) {
+	n := int(bands%300) + 1
 	size := 0
 	if len(data) > 0 {
 		size, data = int(data[0]%12), data[1:]
@@ -270,20 +288,51 @@ func fuzzCase(data []byte, bands uint8) (pixel []float32, set [][]float32) {
 	return pixel, set
 }
 
+// FuzzNearestMatchesReference checks both scans of a set against the
+// scalar loops. A grown set is built by NewSet over the first half of the
+// signatures and Add for the rest, the way the unique-set and candidate
+// scans grow theirs; the pixel goes through one Pixel reused from a
+// different-length vector, as a scan reuses it.
 func FuzzNearestMatchesReference(f *testing.F) {
-	f.Add([]byte{3, 0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 128, 64, 0, 0, 0, 65}, uint8(1), 0.04)
-	f.Fuzz(func(t *testing.T, data []byte, bands uint8, limit float64) {
+	f.Add([]byte{3, 0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 128, 64, 0, 0, 0, 65}, uint16(1), 0.04, false)
+	f.Fuzz(func(t *testing.T, data []byte, bands uint16, limit float64, grown bool) {
 		pixel, sigs := fuzzCase(data, bands)
 		set := NewSet(sigs)
+		if grown {
+			set = NewSet(sigs[:len(sigs)/2])
+			for _, sig := range sigs[len(sigs)/2:] {
+				set.Add(sig)
+			}
+		}
+		px := new(Pixel).Load(make([]float32, len(pixel)+3))
+		px.Load(pixel)
 		wantI, wantD := refNearest(pixel, sigs, limit)
-		gotI, gotD := set.Nearest(pixel, NewLimit(limit))
+		gotI, gotD := set.Nearest(px, NewLimit(limit))
 		if gotI != wantI || !sameBits(gotD, wantD) {
 			t.Fatalf("Nearest (%d, %v), reference (%d, %v)\npixel %v\nset %v\nlimit %v", gotI, gotD, wantI, wantD, pixel, sigs, limit)
 		}
-		if got, want := set.FirstWithin(pixel, NewLimit(limit)), refFirstWithin(pixel, sigs, limit); got != want {
+		if got, want := set.FirstWithin(px, NewLimit(limit)), refFirstWithin(pixel, sigs, limit); got != want {
 			t.Fatalf("FirstWithin %d, reference %d\npixel %v\nset %v\nlimit %v", got, want, pixel, sigs, limit)
 		}
 	})
+}
+
+// A scan loads every pixel into one Pixel: a query allocates nothing,
+// whatever the band count.
+func TestNearestAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, bands := range []int{8, 64, 300} {
+		pixel := randVec(rng, bands)
+		set := NewSet(hardSet(rng, pixel, 9))
+		var px Pixel
+		allocs := testing.AllocsPerRun(100, func() {
+			set.Nearest(px.Load(pixel), NewLimit(0.06))
+			set.FirstWithin(px.Load(pixel), NewLimit(0.06))
+		})
+		if allocs != 0 {
+			t.Fatalf("%d bands: %v allocations per query, want 0", bands, allocs)
+		}
+	}
 }
 
 func BenchmarkNearest8(b *testing.B) {
@@ -295,8 +344,9 @@ func BenchmarkNearest8(b *testing.B) {
 	}
 	b.Run("blocked", func(b *testing.B) {
 		set := NewSet(sigs)
+		var px Pixel
 		for i := 0; i < b.N; i++ {
-			set.Nearest(pixel, NoLimit)
+			set.Nearest(px.Load(pixel), NoLimit)
 		}
 	})
 	b.Run("reference", func(b *testing.B) {

@@ -127,7 +127,7 @@ func TestSADNonFiniteMaximallyDissimilar(t *testing.T) {
 
 func TestMostSimilarNaNPixelNotPoisoned(t *testing.T) {
 	set := [][]float32{{1, 0}, {0, 1}}
-	i, d := NewSet(set).Nearest([]float32{float32(math.NaN()), 1}, NoLimit)
+	i, d := NewSet(set).Nearest(new(Pixel).Load([]float32{float32(math.NaN()), 1}), NoLimit)
 	if math.IsNaN(d) || math.IsInf(d, 0) {
 		t.Fatalf("NaN pixel poisoned the scan: d = %v", d)
 	}
@@ -140,7 +140,7 @@ func TestMostSimilarSkipsNaNSignature(t *testing.T) {
 	// A corrupt library entry must lose to any finite match, and lose
 	// deterministically even when it is scanned first.
 	set := [][]float32{{float32(math.NaN()), 0.5}, {0, 1}}
-	i, d := NewSet(set).Nearest([]float32{0, 2}, NoLimit)
+	i, d := NewSet(set).Nearest(new(Pixel).Load([]float32{0, 2}), NoLimit)
 	if i != 1 || d > 1e-6 {
 		t.Errorf("got (%d, %v), want the clean matching signature (1, ~0)", i, d)
 	}
