@@ -385,12 +385,10 @@ type (
 	Checkpointer = checkpoint.Checkpointer
 	// CheckpointSnapshot is one saved master round state.
 	CheckpointSnapshot = checkpoint.Snapshot
-	// CheckpointMemStore is an in-memory Checkpointer (zero value ready),
-	// the store behind a scheduler job's attempts.
+	// CheckpointMemStore is an in-memory Checkpointer (zero value ready):
+	// attach it with WithCheckpointer, and a rerun in the same process
+	// resumes where the last run saved.
 	CheckpointMemStore = checkpoint.MemStore
-	// CheckpointFileStore is a Checkpointer over an atomically-replaced
-	// file, for resume across processes without a scheduler.
-	CheckpointFileStore = checkpoint.FileStore
 	// SchedJournal is the scheduler's append-only, fsync-per-record job
 	// journal; pass it via SchedulerConfig.Journal.
 	SchedJournal = sched.Journal
@@ -422,12 +420,6 @@ func DefaultBalancePolicy() BalancePolicy { return balance.DefaultPolicy() }
 // hyperhetd with a "balance": true submit field.
 func WithBalance(ctx context.Context, pol BalancePolicy) context.Context {
 	return core.WithBalance(ctx, pol)
-}
-
-// NewCheckpointFileStore opens (creating as needed) a file-backed
-// checkpoint store in dir.
-func NewCheckpointFileStore(dir string) (*CheckpointFileStore, error) {
-	return checkpoint.NewFileStore(dir)
 }
 
 // OpenSchedJournal opens (creating as needed) the scheduler job journal

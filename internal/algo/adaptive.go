@@ -54,12 +54,11 @@ type adaptiveUpdate struct {
 // ATDCAAdaptive runs ATDCA with measurement-driven dynamic load
 // balancing. It must run inside an mpi program; f is required at the
 // root. The result and trace are returned at the root; other ranks return
-// nils. The schedule keeps its own partition state, so params.Checkpoint
-// and params.Balance do not apply and are ignored.
+// nils. The schedule keeps its own partition state, so it takes no Exec:
+// it runs without a balancer or a checkpoint store.
 func ATDCAAdaptive(c *mpi.Comm, f *cube.Cube, params DetectionParams) (*DetectionResult, *AdaptiveTrace, error) {
-	params.Checkpoint, params.Balance = nil, nil
 	var a *adaptiveSchedule
-	res, err := detectRounds(c, f, params, atdcaDetector, func() (schedule, error) {
+	res, err := detectRounds(c, f, params, nil, atdcaDetector, func() (schedule, error) {
 		// Start from equal shares: the platform's speeds are treated as
 		// unknown.
 		st, err := newStaticSchedule(c, f, partition.Homogeneous{}, 0)

@@ -123,14 +123,14 @@ func TestAdaptiveBeatsEqualShares(t *testing.T) {
 		return r
 	})
 	static := timeOf(func(c *mpi.Comm) any {
-		r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8}, partition.Homogeneous{})
+		r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8}, Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}
 		return r
 	})
 	oracle := timeOf(func(c *mpi.Comm) any {
-		r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8}, partition.Heterogeneous{})
+		r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8}, Exec{Strategy: partition.Heterogeneous{}})
 		if err != nil {
 			panic(err)
 		}

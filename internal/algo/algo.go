@@ -16,7 +16,7 @@
 //     gather per phase. The heterogeneous and homogeneous variants differ
 //     only in the strategy (WEA vs equal shares), exactly as in the paper;
 //     with accurate cycle-times WEA is the fastest schedule.
-//   - balanced (Params.Balance): the demand-driven chunk protocol of
+//   - balanced (Exec.Balance): the demand-driven chunk protocol of
 //     package balance, which sheds work from a processor that runs slower
 //     than its model says. Chunk-insensitive phases — the detectors'
 //     argmax scans and the classifiers' per-pixel labeling — run as guided
@@ -76,15 +76,24 @@ type DetectionParams struct {
 	// virtual-time model. Reduced-scene experiments set it to the paper's
 	// 224; see mpi.Comm.ComputeFixed.
 	EquivalentBands int
-	// Checkpoint, when non-nil, saves the master's target list after every
-	// completed round and resumes from the store's latest snapshot instead
-	// of round zero. Nil disables checkpointing with zero protocol or
-	// virtual-time change.
-	Checkpoint checkpoint.Checkpointer
+}
+
+// Exec says how a parallel run executes, as opposed to what it computes:
+// the parameter structs are pure values, while Exec carries the run's
+// handles. Every rank receives the same Exec.
+type Exec struct {
+	// Strategy partitions the scene's lines for the static schedule.
+	Strategy partition.Strategy
 	// Balance, when non-nil, replaces the static scatter with the
 	// demand-driven chunk protocol of package balance. Nil keeps the
 	// static schedule with zero protocol or virtual-time change.
 	Balance *balance.Balancer
+	// Checkpoint, when non-nil, saves the master's round state at its
+	// round boundaries — the detectors' target list after every round,
+	// PCT's step-7 state, MORPH's fused endmembers — and resumes from the
+	// store's latest snapshot instead of round zero. Nil disables
+	// checkpointing with zero protocol or virtual-time change.
+	Checkpoint checkpoint.Checkpointer
 }
 
 // eqBands returns the band count used for master-side fixed charges.

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cube"
 	"repro/internal/linalg"
 	"repro/internal/mpi"
-	"repro/internal/partition"
 )
 
 // This file implements the Automated Target Detection and Classification
@@ -20,9 +19,9 @@ import (
 // version, depending on the partitioning strategy). It must run inside an
 // mpi program; f is required at the root and ignored elsewhere. The
 // result is returned at the root; other ranks return nil.
-func ATDCAParallel(c *mpi.Comm, f *cube.Cube, params DetectionParams, strat partition.Strategy) (*DetectionResult, error) {
-	return detectRounds(c, f, params, atdcaDetector, func() (schedule, error) {
-		return newSchedule(c, f, strat, 0, params.Balance)
+func ATDCAParallel(c *mpi.Comm, f *cube.Cube, params DetectionParams, ex Exec) (*DetectionResult, error) {
+	return detectRounds(c, f, params, ex.Checkpoint, atdcaDetector, func() (schedule, error) {
+		return newSchedule(c, f, ex, 0)
 	})
 }
 

@@ -101,7 +101,7 @@ func TestATDCAParallelMatchesSequential(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4} {
 		root, _ := runParallel(t, testNet(t, p), func(c *mpi.Comm) any {
-			r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6}, partition.Homogeneous{})
+			r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6}, Exec{Strategy: partition.Homogeneous{}})
 			if err != nil {
 				panic(err)
 			}
@@ -121,7 +121,7 @@ func TestATDCAHeterogeneousMatchesHomogeneous(t *testing.T) {
 	net := testHeteroNet(t)
 	get := func(strat partition.Strategy) *DetectionResult {
 		root, _ := runParallel(t, net, func(c *mpi.Comm) any {
-			r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 5}, strat)
+			r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 5}, Exec{Strategy: strat})
 			if err != nil {
 				panic(err)
 			}
@@ -141,7 +141,7 @@ func TestATDCAParallelDeterministicTiming(t *testing.T) {
 	net := testHeteroNet(t)
 	run := func() []float64 {
 		_, res := runParallel(t, net, func(c *mpi.Comm) any {
-			r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, partition.Heterogeneous{})
+			r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, Exec{Strategy: partition.Heterogeneous{}})
 			if err != nil {
 				panic(err)
 			}
@@ -164,7 +164,7 @@ func TestATDCAHeterogeneousFasterOnHeteroNet(t *testing.T) {
 	net := testHeteroNet(t)
 	timeFor := func(strat partition.Strategy) float64 {
 		_, res := runParallel(t, net, func(c *mpi.Comm) any {
-			r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 5}, strat)
+			r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 5}, Exec{Strategy: strat})
 			if err != nil {
 				panic(err)
 			}
@@ -185,7 +185,7 @@ func TestATDCAParallelWithMoreProcsThanLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	root, _ := runParallel(t, testNet(t, 8), func(c *mpi.Comm) any {
-		r, err := ATDCAParallel(c, rootCube(c, sc), DetectionParams{Targets: 3}, partition.Homogeneous{})
+		r, err := ATDCAParallel(c, rootCube(c, sc), DetectionParams{Targets: 3}, Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}

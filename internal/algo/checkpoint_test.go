@@ -37,14 +37,14 @@ func runDetector(t *testing.T, name string, ck checkpoint.Checkpointer) (*Detect
 	t.Helper()
 	sc := testScene(t)
 	root, res := runParallel(t, testNet(t, 3), func(c *mpi.Comm) any {
-		params := DetectionParams{Targets: 6, Checkpoint: ck}
+		params := DetectionParams{Targets: 6}
 		var r *DetectionResult
 		var err error
 		switch name {
 		case ckptATDCA:
-			r, err = ATDCAParallel(c, rootCube(c, sc.Cube), params, partition.Homogeneous{})
+			r, err = ATDCAParallel(c, rootCube(c, sc.Cube), params, Exec{Strategy: partition.Homogeneous{}, Checkpoint: ck})
 		case ckptUFCLS:
-			r, err = UFCLSParallel(c, rootCube(c, sc.Cube), params, partition.Homogeneous{})
+			r, err = UFCLSParallel(c, rootCube(c, sc.Cube), params, Exec{Strategy: partition.Homogeneous{}, Checkpoint: ck})
 		}
 		if err != nil {
 			panic(err)
@@ -78,7 +78,7 @@ func TestDetectorCheckpointResume(t *testing.T) {
 			// Resume from the round-3 boundary: same targets, strictly less
 			// master-side and parallel work than the from-scratch run.
 			mid := &checkpoint.MemStore{}
-			mid.Seed(&rec.snaps[2])
+			mid.Save(rec.snaps[2])
 			resumed, resumedRes := runDetector(t, name, mid)
 			if !sameTargets(plain.Targets, resumed.Targets) {
 				t.Fatal("resumed run detected different targets")
@@ -94,7 +94,7 @@ func TestDetectorCheckpointResume(t *testing.T) {
 
 			// Resume from the final boundary: no rounds left to run.
 			done := &checkpoint.MemStore{}
-			done.Seed(&rec.snaps[len(rec.snaps)-1])
+			done.Save(rec.snaps[len(rec.snaps)-1])
 			again, _ := runDetector(t, name, done)
 			if !sameTargets(plain.Targets, again.Targets) {
 				t.Fatal("resume from the final snapshot changed the targets")
@@ -108,13 +108,13 @@ func TestDetectorResumeIgnoresForeignSnapshot(t *testing.T) {
 	// ignored: the run falls back to round zero and still succeeds.
 	plain, _ := runDetector(t, ckptATDCA, nil)
 	foreign := &checkpoint.MemStore{}
-	foreign.Seed(&checkpoint.Snapshot{Algorithm: ckptUFCLS, Round: 3, Payload: encodeTargets(plain.Targets[:3])})
+	foreign.Save(checkpoint.Snapshot{Algorithm: ckptUFCLS, Round: 3, Payload: encodeTargets(plain.Targets[:3])})
 	res, _ := runDetector(t, ckptATDCA, foreign)
 	if !sameTargets(plain.Targets, res.Targets) {
 		t.Error("foreign snapshot disturbed the run")
 	}
 	corrupt := &checkpoint.MemStore{}
-	corrupt.Seed(&checkpoint.Snapshot{Algorithm: ckptATDCA, Round: 3, Payload: []byte{1, 2, 3}})
+	corrupt.Save(checkpoint.Snapshot{Algorithm: ckptATDCA, Round: 3, Payload: []byte{1, 2, 3}})
 	res, _ = runDetector(t, ckptATDCA, corrupt)
 	if !sameTargets(plain.Targets, res.Targets) {
 		t.Error("corrupt snapshot payload disturbed the run")
@@ -126,9 +126,8 @@ func runPCT(t *testing.T, ck checkpoint.Checkpointer) (*ClassificationResult, *m
 	sc := testScene(t)
 	params := DefaultPCTParams()
 	params.Classes = 5
-	params.Checkpoint = ck
 	root, res := runParallel(t, testNet(t, 3), func(c *mpi.Comm) any {
-		r, err := PCTParallel(c, rootCube(c, sc.Cube), params, partition.Homogeneous{})
+		r, err := PCTParallel(c, rootCube(c, sc.Cube), params, Exec{Strategy: partition.Homogeneous{}, Checkpoint: ck})
 		if err != nil {
 			panic(err)
 		}
@@ -141,9 +140,8 @@ func runMorph(t *testing.T, ck checkpoint.Checkpointer) (*ClassificationResult, 
 	t.Helper()
 	sc := testScene(t)
 	params := DefaultMorphParams()
-	params.Checkpoint = ck
 	root, res := runParallel(t, testNet(t, 3), func(c *mpi.Comm) any {
-		r, err := MorphParallel(c, rootCube(c, sc.Cube), params, partition.Homogeneous{})
+		r, err := MorphParallel(c, rootCube(c, sc.Cube), params, Exec{Strategy: partition.Homogeneous{}, Checkpoint: ck})
 		if err != nil {
 			panic(err)
 		}
@@ -191,7 +189,7 @@ func TestCheckpointChargesAppearInTrace(t *testing.T) {
 	tr := w.EnableTrace()
 	rec := &recordingStore{}
 	_, err := w.Run(func(c *mpi.Comm) any {
-		r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4, Checkpoint: rec}, partition.Homogeneous{})
+		r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, Exec{Strategy: partition.Homogeneous{}, Checkpoint: rec})
 		if err != nil {
 			panic(err)
 		}

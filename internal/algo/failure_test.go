@@ -37,9 +37,9 @@ func TestWorkerDeathFailsDetectionRun(t *testing.T) {
 			var r *DetectionResult
 			var err error
 			if name == "atdca" {
-				r, err = ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, partition.Homogeneous{})
+				r, err = ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, Exec{Strategy: partition.Homogeneous{}})
 			} else {
-				r, err = UFCLSParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, partition.Homogeneous{})
+				r, err = UFCLSParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, Exec{Strategy: partition.Homogeneous{}})
 			}
 			if err != nil {
 				panic(err)
@@ -63,9 +63,9 @@ func TestWorkerDeathFailsClassificationRun(t *testing.T) {
 			var r *ClassificationResult
 			var err error
 			if name == "pct" {
-				r, err = PCTParallel(c, rootCube(c, sc.Cube), PCTParams{Classes: 4, Theta: 0.08, MaxReps: 16}, partition.Homogeneous{})
+				r, err = PCTParallel(c, rootCube(c, sc.Cube), PCTParams{Classes: 4, Theta: 0.08, MaxReps: 16}, Exec{Strategy: partition.Homogeneous{}})
 			} else {
-				r, err = MorphParallel(c, rootCube(c, sc.Cube), MorphParams{Classes: 4, Iterations: 2, Radius: 1, Theta: 0.08}, partition.Homogeneous{})
+				r, err = MorphParallel(c, rootCube(c, sc.Cube), MorphParams{Classes: 4, Iterations: 2, Radius: 1, Theta: 0.08}, Exec{Strategy: partition.Homogeneous{}})
 			}
 			if err != nil {
 				panic(err)
@@ -88,7 +88,7 @@ func TestMasterDeathFailsRun(t *testing.T) {
 		if c.Root() {
 			panic("master died before scattering")
 		}
-		r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, partition.Homogeneous{})
+		r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}
@@ -119,7 +119,7 @@ func TestDegenerateSingleMaterialScene(t *testing.T) {
 	// U U^T singular. The run must terminate with an error.
 	w := mpi.NewWorld(testNet(t, 2))
 	_, err = w.Run(func(c *mpi.Comm) any {
-		r, err := ATDCAParallel(c, rootCube(c, f), DetectionParams{Targets: 3}, partition.Homogeneous{})
+		r, err := ATDCAParallel(c, rootCube(c, f), DetectionParams{Targets: 3}, Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}

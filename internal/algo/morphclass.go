@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/balance"
-	"repro/internal/checkpoint"
 	"repro/internal/cube"
 	"repro/internal/morph"
 	"repro/internal/mpi"
@@ -53,15 +51,6 @@ type MorphParams struct {
 	// policy its measurements used; its Thunderhead scaling suggests
 	// something close to this one (see DESIGN.md).
 	MinimalHalo bool
-	// Checkpoint, when non-nil, saves the fused endmember set after the
-	// master's step-3 fusion and resumes from it, skipping the AMEE
-	// iterations entirely. Nil disables checkpointing with zero protocol
-	// or virtual-time change.
-	Checkpoint checkpoint.Checkpointer
-	// Balance, when non-nil, replaces the static scatter with the
-	// demand-driven chunk protocol of package balance. Nil keeps the
-	// static schedule with zero protocol or virtual-time change.
-	Balance *balance.Balancer
 }
 
 // minSupportCount converts the support floor into a pixel count.
@@ -313,13 +302,13 @@ func labelBySAD(f *cube.Cube, endmembers [][]float32) ([]int, float64) {
 // MorphParallel is the Hetero-MORPH of Algorithm 5 (or its homogeneous
 // version). It must run inside an mpi program; f is required at the root.
 // The result is returned at the root; other ranks return nil.
-func MorphParallel(c *mpi.Comm, f *cube.Cube, params MorphParams, strat partition.Strategy) (*ClassificationResult, error) {
+func MorphParallel(c *mpi.Comm, f *cube.Cube, params MorphParams, ex Exec) (*ClassificationResult, error) {
 	if c.Root() {
 		if err := params.validate(f); err != nil {
 			return nil, err
 		}
 	}
-	s, err := newSchedule(c, f, strat, params.Halo(), params.Balance)
+	s, err := newSchedule(c, f, ex, params.Halo())
 	if err != nil {
 		return nil, err
 	}
@@ -331,11 +320,11 @@ func MorphParallel(c *mpi.Comm, f *cube.Cube, params MorphParams, strat partitio
 	var endmembers [][]float32
 	resumed := 0
 	if c.Root() {
-		if em, ok := restoreEndmembers(c, params.Checkpoint, bands); ok {
+		if em, ok := restoreEndmembers(c, ex.Checkpoint, bands); ok {
 			endmembers, resumed = em, 1
 		}
 	}
-	if params.Checkpoint != nil {
+	if ex.Checkpoint != nil {
 		resumed = syncResume(c, resumed)
 	}
 	if resumed == 0 {
@@ -362,7 +351,7 @@ func MorphParallel(c *mpi.Comm, f *cube.Cube, params MorphParams, strat partitio
 			if len(endmembers) == 0 {
 				return nil, fmt.Errorf("algo: no endmembers found")
 			}
-			if err := saveEndmembers(c, params.Checkpoint, endmembers); err != nil {
+			if err := saveEndmembers(c, ex.Checkpoint, endmembers); err != nil {
 				return nil, err
 			}
 		}

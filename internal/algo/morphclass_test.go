@@ -87,7 +87,7 @@ func TestMorphParallelAgreesOnSeparableScene(t *testing.T) {
 	params := MorphParams{Classes: 4, Iterations: 2, Radius: 1, Theta: 0.1}
 	for _, p := range []int{1, 3} {
 		root, _ := runParallel(t, testNet(t, p), func(c *mpi.Comm) any {
-			r, err := MorphParallel(c, rootCube(c, f), params, partition.Homogeneous{})
+			r, err := MorphParallel(c, rootCube(c, f), params, Exec{Strategy: partition.Homogeneous{}})
 			if err != nil {
 				panic(err)
 			}
@@ -112,7 +112,7 @@ func TestMorphParallelUsesOverlapBorders(t *testing.T) {
 		t.Fatal(err)
 	}
 	root, _ := runParallel(t, testNet(t, 4), func(c *mpi.Comm) any {
-		r, err := MorphParallel(c, rootCube(c, f), params, partition.Homogeneous{})
+		r, err := MorphParallel(c, rootCube(c, f), params, Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}
@@ -129,7 +129,7 @@ func TestMorphLowSeqShare(t *testing.T) {
 	// the four algorithms; check SEQ is a small fraction of the total.
 	sc := testScene(t)
 	_, res := runParallel(t, testNet(t, 4), func(c *mpi.Comm) any {
-		r, err := MorphParallel(c, rootCube(c, sc.Cube), DefaultMorphParams(), partition.Homogeneous{})
+		r, err := MorphParallel(c, rootCube(c, sc.Cube), DefaultMorphParams(), Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}
@@ -189,7 +189,7 @@ func TestMorphMinimalHaloApproximates(t *testing.T) {
 		t.Fatalf("minimal halo = %d, want 1", params.Halo())
 	}
 	root, _ := runParallel(t, testNet(t, 4), func(c *mpi.Comm) any {
-		r, err := MorphParallel(c, rootCube(c, f), params, partition.Homogeneous{})
+		r, err := MorphParallel(c, rootCube(c, f), params, Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}
@@ -210,7 +210,7 @@ func TestMorphMinimalHaloCheaper(t *testing.T) {
 		params.Classes = 4
 		params.MinimalHalo = minimal
 		_, res := runParallel(t, testNet(t, 6), func(c *mpi.Comm) any {
-			r, err := MorphParallel(c, rootCube(c, sc.Cube), params, partition.Homogeneous{})
+			r, err := MorphParallel(c, rootCube(c, sc.Cube), params, Exec{Strategy: partition.Homogeneous{}})
 			if err != nil {
 				panic(err)
 			}

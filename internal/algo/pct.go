@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/balance"
-	"repro/internal/checkpoint"
 	"repro/internal/cube"
 	"repro/internal/linalg"
 	"repro/internal/mpi"
@@ -53,15 +52,6 @@ type PCTParams struct {
 	// detectors exist to find) are absorbed into their nearest
 	// representative before merging. Zero selects the default.
 	MinPopulation float64
-	// Checkpoint, when non-nil, saves the master's phase state after the
-	// eigendecomposition (step 7) and resumes from it, skipping the
-	// statistics phases entirely. Nil disables checkpointing with zero
-	// protocol or virtual-time change.
-	Checkpoint checkpoint.Checkpointer
-	// Balance, when non-nil, replaces the static scatter with the
-	// demand-driven chunk protocol of package balance. Nil keeps the
-	// static schedule with zero protocol or virtual-time change.
-	Balance *balance.Balancer
 }
 
 // eigenBands returns the band count used for the eigendecomposition
@@ -518,13 +508,13 @@ type pctStat struct {
 // demand-driven grant already carries the rows, so the balanced schedule
 // takes the statistics in one pass per span and transforms and classifies
 // each chunk in place.
-func PCTParallel(c *mpi.Comm, f *cube.Cube, params PCTParams, strat partition.Strategy) (*ClassificationResult, error) {
+func PCTParallel(c *mpi.Comm, f *cube.Cube, params PCTParams, ex Exec) (*ClassificationResult, error) {
 	if c.Root() {
 		if err := params.validate(f); err != nil {
 			return nil, err
 		}
 	}
-	s, err := newSchedule(c, f, strat, 0, params.Balance)
+	s, err := newSchedule(c, f, ex, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -538,11 +528,11 @@ func PCTParallel(c *mpi.Comm, f *cube.Cube, params PCTParams, strat partition.St
 	var msg pctBcastMsg
 	resumed := 0
 	if c.Root() {
-		if m, ok := restorePCTState(c, params.Checkpoint, bands); ok {
+		if m, ok := restorePCTState(c, ex.Checkpoint, bands); ok {
 			msg, resumed = m, 1
 		}
 	}
-	if params.Checkpoint != nil {
+	if ex.Checkpoint != nil {
 		resumed = syncResume(c, resumed)
 	}
 	if resumed == 0 {
@@ -551,7 +541,7 @@ func PCTParallel(c *mpi.Comm, f *cube.Cube, params PCTParams, strat partition.St
 			return nil, err
 		}
 		if c.Root() {
-			if err := savePCTState(c, params.Checkpoint, msg); err != nil {
+			if err := savePCTState(c, ex.Checkpoint, msg); err != nil {
 				return nil, err
 			}
 		}

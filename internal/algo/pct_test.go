@@ -176,7 +176,7 @@ func TestPCTParallelAgreesWithSequential(t *testing.T) {
 	params := PCTParams{Classes: 4, Theta: 0.1, MaxReps: 16}
 	for _, p := range []int{1, 4} {
 		root, _ := runParallel(t, testNet(t, p), func(c *mpi.Comm) any {
-			r, err := PCTParallel(c, rootCube(c, f), params, partition.Homogeneous{})
+			r, err := PCTParallel(c, rootCube(c, f), params, Exec{Strategy: partition.Homogeneous{}})
 			if err != nil {
 				panic(err)
 			}
@@ -193,7 +193,7 @@ func TestPCTParallelNonRootReturnsNil(t *testing.T) {
 	f, _ := materialsCube(16, 8, 16, 2)
 	params := PCTParams{Classes: 2, Theta: 0.1, MaxReps: 8}
 	_, res := runParallel(t, testNet(t, 3), func(c *mpi.Comm) any {
-		r, err := PCTParallel(c, rootCube(c, f), params, partition.Homogeneous{})
+		r, err := PCTParallel(c, rootCube(c, f), params, Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}
@@ -217,14 +217,14 @@ func TestPCTSeqHeavyAtMaster(t *testing.T) {
 		return seq
 	}
 	pctSeq := seqOf(func(c *mpi.Comm) any {
-		r, err := PCTParallel(c, rootCube(c, sc.Cube), DefaultPCTParams(), partition.Homogeneous{})
+		r, err := PCTParallel(c, rootCube(c, sc.Cube), DefaultPCTParams(), Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}
 		return r
 	})
 	morphSeq := seqOf(func(c *mpi.Comm) any {
-		r, err := MorphParallel(c, rootCube(c, sc.Cube), DefaultMorphParams(), partition.Homogeneous{})
+		r, err := MorphParallel(c, rootCube(c, sc.Cube), DefaultMorphParams(), Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}

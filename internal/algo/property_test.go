@@ -71,7 +71,7 @@ func TestQuickATDCAParallelEqualsSequential(t *testing.T) {
 		net := randomNet(t, seed+1, p)
 		w := mpi.NewWorld(net)
 		res, err := w.Run(func(c *mpi.Comm) any {
-			r, err := ATDCAParallel(c, rootCube(c, fcube), DetectionParams{Targets: targets}, partition.Heterogeneous{})
+			r, err := ATDCAParallel(c, rootCube(c, fcube), DetectionParams{Targets: targets}, Exec{Strategy: partition.Heterogeneous{}})
 			if err != nil {
 				panic(err)
 			}
@@ -98,7 +98,7 @@ func TestQuickUFCLSParallelEqualsSequential(t *testing.T) {
 		net := randomNet(t, seed+2, p)
 		w := mpi.NewWorld(net)
 		res, err := w.Run(func(c *mpi.Comm) any {
-			r, err := UFCLSParallel(c, rootCube(c, fcube), DetectionParams{Targets: 3}, partition.Homogeneous{})
+			r, err := UFCLSParallel(c, rootCube(c, fcube), DetectionParams{Targets: 3}, Exec{Strategy: partition.Homogeneous{}})
 			if err != nil {
 				panic(err)
 			}
@@ -127,9 +127,9 @@ func TestQuickLabelsCoverEveryPixel(t *testing.T) {
 				var r *ClassificationResult
 				var err error
 				if alg == "pct" {
-					r, err = PCTParallel(c, rootCube(c, fcube), PCTParams{Classes: 3, Theta: 0.05, MaxReps: 12}, partition.Heterogeneous{})
+					r, err = PCTParallel(c, rootCube(c, fcube), PCTParams{Classes: 3, Theta: 0.05, MaxReps: 12}, Exec{Strategy: partition.Heterogeneous{}})
 				} else {
-					r, err = MorphParallel(c, rootCube(c, fcube), MorphParams{Classes: 3, Iterations: 2, Radius: 1, Theta: 0.05}, partition.Heterogeneous{})
+					r, err = MorphParallel(c, rootCube(c, fcube), MorphParams{Classes: 3, Iterations: 2, Radius: 1, Theta: 0.05}, Exec{Strategy: partition.Heterogeneous{}})
 				}
 				if err != nil {
 					panic(err)
@@ -165,7 +165,7 @@ func TestQuickWallTimeCoversRootTime(t *testing.T) {
 		net := randomNet(t, seed+4, p)
 		w := mpi.NewWorld(net)
 		res, err := w.Run(func(c *mpi.Comm) any {
-			r, err := ATDCAParallel(c, rootCube(c, fcube), DetectionParams{Targets: 2}, partition.Heterogeneous{})
+			r, err := ATDCAParallel(c, rootCube(c, fcube), DetectionParams{Targets: 2}, Exec{Strategy: partition.Heterogeneous{}})
 			if err != nil {
 				panic(err)
 			}
@@ -210,9 +210,10 @@ func runScheduled(t *testing.T, net *platform.Network, f *cube.Cube, alg string,
 		}
 		bal = balance.New(net, spans, f)
 	}
-	det := DetectionParams{Targets: 5, Checkpoint: ck, Balance: bal}
-	pct := PCTParams{Classes: 4, Theta: 0.04, MaxReps: 24, Checkpoint: ck, Balance: bal}
-	mor := MorphParams{Classes: 4, Iterations: 2, Radius: 1, Theta: 0.06, Checkpoint: ck, Balance: bal}
+	det := DetectionParams{Targets: 5}
+	pct := PCTParams{Classes: 4, Theta: 0.04, MaxReps: 24}
+	mor := MorphParams{Classes: 4, Iterations: 2, Radius: 1, Theta: 0.06}
+	ex := Exec{Strategy: sch.strat, Balance: bal, Checkpoint: ck}
 	var rootErr error
 	w := mpi.NewWorld(net)
 	trace := w.EnableTrace()
@@ -221,13 +222,13 @@ func runScheduled(t *testing.T, net *platform.Network, f *cube.Cube, alg string,
 		var err error
 		switch alg {
 		case ckptATDCA:
-			r, err = ATDCAParallel(c, rootCube(c, f), det, sch.strat)
+			r, err = ATDCAParallel(c, rootCube(c, f), det, ex)
 		case ckptUFCLS:
-			r, err = UFCLSParallel(c, rootCube(c, f), det, sch.strat)
+			r, err = UFCLSParallel(c, rootCube(c, f), det, ex)
 		case ckptPCT:
-			r, err = PCTParallel(c, rootCube(c, f), pct, sch.strat)
+			r, err = PCTParallel(c, rootCube(c, f), pct, ex)
 		case ckptMORPH:
-			r, err = MorphParallel(c, rootCube(c, f), mor, sch.strat)
+			r, err = MorphParallel(c, rootCube(c, f), mor, ex)
 		}
 		if err != nil {
 			if c.Root() {
@@ -304,7 +305,7 @@ func TestResumeFromEveryRoundUnderEverySchedule(t *testing.T) {
 				}
 				for i := range rec.snaps {
 					from := &checkpoint.MemStore{}
-					from.Seed(&rec.snaps[i])
+					from.Save(rec.snaps[i])
 					resumed, _, _, err := runScheduled(t, net, f, alg, sch, from)
 					if err != nil {
 						t.Fatal(err)

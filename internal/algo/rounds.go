@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/balance"
+	"repro/internal/checkpoint"
 	"repro/internal/cube"
 	"repro/internal/linalg"
 	"repro/internal/mpi"
@@ -51,20 +52,20 @@ type schedule interface {
 	publish(u uMatrix) uMatrix
 }
 
-// newSchedule opens the static schedule — one ScatterCube under strat,
-// then a rank-order gather per phase — or, given a balancer, the
-// demand-driven schedule of package balance, where rows travel with the
-// chunk grants and only the geometry is distributed up front.
-func newSchedule(c *mpi.Comm, f *cube.Cube, strat partition.Strategy, halo int, b *balance.Balancer) (schedule, error) {
-	if b == nil {
-		return newStaticSchedule(c, f, strat, halo)
+// newSchedule opens the static schedule — one ScatterCube under
+// ex.Strategy, then a rank-order gather per phase — or, given a balancer,
+// the demand-driven schedule of package balance, where rows travel with
+// the chunk grants and only the geometry is distributed up front.
+func newSchedule(c *mpi.Comm, f *cube.Cube, ex Exec, halo int) (schedule, error) {
+	if ex.Balance == nil {
+		return newStaticSchedule(c, f, ex.Strategy, halo)
 	}
 	var geom [3]int
 	if c.Root() {
 		geom = [3]int{f.Lines, f.Samples, f.Bands}
 	}
 	geom = c.Bcast(0, tagScatter, geom, 24).([3]int)
-	return &balancedSchedule{roundsComm: roundsComm{c, geom}, b: b, halo: halo}, nil
+	return &balancedSchedule{roundsComm: roundsComm{c, geom}, b: ex.Balance, halo: halo}, nil
 }
 
 // roundsComm is what every schedule holds — its rank's endpoint and the
@@ -291,8 +292,9 @@ type carried struct {
 // detectRounds is the round loop of both detectors under any schedule:
 // round 0 admits the brightest pixel, every later round the pixel that
 // maximizes det's criterion against the targets so far. The master
-// snapshots its target list after each round and publishes the grown U.
-func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, det detector, open func() (schedule, error)) (*DetectionResult, error) {
+// snapshots its target list into ck (nil: none) after each round and
+// publishes the grown U.
+func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, ck checkpoint.Checkpointer, det detector, open func() (schedule, error)) (*DetectionResult, error) {
 	t := params.Targets
 	if c.Root() {
 		if err := validateTargets(f, t); err != nil {
@@ -309,13 +311,13 @@ func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, det detecto
 	var u uMatrix
 	start := 0
 	if c.Root() {
-		res = &DetectionResult{Targets: restoreTargets(c, params.Checkpoint, det.key, t)}
+		res = &DetectionResult{Targets: restoreTargets(c, ck, det.key, t)}
 		for _, tg := range res.Targets {
 			u.rows = append(u.rows, toF64(tg.Signature))
 		}
 		start = len(res.Targets)
 	}
-	if params.Checkpoint != nil {
+	if ck != nil {
 		// Workers learn the master's resume round so every rank executes
 		// the same remaining protocol rounds.
 		start = syncResume(c, start)
@@ -339,7 +341,7 @@ func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, det detecto
 			}
 			res.Targets = append(res.Targets, best)
 			u.rows = append(u.rows, toF64(best.Signature))
-			if err := saveTargets(c, params.Checkpoint, det.key, res.Targets); err != nil {
+			if err := saveTargets(c, ck, det.key, res.Targets); err != nil {
 				return nil, err
 			}
 		}

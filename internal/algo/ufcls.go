@@ -7,7 +7,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mpi"
 	"repro/internal/par"
-	"repro/internal/partition"
 )
 
 // This file implements the Unsupervised Fully Constrained Least Squares
@@ -127,9 +126,9 @@ func maxErrorScan(f *cube.Cube, u uMatrix, bands int, bounds [][]float64) (int, 
 // UFCLSParallel is the Hetero-UFCLS of Algorithm 3 (or its homogeneous
 // version). It must run inside an mpi program; f is required at the root.
 // The result is returned at the root; other ranks return nil.
-func UFCLSParallel(c *mpi.Comm, f *cube.Cube, params DetectionParams, strat partition.Strategy) (*DetectionResult, error) {
-	return detectRounds(c, f, params, ufclsDetector, func() (schedule, error) {
-		return newSchedule(c, f, strat, 0, params.Balance)
+func UFCLSParallel(c *mpi.Comm, f *cube.Cube, params DetectionParams, ex Exec) (*DetectionResult, error) {
+	return detectRounds(c, f, params, ex.Checkpoint, ufclsDetector, func() (schedule, error) {
+		return newSchedule(c, f, ex, 0)
 	})
 }
 

@@ -83,7 +83,7 @@ func TestUFCLSParallelMatchesSequential(t *testing.T) {
 	}
 	for _, p := range []int{1, 3} {
 		root, _ := runParallel(t, testNet(t, p), func(c *mpi.Comm) any {
-			r, err := UFCLSParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 5}, partition.Homogeneous{})
+			r, err := UFCLSParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 5}, Exec{Strategy: partition.Homogeneous{}})
 			if err != nil {
 				panic(err)
 			}
@@ -101,7 +101,7 @@ func TestUFCLSHeterogeneousMatchesHomogeneous(t *testing.T) {
 	net := testHeteroNet(t)
 	get := func(strat partition.Strategy) *DetectionResult {
 		root, _ := runParallel(t, net, func(c *mpi.Comm) any {
-			r, err := UFCLSParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, strat)
+			r, err := UFCLSParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4}, Exec{Strategy: strat})
 			if err != nil {
 				panic(err)
 			}
@@ -126,14 +126,14 @@ func TestATDCASlowerThanUFCLSPerTarget(t *testing.T) {
 		return res.Clocks[0].Par
 	}
 	at := parTime(func(c *mpi.Comm) any {
-		r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6}, partition.Homogeneous{})
+		r, err := ATDCAParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6}, Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}
 		return r
 	})
 	uf := parTime(func(c *mpi.Comm) any {
-		r, err := UFCLSParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6}, partition.Homogeneous{})
+		r, err := UFCLSParallel(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6}, Exec{Strategy: partition.Homogeneous{}})
 		if err != nil {
 			panic(err)
 		}
@@ -173,7 +173,7 @@ func TestUFCLSSkipMatchesSequentialUnderEveryScheduleAndResume(t *testing.T) {
 		}
 		for i, snap := range rec.snaps {
 			from := &checkpoint.MemStore{}
-			from.Seed(&snap)
+			from.Save(snap)
 			resumed, _, _, err := runScheduled(t, net, sc.Cube, ckptUFCLS, sch, from)
 			if err != nil {
 				t.Fatal(err)

@@ -14,11 +14,12 @@
 // round; "Revisiting Matrix Product on Master-Worker Platforms" exploits
 // the same structure.
 //
-// Stores: MemStore keeps the latest snapshot in memory (one scheduler
-// retry loop, one process); FileStore persists each save through the
-// versioned, checksummed codec of this package (Encode/Decode) so state
-// survives process restarts. Both are safe for concurrent use, though the
-// simulated masters save from a single goroutine.
+// Stores: MemStore keeps the latest snapshot in memory (one process);
+// FileStore persists each save through the versioned, checksummed codec of
+// this package (Encode/Decode) so state survives process restarts. Both
+// are safe for concurrent use, though the simulated masters save from a
+// single goroutine. A scheduler job's store is its own (package sched),
+// journaling each snapshot through the same codec.
 package checkpoint
 
 // Snapshot is one master-side round state: everything the algorithm needs
@@ -38,8 +39,8 @@ type Snapshot struct {
 }
 
 // Checkpointer saves and restores round snapshots. A nil Checkpointer in
-// the algorithm parameter structs disables checkpointing entirely — no
-// extra messages, no extra virtual-time charges, byte-identical outputs.
+// algo.Exec disables checkpointing entirely — no extra messages, no extra
+// virtual-time charges, byte-identical outputs.
 type Checkpointer interface {
 	// Save records s as the latest round state, replacing any predecessor.
 	Save(s Snapshot) error

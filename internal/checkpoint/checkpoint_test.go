@@ -86,14 +86,6 @@ func TestMemStore(t *testing.T) {
 	if s, _ := m.Latest(); s.Round != 2 {
 		t.Fatalf("Latest.Round = %d after second save, want 2", s.Round)
 	}
-	m.Seed(&Snapshot{Algorithm: "ATDCA", Round: 9})
-	if s, _ := m.Latest(); s.Round != 9 {
-		t.Fatalf("Latest.Round = %d after seed, want 9", s.Round)
-	}
-	m.Seed(nil) // no-op
-	if s, _ := m.Latest(); s.Round != 9 {
-		t.Fatal("nil seed disturbed the store")
-	}
 }
 
 func TestFileStorePersistsAcrossInstances(t *testing.T) {

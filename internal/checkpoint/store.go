@@ -7,9 +7,8 @@ import (
 	"sync"
 )
 
-// MemStore keeps the latest snapshot in memory: the store a scheduler's
-// attempt loop threads through every attempt of one job, on the full or
-// the degraded platform alike. The zero value is ready to use.
+// MemStore keeps the latest snapshot in memory, for a caller that reruns
+// a computation within one process. The zero value is ready to use.
 type MemStore struct {
 	mu     sync.Mutex
 	latest Snapshot
@@ -31,16 +30,6 @@ func (m *MemStore) Latest() (Snapshot, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.latest, m.ok
-}
-
-// Seed installs a snapshot recovered from elsewhere (a replayed journal
-// record) as the store's starting state. A nil receiver or nil snapshot is
-// a no-op.
-func (m *MemStore) Seed(s *Snapshot) {
-	if m == nil || s == nil {
-		return
-	}
-	m.Save(*s)
 }
 
 // FileStore persists the latest snapshot to a directory through the

@@ -9,7 +9,7 @@ import (
 // Checkpointing travels on the context, exactly like Metrics: Params is
 // part of the scheduler's result-cache key (rendered with %+v) and must
 // stay a pure value type, so the store is attached out of band and core
-// threads it into the algorithm parameter structs itself.
+// hands it to the algorithms in algo.Exec.
 
 type checkpointerKey struct{}
 
@@ -30,10 +30,13 @@ func CheckpointerFrom(ctx context.Context) checkpoint.Checkpointer {
 }
 
 // countingCheckpointer wraps the attached store to account snapshot
-// traffic for the RunReport. Only the master rank's goroutine touches it
-// during a run, so plain fields suffice.
+// traffic for the RunReport and the run's Metrics. Every save is counted
+// the moment it is stored, so the metrics include attempts that later
+// fail. Only the master rank's goroutine touches it during a run, so
+// plain fields suffice.
 type countingCheckpointer struct {
 	inner checkpoint.Checkpointer
+	tel   *Metrics
 	saves int
 	bytes int64
 	// offered is the round of the snapshot most recently handed out by
@@ -48,6 +51,7 @@ func (c *countingCheckpointer) Save(s checkpoint.Snapshot) error {
 	}
 	c.saves++
 	c.bytes += int64(len(s.Payload))
+	c.tel.checkpointSaved(len(s.Payload))
 	return nil
 }
 

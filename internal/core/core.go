@@ -264,11 +264,11 @@ func Run(net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, pa
 // is the caller's choice (package sched makes it).
 //
 // The Adaptive variant (ATDCA only) runs algo.ATDCAAdaptive, whose
-// schedule keeps its own partition state: it accepts fault injection (the
-// rebalancer is exactly what degradation windows are meant to stress) but
-// there is nothing for a balancer, a checkpointer or the timeline
-// renderer to act on, so those settings do not apply to it. Its
-// convergence trace is RunReport.Adaptive.
+// schedule keeps its own partition state and so takes no algo.Exec: it
+// accepts fault injection (the rebalancer is exactly what degradation
+// windows are meant to stress), but a balance policy or checkpointer on
+// ctx and Params.Trace are ignored for it. Its convergence trace is
+// RunReport.Adaptive.
 func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, params Params) (_ *RunReport, err error) {
 	if net == nil {
 		return nil, fmt.Errorf("core: nil network")
@@ -289,21 +289,6 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 	adaptive := variant == Adaptive
 	params = params.withDefaults()
 	detParams := algo.DetectionParams{Targets: params.Targets, EquivalentBands: params.EquivalentBands}
-	var strat partition.Strategy
-	var pol balance.Policy
-	var cck *countingCheckpointer
-	if adaptive {
-		params.Trace = false
-	} else {
-		if strat, err = variant.Strategy(); err != nil {
-			return nil, err
-		}
-		pol = BalanceFrom(ctx)
-		if ck := CheckpointerFrom(ctx); ck != nil {
-			cck = &countingCheckpointer{inner: ck}
-			detParams.Checkpoint, params.PCT.Checkpoint, params.Morph.Checkpoint = cck, cck, cck
-		}
-	}
 	// From here on the run is counted: every error exit is a failed run.
 	tel := MetricsFrom(ctx)
 	tel.runStarted(alg)
@@ -312,6 +297,27 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 			tel.runFailed()
 		}
 	}()
+
+	var ex algo.Exec // how the run executes; the Adaptive schedule takes none
+	var cck *countingCheckpointer
+	if adaptive {
+		params.Trace = false
+	} else {
+		if ex.Strategy, err = variant.Strategy(); err != nil {
+			return nil, err
+		}
+		if BalanceFrom(ctx).Enabled {
+			spans, err := ex.Strategy.Partition(f.Lines, f.Samples, f.Bands, net.Procs)
+			if err != nil {
+				return nil, fail(err)
+			}
+			ex.Balance = balance.New(net, spans, f)
+		}
+		if ck := CheckpointerFrom(ctx); ck != nil {
+			cck = &countingCheckpointer{inner: ck, tel: tel}
+			ex.Checkpoint = cck
+		}
+	}
 
 	world := mpi.NewWorld(net)
 	world.SetContext(ctx)
@@ -324,14 +330,6 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 	if err := world.SetFaults(params.Faults, max(params.FaultAttempt, 1)); err != nil {
 		return nil, fail(err)
 	}
-	var bal *balance.Balancer
-	if pol.Enabled {
-		spans, err := strat.Partition(f.Lines, f.Samples, f.Bands, net.Procs)
-		if err != nil {
-			return nil, fail(err)
-		}
-		bal = balance.New(net, spans, f)
-	}
 	var events *mpi.Trace
 	if params.Trace {
 		events = world.EnableTrace()
@@ -343,25 +341,23 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		if c.Root() {
 			data = f
 		}
-		dp, pp, mp := detParams, params.PCT, params.Morph
-		dp.Balance, pp.Balance, mp.Balance = bal, bal, bal
 		var r any
 		var err error
 		switch {
 		case adaptive:
 			var tr *algo.AdaptiveTrace
-			r, tr, err = algo.ATDCAAdaptive(c, data, dp)
+			r, tr, err = algo.ATDCAAdaptive(c, data, detParams)
 			if c.Root() {
 				trace = tr
 			}
 		case alg == ATDCA:
-			r, err = algo.ATDCAParallel(c, data, dp, strat)
+			r, err = algo.ATDCAParallel(c, data, detParams, ex)
 		case alg == UFCLS:
-			r, err = algo.UFCLSParallel(c, data, dp, strat)
+			r, err = algo.UFCLSParallel(c, data, detParams, ex)
 		case alg == PCT:
-			r, err = algo.PCTParallel(c, data, pp, strat)
+			r, err = algo.PCTParallel(c, data, params.PCT, ex)
 		case alg == MORPH:
-			r, err = algo.MorphParallel(c, data, mp, strat)
+			r, err = algo.MorphParallel(c, data, params.Morph, ex)
 		default:
 			panic(fmt.Sprintf("core: unknown algorithm %q", alg))
 		}
@@ -406,8 +402,8 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		report.Timeline = events.Timeline(net.Size(), 100)
 		report.TraceEvents = events.Events()
 	}
-	if bal != nil {
-		st := bal.Stats()
+	if ex.Balance != nil {
+		st := ex.Balance.Stats()
 		report.Balanced = true
 		report.BalanceChunks = st.Chunks
 		report.StealEvents = st.StealEvents

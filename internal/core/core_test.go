@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/algo"
+	"repro/internal/fault"
 	"repro/internal/platform"
 	"repro/internal/scene"
 )
@@ -210,4 +212,32 @@ func TestCleanRunAttempts(t *testing.T) {
 		t.Fatalf("clean run bookkeeping = attempts %d, failed %v, overhead %v",
 			rep.Attempts, rep.FailedRanks, rep.RecoveryOverhead)
 	}
+}
+
+// Params is rendered with %+v into the scheduler's result-cache key, so
+// every field reachable from it must print as its value: no interface,
+// func, chan or map, and no pointer except *fault.Plan, which formats
+// through its String method. Run handles — a checkpoint store, a
+// balancer — travel in algo.Exec instead.
+func TestParamsArePureValues(t *testing.T) {
+	plan := reflect.TypeOf((*fault.Plan)(nil))
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Interface, reflect.Func, reflect.Chan, reflect.Map, reflect.UnsafePointer:
+			t.Errorf("%s is a %s", path, typ)
+		case reflect.Pointer:
+			if typ != plan {
+				t.Errorf("%s is a %s", path, typ)
+			}
+		case reflect.Array, reflect.Slice:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("Params", reflect.TypeOf(Params{}))
 }

@@ -94,8 +94,6 @@ func (m *Metrics) runDone(rep *RunReport) {
 	if rep.ResumedFromRound > 0 {
 		m.runsResumed.Inc()
 	}
-	m.checkpointSaves.Add(float64(rep.CheckpointSaves))
-	m.checkpointBytes.Add(float64(rep.CheckpointBytes))
 	m.virtualSeconds.With("COM").Add(rep.Com)
 	m.virtualSeconds.With("SEQ").Add(rep.Seq)
 	m.virtualSeconds.With("PAR").Add(rep.Par)
@@ -107,6 +105,14 @@ func (m *Metrics) runDone(rep *RunReport) {
 		m.reassignedLines.Add(float64(rep.ReassignedLines))
 		m.lastDrift.Set(rep.EstimatorDrift)
 	}
+}
+
+func (m *Metrics) checkpointSaved(bytes int) {
+	if m == nil {
+		return
+	}
+	m.checkpointSaves.Inc()
+	m.checkpointBytes.Add(float64(bytes))
 }
 
 // mpiRun folds one successful run's per-rank counters into the

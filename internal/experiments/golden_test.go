@@ -261,7 +261,7 @@ func TestGoldenSchedules(t *testing.T) {
 			cells = append(cells, cellOf(t, name, rep))
 
 			mid := &checkpoint.MemStore{}
-			mid.Seed(&log.snaps[len(log.snaps)/2])
+			mid.Save(log.snaps[len(log.snaps)/2])
 			name = fmt.Sprintf("resumed/%s/%s", mode.name, alg)
 			rep, err = core.RunContext(core.WithCheckpointer(mode.ctx, mid), net, alg, core.Hetero, sc.Cube, clean)
 			if err != nil {

@@ -37,24 +37,12 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (*core.RunReport, error) {
 	var failed []int
 	var overhead float64
 
-	// The checkpoint store outlives every attempt, so a rerun resumes from
-	// the last round an earlier attempt saved; with a journal, every
-	// snapshot is also persisted for resume across a process restart.
-	var ckpt checkpoint.Checkpointer
-	var saves, savedBytes int64
+	var ckpt *jobStore
 	if j.spec.Checkpoint {
-		mem := &checkpoint.MemStore{}
-		mem.Seed(j.seed)
-		var store checkpoint.Checkpointer = mem
-		if s.cfg.Journal != nil && !j.spec.NoJournal {
-			store = &journaledStore{inner: mem, sched: s, job: j.id}
+		ckpt = &jobStore{s: s, j: j}
+		if j.seed != nil {
+			ckpt.latest, ckpt.ok = *j.seed, true
 		}
-		ckpt = &checkpoint.NotifyStore{Inner: store, OnSave: func(snap checkpoint.Snapshot) {
-			saves, savedBytes = saves+1, savedBytes+int64(len(snap.Payload))
-			if hook := s.cfg.OnJobCheckpoint; hook != nil {
-				hook(j, snap.Round)
-			}
-		}}
 	}
 
 	for attempt := 1; ; attempt++ {
@@ -78,7 +66,7 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (*core.RunReport, error) {
 			// The report is this job's own until it is cached or settled.
 			res.Attempts, res.FailedRanks, res.RecoveryOverhead = attempt, failed, overhead
 			if ckpt != nil {
-				res.CheckpointSaves, res.CheckpointBytes = int(saves), savedBytes
+				res.CheckpointSaves, res.CheckpointBytes = ckpt.saves, ckpt.bytes
 			}
 			return res, nil
 		}
@@ -106,7 +94,7 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (*core.RunReport, error) {
 
 // execute runs one attempt of the job over cube c on network net (nil in
 // sequential mode) with fault plan plan, on the job's context.
-func (s *Scheduler) execute(j *Job, c *cube.Cube, net *platform.Network, plan *fault.Plan, ckpt checkpoint.Checkpointer, attempt int) (*core.RunReport, error) {
+func (s *Scheduler) execute(j *Job, c *cube.Cube, net *platform.Network, plan *fault.Plan, ckpt *jobStore, attempt int) (*core.RunReport, error) {
 	spec := &j.spec
 	params := spec.Params
 	params.Faults, params.FaultAttempt = plan, attempt
@@ -125,3 +113,36 @@ func (s *Scheduler) execute(j *Job, c *cube.Cube, net *platform.Network, plan *f
 	}
 	return core.RunContext(ctx, net, spec.Algorithm, spec.Variant, c, params)
 }
+
+// jobStore is a checkpointed job's store. It outlives every attempt, so a
+// rerun resumes from the last round an earlier attempt saved, and it starts
+// from the snapshot a journal replay recovered for the job. Every save is
+// also journaled as a checkpointed record, so the resume state survives a
+// process restart, and then reported to OnJobCheckpoint. Attempts run one
+// at a time and only the master rank's goroutine saves, so plain fields
+// suffice.
+type jobStore struct {
+	s      *Scheduler
+	j      *Job
+	latest checkpoint.Snapshot
+	ok     bool
+	// saves and bytes count the job's snapshot writes across attempts.
+	saves int
+	bytes int64
+}
+
+func (st *jobStore) Save(snap checkpoint.Snapshot) error {
+	snap.Payload = slices.Clone(snap.Payload)
+	st.latest, st.ok = snap, true
+	st.saves++
+	st.bytes += int64(len(snap.Payload))
+	if st.s.cfg.Journal != nil && !st.j.spec.NoJournal {
+		st.s.JournalAppend(Record{Type: recCheckpointed, Job: st.j.id, Round: snap.Round, Snapshot: checkpoint.Encode(snap)})
+	}
+	if hook := st.s.cfg.OnJobCheckpoint; hook != nil {
+		hook(st.j, snap.Round)
+	}
+	return nil
+}
+
+func (st *jobStore) Latest() (checkpoint.Snapshot, bool) { return st.latest, st.ok }

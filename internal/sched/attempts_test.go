@@ -3,7 +3,9 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/scene"
+	"repro/internal/telemetry"
 )
 
 // retryNet builds a small heterogeneous network for fault jobs.
@@ -523,5 +526,49 @@ func TestCheckpointResumeAfterRankFailure(t *testing.T) {
 	rep2 := runToEnd(t, s, spec).Report()
 	if rep2 == nil || rep2.WallTime != rep.WallTime || rep2.ResumedFromRound != rep.ResumedFromRound {
 		t.Fatalf("resume replay diverged: %+v vs %+v", rep2, rep)
+	}
+}
+
+// The checkpoint counters count every snapshot a job writes, including
+// those of an attempt that later died: for a retried checkpointed job
+// their deltas equal the report's job-wide CheckpointSaves and
+// CheckpointBytes.
+func TestCheckpointCountersIncludeFailedAttempts(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := New(Config{Workers: 1, Registry: reg})
+	defer s.Close()
+	spec := recoverySpec(t, core.ATDCA, 4)
+	spec.Params.WorkScale = 50
+	spec.Checkpoint = true
+	clean := runToEnd(t, s, spec).Report()
+	if clean == nil {
+		t.Fatal("clean checkpointed job did not complete")
+	}
+	spec.Params.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 2, At: clean.WallTime / 2, Attempt: 1}}}
+
+	counter := func(name string) float64 {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			var v float64
+			if n, _ := fmt.Sscanf(line, name+" %g", &v); n == 1 {
+				return v
+			}
+		}
+		t.Fatalf("%s not in exposition", name)
+		return 0
+	}
+	saves, bytes := counter("hyperhet_core_checkpoint_saves_total"), counter("hyperhet_core_checkpoint_bytes_total")
+	rep := runToEnd(t, s, spec).Report()
+	if rep == nil || rep.Attempts != 2 || rep.ResumedFromRound < 1 {
+		t.Fatalf("report %+v, want a second attempt resumed mid-run", rep)
+	}
+	if d := counter("hyperhet_core_checkpoint_saves_total") - saves; d != float64(rep.CheckpointSaves) {
+		t.Errorf("saves counter rose by %v, report has %d saves", d, rep.CheckpointSaves)
+	}
+	if d := counter("hyperhet_core_checkpoint_bytes_total") - bytes; d != float64(rep.CheckpointBytes) {
+		t.Errorf("bytes counter rose by %v, report has %d bytes", d, rep.CheckpointBytes)
 	}
 }

@@ -516,29 +516,3 @@ func marshalReport(rep *core.RunReport) json.RawMessage {
 	}
 	return b
 }
-
-// journaledStore wraps a job's in-memory checkpoint store so every saved
-// round snapshot also lands in the journal: the job's resume state then
-// survives the process, not just the retry loop.
-type journaledStore struct {
-	inner *checkpoint.MemStore
-	sched *Scheduler
-	job   string
-}
-
-func (js *journaledStore) Save(s checkpoint.Snapshot) error {
-	if err := js.inner.Save(s); err != nil {
-		return err
-	}
-	js.sched.JournalAppend(Record{
-		Type:     recCheckpointed,
-		Job:      js.job,
-		Round:    s.Round,
-		Snapshot: checkpoint.Encode(s),
-	})
-	return nil
-}
-
-func (js *journaledStore) Latest() (checkpoint.Snapshot, bool) {
-	return js.inner.Latest()
-}

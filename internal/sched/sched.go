@@ -496,8 +496,9 @@ type Config struct {
 	OnJobRunning func(*Job)
 	// OnJobCheckpoint, when non-nil, observes every round snapshot a
 	// checkpointed job saves, after the store (and, with a journal, the
-	// journal append) accepted it. Runs on the job's worker goroutine;
-	// the same no-blocking rule as OnJobRunning applies.
+	// journal append) accepted it. Runs on the saving rank's goroutine,
+	// which the job's worker waits on; the same no-blocking rule as
+	// OnJobRunning applies.
 	OnJobCheckpoint func(j *Job, round int)
 }
 
