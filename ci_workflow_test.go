@@ -259,15 +259,15 @@ func TestAlternatives(t *testing.T) {
 }
 
 func TestWorkflowTestSelectionsAreNotEmpty(t *testing.T) {
-	stale := "      - name: Guard stress alone\n" +
-		"        run: GOMAXPROCS=2 go test -race -run 'TestGuardStressScheduler' ./internal/sched\n" +
+	stale := "      - name: Scheduler stress alone\n" +
+		"        run: GOMAXPROCS=2 go test -race -run 'TestSchedulerStress' ./internal/sched\n" +
 		"      - name: Wrong package\n" +
 		"        run: |\n" +
-		"          go test -run TestGuardStressScheduler ./internal/guard\n" +
+		"          go test -run TestSchedulerStress ./internal/guard\n" +
 		"          go test ./internal/algo -run '^$' -fuzz FuzzMaxProjectionMatchesDense -fuzztime=10s\n" +
 		"          go test ./internal/algo -run '^$' -fuzz FuzzNearestMatchesReference -fuzztime=10s\n" +
 		"      - name: One dead alternative\n" +
-		"        run: go test -run 'TestGuardStressScheduler|TestAdaptiveMode' ./internal/sched\n"
+		"        run: go test -run 'TestSchedulerStress|TestAdaptiveMode' ./internal/sched\n"
 	got, err := emptySelections(stale)
 	if err != nil {
 		t.Fatal(err)

@@ -6,13 +6,12 @@
 //
 //	hyperhetd [-addr :8080] [-workers N] [-queue N] [-cache N]
 //	          [-retain N] [-timeout D] [-journal DIR] [-drain-timeout D]
-//	          [-shed]
 //
 // Endpoints (JSON unless noted):
 //
 //	POST /submit           submit a job; 202 with {"id": ...} on admission,
-//	                       429 when the bounded queue is full or -shed's
-//	                       overload control sheds it, 503 while draining
+//	                       429 when the bounded queue is full, 503 while
+//	                       draining; both with Retry-After: 1
 //	GET  /jobs             list jobs; ?state= filters, ?limit= caps
 //	GET  /jobs/{id}        job status, including result summary when done
 //	GET  /jobs/{id}/trace  Chrome trace-event JSON of a traced run (submit
@@ -77,12 +76,11 @@
 // submissions get 503, running work stops without terminal journal
 // records, and the next boot resumes it.
 //
-// With -shed every fresh submission passes overload control, in order:
-// the AIMD adaptive admission limit (batch sheds at three quarters of
-// it), then deadline admission (a job whose estimated queue wait
-// already exceeds its timeout is refused). Either denial is a 429 with
-// Retry-After. A job whose fault plan kills ranks is always run: the
-// same plan fails the same way every time, and that is what it is for.
+// The bounded queue is the one admission path: a full queue is a 429, a
+// queued job whose deadline passes settles cancelled without running,
+// and interactive jobs dispatch before batch ones. A job whose fault
+// plan kills ranks is always run: the same plan fails the same way every
+// time, and that is what it is for.
 package main
 
 import (
@@ -121,7 +119,6 @@ func main() {
 		journal = flag.String("journal", "", "job-journal directory; enables durability and crash/restart resume")
 		drainTO = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 		kernelW = flag.Int("kernel-workers", 0, "host goroutine budget for data-parallel kernels, shared across jobs (0 = GOMAXPROCS)")
-		shed    = flag.Bool("shed", false, "enable overload control: adaptive AIMD admission and deadline-aware shedding (429 + Retry-After)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -150,9 +147,6 @@ func main() {
 		DefaultTimeout: *timeout,
 		KernelWorkers:  *kernelW,
 	}
-	if *shed {
-		cfg.Guard = hyperhet.NewGuard(hyperhet.GuardConfig{})
-	}
 	srv, err := newServer(cfg, *journal)
 	if err != nil {
 		log.Fatalf("hyperhetd: %v", err)
@@ -174,7 +168,7 @@ func main() {
 		httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("hyperhetd listening on %s (%d workers, queue %d, shed=%v)", *addr, *workers, *queue, *shed)
+	log.Printf("hyperhetd listening on %s (%d workers, queue %d)", *addr, *workers, *queue)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("hyperhetd: %v", err)
 	}
@@ -472,12 +466,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// r.Context(), which dies as soon as this handler returns.
 	job, err := s.sched.Submit(context.Background(), spec)
 	switch {
-	case errors.Is(err, hyperhet.ErrShed), errors.Is(err, hyperhet.ErrQueueFull):
-		setRetryAfter(w, err)
+	case errors.Is(err, hyperhet.ErrQueueFull):
+		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, hyperhet.ErrSchedulerClosed):
-		setRetryAfter(w, err)
+		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
@@ -838,9 +832,6 @@ type statsResponse struct {
 	// SceneCache snapshots the scene cache: resident scenes and bytes, the
 	// digest memo, and the hit/miss/generation counters /metrics exports.
 	SceneCache sceneCacheStats `json:"scene_cache"`
-	// Guard snapshots the overload-control layer (adaptive limit and
-	// latency baseline); absent without -shed.
-	Guard *hyperhet.GuardState `json:"guard,omitempty"`
 	// JournalReplay reports what the boot-time journal replay read and
 	// dropped (records folded, torn tails truncated, unknown schema
 	// versions and unreadable frames skipped); absent without -journal.
@@ -853,10 +844,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		SceneCache:     s.scenes.stats(),
 		JournalReplay:  s.replayStats,
-	}
-	if s.sched.Guard() != nil {
-		gs := s.sched.GuardState()
-		resp.Guard = &gs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -871,19 +858,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// setRetryAfter advertises the suggested client back-off for a denied
-// submission. Retry-After is integer seconds; sub-second hints round up
-// to 1 rather than down to an immediate (and certainly futile) retry.
-func setRetryAfter(w http.ResponseWriter, err error) {
-	d, ok := hyperhet.RetryAfterHint(err)
-	if !ok {
-		return
-	}
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }

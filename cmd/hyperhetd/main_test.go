@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -348,6 +349,21 @@ func TestSubmitAdaptiveMode(t *testing.T) {
 	}
 }
 
+// retryAfterSeconds parses the Retry-After header, failing the test when
+// it is absent or not a positive integer-second count.
+func retryAfterSeconds(t *testing.T, resp *http.Response) int {
+	t.Helper()
+	ra := resp.Header.Get("Retry-After")
+	if ra == "" {
+		t.Fatalf("%d response carries no Retry-After header", resp.StatusCode)
+	}
+	secs, err := strconv.Atoi(ra)
+	if err != nil || secs < 1 {
+		t.Fatalf("Retry-After = %q, want a positive integer-second count", ra)
+	}
+	return secs
+}
+
 func TestBackpressureReturns429(t *testing.T) {
 	// One worker and a one-slot queue: with the worker occupied and the
 	// slot taken, a further submission must be rejected with 429. The
@@ -369,12 +385,42 @@ func TestBackpressureReturns429(t *testing.T) {
 			if msg, _ := doc["error"].(string); !strings.Contains(msg, "queue full") {
 				t.Fatalf("429 error = %q, want queue-full", msg)
 			}
+			if secs := retryAfterSeconds(t, resp); secs != 1 {
+				t.Fatalf("queue-full 429 Retry-After = %d, want 1", secs)
+			}
 		default:
 			t.Fatalf("submit %d: status %d (%v)", i, resp.StatusCode, doc)
 		}
 	}
 	if !sawFull {
 		t.Fatal("never saw a 429 despite a one-slot queue")
+	}
+}
+
+// The server never refuses chaos the client asked for: the same
+// permanent-crash plan submitted again and again is admitted and run
+// every time, settles failed with the rank-failure error every time, and
+// leaves the server ready.
+func TestSubmitRepeatedChaosServed(t *testing.T) {
+	ts := testServer(t, hyperhet.SchedulerConfig{})
+	const chaosJob = `{
+		"algorithm": "atdca", "mode": "run", "network": "fully-het", "targets": 4,
+		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3},
+		"faults": {"crashes": [{"rank": 2, "at": 0.0001, "attempt": -1}], "max_attempts": 1}
+	}`
+	for i := 1; i <= 3; i++ {
+		resp, doc := postJSON(t, ts.URL+"/submit", chaosJob)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("chaos submit %d = %d %v, want 202", i, resp.StatusCode, doc)
+		}
+		job := waitSettled(t, ts.URL, doc["id"].(string))
+		if msg, _ := job["error"].(string); job["state"] != "failed" || !strings.Contains(msg, "rank 2 failed") {
+			t.Fatalf("chaos job %d settled %v with error %q, want failed with the rank-failure error", i, job["state"], msg)
+		}
+		resp, doc = getJSON(t, ts.URL+"/readyz")
+		if resp.StatusCode != http.StatusOK || doc["status"] != "ok" {
+			t.Fatalf("readyz after chaos job %d = %d %v, want 200 ok", i, resp.StatusCode, doc)
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
-	"time"
 
 	"repro/internal/algo"
 	"repro/internal/balance"
@@ -39,7 +38,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/flow"
-	"repro/internal/guard"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/platform"
@@ -316,39 +314,7 @@ var (
 	ErrQueueFull       = sched.ErrQueueFull
 	ErrSchedulerClosed = sched.ErrClosed
 	ErrUnknownJob      = sched.ErrUnknownJob
-	// ErrShed matches submissions denied by the overload-control layer
-	// (adaptive limit or unaffordable deadline). Serve it as 429 with a
-	// Retry-After header.
-	ErrShed = sched.ErrShed
 )
-
-// Overload control: the guard layer between the HTTP front-end and the
-// scheduler. Construct one with NewGuard and pass it through
-// SchedulerConfig.Guard; submissions then flow through adaptive AIMD
-// admission (batch sheds first) and deadline-aware rejection.
-type (
-	// GuardConfig parameterizes NewGuard.
-	GuardConfig = guard.Config
-	// GuardController is the overload controller; nil is a valid no-op.
-	GuardController = guard.Controller
-	// GuardState is a JSON-shaped snapshot of the controller.
-	GuardState = guard.State
-	// GuardLimiterConfig tunes the AIMD concurrency limiter.
-	GuardLimiterConfig = guard.LimiterConfig
-	// ShedError is the concrete admission denial carrying the reason and
-	// the suggested client back-off; matches ErrShed through errors.Is.
-	ShedError = sched.ShedError
-)
-
-// NewGuard builds an overload controller from cfg. The zero value is the
-// production configuration: limit 16 within [1, 1024], shrinking at most
-// once a second.
-func NewGuard(cfg GuardConfig) *GuardController { return guard.New(cfg) }
-
-// RetryAfterHint extracts the suggested client back-off from a scheduler
-// admission error: the guard's own hint for sheds, a default second for
-// queue-full and drain rejections, 0/false otherwise.
-func RetryAfterHint(err error) (time.Duration, bool) { return sched.RetryAfterHint(err) }
 
 // NewScheduler starts a job scheduler; Close it when done. Jobs are
 // submitted with Submit, awaited with Wait, observed with Stats.

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestClassifiersSurviveNaNScene(t *testing.T) {
 func TestDetectorsSurviveNaNSpans(t *testing.T) {
 	net := testNet(t, 3)
 	nanLines := func(f *cube.Cube, lines int) *cube.Cube {
-		g := f.Clone()
+		g := &cube.Cube{Lines: f.Lines, Samples: f.Samples, Bands: f.Bands, Data: slices.Clone(f.Data)}
 		for i := range g.Data[:lines*g.Samples*g.Bands] {
 			g.Data[i] = float32(math.NaN())
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/fault"
+	"repro/internal/partition"
 	"repro/internal/platform"
 	"repro/internal/scene"
 )
@@ -192,12 +193,12 @@ func TestHeteroBeatsHomoOnHeteroNet(t *testing.T) {
 
 func TestVariantStrategy(t *testing.T) {
 	s, err := Hetero.Strategy()
-	if err != nil || s.Name() != "heterogeneous" {
-		t.Errorf("Hetero.Strategy = %v, %v", s, err)
+	if _, ok := s.(partition.Heterogeneous); err != nil || !ok {
+		t.Errorf("Hetero.Strategy = %T, %v", s, err)
 	}
 	s, err = Homo.Strategy()
-	if err != nil || s.Name() != "homogeneous" {
-		t.Errorf("Homo.Strategy = %v, %v", s, err)
+	if _, ok := s.(partition.Homogeneous); err != nil || !ok {
+		t.Errorf("Homo.Strategy = %T, %v", s, err)
 	}
 }
 

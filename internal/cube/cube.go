@@ -92,13 +92,6 @@ func (c *Cube) SetPixel(line, sample int, v []float32) {
 	copy(c.Pixel(line, sample), v)
 }
 
-// Clone returns a deep copy of the cube.
-func (c *Cube) Clone() *Cube {
-	d := make([]float32, len(c.Data))
-	copy(d, c.Data)
-	return &Cube{Lines: c.Lines, Samples: c.Samples, Bands: c.Bands, Data: d}
-}
-
 // Rows returns a view of lines [lo, hi) sharing storage with c. The view
 // is a valid Cube whose line 0 is c's line lo. Spatial-domain partitioning
 // hands each processor such a view (plus overlap borders for windowing

@@ -98,6 +98,13 @@ func TestSetPixel(t *testing.T) {
 	c.SetPixel(0, 0, []float32{1})
 }
 
+// Clone returns a deep copy of the cube.
+func (c *Cube) Clone() *Cube {
+	d := make([]float32, len(c.Data))
+	copy(d, c.Data)
+	return &Cube{Lines: c.Lines, Samples: c.Samples, Bands: c.Bands, Data: d}
+}
+
 func TestClone(t *testing.T) {
 	c := MustNew(2, 2, 2)
 	c.Set(0, 0, 0, 5)

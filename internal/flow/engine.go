@@ -766,8 +766,8 @@ func (e *Engine) journalStage(p *Pipeline, st *stage) {
 // terminal journal record, and only then do the terminal state and Done()
 // become visible — a waiter that closes the journal, reads /metrics or
 // lists Pipelines the moment the pipeline settles finds all of them
-// caught up. (Pipelines have no guard feedback and no latency histogram;
-// their stage jobs report both through the scheduler.) During a drain a
+// caught up. (Pipelines have no latency histogram; their stage jobs
+// report latency through the scheduler.) During a drain a
 // pipeline that did not complete gets no terminal record: its story
 // stays open for the next boot to resume. Before the state turns, every
 // stage lets go of its scene: a retained pipeline costs its digests,
@@ -905,13 +905,9 @@ func (p *Pipeline) runStage(st *stage) error {
 	return fmt.Errorf("flow: unknown stage kind %q", st.spec.Kind)
 }
 
-// submitJob submits a stage job, absorbing transient queue-full and
-// overload-shed rejects with capped exponential backoff: a wide fan-out
-// must not fail just because it momentarily outruns the scheduler's
-// admission queue or the guard's limit or deadline shedding. Shed waits
-// start from the guard's own Retry-After hint when it is shorter than
-// the cap — the guard knows when a slot frees better than a blind
-// doubling does.
+// submitJob submits a stage job, absorbing transient queue-full rejects
+// with capped exponential backoff: a wide fan-out must not fail just
+// because it momentarily outruns the scheduler's admission queue.
 func (e *Engine) submitJob(ctx context.Context, spec sched.JobSpec) (*sched.Job, error) {
 	delay := 5 * time.Millisecond
 	const maxDelay = 250 * time.Millisecond
@@ -920,11 +916,8 @@ func (e *Engine) submitJob(ctx context.Context, spec sched.JobSpec) (*sched.Job,
 		if err == nil {
 			return job, nil
 		}
-		if !errors.Is(err, sched.ErrQueueFull) && !errors.Is(err, sched.ErrShed) {
+		if !errors.Is(err, sched.ErrQueueFull) {
 			return nil, err
-		}
-		if hint, ok := sched.RetryAfterHint(err); ok && hint > delay && hint <= maxDelay {
-			delay = hint
 		}
 		timer := time.NewTimer(delay)
 		select {

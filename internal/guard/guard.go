@@ -1,23 +1,14 @@
-// Package guard is the scheduler's overload-control layer: the
-// admission-time and dispatch-time defenses that keep a saturated
-// serving stack doing useful work instead of queueing doomed jobs.
+// Package guard is an AIMD adaptive concurrency limiter behind one
+// Admit/ObserveDone API. The serving stack does not use it: overload
+// control was measured against the bounded queue's plain 429 and
+// removed from the scheduler, the flow engine and hyperhetd (DESIGN.md
+// "Job scheduling and serving"). The package remains only because the
+// benchmark's layer replay (bench/replay.go) times Admit and
+// ObserveDone; it goes with that call site.
 //
-// It bundles two cooperating mechanisms, both pure control logic (no
-// scheduler imports, no I/O):
-//
-//   - an AIMD adaptive concurrency limiter (Limiter) that grows the
-//     effective admission limit by one slot per limit's worth of
-//     on-baseline completions and shrinks it multiplicatively when
-//     observed job latency exceeds a moving baseline;
-//   - deadline admission: a per-class queue-wait estimator
-//     (WaitEstimator) that prices a submission's expected time-in-queue,
-//     so deadline-carrying jobs whose timeout is already unaffordable
-//     are rejected at the door.
-//
-// Controller composes them behind one Admit/Observe API shaped for
-// package sched. Every decision is reported as a Verdict carrying the
-// deny reason and a Retry-After hint, which the HTTP layer translates
-// to a 429 response.
+// The limiter grows the admission limit by one slot per limit's worth of
+// on-baseline completions and shrinks it multiplicatively when observed
+// job latency exceeds a moving baseline.
 package guard
 
 import (
@@ -25,36 +16,13 @@ import (
 	"time"
 )
 
-// Class is a scheduling class index: package sched passes its Priority
-// values (0 = batch, 1 = interactive). Higher classes shed later and
-// dispatch first.
+// Class is a scheduling class index (0 = batch, 1 = interactive).
+// Higher classes may fill more of the limit.
 type Class int
 
 // classFractions[i] is the fraction of the adaptive limit class i may
-// fill: batch sheds at three quarters of it, before interactive.
+// fill: batch is refused at three quarters of it, before interactive.
 var classFractions = [...]float64{0.75, 1.0}
-
-// Reason classifies a denial.
-type Reason string
-
-const (
-	// ReasonLimit reports the AIMD concurrency limit was reached (for
-	// the submission's class: lower classes shed at a fraction of it).
-	ReasonLimit Reason = "limit"
-	// ReasonDeadline reports the estimated queue wait already exceeded
-	// the submission's timeout: the job would expire unserved.
-	ReasonDeadline Reason = "deadline"
-)
-
-// Verdict is one admission decision.
-type Verdict struct {
-	// Allow grants admission.
-	Allow bool
-	// Reason classifies a denial ("" when allowed).
-	Reason Reason
-	// RetryAfter is the suggested client back-off on denial.
-	RetryAfter time.Duration
-}
 
 // The limiter's fixed tuning.
 const (
@@ -71,38 +39,33 @@ const (
 	limiterCooldown = time.Second
 )
 
-// LimiterConfig parameterizes the AIMD limiter. Zero values select the
-// documented defaults.
-type LimiterConfig struct {
-	// Initial is the starting admission limit (default 16).
-	Initial int
-	// Min and Max clamp the adaptive limit (defaults 1 and 1024).
-	Min, Max int
+// limiterConfig bounds the AIMD limiter. Zero values select the
+// defaults.
+type limiterConfig struct {
+	// initial is the starting admission limit (default 16).
+	initial int
+	// min and max clamp the adaptive limit (defaults 1 and 1024).
+	min, max int
 }
 
-func (c LimiterConfig) withDefaults() LimiterConfig {
-	if c.Initial <= 0 {
-		c.Initial = 16
+func (c limiterConfig) withDefaults() limiterConfig {
+	if c.initial <= 0 {
+		c.initial = 16
 	}
-	if c.Min <= 0 {
-		c.Min = 1
+	if c.min <= 0 {
+		c.min = 1
 	}
-	if c.Max <= 0 {
-		c.Max = 1024
+	if c.max <= 0 {
+		c.max = 1024
 	}
-	if c.Min > c.Max {
-		c.Min = c.Max
+	if c.min > c.max {
+		c.min = c.max
 	}
-	if c.Initial < c.Min {
-		c.Initial = c.Min
-	}
-	if c.Initial > c.Max {
-		c.Initial = c.Max
-	}
+	c.initial = min(max(c.initial, c.min), c.max)
 	return c
 }
 
-// Limiter is an AIMD adaptive concurrency limiter: the effective
+// limiter is an AIMD adaptive concurrency limiter: the effective
 // admission limit for (queued + running) work, adapted from observed
 // job latency against a moving baseline.
 //
@@ -114,8 +77,8 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 // baseline is an EWMA of on-baseline latencies only, so a slow spell
 // widens the limit's definition of "slow" no faster than baselineAlpha
 // allows.
-type Limiter struct {
-	cfg LimiterConfig
+type limiter struct {
+	cfg limiterConfig
 
 	mu       sync.Mutex
 	limit    float64
@@ -123,36 +86,24 @@ type Limiter struct {
 	lastDec  time.Time
 }
 
-// newLimiter returns a limiter at cfg.Initial.
-func newLimiter(cfg LimiterConfig) *Limiter {
+// newLimiter returns a limiter at cfg.initial.
+func newLimiter(cfg limiterConfig) *limiter {
 	cfg = cfg.withDefaults()
-	return &Limiter{cfg: cfg, limit: float64(cfg.Initial)}
+	return &limiter{cfg: cfg, limit: float64(cfg.initial)}
 }
 
-// Limit returns the current admission limit, floored at cfg.Min.
-func (l *Limiter) Limit() int {
+// current returns the admission limit, floored at cfg.min.
+func (l *limiter) current() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return int(l.limit)
 }
 
-// Baseline returns the moving latency baseline in seconds (0 before the
-// first on-baseline completion).
-func (l *Limiter) Baseline() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.baseline
-}
-
-// Observe feeds one job completion into the controller: its
+// observeAt feeds one job completion into the limiter: its
 // submit-to-settle latency and whether it completed successfully.
 // Failures are not latency signals (a fault-injected crash is fast) and
 // leave the limit untouched.
-func (l *Limiter) Observe(latency time.Duration, ok bool) {
-	l.observeAt(time.Now(), latency, ok)
-}
-
-func (l *Limiter) observeAt(now time.Time, latency time.Duration, ok bool) {
+func (l *limiter) observeAt(now time.Time, latency time.Duration, ok bool) {
 	if !ok || latency < 0 {
 		return
 	}
@@ -166,18 +117,12 @@ func (l *Limiter) observeAt(now time.Time, latency time.Duration, ok bool) {
 	if sec > l.baseline*limiterTolerance {
 		// Overload signal: multiplicative decrease, rate-limited.
 		if now.Sub(l.lastDec) >= limiterCooldown {
-			l.limit *= limiterDecrease
-			if l.limit < float64(l.cfg.Min) {
-				l.limit = float64(l.cfg.Min)
-			}
+			l.limit = max(l.limit*limiterDecrease, float64(l.cfg.min))
 			l.lastDec = now
 		}
 		return
 	}
 	// On-baseline completion: additive increase plus baseline tracking.
 	l.baseline += baselineAlpha * (sec - l.baseline)
-	l.limit += 1 / l.limit
-	if l.limit > float64(l.cfg.Max) {
-		l.limit = float64(l.cfg.Max)
-	}
+	l.limit = min(l.limit+1/l.limit, float64(l.cfg.max))
 }

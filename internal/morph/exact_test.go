@@ -3,6 +3,7 @@ package morph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -34,16 +35,21 @@ func naiveDistanceMap(f *cube.Cube, se StructuringElement, lo, hi int) []float64
 	return out
 }
 
+// cloneCube returns a deep copy of c.
+func cloneCube(c *cube.Cube) *cube.Cube {
+	return &cube.Cube{Lines: c.Lines, Samples: c.Samples, Bands: c.Bands, Data: slices.Clone(c.Data)}
+}
+
 // naiveMEIRange is the AMEE loop over naiveDistanceMap and the scalar SAD.
 func naiveMEIRange(f *cube.Cube, se StructuringElement, imax, ownedLo, ownedHi int) ([]float64, *cube.Cube) {
 	clamp := func(v int) int { return max(0, min(v, f.Lines)) }
-	cur := f.Clone()
+	cur := cloneCube(f)
 	scores := make([]float64, f.NumPixels())
 	for it := 0; it < imax; it++ {
 		reach := se.RadiusL * (imax - 1 - it)
 		outLo, outHi := clamp(ownedLo-reach), clamp(ownedHi+reach)
 		dist := naiveDistanceMap(cur, se, clamp(outLo-se.RadiusL), clamp(outHi+se.RadiusL))
-		next := cur.Clone()
+		next := cloneCube(cur)
 		for l := outLo; l < outHi; l++ {
 			for s := 0; s < cur.Samples; s++ {
 				el, es := ErodeAt(cur, dist, se, l, s)

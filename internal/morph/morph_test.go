@@ -165,7 +165,7 @@ func TestMEIInvalidIterationsPanics(t *testing.T) {
 
 func TestMEIDoesNotMutateInput(t *testing.T) {
 	c := twoMaterialCube()
-	before := c.Clone()
+	before := cloneCube(c)
 	MEI(c, Square(1), 3)
 	for i := range c.Data {
 		if c.Data[i] != before.Data[i] {

@@ -79,8 +79,10 @@ func TestProcMapsToNetwork(t *testing.T) {
 	net := twoNode(t, 10)
 	w := NewWorld(net)
 	mustRun(t, w, func(c *Comm) any {
-		if c.Clock().CycleTime() != net.Procs[c.Rank()].CycleTime {
-			t.Errorf("rank %d clock cycle-time %v", c.Rank(), c.Clock().CycleTime())
+		// One unscaled megaflop on a fresh clock costs the rank's cycle-time.
+		c.ComputeFixed(1e6, vtime.Seq)
+		if got := c.Clock().Now(); got != net.Procs[c.Rank()].CycleTime {
+			t.Errorf("rank %d: one megaflop took %v s, want cycle-time %v", c.Rank(), got, net.Procs[c.Rank()].CycleTime)
 		}
 		return nil
 	})

@@ -65,15 +65,15 @@ func FuzzPartition(f *testing.F) {
 				continue // rejecting bad input is the correct outcome
 			}
 			if len(spans) != len(procs) {
-				t.Fatalf("%s: %d spans for %d procs", strat.Name(), len(spans), len(procs))
+				t.Fatalf("%T: %d spans for %d procs", strat, len(spans), len(procs))
 			}
 			if err := Validate(spans, lines); err != nil {
-				t.Fatalf("%s(%d,%d,%d): accepted input yields invalid tiling: %v",
-					strat.Name(), lines, samples, bands, err)
+				t.Fatalf("%T(%d,%d,%d): accepted input yields invalid tiling: %v",
+					strat, lines, samples, bands, err)
 			}
 			for i, s := range spans {
 				if got, max := s.Len(), MaxLines(procs[i], samples, bands); got > max {
-					t.Fatalf("%s: span %d holds %d lines, memory bound is %d", strat.Name(), i, got, max)
+					t.Fatalf("%T: span %d holds %d lines, memory bound is %d", strat, i, got, max)
 				}
 			}
 		}

@@ -67,9 +67,6 @@ func MaxLines(p platform.Processor, samples, bands int) int {
 
 // Strategy produces one span per processor for a cube geometry.
 type Strategy interface {
-	// Name identifies the strategy in reports ("heterogeneous" for WEA,
-	// "homogeneous" for the equal-share variant).
-	Name() string
 	// Partition assigns contiguous line ranges, in rank order, covering
 	// [0, lines) exactly.
 	Partition(lines, samples, bands int, procs []platform.Processor) ([]Span, error)
@@ -78,9 +75,6 @@ type Strategy interface {
 // Heterogeneous is the WEA of Algorithm 1: workload proportional to
 // processor speed (1/w_i), bounded by local memory.
 type Heterogeneous struct{}
-
-// Name implements Strategy.
-func (Heterogeneous) Name() string { return "heterogeneous" }
 
 // Partition implements Strategy.
 func (Heterogeneous) Partition(lines, samples, bands int, procs []platform.Processor) ([]Span, error) {
@@ -96,9 +90,6 @@ func (Heterogeneous) Partition(lines, samples, bands int, procs []platform.Proce
 // speed. On a heterogeneous platform this is exactly the mismatch the
 // paper's Tables 5-7 quantify.
 type Homogeneous struct{}
-
-// Name implements Strategy.
-func (Homogeneous) Name() string { return "homogeneous" }
 
 // Partition implements Strategy.
 func (Homogeneous) Partition(lines, samples, bands int, procs []platform.Processor) ([]Span, error) {

@@ -152,6 +152,13 @@ func TestInvalidInputs(t *testing.T) {
 	}
 }
 
+// Name identifies the strategy in test output ("heterogeneous" for WEA,
+// "homogeneous" for the equal-share variant).
+func (Heterogeneous) Name() string { return "heterogeneous" }
+
+// Name identifies the strategy in test output.
+func (Homogeneous) Name() string { return "homogeneous" }
+
 func TestStrategyNames(t *testing.T) {
 	if (Heterogeneous{}).Name() != "heterogeneous" || (Homogeneous{}).Name() != "homogeneous" {
 		t.Error("strategy names wrong")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -273,7 +274,8 @@ func TestSettleReleasesCubeHeap(t *testing.T) {
 	before := heapMB()
 	jobs := make([]*Job, n)
 	for i := range jobs {
-		c := sc.Cube.Clone() // a distinct 3.5 MB allocation per job
+		c := &cube.Cube{Lines: sc.Cube.Lines, Samples: sc.Cube.Samples, Bands: sc.Cube.Bands,
+			Data: slices.Clone(sc.Cube.Data)} // a distinct 3.5 MB allocation per job
 		jobs[i] = runToEnd(t, s, JobSpec{
 			Mode: ModeSequential, Algorithm: core.ATDCA, Cube: c,
 			Params: core.Params{Targets: 2}, NoCache: true,

@@ -21,10 +21,9 @@
 // The by-ID book — ID minting, adoption of journal-replayed IDs, retained
 // history, listing order — is a Ledger (ledger.go), the same one the flow
 // engine keeps its pipelines in. Every job reaches its final state through
-// one function, settle, whose order is fixed: guard feedback, counters,
-// ledger history, then the terminal state and Done() become visible — so
-// a waiter never observes a job that /stats or Jobs() has not caught up
-// with.
+// one function, settle, whose order is fixed: counters, ledger history,
+// then the terminal state and Done() become visible — so a waiter never
+// observes a job that /stats or Jobs() has not caught up with.
 package sched
 
 import (
@@ -38,7 +37,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cube"
-	"repro/internal/guard"
 	"repro/internal/par"
 	"repro/internal/platform"
 	"repro/internal/telemetry"
@@ -272,12 +270,9 @@ type Job struct {
 	// seed is the journal-recovered snapshot a resumed job starts from.
 	seed *checkpoint.Snapshot
 
-	// Guard bookkeeping, set once at admission: the queue population
-	// ahead of the job when it was admitted (the wait estimator's
-	// teaching signal), and the wall-clock deadline (zero when the job
-	// has none).
-	queuedAhead int
-	deadline    time.Time
+	// deadline is the job's wall-clock deadline, set once at admission
+	// (zero when the job has none).
+	deadline time.Time
 
 	mu         sync.Mutex
 	state      State
@@ -388,8 +383,8 @@ type JobStatus struct {
 	// AttemptHistory details each attempt (omitted for cache hits).
 	AttemptHistory []AttemptRecord `json:"attempt_history,omitempty"`
 	// QueueMS is the time the job spent queued before dispatch — for a
-	// still-queued job, its wait so far. It makes expiry and shed
-	// decisions auditable from the job document alone.
+	// still-queued job, its wait so far. It makes expiry decisions
+	// auditable from the job document alone.
 	QueueMS int64 `json:"queue_ms"`
 	// DeadlineRemainingMS is the budget left on the job's deadline at
 	// snapshot time (negative once passed; frozen at settlement for
@@ -467,13 +462,6 @@ type Config struct {
 	// RetainJobs bounds how many finished jobs stay queryable by ID
 	// before the oldest are evicted (default 1024).
 	RetainJobs int
-	// Guard, when non-nil, is the overload-control layer: every fresh
-	// submission passes its admission pipeline (adaptive AIMD limit with
-	// batch-first shedding, then deadline-aware rejection) and denials
-	// surface as *ShedError.
-	// Journal-resumed jobs bypass admission — they were admitted by a
-	// previous process.
-	Guard *guard.Controller
 	// Registry, when non-nil, registers the scheduler's instruments (and
 	// the simulation-level ones of package core) against it: queue depth,
 	// admission rejects, retries, cache hit/miss, per-class job latency
@@ -533,9 +521,6 @@ type Stats struct {
 	Retries   uint64 `json:"retries"`
 	CacheHits uint64 `json:"cache_hits"`
 	CacheMiss uint64 `json:"cache_misses"`
-	// Shed is the guard's share of Rejected (zero when Config.Guard is
-	// nil): Rejected == queue-full/closed rejections + Shed.
-	Shed uint64 `json:"shed"`
 	// Expired counts queued jobs settled because their deadline passed
 	// before dispatch — dead work never handed to a worker.
 	Expired uint64 `json:"expired"`
@@ -643,10 +628,9 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	resumed := resume != nil
 	id, submitted := "", time.Now()
 	var seed *checkpoint.Snapshot
-	if resumed {
+	if resume != nil {
 		id, seed = resume.ID, resume.Snapshot
 		if !resume.Submitted.IsZero() {
 			submitted = resume.Submitted
@@ -668,25 +652,6 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
-	// Overload control. Resumed jobs bypass it: a previous process
-	// already admitted them, and refusing the replay would lose work the
-	// journal promised to finish.
-	var queuedAhead int
-	if g := s.cfg.Guard; g != nil && !resumed {
-		queuedAhead = s.queuedAtOrAboveLocked(spec.Priority)
-		v := g.Admit(guard.Request{
-			Class:       guard.Class(spec.Priority),
-			Timeout:     timeout,
-			QueuedAhead: queuedAhead,
-			InFlight:    s.queuedLocked() + s.running,
-		})
-		if !v.Allow {
-			s.mu.Unlock()
-			s.tel.rejected.Inc()
-			s.tel.shed.With(string(v.Reason)).Inc()
-			return nil, &ShedError{Reason: v.Reason, RetryAfter: v.RetryAfter}
-		}
-	}
 	id, err := s.jobs.Reserve(id)
 	if err != nil {
 		s.mu.Unlock()
@@ -707,7 +672,6 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 		state:       StateQueued,
 		submittedAt: submitted,
 		seed:        seed,
-		queuedAhead: queuedAhead,
 	}
 	if dl, ok := jctx.Deadline(); ok {
 		j.deadline = dl
@@ -808,16 +772,6 @@ func (s *Scheduler) queuedLocked() int {
 	return n
 }
 
-// queuedAtOrAboveLocked returns the queue population that would dispatch
-// before a fresh submission of class p — its queue position.
-func (s *Scheduler) queuedAtOrAboveLocked(p Priority) int {
-	n := 0
-	for q := int(p); q < int(numPriorities); q++ {
-		n += len(s.queues[q])
-	}
-	return n
-}
-
 // watchQueued cancels a job out of the queue when its context dies
 // first. Deadline expiry while queued is counted separately from plain
 // cancellation: the lazy-expiry path is how dead work leaves the queue
@@ -898,10 +852,6 @@ func (s *Scheduler) Stats() Stats {
 	queued, running := s.queuedLocked(), s.running
 	s.mu.Unlock()
 	m := s.tel
-	var shed uint64
-	for _, r := range []guard.Reason{guard.ReasonLimit, guard.ReasonDeadline} {
-		shed += count(m.shed.With(string(r)))
-	}
 	return Stats{
 		Queued:         queued,
 		Running:        running,
@@ -913,7 +863,6 @@ func (s *Scheduler) Stats() Stats {
 		Retries:        count(m.retries),
 		CacheHits:      count(m.cache.With("hit")),
 		CacheMiss:      count(m.cache.With("miss")),
-		Shed:           shed,
 		Expired:        count(m.expired),
 		VirtualSeconds: m.virtualSeconds.Value(),
 		CacheEntries:   s.cache.len(),
@@ -1038,11 +987,9 @@ func (s *Scheduler) runJob(j *Job) {
 		s.tel.cache.With("miss").Inc()
 	}
 
-	dispatched := time.Now()
 	j.mu.Lock()
 	j.state = StateRunning
 	j.mu.Unlock()
-	s.cfg.Guard.ObserveDispatch(guard.Class(j.spec.Priority), dispatched.Sub(j.submittedAt), j.queuedAhead)
 	s.mu.Lock()
 	s.running++
 	s.mu.Unlock()
@@ -1081,21 +1028,14 @@ func (s *Scheduler) runJob(j *Job) {
 
 // settle is the one path by which a job reaches a final state, called
 // exactly once per job (callers hold the token: queue membership or worker
-// ownership). The order is the contract: guard feedback, counters (the
-// latency histogram included) and ledger history all land BEFORE the
-// terminal state and Done() become visible, so a waiter that resubmits,
-// reads Stats or /metrics, or lists Jobs the moment the job settles finds
-// all of them already caught up. Only the finished journal record comes
-// after.
+// ownership). The order is the contract: counters (the latency histogram
+// included) and ledger history both land BEFORE the terminal state and
+// Done() become visible, so a waiter that resubmits, reads Stats or
+// /metrics, or lists Jobs the moment the job settles finds all of them
+// already caught up. Only the finished journal record comes after.
 func (s *Scheduler) settle(j *Job, state State, res *core.RunReport, err error, fromCache bool) {
 	finishedAt := time.Now()
 	latency := finishedAt.Sub(j.submittedAt)
-
-	if !fromCache {
-		// A cache hit never ran, so its latency says nothing about load.
-		s.cfg.Guard.ObserveDone(guard.Class(j.spec.Priority), "", latency, 0,
-			state == StateCompleted, guard.OutcomeNeutral, false)
-	}
 
 	s.tel.finished.With(string(state)).Inc()
 	if state == StateCompleted && res != nil && !fromCache {

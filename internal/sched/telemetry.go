@@ -20,7 +20,6 @@ type schedMetrics struct {
 	journal   *telemetry.CounterVec   // type: submitted | started | checkpointed | finished
 	journalEr *telemetry.Counter
 	restored  *telemetry.CounterVec // disposition: finished | resumed
-	shed      *telemetry.CounterVec // reason: limit | deadline
 	expired   *telemetry.Counter
 	// virtualSeconds bills the simulated wall time of every completed,
 	// non-cached run; Stats-only, so it is not registered.
@@ -67,13 +66,6 @@ func newSchedMetrics(s *Scheduler) *schedMetrics {
 		func() float64 {
 			return float64(par.Snapshot().Chunks)
 		})
-	// The guard gauge reads the controller live; with no guard configured
-	// it reports zero rather than being absent, so dashboards and the
-	// telemetry lint see a stable name set either way.
-	reg.NewGaugeFunc("hyperhet_guard_admission_limit",
-		"Current AIMD adaptive admission limit (0 when the guard is off).", func() float64 {
-			return float64(s.cfg.Guard.State().Limit)
-		})
 	m := &schedMetrics{
 		submitted: reg.NewCounter("hyperhet_sched_submitted_total",
 			"Jobs admitted to the queue."),
@@ -94,10 +86,10 @@ func newSchedMetrics(s *Scheduler) *schedMetrics {
 			"Job-journal append failures (the job proceeds; durability degrades)."),
 		restored: reg.NewCounterVec("hyperhet_sched_jobs_restored_total",
 			"Jobs rebuilt from a replayed journal, by disposition.", "disposition"),
-		shed: reg.NewCounterVec("hyperhet_guard_shed_total",
-			"Submissions denied by the overload-control layer, by reason.", "reason"),
+		// The name predates the scheduler owning queue expiry; metric
+		// names are a contract, so it keeps it.
 		expired: reg.NewCounter("hyperhet_guard_expired_total",
-			"Queued jobs settled because their deadline passed before dispatch."),
+			"Queued jobs the scheduler's lazy queue expiry settled cancelled, unrun: their deadline passed before dispatch."),
 		virtualSeconds: new(telemetry.Counter),
 	}
 	if s.cfg.Registry != nil {

@@ -281,11 +281,10 @@ func tear(dir string, cp *CrashPoint) error {
 	return nil
 }
 
-// submitJobRetry absorbs transient admission denials — queue-full and
-// guard sheds — with a bounded retry: scenario
-// queue depths (and overload limits) are drawn small on purpose, so
-// transient refusal is expected, but a queue that never drains is a
-// harness failure. Every attempt's outcome lands in the tally so the
+// submitJobRetry absorbs transient queue-full rejections with a bounded
+// retry: scenario queue depths are drawn small on purpose, so transient
+// refusal is expected, but a queue that never drains is a harness
+// failure. Every attempt's outcome lands in the tally so the
 // phase-end balance audit sees exactly what the scheduler counted.
 func submitJobRetry(tally *admitTally, f func() (*sched.Job, error)) (*sched.Job, error) {
 	for i := 0; ; i++ {
@@ -320,15 +319,15 @@ func Run(scn *Scenario, opts Options) (*Outcome, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("sim: Options.Dir is required")
 	}
-	if scn.Overload != nil && len(scn.Pipelines) > 0 {
+	if scn.Storm != nil && len(scn.Pipelines) > 0 {
 		// Pipelines submit their stage jobs inside the flow engine, outside
-		// the harness's admission tally, which would unbalance the shed
-		// accounting the overload invariants assert.
-		return nil, errors.New("sim: overload scenarios cannot carry pipelines")
+		// the harness's admission tally, which would unbalance the
+		// rejection accounting the storm invariants assert.
+		return nil, errors.New("sim: storm scenarios cannot carry pipelines")
 	}
-	if scn.Overload != nil && len(scn.Jobs) == 0 {
+	if scn.Storm != nil && len(scn.Jobs) == 0 {
 		// The storm borrows Jobs[0].Scene for its submissions.
-		return nil, errors.New("sim: overload scenarios need at least one job")
+		return nil, errors.New("sim: storm scenarios need at least one job")
 	}
 	if opts.Scenes == nil {
 		opts.Scenes = NewSceneCache()
@@ -382,7 +381,6 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 		CacheEntries:    scn.CacheEntries,
 		RetainJobs:      4096,
 		Journal:         jl,
-		Guard:           overloadGuard(scn.Overload),
 		OnJobRunning:    trig.jobRunning,
 		OnJobCheckpoint: trig.jobCheckpoint,
 	})
@@ -489,12 +487,12 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 		watch = append(watch, wit.pipe(p))
 	}
 
-	// The overload storm rides on top of the workload: burst submissions,
-	// some doomed by design.
+	// The storm rides on top of the workload: burst submissions, some
+	// doomed by design.
 	// Storm handles stay out of `watch` — they are load, not settlement
 	// milestones, and the settled-count crash trigger must not see them.
 	var stormHandles []*sched.Job
-	if scn.Overload != nil {
+	if scn.Storm != nil {
 		stormHandles, err = runStorm(scn, phase, s, opts.Scenes, tally)
 		if err != nil {
 			eng.Close()
@@ -563,7 +561,7 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 
 	st := s.Stats()
 	ph.Stats = st
-	if scn.Overload != nil {
+	if scn.Storm != nil {
 		auditStorm(out, phase, st, tally, stormHandles)
 	}
 	if st.Queued != 0 || st.Running != 0 {

@@ -167,17 +167,14 @@ type PipelinePlan struct {
 	Synthesize bool
 }
 
-// OverloadPlan turns a scenario into an overload exercise: the runner
-// builds a guard.Controller with a pinned admission limit (Min == Max,
-// so the limit never drifts with wall-clock latency and the scenario
-// stays reproducible), injects a submit storm each phase, and asserts
-// the overload invariants — shed counters balance submitted vs
-// admitted, and expired jobs never dispatch.
-type OverloadPlan struct {
-	// Limit pins the AIMD admission limit (Min == Max == Limit).
-	Limit int
-	// Storm is the number of burst submissions injected per phase.
-	Storm int
+// StormPlan turns a scenario into an overload exercise: the runner
+// injects a submit storm against the bounded queue each phase and
+// asserts the admission invariants — queue-full rejections and expiries
+// balance against the scheduler's counters, and expired jobs never
+// dispatch.
+type StormPlan struct {
+	// Jobs is the number of burst submissions injected per phase.
+	Jobs int
 	// Doomed is how many storm jobs carry a deadline so short it usually
 	// passes while they sit in queue — the lazy-expiry invariant's food.
 	Doomed int
@@ -193,11 +190,11 @@ type Scenario struct {
 	Jobs         []JobPlan
 	Pipelines    []PipelinePlan
 	Crashes      []CrashPoint
-	// Overload, when non-nil, layers the guard + submit-storm exercise
-	// over the workload. Overload scenarios carry no pipelines: the flow
-	// engine submits stage jobs internally, outside the harness's
-	// admission accounting, which would unbalance the shed counters.
-	Overload *OverloadPlan
+	// Storm, when non-nil, layers the submit-storm exercise over the
+	// workload. Storm scenarios carry no pipelines: the flow engine
+	// submits stage jobs internally, outside the harness's admission
+	// accounting, which would unbalance the rejection counters.
+	Storm *StormPlan
 }
 
 // networkNames are the four UMD platform menus of the paper.
@@ -276,19 +273,17 @@ func FromSeed(seed uint64) *Scenario {
 		}
 	}
 
-	// Roughly a quarter of scenarios run under overload: a guard with a
-	// pinned limit and a per-phase submit storm with doomed deadlines.
-	// The draw happens before the pipeline draw because overload
-	// scenarios exclude pipelines.
+	// Roughly a quarter of scenarios run a per-phase submit storm with
+	// doomed deadlines. The draw happens before the pipeline draw because
+	// storm scenarios exclude pipelines.
 	if r.chance(0.25) {
-		s.Overload = &OverloadPlan{
-			Limit:  s.Workers * r.rangeInt(2, 4),
-			Storm:  r.rangeInt(6, 12),
+		s.Storm = &StormPlan{
+			Jobs:   r.rangeInt(6, 12),
 			Doomed: r.rangeInt(1, 3),
 		}
 	}
 
-	if s.Overload == nil {
+	if s.Storm == nil {
 		nPipes := r.intn(3)
 		for i := 0; i < nPipes; i++ {
 			s.Pipelines = append(s.Pipelines, randPipeline(r, fmt.Sprintf("p%d", i)))
@@ -570,9 +565,9 @@ func (s *Scenario) clone() *Scenario {
 		c.Pipelines[i] = p
 	}
 	c.Crashes = append([]CrashPoint(nil), s.Crashes...)
-	if s.Overload != nil {
-		ov := *s.Overload
-		c.Overload = &ov
+	if s.Storm != nil {
+		st := *s.Storm
+		c.Storm = &st
 	}
 	return &c
 }
@@ -604,8 +599,8 @@ func (s *Scenario) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario(seed=%d workers=%d queue=%d cache=%d)\n",
 		s.Seed, s.Workers, s.QueueDepth, s.CacheEntries)
-	if ov := s.Overload; ov != nil {
-		fmt.Fprintf(&b, "  overload: limit=%d storm=%d doomed=%d\n", ov.Limit, ov.Storm, ov.Doomed)
+	if st := s.Storm; st != nil {
+		fmt.Fprintf(&b, "  storm: jobs=%d doomed=%d\n", st.Jobs, st.Doomed)
 	}
 	for _, j := range s.Jobs {
 		fmt.Fprintf(&b, "  job %s: %s", j.Label, j.Mode)

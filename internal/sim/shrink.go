@@ -129,11 +129,11 @@ func Minimize(scn *Scenario, opts CheckOptions, budget int) (*ShrinkResult, erro
 				improved = true
 			}
 		}
-		// The overload plan rides on top of the workload: try dropping it
-		// before touching the jobs.
-		if cur.Overload != nil && runs < budget {
+		// The storm rides on top of the workload: try dropping it before
+		// touching the jobs.
+		if cur.Storm != nil && runs < budget {
 			cand := cur.clone()
-			cand.Overload = nil
+			cand.Storm = nil
 			if v, bad, err := fails(cand); err != nil {
 				return nil, err
 			} else if bad {
@@ -152,7 +152,7 @@ func Minimize(scn *Scenario, opts CheckOptions, budget int) (*ShrinkResult, erro
 			}
 		}
 		for i := 0; i < len(cur.Jobs) && runs < budget; i++ {
-			if cur.Overload != nil && len(cur.Jobs) == 1 {
+			if cur.Storm != nil && len(cur.Jobs) == 1 {
 				break // the storm borrows Jobs[0].Scene; keep one job
 			}
 			cand := dropJob(cur, i)

@@ -155,14 +155,15 @@ func TestBrokenInvariantIsCaughtAndShrunk(t *testing.T) {
 }
 
 // overloadScenario is a handcrafted overload exercise: a small worker
-// pool behind a pinned guard limit and a submit storm with doomed
-// deadlines — every overload invariant in one scenario.
+// pool behind a shallow queue and a submit storm with doomed deadlines —
+// queue-full rejections, lazy expiry and the admission balance in one
+// scenario.
 func overloadScenario() *Scenario {
 	sc := scene.Config{Lines: 24, Samples: 16, Bands: 8, Seed: 1}
 	return &Scenario{
 		Seed:       0,
 		Workers:    2,
-		QueueDepth: 16,
+		QueueDepth: 6,
 		Jobs: []JobPlan{
 			{Label: "j0", Scene: sc, Mode: sched.ModeSequential, Algorithm: core.ATDCA, Targets: 4},
 			{Label: "j1", Scene: sc, Mode: sched.ModeRun, Algorithm: core.UFCLS,
@@ -170,13 +171,13 @@ func overloadScenario() *Scenario {
 			{Label: "j2", Scene: sc, Mode: sched.ModeSequential, Algorithm: core.PCT,
 				Targets: 4, Priority: sched.Interactive},
 		},
-		Overload: &OverloadPlan{Limit: 6, Storm: 8, Doomed: 2},
+		Storm: &StormPlan{Jobs: 8, Doomed: 2},
 	}
 }
 
-// TestOverloadScenario drives the handcrafted overload plan through the
-// checker, both crash-free and with a mid-run crash/restart, and
-// asserts every invariant holds: shed balance and lazy expiry.
+// TestOverloadScenario drives the handcrafted storm through the checker,
+// both crash-free and with a mid-run crash/restart, and asserts every
+// invariant holds: admission balance and lazy expiry.
 func TestOverloadScenario(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
 		t.Parallel()
@@ -185,7 +186,7 @@ func TestOverloadScenario(t *testing.T) {
 			t.Fatalf("harness error: %v", err)
 		}
 		if !v.OK() {
-			t.Fatalf("overload invariants failed:\n%s", v)
+			t.Fatalf("storm invariants failed:\n%s", v)
 		}
 	})
 	t.Run("crash", func(t *testing.T) {
@@ -197,7 +198,7 @@ func TestOverloadScenario(t *testing.T) {
 			t.Fatalf("harness error: %v", err)
 		}
 		if !v.OK() {
-			t.Fatalf("overload invariants failed across a crash:\n%s", v)
+			t.Fatalf("storm invariants failed across a crash:\n%s", v)
 		}
 	})
 }
@@ -209,32 +210,31 @@ func TestOverloadRejectsPipelines(t *testing.T) {
 	scn := overloadScenario()
 	scn.Pipelines = []PipelinePlan{{Label: "p0", Scene: scn.Jobs[0].Scene}}
 	if _, err := Run(scn, Options{Dir: t.TempDir()}); err == nil {
-		t.Fatal("overload scenario with pipelines was accepted; want a harness error")
+		t.Fatal("storm scenario with pipelines was accepted; want a harness error")
 	}
 }
 
-// TestSeedsDrawOverload asserts the generator actually emits overload
-// plans — and that every one it emits is storm-capable and
-// pipeline-free.
-func TestSeedsDrawOverload(t *testing.T) {
+// TestSeedsDrawStorm asserts the generator actually emits storm plans —
+// and that every one it emits is non-degenerate and pipeline-free.
+func TestSeedsDrawStorm(t *testing.T) {
 	drawn := 0
 	for seed := uint64(1); seed <= 100; seed++ {
 		s := FromSeed(seed)
-		if s.Overload == nil {
+		if s.Storm == nil {
 			continue
 		}
 		drawn++
 		if len(s.Pipelines) != 0 {
-			t.Errorf("seed %d: overload scenario carries %d pipelines", seed, len(s.Pipelines))
+			t.Errorf("seed %d: storm scenario carries %d pipelines", seed, len(s.Pipelines))
 		}
-		if s.Overload.Limit < 2 || s.Overload.Storm < 6 || s.Overload.Doomed < 1 {
-			t.Errorf("seed %d: degenerate overload plan %+v", seed, s.Overload)
+		if s.Storm.Jobs < 6 || s.Storm.Doomed < 1 {
+			t.Errorf("seed %d: degenerate storm plan %+v", seed, s.Storm)
 		}
 	}
 	if drawn == 0 {
-		t.Fatal("no seed in 1..100 drew an overload plan")
+		t.Fatal("no seed in 1..100 drew a storm plan")
 	}
-	t.Logf("%d/100 seeds drew overload plans", drawn)
+	t.Logf("%d/100 seeds drew storm plans", drawn)
 }
 
 // TestNonStormScenariosPinned pins the generator: the SHA-256 over the
@@ -250,7 +250,7 @@ func TestNonStormScenariosPinned(t *testing.T) {
 	n := 0
 	for seed := uint64(1); seed <= 200; seed++ {
 		s := FromSeed(seed)
-		if s.Overload != nil {
+		if s.Storm != nil {
 			continue
 		}
 		n++

@@ -8,51 +8,35 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/guard"
 	"repro/internal/sched"
 )
 
 // admitTally is the harness's own admission ledger for one phase: every
 // scheduler Submit/SubmitResumed outcome the harness caused, counted
 // attempt by attempt. At phase end it must balance against the
-// scheduler's counters exactly — a shed the scheduler counted but the
-// harness never saw (or vice versa) is an invariant breach. Submissions
-// are sequential within a phase, so plain ints suffice.
+// scheduler's counters exactly — a queue-full rejection the scheduler
+// counted but the harness never saw (or vice versa) is an invariant
+// breach. Submissions are sequential within a phase, so plain ints
+// suffice.
 type admitTally struct {
 	admitted  int
-	shed      int // guard denials
 	queueFull int
 	expired   int // storm jobs observed settled by queue expiry
 }
 
 // count records one submission outcome. It returns whether the error is
 // worth retrying for a caller that must eventually be admitted
-// (queue-full and sheds clear as the queue drains; bad specs persist).
+// (queue-full clears as the queue drains; bad specs persist).
 func (t *admitTally) count(err error) (retryable bool) {
 	switch {
 	case err == nil:
 		t.admitted++
 		return false
-	case errors.Is(err, sched.ErrShed):
-		t.shed++
-		return true
 	case errors.Is(err, sched.ErrQueueFull):
 		t.queueFull++
 		return true
 	}
 	return false
-}
-
-// overloadGuard builds the phase's guard controller from the plan. The
-// limit is pinned (Min == Max) so admission decisions depend on queue
-// occupancy, not on wall-clock latency drift.
-func overloadGuard(ov *OverloadPlan) *guard.Controller {
-	if ov == nil {
-		return nil
-	}
-	return guard.New(guard.Config{
-		Limiter: guard.LimiterConfig{Initial: ov.Limit, Min: ov.Limit, Max: ov.Limit},
-	})
 }
 
 // stormSpec is one storm submission: a tiny sequential job that does
@@ -79,16 +63,17 @@ func stormSpec(scn *Scenario, scenes *SceneCache, label string, timeout time.Dur
 
 // runStorm injects the phase's submit storm. It returns the handles of
 // admitted storm jobs so the phase end can audit the expiry invariant.
-// Storm submissions are fired exactly once — a shed storm job is the
-// guard doing its job, not work the harness owes anyone.
+// Storm submissions are fired exactly once — a storm job refused by the
+// full queue is backpressure doing its job, not work the harness owes
+// anyone.
 func runStorm(scn *Scenario, phase int, s *sched.Scheduler, scenes *SceneCache,
 	tally *admitTally) ([]*sched.Job, error) {
-	ov := scn.Overload
+	st := scn.Storm
 	ctx := context.Background()
 	var handles []*sched.Job
-	for i := 0; i < ov.Storm; i++ {
+	for i := 0; i < st.Jobs; i++ {
 		var budget time.Duration
-		if i < ov.Doomed {
+		if i < st.Doomed {
 			budget = time.Millisecond
 		}
 		spec, err := stormSpec(scn, scenes, fmt.Sprintf("storm-p%d-%d", phase, i), budget)
@@ -105,7 +90,7 @@ func runStorm(scn *Scenario, phase int, s *sched.Scheduler, scenes *SceneCache,
 }
 
 // auditStorm inspects the settled storm jobs and checks the phase's
-// overload balance against the scheduler's counters.
+// admission balance against the scheduler's counters.
 func auditStorm(out *Outcome, phase int, st sched.Stats, tally *admitTally, handles []*sched.Job) {
 	for _, j := range handles {
 		status := j.Status()
@@ -127,10 +112,7 @@ func auditStorm(out *Outcome, phase int, st sched.Stats, tally *admitTally, hand
 	if got, want := st.Submitted, uint64(tally.admitted); got != want {
 		out.fail("balance: phase %d scheduler counted %d submitted, harness admitted %d", phase, got, want)
 	}
-	if got, want := st.Shed, uint64(tally.shed); got != want {
-		out.fail("balance: phase %d scheduler counted %d shed, harness observed %d", phase, got, want)
-	}
-	if got, want := st.Rejected, uint64(tally.shed+tally.queueFull); got != want {
+	if got, want := st.Rejected, uint64(tally.queueFull); got != want {
 		out.fail("balance: phase %d scheduler counted %d rejected, harness observed %d", phase, got, want)
 	}
 	if got, want := st.Expired, uint64(tally.expired); got != want {

@@ -217,14 +217,6 @@ func (g *Gauge) Set(v float64) {
 	g.val.set(v)
 }
 
-// Add increases (or, with negative v, decreases) the gauge.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	g.val.add(v)
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

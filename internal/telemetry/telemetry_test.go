@@ -36,6 +36,14 @@ func TestCounterExposition(t *testing.T) {
 	}
 }
 
+// Add increases (or, with negative v, decreases) the gauge.
+func (g *Gauge) Add(v float64) {
+	if g == nil {
+		return
+	}
+	g.val.add(v)
+}
+
 func TestGaugeAndGaugeFunc(t *testing.T) {
 	r := NewRegistry()
 	g := r.NewGauge("test_depth", "Depth.")

@@ -81,9 +81,6 @@ func NewClock(cycleTimeSecPerMflop float64) *Clock {
 	return &Clock{cycleTime: cycleTimeSecPerMflop}
 }
 
-// CycleTime reports the processor cycle-time in seconds per megaflop.
-func (c *Clock) CycleTime() float64 { return c.cycleTime }
-
 // Now reports the current virtual time in seconds.
 func (c *Clock) Now() float64 { return c.now }
 

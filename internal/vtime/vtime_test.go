@@ -19,6 +19,9 @@ func TestNewClockValidation(t *testing.T) {
 	}
 }
 
+// CycleTime reports the processor cycle-time in seconds per megaflop.
+func (c *Clock) CycleTime() float64 { return c.cycleTime }
+
 func TestNewClockFields(t *testing.T) {
 	c := NewClock(0.0131)
 	if got := c.CycleTime(); got != 0.0131 {
