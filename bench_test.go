@@ -655,14 +655,14 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	}
 }
 
-// --- Pipeline orchestration: fan-out DAGs through internal/flow -------
+// --- Pipeline orchestration: fan-out stars through internal/flow ------
 
 // BenchmarkPipelineFanout measures end-to-end pipeline latency through
 // the flow engine at several fan-out widths: one scene stage feeding W
 // sequential ATDCA analyze stages plus a synthesize stage, on the
 // reduced WTC timing scene. The scheduler's result cache is disabled so
 // every iteration pays the full analysis cost; what remains on top of
-// W times the sequential run is the orchestration overhead (DAG
+// W times the sequential run is the orchestration overhead (stage
 // settling, journalless bookkeeping, synthesis scoring).
 func BenchmarkPipelineFanout(b *testing.B) {
 	_, timing, _ := benchScenes(b)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,8 +93,7 @@ func FuzzSubmitJSON(f *testing.F) {
 // FuzzPipelineJSON drives the /pipelines decode-parse-validate path with
 // arbitrary bodies. The invariant: malformed input yields an error (the
 // handler's 400), never a panic; a pipeline that parses AND validates
-// has a well-formed DAG whose analyze stages sit within the server's
-// scene bounds. parsePipeline is pure — no scene is generated, no job is
+// is a star whose scene stage sits within the server's scene bounds. parsePipeline is pure — no scene is generated, no job is
 // submitted — so the fuzzer exercises the full admission path cheaply.
 func FuzzPipelineJSON(f *testing.F) {
 	seeds := []string{
@@ -141,20 +141,48 @@ func FuzzPipelineJSON(f *testing.F) {
 		if err != nil {
 			return // the handler 400s here
 		}
-		order, err := spec.Validate(32)
-		if err != nil {
+		if err := spec.Validate(); err != nil {
 			return // the engine rejects, the handler 400s
 		}
-		// A validated pipeline has a usable topological order …
-		if len(order) != len(spec.Stages) {
-			t.Fatalf("topo order covers %d of %d stages", len(order), len(spec.Stages))
+		// A validated pipeline is a star within the stage cap: one scene
+		// stage with no dependencies, analyses after exactly that scene, at
+		// most one synthesis after every analysis once …
+		if len(spec.Stages) > maxPipelineStages {
+			t.Fatalf("validated pipeline has %d stages, over the cap of %d", len(spec.Stages), maxPipelineStages)
 		}
-		seen := make(map[int]bool, len(order))
-		for _, i := range order {
-			if i < 0 || i >= len(spec.Stages) || seen[i] {
-				t.Fatalf("topo order %v is not a permutation", order)
+		var scene string
+		var analyses []string
+		var synths []hyperhet.StageSpec
+		for _, st := range spec.Stages {
+			switch st.Kind {
+			case hyperhet.StageScene:
+				if scene != "" || len(st.After) != 0 {
+					t.Fatalf("validated pipeline has a second or dependent scene stage %q", st.Name)
+				}
+				scene = st.Name
+			case hyperhet.StageAnalyze:
+				analyses = append(analyses, st.Name)
+			case hyperhet.StageSynthesize:
+				synths = append(synths, st)
+			default:
+				t.Fatalf("validated stage %q has kind %q", st.Name, st.Kind)
 			}
-			seen[i] = true
+		}
+		if scene == "" || len(synths) > 1 {
+			t.Fatalf("validated pipeline has scene %q and %d syntheses", scene, len(synths))
+		}
+		for _, st := range spec.Stages {
+			if st.Kind == hyperhet.StageAnalyze && !slices.Equal(st.After, []string{scene}) {
+				t.Fatalf("validated analysis %q runs after %v, not the scene %q", st.Name, st.After, scene)
+			}
+		}
+		slices.Sort(analyses)
+		for _, st := range synths {
+			after := slices.Clone(st.After)
+			slices.Sort(after)
+			if len(analyses) == 0 || !slices.Equal(after, analyses) {
+				t.Fatalf("validated synthesis %q runs after %v, not every analysis %v once", st.Name, st.After, analyses)
+			}
 		}
 		// … and every scene stage is within the server's bounds.
 		for _, st := range spec.Stages {

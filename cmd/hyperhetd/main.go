@@ -17,10 +17,11 @@
 //	GET  /jobs/{id}/trace  Chrome trace-event JSON of a traced run (submit
 //	                       with "trace": true); load in Perfetto
 //	POST /jobs/{id}/cancel abort a queued or running job
-//	POST /pipelines        submit a multi-stage analysis pipeline (a DAG
-//	                       of scene/analyze/synthesize stages); 202 with
-//	                       the initial status, 400 on an invalid DAG, 429
-//	                       at the active-pipeline cap, 503 while draining
+//	POST /pipelines        submit an analysis pipeline (one scene stage,
+//	                       its analyze stages, an optional synthesize
+//	                       stage); 202 with the initial status, 400 on
+//	                       any other shape, 429 at the active-pipeline
+//	                       cap, 503 while draining; both with Retry-After: 1
 //	GET  /pipelines        list pipelines; ?state= filters, ?limit= caps
 //	GET  /pipelines/{id}   pipeline status: per-stage states, cache hits,
 //	                       synthesis results when done
@@ -50,10 +51,11 @@
 //
 //	"faults": {"crashes": [{"rank": 2, "at": 0.5}], "max_attempts": 3}
 //
-// A pipeline composes those building blocks into one submission: scene
-// stages generate (or fetch) cubes, analyze stages fan algorithm runs
-// out over them through the scheduler (memoized in its result cache),
-// and synthesize stages score the reports against ground truth:
+// A pipeline composes those building blocks into one submission: the
+// scene stage generates (or fetches) a cube, analyze stages fan
+// algorithm runs out over it through the scheduler (memoized in its
+// result cache), and the synthesize stage scores every report against
+// the scene's ground truth:
 //
 //	curl -s localhost:8080/pipelines -d '{
 //	  "stages": [
@@ -420,8 +422,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		// Draining never un-drains: the Retry-After points clients at the
 		// window in which a replacement instance should be serving.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, errors.New("server draining"))
+		writeRetry(w, http.StatusServiceUnavailable, errors.New("server draining"))
 		return
 	}
 	// Read the raw document before decoding: the verbatim body is what the
@@ -467,12 +468,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job, err := s.sched.Submit(context.Background(), spec)
 	switch {
 	case errors.Is(err, hyperhet.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
+		writeRetry(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, hyperhet.ErrSchedulerClosed):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
+		writeRetry(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
@@ -858,4 +857,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// writeRetry refuses a request the client should send again in a second:
+// a full queue or pipeline cap (429), a draining or closed server (503).
+func writeRetry(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Retry-After", "1")
+	writeError(w, status, err)
 }

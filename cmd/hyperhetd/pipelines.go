@@ -13,7 +13,7 @@ import (
 	hyperhet "repro"
 )
 
-// pipelineRequest is the body of POST /pipelines: a named DAG of stages.
+// pipelineRequest is the body of POST /pipelines: a named star of stages.
 //
 //	{
 //	  "name": "table3+4",
@@ -30,9 +30,9 @@ type pipelineRequest struct {
 	Stages []pipelineStageRequest `json:"stages"`
 }
 
-// pipelineStageRequest is one stage. Scene stages carry "scene"; analyze
-// stages carry "job" — a full submit document minus the scene, which
-// flows in from the upstream stage; synthesize stages carry only edges.
+// pipelineStageRequest is one stage. The scene stage carries "scene";
+// analyze stages carry "job" — a full submit document minus the scene,
+// which comes from the scene stage; the synthesize stage carries only edges.
 type pipelineStageRequest struct {
 	Name  string         `json:"name"`
 	Kind  string         `json:"kind"`
@@ -41,12 +41,18 @@ type pipelineStageRequest struct {
 	Job   *submitRequest `json:"job"`
 }
 
+// maxPipelineStages bounds one request's stage count.
+const maxPipelineStages = 32
+
 // parsePipeline resolves a pipeline request into a flow PipelineSpec. It
 // is pure — analyze stages reuse parseSubmit, scene stages reuse
 // parseScene, nothing is allocated or generated — so the fuzzer drives
-// it directly; DAG-shape defects are left to PipelineSpec.Validate.
+// it directly; shape defects are left to PipelineSpec.Validate.
 func parsePipeline(req *pipelineRequest) (hyperhet.PipelineSpec, error) {
 	spec := hyperhet.PipelineSpec{Name: req.Name}
+	if n := len(req.Stages); n > maxPipelineStages {
+		return spec, fmt.Errorf("%w: %d stages exceeds the limit of %d", hyperhet.ErrInvalidPipeline, n, maxPipelineStages)
+	}
 	for i := range req.Stages {
 		sr := &req.Stages[i]
 		st := hyperhet.StageSpec{
@@ -94,7 +100,7 @@ func parsePipeline(req *pipelineRequest) (hyperhet.PipelineSpec, error) {
 
 func (s *server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server draining"))
+		writeRetry(w, http.StatusServiceUnavailable, errors.New("server draining"))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -127,10 +133,10 @@ func (s *server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	case errors.Is(err, hyperhet.ErrTooManyPipelines):
-		writeError(w, http.StatusTooManyRequests, err)
+		writeRetry(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, hyperhet.ErrFlowEngineClosed), errors.Is(err, hyperhet.ErrSchedulerClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
+		writeRetry(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)

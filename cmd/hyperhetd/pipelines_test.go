@@ -148,18 +148,18 @@ func TestPipelineRejectsBadRequests(t *testing.T) {
 		{"no stages", `{"stages": []}`, "no stages"},
 		{"self loop", `{"stages": [
 			{"name": "a", "kind": "analyze", "after": ["a"],
-			 "job": {"algorithm": "atdca", "mode": "sequential"}}]}`, "depends on itself"},
+			 "job": {"algorithm": "atdca", "mode": "sequential"}}]}`, "not a star: no scene stage"},
 		{"cycle", `{"stages": [
 			{"name": "s", "kind": "scene"},
 			{"name": "a", "kind": "analyze", "after": ["s"], "job": {"algorithm": "atdca", "mode": "sequential"}},
 			{"name": "x", "kind": "synthesize", "after": ["a", "y"]},
-			{"name": "y", "kind": "synthesize", "after": ["a", "x"]}]}`, "cycle"},
+			{"name": "y", "kind": "synthesize", "after": ["a", "x"]}]}`, "not a star: second synthesize stage"},
 		{"duplicate stage", `{"stages": [
 			{"name": "s", "kind": "scene"},
 			{"name": "s", "kind": "scene"}]}`, "duplicate stage name"},
 		{"type mismatch", `{"stages": [
 			{"name": "s", "kind": "scene"},
-			{"name": "z", "kind": "synthesize", "after": ["s"]}]}`, "not a run report"},
+			{"name": "z", "kind": "synthesize", "after": ["s"]}]}`, "analyze stages only"},
 		{"unknown kind", `{"stages": [{"name": "w", "kind": "mystery"}]}`, "unknown kind"},
 		{"analyze without job", `{"stages": [
 			{"name": "s", "kind": "scene"},
@@ -175,6 +175,24 @@ func TestPipelineRejectsBadRequests(t *testing.T) {
 			{"name": "s", "kind": "scene", "scene": {"lines": 65536, "samples": 65536, "bands": 65536}}]}`, "voxels"},
 		{"undersized scene", `{"stages": [
 			{"name": "s", "kind": "scene", "scene": {"lines": 16, "samples": 8, "bands": 8}}]}`, "too small"},
+		{"too many stages", manyStages(33), "33 stages exceeds the limit of 32"},
+		// Shapes outside the star.
+		{"two scenes", `{"stages": [
+			{"name": "s", "kind": "scene"},
+			{"name": "a", "kind": "analyze", "after": ["s"], "job": {"algorithm": "atdca", "mode": "sequential"}},
+			{"name": "s2", "kind": "scene", "scene": {"seed": 2}},
+			{"name": "b", "kind": "analyze", "after": ["s2"], "job": {"algorithm": "atdca", "mode": "sequential"}}]}`,
+			"not a star: second scene stage"},
+		{"synthesis of a subset", `{"stages": [
+			{"name": "s", "kind": "scene"},
+			{"name": "a", "kind": "analyze", "after": ["s"], "job": {"algorithm": "atdca", "mode": "sequential"}},
+			{"name": "b", "kind": "analyze", "after": ["s"], "job": {"algorithm": "ufcls", "mode": "sequential"}},
+			{"name": "z", "kind": "synthesize", "after": ["b"]}]}`, "(1 of 2 listed)"},
+		{"two syntheses", `{"stages": [
+			{"name": "s", "kind": "scene"},
+			{"name": "a", "kind": "analyze", "after": ["s"], "job": {"algorithm": "atdca", "mode": "sequential"}},
+			{"name": "y", "kind": "synthesize", "after": ["a"]},
+			{"name": "z", "kind": "synthesize", "after": ["a"]}]}`, "not a star: second synthesize stage"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,6 +205,63 @@ func TestPipelineRejectsBadRequests(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", msg, tc.wantSub)
 			}
 		})
+	}
+}
+
+// manyStages is a star of one scene and n-1 analyses.
+func manyStages(n int) string {
+	var b strings.Builder
+	b.WriteString(`{"stages": [{"name": "s", "kind": "scene"}`)
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, `, {"name": "a%d", "kind": "analyze", "after": ["s"], "job": {"algorithm": "atdca", "mode": "sequential"}}`, i)
+	}
+	b.WriteString(`]}`)
+	return b.String()
+}
+
+// Every pipeline refusal a client should retry carries Retry-After: 1,
+// as /submit's do — the active-pipeline cap's 429, the closed engine's
+// 503 and the drain's 503.
+func TestPipelineRefusalsCarryRetryAfter(t *testing.T) {
+	srv, err := newServer(hyperhet.SchedulerConfig{Workers: 1, QueueDepth: 4, OnJobRunning: holdBlockers}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An engine that admits one active pipeline at a time.
+	srv.flow.Close()
+	if srv.flow, err = hyperhet.NewFlowEngine(hyperhet.FlowConfig{Scheduler: srv.sched, Scenes: srv.scenes.provide, MaxActive: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.routes())
+	defer func() {
+		ts.Close()
+		srv.close()
+	}()
+	held := `{"stages": [
+		{"name": "s", "kind": "scene", "scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3}},
+		{"name": "a", "kind": "analyze", "after": ["s"],
+		 "job": {"algorithm": "atdca", "network": "fully-het", "targets": 4, "label": "blocker", "no_cache": true}}]}`
+
+	if resp, doc := postJSON(t, ts.URL+"/pipelines", held); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first pipeline = %d %v, want 202", resp.StatusCode, doc)
+	}
+	for _, step := range []struct {
+		name   string
+		before func()
+		status int
+	}{
+		{"active-pipeline cap", func() {}, http.StatusTooManyRequests},
+		{"engine closed", srv.flow.Close, http.StatusServiceUnavailable},
+		{"draining", func() { srv.draining.Store(true) }, http.StatusServiceUnavailable},
+	} {
+		step.before()
+		resp, doc := postJSON(t, ts.URL+"/pipelines", held)
+		if resp.StatusCode != step.status {
+			t.Fatalf("%s: status = %d %v, want %d", step.name, resp.StatusCode, doc, step.status)
+		}
+		if secs := retryAfterSeconds(t, resp); secs != 1 {
+			t.Fatalf("%s: Retry-After = %d, want 1", step.name, secs)
+		}
 	}
 }
 

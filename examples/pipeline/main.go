@@ -45,7 +45,8 @@ func main() {
 	printStatus("second submission", second)
 }
 
-// tableSpec is the Table 3+4 fan-out DAG.
+// tableSpec is the Table 3+4 star: one scene, four analyses, one
+// synthesis.
 func tableSpec() hyperhet.PipelineSpec {
 	analyze := func(alg hyperhet.Algorithm) hyperhet.StageSpec {
 		params := hyperhet.DefaultParams()

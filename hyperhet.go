@@ -516,11 +516,12 @@ func RenderTable8(r *ThunderheadResult) string { return report.Table8(r) }
 // RenderFigure2 prints the Thunderhead speedup series and an ASCII plot.
 func RenderFigure2(r *ThunderheadResult) string { return report.Figure2(r) }
 
-// Pipelines: multi-stage analysis workflows over the scheduler. A
-// pipeline is a DAG of named stages — scene generations, algorithm runs,
-// accuracy syntheses — executed concurrently wherever dependencies
-// allow, with per-stage memoization through the scheduler's result cache
-// and, when paired with a journal, durable resume across restarts.
+// Pipelines: analysis workflows over the scheduler. A pipeline is a star
+// of named stages — one scene generation, the algorithm runs on that
+// scene (executed concurrently), and an optional accuracy synthesis over
+// all of them — with per-stage memoization through the scheduler's
+// result cache and, when paired with a journal, durable resume across
+// restarts.
 type (
 	// FlowEngine orchestrates pipelines over a Scheduler.
 	FlowEngine = flow.Engine
@@ -533,8 +534,8 @@ type (
 	PipelineSpec = flow.PipelineSpec
 	// StageSpec describes one pipeline stage.
 	StageSpec = flow.StageSpec
-	// StageKind is the type of work a stage performs (and the DAG's edge
-	// type system).
+	// StageKind is the type of work a stage performs; the kinds fix a
+	// pipeline's star shape.
 	StageKind = flow.StageKind
 	// FlowPipeline is one submitted pipeline.
 	FlowPipeline = flow.Pipeline
@@ -600,7 +601,7 @@ func RunPipeline(ctx context.Context, spec PipelineSpec) (PipelineStatus, error)
 	}
 	s := sched.New(sched.Config{Workers: workers, QueueDepth: 2 * len(spec.Stages)})
 	defer s.Close()
-	e, err := flow.New(flow.Config{Scheduler: s, MaxStages: len(spec.Stages)})
+	e, err := flow.New(flow.Config{Scheduler: s})
 	if err != nil {
 		return PipelineStatus{}, err
 	}

@@ -52,8 +52,8 @@ const (
 	StageRunning   StageState = "running"
 	StageCompleted StageState = "completed"
 	// StageFailed marks a stage whose own execution failed (or was
-	// cancelled); StageSkipped marks a stage never run because an
-	// upstream dependency failed.
+	// cancelled); StageSkipped marks a stage never run because a stage
+	// it consumes did not complete.
 	StageFailed  StageState = "failed"
 	StageSkipped StageState = "skipped"
 )
@@ -89,8 +89,6 @@ type Config struct {
 	// latency by kind, cache hits/misses, stage outcomes, running-stage
 	// and active-pipeline gauges.
 	Registry *telemetry.Registry
-	// MaxStages bounds one pipeline's stage count (default 32).
-	MaxStages int
 	// MaxActive bounds concurrently active pipelines; admission beyond it
 	// fails with ErrTooManyPipelines (default 64).
 	MaxActive int
@@ -110,9 +108,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.Scenes == nil {
 		cfg.Scenes = defaultScenes
-	}
-	if cfg.MaxStages <= 0 {
-		cfg.MaxStages = 32
 	}
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = 64
@@ -135,11 +130,12 @@ type Engine struct {
 	// them instead of abandoning them.
 	draining atomic.Bool
 
+	running atomic.Int64 // stages currently executing, across pipelines
+
 	mu        sync.Mutex
 	closed    bool
 	pipelines *sched.Ledger[*Pipeline]
 	active    int
-	running   int // stages currently executing, across pipelines
 }
 
 // New creates an engine. The configuration must name a scheduler.
@@ -172,13 +168,23 @@ type Pipeline struct {
 	err        error
 	finishedAt time.Time
 	stages     []*stage
-	byName     map[string]*stage
 	restored   *PipelineStatus // non-nil for journal-restored history
+
+	// The star, fixed at admission: the scene stage, the analyze stages
+	// in spec order and the synthesize stage (empty if the spec has none).
+	scene    *stage
+	analyses []*stage
+	synth    []*stage
+
+	// sceneMu guards the materialized scene, which a settled pipeline
+	// lets go of (sc nil again), and serializes its materialization.
+	sceneMu sync.Mutex
+	sc      *scene.Scene
+	digest  string
 }
 
-// stage is the runtime state of one StageSpec. Mutable fields are
-// guarded by the owning pipeline's mutex; out has its own lock for the
-// lazy scene materialization shared across consumer goroutines.
+// stage is the runtime state of one StageSpec, guarded by the owning
+// pipeline's mutex.
 type stage struct {
 	spec      StageSpec
 	state     StageState
@@ -188,34 +194,26 @@ type stage struct {
 	err       error
 	started   time.Time
 	finished  time.Time
-	out       stageOutput
+	report    *core.RunReport // an analyze stage's output
+	synthesis *Synthesis      // the synthesize stage's output
 }
 
-// stageOutput is what a completed stage hands its dependents.
-type stageOutput struct {
-	mu     sync.Mutex
-	sc     *scene.Scene // nil again once the pipeline settles
-	digest string
-	report *core.RunReport
-	synth  *Synthesis
-}
-
-// materializeScene returns the stage's scene, generating it through the
-// provider on first use. A journal-restored scene stage starts with no
-// materialized scene; the first dependent that needs the cube (or ground
-// truth) fills it in here, so restored pipelines only regenerate scenes
-// their remaining stages actually consume.
-func (o *stageOutput) materializeScene(p SceneProvider, cfg scene.Config) (*scene.Scene, string, bool, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.sc != nil {
-		return o.sc, o.digest, true, nil
+// materializeScene returns the pipeline's scene, its digest and whether
+// the provider served it from a cache, calling the provider on first use
+// only. A journal-restored scene stage starts with no cube; the first
+// stage still to run that needs it materializes it here, so a restored
+// pipeline regenerates its scene only if a remaining stage consumes it.
+func (p *Pipeline) materializeScene() (*scene.Scene, string, bool, error) {
+	p.sceneMu.Lock()
+	defer p.sceneMu.Unlock()
+	if p.sc != nil {
+		return p.sc, p.digest, true, nil
 	}
-	sc, digest, cached, err := p(cfg)
+	sc, digest, cached, err := p.eng.cfg.Scenes(p.scene.spec.Scene)
 	if err != nil {
-		return nil, "", false, err
+		return nil, "", false, fmt.Errorf("materializing scene %s: %w", p.scene.spec.Name, err)
 	}
-	o.sc, o.digest = sc, digest
+	p.sc, p.digest = sc, digest
 	return sc, digest, cached, nil
 }
 
@@ -311,12 +309,6 @@ func (p *Pipeline) statusLocked() PipelineStatus {
 		st.Error = p.err.Error()
 	}
 	for _, s := range p.stages {
-		// Stage outputs are guarded by their own lock: runStage fills
-		// them outside p.mu so a slow materialization never blocks
-		// status queries.
-		s.out.mu.Lock()
-		report, synth := s.out.report, s.out.synth
-		s.out.mu.Unlock()
 		ss := StageStatus{
 			Name:      s.spec.Name,
 			Kind:      s.spec.Kind,
@@ -327,13 +319,13 @@ func (p *Pipeline) statusLocked() PipelineStatus {
 			Resumed:   s.resumed,
 			Started:   s.started,
 			Finished:  s.finished,
-			Synthesis: synth,
+			Synthesis: s.synthesis,
 		}
 		if s.err != nil {
 			ss.Error = s.err.Error()
 		}
-		if report != nil {
-			ss.VirtualSeconds = report.WallTime
+		if s.report != nil {
+			ss.VirtualSeconds = s.report.WallTime
 		}
 		if s.state == StageCompleted {
 			st.StagesCompleted++
@@ -434,8 +426,7 @@ func (e *Engine) RestoreFinished(jp *sched.JournalPipeline) (*Pipeline, error) {
 // submit admits a pipeline; a non-nil resume marks a journal resume (keep
 // the original ID, submit time and story, restore seeded stages).
 func (e *Engine) submit(ctx context.Context, spec PipelineSpec, resume *sched.JournalPipeline) (*Pipeline, error) {
-	order, err := spec.Validate(e.cfg.MaxStages)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
@@ -460,7 +451,7 @@ func (e *Engine) submit(ctx context.Context, spec PipelineSpec, resume *sched.Jo
 		e.mu.Unlock()
 		return nil, ErrTooManyPipelines
 	}
-	id, err = e.pipelines.Reserve(id)
+	id, err := e.pipelines.Reserve(id)
 	if err != nil {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("flow: pipeline %w", err)
@@ -476,12 +467,18 @@ func (e *Engine) submit(ctx context.Context, spec PipelineSpec, resume *sched.Jo
 		resumed:     resumed,
 		state:       PipelineRunning,
 		submittedAt: submitted,
-		byName:      make(map[string]*stage, len(spec.Stages)),
 	}
 	for i := range spec.Stages {
 		st := &stage{spec: spec.Stages[i], state: StagePending}
 		p.stages = append(p.stages, st)
-		p.byName[st.spec.Name] = st
+		switch st.spec.Kind {
+		case KindScene:
+			p.scene = st
+		case KindAnalyze:
+			p.analyses = append(p.analyses, st)
+		case KindSynthesize:
+			p.synth = append(p.synth, st)
+		}
 	}
 	p.restoreSeeds(seeds)
 	e.pipelines.Add(id, submitted, p)
@@ -493,16 +490,17 @@ func (e *Engine) submit(ctx context.Context, spec PipelineSpec, resume *sched.Jo
 	if !resumed {
 		e.cfg.Scheduler.JournalAppend(sched.Record{Type: sched.RecPipelineSubmitted, Pipeline: id, Request: spec.JournalPayload})
 	}
-	go e.run(p, order)
+	go e.run(p)
 	return p, nil
 }
 
 // restoreSeeds marks journal-recorded completed stages as done before the
 // run loop starts. A seed that does not parse, or that disagrees with the
-// stage's kind, is ignored: the stage simply re-runs.
+// stage's kind, is ignored: the stage simply re-runs. A restored scene
+// stage brings back no cube: it rematerializes lazily if needed.
 func (p *Pipeline) restoreSeeds(seeds map[string]json.RawMessage) {
-	for name, raw := range seeds {
-		st, ok := p.byName[name]
+	for _, st := range p.stages {
+		raw, ok := seeds[st.spec.Name]
 		if !ok {
 			continue
 		}
@@ -515,15 +513,12 @@ func (p *Pipeline) restoreSeeds(seeds map[string]json.RawMessage) {
 			if rec.Report == nil {
 				continue
 			}
-			st.out.report = rec.Report
+			st.report = rec.Report
 		case KindSynthesize:
 			if rec.Synthesis == nil {
 				continue
 			}
-			st.out.synth = rec.Synthesis
-		case KindScene:
-			// Digest only: the cube rematerializes lazily if needed.
-			st.out.digest = rec.Digest
+			st.synthesis = rec.Synthesis
 		}
 		st.state = StageCompleted
 		st.resumed = true
@@ -589,123 +584,66 @@ func (e *Engine) stageDone(p *Pipeline, stage string, state StageState) {
 	}
 }
 
-// run executes one pipeline: launch every ready stage concurrently, and
-// as stages settle, unblock dependents (or skip them when an upstream
-// stage failed). Independent branches keep running after a failure — a
-// fan-out pipeline reports every branch's outcome, not just the first
-// error's.
-func (e *Engine) run(p *Pipeline, order []int) {
+// run executes the star in three steps: the scene, then every analysis
+// concurrently, then the synthesis. A step whose predecessor left a stage
+// uncompleted is skipped whole, so a failed scene costs no analysis and
+// no synthesis. Sibling analyses keep running after one fails — a
+// fan-out reports every branch's outcome, not just the first error's.
+func (e *Engine) run(p *Pipeline) {
 	defer e.wg.Done()
-
-	n := len(p.stages)
-	indeg := make(map[*stage]int, n)
-	dependents := make(map[*stage][]*stage, n)
-	for _, st := range p.stages {
-		indeg[st] += 0
-		for _, dep := range st.spec.After {
-			d := p.byName[dep]
-			dependents[d] = append(dependents[d], st)
-			indeg[st]++
-		}
+	var blocked *stage
+	for _, step := range [][]*stage{{p.scene}, p.analyses, p.synth} {
+		blocked = e.runStep(p, step, blocked)
 	}
+	e.settle(p)
+}
 
+// runStep settles one step's stages and returns the stage that blocks
+// the next step: blocked itself if it was already set, else the first of
+// these stages, in spec order, that did not complete (nil if all did).
+// Journal-restored stages settle without running. With blocked set, the
+// others are skipped; otherwise they run concurrently and are settled as
+// they finish.
+func (e *Engine) runStep(p *Pipeline, step []*stage, blocked *stage) *stage {
 	type doneMsg struct {
 		st  *stage
 		err error
 	}
-	results := make(chan doneMsg, n)
-	settled := 0
+	results := make(chan doneMsg, len(step))
 	inFlight := 0
-	settledSet := make(map[*stage]bool, n)
-
-	// resolve folds one finished stage into the graph state: decrement
-	// dependents on success, transitively skip them on failure. The set
-	// guard makes resolving idempotent — the initial ready-scan may
-	// revisit a resumed stage the recursive cascade already folded in.
-	var resolve func(st *stage, err error)
-	var maybeStart func(st *stage)
-	resolve = func(st *stage, err error) {
-		if settledSet[st] {
-			return
-		}
-		settledSet[st] = true
-		settled++
-		if err != nil {
-			p.mu.Lock()
-			if p.err == nil {
-				p.err = fmt.Errorf("flow: stage %s: %w", st.spec.Name, err)
-			}
-			p.mu.Unlock()
-			for _, d := range dependents[st] {
-				if d.state == StagePending {
-					p.mu.Lock()
-					d.state = StageSkipped
-					d.err = fmt.Errorf("flow: upstream stage %s failed", st.spec.Name)
-					p.mu.Unlock()
-					e.tel.outcomes.With("skipped").Inc()
-					e.stageDone(p, d.spec.Name, StageSkipped)
-					resolve(d, nil) // the skip itself is not a new failure
-				}
-			}
-			return
-		}
-		for _, d := range dependents[st] {
-			if indeg[d]--; indeg[d] == 0 {
-				maybeStart(d)
-			}
-		}
-	}
-	maybeStart = func(st *stage) {
-		if st.state == StageCompleted && st.resumed {
-			// Journal-restored: settled without running.
+	for _, st := range step {
+		switch {
+		case st.resumed:
 			e.tel.outcomes.With("resumed").Inc()
-			resolve(st, nil)
-			return
-		}
-		if st.state != StagePending {
-			return
-		}
-		p.mu.Lock()
-		st.state = StageRunning
-		st.started = time.Now()
-		p.mu.Unlock()
-		e.mu.Lock()
-		e.running++
-		e.mu.Unlock()
-		inFlight++
-		go func() {
-			err := p.runStage(st)
-			results <- doneMsg{st, err}
-		}()
-	}
-
-	for _, i := range order {
-		if st := p.stages[i]; indeg[st] == 0 {
-			maybeStart(st)
-		}
-	}
-	for settled < n {
-		if inFlight == 0 {
-			// Defensive: nothing running and nothing settled everything —
-			// Validate guarantees this cannot happen on an admitted DAG.
+		case blocked != nil:
 			p.mu.Lock()
-			if p.err == nil {
-				p.err = errors.New("flow: pipeline wedged (stage graph bug)")
-			}
+			st.state = StageSkipped
+			st.err = fmt.Errorf("flow: upstream stage %s failed", blocked.spec.Name)
 			p.mu.Unlock()
-			break
+			e.tel.outcomes.With("skipped").Inc()
+			e.stageDone(p, st.spec.Name, StageSkipped)
+		default:
+			p.mu.Lock()
+			st.state = StageRunning
+			st.started = time.Now()
+			p.mu.Unlock()
+			e.running.Add(1)
+			inFlight++
+			go func() { results <- doneMsg{st, p.runStage(st)} }()
 		}
+	}
+	for ; inFlight > 0; inFlight-- {
 		msg := <-results
-		inFlight--
-		e.mu.Lock()
-		e.running--
-		e.mu.Unlock()
+		e.running.Add(-1)
 
 		p.mu.Lock()
 		msg.st.finished = time.Now()
 		if msg.err != nil {
 			msg.st.state = StageFailed
 			msg.st.err = msg.err
+			if p.err == nil {
+				p.err = fmt.Errorf("flow: stage %s: %w", msg.st.spec.Name, msg.err)
+			}
 		} else {
 			msg.st.state = StageCompleted
 		}
@@ -723,10 +661,13 @@ func (e *Engine) run(p *Pipeline, order []int) {
 			e.journalStage(p, msg.st)
 			e.stageDone(p, msg.st.spec.Name, StageCompleted)
 		}
-		resolve(msg.st, msg.err)
 	}
-
-	e.settle(p)
+	for _, st := range step {
+		if blocked == nil && st.state != StageCompleted {
+			blocked = st
+		}
+	}
+	return blocked
 }
 
 // journalStage appends the completed stage's record so a resumed
@@ -739,10 +680,12 @@ func (e *Engine) journalStage(p *Pipeline, st *stage) {
 		Kind:      st.spec.Kind,
 		JobID:     st.jobID,
 		FromCache: st.fromCache,
-		Digest:    st.out.digest,
-		Synthesis: st.out.synth,
+		Synthesis: st.synthesis,
 	}
-	if rep := st.out.report; rep != nil {
+	if st == p.scene {
+		rec.Digest = p.digest
+	}
+	if rep := st.report; rep != nil {
 		// Strip trace events, as the job journal does: replay needs the
 		// result, not the flame graph.
 		r := *rep
@@ -769,9 +712,9 @@ func (e *Engine) journalStage(p *Pipeline, st *stage) {
 // caught up. (Pipelines have no latency histogram; their stage jobs
 // report latency through the scheduler.) During a drain a
 // pipeline that did not complete gets no terminal record: its story
-// stays open for the next boot to resume. Before the state turns, every
-// stage lets go of its scene: a retained pipeline costs its digests,
-// reports and synthesis, not its cubes.
+// stays open for the next boot to resume. Before the state turns, the
+// pipeline lets go of its scene: a retained pipeline costs its reports
+// and synthesis, not its cube.
 func (e *Engine) settle(p *Pipeline) {
 	finishedAt := time.Now()
 	p.mu.Lock()
@@ -805,11 +748,9 @@ func (e *Engine) settle(p *Pipeline) {
 		}
 	}
 
-	for _, st := range p.stages {
-		st.out.mu.Lock()
-		st.out.sc = nil
-		st.out.mu.Unlock()
-	}
+	p.sceneMu.Lock()
+	p.sc = nil
+	p.sceneMu.Unlock()
 	p.mu.Lock()
 	p.state = state
 	p.finishedAt = finishedAt
@@ -826,7 +767,7 @@ func (p *Pipeline) runStage(st *stage) error {
 	}
 	switch st.spec.Kind {
 	case KindScene:
-		_, _, cached, err := st.out.materializeScene(e.cfg.Scenes, st.spec.Scene)
+		_, _, cached, err := p.materializeScene()
 		if err != nil {
 			return err
 		}
@@ -837,16 +778,15 @@ func (p *Pipeline) runStage(st *stage) error {
 		return nil
 
 	case KindAnalyze:
-		dep := p.byName[st.spec.After[0]]
-		sc, digest, _, err := dep.out.materializeScene(e.cfg.Scenes, dep.spec.Scene)
+		sc, digest, _, err := p.materializeScene()
 		if err != nil {
-			return fmt.Errorf("materializing scene %s: %w", dep.spec.Name, err)
+			return err
 		}
 		spec := st.spec.Job
 		spec.Cube = sc.Cube
 		spec.CubeDigest = digest
 		if st.spec.Scaled {
-			spec.Params = experiments.ScaledParams(spec.Params, dep.spec.Scene)
+			spec.Params = experiments.ScaledParams(spec.Params, p.scene.spec.Scene)
 		}
 		// Stage durability is owned by the pipeline's journal records; a
 		// journaled stage job would be resumed twice after a restart.
@@ -864,42 +804,29 @@ func (p *Pipeline) runStage(st *stage) error {
 		}
 		p.mu.Lock()
 		st.fromCache = job.FromCache()
+		st.report = job.Report()
 		p.mu.Unlock()
-		st.out.mu.Lock()
-		st.out.report = job.Report()
-		st.out.mu.Unlock()
 		e.tel.cache.With(boolOutcome(job.FromCache())).Inc()
 		return nil
 
 	case KindSynthesize:
-		inputs := make([]synthInput, 0, len(st.spec.After))
-		for _, depName := range st.spec.After {
-			dep := p.byName[depName]
-			sceneStage := p.byName[dep.spec.After[0]]
-			sc, _, _, err := sceneStage.out.materializeScene(e.cfg.Scenes, sceneStage.spec.Scene)
-			if err != nil {
-				return fmt.Errorf("materializing scene %s: %w", sceneStage.spec.Name, err)
-			}
-			p.mu.Lock()
-			fromCache := dep.fromCache
-			p.mu.Unlock()
-			dep.out.mu.Lock()
-			rep := dep.out.report
-			dep.out.mu.Unlock()
-			inputs = append(inputs, synthInput{
-				name:      depName,
-				report:    rep,
-				sc:        sc,
-				fromCache: fromCache,
-			})
-		}
-		syn, err := synthesize(inputs)
+		sc, _, _, err := p.materializeScene()
 		if err != nil {
 			return err
 		}
-		st.out.mu.Lock()
-		st.out.synth = syn
-		st.out.mu.Unlock()
+		// Every analysis settled before this step started, so their
+		// fields no longer change.
+		inputs := make([]synthInput, 0, len(p.analyses))
+		for _, an := range p.analyses {
+			inputs = append(inputs, synthInput{name: an.spec.Name, report: an.report, fromCache: an.fromCache})
+		}
+		syn, err := synthesize(sc, inputs)
+		if err != nil {
+			return err
+		}
+		p.mu.Lock()
+		st.synthesis = syn
+		p.mu.Unlock()
 		return nil
 	}
 	return fmt.Errorf("flow: unknown stage kind %q", st.spec.Kind)

@@ -3,7 +3,10 @@ package flow
 import (
 	"context"
 	"errors"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/scene"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 )
 
 // stageEvents records OnStageDone notifications.
@@ -213,4 +217,64 @@ func TestQueueFullBackoffCancelled(t *testing.T) {
 	if err := p.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pipeline error: %v, want a context cancellation", err)
 	}
+}
+
+// TestSceneFailureSkipsEveryStage fails the scene of a fan-out pipeline:
+// the provider is asked once, the scene stage fails, and every analysis
+// and the synthesis are skipped without running (and reported skipped to
+// OnStageDone). A pipeline cancelled before it starts ends with the same
+// stage states, its scene stage failing with the cancellation.
+func TestSceneFailureSkipsEveryStage(t *testing.T) {
+	var calls atomic.Int64
+	reg := telemetry.NewRegistry()
+	events := newStageEvents()
+	e, _ := newTestEngine(t, Config{
+		Registry:    reg,
+		OnStageDone: events.hook,
+		Scenes: func(scene.Config) (*scene.Scene, string, bool, error) {
+			calls.Add(1)
+			return nil, "", false, errors.New("disk gone")
+		},
+	})
+	check := func(ctx context.Context, want PipelineState, failed, skipped int) {
+		t.Helper()
+		p, err := e.Submit(ctx, fanoutSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitPipeline(t, p)
+		if st.State != want {
+			t.Fatalf("pipeline state = %s (err %q), want %s", st.State, st.Error, want)
+		}
+		for _, ss := range st.Stages {
+			wantStage := StageSkipped
+			if ss.Kind == KindScene {
+				wantStage = StageFailed
+			}
+			if ss.State != wantStage {
+				t.Errorf("stage %s = %s (err %q), want %s", ss.Name, ss.State, ss.Error, wantStage)
+			}
+			if got, ok := events.get(ss.Name); !ok || got != wantStage {
+				t.Errorf("OnStageDone for %s: (%s, %v), want (%s, true)", ss.Name, got, ok, wantStage)
+			}
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("scene provider called %d times, want 1", n)
+		}
+		var buf strings.Builder
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for outcome, n := range map[string]int{"failed": failed, "skipped": skipped} {
+			line := `hyperhet_flow_stage_outcomes_total{outcome="` + outcome + `"} ` + strconv.Itoa(n)
+			if !strings.Contains(buf.String(), line+"\n") {
+				t.Errorf("metrics missing %q:\n%s", line, grepLines(buf.String(), "stage_outcomes"))
+			}
+		}
+	}
+	check(context.Background(), PipelineFailed, 1, 5)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	check(ctx, PipelineCancelled, 2, 10)
 }

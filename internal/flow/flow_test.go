@@ -116,7 +116,7 @@ func TestValidateRejects(t *testing.T) {
 		}}, "duplicate stage name"},
 		{"self loop", PipelineSpec{Stages: []StageSpec{
 			sceneStage, an("a", "a"),
-		}}, "depends on itself"},
+		}}, "must run after exactly the scene stage"},
 		{"unknown ref", PipelineSpec{Stages: []StageSpec{
 			sceneStage, an("a", "ghost"),
 		}}, "unknown stage"},
@@ -128,38 +128,51 @@ func TestValidateRejects(t *testing.T) {
 			sceneStage,
 			{Name: "a", Kind: KindAnalyze, After: []string{"b"}},
 			{Name: "b", Kind: KindAnalyze, After: []string{"a"}},
-		}}, "cycle"},
+		}}, "must run after exactly the scene stage"},
 		{"scene with deps", PipelineSpec{Stages: []StageSpec{
 			sceneStage, an("a", "s"),
 			{Name: "s2", Kind: KindScene, After: []string{"a"}},
-		}}, "cannot depend"},
+		}}, "second scene stage"},
 		{"analyze without scene", PipelineSpec{Stages: []StageSpec{
 			sceneStage, an("a", "s"), an("b", "a"),
-		}}, "not a scene"},
+		}}, "must run after exactly the scene stage"},
 		{"analyze with two deps", PipelineSpec{Stages: []StageSpec{
 			sceneStage, {Name: "s2", Kind: KindScene}, an("a", "s", "s2"),
-		}}, "exactly one"},
+		}}, "second scene stage"},
 		{"synthesize of scene", PipelineSpec{Stages: []StageSpec{
 			sceneStage,
 			{Name: "z", Kind: KindSynthesize, After: []string{"s"}},
-		}}, "not a run report"},
+		}}, "analyze stages only"},
 		{"synthesize without deps", PipelineSpec{Stages: []StageSpec{
 			sceneStage, {Name: "z", Kind: KindSynthesize},
 		}}, "at least one"},
 		{"unknown kind", PipelineSpec{Stages: []StageSpec{
 			{Name: "w", Kind: StageKind("mystery")},
 		}}, "unknown kind"},
-		{"too many stages", PipelineSpec{Stages: []StageSpec{
+		// Shapes outside the star, and the star rules no case above reaches.
+		{"two scenes", PipelineSpec{Stages: []StageSpec{
+			sceneStage, an("a", "s"),
+			{Name: "s2", Kind: KindScene, Scene: testSceneCfg}, an("b", "s2"),
+		}}, "not a star: second scene stage"},
+		{"synthesis of a subset", PipelineSpec{Stages: []StageSpec{
 			sceneStage, an("a", "s"), an("b", "s"),
-		}}, "exceeds the limit"},
+			{Name: "z", Kind: KindSynthesize, After: []string{"a"}},
+		}}, "not a star: synthesize stage \"z\" must run after every analyze stage (1 of 2 listed)"},
+		{"two syntheses", PipelineSpec{Stages: []StageSpec{
+			sceneStage, an("a", "s"),
+			{Name: "z", Kind: KindSynthesize, After: []string{"a"}},
+			{Name: "y", Kind: KindSynthesize, After: []string{"a"}},
+		}}, "not a star: second synthesize stage"},
+		{"no scene", PipelineSpec{Stages: []StageSpec{
+			{Name: "z", Kind: KindSynthesize},
+		}}, "not a star: no scene stage"},
+		{"scene after its analysis", PipelineSpec{Stages: []StageSpec{
+			{Name: "s", Kind: KindScene, After: []string{"a"}}, an("a", "s"),
+		}}, "not a star: scene stage \"s\" cannot depend"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			max := 32
-			if tc.name == "too many stages" {
-				max = 2
-			}
-			_, err := tc.spec.Validate(max)
+			err := tc.spec.Validate()
 			if !errors.Is(err, ErrInvalidPipeline) {
 				t.Fatalf("err = %v, want ErrInvalidPipeline", err)
 			}
@@ -170,28 +183,34 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestValidateDiamond(t *testing.T) {
-	// Diamond: scene -> {a, b} -> z. Kahn must order the scene first and
-	// the synthesis last regardless of edge listing order.
+// A star listed out of order — synthesis first, scene last, the
+// synthesis naming its analyses in another order — is accepted, runs,
+// and reports its stages in document order.
+func TestStarOutOfOrderKeepsDocumentOrder(t *testing.T) {
 	spec := PipelineSpec{Stages: []StageSpec{
 		{Name: "z", Kind: KindSynthesize, After: []string{"b", "a"}},
 		{Name: "a", Kind: KindAnalyze, After: []string{"s"}, Job: analyzeJob(core.ATDCA)},
 		{Name: "b", Kind: KindAnalyze, After: []string{"s"}, Job: analyzeJob(core.UFCLS)},
 		{Name: "s", Kind: KindScene, Scene: testSceneCfg},
 	}}
-	order, err := spec.Validate(0)
+	e, _ := newTestEngine(t, Config{})
+	p, err := e.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := make(map[string]int)
-	for rank, i := range order {
-		pos[spec.Stages[i].Name] = rank
+	st := waitPipeline(t, p)
+	if st.State != PipelineCompleted {
+		t.Fatalf("state = %s (err %q), want completed", st.State, st.Error)
 	}
-	if pos["s"] != 0 {
-		t.Fatalf("scene ordered at %d, want first (order %v)", pos["s"], pos)
+	var names []string
+	for _, ss := range st.Stages {
+		names = append(names, ss.Name)
 	}
-	if pos["z"] != 3 {
-		t.Fatalf("synthesis ordered at %d, want last (order %v)", pos["z"], pos)
+	if want := []string{"z", "a", "b", "s"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("status stages = %v, want document order %v", names, want)
+	}
+	if got := st.Stages[0].After; !reflect.DeepEqual(got, []string{"b", "a"}) {
+		t.Fatalf("synthesis after = %v, want [b a] as submitted", got)
 	}
 }
 
@@ -385,22 +404,17 @@ func TestPipelineSettleReleasesCube(t *testing.T) {
 		if st.State != tc.want || gens.Load() != 1 {
 			t.Fatalf("pipeline %s: state %s after %d scene generations, want %s after 1", p.ID(), st.State, gens.Load(), tc.want)
 		}
-		for _, s := range p.stages {
-			s.out.mu.Lock()
-			held := s.out.sc != nil
-			s.out.mu.Unlock()
-			if held {
-				t.Fatalf("%s pipeline: stage %s still holds its scene", st.State, s.spec.Name)
-			}
+		p.sceneMu.Lock()
+		held := p.sc != nil
+		p.sceneMu.Unlock()
+		if held {
+			t.Fatalf("%s pipeline still holds its scene", st.State)
 		}
 	}
 }
 
 func TestEngineCaps(t *testing.T) {
-	e, _ := newTestEngine(t, Config{MaxActive: 1, MaxStages: 3})
-	if _, err := e.Submit(context.Background(), fanoutSpec()); !errors.Is(err, ErrInvalidPipeline) {
-		t.Fatalf("6-stage pipeline against MaxStages=3: err = %v, want ErrInvalidPipeline", err)
-	}
+	e, _ := newTestEngine(t, Config{MaxActive: 1})
 	small := PipelineSpec{Stages: []StageSpec{
 		{Name: "s", Kind: KindScene, Scene: testSceneCfg},
 		{Name: "a", Kind: KindAnalyze, After: []string{"s"}, Job: analyzeJob(core.ATDCA)},
@@ -527,13 +541,12 @@ func TestAdaptiveStageResumesWithTrace(t *testing.T) {
 	s.Close()
 	jl.Close()
 	stageTrace := func(p *Pipeline) *algo.AdaptiveTrace {
-		out := &p.byName["adapt"].out
-		out.mu.Lock()
-		defer out.mu.Unlock()
-		if out.report == nil {
-			return nil
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if rep := p.stage("adapt").report; rep != nil {
+			return rep.Adaptive
 		}
-		return out.report.Adaptive
+		return nil
 	}
 	live := stageTrace(p)
 	if live == nil || len(live.Imbalance) != 4 {
@@ -577,7 +590,7 @@ func TestDrainLeavesOpenStoryAndResumeSkipsCompletedStages(t *testing.T) {
 	reached := make(chan struct{})
 	parked := false // run-loop goroutine only
 	gate := func(p *Pipeline, stage string, state StageState) {
-		if parked || state != StageCompleted || p.byName[stage].spec.Kind != KindAnalyze {
+		if parked || state != StageCompleted || p.stage(stage).spec.Kind != KindAnalyze {
 			return
 		}
 		parked = true
@@ -798,10 +811,18 @@ func grepLines(s, sub string) string {
 func (p *Pipeline) Synthesis(stageName string) *Synthesis {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if st, ok := p.byName[stageName]; ok {
-		st.out.mu.Lock()
-		defer st.out.mu.Unlock()
-		return st.out.synth
+	if st := p.stage(stageName); st != nil {
+		return st.synthesis
+	}
+	return nil
+}
+
+// stage returns the named stage, nil if the pipeline has none.
+func (p *Pipeline) stage(name string) *stage {
+	for _, st := range p.stages {
+		if st.spec.Name == name {
+			return st
+		}
 	}
 	return nil
 }

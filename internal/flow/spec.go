@@ -1,20 +1,17 @@
-// Package flow is a DAG pipeline orchestrator layered on the
-// internal/sched scheduler: a Pipeline is a set of named stages — scene
-// generations, algorithm runs, synthesis/compare steps — with explicit
-// dependency edges. The engine validates the DAG, schedules every ready
-// stage concurrently through the scheduler's worker pool, passes stage
-// outputs (scenes, run reports) to dependents, and memoizes analysis
-// results through the scheduler's existing LRU cache, so shared prefixes
-// across pipelines are computed once.
+// Package flow runs analysis pipelines on the internal/sched scheduler.
+// A pipeline is a star: one scene stage, the analyze stages that run
+// algorithms on that scene, and an optional synthesize stage that scores
+// every analysis against the scene's ground truth. The engine
+// materializes the scene, submits every analysis concurrently through
+// the scheduler's worker pool, and synthesizes once they all completed.
+// Analysis results are memoized through the scheduler's LRU cache, so
+// pipelines that share a scene and an analysis compute it once.
 //
-// The stage vocabulary mirrors how the paper's building blocks compose
-// into real remote-sensing workflows: generate or ingest a scene, fan
-// out the detectors and classifiers over it, then synthesize an accuracy
-// report against the scene's ground truth (the Table 3 + Table 4 story
-// as one submission). When the scheduler has a journal, pipeline
-// lifecycle edges are appended through it and are durable: a restarted
-// engine resumes unfinished pipelines without redoing their completed
-// stages.
+// The star is the paper's evaluation as one submission: one scene pushed
+// through the detectors and classifiers, then scored together (Tables 3
+// and 4). When the scheduler has a journal, pipeline lifecycle edges are
+// appended through it and are durable: a restarted engine resumes
+// unfinished pipelines without redoing their completed stages.
 //
 // Pipelines are kept in the same sched.Ledger as the scheduler's jobs
 // (ID minting and adoption, retained history, listing order), and every
@@ -31,22 +28,20 @@ import (
 	"repro/internal/sched"
 )
 
-// StageKind is the type of work one stage performs. The kind system is
-// also the DAG's type system: edges are only valid between compatible
-// kinds (scene -> analyze -> synthesize), and Validate rejects
-// output-type mismatches before anything runs.
+// StageKind is the type of work one stage performs; a pipeline's kinds
+// fix its shape (see PipelineSpec.Validate).
 type StageKind string
 
 const (
-	// KindScene generates (or fetches from the provider's cache) a
-	// synthetic scene; its output is the cube plus ground truth every
-	// dependent analysis stage consumes.
+	// KindScene generates (or fetches from the provider's cache) the
+	// pipeline's synthetic scene: the cube plus ground truth every
+	// analysis consumes.
 	KindScene StageKind = "scene"
-	// KindAnalyze runs one algorithm on its upstream scene through the
+	// KindAnalyze runs one algorithm on the scene through the
 	// scheduler; its output is the run report.
 	KindAnalyze StageKind = "analyze"
-	// KindSynthesize folds the reports of its upstream analysis stages
-	// into an accuracy/timing synthesis against scene ground truth.
+	// KindSynthesize folds the reports of every analysis into an
+	// accuracy/timing synthesis against the scene's ground truth.
 	KindSynthesize StageKind = "synthesize"
 )
 
@@ -60,18 +55,18 @@ type StageSpec struct {
 	Name string
 	// Kind selects the stage's work.
 	Kind StageKind
-	// After lists the names of the stages this one consumes: none for a
-	// scene stage, exactly one scene stage for an analyze stage, one or
-	// more analyze stages for a synthesize stage.
+	// After lists the names of the stages this one consumes: none for the
+	// scene stage, the scene stage for an analyze stage, every analyze
+	// stage for the synthesize stage.
 	After []string
 	// Scene is the scene configuration of a KindScene stage.
 	Scene scene.Config
 	// Job is the job template of a KindAnalyze stage. The engine fills
-	// Cube and CubeDigest from the upstream scene stage and forces
+	// Cube and CubeDigest from the scene stage and forces
 	// NoJournal (stage durability is owned by the pipeline's records).
 	Job sched.JobSpec
 	// Scaled makes a KindAnalyze stage charge full-scene work via
-	// experiments.ScaledParams against the upstream scene's geometry.
+	// experiments.ScaledParams against the scene's geometry.
 	Scaled bool
 }
 
@@ -88,7 +83,7 @@ type PipelineSpec struct {
 	JournalPayload []byte
 }
 
-// Validation errors share this sentinel so callers can map any DAG
+// Validation errors share this sentinel so callers can map any spec
 // defect to one admission failure class (hyperhetd's 400).
 var ErrInvalidPipeline = errors.New("flow: invalid pipeline")
 
@@ -96,115 +91,85 @@ func specErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInvalidPipeline, fmt.Sprintf(format, args...))
 }
 
-// Validate checks the pipeline's DAG — names, references, acyclicity and
-// edge typing — and returns the stage indices in one valid topological
-// order. It mutates nothing.
-func (spec *PipelineSpec) Validate(maxStages int) ([]int, error) {
-	n := len(spec.Stages)
-	if n == 0 {
-		return nil, specErr("no stages")
+// Validate checks that the pipeline is a star. Names come first (present,
+// at most maxStageName characters, unique), then references and kinds,
+// then the shape: exactly one scene stage, with no dependencies; every
+// analyze stage after exactly that scene; and at most one synthesize
+// stage, after every analyze stage once, in any order. It mutates
+// nothing.
+func (spec *PipelineSpec) Validate() error {
+	if len(spec.Stages) == 0 {
+		return specErr("no stages")
 	}
-	if maxStages > 0 && n > maxStages {
-		return nil, specErr("%d stages exceeds the limit of %d", n, maxStages)
-	}
-
-	byName := make(map[string]int, n)
+	byName := make(map[string]int, len(spec.Stages))
 	for i, st := range spec.Stages {
 		if st.Name == "" {
-			return nil, specErr("stage %d has no name", i)
+			return specErr("stage %d has no name", i)
 		}
 		if len(st.Name) > maxStageName {
-			return nil, specErr("stage name %.20q... exceeds %d characters", st.Name, maxStageName)
+			return specErr("stage name %.20q... exceeds %d characters", st.Name, maxStageName)
 		}
 		if prev, dup := byName[st.Name]; dup {
-			return nil, specErr("duplicate stage name %q (stages %d and %d)", st.Name, prev, i)
+			return specErr("duplicate stage name %q (stages %d and %d)", st.Name, prev, i)
 		}
 		byName[st.Name] = i
 	}
 
-	// Reference checks before typing checks: an unknown or self-looping
-	// edge is reported as such, not as a kind mismatch.
-	adj := make([][]int, n) // dependency -> dependents
-	indeg := make([]int, n) // dependencies per stage
-	for i, st := range spec.Stages {
-		seen := make(map[string]bool, len(st.After))
+	var scene, synth *StageSpec
+	analyses := 0
+	for i := range spec.Stages {
+		st := &spec.Stages[i]
 		for _, dep := range st.After {
-			if dep == st.Name {
-				return nil, specErr("stage %q depends on itself", st.Name)
-			}
-			j, ok := byName[dep]
-			if !ok {
-				return nil, specErr("stage %q depends on unknown stage %q", st.Name, dep)
-			}
-			if seen[dep] {
-				return nil, specErr("stage %q lists dependency %q twice", st.Name, dep)
-			}
-			seen[dep] = true
-			adj[j] = append(adj[j], i)
-			indeg[i]++
-		}
-	}
-
-	// Kahn's algorithm: the fold both orders the stages and detects
-	// cycles (anything left with a positive in-degree sits on one).
-	order := make([]int, 0, n)
-	ready := make([]int, 0, n)
-	for i, d := range indeg {
-		if d == 0 {
-			ready = append(ready, i)
-		}
-	}
-	for len(ready) > 0 {
-		i := ready[0]
-		ready = ready[1:]
-		order = append(order, i)
-		for _, j := range adj[i] {
-			if indeg[j]--; indeg[j] == 0 {
-				ready = append(ready, j)
+			if _, ok := byName[dep]; !ok {
+				return specErr("stage %q depends on unknown stage %q", st.Name, dep)
 			}
 		}
-	}
-	if len(order) != n {
-		var cyclic []string
-		for i, d := range indeg {
-			if d > 0 {
-				cyclic = append(cyclic, spec.Stages[i].Name)
-			}
-		}
-		return nil, specErr("dependency cycle through %v", cyclic)
-	}
-
-	// Edge typing: the producer kind must match what the consumer kind
-	// eats. This is the output-type system — a synthesize stage cannot
-	// consume a scene (no report to score), an analyze stage cannot
-	// consume another analyze stage's report (it needs a cube), and so on.
-	for _, st := range spec.Stages {
 		switch st.Kind {
 		case KindScene:
+			if scene != nil {
+				return specErr("not a star: second scene stage %q (a pipeline analyzes one scene, stage %q)", st.Name, scene.Name)
+			}
 			if len(st.After) != 0 {
-				return nil, specErr("scene stage %q cannot depend on other stages", st.Name)
+				return specErr("not a star: scene stage %q cannot depend on other stages", st.Name)
 			}
+			scene = st
 		case KindAnalyze:
-			if len(st.After) != 1 {
-				return nil, specErr("analyze stage %q needs exactly one scene dependency, has %d", st.Name, len(st.After))
-			}
-			if dep := &spec.Stages[byName[st.After[0]]]; dep.Kind != KindScene {
-				return nil, specErr("analyze stage %q consumes %q, which produces a %s output, not a scene",
-					st.Name, dep.Name, dep.Kind)
-			}
+			analyses++
 		case KindSynthesize:
-			if len(st.After) == 0 {
-				return nil, specErr("synthesize stage %q needs at least one analyze dependency", st.Name)
+			if synth != nil {
+				return specErr("not a star: second synthesize stage %q (a pipeline has at most one, stage %q)", st.Name, synth.Name)
 			}
-			for _, depName := range st.After {
-				if dep := &spec.Stages[byName[depName]]; dep.Kind != KindAnalyze {
-					return nil, specErr("synthesize stage %q consumes %q, which produces a %s output, not a run report",
-						st.Name, dep.Name, dep.Kind)
-				}
-			}
+			synth = st
 		default:
-			return nil, specErr("stage %q has unknown kind %q (want scene, analyze or synthesize)", st.Name, st.Kind)
+			return specErr("stage %q has unknown kind %q (want scene, analyze or synthesize)", st.Name, st.Kind)
 		}
 	}
-	return order, nil
+	if scene == nil {
+		return specErr("not a star: no scene stage")
+	}
+	for _, st := range spec.Stages {
+		if st.Kind == KindAnalyze && (len(st.After) != 1 || st.After[0] != scene.Name) {
+			return specErr("not a star: analyze stage %q must run after exactly the scene stage %q, not %q", st.Name, scene.Name, st.After)
+		}
+	}
+	if synth == nil {
+		return nil
+	}
+	listed := make(map[string]bool, len(synth.After))
+	for _, dep := range synth.After {
+		if kind := spec.Stages[byName[dep]].Kind; kind != KindAnalyze {
+			return specErr("not a star: synthesize stage %q must run after analyze stages only; %q is a %s stage", synth.Name, dep, kind)
+		}
+		if listed[dep] {
+			return specErr("synthesize stage %q lists analyze stage %q twice", synth.Name, dep)
+		}
+		listed[dep] = true
+	}
+	if analyses == 0 {
+		return specErr("not a star: synthesize stage %q needs at least one analyze stage", synth.Name)
+	}
+	if len(listed) != analyses {
+		return specErr("not a star: synthesize stage %q must run after every analyze stage (%d of %d listed)", synth.Name, len(listed), analyses)
+	}
+	return nil
 }

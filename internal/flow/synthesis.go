@@ -9,23 +9,23 @@ import (
 	"repro/internal/scene"
 )
 
-// Synthesis is the output of a KindSynthesize stage: the upstream
-// analysis reports scored against their scenes' ground truth plus a
+// Synthesis is the output of a KindSynthesize stage: the pipeline's
+// analysis reports scored against its scene's ground truth plus a
 // timing summary — the pipeline-level analogue of the paper's Table 3
 // (detection SAD per hot spot) and Table 4 (classification accuracy),
 // produced from one submission instead of N.
 type Synthesis struct {
-	// Detection maps each upstream detection stage (ATDCA/UFCLS runs) to
+	// Detection maps each detection stage (ATDCA/UFCLS runs) to
 	// the Table 3 measure: per hot-spot label, the spectral angle between
 	// the known target pixel and the most similar detected target.
 	Detection map[string]map[string]float64 `json:"detection,omitempty"`
-	// Classification maps each upstream classification stage (PCT/MORPH
-	// runs) to its Table 4 scores.
+	// Classification maps each classification stage (PCT/MORPH runs) to
+	// its Table 4 scores.
 	Classification map[string]*ClassificationScore `json:"classification,omitempty"`
-	// Timing lists every upstream stage's virtual-time figures in stage
+	// Timing lists every analysis stage's virtual-time figures in stage
 	// name order.
 	Timing []StageTiming `json:"timing"`
-	// TotalVirtualSeconds sums the upstream runs' virtual wall times —
+	// TotalVirtualSeconds sums the analysis runs' virtual wall times —
 	// what the composite analysis cost end to end in simulated time.
 	TotalVirtualSeconds float64 `json:"total_virtual_seconds"`
 }
@@ -42,7 +42,7 @@ type ClassificationScore struct {
 	PerClassPercent []float64 `json:"per_class_percent"`
 }
 
-// StageTiming is one upstream stage's performance summary.
+// StageTiming is one analysis stage's performance summary.
 type StageTiming struct {
 	Stage     string `json:"stage"`
 	Algorithm string `json:"algorithm"`
@@ -57,19 +57,18 @@ type StageTiming struct {
 	DAll float64 `json:"d_all,omitempty"`
 }
 
-// synthInput is one upstream analyze stage handed to synthesize.
+// synthInput is one analyze stage handed to synthesize.
 type synthInput struct {
 	name      string
 	report    *core.RunReport
-	sc        *scene.Scene
 	fromCache bool
 }
 
-// synthesize scores every upstream report against its scene's ground
+// synthesize scores every analysis report against the scene's ground
 // truth. Detection reports get the Table 3 hot-spot SAD measure;
 // classification reports get Table 4 accuracy and kappa. Inputs are
 // processed in stage-name order so the output is deterministic.
-func synthesize(inputs []synthInput) (*Synthesis, error) {
+func synthesize(sc *scene.Scene, inputs []synthInput) (*Synthesis, error) {
 	sorted := append([]synthInput(nil), inputs...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].name < sorted[b].name })
 
@@ -96,9 +95,9 @@ func synthesize(inputs []synthInput) (*Synthesis, error) {
 			if out.Detection == nil {
 				out.Detection = make(map[string]map[string]float64)
 			}
-			out.Detection[in.name] = metrics.DetectionScores(in.sc, rep.Detection)
+			out.Detection[in.name] = metrics.DetectionScores(sc, rep.Detection)
 		case rep.Classification != nil:
-			truth := in.sc.Truth.ClassMap
+			truth := sc.Truth.ClassMap
 			acc, err := metrics.Classification(truth, scene.NumClasses, rep.Classification.Labels)
 			if err != nil {
 				return nil, fmt.Errorf("flow: synthesize: scoring stage %q: %w", in.name, err)

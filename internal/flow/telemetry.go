@@ -32,9 +32,7 @@ func newFlowMetrics(e *Engine) *flowMetrics {
 		})
 	reg.NewGaugeFunc("hyperhet_flow_stages_running",
 		"Pipeline stages currently executing, across all pipelines.", func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return float64(e.running)
+			return float64(e.running.Load())
 		})
 	return &flowMetrics{
 		submitted: reg.NewCounter("hyperhet_flow_pipelines_submitted_total",
