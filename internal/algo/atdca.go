@@ -66,11 +66,10 @@ func (ls *lineSums) rows(view *cube.Cube, lo int) [][]linalg.FilterSum {
 // projection score (the lowest index on ties) and that score, or (-1, -1)
 // for an empty view; sums holds the filter sums of view's pixels, one row
 // per line. Only a pixel that is not provably below the best so far is
-// widened and goes through the dense kernel, so the winner, its score and
-// every comparison are the kernel's.
+// widened and goes through the dense kernel (DenseScan.Score), so the
+// winner, its score and every comparison are the kernel's.
 func maxProjection(s *linalg.DenseScan, view *cube.Cube, sums [][]linalg.FilterSum) (int, float64) {
 	best, bestScore := -1, -1.0
-	wide := make([]float64, view.Bands)
 	for l, row := range sums {
 		for smp := range row {
 			p := l*view.Samples + smp
@@ -78,7 +77,7 @@ func maxProjection(s *linalg.DenseScan, view *cube.Cube, sums [][]linalg.FilterS
 			if s.Skip(y, &row[smp], bestScore) {
 				continue
 			}
-			if score := linalg.DenseScoreWide(s.Dense, linalg.Widen(wide, y)); score > bestScore {
+			if score := s.Score(y); score > bestScore {
 				best, bestScore = p, score
 			}
 		}

@@ -134,3 +134,20 @@ func BenchmarkKernelLabelBySAD(b *testing.B) {
 		labelBySAD(f, endmembers)
 	}
 }
+
+// BenchmarkKernelUniqueScan is PCT's unique-set scan with the default
+// parameters on the 96x64x64 seed-1 Table 5 scene: one Set.Nearest per
+// finite pixel, against a set that fills to MaxReps.
+func BenchmarkKernelUniqueScan(b *testing.B) {
+	sc, err := scene.Generate(scene.Config{Lines: 96, Samples: 64, Bands: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := DefaultPCTParams()
+	var reps []rep
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reps, _ = uniqueScan(sc.Cube, p.Theta, p.MaxReps)
+	}
+	b.ReportMetric(float64(len(reps)), "reps")
+}

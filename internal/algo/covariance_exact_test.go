@@ -147,3 +147,36 @@ func FuzzCovarianceMatchesReference(f *testing.F) {
 		checkCovariance(t, "fuzz", c)
 	})
 }
+
+// reduceCube's projection (the pixel centred once, T's rows from a
+// vec.Panel) is the row-by-row loop's bits for every component count,
+// including pixels with NaN or infinite samples.
+func TestReduceCubeMatchesRowByRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	f := exactScene(t, 24, 16, 20, 4)
+	copy(f.PixelAt(5), []float32{float32(math.NaN())})
+	f.PixelAt(9)[3] = float32(math.Inf(-1))
+	mean := make([]float64, f.Bands)
+	for i := range mean {
+		mean[i] = rng.Float64()
+	}
+	for _, c := range []int{1, 3, 4, 7, 17} {
+		tm := linalg.NewMat(c, f.Bands)
+		for i := range tm.Data {
+			tm.Data[i] = rng.NormFloat64()
+		}
+		got, _ := reduceCube(f, tm, mean)
+		want := make([]float64, c)
+		for p := range got {
+			projectRowByRow(tm, mean, f.PixelAt(p), want)
+			for k := range want {
+				if g, w := got[p][k], want[k]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("%d components, pixel %d, component %d: %v, row by row %v", c, p, k, got[p][k], want[k])
+				}
+			}
+			if len(got[p]) != c || cap(got[p]) != c {
+				t.Fatalf("%d components, pixel %d: len %d cap %d", c, p, len(got[p]), cap(got[p]))
+			}
+		}
+	}
+}

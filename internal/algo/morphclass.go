@@ -10,6 +10,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/spectral"
+	"repro/internal/vec"
 	"repro/internal/vtime"
 )
 
@@ -89,12 +90,12 @@ func filterBySupport(cands []candidate, own *cube.Cube, radius float64, minCount
 	scanned := 0
 	bands := own.Bands
 	within := spectral.NewLimit(radius)
-	// Four candidates are scored per pass over the pixels. A block may
-	// run past the candidate that fills the cap; the walk below stops
-	// there, so the survivors and the count of candidates charged are
-	// those of scanning one candidate at a time. The span's pixels are
-	// widened, with their norms, once for every block, and each block's
-	// signatures once for the span.
+	// Sixteen candidates are scored per pass over the pixels, packed in a
+	// vec.Panel. A block may run past the candidate that fills the cap;
+	// the walk below stops there, so the survivors and the count of
+	// candidates charged are those of scanning one candidate at a time.
+	// The span's pixels are widened, with their norms, once for every
+	// block, and each block's signatures once for the span.
 	var pix []spectral.Pixel
 	if len(cands) > 0 && c > 0 {
 		pix = make([]spectral.Pixel, own.NumPixels())
@@ -104,21 +105,27 @@ func filterBySupport(cands []candidate, own *cube.Cube, radius float64, minCount
 			pix[p].Load(own.PixelAt(p))
 		}
 	}
-	for b := 0; b < len(cands) && len(out) < c; b += 4 {
-		block := cands[b:min(b+4, len(cands))]
-		var sigs [4]spectral.Pixel
-		var counts [4]int
-		var means [4][]float64
-		for k := range sigs {
-			sigs[k].Load(block[min(k, len(block)-1)].sig)
+	const pass = 16
+	for b := 0; b < len(cands) && len(out) < c; b += pass {
+		block := cands[b:min(b+pass, len(cands))]
+		var sigs vec.Panel
+		var norms [pass]float64
+		var counts [pass]int
+		var means [pass][]float64
+		for k, cd := range block {
+			var sig spectral.Pixel
+			sig.Load(cd.sig)
+			sigs.Add(sig.V)
+			norms[k] = sig.Norm
 			means[k] = make([]float64, bands)
 		}
+		var buf [pass]float64
+		dots := buf[:len(block)]
 		for p := range pix {
 			x := &pix[p]
-			var dots [4]float64
-			dots[0], dots[1], dots[2], dots[3] = spectral.Dots4(x.V, sigs[0].V, sigs[1].V, sigs[2].V, sigs[3].V)
-			for k := range block {
-				if within.Holds(dots[k], x.Norm, sigs[k].Norm) {
+			sigs.Dots(x.V, 0, dots)
+			for k, dot := range dots {
+				if within.Holds(dot, x.Norm, norms[k]) {
 					counts[k]++
 					for i, w := range x.V {
 						means[k][i] += w

@@ -11,6 +11,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/spectral"
+	"repro/internal/vec"
 	"repro/internal/vtime"
 )
 
@@ -369,18 +370,13 @@ func addOuter(buf, e []float64) {
 }
 
 // addOuter4 adds the upper triangles of the outer products of the four
-// n-vectors in d, in order. Go evaluates the sum left to right, so every
-// entry gets addOuter's four additions in the same order.
+// n-vectors in d, in order: vec.AddProducts4 gives every entry addOuter's
+// four additions in the same order.
 func addOuter4(buf, d []float64, n int) {
 	e0, e1, e2, e3 := d[:n], d[n:2*n], d[2*n:3*n], d[3*n:4*n]
 	for i := 0; i < n; i++ {
-		a0, a1, a2, a3 := e0[i], e1[i], e2[i], e3[i]
 		row := buf[i*n+i : (i+1)*n]
-		m := len(row)
-		f0, f1, f2, f3 := e0[i:][:m], e1[i:][:m], e2[i:][:m], e3[i:][:m]
-		for j := range row {
-			row[j] = row[j] + a0*f0[j] + a1*f1[j] + a2*f2[j] + a3*f3[j]
-		}
+		vec.AddProducts4(row, [4]float64{e0[i], e1[i], e2[i], e3[i]}, e0[i:], e1[i:], e2[i:], e3[i:])
 	}
 }
 
@@ -408,31 +404,33 @@ func pctTransformMatrix(cov *linalg.Mat, c int) (*linalg.Mat, error) {
 	return t, nil
 }
 
-// pctProject computes T*(x-m) for a float32 pixel.
-func pctProject(t *linalg.Mat, mean []float64, v []float32, out []float64) {
-	for k := 0; k < t.Rows; k++ {
-		row := t.Row(k)
-		var s float64
-		for j := range row {
-			s += row[j] * (float64(v[j]) - mean[j])
-		}
-		out[k] = s
+// pctProject computes T*(x-m) for a float32 pixel into out, from T's
+// rows packed in t. The pixel is centred once into d; component k then
+// sums T[k][j]*(x[j]-m[j]) over the bands in band order, the same
+// products in the same order as a loop over one row of T at a time.
+func pctProject(t *vec.Panel, mean []float64, v []float32, d, out []float64) {
+	for j, x := range v {
+		d[j] = float64(x) - mean[j]
 	}
+	t.Dots(d, 0, out)
 }
 
 // reduceCube projects every pixel of f onto the transform's components,
-// returning one reduced vector per pixel and the flop count.
+// returning one reduced vector per pixel, all in one backing array, and
+// the flop count.
 func reduceCube(f *cube.Cube, t *linalg.Mat, mean []float64) ([][]float64, float64) {
-	np := f.NumPixels()
+	np, c := f.NumPixels(), t.Rows
+	rows := vec.PackRows(t.Cols, t.Data)
 	out := make([][]float64, np)
+	flat := make([]float64, np*c)
 	// Each pixel writes only its own output slot: byte-identical at any
 	// parallelism.
 	par.Ranges(np, par.Chunks(np, 512), func(_, lo, hi int) {
-		buf := par.GetFloat64s(t.Rows)
-		defer par.PutFloat64s(buf)
+		d := par.GetFloat64s(f.Bands)
+		defer par.PutFloat64s(d)
 		for p := lo; p < hi; p++ {
-			pctProject(t, mean, f.PixelAt(p), buf)
-			out[p] = append([]float64(nil), buf...)
+			out[p] = flat[p*c : (p+1)*c : (p+1)*c]
+			pctProject(rows, mean, f.PixelAt(p), d, out[p])
 		}
 	})
 	return out, float64(np) * linalg.FlopsMulVec(t.Rows, t.Cols)
@@ -724,10 +722,10 @@ func pctStatistics(c *mpi.Comm, s schedule, params PCTParams, chunked bool) (pct
 	}
 	c.ComputeFixed(linalg.FlopsSymEigen(params.eigenBands(bands)), vtime.Seq)
 	reduced := make([][]float64, len(reps))
-	buf := make([]float64, t.Rows)
+	rows, d := vec.PackRows(t.Cols, t.Data), make([]float64, bands)
 	for i, r := range reps {
-		pctProject(t, mean, r.sig, buf)
-		reduced[i] = append([]float64(nil), buf...)
+		reduced[i] = make([]float64, t.Rows)
+		pctProject(rows, mean, r.sig, d, reduced[i])
 	}
 	c.ComputeFixed(float64(len(reps))*linalg.FlopsMulVec(t.Rows, bands), vtime.Seq)
 	return pctBcastMsg{t: t, mean: mean, reduced: reduced, classes: repsToClasses(reps)}, nil

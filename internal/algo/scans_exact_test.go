@@ -251,9 +251,10 @@ func TestMorphScansMatchScalarScans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Caps of 1, 5 and 21 stop the walk inside, at the end of and
-			// beyond a block of four; a floor of 1000 rejects everything.
-			for _, cap := range []int{1, 5, 21} {
+			// Caps of 1, 5, 16 and 21 stop the walk inside, at the end of
+			// and beyond a block of sixteen; a floor of 1000 rejects
+			// everything.
+			for _, cap := range []int{1, 5, 16, 21} {
 				for _, minCount := range []int{4, 40, 1000} {
 					wantF, wantCalls := refFilterBySupport(want, own, theta, minCount, cap)
 					gotF, gotCalls := filterBySupport(cands, own, theta, minCount, cap)

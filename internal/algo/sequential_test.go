@@ -113,11 +113,25 @@ func PCTSequential(f *cube.Cube, params PCTParams) (*ClassificationResult, error
 	reduced := make([][]float64, len(reps))
 	buf := make([]float64, t.Rows)
 	for i, r := range reps {
-		pctProject(t, mean, r.sig, buf)
+		projectRowByRow(t, mean, r.sig, buf)
 		reduced[i] = append([]float64(nil), buf...)
 	}
 	labels, _ := classifyReduced(f, t, mean, reduced)
 	return &ClassificationResult{Labels: labels, Classes: repsToClasses(reps)}, nil
+}
+
+// projectRowByRow computes T*(x-m) for a float32 pixel one row of T at a
+// time: the scalar loop pctProject replaces, so that the oracle shares no
+// kernel with the parallel code it checks.
+func projectRowByRow(t *linalg.Mat, mean []float64, v []float32, out []float64) {
+	for k := 0; k < t.Rows; k++ {
+		row := t.Row(k)
+		var s float64
+		for j := range row {
+			s += row[j] * (float64(v[j]) - mean[j])
+		}
+		out[k] = s
+	}
 }
 
 // classifyReduced labels every pixel of f with the index of the most
@@ -128,7 +142,7 @@ func classifyReduced(f *cube.Cube, t *linalg.Mat, mean []float64, reduced [][]fl
 		buf := par.GetFloat64s(t.Rows)
 		defer par.PutFloat64s(buf)
 		for p := lo; p < hi; p++ {
-			pctProject(t, mean, f.PixelAt(p), buf)
+			projectRowByRow(t, mean, f.PixelAt(p), buf)
 			best, bestD := 0, spectral.SADf64(buf, reduced[0])
 			for k := 1; k < len(reduced); k++ {
 				if d := spectral.SADf64(buf, reduced[k]); d < bestD {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/par"
+	"repro/internal/vec"
 )
 
 // This file provides the Gram-form constrained least squares used by the
@@ -24,12 +25,13 @@ import (
 // makes it single-goroutine: create one solver per worker.
 type FCLSSolver struct {
 	// mt is M^T, one endmember per row, with zero rows appended up to a
-	// multiple of four so Unmix reads four endmembers per pass.
+	// multiple of four so the residual adds four endmembers per pass.
 	mt        *Mat
-	ata       *Mat // augmented Gram: M^T M + delta^2 * 1 1^T
+	mtp       *vec.Panel // mt's rows packed, for M^T y
+	ata       *Mat       // augmented Gram: M^T M + delta^2 * 1 1^T
 	ws        nnlsWorkspace
 	converged bool      // whether the last Unmix's solve converged
-	atb       []float64 // one slot per row of mt
+	atb       []float64 // one slot per endmember
 	y64, res  []float64
 }
 
@@ -238,9 +240,10 @@ func NewFCLSSolver(m *Mat) *FCLSSolver {
 	})
 	return &FCLSSolver{
 		mt:  mt,
+		mtp: vec.PackRows(mt.Cols, mt.Data[:t*m.Rows]),
 		ata: ata,
 		ws:  newNNLSWorkspace(t),
-		atb: make([]float64, mt.Rows),
+		atb: make([]float64, t),
 		y64: make([]float64, m.Rows),
 		res: make([]float64, m.Rows),
 	}
@@ -267,30 +270,23 @@ func (f *FCLSSolver) checkBands(n int) error {
 // Both band-length passes read M^T row by row and keep the addends and
 // order of the column-order loops they replace (DESIGN.md "Kernel
 // exactness"): each entry of M^T y has one accumulator adding in band
-// order, then delta^2; each band's residual starts at -y and adds every
-// endmember's term in endmember order — zero abundances included, so an
-// infinite endmember sample still contributes its Inf*0 = NaN.
+// order (vec.Panel.Dots), then delta^2; each band's residual starts at -y
+// and adds every endmember's term in endmember order, four endmembers per
+// vec.AddProducts4 pass, the padding rows adding -0 (see negZero) — zero
+// abundances included, so an infinite endmember sample still contributes
+// its Inf*0 = NaN.
 func (f *FCLSSolver) Unmix(y []float64) (alpha []float64, err2 float64, err error) {
 	if err := f.checkBands(len(y)); err != nil {
 		return nil, 0, err
 	}
 	mt, n := f.mt, len(y)
 	// Augmented A^T b = M^T y + delta^2 (sum-to-one row contributes
-	// delta * delta*1), four endmembers per pass over y.
-	for j := 0; j < mt.Rows; j += 4 {
-		r0, r1 := mt.Row(j)[:n], mt.Row(j + 1)[:n]
-		r2, r3 := mt.Row(j + 2)[:n], mt.Row(j + 3)[:n]
-		var s0, s1, s2, s3 float64
-		for b, v := range y {
-			s0 += r0[b] * v
-			s1 += r1[b] * v
-			s2 += r2[b] * v
-			s3 += r3[b] * v
-		}
-		const d2 = FCLSDelta * FCLSDelta
-		f.atb[j], f.atb[j+1], f.atb[j+2], f.atb[j+3] = s0+d2, s1+d2, s2+d2, s3+d2
+	// delta * delta*1).
+	f.mtp.Dots(y, 0, f.atb)
+	for j := range f.atb {
+		f.atb[j] += FCLSDelta * FCLSDelta
 	}
-	alpha, f.converged, err = f.ws.solve(f.ata, f.atb[:f.Endmembers()])
+	alpha, f.converged, err = f.ws.solve(f.ata, f.atb)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -299,10 +295,10 @@ func (f *FCLSSolver) Unmix(y []float64) (alpha []float64, err2 float64, err erro
 	for b, v := range y {
 		res[b] = -v
 	}
-	for j, a := range alpha {
-		for b, m := range mt.Row(j)[:n] {
-			res[b] += m * a
-		}
+	for j := 0; j < len(alpha); j += 4 {
+		a := [4]float64{negZero, negZero, negZero, negZero}
+		copy(a[:], alpha[j:])
+		vec.AddProducts4(res, a, mt.Row(j)[:n], mt.Row(j + 1)[:n], mt.Row(j + 2)[:n], mt.Row(j + 3)[:n])
 	}
 	for _, r := range res {
 		err2 += r * r

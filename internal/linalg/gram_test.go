@@ -233,7 +233,7 @@ func unmixColumnOrder(m *Mat, y []float64) ([]float64, float64, error) {
 func TestUnmixMatchesColumnOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	infAtZero := 0 // cases where an infinite endmember sample met a zero abundance
-	for tEnd := 1; tEnd <= 12; tEnd++ {
+	for _, tEnd := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 18, 19} {
 		for trial := 0; trial < 24; trial++ {
 			bands := 1 + rng.Intn(70)
 			m := NewMat(bands, tEnd)

@@ -18,6 +18,12 @@ import (
 	"math"
 )
 
+// negZero is -0, the one float64 whose addition leaves every value as it
+// is (x + -0 = x for every x, -0 and NaN included). A sum padded to a
+// whole group of four terms gives each spare term a zero row and the
+// coefficient -0: (-0)*0 = -0, so the padding changes no bit.
+var negZero = math.Copysign(0, -1)
+
 // Mat is a dense row-major matrix of float64.
 type Mat struct {
 	Rows, Cols int

@@ -3,6 +3,8 @@ package linalg
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/vec"
 )
 
 // OSP is the orthogonal subspace projector P⊥_U = I - U^T (U U^T)^-1 U of
@@ -78,19 +80,35 @@ func Widen(buf []float64, y []float32) []float64 {
 func (p *OSP) Dense() *Mat {
 	n := p.u.Cols
 	t := p.u.Rows
-	// B = gInv * U (t x n), then P = I - U^T B.
-	b := Mul(p.gInv, p.u)
+	// B = gInv * U (t x n, then three zero rows), then P = I - U^T B.
+	// Row i subtracts u_ki * B_k for every nonzero u_ki, in k order. A
+	// group of four terms without a zero u_ki goes through
+	// vec.AddProducts4 as additions of (-u_ki) * B_k, which are the
+	// subtractions' bits; the last group pads with B's zero rows and
+	// coefficient -0 (see negZero). A group holding a zero u_ki goes one
+	// term at a time and skips it, as a zero u_ki next to a non-finite
+	// B_k must not make the row NaN.
+	b := NewMat(t+3, n)
+	copy(b.Data, Mul(p.gInv, p.u).Data)
 	out := Identity(n)
 	for i := 0; i < n; i++ {
 		row := out.Row(i)
-		for k := 0; k < t; k++ {
-			uki := p.u.At(k, i)
-			if uki == 0 {
+		for k := 0; k < t; k += 4 {
+			a, zero := [4]float64{negZero, negZero, negZero, negZero}, false
+			for l := range min(4, t-k) {
+				a[l] = -p.u.At(k+l, i)
+				zero = zero || a[l] == 0
+			}
+			if !zero {
+				vec.AddProducts4(row, a, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
 				continue
 			}
-			brow := b.Row(k)
-			for j := 0; j < n; j++ {
-				row[j] -= uki * brow[j]
+			for l := k; l < min(k+4, t); l++ {
+				if uli := p.u.At(l, i); uli != 0 {
+					for j, v := range b.Row(l) {
+						row[j] -= uli * v
+					}
+				}
 			}
 		}
 	}
@@ -98,8 +116,8 @@ func (p *OSP) Dense() *Mat {
 }
 
 // DenseScore computes (P y)^T (P y) for a dense projector P and a float32
-// pixel y. A scan over many pixels widens each into one buffer of its own
-// and calls DenseScoreWide instead.
+// pixel y. A scan over many pixels uses DenseScan.Score, which keeps the
+// projector's rows packed and has the same bits.
 func DenseScore(p *Mat, y []float32) float64 {
 	return DenseScoreWide(p, Widen(nil, y))
 }
@@ -152,11 +170,18 @@ func DenseScoreWide(p *Mat, y []float64) float64 {
 //
 // and the right side costs t·n + n multiply-adds against the kernel's n²
 // — or n, when the sums of the last round's Q are carried (FilterSum).
+//
+// Score and Skip work in buffers the scan keeps, which makes a DenseScan
+// single-goroutine: each rank builds its own.
 type DenseScan struct {
 	Dense *Mat
-	q     *Mat    // Q, then three zero rows: a pass of four may start at any row
-	t     int     // rows of Q
-	eta   float64 // NaN when Q cannot be formed: nothing is then skipped
+	rows  *vec.Panel // Dense's rows, for Score
+	q     *Mat       // Q, then three zero rows: a pass of four may start at any row
+	qRows *vec.Panel // q's rows, for extend
+	t     int        // rows of Q
+	eta   float64    // NaN when Q cannot be formed: nothing is then skipped
+	wide  []float64  // a pixel widened
+	dots  []float64  // its dot products with rows of Dense or q
 }
 
 // DenseScan materializes the dense projector with its filter, measuring
@@ -166,7 +191,9 @@ type DenseScan struct {
 // η is four times the sum.
 func (p *OSP) DenseScan() *DenseScan {
 	t, n := p.u.Rows, p.u.Cols
-	s := &DenseScan{Dense: p.Dense(), q: NewMat(t+3, n), t: t, eta: math.NaN()}
+	s := &DenseScan{Dense: p.Dense(), q: NewMat(t+3, n), t: t, eta: math.NaN(),
+		wide: make([]float64, n), dots: make([]float64, max(n, t+3))}
+	s.rows = vec.PackRows(n, s.Dense.Data)
 	l, err := cholesky(Gram(p.u))
 	if err != nil {
 		return s
@@ -184,6 +211,7 @@ func (p *OSP) DenseScan() *DenseScan {
 			qi[j] /= l.At(i, i)
 		}
 	}
+	s.qRows = vec.PackRows(n, s.q.Data)
 	var pF, qF, rho, e float64 // all squared until the end
 	for _, v := range s.q.Data {
 		qF += v * v
@@ -204,11 +232,12 @@ func (p *OSP) DenseScan() *DenseScan {
 			pF += v * v
 		}
 		d[i]--
-		for k := 0; k < t; k++ {
-			qki := s.q.At(k, i)
-			for j, v := range s.q.Row(k) {
-				d[j] += qki * v
+		for k := 0; k < t; k += 4 { // d += Σ_k q_ki Q_k, Q's zero rows padding
+			a := [4]float64{negZero, negZero, negZero, negZero}
+			for l := range min(4, t-k) {
+				a[l] = s.q.At(k+l, i)
 			}
+			vec.AddProducts4(d, a, s.q.Row(k), s.q.Row(k+1), s.q.Row(k+2), s.q.Row(k+3))
 		}
 		for _, v := range d {
 			e += v * v
@@ -218,6 +247,19 @@ func (p *OSP) DenseScan() *DenseScan {
 	gamma := float64(n+1) * 0x1p-53 / (1 - float64(n+1)*0x1p-53)
 	s.eta = 4 * (3*gamma*(pF+1+qF) + (1+rho)*rho + 2*(1+rho)*e + e*e)
 	return s
+}
+
+// Score returns DenseScore(s.Dense, y), bit for bit, from the
+// projector's packed rows: the row sums come from vec.Panel.Dots and
+// their squares are added in row order.
+func (s *DenseScan) Score(y []float32) float64 {
+	dots := s.dots[:s.Dense.Rows]
+	s.rows.Dots(Widen(s.wide, y), 0, dots)
+	var norm float64
+	for _, d := range dots {
+		norm += d * d
+	}
+	return norm
 }
 
 // A FilterSum is what a pixel's filter keeps between rounds: ‖y‖² and
@@ -280,21 +322,23 @@ func (s *DenseScan) extend(y []float32, sum *FilterSum) {
 		sum.rows = s.t
 		return
 	}
-	for i := sum.rows; i < s.t; i += 4 {
-		r0, r1 := s.q.Row(i)[:n], s.q.Row(i + 1)[:n]
-		r2, r3 := s.q.Row(i + 2)[:n], s.q.Row(i + 3)[:n]
-		var s0, s1, s2, s3, yy float64
-		for j, v := range y {
-			w := float64(v)
-			s0 += r0[j] * w
-			s1 += r1[j] * w
-			s2 += r2[j] * w
-			s3 += r3[j] * w
-			yy += w * w
-		}
-		sum.ny = yy
-		sum.qy += s0*s0 + s1*s1 + s2*s2 + s3*s3
+	// Passes of four rows from sum.rows, each adding its four squares in
+	// row order; the dot products come from the packed rows of q, whose
+	// blocks start at multiples of four.
+	var yy float64
+	w := s.wide[:n]
+	for j, v := range y {
+		w[j] = float64(v)
+		yy += w[j] * w[j]
 	}
+	lo := sum.rows &^ 3
+	hi := sum.rows + (s.t-sum.rows+3)&^3
+	dots := s.dots[:hi-lo]
+	s.qRows.Dots(w, lo, dots)
+	for i := sum.rows - lo; i < len(dots); i += 4 {
+		sum.qy += dots[i]*dots[i] + dots[i+1]*dots[i+1] + dots[i+2]*dots[i+2] + dots[i+3]*dots[i+3]
+	}
+	sum.ny = yy
 	sum.rows = s.t
 }
 

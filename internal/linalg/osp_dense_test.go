@@ -412,3 +412,172 @@ func TestWidenReusesBuffer(t *testing.T) {
 		t.Fatalf("Widen into a short buffer = %v", grown)
 	}
 }
+
+// extendFourRows is the loop extend's pass over several rows replaces:
+// four rows of Q per pass over y, each with its own accumulator in band
+// order, the pass also summing ‖y‖².
+func (s *DenseScan) extendFourRows(y []float32, sum *FilterSum) {
+	n := len(y)
+	for i := sum.rows; i < s.t; i += 4 {
+		r0, r1 := s.q.Row(i)[:n], s.q.Row(i + 1)[:n]
+		r2, r3 := s.q.Row(i + 2)[:n], s.q.Row(i + 3)[:n]
+		var s0, s1, s2, s3, yy float64
+		for j, v := range y {
+			w := float64(v)
+			s0 += r0[j] * w
+			s1 += r1[j] * w
+			s2 += r2[j] * w
+			s3 += r3[j] * w
+			yy += w * w
+		}
+		sum.ny = yy
+		sum.qy += s0*s0 + s1*s1 + s2*s2 + s3*s3
+	}
+	sum.rows = s.t
+}
+
+// The packed rows of Q give extend the sums of the four-row loop, bit for
+// bit, from every starting row that takes that pass, so carrying the
+// sums skips exactly the pixels it skipped before.
+func TestDenseScanExtendMatchesFourRowPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(70)
+		u := randMat(rng, min(n, 1+rng.Intn(18)), n)
+		p, err := NewOSP(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := p.DenseScan()
+		if !s.Filters() {
+			continue
+		}
+		y := make([]float32, n)
+		for j := range y {
+			y[j] = float32(rng.NormFloat64())
+		}
+		if trial%5 == 0 {
+			y[rng.Intn(n)] = float32(math.Inf(1))
+		}
+		for rows := 0; rows < s.t; rows++ {
+			if rows > 0 && rows == s.t-1 {
+				continue // the one-row pass
+			}
+			prior := FilterSum{ny: rng.Float64(), qy: rng.Float64(), rows: rows}
+			got, want := prior, prior
+			s.extend(y, &got)
+			s.extendFourRows(y, &want)
+			if !sameBits(got.ny, want.ny) || !sameBits(got.qy, want.qy) || got.rows != want.rows {
+				t.Fatalf("trial %d, %d targets of %d bands, from row %d: extend %+v, four-row loop %+v", trial, s.t, n, rows, got, want)
+			}
+		}
+	}
+}
+
+// denseOneTerm is the loop Dense replaced: row i of I - U^T B subtracts
+// u_ki * B_k one k at a time, skipping zero u_ki.
+func denseOneTerm(p *OSP) *Mat {
+	n, t := p.u.Cols, p.u.Rows
+	b := Mul(p.gInv, p.u)
+	out := Identity(n)
+	for i := 0; i < n; i++ {
+		row := out.Row(i)
+		for k := 0; k < t; k++ {
+			uki := p.u.At(k, i)
+			if uki == 0 {
+				continue
+			}
+			for j, v := range b.Row(k) {
+				row[j] -= uki * v
+			}
+		}
+	}
+	return out
+}
+
+// etaOneTerm is η as DenseScan measured it with Q's terms added one k at
+// a time.
+func etaOneTerm(s *DenseScan) float64 {
+	n, t := s.q.Cols, s.t
+	var pF, qF, rho, e float64
+	for _, v := range s.q.Data {
+		qF += v * v
+	}
+	for i := 0; i < t; i++ {
+		for j := 0; j < t; j++ {
+			d := Dot(s.q.Row(i), s.q.Row(j))
+			if i == j {
+				d--
+			}
+			rho += d * d
+		}
+	}
+	d := make([]float64, n)
+	for i := 0; i < n; i++ {
+		copy(d, s.Dense.Row(i))
+		for _, v := range d {
+			pF += v * v
+		}
+		d[i]--
+		for k := 0; k < t; k++ {
+			qki := s.q.At(k, i)
+			for j, v := range s.q.Row(k) {
+				d[j] += qki * v
+			}
+		}
+		for _, v := range d {
+			e += v * v
+		}
+	}
+	rho, e = math.Sqrt(rho), math.Sqrt(e)
+	gamma := float64(n+1) * 0x1p-53 / (1 - float64(n+1)*0x1p-53)
+	return 4 * (3*gamma*(pF+1+qF) + (1+rho)*rho + 2*(1+rho)*e + e*e)
+}
+
+// The projector and η are the one-term loops' bits at target counts on
+// both sides of a group of four, with zero samples breaking groups.
+func TestDenseScanBuildMatchesOneTermLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	zeroGroups, grouped, nonFinite := 0, 0, 0
+	for trial := 0; trial < 80; trial++ {
+		n := 1 + rng.Intn(70)
+		u := randMat(rng, min(n, 1+rng.Intn(18)), n)
+		if trial%3 == 0 {
+			for z := rng.Intn(2 * n); z > 0; z-- {
+				u.Set(rng.Intn(u.Rows), rng.Intn(n), 0)
+			}
+		}
+		if trial%5 == 0 { // a target with an infinite sample: B is NaN
+			u.Set(rng.Intn(u.Rows), rng.Intn(n), math.Inf(1))
+		}
+		p, err := NewOSP(u)
+		if err != nil {
+			continue
+		}
+		if trial%5 == 0 {
+			nonFinite++
+		}
+		s := p.DenseScan()
+		want := denseOneTerm(p)
+		for i, v := range s.Dense.Data {
+			if !sameBits(v, want.Data[i]) {
+				t.Fatalf("trial %d, %dx%d: Dense[%d] = %v, one term at a time %v", trial, u.Rows, n, i, v, want.Data[i])
+			}
+		}
+		if s.Filters() && !sameBits(s.eta, etaOneTerm(s)) {
+			t.Fatalf("trial %d, %dx%d: η = %v, one term at a time %v", trial, u.Rows, n, s.eta, etaOneTerm(s))
+		}
+		if u.Rows >= 4 {
+			grouped++
+			for i := 0; i < n; i++ {
+				if u.At(0, i) == 0 || u.At(1, i) == 0 || u.At(2, i) == 0 || u.At(3, i) == 0 {
+					zeroGroups++
+				}
+			}
+		}
+	}
+	if grouped == 0 || zeroGroups == 0 || nonFinite == 0 {
+		t.Fatalf("%d trials took groups of four, %d columns had a zero in the first group, %d targets were not finite: a path went unchecked",
+			grouped, zeroGroups, nonFinite)
+	}
+}

@@ -1,13 +1,18 @@
 package spectral
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/vec"
+)
 
 // This file holds the blocked forms of SAD used by the hot scans: pixel
 // labelling, unique-set construction, candidate deduplication and the
 // morphological distance map. They return bit-for-bit what a loop over
 // SAD returns, because every output keeps its own accumulator and its
 // own left-to-right band order (DESIGN.md "Kernel exactness"); speed
-// comes from running four outputs at once, from widening each operand to
+// comes from running four outputs at once (a Set's scans sixteen, in
+// vector lanes: see package vec), from widening each operand to
 // float64 and taking its squared norm once per scan rather than once per
 // dot product, and from deciding comparisons on the cosine when the
 // arccosine cannot change the outcome.
@@ -153,36 +158,20 @@ func (p *Pixel) Load(v []float32) *Pixel {
 	return p
 }
 
-// Dots4 returns the dot products of x with a, b, c and d, all already
-// widened, each accumulated band by band exactly as SAD accumulates it:
-// Dot4 without the norm and without converting its operands.
-func Dots4(x, a, b, c, d []float64) (da, db, dc, dd float64) {
-	n := len(x)
-	if len(a) != n || len(b) != n || len(c) != n || len(d) != n {
-		panic("spectral: Dots4 length mismatch")
-	}
-	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
-	for i, w := range x {
-		da += w * a[i]
-		db += w * b[i]
-		dc += w * c[i]
-		dd += w * d[i]
-	}
-	return
-}
-
 // A Set is a list of signatures, each widened once with its squared norm
 // cached, so a scan of many pixels against it never recomputes a
 // per-signature invariant. The set keeps its own float64 copy of every
-// signature: one that changes after NewSet or Add is not seen, so a
-// signature must not change while the set stands for it.
+// signature, packed in a vec.Panel: one that changes after NewSet or Add
+// is not seen, so a signature must not change while the set stands for
+// it.
 type Set struct {
-	sigs []Pixel
+	sigs  vec.Panel
+	norms []float64
 }
 
 // NewSet builds a set over sigs.
 func NewSet(sigs [][]float32) *Set {
-	s := &Set{sigs: make([]Pixel, 0, len(sigs))}
+	s := &Set{norms: make([]float64, 0, len(sigs))}
 	for _, sig := range sigs {
 		s.Add(sig)
 	}
@@ -192,20 +181,16 @@ func NewSet(sigs [][]float32) *Set {
 // Add appends a signature.
 func (s *Set) Add(sig []float32) {
 	var p Pixel
-	s.sigs = append(s.sigs, *p.Load(sig))
+	p.Load(sig)
+	s.sigs.Add(p.V)
+	s.norms = append(s.norms, p.Norm)
 }
 
 // Len returns the number of signatures.
-func (s *Set) Len() int { return len(s.sigs) }
+func (s *Set) Len() int { return len(s.norms) }
 
-// block returns the dot products of x with signatures i..i+3; slots past
-// the end of the set repeat the last signature.
-func (s *Set) block(x *Pixel, i int) (dots [4]float64) {
-	last := len(s.sigs) - 1
-	dots[0], dots[1], dots[2], dots[3] = Dots4(x.V,
-		s.sigs[i].V, s.sigs[min(i+1, last)].V, s.sigs[min(i+2, last)].V, s.sigs[min(i+3, last)].V)
-	return
-}
+// setPass is how many signatures a scan takes per call of vec.Panel.Dots.
+const setPass = 16
 
 // Nearest returns the index of the signature with the smallest SAD to
 // the loaded pixel x among those strictly below limit (the lowest index
@@ -220,15 +205,17 @@ func (s *Set) block(x *Pixel, i int) (dots [4]float64) {
 func (s *Set) Nearest(x *Pixel, limit Limit) (int, float64) {
 	best, bestD := -1, limit.rad
 	bound := limit.cos // no greater than cos(bestD), up to rounding
-	for i := 0; i < len(s.sigs); i += 4 {
-		dots := s.block(x, i)
-		for k := 0; k < 4 && i+k < len(s.sigs); k++ {
-			ns := s.sigs[i+k].Norm
-			c := dots[k] / math.Sqrt(x.Norm*ns)
+	var buf [setPass]float64
+	for i := 0; i < len(s.norms); i += setPass {
+		dots := buf[:min(setPass, len(s.norms)-i)]
+		s.sigs.Dots(x.V, i, dots)
+		for k, dot := range dots {
+			ns := s.norms[i+k]
+			c := dot / math.Sqrt(x.Norm*ns)
 			if c < bound-cosSlack {
 				continue
 			}
-			if d := Angle(dots[k], x.Norm, ns); d < bestD {
+			if d := Angle(dot, x.Norm, ns); d < bestD {
 				best, bestD = i+k, d
 				if c > bound {
 					bound = min(c, 1)
@@ -242,10 +229,12 @@ func (s *Set) Nearest(x *Pixel, limit Limit) (int, float64) {
 // FirstWithin returns the lowest index whose signature has
 // SAD(pixel, signature) <= limit for the loaded pixel x, or -1.
 func (s *Set) FirstWithin(x *Pixel, limit Limit) int {
-	for i := 0; i < len(s.sigs); i += 4 {
-		dots := s.block(x, i)
-		for k := 0; k < 4 && i+k < len(s.sigs); k++ {
-			if limit.Holds(dots[k], x.Norm, s.sigs[i+k].Norm) {
+	var buf [setPass]float64
+	for i := 0; i < len(s.norms); i += setPass {
+		dots := buf[:min(setPass, len(s.norms)-i)]
+		s.sigs.Dots(x.V, i, dots)
+		for k, dot := range dots {
+			if limit.Holds(dot, x.Norm, s.norms[i+k]) {
 				return i + k
 			}
 		}
