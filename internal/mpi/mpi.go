@@ -43,7 +43,8 @@ import (
 // mailboxCapacity bounds in-flight messages per (src,dst) pair. Sends are
 // eager (buffered) so well-formed master/worker programs cannot deadlock;
 // the capacity is generous because the algorithms in this repository
-// exchange a handful of messages per pair per iteration.
+// exchange a handful of messages per pair per iteration. It is a bound,
+// not a reservation: a mailbox's storage follows its unreceived messages.
 const mailboxCapacity = 1024
 
 // message is one in-flight transfer.
@@ -55,16 +56,66 @@ type message struct {
 	arrival float64 // ready + transfer cost
 }
 
+// mailbox is the FIFO of one ordered (src,dst) pair. Its storage grows
+// with the messages waiting in it, up to mailboxCapacity, and is reused
+// once they are received. Each pair has one sender and one receiver, so
+// a one-slot wake channel is enough to park the receiver: a push after
+// the receiver found the queue empty leaves a token it cannot miss.
+type mailbox struct {
+	mu   sync.Mutex
+	q    []message // unreceived messages are q[head:]
+	head int
+	wake chan struct{}
+}
+
+// push appends m, reporting false when the pair already holds
+// mailboxCapacity unreceived messages.
+func (b *mailbox) push(m message) bool {
+	b.mu.Lock()
+	if len(b.q)-b.head >= mailboxCapacity {
+		b.mu.Unlock()
+		return false
+	}
+	if b.head > 0 && len(b.q) == cap(b.q) {
+		// Slide the waiting messages down instead of growing.
+		n := copy(b.q, b.q[b.head:])
+		clear(b.q[n:])
+		b.q, b.head = b.q[:n], 0
+	}
+	b.q = append(b.q, m)
+	b.mu.Unlock()
+	select {
+	case b.wake <- struct{}{}:
+	default: // a token is already waiting
+	}
+	return true
+}
+
+// pop removes the oldest message, reporting false when none is waiting.
+func (b *mailbox) pop() (message, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.head == len(b.q) {
+		return message{}, false
+	}
+	m := b.q[b.head]
+	b.q[b.head] = message{} // the payload is the receiver's now
+	b.head++
+	if b.head == len(b.q) {
+		b.q, b.head = b.q[:0], 0
+	}
+	return m, true
+}
+
 // World is a simulated cluster: a platform description plus one mailbox
 // per ordered processor pair. Mailboxes are created lazily on first use:
-// the master/worker algorithms only ever exercise O(P) of the P^2 pairs,
-// and eager allocation at P=256 would cost gigabytes of channel buffers.
+// the master/worker algorithms only ever exercise O(P) of the P^2 pairs.
 type World struct {
 	net          *platform.Network
 	ctx          context.Context // nil means "never cancelled"
 	mailboxMu    sync.Mutex
-	mailbox      [][]chan message // [src][dst], nil until first use
-	failed       chan struct{}    // closed when any rank panics
+	mailbox      [][]*mailbox  // [src][dst], nil until first use
+	failed       chan struct{} // closed when any rank panics
 	failOnce     sync.Once
 	computeScale float64
 	dataScale    float64
@@ -76,23 +127,23 @@ type World struct {
 // NewWorld creates a world over the given network.
 func NewWorld(net *platform.Network) *World {
 	p := net.Size()
-	mb := make([][]chan message, p)
+	mb := make([][]*mailbox, p)
 	for i := range mb {
-		mb[i] = make([]chan message, p)
+		mb[i] = make([]*mailbox, p)
 	}
 	return &World{net: net, mailbox: mb, failed: make(chan struct{}), computeScale: 1, dataScale: 1}
 }
 
 // box returns the mailbox for the ordered pair, creating it on first use.
-func (w *World) box(src, dst int) chan message {
+func (w *World) box(src, dst int) *mailbox {
 	w.mailboxMu.Lock()
-	ch := w.mailbox[src][dst]
-	if ch == nil {
-		ch = make(chan message, mailboxCapacity)
-		w.mailbox[src][dst] = ch
+	b := w.mailbox[src][dst]
+	if b == nil {
+		b = &mailbox{wake: make(chan struct{}, 1)}
+		w.mailbox[src][dst] = b
 	}
 	w.mailboxMu.Unlock()
-	return ch
+	return b
 }
 
 // SetComputeScale multiplies every subsequent flop charge by s. The
@@ -339,9 +390,7 @@ func (c *Comm) Send(dst, tag int, payload any, bytes int) {
 	c.checkFailed()
 	c.world.trace.add(Event{Rank: c.rank, Kind: EventSend, Tag: tag, Peer: dst, Bytes: bytes, Start: ready, Dur: cost, Cat: vtime.Com})
 	m := message{tag: tag, payload: payload, bytes: bytes, ready: ready, arrival: ready + cost}
-	select {
-	case c.world.box(c.rank, dst) <- m:
-	default:
+	if !c.world.box(c.rank, dst).push(m) {
 		panic(fmt.Sprintf("mpi: mailbox %d->%d overflow (more than %d unreceived messages)", c.rank, dst, mailboxCapacity))
 	}
 }
@@ -379,20 +428,22 @@ func (c *Comm) take(src int) message {
 		return q[0]
 	}
 	box := c.world.box(src, c.rank)
-	var m message
-	select {
-	case m = <-box:
-	case <-c.world.done():
-		panic(abortError{c.world.ctx.Err()})
-	case <-c.world.failed:
-		// Drain anything that raced with the failure notification.
+	for {
+		if m, ok := box.pop(); ok {
+			return m
+		}
 		select {
-		case m = <-box:
-		default:
+		case <-box.wake:
+		case <-c.world.done():
+			panic(abortError{c.world.ctx.Err()})
+		case <-c.world.failed:
+			// Drain anything that raced with the failure notification.
+			if m, ok := box.pop(); ok {
+				return m
+			}
 			panic(cascadeAbort{})
 		}
 	}
-	return m
 }
 
 // PeekEarliest blocks (in host time) until every listed source has a

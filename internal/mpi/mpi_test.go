@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/platform"
 	"repro/internal/vtime"
@@ -28,7 +30,7 @@ func twoNode(t *testing.T, linkMS float64) *platform.Network {
 	return n
 }
 
-func homoNet(t *testing.T, p int, w, linkMS float64) *platform.Network {
+func homoNet(t testing.TB, p int, w, linkMS float64) *platform.Network {
 	t.Helper()
 	procs := make([]platform.Processor, p)
 	links := make([][]float64, p)
@@ -161,16 +163,22 @@ func TestRecvAfterArrivalChargesNothing(t *testing.T) {
 	}
 }
 
+// FIFO order per pair holds while the mailbox grows: every message is
+// waiting before the first receive.
 func TestFIFOOrderPerPair(t *testing.T) {
+	const n = 200
+	sent := make(chan struct{})
 	w := NewWorld(twoNode(t, 1))
 	res := mustRun(t, w, func(c *Comm) any {
 		if c.Rank() == 0 {
-			for i := 0; i < 10; i++ {
+			for i := 0; i < n; i++ {
 				c.Send(1, 5, i, 4)
 			}
+			close(sent)
 			return nil
 		}
-		out := make([]int, 10)
+		<-sent
+		out := make([]int, n)
 		for i := range out {
 			out[i] = RecvAs[int](c, 0, 5)
 		}
@@ -447,6 +455,126 @@ func TestMailboxOverflowPanics(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "overflow") {
 		t.Errorf("err = %v, want overflow", err)
+	}
+}
+
+// A mailbox's storage grows past its first allocation and slides its
+// waiting messages down when the head has moved, keeping FIFO order
+// throughout and refusing exactly the message past mailboxCapacity.
+func TestMailboxGrowsInOrder(t *testing.T) {
+	b := &mailbox{wake: make(chan struct{}, 1)}
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			if !b.push(message{tag: next}) {
+				t.Fatalf("push %d refused with %d waiting", next, next-want)
+			}
+			next++
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			m, ok := b.pop()
+			if !ok || m.tag != want {
+				t.Fatalf("pop = (%d, %v), want message %d", m.tag, ok, want)
+			}
+			want++
+		}
+	}
+	push(200)
+	pop(150)
+	push(300) // slides the 50 still waiting down, then grows
+	pop(350)
+	if _, ok := b.pop(); ok {
+		t.Fatal("pop from an empty mailbox succeeded")
+	}
+	push(mailboxCapacity)
+	if b.push(message{}) {
+		t.Fatalf("push accepted message %d past the capacity", mailboxCapacity+1)
+	}
+	if c := cap(b.q); c > 2*mailboxCapacity {
+		t.Errorf("storage holds %d slots for %d waiting messages", c, mailboxCapacity)
+	}
+	pop(mailboxCapacity)
+}
+
+// A message queued before its sender dies is still received after the
+// world has failed; only a receive with nothing waiting cascades.
+func TestMessageSentBeforeFailureIsReceived(t *testing.T) {
+	w := NewWorld(twoNode(t, 1))
+	got, cascaded := -1, false
+	_, err := w.Run(func(c *Comm) any {
+		if c.Rank() == 1 {
+			c.Send(0, 3, 42, 8)
+			panic("worker died")
+		}
+		<-w.failed
+		got = RecvAs[int](c, 1, 3)
+		defer func() {
+			_, cascaded = recover().(cascadeAbort)
+		}()
+		c.Recv(1, 3)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "worker died") {
+		t.Errorf("err = %v, want the originating panic", err)
+	}
+	if got != 42 {
+		t.Errorf("received %d, want the 42 sent before the failure", got)
+	}
+	if !cascaded {
+		t.Error("a receive with nothing waiting after the failure did not cascade")
+	}
+}
+
+// smallWorld is one small job's messaging: the master broadcasts a few
+// hundred bytes, scatters a 4 KiB slice to each worker and gathers one
+// back from each.
+func smallWorld(c *Comm) any {
+	const tag = 1
+	c.Bcast(0, tag, make([]float64, 32), 256)
+	var part []float64
+	if c.Root() {
+		for dst := 1; dst < c.Size(); dst++ {
+			c.Send(dst, tag, make([]float64, 512), 4096)
+		}
+		part = make([]float64, 512)
+	} else {
+		part = RecvAs[[]float64](c, 0, tag)
+	}
+	return c.Gather(0, tag, part, 8*len(part))
+}
+
+// A world's memory follows its traffic: a 16-rank scatter and gather
+// allocates a small fraction of what one preallocated 1024-slot mailbox
+// per used pair (32 pairs at 48 KiB) would cost.
+func TestSmallWorldAllocatesForItsTraffic(t *testing.T) {
+	const runs = 20
+	net := homoNet(t, 16, 0.01, 1)
+	mustRun(t, NewWorld(net), smallWorld) // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		mustRun(t, NewWorld(net), smallWorld)
+	}
+	runtime.ReadMemStats(&after)
+	perRun := int(after.TotalAlloc-before.TotalAlloc) / runs
+	preallocated := 32 * mailboxCapacity * int(unsafe.Sizeof(message{}))
+	t.Logf("%d B allocated per run; preallocated mailboxes would be %d B", perRun, preallocated)
+	if perRun > preallocated/8 {
+		t.Fatalf("a 16-rank run allocates %d B, more than an eighth of %d B of preallocated mailboxes", perRun, preallocated)
+	}
+}
+
+// BenchmarkRunSmallWorld is a small job's fixed messaging cost: world
+// setup, 16 rank goroutines and one bcast, scatter and gather.
+func BenchmarkRunSmallWorld(b *testing.B) {
+	net := homoNet(b, 16, 0.01, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewWorld(net).Run(smallWorld); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -311,7 +311,7 @@ func voronoiSeeds(rng *rand.Rand, dz rect) []voronoiSeed {
 }
 
 func nearestSeedClass(seeds []voronoiSeed, l, s int) int {
-	best, bestD := 0, math.MaxInt64
+	best, bestD := 0, math.MaxInt
 	for i, sd := range seeds {
 		d := (sd.l-l)*(sd.l-l) + (sd.s-s)*(sd.s-s)
 		if d < bestD {

@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"context"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -108,5 +111,59 @@ func BenchmarkKernelCubeDigest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CubeDigest(f)
+	}
+}
+
+// A journal-less scheduler has no finished record to write, so settling a
+// cache hit must not encode its report: over many hits of a report whose
+// encoding is 128 KiB, a hit allocates a small fraction of that.
+func TestSettleWithoutJournalEncodesNothing(t *testing.T) {
+	const hits = 64
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	spec := tinySpec(t)
+	big := &core.RunReport{Algorithm: core.ATDCA, Timeline: strings.Repeat("x", 128<<10)}
+	encoded := len(marshalReport(big))
+	s.cache.put(runToEnd(t, s, spec).cacheKey, big) // the first run misses
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hits; i++ {
+		j, err := s.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if !j.FromCache() || j.Report() != big {
+			t.Fatalf("hit %d: from cache %v, report is the seeded one %v", i, j.FromCache(), j.Report() == big)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perHit := int(after.TotalAlloc-before.TotalAlloc) / hits
+	t.Logf("%d B allocated per hit; the report encodes to %d B", perHit, encoded)
+	if perHit > encoded/8 {
+		t.Fatalf("a cache hit allocates %d B, more than an eighth of its report's %d B encoding: settle is encoding for a journal it does not have",
+			perHit, encoded)
+	}
+}
+
+// BenchmarkSchedulerCacheHit is a job's fixed cost in the scheduler:
+// Submit to settle of a cached result, with no journal.
+func BenchmarkSchedulerCacheHit(b *testing.B) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	spec := tinySpec(b)
+	runToEnd(b, s, spec) // the first run misses and fills the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := s.Submit(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-j.Done()
+		if !j.FromCache() {
+			b.Fatal("not a cache hit")
+		}
 	}
 }

@@ -26,7 +26,7 @@ func lazySpec(spec JobSpec, calls *atomic.Int32) JobSpec {
 	return spec
 }
 
-func runToEnd(t *testing.T, s *Scheduler, spec JobSpec) *Job {
+func runToEnd(t testing.TB, s *Scheduler, spec JobSpec) *Job {
 	t.Helper()
 	j, err := s.Submit(context.Background(), spec)
 	if err != nil {

@@ -1066,7 +1066,9 @@ func (s *Scheduler) settle(j *Job, state State, res *core.RunReport, err error, 
 	// first means moving this block above the j.mu section, nothing else.
 	// A job cancelled by a drain is deferred, not settled: no finished
 	// record, so the journal's open story makes the next boot resume it.
-	if !j.spec.NoJournal && !(state == StateCancelled && s.draining.Load()) {
+	// Without a journal there is no record to build: JournalAppend would
+	// drop it, and encoding the report is most of a cache hit's cost.
+	if s.Journaled() && !j.spec.NoJournal && !(state == StateCancelled && s.draining.Load()) {
 		rec := Record{Type: recFinished, Job: j.id, State: string(state)}
 		if err != nil {
 			rec.Error = err.Error()
