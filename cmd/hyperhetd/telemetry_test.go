@@ -101,60 +101,66 @@ type chromeDoc struct {
 	DisplayTimeUnit string `json:"displayTimeUnit"`
 }
 
+// A traced run of any variant serves its Chrome trace, the Adaptive one
+// included.
 func TestTraceEndpoint(t *testing.T) {
-	ts := testServer(t, hyperhet.SchedulerConfig{})
+	adaptive := strings.Replace(tracedJob, `"algorithm": "atdca"`, `"mode": "adaptive"`, 1)
+	for name, body := range map[string]string{"run": tracedJob, "adaptive": adaptive} {
+		t.Run(name, func(t *testing.T) {
+			ts := testServer(t, hyperhet.SchedulerConfig{})
+			resp, doc := postJSON(t, ts.URL+"/submit", body)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit status = %d, body %v", resp.StatusCode, doc)
+			}
+			id := doc["id"].(string)
+			job := waitSettled(t, ts.URL, id)
+			if job["state"] != "completed" {
+				t.Fatalf("job state = %v (%v)", job["state"], job["error"])
+			}
+			result := job["result"].(map[string]any)
+			parSeconds := result["par_seconds"].(float64)
 
-	resp, doc := postJSON(t, ts.URL+"/submit", tracedJob)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d, body %v", resp.StatusCode, doc)
-	}
-	id := doc["id"].(string)
-	job := waitSettled(t, ts.URL, id)
-	if job["state"] != "completed" {
-		t.Fatalf("job state = %v (%v)", job["state"], job["error"])
-	}
-	result := job["result"].(map[string]any)
-	parSeconds := result["par_seconds"].(float64)
+			traceResp, err := http.Get(ts.URL + "/jobs/" + id + "/trace")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer traceResp.Body.Close()
+			if traceResp.StatusCode != http.StatusOK {
+				t.Fatalf("trace status = %d", traceResp.StatusCode)
+			}
+			if ct := traceResp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("trace Content-Type = %q", ct)
+			}
+			var trace chromeDoc
+			if err := json.NewDecoder(traceResp.Body).Decode(&trace); err != nil {
+				t.Fatalf("trace is not valid JSON: %v", err)
+			}
+			if len(trace.TraceEvents) == 0 {
+				t.Fatal("trace has no events")
+			}
 
-	traceResp, err := http.Get(ts.URL + "/jobs/" + id + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer traceResp.Body.Close()
-	if traceResp.StatusCode != http.StatusOK {
-		t.Fatalf("trace status = %d", traceResp.StatusCode)
-	}
-	if ct := traceResp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("trace Content-Type = %q", ct)
-	}
-	var trace chromeDoc
-	if err := json.NewDecoder(traceResp.Body).Decode(&trace); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(trace.TraceEvents) == 0 {
-		t.Fatal("trace has no events")
-	}
-
-	// The acceptance property: the root rank's PAR-category compute plus
-	// its idle waits must sum to the report's PAR time (the paper folds
-	// root idle into PAR).
-	var rootPar float64
-	ranks := map[int]bool{}
-	for _, e := range trace.TraceEvents {
-		if e.Ph != "X" {
-			continue
-		}
-		ranks[e.Tid] = true
-		if e.Tid == 1 && (e.Cat == "PAR" || e.Cat == "IDLE") {
-			rootPar += e.Dur / 1e6
-		}
-	}
-	if math.Abs(rootPar-parSeconds) > 1e-6*math.Max(1, parSeconds) {
-		t.Errorf("root PAR+IDLE slices sum to %v s, report says %v s", rootPar, parSeconds)
-	}
-	// One thread row per rank of the 16-processor network.
-	if len(ranks) != 16 {
-		t.Errorf("trace covers %d ranks, want 16", len(ranks))
+			// The acceptance property: the root rank's PAR-category
+			// compute plus its idle waits must sum to the report's PAR
+			// time (the paper folds root idle into PAR).
+			var rootPar float64
+			ranks := map[int]bool{}
+			for _, e := range trace.TraceEvents {
+				if e.Ph != "X" {
+					continue
+				}
+				ranks[e.Tid] = true
+				if e.Tid == 1 && (e.Cat == "PAR" || e.Cat == "IDLE") {
+					rootPar += e.Dur / 1e6
+				}
+			}
+			if math.Abs(rootPar-parSeconds) > 1e-6*math.Max(1, parSeconds) {
+				t.Errorf("root PAR+IDLE slices sum to %v s, report says %v s", rootPar, parSeconds)
+			}
+			// One thread row per rank of the 16-processor network.
+			if len(ranks) != 16 {
+				t.Errorf("trace covers %d ranks, want 16", len(ranks))
+			}
+		})
 	}
 }
 

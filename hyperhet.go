@@ -99,7 +99,8 @@ type (
 // initial shares re-partitioned between rounds from measured busy times
 // whenever the busiest worker's exceeds the least busy one's by more than
 // 15%, converging to WEA-grade balance without knowing the cycle-times.
-// Its convergence trace is RunReport.Adaptive.
+// It honours a checkpointer and Params.Trace like any run and ignores a
+// balance policy. Its convergence trace is RunReport.Adaptive.
 const (
 	ATDCA    = core.ATDCA
 	UFCLS    = core.UFCLS

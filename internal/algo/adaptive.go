@@ -10,9 +10,10 @@ import (
 
 // This file implements the dynamic load balancing the paper's conclusions
 // point to as future work ("resource-aware static and dynamic task
-// scheduling"): an adaptive variant of ATDCA that starts from equal
-// shares — assuming NOTHING about processor speeds — and re-partitions
-// between detection rounds based on each worker's measured busy time.
+// scheduling"): the adaptive schedule (Exec.Adaptive), which starts from
+// the static one — equal shares, assuming NOTHING about processor speeds
+// — and re-partitions between detection rounds based on each worker's
+// measured busy time.
 // After a few rounds the shares converge to the true speed proportions,
 // so the algorithm matches WEA's balance without WEA's requirement that
 // cycle-times be known (and stays balanced if they were declared wrong).
@@ -24,7 +25,7 @@ const rebalanceThreshold = 1.15
 
 // AdaptiveTrace records, per detection round, the measured imbalance and
 // whether the master re-partitioned — the convergence story of the
-// adaptive run. Only the root returns a trace.
+// adaptive run. The root records it through Exec.Adaptive.
 type AdaptiveTrace struct {
 	// Imbalance[r] is max/min worker busy time measured after round r.
 	Imbalance []float64
@@ -32,7 +33,7 @@ type AdaptiveTrace struct {
 	Rebalanced []bool
 	// MovedRows[r] is the number of rows that changed owner after round r.
 	MovedRows []int
-	// FinalSpans are the line spans at the end of the run.
+	// FinalSpans are the line spans the last published round left.
 	FinalSpans []partition.Span
 }
 
@@ -51,38 +52,14 @@ type adaptiveUpdate struct {
 	part LocalPart
 }
 
-// ATDCAAdaptive runs ATDCA with measurement-driven dynamic load
-// balancing. It must run inside an mpi program; f is required at the
-// root. The result and trace are returned at the root; other ranks return
-// nils. The schedule keeps its own partition state, so it takes no Exec:
-// it runs without a balancer or a checkpoint store.
-func ATDCAAdaptive(c *mpi.Comm, f *cube.Cube, params DetectionParams) (*DetectionResult, *AdaptiveTrace, error) {
-	var a *adaptiveSchedule
-	res, err := detectRounds(c, f, params, nil, atdcaDetector, func() (schedule, error) {
-		// Start from equal shares: the platform's speeds are treated as
-		// unknown.
-		st, err := newStaticSchedule(c, f, partition.Homogeneous{}, 0)
-		if err != nil {
-			return nil, err
-		}
-		a = &adaptiveSchedule{staticSchedule: *st, scene: f}
-		return a, nil
-	})
-	if err != nil || !c.Root() {
-		return nil, nil, err
-	}
-	a.trace.FinalSpans = a.spans
-	return res, &a.trace, nil
-}
-
 // adaptiveSchedule is the static schedule with two additions: every phase
 // measures each rank's busy time around its work, and publishing the next
 // U re-partitions the scene when the measurements are out of balance.
 type adaptiveSchedule struct {
 	staticSchedule
-	scene   *cube.Cube    // root only
-	reports []roundReport // root only: the last phase's measurements
-	trace   AdaptiveTrace
+	scene   *cube.Cube     // root only
+	reports []roundReport  // root only: the last phase's measurements
+	trace   *AdaptiveTrace // root only writes it
 }
 
 func (a *adaptiveSchedule) run(ph phase, work balance.Work) []balance.Partial {
@@ -104,10 +81,12 @@ func (a *adaptiveSchedule) run(ph phase, work balance.Work) []balance.Partial {
 // publish decides at the root whether the measured busy times warrant a
 // re-partition, then sends every worker its next-round update (new U, and
 // its partition — unchanged or moved). The transfer cost charged per
-// worker is the U matrix plus the rows it did not already hold.
+// worker is the U matrix plus the rows it did not already hold. A publish
+// that follows no phase (a resumed run's first) measures nothing, moves
+// nothing and records nothing.
 func (a *adaptiveSchedule) publish(u uMatrix) uMatrix {
 	c := a.c
-	_, samples, bands := a.shape()
+	lines, samples, bands := a.shape()
 	if !c.Root() {
 		upd := mpi.RecvAs[adaptiveUpdate](c, 0, tagBroadcast)
 		a.part, a.own = upd.part, upd.part.Cube
@@ -119,7 +98,7 @@ func (a *adaptiveSchedule) publish(u uMatrix) uMatrix {
 	rebalance := imb > rebalanceThreshold
 	newSpans := a.spans
 	if rebalance {
-		newSpans = apportionRows(lastLine(a.spans), speeds)
+		newSpans = apportionRows(lines, speeds)
 		// Re-partitioning is master bookkeeping.
 		c.ComputeFixed(float64(len(a.spans))*20, vtime.Seq)
 	}
@@ -138,15 +117,18 @@ func (a *adaptiveSchedule) publish(u uMatrix) uMatrix {
 			a.part, a.own = np, np.Cube
 			continue
 		}
-		newRows := rowsNotIn(span, a.spans[r])
+		newRows := span.NotIn(a.spans[r])
 		moved += newRows
 		bytes := u.bytes(bands) + int(float64(newRows*samples*bands*4)*c.DataScale())
 		c.Send(r, tagBroadcast, adaptiveUpdate{u: u, part: np}, bytes)
 	}
 	a.spans = newSpans
-	a.trace.Imbalance = append(a.trace.Imbalance, imb)
-	a.trace.Rebalanced = append(a.trace.Rebalanced, rebalance)
-	a.trace.MovedRows = append(a.trace.MovedRows, moved)
+	a.trace.FinalSpans = newSpans
+	if len(a.reports) > 0 {
+		a.trace.Imbalance = append(a.trace.Imbalance, imb)
+		a.trace.Rebalanced = append(a.trace.Rebalanced, rebalance)
+		a.trace.MovedRows = append(a.trace.MovedRows, moved)
+	}
 	return u
 }
 
@@ -204,17 +186,4 @@ func apportionRows(lines int, speeds []float64) []partition.Span {
 		panic(err)
 	}
 	return spans
-}
-
-func lastLine(spans []partition.Span) int { return spans[len(spans)-1].Hi }
-
-// rowsNotIn counts the lines of newSpan that were not already in oldSpan.
-func rowsNotIn(newSpan, oldSpan partition.Span) int {
-	lo := max(newSpan.Lo, oldSpan.Lo)
-	hi := min(newSpan.Hi, oldSpan.Hi)
-	overlap := hi - lo
-	if overlap < 0 {
-		overlap = 0
-	}
-	return newSpan.Len() - overlap
 }

@@ -3,6 +3,7 @@ package algo
 import (
 	"testing"
 
+	"repro/internal/cube"
 	"repro/internal/mpi"
 	"repro/internal/partition"
 	"repro/internal/platform"
@@ -38,6 +39,17 @@ func adaptiveNet(t *testing.T) *platform.Network {
 	return n
 }
 
+// atdcaAdaptive runs ATDCA under the adaptive schedule from equal shares,
+// as core's Adaptive variant does, and returns the trace at the root.
+func atdcaAdaptive(c *mpi.Comm, f *cube.Cube, params DetectionParams) (*DetectionResult, *AdaptiveTrace, error) {
+	var tr AdaptiveTrace
+	r, err := ATDCAParallel(c, f, params, Exec{Strategy: partition.Homogeneous{}, Adaptive: &tr})
+	if err != nil || !c.Root() {
+		return nil, nil, err
+	}
+	return r, &tr, nil
+}
+
 func TestAdaptiveMatchesStaticDetections(t *testing.T) {
 	sc := testScene(t)
 	seq, err := ATDCASequential(sc.Cube, 6)
@@ -47,7 +59,7 @@ func TestAdaptiveMatchesStaticDetections(t *testing.T) {
 	net := adaptiveNet(t)
 	w := mpi.NewWorld(net)
 	res, err := w.Run(func(c *mpi.Comm) any {
-		r, _, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6})
+		r, _, err := atdcaAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6})
 		if err != nil {
 			panic(err)
 		}
@@ -67,7 +79,7 @@ func TestAdaptiveConvergesToBalance(t *testing.T) {
 	net := adaptiveNet(t)
 	w := mpi.NewWorld(net)
 	res, err := w.Run(func(c *mpi.Comm) any {
-		_, trace, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8})
+		_, trace, err := atdcaAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8})
 		if err != nil {
 			panic(err)
 		}
@@ -116,7 +128,7 @@ func TestAdaptiveBeatsEqualShares(t *testing.T) {
 		return res.WallTime()
 	}
 	adaptive := timeOf(func(c *mpi.Comm) any {
-		r, _, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8})
+		r, _, err := atdcaAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 8})
 		if err != nil {
 			panic(err)
 		}
@@ -155,7 +167,7 @@ func TestAdaptiveSingleProcessor(t *testing.T) {
 	}
 	w := mpi.NewWorld(net)
 	res, err := w.Run(func(c *mpi.Comm) any {
-		r, trace, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4})
+		r, trace, err := atdcaAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 4})
 		if err != nil {
 			panic(err)
 		}
@@ -180,7 +192,7 @@ func TestAdaptiveValidation(t *testing.T) {
 	net := adaptiveNet(t)
 	w := mpi.NewWorld(net)
 	_, err := w.Run(func(c *mpi.Comm) any {
-		_, _, err := ATDCAAdaptive(c, nil, DetectionParams{Targets: 4})
+		_, _, err := atdcaAdaptive(c, nil, DetectionParams{Targets: 4})
 		if c.Root() {
 			if err == nil {
 				panic("expected error for nil cube")
@@ -209,7 +221,7 @@ func TestAdaptiveThresholdSuppressesRebalance(t *testing.T) {
 	}
 	w := mpi.NewWorld(net)
 	res, err := w.Run(func(c *mpi.Comm) any {
-		_, trace, err := ATDCAAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 5})
+		_, trace, err := atdcaAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 5})
 		if err != nil {
 			panic(err)
 		}
@@ -247,23 +259,6 @@ func TestApportionRows(t *testing.T) {
 	for i, s := range spans {
 		if s.Len() != want[i] {
 			t.Fatalf("spans %v, want lengths %v", spans, want)
-		}
-	}
-}
-
-func TestRowsNotIn(t *testing.T) {
-	cases := []struct {
-		newS, oldS partition.Span
-		want       int
-	}{
-		{partition.Span{Lo: 0, Hi: 10}, partition.Span{Lo: 0, Hi: 10}, 0},
-		{partition.Span{Lo: 0, Hi: 10}, partition.Span{Lo: 5, Hi: 15}, 5},
-		{partition.Span{Lo: 0, Hi: 10}, partition.Span{Lo: 20, Hi: 30}, 10},
-		{partition.Span{Lo: 3, Hi: 5}, partition.Span{Lo: 0, Hi: 10}, 0},
-	}
-	for _, c := range cases {
-		if got := rowsNotIn(c.newS, c.oldS); got != c.want {
-			t.Errorf("rowsNotIn(%v,%v) = %d, want %d", c.newS, c.oldS, got, c.want)
 		}
 	}
 }

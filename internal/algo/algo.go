@@ -23,18 +23,20 @@
 //     chunks; partition-sensitive numerics (PCT's unique sets, mean and
 //     covariance sums; MORPH's AMEE candidate selection) are pinned to the
 //     static spans, handed out whole, so results stay bit-identical.
-//   - adaptive (ATDCAAdaptive): equal initial shares re-partitioned
-//     between detection rounds from measured busy times, for a platform
-//     whose speeds are not known at all. Above this package it is not a
-//     separate entry point but the third partitioning variant,
-//     core.Adaptive, of an ATDCA run.
+//   - adaptive (Exec.Adaptive): the static schedule, its spans
+//     re-partitioned between detection rounds from measured busy times,
+//     for a platform whose speeds are not known at all. Above this package
+//     it is the third variant, core.Adaptive, of an ATDCA run: equal
+//     initial shares, checkpoints and trace as for any run, and no
+//     balancer.
 //
 // The detectors share one round loop parameterised by the round's scoring
 // criterion, and each rank carries per-pixel state from round to round —
-// UFCLS's bounds, ATDCA's filter sums — keyed by global line. PCT is the one place a body asks which schedule it runs
-// under: the paper's static protocol gathers its statistics in three
-// messages and routes the reduced cube through the master, which a
-// demand-driven grant makes unnecessary.
+// UFCLS's bounds, ATDCA's filter sums — keyed by global line. PCT is the
+// one place a body asks which schedule it runs under: the paper's static
+// protocol gathers its statistics in three messages and routes the
+// reduced cube through the master, which a demand-driven grant makes
+// unnecessary.
 //
 // All parallel implementations are deterministic: given the same scene,
 // parameters and platform they return identical results and identical
@@ -94,6 +96,12 @@ type Exec struct {
 	// store's latest snapshot instead of round zero. Nil disables
 	// checkpointing with zero protocol or virtual-time change.
 	Checkpoint checkpoint.Checkpointer
+	// Adaptive, when non-nil, runs the static schedule as the adaptive
+	// one: busy times measured around every rank's work, and the scene
+	// re-partitioned between detection rounds when they are out of
+	// balance. The root records the convergence into it. Balance wins
+	// when both are set.
+	Adaptive *AdaptiveTrace
 }
 
 // eqBands returns the band count used for master-side fixed charges.

@@ -16,13 +16,12 @@ import (
 // so far.
 
 // ATDCAParallel is the Hetero-ATDCA of Algorithm 2 (or its homogeneous
-// version, depending on the partitioning strategy). It must run inside an
+// version, depending on the partitioning strategy, or the adaptive one
+// given Exec.Adaptive). It must run inside an
 // mpi program; f is required at the root and ignored elsewhere. The
 // result is returned at the root; other ranks return nil.
 func ATDCAParallel(c *mpi.Comm, f *cube.Cube, params DetectionParams, ex Exec) (*DetectionResult, error) {
-	return detectRounds(c, f, params, ex.Checkpoint, atdcaDetector, func() (schedule, error) {
-		return newSchedule(c, f, ex, 0)
-	})
+	return detectRounds(c, f, params, ex, atdcaDetector)
 }
 
 var atdcaDetector = detector{key: ckptATDCA, round: projectionCriterion}

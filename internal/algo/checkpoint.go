@@ -169,11 +169,15 @@ func (e *enc) f64s(v []float64) {
 
 // dec walks a payload with a saturating error flag so the codecs read as
 // straight-line code; any out-of-bounds read marks the whole decode bad.
+// Length checks divide the bytes left rather than multiply a decoded
+// count, so a hostile count cannot overflow past them.
 type dec struct {
 	b   []byte
 	bad bool
 }
 
+// u32 reads a count or coordinate; one above MaxInt32 fits no int on a
+// 32-bit platform, so it marks the decode bad everywhere.
 func (d *dec) u32() int {
 	if d.bad || len(d.b) < 4 {
 		d.bad = true
@@ -181,6 +185,10 @@ func (d *dec) u32() int {
 	}
 	v := binary.LittleEndian.Uint32(d.b)
 	d.b = d.b[4:]
+	if v > math.MaxInt32 {
+		d.bad = true
+		return 0
+	}
 	return int(v)
 }
 
@@ -196,7 +204,7 @@ func (d *dec) f64() float64 {
 
 func (d *dec) f32s() []float32 {
 	n := d.u32()
-	if d.bad || n < 0 || len(d.b) < 4*n {
+	if d.bad || n > len(d.b)/4 {
 		d.bad = true
 		return nil
 	}
@@ -210,7 +218,7 @@ func (d *dec) f32s() []float32 {
 
 func (d *dec) f64s() []float64 {
 	n := d.u32()
-	if d.bad || n < 0 || len(d.b) < 8*n {
+	if d.bad || n > len(d.b)/8 {
 		d.bad = true
 		return nil
 	}
@@ -282,7 +290,7 @@ func encodePCTState(msg pctBcastMsg) []byte {
 func decodePCTState(b []byte) (pctBcastMsg, error) {
 	d := dec{b: b}
 	rows, cols := d.u32(), d.u32()
-	if d.bad || rows < 1 || cols < 1 || len(d.b) < 8*rows*cols {
+	if d.bad || rows < 1 || cols < 1 || rows > len(d.b)/8/cols {
 		return pctBcastMsg{}, fmt.Errorf("algo: implausible PCT transform shape %dx%d", rows, cols)
 	}
 	t := linalg.NewMat(rows, cols)

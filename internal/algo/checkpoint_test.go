@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -249,5 +250,36 @@ func TestSigCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeSigs([]byte{255, 255, 255, 255}); err == nil {
 		t.Fatal("hostile count decoded cleanly")
+	}
+}
+
+// A payload that passed its frame's CRC but came from elsewhere restores
+// nothing: counts above MaxInt32 and shapes whose byte size overflows an
+// int are decode errors on every platform, never a panic.
+func TestCodecsRejectHostileCounts(t *testing.T) {
+	le := func(vs ...uint32) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	pct := func(b []byte) error { _, err := decodePCTState(b); return err }
+	targets := func(b []byte) error { _, err := decodeTargets(b); return err }
+	sigs := func(b []byte) error { _, err := decodeSigs(b); return err }
+	cases := []struct {
+		name   string
+		decode func([]byte) error
+		b      []byte
+	}{
+		{"pct rows 2^31", pct, le(1<<31, 1<<30)},
+		{"pct rows*cols*8 = 2^63", pct, le(1<<30, 1<<30)},
+		{"targets count 2^32-1", targets, le(1<<32 - 1)},
+		{"sig length 2^32-1", sigs, le(1, 1<<32-1)},
+	}
+	for _, c := range cases {
+		if err := c.decode(c.b); err == nil {
+			t.Errorf("%s: decoded cleanly", c.name)
+		}
 	}
 }

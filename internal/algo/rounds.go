@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/balance"
-	"repro/internal/checkpoint"
 	"repro/internal/cube"
 	"repro/internal/linalg"
 	"repro/internal/mpi"
@@ -52,20 +51,29 @@ type schedule interface {
 	publish(u uMatrix) uMatrix
 }
 
-// newSchedule opens the static schedule — one ScatterCube under
-// ex.Strategy, then a rank-order gather per phase — or, given a balancer,
-// the demand-driven schedule of package balance, where rows travel with
-// the chunk grants and only the geometry is distributed up front.
+// newSchedule opens the schedule ex asks for. Given a balancer it is the
+// demand-driven schedule of package balance, where rows travel with the
+// chunk grants and only the geometry is distributed up front; otherwise
+// the static schedule — one ScatterCube under ex.Strategy, then a
+// rank-order gather per phase — which an adaptive trace wraps in the
+// adaptive schedule.
 func newSchedule(c *mpi.Comm, f *cube.Cube, ex Exec, halo int) (schedule, error) {
-	if ex.Balance == nil {
-		return newStaticSchedule(c, f, ex.Strategy, halo)
+	if ex.Balance != nil {
+		var geom [3]int
+		if c.Root() {
+			geom = [3]int{f.Lines, f.Samples, f.Bands}
+		}
+		geom = c.Bcast(0, tagScatter, geom, 24).([3]int)
+		return &balancedSchedule{roundsComm: roundsComm{c, geom}, b: ex.Balance, halo: halo}, nil
 	}
-	var geom [3]int
-	if c.Root() {
-		geom = [3]int{f.Lines, f.Samples, f.Bands}
+	st, err := newStaticSchedule(c, f, ex.Strategy, halo)
+	if err != nil {
+		return nil, err
 	}
-	geom = c.Bcast(0, tagScatter, geom, 24).([3]int)
-	return &balancedSchedule{roundsComm: roundsComm{c, geom}, b: ex.Balance, halo: halo}, nil
+	if ex.Adaptive == nil {
+		return st, nil
+	}
+	return &adaptiveSchedule{staticSchedule: *st, scene: f, trace: ex.Adaptive}, nil
 }
 
 // roundsComm is what every schedule holds — its rank's endpoint and the
@@ -289,19 +297,19 @@ type carried struct {
 	sums   lineSums
 }
 
-// detectRounds is the round loop of both detectors under any schedule:
-// round 0 admits the brightest pixel, every later round the pixel that
-// maximizes det's criterion against the targets so far. The master
-// snapshots its target list into ck (nil: none) after each round and
-// publishes the grown U.
-func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, ck checkpoint.Checkpointer, det detector, open func() (schedule, error)) (*DetectionResult, error) {
+// detectRounds is the round loop of both detectors under the schedule ex
+// selects: round 0 admits the brightest pixel, every later round the
+// pixel that maximizes det's criterion against the targets so far. The
+// master snapshots its target list into ex.Checkpoint (nil: none) after
+// each round and publishes the grown U.
+func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, ex Exec, det detector) (*DetectionResult, error) {
 	t := params.Targets
 	if c.Root() {
 		if err := validateTargets(f, t); err != nil {
 			return nil, err
 		}
 	}
-	s, err := open()
+	s, err := newSchedule(c, f, ex, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -311,13 +319,13 @@ func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, ck checkpoi
 	var u uMatrix
 	start := 0
 	if c.Root() {
-		res = &DetectionResult{Targets: restoreTargets(c, ck, det.key, t)}
+		res = &DetectionResult{Targets: restoreTargets(c, ex.Checkpoint, det.key, t)}
 		for _, tg := range res.Targets {
 			u.rows = append(u.rows, toF64(tg.Signature))
 		}
 		start = len(res.Targets)
 	}
-	if ck != nil {
+	if ex.Checkpoint != nil {
 		// Workers learn the master's resume round so every rank executes
 		// the same remaining protocol rounds.
 		start = syncResume(c, start)
@@ -341,7 +349,7 @@ func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, ck checkpoi
 			}
 			res.Targets = append(res.Targets, best)
 			u.rows = append(u.rows, toF64(best.Signature))
-			if err := saveTargets(c, ck, det.key, res.Targets); err != nil {
+			if err := saveTargets(c, ex.Checkpoint, det.key, res.Targets); err != nil {
 				return nil, err
 			}
 		}

@@ -127,9 +127,7 @@ func maxErrorScan(f *cube.Cube, u uMatrix, bands int, bounds [][]float64) (int, 
 // version). It must run inside an mpi program; f is required at the root.
 // The result is returned at the root; other ranks return nil.
 func UFCLSParallel(c *mpi.Comm, f *cube.Cube, params DetectionParams, ex Exec) (*DetectionResult, error) {
-	return detectRounds(c, f, params, ex.Checkpoint, ufclsDetector, func() (schedule, error) {
-		return newSchedule(c, f, ex, 0)
-	})
+	return detectRounds(c, f, params, ex, ufclsDetector)
 }
 
 var ufclsDetector = detector{key: ckptUFCLS, round: errorCriterion}

@@ -390,7 +390,7 @@ func (b *Balancer) grantTo(c *mpi.Comm, src *chunkSource, ph Phase, rank int, ou
 		return
 	}
 	owned := src.take(rank)
-	halo := haloSpan(owned, ph.Halo, ph.Lines)
+	halo := owned.Grow(ph.Halo, ph.Lines)
 	view, err := b.scene.Rows(halo.Lo, halo.Hi)
 	if err != nil {
 		panic(fmt.Sprintf("balance: grant view [%d,%d): %v", halo.Lo, halo.Hi, err))
@@ -424,7 +424,7 @@ func (b *Balancer) selfDrain(c *mpi.Comm, src *chunkSource, ph Phase, fpl float6
 
 func (b *Balancer) selfChunk(c *mpi.Comm, src *chunkSource, ph Phase, fpl float64, work Work, partials *[]Partial) {
 	owned := src.take(0)
-	halo := haloSpan(owned, ph.Halo, ph.Lines)
+	halo := owned.Grow(ph.Halo, ph.Lines)
 	view, err := b.scene.Rows(halo.Lo, halo.Hi)
 	if err != nil {
 		panic(fmt.Sprintf("balance: self view [%d,%d): %v", halo.Lo, halo.Hi, err))
@@ -444,7 +444,7 @@ func (b *Balancer) account(rank int, owned partition.Span) {
 	b.stats.Chunks++
 	b.stats.AssignedLines[rank] += owned.Len()
 	ref := b.static[rank]
-	stolen := owned.Len() - overlap(owned, ref)
+	stolen := owned.NotIn(ref)
 	if stolen > 0 {
 		b.stats.StealEvents++
 		b.stats.ReassignedLines += stolen
@@ -467,31 +467,4 @@ func (b *Balancer) shipBytes(c *mpi.Comm, rank int, halo partition.Span) int {
 	bytes := float64(fresh) * rowBytes
 	b.stats.GrantBytes += int64(bytes)
 	return int(bytes)
-}
-
-func haloSpan(s partition.Span, halo, lines int) partition.Span {
-	lo := s.Lo - halo
-	if lo < 0 {
-		lo = 0
-	}
-	hi := s.Hi + halo
-	if hi > lines {
-		hi = lines
-	}
-	return partition.Span{Lo: lo, Hi: hi}
-}
-
-func overlap(a, b partition.Span) int {
-	lo := a.Lo
-	if b.Lo > lo {
-		lo = b.Lo
-	}
-	hi := a.Hi
-	if b.Hi < hi {
-		hi = b.Hi
-	}
-	if hi < lo {
-		return 0
-	}
-	return hi - lo
 }

@@ -60,10 +60,21 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("hostile payload length", func(t *testing.T) {
+		for _, n := range []uint32{1<<31 - 1, 1<<32 - 20} {
+			bad := append([]byte(nil), frame...)
+			binary.LittleEndian.PutUint32(bad[12:16], n)
+			reseal(bad)
+			if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("payload length %d: err = %v, want ErrCorrupt", n, err)
+			}
+		}
+	})
+	t.Run("round above MaxInt32", func(t *testing.T) {
 		bad := append([]byte(nil), frame...)
-		binary.LittleEndian.PutUint32(bad[12:16], 1<<31-1)
+		binary.LittleEndian.PutUint32(bad[8:12], 1<<31)
+		reseal(bad)
 		if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("hostile length: err = %v, want ErrCorrupt", err)
+			t.Fatalf("round 2^31: err = %v, want ErrCorrupt", err)
 		}
 	})
 }

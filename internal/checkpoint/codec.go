@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // On-disk snapshot frame, little-endian throughout:
@@ -69,11 +70,16 @@ func Decode(b []byte) (Snapshot, error) {
 	version := binary.LittleEndian.Uint16(b[4:6])
 	algLen := int(binary.LittleEndian.Uint16(b[6:8]))
 	round := binary.LittleEndian.Uint32(b[8:12])
-	payLen := int(binary.LittleEndian.Uint32(b[12:16]))
+	payLen := binary.LittleEndian.Uint32(b[12:16])
 	if payLen > maxPayload {
 		return Snapshot{}, fmt.Errorf("%w: payload length %d exceeds limit", ErrCorrupt, payLen)
 	}
-	total := headerLen + algLen + payLen + crcLen
+	// A round above MaxInt32 fits no int on a 32-bit platform, and no
+	// run has that many rounds.
+	if round > math.MaxInt32 {
+		return Snapshot{}, fmt.Errorf("%w: round %d exceeds limit", ErrCorrupt, round)
+	}
+	total := headerLen + algLen + int(payLen) + crcLen
 	if len(b) != total {
 		return Snapshot{}, fmt.Errorf("%w: frame is %d bytes, header describes %d", ErrCorrupt, len(b), total)
 	}

@@ -25,7 +25,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	valid := Encode(Snapshot{Algorithm: "ATDCA", Round: 3, Payload: []byte("round-state")})
 	f.Add(valid)
 	f.Add(Encode(Snapshot{}))
-	f.Add(Encode(Snapshot{Algorithm: "MORPH", Round: 1<<32 - 1, Payload: bytes.Repeat([]byte{0xA5}, 257)}))
+	f.Add(Encode(Snapshot{Algorithm: "MORPH", Round: 1<<31 - 1, Payload: bytes.Repeat([]byte{0xA5}, 257)}))
 	f.Add(valid[:4])                      // magic only
 	f.Add(valid[:headerLen])              // header, no payload or CRC
 	f.Add(valid[:len(valid)-1])           // torn CRC

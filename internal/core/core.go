@@ -61,7 +61,7 @@ type Variant string
 
 // Hetero and Homo are the two variants compared throughout Tables 5-7.
 // Adaptive is the paper's future-work dynamic load balancing (see
-// algo.ATDCAAdaptive): equal initial shares, re-partitioned between
+// algo.Exec.Adaptive): equal initial shares, re-partitioned between
 // detection rounds from measured busy times. It runs ATDCA only.
 const (
 	Hetero   Variant = "Hetero"
@@ -99,12 +99,13 @@ func ParseVariant(s string) (Variant, error) {
 	return "", fmt.Errorf("unknown variant %q (want hetero or homo)", s)
 }
 
-// Strategy returns the partition strategy implementing the variant.
+// Strategy returns the partition strategy implementing the variant; the
+// Adaptive variant starts from equal shares.
 func (v Variant) Strategy() (partition.Strategy, error) {
 	switch v {
 	case Hetero:
 		return partition.Heterogeneous{}, nil
-	case Homo:
+	case Homo, Adaptive:
 		return partition.Homogeneous{}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown variant %q", v)
@@ -263,12 +264,10 @@ func Run(net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, pa
 // typed error, and re-running — on the same network or on the survivors —
 // is the caller's choice (package sched makes it).
 //
-// The Adaptive variant (ATDCA only) runs algo.ATDCAAdaptive, whose
-// schedule keeps its own partition state and so takes no algo.Exec: it
-// accepts fault injection (the rebalancer is exactly what degradation
-// windows are meant to stress), but a balance policy or checkpointer on
-// ctx and Params.Trace are ignored for it. Its convergence trace is
-// RunReport.Adaptive.
+// Every variant runs through the same algo.Exec: the variant's strategy,
+// the checkpointer on ctx, the balance policy on ctx for Hetero and Homo
+// (Adaptive measures its own balance and ignores the policy), and for
+// Adaptive the trace that becomes RunReport.Adaptive.
 func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, variant Variant, f *cube.Cube, params Params) (_ *RunReport, err error) {
 	if net == nil {
 		return nil, fmt.Errorf("core: nil network")
@@ -286,7 +285,6 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 	if err := ctx.Err(); err != nil {
 		return nil, fail(err)
 	}
-	adaptive := variant == Adaptive
 	params = params.withDefaults()
 	detParams := algo.DetectionParams{Targets: params.Targets, EquivalentBands: params.EquivalentBands}
 	// From here on the run is counted: every error exit is a failed run.
@@ -298,25 +296,23 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		}
 	}()
 
-	var ex algo.Exec // how the run executes; the Adaptive schedule takes none
+	var ex algo.Exec // how the run executes
+	if ex.Strategy, err = variant.Strategy(); err != nil {
+		return nil, err
+	}
+	if variant == Adaptive {
+		ex.Adaptive = &algo.AdaptiveTrace{}
+	} else if BalanceFrom(ctx).Enabled {
+		spans, err := ex.Strategy.Partition(f.Lines, f.Samples, f.Bands, net.Procs)
+		if err != nil {
+			return nil, fail(err)
+		}
+		ex.Balance = balance.New(net, spans, f)
+	}
 	var cck *countingCheckpointer
-	if adaptive {
-		params.Trace = false
-	} else {
-		if ex.Strategy, err = variant.Strategy(); err != nil {
-			return nil, err
-		}
-		if BalanceFrom(ctx).Enabled {
-			spans, err := ex.Strategy.Partition(f.Lines, f.Samples, f.Bands, net.Procs)
-			if err != nil {
-				return nil, fail(err)
-			}
-			ex.Balance = balance.New(net, spans, f)
-		}
-		if ck := CheckpointerFrom(ctx); ck != nil {
-			cck = &countingCheckpointer{inner: ck, tel: tel}
-			ex.Checkpoint = cck
-		}
+	if ck := CheckpointerFrom(ctx); ck != nil {
+		cck = &countingCheckpointer{inner: ck, tel: tel}
+		ex.Checkpoint = cck
 	}
 
 	world := mpi.NewWorld(net)
@@ -335,7 +331,6 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		events = world.EnableTrace()
 	}
 
-	var trace *algo.AdaptiveTrace // set by rank 0, read once world.Run has returned
 	res, err := world.Run(func(c *mpi.Comm) any {
 		var data *cube.Cube
 		if c.Root() {
@@ -343,20 +338,14 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		}
 		var r any
 		var err error
-		switch {
-		case adaptive:
-			var tr *algo.AdaptiveTrace
-			r, tr, err = algo.ATDCAAdaptive(c, data, detParams)
-			if c.Root() {
-				trace = tr
-			}
-		case alg == ATDCA:
+		switch alg {
+		case ATDCA:
 			r, err = algo.ATDCAParallel(c, data, detParams, ex)
-		case alg == UFCLS:
+		case UFCLS:
 			r, err = algo.UFCLSParallel(c, data, detParams, ex)
-		case alg == PCT:
+		case PCT:
 			r, err = algo.PCTParallel(c, data, params.PCT, ex)
-		case alg == MORPH:
+		case MORPH:
 			r, err = algo.MorphParallel(c, data, params.Morph, ex)
 		default:
 			panic(fmt.Sprintf("core: unknown algorithm %q", alg))
@@ -381,7 +370,7 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		DAll:      1,
 		DMinus:    1,
 		Attempts:  1,
-		Adaptive:  trace,
+		Adaptive:  ex.Adaptive,
 	}
 	report.Com, report.Seq, report.Par = res.RootBreakdown()
 	if net.Size() >= 2 {

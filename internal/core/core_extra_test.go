@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
 )
@@ -73,6 +74,96 @@ func TestRunAdaptiveReport(t *testing.T) {
 		if a.Line != b.Line || a.Sample != b.Sample {
 			t.Fatalf("target %d differs between static and adaptive", i)
 		}
+	}
+}
+
+// snapshotLog keeps every snapshot a run saves, so a test can rewind the
+// store to any round boundary.
+type snapshotLog struct {
+	checkpoint.MemStore
+	snaps []checkpoint.Snapshot
+}
+
+func (l *snapshotLog) Save(s checkpoint.Snapshot) error {
+	l.snaps = append(l.snaps, s)
+	return l.MemStore.Save(s)
+}
+
+// An Adaptive run checkpoints like any other: one snapshot per round, and
+// a run resumed from a mid-run snapshot detects the uninterrupted run's
+// targets, tracing only the rounds it ran.
+func TestRunAdaptiveResumesFromCheckpoint(t *testing.T) {
+	sc := smallScene(t)
+	net := smallNet(t, 4)
+	params := smallParams()
+	plain, err := Run(net, ATDCA, Adaptive, sc.Cube, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	log := &snapshotLog{}
+	clean, err := RunContext(WithCheckpointer(context.Background(), log), net, ATDCA, Adaptive, sc.Cube, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDetections(t, plain, clean)
+	if len(log.snaps) != params.Targets || clean.CheckpointSaves != params.Targets {
+		t.Fatalf("saved %d snapshots (report says %d), want one per round (%d)", len(log.snaps), clean.CheckpointSaves, params.Targets)
+	}
+
+	const round = 2
+	mid := &checkpoint.MemStore{}
+	mid.Save(log.snaps[round-1])
+	resumed, err := RunContext(WithCheckpointer(context.Background(), mid), net, ATDCA, Adaptive, sc.Cube, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDetections(t, plain, resumed)
+	if resumed.ResumedFromRound != round {
+		t.Errorf("resumed from round %d, want %d", resumed.ResumedFromRound, round)
+	}
+	if n := len(resumed.Adaptive.Imbalance); n != params.Targets-round {
+		t.Errorf("resumed trace has %d rounds, want %d", n, params.Targets-round)
+	}
+}
+
+// Params.Trace records an Adaptive run's timeline like any other run's.
+func TestRunAdaptiveTraced(t *testing.T) {
+	sc := smallScene(t)
+	params := smallParams()
+	params.Trace = true
+	rep, err := Run(smallNet(t, 3), ATDCA, Adaptive, sc.Cube, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Timeline == "" || len(rep.TraceEvents) == 0 {
+		t.Fatalf("traced adaptive run: timeline %d bytes, %d events", len(rep.Timeline), len(rep.TraceEvents))
+	}
+	if rep.Adaptive == nil {
+		t.Error("traced adaptive run lost its convergence trace")
+	}
+}
+
+// Adaptive measures its own balance: a balance policy on the context
+// leaves its report byte-identical.
+func TestRunAdaptiveIgnoresBalance(t *testing.T) {
+	sc := smallScene(t)
+	net := smallNet(t, 4)
+	plain, err := Run(net, ATDCA, Adaptive, sc.Cube, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bal, err := RunContext(balancedCtx(), net, ATDCA, Adaptive, sc.Cube, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, errA := json.Marshal(plain)
+	b, errB := json.Marshal(bal)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("balance policy changed the Adaptive report:\n%s\n%s", a, b)
 	}
 }
 

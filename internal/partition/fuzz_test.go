@@ -38,7 +38,7 @@ func FuzzPartition(f *testing.F) {
 	seed(10, 1<<30, 1<<30, enc([]float64{0.01}, []uint16{65535}))
 	seed(5, 4, 4, nil)
 	seed(1<<30, 1, 1, enc([]float64{math.MaxFloat64, math.MaxFloat64}, []uint16{1, 1})) // weight mass overflows
-	seed(math.MaxInt64, 1, 1, enc([]float64{1, 0, 3}, []uint16{1, 1, 1}))
+	seed(math.MaxInt, 1, 1, enc([]float64{1, 0, 3}, []uint16{1, 1, 1}))
 
 	f.Fuzz(func(t *testing.T, lines, samples, bands int, raw []byte) {
 		const chunk = 10

@@ -35,6 +35,20 @@ type Span struct{ Lo, Hi int }
 // Len returns the number of lines in the span.
 func (s Span) Len() int { return s.Hi - s.Lo }
 
+// Grow extends the span by halo lines on each side, clamped to
+// [0, lines). An empty span stays empty.
+func (s Span) Grow(halo, lines int) Span {
+	if s.Len() == 0 {
+		return s
+	}
+	return Span{Lo: max(s.Lo-halo, 0), Hi: min(s.Hi+halo, lines)}
+}
+
+// NotIn returns the number of the span's lines that lie outside o.
+func (s Span) NotIn(o Span) int {
+	return s.Len() - max(min(s.Hi, o.Hi)-max(s.Lo, o.Lo), 0)
+}
+
 // ErrInsufficientMemory reports that the processors' combined memory
 // bounds cannot hold the image.
 var ErrInsufficientMemory = errors.New("partition: image exceeds the aggregate memory bound")
@@ -299,29 +313,16 @@ func activeIndexesByWeight(weights []float64, active []bool) []int {
 	return idxs
 }
 
-// WithOverlap extends each span by halo lines on each side, clamped to
-// the image, producing the overlap borders Algorithm 5 (Hetero-MORPH)
-// uses to trade redundant computation for communication. Empty spans stay
-// empty.
+// WithOverlap extends each span by halo lines on each side (Span.Grow),
+// producing the overlap borders Algorithm 5 (Hetero-MORPH) uses to trade
+// redundant computation for communication.
 func WithOverlap(spans []Span, halo, lines int) []Span {
 	if halo < 0 {
 		panic(fmt.Sprintf("partition: negative halo %d", halo))
 	}
 	out := make([]Span, len(spans))
 	for i, s := range spans {
-		if s.Len() == 0 {
-			out[i] = s
-			continue
-		}
-		lo := s.Lo - halo
-		if lo < 0 {
-			lo = 0
-		}
-		hi := s.Hi + halo
-		if hi > lines {
-			hi = lines
-		}
-		out[i] = Span{Lo: lo, Hi: hi}
+		out[i] = s.Grow(halo, lines)
 	}
 	return out
 }

@@ -231,6 +231,25 @@ func TestWithOverlap(t *testing.T) {
 	}
 }
 
+func TestSpanNotIn(t *testing.T) {
+	cases := []struct {
+		s, o Span
+		want int
+	}{
+		{Span{Lo: 0, Hi: 10}, Span{Lo: 0, Hi: 10}, 0},
+		{Span{Lo: 0, Hi: 10}, Span{Lo: 5, Hi: 15}, 5},
+		{Span{Lo: 0, Hi: 10}, Span{Lo: 20, Hi: 30}, 10},
+		{Span{Lo: 3, Hi: 5}, Span{Lo: 0, Hi: 10}, 0},
+		{Span{Lo: 0, Hi: 10}, Span{Lo: 4, Hi: 4}, 10},
+		{Span{Lo: 4, Hi: 4}, Span{Lo: 0, Hi: 10}, 0},
+	}
+	for _, c := range cases {
+		if got := c.s.NotIn(c.o); got != c.want {
+			t.Errorf("%v.NotIn(%v) = %d, want %d", c.s, c.o, got, c.want)
+		}
+	}
+}
+
 func TestWithOverlapNegativeHaloPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -172,7 +172,7 @@ func OpenJournal(dir string) (*Journal, error) {
 			f.Close()
 			return nil, err
 		}
-		if n := validJournalLen(b); int64(n) < st.Size() {
+		if _, n := journalFrames(b); int64(n) < st.Size() {
 			if err := f.Truncate(int64(n)); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("sched: truncating torn journal tail: %w", err)
@@ -355,53 +355,45 @@ func ReplayJournalState(dir string) (*JournalState, error) {
 	return st, nil
 }
 
-// validJournalLen returns the length of the journal's readable prefix:
-// the header plus every intact frame before the first truncated,
-// oversized or checksum-failing one. Beyond that point the framing itself
-// is untrustworthy, so the prefix is all OpenJournal may append after.
-func validJournalLen(b []byte) int {
-	off := journalHeaderLen
-	for off+8 <= len(b) {
-		n := binary.LittleEndian.Uint32(b[off:])
-		want := binary.LittleEndian.Uint32(b[off+4:])
-		if n > maxRecordLen || off+8+int(n) > len(b) {
+// journalFrames walks the framed records after the header and returns
+// the body of every intact frame and the length of the readable prefix:
+// the header plus those frames, up to the first truncated, oversized or
+// checksum-failing one. Beyond that point the framing itself is
+// untrustworthy, so the prefix is all replay reads and all OpenJournal
+// may append after.
+func journalFrames(b []byte) (bodies [][]byte, end int) {
+	end = journalHeaderLen
+	for end+8 <= len(b) {
+		n := binary.LittleEndian.Uint32(b[end:])
+		want := binary.LittleEndian.Uint32(b[end+4:])
+		if n > maxRecordLen || end+8+int(n) > len(b) {
 			break
 		}
-		if crc32.ChecksumIEEE(b[off+8:off+8+int(n)]) != want {
+		body := b[end+8 : end+8+int(n)]
+		if crc32.ChecksumIEEE(body) != want {
 			break
 		}
-		off += 8 + int(n)
+		bodies = append(bodies, body)
+		end += 8 + int(n)
 	}
-	return off
+	return bodies, end
 }
 
-// decodeJournal parses the framed records, stopping — not failing — at the
-// first truncated or checksum-failing frame: beyond a damaged frame the
-// framing itself is untrustworthy, and a torn final write is the expected
-// crash artifact. Records with an unknown schema version are skipped.
+// decodeJournal parses the readable prefix's records. A damaged frame —
+// truncated, torn or checksum-failing, the expected crash artifact — ends
+// the log without failing it. Records with an unknown schema version or
+// unreadable JSON are skipped.
 func decodeJournal(b []byte) ([]Record, ReplayStats, error) {
 	var stats ReplayStats
-	if len(b) < journalHeaderLen {
-		return nil, stats, fmt.Errorf("sched: journal too short for a header (%d bytes)", len(b))
-	}
 	if err := checkJournalHeader(b); err != nil {
 		return nil, stats, err
 	}
+	bodies, end := journalFrames(b)
+	if end != len(b) {
+		stats.TornTailTruncations = 1
+	}
 	var recs []Record
-	off := journalHeaderLen
-	for off+8 <= len(b) {
-		n := binary.LittleEndian.Uint32(b[off:])
-		want := binary.LittleEndian.Uint32(b[off+4:])
-		if n > maxRecordLen || off+8+int(n) > len(b) {
-			stats.TornTailTruncations++ // corrupt length or truncated tail
-			break
-		}
-		body := b[off+8 : off+8+int(n)]
-		if crc32.ChecksumIEEE(body) != want {
-			stats.TornTailTruncations++ // torn or corrupted frame
-			break
-		}
-		off += 8 + int(n)
+	for _, body := range bodies {
 		var rec Record
 		if err := json.Unmarshal(body, &rec); err != nil {
 			stats.UnreadableSkips++ // frame intact, content unreadable: skip
@@ -413,11 +405,6 @@ func decodeJournal(b []byte) ([]Record, ReplayStats, error) {
 		}
 		recs = append(recs, rec)
 		stats.Records++
-	}
-	// A partial trailing frame header (fewer than 8 bytes) is the same
-	// torn-write artifact as a truncated body.
-	if off+8 > len(b) && off != len(b) && stats.TornTailTruncations == 0 {
-		stats.TornTailTruncations++
 	}
 	return recs, stats, nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -325,6 +326,58 @@ func TestSchedulerJournalsCheckpointedJob(t *testing.T) {
 	}
 	if jj.Report == nil || jj.Report.ResumedFromRound != rep.ResumedFromRound || jj.Report.WallTime != rep.WallTime {
 		t.Fatalf("journaled report = %+v, want resume round %d", jj.Report, rep.ResumedFromRound)
+	}
+}
+
+// An Adaptive job checkpoints like any other run: one checkpointed record
+// per detection round, journaled before the finished one.
+func TestSchedulerJournalsAdaptiveCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, Journal: jl})
+	tiny, _ := testScenes(t)
+	spec := JobSpec{
+		Mode:       ModeRun,
+		Algorithm:  core.ATDCA,
+		Variant:    core.Adaptive,
+		Network:    retryNet(t, 4),
+		Cube:       tiny.Cube,
+		CubeDigest: CubeDigest(tiny.Cube),
+		Checkpoint: true,
+		Params:     core.Params{Targets: 4},
+	}
+	j, err := s.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(context.Background(), j.ID()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	jl.Close()
+	if j.State() != StateCompleted || j.Report().Adaptive == nil {
+		t.Fatalf("job settled as %s (err=%v), adaptive trace %v", j.State(), j.Err(), j.Report().Adaptive)
+	}
+
+	b, err := os.ReadFile(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := decodeJournal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds []int
+	for _, rec := range recs {
+		if rec.Type == recCheckpointed {
+			rounds = append(rounds, rec.Round)
+		}
+	}
+	if !slices.Equal(rounds, []int{1, 2, 3, 4}) {
+		t.Fatalf("checkpointed records for rounds %v, want [1 2 3 4]", rounds)
 	}
 }
 

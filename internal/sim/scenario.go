@@ -127,13 +127,16 @@ type JobPlan struct {
 	Targets   int
 	WorkScale float64
 	Priority  sched.Priority
-	// Checkpoint opts into round-boundary snapshots (ModeRun only; the
-	// Adaptive variant ignores checkpointers).
+	// Checkpoint opts into round-boundary snapshots (ModeRun only). The
+	// generator draws it for static plans only, though Adaptive runs
+	// honour checkpointers too: widening the draw would change every
+	// seed's scenario.
 	Checkpoint bool
 	// Balance schedules the job's parallel phases demand-driven (ModeRun,
-	// not Adaptive). Outputs stay identical to the static schedule, so every
-	// determinism invariant applies unchanged; only the timings and the
-	// report's balance accounting differ.
+	// not Adaptive, which ignores a balance policy). Outputs stay
+	// identical to the static schedule, so every determinism invariant
+	// applies unchanged; only the timings and the report's balance
+	// accounting differ.
 	Balance bool
 	NoCache bool
 	// MaxAttempts is the scheduler retry budget (0 means 1).
