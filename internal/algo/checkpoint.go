@@ -11,15 +11,16 @@ import (
 )
 
 // This file is the algorithms' side of package checkpoint: the per-
-// algorithm payload codecs and the save/restore protocol at round
-// boundaries. Checkpointing is entirely opt-in — with a nil Checkpointer
-// every algorithm runs the exact original protocol, message for message —
-// and entirely master-side: workers never touch the store, they only learn
-// the resume round through one extra broadcast so all ranks execute the
-// same remaining rounds.
+// algorithm payload codecs and the one round-boundary protocol, resume
+// and save, that every algorithm restores and snapshots through.
+// Checkpointing is entirely opt-in — with a nil Checkpointer every
+// algorithm runs the exact original protocol, message for message — and
+// entirely master-side: workers never touch the store, they only learn the
+// resume round through one extra broadcast so all ranks execute the same
+// remaining rounds.
 
-// Algorithm names stamped into snapshots; restores reject snapshots from a
-// different algorithm.
+// Algorithm names stamped into snapshots; a resume ignores snapshots from
+// a different algorithm.
 const (
 	ckptATDCA = "ATDCA"
 	ckptUFCLS = "UFCLS"
@@ -27,121 +28,41 @@ const (
 	ckptMORPH = "MORPH"
 )
 
-// syncResume distributes the master's resume decision to every rank. It
-// costs one tiny broadcast, charged only when checkpointing is enabled.
-func syncResume(c *mpi.Comm, round int) int {
-	return c.Bcast(0, tagResume, round, 8).(int)
-}
-
-// saveTargets checkpoints the detector's target list after a completed
-// round and charges the write on the master's clock. Root only; a nil
-// checkpointer is a no-op.
-func saveTargets(c *mpi.Comm, ck checkpoint.Checkpointer, alg string, targets []Target) error {
+// resume is collective: the root restores the state of the store's latest
+// snapshot if it is alg's and decode accepts its payload, charging the
+// read on its clock, and one broadcast gives every rank the round the run
+// resumes after (0: none, start from scratch). decode returns the state,
+// its round and whether the payload fits this run. Without a checkpointer
+// it returns at once, with no message and no charge.
+func resume[T any](c *mpi.Comm, ck checkpoint.Checkpointer, alg string, decode func([]byte) (T, int, bool)) (T, int) {
+	var state T
 	if ck == nil {
-		return nil
+		return state, 0
 	}
-	payload := encodeTargets(targets)
-	s := checkpoint.Snapshot{Algorithm: alg, Round: len(targets), Payload: payload}
-	if err := ck.Save(s); err != nil {
-		return fmt.Errorf("algo: checkpointing %s round %d: %w", alg, s.Round, err)
-	}
-	c.Checkpoint(len(payload), checkpoint.SaveCost(len(payload)))
-	return nil
-}
-
-// restoreTargets seeds a detector from the latest snapshot, returning the
-// recovered target list clamped to at most maxTargets (a snapshot from a
-// larger run resumes the smaller one exactly at its final round). Any
-// problem — no snapshot, wrong algorithm, undecodable payload — restores
-// nothing: the run falls back to round zero. Root only.
-func restoreTargets(c *mpi.Comm, ck checkpoint.Checkpointer, alg string, maxTargets int) []Target {
-	if ck == nil {
-		return nil
-	}
-	snap, ok := ck.Latest()
-	if !ok || snap.Algorithm != alg {
-		return nil
-	}
-	targets, err := decodeTargets(snap.Payload)
-	if err != nil || len(targets) == 0 {
-		return nil
-	}
-	if len(targets) > maxTargets {
-		targets = targets[:maxTargets]
-	}
-	c.Checkpoint(len(snap.Payload), checkpoint.RestoreCost(len(snap.Payload)))
-	return targets
-}
-
-// savePCTState checkpoints the PCT master phase — everything the step-7
-// broadcast carries — so a resumed run skips the statistics and
-// eigendecomposition phases entirely. Root only.
-func savePCTState(c *mpi.Comm, ck checkpoint.Checkpointer, msg pctBcastMsg) error {
-	if ck == nil {
-		return nil
-	}
-	payload := encodePCTState(msg)
-	if err := ck.Save(checkpoint.Snapshot{Algorithm: ckptPCT, Round: 1, Payload: payload}); err != nil {
-		return fmt.Errorf("algo: checkpointing PCT phase: %w", err)
-	}
-	c.Checkpoint(len(payload), checkpoint.SaveCost(len(payload)))
-	return nil
-}
-
-// restorePCTState recovers the step-7 state if a valid PCT snapshot for
-// this scene geometry exists. Root only.
-func restorePCTState(c *mpi.Comm, ck checkpoint.Checkpointer, bands int) (pctBcastMsg, bool) {
-	if ck == nil {
-		return pctBcastMsg{}, false
-	}
-	snap, ok := ck.Latest()
-	if !ok || snap.Algorithm != ckptPCT {
-		return pctBcastMsg{}, false
-	}
-	msg, err := decodePCTState(snap.Payload)
-	if err != nil || msg.t.Cols != bands || len(msg.mean) != bands {
-		return pctBcastMsg{}, false
-	}
-	c.Checkpoint(len(snap.Payload), checkpoint.RestoreCost(len(snap.Payload)))
-	return msg, true
-}
-
-// saveEndmembers checkpoints the MORPH master phase — the fused endmember
-// set of step 3 — so a resumed run skips the AMEE iterations and the
-// fusion. Root only.
-func saveEndmembers(c *mpi.Comm, ck checkpoint.Checkpointer, endmembers [][]float32) error {
-	if ck == nil {
-		return nil
-	}
-	payload := encodeSigs(endmembers)
-	if err := ck.Save(checkpoint.Snapshot{Algorithm: ckptMORPH, Round: 1, Payload: payload}); err != nil {
-		return fmt.Errorf("algo: checkpointing MORPH phase: %w", err)
-	}
-	c.Checkpoint(len(payload), checkpoint.SaveCost(len(payload)))
-	return nil
-}
-
-// restoreEndmembers recovers the fused endmember set if a valid MORPH
-// snapshot for this band count exists. Root only.
-func restoreEndmembers(c *mpi.Comm, ck checkpoint.Checkpointer, bands int) ([][]float32, bool) {
-	if ck == nil {
-		return nil, false
-	}
-	snap, ok := ck.Latest()
-	if !ok || snap.Algorithm != ckptMORPH {
-		return nil, false
-	}
-	endmembers, err := decodeSigs(snap.Payload)
-	if err != nil || len(endmembers) == 0 {
-		return nil, false
-	}
-	for _, em := range endmembers {
-		if len(em) != bands {
-			return nil, false
+	round := 0
+	if c.Root() {
+		if snap, ok := ck.Latest(); ok && snap.Algorithm == alg {
+			if s, r, ok := decode(snap.Payload); ok {
+				state, round = s, r
+				c.Checkpoint(len(snap.Payload), checkpoint.RestoreCost(len(snap.Payload)))
+			}
 		}
 	}
-	c.Checkpoint(len(snap.Payload), checkpoint.RestoreCost(len(snap.Payload)))
-	return endmembers, true
+	return state, c.Bcast(0, tagResume, round, 8).(int)
+}
+
+// save snapshots alg's state after round and charges the write on the
+// master's clock. Root only; without a checkpointer it encodes nothing.
+func save(c *mpi.Comm, ck checkpoint.Checkpointer, alg string, round int, encode func() []byte) error {
+	if ck == nil {
+		return nil
+	}
+	payload := encode()
+	if err := ck.Save(checkpoint.Snapshot{Algorithm: alg, Round: round, Payload: payload}); err != nil {
+		return fmt.Errorf("algo: checkpointing %s round %d: %w", alg, round, err)
+	}
+	c.Checkpoint(len(payload), checkpoint.SaveCost(len(payload)))
+	return nil
 }
 
 // Payload codecs. Little-endian, length-prefixed throughout; the outer

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/cube"
 	"repro/internal/mpi"
 	"repro/internal/partition"
+	"repro/internal/scene"
 )
 
 // recordingStore keeps every snapshot ever saved, so tests can rewind a
@@ -33,12 +35,13 @@ func sameLabels(a, b []int) bool {
 	return true
 }
 
-// runDetector executes a parallel detector with the given checkpointer.
-func runDetector(t *testing.T, name string, ck checkpoint.Checkpointer) (*DetectionResult, *mpi.RunResult) {
+// runDetector executes a parallel detector for the given number of
+// targets with the given checkpointer.
+func runDetector(t *testing.T, name string, targets int, ck checkpoint.Checkpointer) (*DetectionResult, *mpi.RunResult) {
 	t.Helper()
 	sc := testScene(t)
 	root, res := runParallel(t, testNet(t, 3), func(c *mpi.Comm) any {
-		params := DetectionParams{Targets: 6}
+		params := DetectionParams{Targets: targets}
 		var r *DetectionResult
 		var err error
 		switch name {
@@ -58,12 +61,12 @@ func runDetector(t *testing.T, name string, ck checkpoint.Checkpointer) (*Detect
 func TestDetectorCheckpointResume(t *testing.T) {
 	for _, name := range []string{ckptATDCA, ckptUFCLS} {
 		t.Run(name, func(t *testing.T) {
-			plain, _ := runDetector(t, name, nil)
+			plain, _ := runDetector(t, name, 6, nil)
 
 			// A checkpointed run must detect exactly the same targets and
 			// save one snapshot per round.
 			rec := &recordingStore{}
-			fresh, freshRes := runDetector(t, name, rec)
+			fresh, freshRes := runDetector(t, name, 6, rec)
 			if !sameTargets(plain.Targets, fresh.Targets) {
 				t.Fatal("checkpointing changed the detected targets")
 			}
@@ -80,7 +83,7 @@ func TestDetectorCheckpointResume(t *testing.T) {
 			// master-side and parallel work than the from-scratch run.
 			mid := &checkpoint.MemStore{}
 			mid.Save(rec.snaps[2])
-			resumed, resumedRes := runDetector(t, name, mid)
+			resumed, resumedRes := runDetector(t, name, 6, mid)
 			if !sameTargets(plain.Targets, resumed.Targets) {
 				t.Fatal("resumed run detected different targets")
 			}
@@ -96,7 +99,7 @@ func TestDetectorCheckpointResume(t *testing.T) {
 			// Resume from the final boundary: no rounds left to run.
 			done := &checkpoint.MemStore{}
 			done.Save(rec.snaps[len(rec.snaps)-1])
-			again, _ := runDetector(t, name, done)
+			again, _ := runDetector(t, name, 6, done)
 			if !sameTargets(plain.Targets, again.Targets) {
 				t.Fatal("resume from the final snapshot changed the targets")
 			}
@@ -107,28 +110,57 @@ func TestDetectorCheckpointResume(t *testing.T) {
 func TestDetectorResumeIgnoresForeignSnapshot(t *testing.T) {
 	// A snapshot from a different algorithm (or a corrupt payload) must be
 	// ignored: the run falls back to round zero and still succeeds.
-	plain, _ := runDetector(t, ckptATDCA, nil)
+	plain, _ := runDetector(t, ckptATDCA, 6, nil)
 	foreign := &checkpoint.MemStore{}
 	foreign.Save(checkpoint.Snapshot{Algorithm: ckptUFCLS, Round: 3, Payload: encodeTargets(plain.Targets[:3])})
-	res, _ := runDetector(t, ckptATDCA, foreign)
+	res, _ := runDetector(t, ckptATDCA, 6, foreign)
 	if !sameTargets(plain.Targets, res.Targets) {
 		t.Error("foreign snapshot disturbed the run")
 	}
 	corrupt := &checkpoint.MemStore{}
 	corrupt.Save(checkpoint.Snapshot{Algorithm: ckptATDCA, Round: 3, Payload: []byte{1, 2, 3}})
-	res, _ = runDetector(t, ckptATDCA, corrupt)
+	res, _ = runDetector(t, ckptATDCA, 6, corrupt)
 	if !sameTargets(plain.Targets, res.Targets) {
 		t.Error("corrupt snapshot payload disturbed the run")
 	}
 }
 
-func runPCT(t *testing.T, ck checkpoint.Checkpointer) (*ClassificationResult, *mpi.RunResult) {
+// classifierRun executes a parallel classifier over f with the given
+// checkpointer.
+type classifierRun func(t *testing.T, f *cube.Cube, ck checkpoint.Checkpointer) (*ClassificationResult, *mpi.RunResult)
+
+// A snapshot from a run with more targets resumes a smaller run at its
+// final round: the restored list is clamped to the smaller count, so the
+// run detects exactly the uninterrupted run's targets, runs no round and
+// saves nothing.
+func TestDetectorResumesSmallerRunFromLargerSnapshot(t *testing.T) {
+	for _, name := range []string{ckptATDCA, ckptUFCLS} {
+		t.Run(name, func(t *testing.T) {
+			plain, _ := runDetector(t, name, 4, nil)
+			rec := &recordingStore{}
+			runDetector(t, name, 6, rec)
+			from := &recordingStore{}
+			from.MemStore.Save(rec.snaps[len(rec.snaps)-1])
+			resumed, res := runDetector(t, name, 4, from)
+			if !sameTargets(plain.Targets, resumed.Targets) {
+				t.Fatalf("resumed targets %+v, want the uninterrupted run's %+v", resumed.Targets, plain.Targets)
+			}
+			if len(from.snaps) != 0 {
+				t.Errorf("a run resumed at its final round saved %d snapshots", len(from.snaps))
+			}
+			if n := res.Counters[0].Checkpoints; n != 1 {
+				t.Errorf("master charged %d checkpoint operations, want the one restore", n)
+			}
+		})
+	}
+}
+
+func runPCT(t *testing.T, f *cube.Cube, ck checkpoint.Checkpointer) (*ClassificationResult, *mpi.RunResult) {
 	t.Helper()
-	sc := testScene(t)
 	params := DefaultPCTParams()
 	params.Classes = 5
 	root, res := runParallel(t, testNet(t, 3), func(c *mpi.Comm) any {
-		r, err := PCTParallel(c, rootCube(c, sc.Cube), params, Exec{Strategy: partition.Homogeneous{}, Checkpoint: ck})
+		r, err := PCTParallel(c, rootCube(c, f), params, Exec{Strategy: partition.Homogeneous{}, Checkpoint: ck})
 		if err != nil {
 			panic(err)
 		}
@@ -137,12 +169,11 @@ func runPCT(t *testing.T, ck checkpoint.Checkpointer) (*ClassificationResult, *m
 	return root.(*ClassificationResult), res
 }
 
-func runMorph(t *testing.T, ck checkpoint.Checkpointer) (*ClassificationResult, *mpi.RunResult) {
+func runMorph(t *testing.T, f *cube.Cube, ck checkpoint.Checkpointer) (*ClassificationResult, *mpi.RunResult) {
 	t.Helper()
-	sc := testScene(t)
 	params := DefaultMorphParams()
 	root, res := runParallel(t, testNet(t, 3), func(c *mpi.Comm) any {
-		r, err := MorphParallel(c, rootCube(c, sc.Cube), params, Exec{Strategy: partition.Homogeneous{}, Checkpoint: ck})
+		r, err := MorphParallel(c, rootCube(c, f), params, Exec{Strategy: partition.Homogeneous{}, Checkpoint: ck})
 		if err != nil {
 			panic(err)
 		}
@@ -152,25 +183,26 @@ func runMorph(t *testing.T, ck checkpoint.Checkpointer) (*ClassificationResult, 
 }
 
 func TestClassifierPhaseResume(t *testing.T) {
+	f := testScene(t).Cube
 	cases := []struct {
 		name string
-		run  func(*testing.T, checkpoint.Checkpointer) (*ClassificationResult, *mpi.RunResult)
+		run  classifierRun
 	}{
 		{ckptPCT, runPCT},
 		{ckptMORPH, runMorph},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plain, _ := tc.run(t, nil)
+			plain, _ := tc.run(t, f, nil)
 			rec := &recordingStore{}
-			fresh, freshRes := tc.run(t, rec)
+			fresh, freshRes := tc.run(t, f, rec)
 			if !sameLabels(plain.Labels, fresh.Labels) {
 				t.Fatal("checkpointing changed the classification")
 			}
 			if len(rec.snaps) != 1 || rec.snaps[0].Round != 1 || rec.snaps[0].Algorithm != tc.name {
 				t.Fatalf("snapshots = %+v, want one %s phase snapshot at round 1", rec.snaps, tc.name)
 			}
-			resumed, resumedRes := tc.run(t, &rec.MemStore)
+			resumed, resumedRes := tc.run(t, f, &rec.MemStore)
 			if !sameLabels(plain.Labels, resumed.Labels) {
 				t.Fatal("resumed run classified differently")
 			}
@@ -178,6 +210,53 @@ func TestClassifierPhaseResume(t *testing.T) {
 			_, rSeq, rPar := resumedRes.RootBreakdown()
 			if rSeq+rPar >= fSeq+fPar {
 				t.Errorf("phase resume did not reduce compute: %v >= %v", rSeq+rPar, fSeq+fPar)
+			}
+		})
+	}
+}
+
+// A classifier restores only its own phase snapshot taken at its own band
+// count: PCT given MORPH's snapshot, MORPH given PCT's, or either given
+// its own from a 12-band scene runs from scratch — one save, no restore
+// charge — and labels exactly as the plain run does.
+func TestClassifierResumeIgnoresForeignSnapshot(t *testing.T) {
+	f := testScene(t).Cube
+	narrow, err := scene.Generate(scene.Config{Lines: 36, Samples: 28, Bands: 12, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshotOf := func(run classifierRun, f *cube.Cube) checkpoint.Snapshot {
+		rec := &recordingStore{}
+		run(t, f, rec)
+		if len(rec.snaps) != 1 {
+			t.Fatalf("phase run saved %d snapshots, want 1", len(rec.snaps))
+		}
+		return rec.snaps[0]
+	}
+	cases := []struct {
+		name string
+		run  classifierRun
+		snap checkpoint.Snapshot
+	}{
+		{"PCT given MORPH", runPCT, snapshotOf(runMorph, f)},
+		{"MORPH given PCT", runMorph, snapshotOf(runPCT, f)},
+		{"PCT at 12 bands", runPCT, snapshotOf(runPCT, narrow.Cube)},
+		{"MORPH at 12 bands", runMorph, snapshotOf(runMorph, narrow.Cube)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, _ := tc.run(t, f, nil)
+			from := &recordingStore{}
+			from.MemStore.Save(tc.snap)
+			got, res := tc.run(t, f, from)
+			if !sameLabels(plain.Labels, got.Labels) {
+				t.Fatal("an unusable snapshot changed the classification")
+			}
+			if len(from.snaps) != 1 {
+				t.Errorf("saved %d snapshots, want the fresh run's one", len(from.snaps))
+			}
+			if n := res.Counters[0].Checkpoints; n != 1 {
+				t.Errorf("master charged %d checkpoint operations, want only the save", n)
 			}
 		})
 	}

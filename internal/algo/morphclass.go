@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cube"
@@ -324,16 +325,11 @@ func MorphParallel(c *mpi.Comm, f *cube.Cube, params MorphParams, ex Exec) (*Cla
 	// Resume: a valid phase snapshot carries the fused endmember set of
 	// step 3, so the run skips the AMEE iterations — by far the heaviest
 	// phase — and goes straight to labeling.
-	var endmembers [][]float32
-	resumed := 0
-	if c.Root() {
-		if em, ok := restoreEndmembers(c, ex.Checkpoint, bands); ok {
-			endmembers, resumed = em, 1
-		}
-	}
-	if ex.Checkpoint != nil {
-		resumed = syncResume(c, resumed)
-	}
+	endmembers, resumed := resume(c, ex.Checkpoint, ckptMORPH, func(b []byte) ([][]float32, int, bool) {
+		em, err := decodeSigs(b)
+		return em, 1, err == nil && len(em) > 0 &&
+			!slices.ContainsFunc(em, func(sig []float32) bool { return len(sig) != bands })
+	})
 	if resumed == 0 {
 		// Step 2: AMEE on every span including its overlap borders
 		// (redundant computation instead of communication). Candidate
@@ -358,7 +354,7 @@ func MorphParallel(c *mpi.Comm, f *cube.Cube, params MorphParams, ex Exec) (*Cla
 			if len(endmembers) == 0 {
 				return nil, fmt.Errorf("algo: no endmembers found")
 			}
-			if err := saveEndmembers(c, ex.Checkpoint, endmembers); err != nil {
+			if err := save(c, ex.Checkpoint, ckptMORPH, 1, func() []byte { return encodeSigs(endmembers) }); err != nil {
 				return nil, err
 			}
 		}

@@ -523,23 +523,17 @@ func PCTParallel(c *mpi.Comm, f *cube.Cube, params PCTParams, ex Exec) (*Classif
 	// (transform, mean, reduced representatives, classes), so the run
 	// skips straight to the distribution step. A fresh run executes steps
 	// 2-7 unchanged and snapshots the result.
-	var msg pctBcastMsg
-	resumed := 0
-	if c.Root() {
-		if m, ok := restorePCTState(c, ex.Checkpoint, bands); ok {
-			msg, resumed = m, 1
-		}
-	}
-	if ex.Checkpoint != nil {
-		resumed = syncResume(c, resumed)
-	}
+	msg, resumed := resume(c, ex.Checkpoint, ckptPCT, func(b []byte) (pctBcastMsg, int, bool) {
+		m, err := decodePCTState(b)
+		return m, 1, err == nil && m.t.Cols == bands && len(m.mean) == bands
+	})
 	if resumed == 0 {
 		msg, err = pctStatistics(c, s, params, chunked)
 		if err != nil {
 			return nil, err
 		}
 		if c.Root() {
-			if err := savePCTState(c, ex.Checkpoint, msg); err != nil {
+			if err := save(c, ex.Checkpoint, ckptPCT, 1, func() []byte { return encodePCTState(msg) }); err != nil {
 				return nil, err
 			}
 		}

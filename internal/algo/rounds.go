@@ -315,20 +315,19 @@ func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, ex Exec, de
 	}
 	_, samples, bands := s.shape()
 
+	// A snapshot from a larger run resumes this one at its final round.
+	restored, start := resume(c, ex.Checkpoint, det.key, func(b []byte) ([]Target, int, bool) {
+		targets, err := decodeTargets(b)
+		targets = targets[:min(len(targets), t)]
+		return targets, len(targets), err == nil && len(targets) > 0
+	})
 	var res *DetectionResult
 	var u uMatrix
-	start := 0
 	if c.Root() {
-		res = &DetectionResult{Targets: restoreTargets(c, ex.Checkpoint, det.key, t)}
+		res = &DetectionResult{Targets: restored}
 		for _, tg := range res.Targets {
 			u.rows = append(u.rows, toF64(tg.Signature))
 		}
-		start = len(res.Targets)
-	}
-	if ex.Checkpoint != nil {
-		// Workers learn the master's resume round so every rank executes
-		// the same remaining protocol rounds.
-		start = syncResume(c, start)
 	}
 	if start > 0 {
 		u = s.publish(u)
@@ -349,7 +348,7 @@ func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, ex Exec, de
 			}
 			res.Targets = append(res.Targets, best)
 			u.rows = append(u.rows, toF64(best.Signature))
-			if err := saveTargets(c, ex.Checkpoint, det.key, res.Targets); err != nil {
+			if err := save(c, ex.Checkpoint, det.key, len(res.Targets), func() []byte { return encodeTargets(res.Targets) }); err != nil {
 				return nil, err
 			}
 		}

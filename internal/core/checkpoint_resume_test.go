@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -112,5 +113,29 @@ func TestCheckpointResumeClassifier(t *testing.T) {
 	}
 	if rep.Seq+rep.Par >= clean.Seq+clean.Par {
 		t.Errorf("phase resume did not reduce compute: %v >= %v", rep.Seq+rep.Par, clean.Seq+clean.Par)
+	}
+}
+
+// failingStore refuses every save.
+type failingStore struct{ checkpoint.MemStore }
+
+var errStoreFull = errors.New("store full")
+
+func (*failingStore) Save(checkpoint.Snapshot) error { return errStoreFull }
+
+// A store that cannot save fails the run, and the run's error carries the
+// store's: a detector fails at its first round, a classifier at its phase
+// snapshot.
+func TestCheckpointSaveFailureFailsRun(t *testing.T) {
+	sc := smallScene(t)
+	net := smallNet(t, 3)
+	for _, alg := range []Algorithm{ATDCA, PCT} {
+		t.Run(string(alg), func(t *testing.T) {
+			ctx := WithCheckpointer(context.Background(), &failingStore{})
+			rep, err := RunContext(ctx, net, alg, Hetero, sc.Cube, smallParams())
+			if !errors.Is(err, errStoreFull) {
+				t.Fatalf("run over a failing store: report %v, error %v; want an error wrapping %v", rep, err, errStoreFull)
+			}
+		})
 	}
 }

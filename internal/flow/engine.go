@@ -357,7 +357,6 @@ type stageRecord struct {
 	Kind      StageKind       `json:"kind"`
 	JobID     string          `json:"job_id,omitempty"`
 	FromCache bool            `json:"from_cache,omitempty"`
-	Digest    string          `json:"digest,omitempty"`
 	Report    *core.RunReport `json:"report,omitempty"`
 	Synthesis *Synthesis      `json:"synthesis,omitempty"`
 }
@@ -681,9 +680,6 @@ func (e *Engine) journalStage(p *Pipeline, st *stage) {
 		JobID:     st.jobID,
 		FromCache: st.fromCache,
 		Synthesis: st.synthesis,
-	}
-	if st == p.scene {
-		rec.Digest = p.digest
 	}
 	if rep := st.report; rep != nil {
 		// Strip trace events, as the job journal does: replay needs the

@@ -762,6 +762,40 @@ func TestResumeIgnoresCorruptSeeds(t *testing.T) {
 	}
 }
 
+// A scene stage record from a journal whose stage records still carried
+// the scene digest decodes (JSON drops the unknown field) and resumes: the
+// scene stage is skipped, and the scene regenerates at most once, for the
+// analyses that still need it.
+func TestResumeSkipsLegacySceneRecordWithDigest(t *testing.T) {
+	var gens atomic.Int64
+	e, _ := newTestEngine(t, Config{Scenes: countingProvider(&gens)})
+	jp := &sched.JournalPipeline{
+		ID: "pipe-3",
+		Stages: map[string]json.RawMessage{
+			"scene": json.RawMessage(`{"kind":"scene","digest":"5d41402abc4b2a76b9719d911017c592"}`),
+		},
+	}
+	p, err := e.SubmitResumed(context.Background(), jp, fanoutSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitPipeline(t, p)
+	if st.State != PipelineCompleted {
+		t.Fatalf("state = %s (err %q), want completed", st.State, st.Error)
+	}
+	if st.StagesResumed != 1 {
+		t.Fatalf("stages resumed = %d, want the scene's 1", st.StagesResumed)
+	}
+	for _, ss := range st.Stages {
+		if ss.Resumed != (ss.Kind == KindScene) {
+			t.Fatalf("stage %s (%s) resumed = %v", ss.Name, ss.Kind, ss.Resumed)
+		}
+	}
+	if gens.Load() > 1 {
+		t.Fatalf("resume generated the scene %d times", gens.Load())
+	}
+}
+
 // --- Telemetry --------------------------------------------------------
 
 func TestFlowTelemetry(t *testing.T) {

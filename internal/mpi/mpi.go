@@ -597,7 +597,8 @@ type Program func(c *Comm) any
 // for all ranks to finish. A panic on any rank is captured and returned
 // as an error (after all surviving ranks have been given the chance to
 // finish or deadlock-panic themselves; mailbox buffering keeps senders
-// from blocking).
+// from blocking). A panic with an error value wraps it, so errors.Is sees
+// the program's own failure through the run's error.
 //
 // A World must not be reused across runs: undelivered messages would leak
 // into the next program. Create a fresh World per run.
@@ -625,6 +626,8 @@ func (w *World) Run(program Program) (result *RunResult, err error) {
 						errs[rank] = v
 					case cascadeAbort:
 						errs[rank] = &CascadeError{Rank: rank}
+					case error:
+						errs[rank] = fmt.Errorf("mpi: rank %d panicked: %w", rank, v)
 					default:
 						errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, r)
 					}

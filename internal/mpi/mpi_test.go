@@ -256,6 +256,26 @@ func TestPanicOnOneRankDoesNotDeadlock(t *testing.T) {
 	}
 }
 
+// A program that fails by panicking with an error keeps that error in the
+// run's chain, so its caller can tell the program's failure apart with
+// errors.Is.
+func TestPanicWithErrorWrapsIt(t *testing.T) {
+	errStore := errors.New("store full")
+	w := NewWorld(twoNode(t, 1))
+	_, err := w.Run(func(c *Comm) any {
+		if c.Root() {
+			panic(fmt.Errorf("saving: %w", errStore))
+		}
+		return nil
+	})
+	if !errors.Is(err, errStore) || !strings.Contains(err.Error(), "rank 0 panicked: saving: store full") {
+		t.Errorf("err = %v, want the rank's panic wrapping %v", err, errStore)
+	}
+	if IsRetryable(err) {
+		t.Errorf("panic err = %v is retryable", err)
+	}
+}
+
 func TestBcastDeliversToAll(t *testing.T) {
 	w := NewWorld(homoNet(t, 5, 0.01, 10))
 	res := mustRun(t, w, func(c *Comm) any {

@@ -174,6 +174,7 @@ type JobSpec struct {
 	// detected/classified outputs are identical to the static schedule;
 	// only the virtual timings and the report's balance accounting
 	// change, so balanced and unbalanced results use distinct cache keys.
+	// An Adaptive job ignores it (validate clears it).
 	Balance bool
 	// NoJournal suppresses this job's journal records even when the
 	// scheduler has one. Pipeline stage jobs set it: their durability is
@@ -225,6 +226,12 @@ func (spec *JobSpec) validate() error {
 		}
 		if err := spec.Variant.Check(spec.Algorithm); err != nil {
 			return err
+		}
+		if spec.Variant == core.Adaptive {
+			// core.RunContext ignores the balance policy for Adaptive,
+			// which measures its own: the flag changes no report, so it
+			// must not split the cache key either.
+			spec.Balance = false
 		}
 	case ModeSequential:
 		if spec.CycleTime == 0 {

@@ -519,6 +519,30 @@ func TestAdaptiveVariant(t *testing.T) {
 	}
 }
 
+// core.RunContext ignores the balance policy for the Adaptive variant, so
+// an Adaptive job asking for balance is the same job as one that does not,
+// and it completes from the other's cache entry.
+func TestAdaptiveBalanceHitsCache(t *testing.T) {
+	tiny, _ := testScenes(t)
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	spec := JobSpec{
+		Algorithm:  core.ATDCA,
+		Variant:    core.Adaptive,
+		Network:    platform.FullyHeterogeneous(),
+		Cube:       tiny.Cube,
+		CubeDigest: CubeDigest(tiny.Cube),
+		Params:     core.Params{Targets: 4},
+	}
+	if j := runToEnd(t, s, spec); j.State() != StateCompleted || j.FromCache() {
+		t.Fatalf("first run: state %s, from cache %v; want a completed miss", j.State(), j.FromCache())
+	}
+	spec.Balance = true
+	if j := runToEnd(t, s, spec); j.State() != StateCompleted || !j.FromCache() {
+		t.Fatalf("with balance: state %s, from cache %v; want a completed hit", j.State(), j.FromCache())
+	}
+}
+
 // A finished record written before the trace moved onto the report carries
 // the report twice, once under a legacy "adaptive" key. It still restores
 // as a completed job with its report.
