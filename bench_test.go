@@ -551,6 +551,7 @@ func BenchmarkKernelMEI(b *testing.B) {
 	}
 	se := morph.Square(1)
 	b.Run("imax2", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			morph.MEI(part, se, 2)
 		}
@@ -567,8 +568,26 @@ func BenchmarkKernelMEI(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("imax5-rank", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			morph.MEIRange(view, se, 5, 5, 11)
+		}
+	})
+	// What one of 16 fully-het ranks runs in bench's pipeline-fanout: 4
+	// owned lines of the 64x64x32 seed-1 scene with the 5-line halo, the
+	// 32-band regime where the angles weigh most.
+	pipe, err := scene.Generate(scene.Config{Lines: 64, Samples: 64, Bands: 32, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pview, err := pipe.Cube.Rows(20, 34)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("pipe-rank", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			morph.MEIRange(pview, se, 5, 5, 9)
 		}
 	})
 }

@@ -45,11 +45,19 @@ func resume[T any](c *mpi.Comm, ck checkpoint.Checkpointer, alg string, decode f
 			if s, r, ok := decode(snap.Payload); ok {
 				state, round = s, r
 				c.Checkpoint(len(snap.Payload), checkpoint.RestoreCost(len(snap.Payload)))
+				if rr, ok := ck.(resumeRecorder); ok {
+					rr.Resumed(r)
+				}
 			}
 		}
 	}
 	return state, c.Bcast(0, tagResume, round, 8).(int)
 }
+
+// A resumeRecorder is a Checkpointer told the round a run resumes after.
+// That can be below the round of the snapshot Latest handed out: a
+// detector clamps a larger run's target list to its own t.
+type resumeRecorder interface{ Resumed(round int) }
 
 // save snapshots alg's state after round and charges the write on the
 // master's clock. Root only; without a checkpointer it encodes nothing.

@@ -1,9 +1,11 @@
 package algo
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/cube"
 	"repro/internal/morph"
@@ -45,13 +47,12 @@ type MorphParams struct {
 	// selects the default.
 	MinSupport float64
 	// MinimalHalo, when true, gives each partition an overlap border of
-	// only the kernel radius instead of the full morphological reach
-	// (Radius*Iterations). Later iterations then reuse slightly stale
-	// values at partition edges — a quality approximation near the
-	// borders — in exchange for far less redundant computation on
-	// shallow partitions. The paper's Algorithm 5 does not say which
-	// policy its measurements used; its Thunderhead scaling suggests
-	// something close to this one (see DESIGN.md).
+	// only the kernel radius instead of Radius*Iterations lines. Later
+	// iterations then reuse more stale values at partition edges — a
+	// quality approximation near the borders — in exchange for far less
+	// redundant computation on shallow partitions. The paper's Algorithm
+	// 5 does not say which policy its measurements used; its Thunderhead
+	// scaling suggests something close to this one (see DESIGN.md).
 	MinimalHalo bool
 }
 
@@ -98,27 +99,31 @@ func filterBySupport(cands []candidate, own *cube.Cube, radius float64, minCount
 	// The span's pixels are widened, with their norms, once for every
 	// block, and each block's signatures once for the span.
 	var pix []spectral.Pixel
+	w := widenPool.Get().(*widened)
+	defer widenPool.Put(w)
 	if len(cands) > 0 && c > 0 {
-		pix = make([]spectral.Pixel, own.NumPixels())
-		buf := make([]float64, len(own.Data))
+		w.pix, w.buf = resized(w.pix, own.NumPixels()), resized(w.buf, len(own.Data))
+		pix = w.pix
 		for p := range pix {
-			pix[p].V = buf[p*bands : (p+1)*bands : (p+1)*bands]
+			pix[p].V = w.buf[p*bands : (p+1)*bands : (p+1)*bands]
 			pix[p].Load(own.PixelAt(p))
 		}
 	}
 	const pass = 16
+	w.sums = resized(w.sums, pass*bands)
 	for b := 0; b < len(cands) && len(out) < c; b += pass {
 		block := cands[b:min(b+pass, len(cands))]
 		var sigs vec.Panel
 		var norms [pass]float64
 		var counts [pass]int
 		var means [pass][]float64
+		clear(w.sums)
 		for k, cd := range block {
 			var sig spectral.Pixel
 			sig.Load(cd.sig)
 			sigs.Add(sig.V)
 			norms[k] = sig.Norm
-			means[k] = make([]float64, bands)
+			means[k] = w.sums[k*bands : (k+1)*bands]
 		}
 		var buf [pass]float64
 		dots := buf[:len(block)]
@@ -163,6 +168,29 @@ func filterBySupport(cands []candidate, own *cube.Cube, radius float64, minCount
 	return out, sadCalls
 }
 
+// widened holds filterBySupport's scratch: the owned span's pixels
+// widened to float64, and the sums of a block's supporting pixels.
+type widened struct {
+	pix       []spectral.Pixel
+	buf, sums []float64
+}
+
+// widenPool keeps a widened from one call of filterBySupport to the next,
+// and selectPool selectCandidates' order.
+var (
+	widenPool  = sync.Pool{New: func() any { return new(widened) }}
+	selectPool = sync.Pool{New: func() any { return new([]int) }}
+)
+
+// resized returns s with length n, in new storage only when s has less
+// capacity; its entries are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // DefaultMorphParams mirrors the paper's setup: c=7, I_max=5, 3x3 kernel,
 // with the dedup threshold below the smallest inter-class angle of the
 // USGS-style materials and a 0.5% support floor.
@@ -189,9 +217,11 @@ func (p MorphParams) validate(f *cube.Cube) error {
 	return nil
 }
 
-// Halo returns the overlap border width in lines: the full spatial reach
-// of Iterations dilations with the given kernel radius, or just the
-// kernel radius under the MinimalHalo policy.
+// Halo returns the overlap border width in lines: Radius*Iterations, the
+// rows MEIRange's shrinking region consumes, or just the kernel radius
+// under the MinimalHalo policy. Neither is the exact reach of the AMEE
+// loop, 2*Radius*Iterations (see morph.MEIRange), so owned pixels near a
+// span's edge can score differently than in a whole-cube run.
 func (p MorphParams) Halo() int {
 	if p.MinimalHalo {
 		return p.Radius
@@ -200,21 +230,25 @@ func (p MorphParams) Halo() int {
 }
 
 // selectCandidates picks up to c spectrally distinct pixels in decreasing
-// MEI order from the given cube (restricted to lines [loLine, hiLine)),
+// MEI order from the image f holds through the source map src (position
+// p holds f's pixel src[p]), restricted to lines [loLine, hiLine), and
 // enforcing pairwise SAD > theta. Returns the candidates and the number
 // of SAD evaluations.
-func selectCandidates(f *cube.Cube, scores []float64, loLine, hiLine, c int, theta float64) ([]candidate, int) {
+func selectCandidates(f *cube.Cube, src []int32, scores []float64, loLine, hiLine, c int, theta float64) ([]candidate, int) {
 	lo, hi := loLine*f.Samples, hiLine*f.Samples
-	order := make([]int, 0, hi-lo)
+	buf := selectPool.Get().(*[]int)
+	defer selectPool.Put(buf)
+	order := (*buf)[:0]
 	for p := lo; p < hi; p++ {
 		order = append(order, p)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := scores[order[a]], scores[order[b]]
-		if sa != sb {
-			return sa > sb
+	*buf = order
+	// Scores are angles, never NaN, so the order is total.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return a - b
 	})
 	var out []candidate
 	kept := spectral.NewSet(nil)
@@ -225,7 +259,7 @@ func selectCandidates(f *cube.Cube, scores []float64, loLine, hiLine, c int, the
 		if len(out) == c {
 			break
 		}
-		v := f.PixelAt(p)
+		v := f.PixelAt(int(src[p]))
 		// A corrupt pixel is maximally eccentric — SAD pi to every
 		// neighbour — so it tops the MEI ranking and, being pi from every
 		// accepted candidate, always passes the dedup check. It must never
@@ -385,8 +419,8 @@ func MorphParallel(c *mpi.Comm, f *cube.Cube, params MorphParams, ex Exec) (*Cla
 // global coordinates.
 func ameeCandidates(c *mpi.Comm, view *cube.Cube, owned, halo partition.Span, params MorphParams) []candidate {
 	// Candidates come only from the owned interior so neighbouring spans
-	// never propose the same pixel; MEIRange also shrinks the computed halo
-	// region as the morphological reach decays.
+	// never propose the same pixel; MEIRange also shrinks the computed
+	// region toward them, by Radius per iteration.
 	loLocal := owned.Lo - halo.Lo
 	hiLocal := loLocal + owned.Len()
 	se := morph.Square(params.Radius)
@@ -399,7 +433,7 @@ func ameeCandidates(c *mpi.Comm, view *cube.Cube, owned, halo partition.Span, pa
 		res = morph.MEIRange(view, se, params.Iterations, loLocal, hiLocal)
 	}
 	c.Compute(res.Flops, vtime.Par)
-	cands, calls := selectCandidates(res.Final, res.Scores, loLocal, hiLocal, 6*params.Classes, params.Theta)
+	cands, calls := selectCandidates(view, res.Source, res.Scores, loLocal, hiLocal, 6*params.Classes, params.Theta)
 	c.ComputeFixed(float64(calls)*spectral.FlopsSAD(view.Bands), vtime.Par)
 	own, err := view.Rows(loLocal, hiLocal)
 	if err != nil {

@@ -168,7 +168,11 @@ func TestSelectCandidatesRestrictedToRange(t *testing.T) {
 	for i := range scores {
 		scores[i] = float64(i) // highest at the bottom
 	}
-	cands, _ := selectCandidates(f, scores, 0, 4, 2, 0.1)
+	src := make([]int32, f.NumPixels())
+	for p := range src {
+		src[p] = int32(p)
+	}
+	cands, _ := selectCandidates(f, src, scores, 0, 4, 2, 0.1)
 	for _, cd := range cands {
 		if cd.line < 0 || cd.line >= 4 {
 			t.Errorf("candidate at line %d outside [0,4)", cd.line)

@@ -96,6 +96,15 @@ func refFilterBySupport(cands []candidate, own *cube.Cube, radius float64, minCo
 	return out, sadCalls
 }
 
+// dilatedImage builds the image f holds through the source map src.
+func dilatedImage(f *cube.Cube, src []int32) *cube.Cube {
+	img := cube.MustNew(f.Lines, f.Samples, f.Bands)
+	for p, a := range src {
+		copy(img.PixelAt(p), f.PixelAt(int(a)))
+	}
+	return img
+}
+
 func refSelectCandidates(f *cube.Cube, scores []float64, loLine, hiLine, c int, theta float64) ([]candidate, int) {
 	lo, hi := loLine*f.Samples, hiLine*f.Samples
 	order := make([]int, 0, hi-lo)
@@ -242,8 +251,8 @@ func TestMorphScansMatchScalarScans(t *testing.T) {
 		res := morph.MEI(f, morph.Square(1), 2)
 		for _, theta := range []float64{0.06, 0.02, 0.3} {
 			name := fmt.Sprintf("seed %d theta %v", seed, theta)
-			want, wantCalls := refSelectCandidates(res.Final, res.Scores, 2, 30, 42, theta)
-			cands, calls := selectCandidates(res.Final, res.Scores, 2, 30, 42, theta)
+			want, wantCalls := refSelectCandidates(dilatedImage(f, res.Source), res.Scores, 2, 30, 42, theta)
+			cands, calls := selectCandidates(f, res.Source, res.Scores, 2, 30, 42, theta)
 			if calls != wantCalls || !reflect.DeepEqual(cands, want) {
 				t.Fatalf("%s: selectCandidates %d / %d SADs, scalar %d / %d", name, len(cands), calls, len(want), wantCalls)
 			}

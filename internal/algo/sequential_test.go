@@ -164,7 +164,7 @@ func MorphSequential(f *cube.Cube, params MorphParams) (*ClassificationResult, e
 	}
 	se := morph.Square(params.Radius)
 	res := morph.MEI(f, se, params.Iterations)
-	cands, _ := selectCandidates(res.Final, res.Scores, 0, f.Lines, 6*params.Classes, params.Theta)
+	cands, _ := selectCandidates(f, res.Source, res.Scores, 0, f.Lines, 6*params.Classes, params.Theta)
 	cands, _ = filterBySupport(cands, f, params.supportRadius(), params.minSupportCount(f.NumPixels()), 3*params.Classes)
 	endmembers, _ := fuseCandidates(cands, params.Classes, params.fuseTheta())
 	if len(endmembers) == 0 {

@@ -35,18 +35,17 @@ func CheckpointerFrom(ctx context.Context) checkpoint.Checkpointer {
 // fail. Only the master rank's goroutine touches it during a run, so
 // plain fields suffice.
 type countingCheckpointer struct {
-	inner checkpoint.Checkpointer
-	tel   *Metrics
-	saves int
-	bytes int64
-	// offered is the round of the snapshot most recently handed out by
-	// Latest; combined with the mpi restore charge counter it yields the
-	// round the successful attempt actually resumed from.
-	offered int
+	checkpoint.Checkpointer // the attached store; Latest passes through
+	tel                     *Metrics
+	saves                   int
+	bytes                   int64
+	// resumed is the round the run resumed after, as the algorithm's
+	// restore reported it; 0 when it ran from scratch.
+	resumed int
 }
 
 func (c *countingCheckpointer) Save(s checkpoint.Snapshot) error {
-	if err := c.inner.Save(s); err != nil {
+	if err := c.Checkpointer.Save(s); err != nil {
 		return err
 	}
 	c.saves++
@@ -55,10 +54,5 @@ func (c *countingCheckpointer) Save(s checkpoint.Snapshot) error {
 	return nil
 }
 
-func (c *countingCheckpointer) Latest() (checkpoint.Snapshot, bool) {
-	s, ok := c.inner.Latest()
-	if ok {
-		c.offered = s.Round
-	}
-	return s, ok
-}
+// Resumed records the round a restore resumed the run after.
+func (c *countingCheckpointer) Resumed(round int) { c.resumed = round }

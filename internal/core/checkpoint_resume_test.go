@@ -77,6 +77,37 @@ func TestCheckpointCleanRunBookkeeping(t *testing.T) {
 	}
 }
 
+// A detector resumes a larger run's snapshot at its own final round: a
+// 4-target ATDCA run over a 6-target run's last snapshot clamps the
+// restored list to 4 targets, so it resumed from round 4, not 6.
+func TestResumedFromRoundIsTheClampedRound(t *testing.T) {
+	sc := smallScene(t)
+	net := smallNet(t, 3)
+	params := smallParams()
+	params.Targets = 6
+	store := &checkpoint.MemStore{}
+	ctx := WithCheckpointer(context.Background(), store)
+	if _, err := RunContext(ctx, net, ATDCA, Hetero, sc.Cube, params); err != nil {
+		t.Fatal(err)
+	}
+	if snap, ok := store.Latest(); !ok || snap.Round != 6 {
+		t.Fatalf("store holds round %d (ok %v), want the 6-target run's last, 6", snap.Round, ok)
+	}
+	params.Targets = 4
+	plain, err := Run(net, ATDCA, Hetero, sc.Cube, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunContext(ctx, net, ATDCA, Hetero, sc.Cube, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDetections(t, plain, rep)
+	if rep.ResumedFromRound != 4 {
+		t.Errorf("resumed from round %d, want 4", rep.ResumedFromRound)
+	}
+}
+
 // Phase checkpointing covers the classifiers too: a PCT rerun over a
 // store holding the step-7 snapshot resumes without recomputing the
 // statistics and eigendecomposition phases.

@@ -311,7 +311,7 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 	}
 	var cck *countingCheckpointer
 	if ck := CheckpointerFrom(ctx); ck != nil {
-		cck = &countingCheckpointer{inner: ck, tel: tel}
+		cck = &countingCheckpointer{Checkpointer: ck, tel: tel}
 		ex.Checkpoint = cck
 	}
 
@@ -403,12 +403,7 @@ func RunContext(ctx context.Context, net *platform.Network, alg Algorithm, varia
 		report.CheckpointSaves = cck.saves
 		report.CheckpointBytes = cck.bytes
 		report.CheckpointOverhead = res.Counters[0].CheckpointSeconds
-		// A restore charge on the master's counters — beyond this run's
-		// saves — means the run actually consumed the snapshot Latest
-		// offered, not merely looked at it.
-		if res.Counters[0].Checkpoints > cck.saves {
-			report.ResumedFromRound = cck.offered
-		}
+		report.ResumedFromRound = cck.resumed
 	}
 	tel.runDone(report)
 	tel.mpiRun(res.Counters)

@@ -3,6 +3,7 @@ package morph
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -116,8 +117,8 @@ func patchCube(rng *rand.Rand, lines, samples, bands int) *cube.Cube {
 	return f
 }
 
-// checkMEIRange fails t unless MEIRange's scores and final cube have the
-// bits of naiveMEIRange's.
+// checkMEIRange fails t unless MEIRange's scores, and its final image read
+// through the source map, have the bits of naiveMEIRange's.
 func checkMEIRange(t *testing.T, f *cube.Cube, se StructuringElement, imax, lo, hi int) {
 	t.Helper()
 	wantScores, wantFinal := naiveMEIRange(f, se, imax, lo, hi)
@@ -128,10 +129,13 @@ func checkMEIRange(t *testing.T, f *cube.Cube, se StructuringElement, imax, lo, 
 				f.Lines, f.Samples, f.Bands, se, lo, hi, imax, p, got.Scores[p], wantScores[p])
 		}
 	}
-	for i := range wantFinal.Data {
-		if math.Float32bits(got.Final.Data[i]) != math.Float32bits(wantFinal.Data[i]) {
-			t.Fatalf("%dx%dx%d se %v owned [%d,%d) imax %d: final cube differs at %d",
-				f.Lines, f.Samples, f.Bands, se, lo, hi, imax, i)
+	for p := range wantScores {
+		got, want := f.PixelAt(int(got.Source[p])), wantFinal.PixelAt(p)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%dx%dx%d se %v owned [%d,%d) imax %d: final image differs at pixel %d band %d",
+					f.Lines, f.Samples, f.Bands, se, lo, hi, imax, p, i)
+			}
 		}
 	}
 }
@@ -250,6 +254,41 @@ func TestMEIRangeReusesPairs(t *testing.T) {
 	}
 }
 
+// TestMEIRangeAllocatesOnlyItsResult pins the AMEE loop's steady state on
+// what one of pipeline-fanout's 16 ranks runs (BenchmarkKernelMEI's
+// pipe-rank): the loop's tables come from a pool, so a call allocates its
+// returned scores and source map, and under 4 KiB besides — their size
+// classes' rounding, the result and the fan-outs' closures — where any
+// one table of the loop takes at least 3.5 KiB more. The least of 20
+// calls is taken: the race detector's pool drops a quarter of what it is
+// given, and a collection may empty it.
+func TestMEIRangeAllocatesOnlyItsResult(t *testing.T) {
+	sc, err := scene.Generate(scene.Config{Lines: 64, Samples: 64, Bands: 32, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := sc.Cube.Rows(20, 34)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := Square(1)
+	MEIRange(view, se, 5, 5, 9)
+	np := uint64(view.NumPixels())
+	result := 8*np + 4*np
+	least := uint64(math.MaxUint64)
+	for range 20 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		MEIRange(view, se, 5, 5, 9)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("MEIRange allocates %d B; its scores and source map are %d B", least, result)
+	if least > result+4096 {
+		t.Fatalf("MEIRange allocates %d B, more than its %d B of scores and source map and 4 KiB", least, result)
+	}
+}
+
 // DistanceMap returns D_B for every pixel of f: the sum of spectral angle
 // distances between the pixel and every pixel in its B-neighbourhood
 // (Eq. 2), with the neighbourhood clamped at the image border. High D_B
@@ -257,8 +296,9 @@ func TestMEIRangeReusesPairs(t *testing.T) {
 // their surroundings.
 func DistanceMap(f *cube.Cube, se StructuringElement) []float64 {
 	m := newAMEE(f, se)
+	defer m.release()
 	m.distanceMap(0, f.Lines)
-	return m.dist
+	return slices.Clone(m.dist)
 }
 
 // ErodeAt returns the coordinates selected by vector erosion at (l,s):

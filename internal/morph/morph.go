@@ -9,11 +9,15 @@ package morph
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cube"
 	"repro/internal/par"
 	"repro/internal/spectral"
+	"repro/internal/vec"
 )
 
 // StructuringElement is a rectangular spatial kernel B of
@@ -38,14 +42,20 @@ func (se StructuringElement) Size() int {
 
 // argOver scans the clamped B-neighbourhood of (l,s) once and returns the
 // coordinates with minimal and with maximal D_B; each is the first met on
-// ties, the centre before all others.
+// ties, the centre before all others. D_B is a sum of angles, never NaN
+// and never -0, so its values order as their bits do: the scan compares
+// the bits as integers, which the compiler selects with conditional moves
+// rather than with branches the data would mispredict.
 func argOver(f *cube.Cube, dist []float64, se StructuringElement, l, s int) (minL, minS, maxL, maxS int) {
+	S := f.Samples
 	minL, minS, maxL, maxS = l, s, l, s
-	lo := dist[f.FlatIndex(l, s)]
+	lo := math.Float64bits(dist[l*S+s])
 	hi := lo
-	for nl := max(0, l-se.RadiusL); nl <= min(f.Lines-1, l+se.RadiusL); nl++ {
-		for ns := max(0, s-se.RadiusS); ns <= min(f.Samples-1, s+se.RadiusS); ns++ {
-			d := dist[f.FlatIndex(nl, ns)]
+	llo, lhi := max(0, l-se.RadiusL), min(f.Lines-1, l+se.RadiusL)
+	slo, shi := max(0, s-se.RadiusS), min(S-1, s+se.RadiusS)
+	for nl := llo; nl <= lhi; nl++ {
+		for i, v := range dist[nl*S+slo : nl*S+shi+1] {
+			d, ns := math.Float64bits(v), slo+i
 			if d < lo {
 				lo, minL, minS = d, nl, ns
 			}
@@ -62,15 +72,14 @@ type MEIResult struct {
 	// Scores is the per-pixel morphological eccentricity index,
 	// accumulated with max over iterations.
 	Scores []float64
-	// Final is the cube after the I_max dilations: every pixel holds the
-	// most spectrally pure signature of its (grown) neighbourhood.
-	// Endmember candidates are read from Final at high-MEI locations —
-	// the high score marks *where* materials meet; the dilated pixel
-	// supplies the pure signature of the dominant material there. A
-	// dilation only copies pixels, so every pixel of Final is one of the
-	// input's: the iterations follow which one through a source map, and
-	// Final is built from it once, after the last.
-	Final *cube.Cube
+	// Source is the image after the I_max dilations, as a map: position p
+	// holds pixel Source[p] of the input cube, the most spectrally pure
+	// signature of p's (grown) neighbourhood. Endmember candidates are
+	// read through it at high-MEI locations — the high score marks
+	// *where* materials meet; the dilated pixel supplies the pure
+	// signature of the dominant material there. A dilation only copies
+	// pixels, so the iterations follow the map and never build the image.
+	Source []int32
 	// Flops is the floating-point operation count of the computation,
 	// for the virtual-time cost model.
 	Flops float64
@@ -85,13 +94,21 @@ func MEI(f *cube.Cube, se StructuringElement, imax int) *MEIResult {
 	return MEIRange(f, se, imax, 0, f.Lines)
 }
 
-// MEIRange is MEI restricted to producing valid results for lines
-// [ownedLo, ownedHi): the computed region starts at the full reach of the
-// remaining iterations and shrinks toward the owned rows as iterations
-// complete. A worker whose partition carries halo rows therefore pays for
-// the halo only as long as the morphological reach still needs it, which
-// substantially reduces the redundant-computation overhead of overlap
-// borders on short partitions.
+// MEIRange is MEI computed only for what lines [ownedLo, ownedHi) need:
+// iteration it writes the rows within RadiusL*(imax-1-it) of the owned
+// ones, so the computed region shrinks toward them by RadiusL per
+// iteration, and a worker pays for its halo rows only while that region
+// covers them.
+//
+// That is the reach of a dilation's copy alone, not of an iteration: the
+// erode/dilate pick at a row reads D_B RadiusL rows away, and D_B reads
+// pixels RadiusL further, so an iteration's output depends on rows
+// 2*RadiusL away. Past the first iteration the rows at the region's edge
+// read pixels the last iteration did not write, and the owned scores and
+// sources can differ from MEI's over the whole cube near the owned rows'
+// edges (all of them at imax 1 match). MORPH's goldens and virtual times
+// are pinned to this region; DESIGN.md's ablation list has the measured
+// extent.
 func MEIRange(f *cube.Cube, se StructuringElement, imax, ownedLo, ownedHi int) *MEIResult {
 	res, _ := meiRange(f, se, imax, ownedLo, ownedHi)
 	return res
@@ -108,6 +125,7 @@ func meiRange(f *cube.Cube, se StructuringElement, imax, ownedLo, ownedHi int) (
 		panic(fmt.Sprintf("morph: owned range [%d,%d) of %d lines", ownedLo, ownedHi, f.Lines))
 	}
 	m := newAMEE(f, se)
+	defer m.release()
 	scores := make([]float64, f.NumPixels())
 	var flops float64
 	var dots [2]int
@@ -127,11 +145,7 @@ func meiRange(f *cube.Cube, se StructuringElement, imax, ownedLo, ownedHi int) (
 		dots[1] += m.dilate(outLo, outHi, scores)
 		flops += float64(outHi-outLo) * cols * (2*float64(se.Size()) + sadCost)
 	}
-	final := cube.MustNew(f.Lines, f.Samples, f.Bands)
-	for p, a := range m.src {
-		copy(final.PixelAt(p), f.PixelAt(int(a)))
-	}
-	return &MEIResult{Scores: scores, Final: final, Flops: flops}, dots
+	return &MEIResult{Scores: scores, Source: slices.Clone(m.src), Flops: flops}, dots
 }
 
 // chunkWork is the least work, in samples x bands, worth handing to a
@@ -154,12 +168,14 @@ func rowGrain(f *cube.Cube) int {
 // distinct neighbours have the angle a table holds for those; any other
 // pair takes a new dot product of f's pixels with the cached norms. The
 // first map copies nothing — every source is its own position and no row
-// has a choice — so all its pairs are new.
+// has a choice — so all its pairs are new. New pairs take their dot
+// products and angles four at a time, in the lanes of package vec.
 type amee struct {
-	f    *cube.Cube
-	se   StructuringElement
-	kern [][2]int // kernel offsets (dl, ds) in row-major order, the centre at len(fwd)
-	fwd  [][2]int // the offsets after the centre: each unordered pair once
+	f     *cube.Cube
+	se    StructuringElement
+	kern  [][2]int // kernel offsets (dl, ds) in row-major order, the centre at len(fwd)
+	fwd   [][2]int // the offsets after the centre: each unordered pair once
+	sumAt []int    // where D_B's addends sit, from an inner position's first slot
 
 	src, next  []int32 // the pixel of f at each position: now and after the dilation
 	choice     []int32 // kernel index of the neighbour the last dilation copied
@@ -171,20 +187,57 @@ type amee struct {
 	dist        []float64
 }
 
+// ameePool keeps amee's tables from one MEIRange to the next: a worker
+// runs it on same-sized views over and over, and the tables are several
+// times the size of the scores and source map it returns.
+var ameePool = sync.Pool{New: func() any { return new(amee) }}
+
+// newAMEE returns the state of a loop over f, its tables zeroed as if new.
 func newAMEE(f *cube.Cube, se StructuringElement) *amee {
-	np := f.NumPixels()
-	m := &amee{f: f, se: se, src: make([]int32, np), norms: make([]float64, np),
-		self: make([]float64, np), dist: make([]float64, np)}
-	for p := range m.src {
-		m.src[p] = int32(p)
-	}
+	m := ameePool.Get().(*amee)
+	m.f, m.se, m.normed, m.chLo, m.chHi = f, se, false, 0, 0
+	m.kern = m.kern[:0]
 	for dl := -se.RadiusL; dl <= se.RadiusL; dl++ {
 		for ds := -se.RadiusS; ds <= se.RadiusS; ds++ {
 			m.kern = append(m.kern, [2]int{dl, ds})
 		}
 	}
 	m.fwd = m.kern[len(m.kern)/2+1:]
+	np, k := f.NumPixels(), len(m.fwd)
+	m.sumAt = m.sumAt[:0]
+	for j, o := range m.kern {
+		switch {
+		case j > k:
+			m.sumAt = append(m.sumAt, j-k-1)
+		case j < k:
+			// An earlier neighbour holds the pair, under the negated offset.
+			m.sumAt = append(m.sumAt, (o[0]*f.Samples+o[1])*k+k-1-j)
+		}
+	}
+	m.src, m.next, m.choice = zeroed(m.src, np), zeroed(m.next, np), zeroed(m.choice, np)
+	m.norms, m.self, m.dist = zeroed(m.norms, np), zeroed(m.self, np), zeroed(m.dist, np)
+	m.pairs, m.prev = zeroed(m.pairs, np*k), zeroed(m.prev, np*k)
+	for p := range m.src {
+		m.src[p] = int32(p)
+	}
 	return m
+}
+
+// release returns m to the pool, letting go of its cube.
+func (m *amee) release() {
+	m.f = nil
+	ameePool.Put(m)
+}
+
+// zeroed returns n zeros in s's storage, or in new storage when s has
+// less capacity.
+func zeroed[T int32 | float64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // index returns the position of offset (dl, ds) in the kernel's
@@ -203,8 +256,9 @@ func (se StructuringElement) index(dl, ds int) int {
 // commute — so each unordered neighbour pair is held once, by the
 // position that comes first in row-major order. A row fan-out settles
 // every pair; on the first call, whose norms are still being measured, it
-// leaves dot products that a second fan-out turns into angles. Then each
-// position's D_B is summed from its own pairs and its earlier
+// leaves dot products that a second fan-out turns into angles, and each
+// chunk of rows takes its pixels' self-angles once it has their norms.
+// Then each position's D_B is summed from its own pairs and its earlier
 // neighbours', in Eq. 2's order. Rows are independent within a step (each
 // writes only its own entries), so results are byte-identical at any
 // parallelism.
@@ -213,9 +267,6 @@ func (m *amee) distanceMap(lo, hi int) int {
 	rlo, rhi := max(0, lo-m.se.RadiusL), min(f.Lines, hi+m.se.RadiusL)
 	if m.normed {
 		m.pairs, m.prev = m.prev, m.pairs
-	}
-	if m.pairs == nil {
-		m.pairs = make([]float64, f.NumPixels()*k)
 	}
 	grain := rowGrain(f)
 	var dots atomic.Int64
@@ -228,27 +279,32 @@ func (m *amee) distanceMap(lo, hi int) int {
 			}
 		}
 		q.flush()
+		if !m.normed {
+			m.selfAngles((rlo+clo)*S, (rlo+chi)*S)
+		}
 		dots.Add(int64(n))
 	})
 	if !m.normed {
 		par.Lines(hi-rlo, grain, func(_, clo, chi int) {
-			for l := rlo + clo; l < rlo+chi; l++ {
-				for s := 0; s < S; s++ {
-					for i, o := range m.fwd {
-						if nl, ns := l+o[0], s+o[1]; nl < f.Lines && ns >= 0 && ns < S {
-							p := l*S + s
-							m.pairs[p*k+i] = spectral.Angle(m.pairs[p*k+i], m.norms[p], m.norms[nl*S+ns])
-						}
-					}
-				}
-			}
+			m.firstAngles(rlo+clo, rlo+chi)
 		})
 		m.normed = true
 	}
+	rl, rs := m.se.RadiusL, m.se.RadiusS
 	for l := lo; l < hi; l++ {
+		inner := l >= rl && l < f.Lines-rl
 		for s := 0; s < S; s++ {
 			p := l*S + s
 			var sum float64
+			if inner && s >= rs && s < S-rs {
+				// The whole kernel is inside the image: the same addends,
+				// in the same order, at fixed offsets from p's slots.
+				for _, o := range m.sumAt {
+					sum += m.pairs[p*k+o]
+				}
+				m.dist[p] = sum
+				continue
+			}
 			for j, o := range m.kern {
 				nl, ns := l+o[0], s+o[1]
 				if j == k || nl < 0 || nl >= f.Lines || ns < 0 || ns >= S {
@@ -268,12 +324,51 @@ func (m *amee) distanceMap(lo, hi int) int {
 	return int(dots.Load())
 }
 
-// fillPairs settles the fwd pairs of position (l, s) when l < pairHi; a
-// slot whose neighbour is outside the image is left unspecified. New
-// pairs go through Dot4, with the position's pixel as the shared centre,
-// when their whole block of four is new — every block of the first call,
-// which also measures the pixel's norm there — and through q otherwise.
-// It returns the dot products taken.
+// firstAngles turns the dot products the first map left in the fwd
+// slots of rows [lo, hi) into angles, in place, a batch of slots per call
+// of vec.Angles. A slot whose neighbour is outside the image stays
+// unspecified.
+func (m *amee) firstAngles(lo, hi int) {
+	f, S := m.f, m.f.Samples
+	var na, nb [angleBatch]float64
+	j0, n := lo*S*len(m.fwd), 0 // the batch: slots j0 .. j0+n
+	for l := lo; l < hi; l++ {
+		for s := 0; s < S; s++ {
+			p := l*S + s
+			for _, o := range m.fwd {
+				q := p
+				if nl, ns := l+o[0], s+o[1]; nl < f.Lines && ns >= 0 && ns < S {
+					q = nl*S + ns
+				}
+				na[n], nb[n] = m.norms[p], m.norms[q]
+				if n++; n == angleBatch {
+					slots := m.pairs[j0 : j0+n]
+					vec.Angles(slots, slots, na[:], nb[:])
+					j0, n = j0+n, 0
+				}
+			}
+		}
+	}
+	slots := m.pairs[j0 : j0+n]
+	vec.Angles(slots, slots, na[:n], nb[:n])
+}
+
+// selfAngles sets the self-angle Angle(n, n, n) of f's pixels [lo, hi),
+// whose norms n are known.
+func (m *amee) selfAngles(lo, hi int) {
+	n := m.norms[lo:hi]
+	vec.Angles(m.self[lo:hi], n, n, n)
+}
+
+// fillPairs settles the fwd pairs of position (l, s) when l < pairHi, by
+// the first of amee's three rules that applies: equal sources, two rows
+// with a choice whose choices are distinct neighbours in the last map, or
+// a new dot product. A slot whose neighbour is outside the image is left
+// unspecified. New pairs go through vec.Dot4, with the position's pixel
+// as the shared centre, when their whole block of four is new — every
+// block of the first call, which also measures the pixel's norm there
+// and leaves the angles to firstAngles — and through q otherwise; q
+// takes the angles of both. It returns the dot products taken.
 func (m *amee) fillPairs(l, s, pairHi int, q *dotBatch) int {
 	f, k := m.f, len(m.fwd)
 	p := l*f.Samples + s
@@ -281,9 +376,17 @@ func (m *amee) fillPairs(l, s, pairHi int, q *dotBatch) int {
 	center := f.PixelAt(int(a))
 	if l >= pairHi || k == 0 {
 		if !m.normed {
-			m.setNorm(p, spectral.SqNorm(center))
+			m.norms[p] = spectral.SqNorm(center)
 		}
 		return 0
+	}
+	// Rule 2 looks up the position the last dilation copied into p, when
+	// it wrote row l, and the one it copied into the neighbour.
+	chosen := l >= m.chLo && l < m.chHi
+	var cl, cs int
+	if chosen {
+		c := m.kern[m.choice[p]]
+		cl, cs = l+c[0], s+c[1]
 	}
 	n := 0
 	for b := 0; b < k; b += 4 {
@@ -296,12 +399,21 @@ func (m *amee) fillPairs(l, s, pairHi int, q *dotBatch) int {
 			if nl >= f.Lines || ns < 0 || ns >= f.Samples {
 				continue
 			}
-			if v, ok := m.copied(l, s, nl, ns); ok {
-				m.pairs[p*k+i], copied = v, true
-			} else {
-				lane[i-b] = m.src[nl*f.Samples+ns]
-				n++
+			qn := nl*f.Samples + ns
+			x := m.src[qn]
+			if x == a {
+				m.pairs[p*k+i], copied = m.self[a], true
+				continue
 			}
+			if chosen && nl < m.chHi {
+				c := m.kern[m.choice[qn]]
+				if v, ok := m.pairAt(m.prev, cl, cs, nl+c[0], ns+c[1]); ok {
+					m.pairs[p*k+i], copied = v, true
+					continue
+				}
+			}
+			lane[i-b] = x
+			n++
 		}
 		if copied {
 			for i, x := range lane[:min(4, k-b)] {
@@ -311,43 +423,20 @@ func (m *amee) fillPairs(l, s, pairHi int, q *dotBatch) int {
 			}
 			continue
 		}
-		var d [4]float64
-		var nx float64
-		nx, d[0], d[1], d[2], d[3] = spectral.Dot4(center,
+		nx, d := vec.Dot4(center,
 			f.PixelAt(int(lane[0])), f.PixelAt(int(lane[1])), f.PixelAt(int(lane[2])), f.PixelAt(int(lane[3])))
 		if !m.normed {
-			m.setNorm(p, nx)
+			m.norms[p] = nx // each position is its own source
+			copy(m.pairs[p*k+b:(p+1)*k], d[:])
+			continue
 		}
 		for i, x := range lane[:min(4, k-b)] {
-			if x != a && m.normed {
-				d[i] = spectral.Angle(d[i], m.norms[a], m.norms[x])
+			if x != a {
+				q.angle(p*k+b+i, d[i], m.norms[a], m.norms[x])
 			}
 		}
-		copy(m.pairs[p*k+b:(p+1)*k], d[:])
 	}
 	return n
-}
-
-// setNorm caches the squared norm of f's pixel p; the first map calls it
-// for every source pixel, while each position is its own source.
-func (m *amee) setNorm(p int, n float64) {
-	m.norms[p], m.self[p] = n, spectral.Angle(n, n, n)
-}
-
-// copied returns the angle between the sources of position (l, s) and
-// its fwd neighbour (nl, ns) when a rule settles it without a dot
-// product: equal sources, or two rows with a choice whose choices are
-// distinct neighbours in the last map.
-func (m *amee) copied(l, s, nl, ns int) (float64, bool) {
-	p, q := l*m.f.Samples+s, nl*m.f.Samples+ns
-	if a := m.src[p]; a == m.src[q] {
-		return m.self[a], true
-	}
-	if l < m.chLo || nl >= m.chHi {
-		return 0, false
-	}
-	cp, cq := m.kern[m.choice[p]], m.kern[m.choice[q]]
-	return m.pairAt(m.prev, l+cp[0], s+cp[1], nl+cq[0], ns+cq[1])
 }
 
 // pairAt returns the angle table holds for positions (l, s) and (nl, ns),
@@ -375,9 +464,6 @@ func (m *amee) pairAt(table []float64, l, s, nl, ns int) (float64, bool) {
 // the dot products taken.
 func (m *amee) dilate(outLo, outHi int, scores []float64) int {
 	f, se, S := m.f, m.se, m.f.Samples
-	if m.next == nil {
-		m.next, m.choice = make([]int32, len(m.src)), make([]int32, len(m.src))
-	}
 	copy(m.next, m.src)
 	var dots atomic.Int64
 	// Each row writes only its own score, source and choice entries, so
@@ -410,39 +496,79 @@ func (m *amee) dilate(outLo, outHi int, scores []float64) int {
 	return int(dots.Load())
 }
 
-// dotBatch gathers new pairs of f's pixels, by index, takes their dot
-// products four at a time with spectral.DotPairs and hands each pair's
-// angle to done. Only maps after the first gather pairs, so every norm
-// is known.
+// angleBatch is how many angles a dotBatch takes per call of vec.Angles:
+// four groups of lanes, whose dependency chains the processor overlaps.
+const angleBatch = 16
+
+// dotBatch takes the angles of pairs of f's pixels and hands each to
+// done: pairs named by index, whose dot products it takes four at a time
+// with vec.DotPairs, and pairs whose dot product a caller already has.
+// The angles are taken angleBatch at a time; done may come later than the
+// call that named the pair, and comes for every pair by flush. Only maps
+// after the first use it, so every norm is known.
 type dotBatch struct {
 	m    *amee
-	id   [4]int
-	a, b [4]int32
-	n    int
 	done func(id int, angle float64)
+
+	pid  [4]int // pairs awaiting their dot product
+	a, b [4]int32
+	pn   int
+
+	id          [angleBatch]int // pairs awaiting their angle
+	dot, na, nb [angleBatch]float64
+	n           int
 }
 
+// add queues the pair of f's pixels a and b.
 func (q *dotBatch) add(id int, a, b int32) {
-	q.id[q.n], q.a[q.n], q.b[q.n] = id, a, b
-	if q.n++; q.n == 4 {
-		q.flush()
+	q.pid[q.pn], q.a[q.pn], q.b[q.pn] = id, a, b
+	if q.pn++; q.pn == 4 {
+		q.dots()
 	}
 }
 
-func (q *dotBatch) flush() {
-	if q.n == 0 {
-		return
+// angle queues a pair by its dot product and squared norms.
+func (q *dotBatch) angle(id int, dot, na, nb float64) {
+	q.id[q.n], q.dot[q.n], q.na[q.n], q.nb[q.n] = id, dot, na, nb
+	if q.n++; q.n == angleBatch {
+		q.angles()
 	}
+}
+
+// dots takes the dot products of the queued pairs.
+func (q *dotBatch) dots() {
 	var x, y [4][]float32
 	for i := range x {
-		// Spare slots repeat a gathered pair; their results are dropped.
-		x[i], y[i] = q.m.f.PixelAt(int(q.a[i%q.n])), q.m.f.PixelAt(int(q.b[i%q.n]))
+		j := i
+		if j >= q.pn {
+			j = 0 // a spare slot repeats the first pair; its result is dropped
+		}
+		x[i], y[i] = q.m.f.PixelAt(int(q.a[j])), q.m.f.PixelAt(int(q.b[j]))
 	}
-	d := spectral.DotPairs(x, y)
-	for i := 0; i < q.n; i++ {
-		q.done(q.id[i], spectral.Angle(d[i], q.m.norms[q.a[i]], q.m.norms[q.b[i]]))
+	d := vec.DotPairs(&x, &y)
+	for i := range q.pn {
+		q.angle(q.pid[i], d[i], q.m.norms[q.a[i]], q.m.norms[q.b[i]])
+	}
+	q.pn = 0
+}
+
+// angles takes the queued angles and hands them to done.
+func (q *dotBatch) angles() {
+	vec.Angles(q.dot[:q.n], q.dot[:q.n], q.na[:q.n], q.nb[:q.n])
+	for i, v := range q.dot[:q.n] {
+		q.done(q.id[i], v)
 	}
 	q.n = 0
+}
+
+// flush hands every queued pair's angle to done.
+func (q *dotBatch) flush() {
+	if q.pn > 0 {
+		q.dots()
+	}
+	if q.n > 0 {
+		q.angles()
+	}
 }
 
 // FlopsMEI estimates the cost of MEI over np pixels with the given kernel

@@ -7,8 +7,9 @@ import (
 )
 
 // This file holds the blocked forms of SAD used by the hot scans: pixel
-// labelling, unique-set construction, candidate deduplication and the
-// morphological distance map. They return bit-for-bit what a loop over
+// labelling, unique-set construction and candidate deduplication (the
+// morphological distance map's pair dots are package vec's Dot4 and
+// DotPairs). They return bit-for-bit what a loop over
 // SAD returns, because every output keeps its own accumulator and its
 // own left-to-right band order (DESIGN.md "Kernel exactness"); speed
 // comes from running four outputs at once (a Set's scans sixteen, in
@@ -33,54 +34,6 @@ func Dot(a, b []float32) float64 {
 		dot += float64(a[i]) * float64(b[i])
 	}
 	return dot
-}
-
-// Dot4 returns the squared norm of x and its dot products with a, b, c
-// and d, each accumulated band by band exactly as SAD accumulates them.
-// The five sums are independent add chains, so the processor overlaps
-// them where a lone SAD waits on one; callers with fewer than four
-// operands pass any n-band vector in the spare slots and ignore the
-// result.
-func Dot4(x, a, b, c, d []float32) (nx, da, db, dc, dd float64) {
-	n := len(x)
-	if len(a) != n || len(b) != n || len(c) != n || len(d) != n {
-		panic("spectral: Dot4 length mismatch")
-	}
-	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
-	for i, s := range x {
-		w := float64(s)
-		nx += w * w
-		da += w * float64(a[i])
-		db += w * float64(b[i])
-		dc += w * float64(c[i])
-		dd += w * float64(d[i])
-	}
-	return
-}
-
-// DotPairs returns the dot products a[i]·b[i] of four pairs that share no
-// operand, each accumulated band by band exactly as SAD accumulates it.
-// It loads eight vectors where Dot4 loads five, so a pixel whose pairs
-// are all new still goes through Dot4; DotPairs serves pairs scattered
-// over the image. Callers with fewer than four pairs repeat one in the
-// spare slots and ignore its result.
-func DotPairs(a, b [4][]float32) [4]float64 {
-	n := len(a[0])
-	for i := range a {
-		if len(a[i]) != n || len(b[i]) != n {
-			panic("spectral: DotPairs length mismatch")
-		}
-	}
-	a0, a1, a2, a3 := a[0][:n], a[1][:n], a[2][:n], a[3][:n]
-	b0, b1, b2, b3 := b[0][:n], b[1][:n], b[2][:n], b[3][:n]
-	var d0, d1, d2, d3 float64
-	for i := range a0 {
-		d0 += float64(a0[i]) * float64(b0[i])
-		d1 += float64(a1[i]) * float64(b1[i])
-		d2 += float64(a2[i]) * float64(b2[i])
-		d3 += float64(a3[i]) * float64(b3[i])
-	}
-	return [4]float64{d0, d1, d2, d3}
 }
 
 // cosSlack is how far a cosine must sit from a decision boundary before
@@ -167,6 +120,7 @@ func (p *Pixel) Load(v []float32) *Pixel {
 type Set struct {
 	sigs  vec.Panel
 	norms []float64
+	wide  Pixel // Add's scratch
 }
 
 // NewSet builds a set over sigs.
@@ -180,10 +134,9 @@ func NewSet(sigs [][]float32) *Set {
 
 // Add appends a signature.
 func (s *Set) Add(sig []float32) {
-	var p Pixel
-	p.Load(sig)
-	s.sigs.Add(p.V)
-	s.norms = append(s.norms, p.Norm)
+	s.wide.Load(sig)
+	s.sigs.Add(s.wide.V)
+	s.norms = append(s.norms, s.wide.Norm)
 }
 
 // Len returns the number of signatures.

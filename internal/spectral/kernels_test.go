@@ -15,7 +15,7 @@ import (
 
 // Dots4 returns the dot products of x with a, b, c and d, all already
 // widened, each accumulated band by band exactly as SAD accumulates it:
-// Dot4 without the norm and without converting its operands. It is the
+// vec.Dot4 without the norm and without converting its operands. It is the
 // scalar form of the four-row pass Set and MORPH's support filter made
 // before vec.Panel.
 func Dots4(x, a, b, c, d []float64) (da, db, dc, dd float64) {
@@ -122,7 +122,7 @@ func TestDotKernelsAccumulateAsSAD(t *testing.T) {
 	for bands := 1; bands <= 70; bands++ {
 		x := randVec(rng, bands)
 		sigs := hardSet(rng, x, 4)
-		nx, d0, d1, d2, d3 := Dot4(x, sigs[0], sigs[1], sigs[2], sigs[3])
+		nx, d4 := vec.Dot4(x, sigs[0], sigs[1], sigs[2], sigs[3])
 		if !sameBits(nx, SqNorm(x)) {
 			t.Fatalf("bands %d: Dot4 norm %v, SqNorm %v", bands, nx, SqNorm(x))
 		}
@@ -143,7 +143,7 @@ func TestDotKernelsAccumulateAsSAD(t *testing.T) {
 		if !sameBits(px.Norm, nx) {
 			t.Fatalf("bands %d: Pixel norm %v, Dot4 norm %v", bands, px.Norm, nx)
 		}
-		for k, d := range []float64{d0, d1, d2, d3} {
+		for k, d := range d4 {
 			if got := Dot(x, sigs[k]); !sameBits(d, got) && !(math.IsNaN(d) && math.IsNaN(got)) {
 				t.Fatalf("bands %d slot %d: Dot4 %v, Dot %v", bands, k, d, got)
 			}
@@ -170,7 +170,7 @@ func TestDotKernelsAccumulateAsSAD(t *testing.T) {
 		// them and one vector against itself, each lane against Dot.
 		a, b := [4][]float32(hardSet(rng, x, 4)), [4][]float32(hardSet(rng, randVec(rng, bands), 4))
 		b[3] = a[3]
-		for k, d := range DotPairs(a, b) {
+		for k, d := range vec.DotPairs(&a, &b) {
 			if want := Dot(a[k], b[k]); !sameBits(d, want) && !(math.IsNaN(d) && math.IsNaN(want)) {
 				t.Fatalf("bands %d slot %d: DotPairs %v, Dot %v", bands, k, d, want)
 			}
@@ -185,8 +185,8 @@ func TestDot4LengthMismatchPanics(t *testing.T) {
 		slots int
 		call  func(ops [8][]float32)
 	}{
-		{"Dot4", 4, func(o [8][]float32) { Dot4(v, o[0], o[1], o[2], o[3]) }},
-		{"DotPairs", 8, func(o [8][]float32) { DotPairs([4][]float32(o[:4]), [4][]float32(o[4:])) }},
+		{"Dot4", 4, func(o [8][]float32) { vec.Dot4(v, o[0], o[1], o[2], o[3]) }},
+		{"DotPairs", 8, func(o [8][]float32) { vec.DotPairs((*[4][]float32)(o[:4]), (*[4][]float32)(o[4:])) }},
 	} {
 		for slot := 0; slot < kernel.slots; slot++ {
 			ops := [8][]float32{v, v, v, v, v, v, v, v}

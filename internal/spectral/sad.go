@@ -6,9 +6,7 @@
 // illumination scaling, with 0 meaning spectrally identical.
 package spectral
 
-import (
-	"math"
-)
+import "repro/internal/vec"
 
 // SAD returns the spectral angle distance between two pixel vectors:
 // arccos( a.b / (|a||b|) ), in radians in [0, pi]. By convention the
@@ -43,28 +41,18 @@ func SADf64(a, b []float64) float64 {
 }
 
 // Angle returns the spectral angle of two vectors from their dot product
-// and squared norms: SAD(a, b) is Angle(a.b, |a|^2, |b|^2). It is the one
-// place the zero-vector, NaN and clamping conventions live, for SAD and
-// for the blocked kernels that cache the norms.
+// and squared norms: SAD(a, b) is Angle(a.b, |a|^2, |b|^2). It is
+// vec.Angle, the one place the zero-vector, NaN and clamping conventions
+// live, for SAD, for the blocked kernels that cache the norms and for
+// the lanes of vec.Angles.
 func Angle(dot, na, nb float64) float64 {
-	if na == 0 || nb == 0 {
-		return math.Pi / 2
-	}
-	c := dot / math.Sqrt(na*nb)
-	if math.IsNaN(c) {
-		// A NaN sample (or inf*0 in the dot product) would otherwise make
-		// every comparison against this distance false, silently poisoning
-		// argmin scans like Set.Nearest. Treat the pixel as maximally
-		// dissimilar instead.
-		return math.Pi
-	}
-	// Clamp against floating-point drift before arccos.
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return math.Acos(c)
+	// A NaN cosine — a NaN sample, or inf*0 in the dot product — gives π:
+	// a NaN distance would make every comparison against it false,
+	// silently poisoning argmin scans like Set.Nearest, so the pixel is
+	// maximally dissimilar instead. A zero norm gives π/2. The cosine is
+	// clamped to [-1, 1] against floating-point drift before the
+	// arccosine, which is math.Acos's operations in math.Acos's order.
+	return vec.Angle(dot, na, nb)
 }
 
 // Finite reports whether every sample of v is finite. Corrupt pixels —

@@ -1,15 +1,17 @@
-// Package vec holds the two vector primitives behind the exact kernels
-// of the hot scans (DESIGN.md "Kernel exactness"): many dot products of
-// one vector with the rows of a Panel, and a row update that adds four
-// scaled rows. Each output keeps its own accumulator and adds its
-// products in index order, as a scalar loop does, so the results are the
-// scalar loop's bits. On amd64 with AVX2 (and the OS saving the YMM
+// Package vec holds the vector primitives behind the exact kernels of
+// the hot scans (DESIGN.md "Kernel exactness"): many dot products of one
+// vector with the rows of a Panel, a row update that adds four scaled
+// rows, and MEI's float32 pair dots and spectral-angle arccosines
+// (sad.go). Each output keeps its own accumulator and adds its products
+// in index order, as a scalar loop does, so the results are the scalar
+// loop's bits. On amd64 with AVX2 (and the OS saving the YMM
 // registers) the four accumulators of a block are the four float64 lanes
 // of one register, and a pass scans four blocks, sixteen outputs, so
 // that four independent add chains hide the add latency. Only VMULPD and
-// VADDPD do the arithmetic: no FMA, whose single rounding would change
-// the bits. The path is chosen once, at start-up; elsewhere, or with the
-// purego build tag, the Go forms in this file run.
+// VADDPD do the dot products' arithmetic (the arccosine adds VSUBPD,
+// VDIVPD and VSQRTPD): no FMA, whose single rounding would change the
+// bits. The path is chosen once, at start-up; elsewhere, or with the
+// purego build tag, the Go forms in this file and sad.go run.
 package vec
 
 import "unsafe"

@@ -125,7 +125,8 @@ func FuzzAddProducts4MatchesGoForm(f *testing.F) {
 
 // TestSumOrderIsObservable makes sure the exactness tests can fail: on
 // these operands the left-to-right sum and a pairwise one differ, and
-// the primitives give the left-to-right one.
+// the primitives give the left-to-right one, in every lane of the pair
+// dots too.
 func TestSumOrderIsObservable(t *testing.T) {
 	x := []float64{1, 1, 1, 1}
 	row := []float64{1, 0x1p-53, 0x1p-53, 0x1p-53}
@@ -143,10 +144,23 @@ func TestSumOrderIsObservable(t *testing.T) {
 	if dst[0] != 1 {
 		t.Fatalf("AddProducts4 %v, want 1", dst[0])
 	}
+	// Five bands: a block of four and a tail band.
+	ones := []float32{1, 1, 1, 1, 1}
+	row32 := []float32{0x1p30, 0x1p-24, 0x1p-24, 0x1p-24, 0x1p-24}
+	smallFirst := ((float64(row32[1]) + float64(row32[2])) + (float64(row32[3]) + float64(row32[4]))) + float64(row32[0])
+	_, dots := Dot4(ones, row32, row32, row32, row32)
+	a, b := [4][]float32{row32, row32, row32, row32}, [4][]float32{ones, ones, ones, ones}
+	pairs := DotPairs(&a, &b)
+	for i := range dots {
+		if dots[i] != 0x1p30 || pairs[i] != 0x1p30 || smallFirst == 0x1p30 {
+			t.Fatalf("lane %d: Dot4 %v, DotPairs %v, small products first %v: want 2^30 and a sum above it",
+				i, dots[i], pairs[i], smallFirst)
+		}
+	}
 }
 
 func TestLengthMismatchPanics(t *testing.T) {
-	three, four := make([]float64, 3), make([]float64, 4)
+	three, four, four32 := make([]float64, 3), make([]float64, 4), make([]float32, 4)
 	var p Panel
 	for i := 0; i < 5; i++ {
 		p.Add(four)
@@ -162,6 +176,12 @@ func TestLengthMismatchPanics(t *testing.T) {
 		"AddProducts4 f1": func() { AddProducts4(four, [4]float64{}, four, three, four, four) },
 		"AddProducts4 f2": func() { AddProducts4(four, [4]float64{}, four, four, three, four) },
 		"AddProducts4 f3": func() { AddProducts4(four, [4]float64{}, four, four, four, make([]float64, 5)) },
+		"Dot4 d":          func() { Dot4(four32, four32, four32, four32, four32[:3]) },
+		"DotPairs b3": func() {
+			a, b := [4][]float32{four32, four32, four32, four32}, [4][]float32{four32, four32, four32, four32[:3]}
+			DotPairs(&a, &b)
+		},
+		"Angles nb": func() { Angles(four, four, four, three) },
 	} {
 		func() {
 			defer func() {
