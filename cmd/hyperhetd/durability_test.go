@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -319,5 +320,72 @@ func TestBalanceSurvivesJournalRestart(t *testing.T) {
 	}
 	for balance, id := range held {
 		check(waitSettled(t, ts2.URL, id), "resumed", balance)
+	}
+}
+
+// A restart never drops a job it acknowledged: nine unfinished jobs come
+// back on a server whose queue holds four, every original ID is listed
+// when newServer returns, and every job completes. The restarted
+// server's one worker parks on the first job it pops until the listing is
+// checked, so all but that job must sit in the queue at once.
+func TestRestartResumesEveryAcknowledgedJob(t *testing.T) {
+	dir := t.TempDir()
+	cfg := hyperhet.SchedulerConfig{Workers: 1, QueueDepth: 16, OnJobRunning: holdBlockers}
+	srv1, err := newServer(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.routes())
+	var ids []string
+	for i := 0; i < 9; i++ {
+		body := tinyJob
+		if i == 0 {
+			body = blockerJob // holds the one worker: the other eight stay queued
+		}
+		resp, doc := postJSON(t, ts1.URL+"/submit", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d = %d %v", i, resp.StatusCode, doc)
+		}
+		id, _ := doc["id"].(string)
+		ids = append(ids, id)
+		if i == 0 {
+			j, err := srv1.sched.Job(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); j.State() != hyperhet.JobRunning; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("blocker never started running (state %s)", j.State())
+				}
+			}
+		}
+	}
+	srv1.drain(10 * time.Second)
+	ts1.Close()
+
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	cfg.QueueDepth = 4
+	cfg.OnJobRunning = func(*hyperhet.Job) { <-gate }
+	srv2, err := newServer(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2.routes())
+	defer func() {
+		ts2.Close()
+		srv2.close()
+	}()
+	defer release() // before the close above: a parked worker blocks it
+	for _, id := range ids {
+		if _, err := srv2.sched.Job(id); err != nil {
+			t.Fatalf("acknowledged job %s not recovered: %v", id, err)
+		}
+	}
+	release()
+	for _, id := range ids {
+		if st := waitSettled(t, ts2.URL, id); st["state"] != "completed" {
+			t.Fatalf("recovered job %s settled %v (%v)", id, st["state"], st["error"])
+		}
 	}
 }

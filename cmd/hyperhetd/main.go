@@ -246,56 +246,37 @@ func newServer(cfg hyperhet.SchedulerConfig, journalDir string) (*server, error)
 	}
 	if recovered != nil {
 		s.replayStats = &recovered.Stats
-		s.replay(recovered.Jobs)
-		s.replayPipelines(recovered.Pipelines)
+		s.recoverJournal(recovered)
 	}
 	return s, nil
 }
 
-// replay reinstalls journaled jobs into the fresh scheduler: finished
-// ones as queryable history, unfinished ones as live resubmissions under
-// their original IDs (resuming from their last checkpointed round). No
-// scene is generated here — resubmissions carry the lazy handle, and a
-// cacheable one takes its cube digest from its journaled cache key — so
-// boot time does not scale with the scenes in the journal. A job whose
-// recorded request no longer parses is logged and skipped — replay must
-// never prevent the server from starting.
-func (s *server) replay(jobs []*hyperhet.JournalJob) {
-	for _, jj := range jobs {
-		var req submitRequest
-		if err := json.Unmarshal(jj.Request, &req); err != nil {
-			s.logger.Warn("journal replay: unreadable request", "id", jj.ID, "error", err)
-			continue
-		}
-		spec, sceneCfg, err := parseSubmit(&req)
-		if err != nil {
-			s.logger.Warn("journal replay: bad request", "id", jj.ID, "error", err)
-			continue
-		}
-		if jj.Finished {
-			// History only: no scene materialization, no execution.
-			if _, err := s.sched.RestoreFinished(jj, spec); err != nil {
-				s.logger.Warn("journal replay: restore failed", "id", jj.ID, "error", err)
-			} else {
-				s.logger.Info("journal replay: restored", "id", jj.ID, "state", jj.State)
-			}
-			continue
-		}
-		spec.Materialize = s.scenes.cube(sceneCfg)
-		if req.Scaled {
-			spec.Params = hyperhet.ScaledParams(spec.Params, sceneCfg)
-		}
-		spec.JournalPayload = jj.Request
-		if _, err := s.sched.SubmitResumed(context.Background(), jj, spec); err != nil {
-			s.logger.Warn("journal replay: resume failed", "id", jj.ID, "error", err)
-			continue
-		}
-		round := 0
-		if jj.Snapshot != nil {
-			round = jj.Snapshot.Round
-		}
-		s.logger.Info("journal replay: resumed", "id", jj.ID, "attempts", jj.Attempts, "round", round)
+// recoverJournal reinstalls the replayed journal through the engine's one
+// recovery path: finished jobs and pipelines as queryable history,
+// unfinished ones resumed under their original IDs. No scene is generated
+// here — resumed jobs carry the lazy handle, and a cacheable one takes its
+// cube digest from its journaled cache key — so boot time does not scale
+// with the scenes in the journal. A story that cannot be brought back is
+// logged and skipped: recovery must never prevent the server from
+// starting.
+func (s *server) recoverJournal(state *hyperhet.SchedJournalState) {
+	rec := s.flow.Recover(state, s.rebuildJob, s.rebuildPipeline)
+	for _, l := range rec.Lost {
+		s.logger.Warn("journal replay: not recovered", "id", l.ID, "error", l.Err)
 	}
+	s.logger.Info("journal replay: recovered", "stories", len(state.Jobs)+len(state.Pipelines),
+		"resumed_jobs", len(rec.Jobs), "resumed_pipelines", len(rec.Pipelines), "lost", len(rec.Lost))
+}
+
+// rebuildJob re-parses a journaled submit document. The decode is lenient,
+// unlike POST /submit's, so journals written by older builds still load.
+func (s *server) rebuildJob(jj *hyperhet.JournalJob) (hyperhet.JobSpec, error) {
+	var req submitRequest
+	if err := json.Unmarshal(jj.Request, &req); err != nil {
+		return hyperhet.JobSpec{}, fmt.Errorf("unreadable request: %w", err)
+	}
+	spec, _, err := s.jobSpec(&req, jj.Request)
+	return spec, err
 }
 
 // drain shuts the server down gracefully ahead of process exit:
@@ -440,28 +421,20 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	spec, sceneCfg, err := parseSubmit(&req)
+	spec, sceneCfg, err := s.jobSpec(&req, body)
 	if err != nil {
 		s.logger.Warn("submit rejected", "error", err)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The scene is a handle: a worker builds the cube only once the
-	// result cache has missed. A cacheable job owes the scheduler the
-	// cube's digest up front, which costs a generation only on first
-	// sight of the (validated, size-capped) config.
-	spec.Materialize = s.scenes.cube(sceneCfg)
+	// A cacheable job owes the scheduler its cube's digest up front, which
+	// costs a scene generation only on first sight of the (validated,
+	// size-capped) config.
 	if spec.Cacheable() {
 		if spec.CubeDigest, err = s.scenes.digest(r.Context(), sceneCfg); err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-	}
-	if req.Scaled {
-		spec.Params = hyperhet.ScaledParams(spec.Params, sceneCfg)
-	}
-	if s.journal != nil {
-		spec.JournalPayload = body
 	}
 	// Jobs outlive the submit request: derive from Background, not
 	// r.Context(), which dies as soon as this handler returns.
@@ -479,6 +452,26 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logger.Info("job submitted", "id", job.ID(), "mode", spec.Mode, "algorithm", spec.Algorithm, "priority", spec.Priority.String())
 	writeJSON(w, http.StatusAccepted, job.Status())
+}
+
+// jobSpec resolves a decoded submit document into the spec the scheduler
+// runs, for POST /submit and journal recovery alike: parseSubmit, then the
+// scene as a lazy handle (a worker builds the cube only once the result
+// cache has missed), the scaled work charge and, on a durable server, the
+// verbatim document for the journal.
+func (s *server) jobSpec(req *submitRequest, doc []byte) (hyperhet.JobSpec, hyperhet.SceneConfig, error) {
+	spec, sceneCfg, err := parseSubmit(req)
+	if err != nil {
+		return spec, sceneCfg, err
+	}
+	spec.Materialize = s.scenes.cube(sceneCfg)
+	if req.Scaled {
+		spec.Params = hyperhet.ScaledParams(spec.Params, sceneCfg)
+	}
+	if s.journal != nil {
+		spec.JournalPayload = doc
+	}
+	return spec, sceneCfg, nil
 }
 
 // parseSubmit resolves a submit request into a scheduler JobSpec plus the

@@ -171,36 +171,14 @@ func (s *server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, p.Status())
 }
 
-// replayPipelines reinstalls journaled pipelines into the fresh engine:
-// finished ones as queryable history, unfinished ones as live
-// resubmissions under their original IDs — completed stages restored
-// from their journal records, the rest re-run. As with jobs, a pipeline
-// whose recorded submission no longer parses is logged and skipped.
-func (s *server) replayPipelines(pipes []*hyperhet.JournalPipeline) {
-	for _, jp := range pipes {
-		if jp.Finished {
-			if _, err := s.flow.RestoreFinished(jp); err != nil {
-				s.logger.Warn("journal replay: pipeline restore failed", "id", jp.ID, "error", err)
-			} else {
-				s.logger.Info("journal replay: pipeline restored", "id", jp.ID, "state", jp.State)
-			}
-			continue
-		}
-		var req pipelineRequest
-		if err := json.Unmarshal(jp.Request, &req); err != nil {
-			s.logger.Warn("journal replay: unreadable pipeline request", "id", jp.ID, "error", err)
-			continue
-		}
-		spec, err := parsePipeline(&req)
-		if err != nil {
-			s.logger.Warn("journal replay: bad pipeline request", "id", jp.ID, "error", err)
-			continue
-		}
-		spec.JournalPayload = jp.Request
-		if _, err := s.flow.SubmitResumed(context.Background(), jp, spec); err != nil {
-			s.logger.Warn("journal replay: pipeline resume failed", "id", jp.ID, "error", err)
-			continue
-		}
-		s.logger.Info("journal replay: pipeline resumed", "id", jp.ID, "stages_done", len(jp.Stages))
+// rebuildPipeline re-parses a journaled pipeline document, leniently like
+// rebuildJob.
+func (s *server) rebuildPipeline(jp *hyperhet.JournalPipeline) (hyperhet.PipelineSpec, error) {
+	var req pipelineRequest
+	if err := json.Unmarshal(jp.Request, &req); err != nil {
+		return hyperhet.PipelineSpec{}, fmt.Errorf("unreadable pipeline request: %w", err)
 	}
+	spec, err := parsePipeline(&req)
+	spec.JournalPayload = jp.Request
+	return spec, err
 }

@@ -359,9 +359,8 @@ type (
 	// SchedJournal is the scheduler's append-only, fsync-per-record job
 	// journal; pass it via SchedulerConfig.Journal.
 	SchedJournal = sched.Journal
-	// JournalJob is one job's folded journal story from a replay: feed
-	// unfinished ones to Scheduler.SubmitResumed and finished ones to
-	// Scheduler.RestoreFinished.
+	// JournalJob is one job's folded journal story from a replay;
+	// FlowEngine.Recover restores or resumes it.
 	JournalJob = sched.JournalJob
 )
 
@@ -550,11 +549,12 @@ type (
 	// against ground truth (the Table 3 + Table 4 story) plus timing.
 	Synthesis = flow.Synthesis
 	// JournalPipeline is one pipeline's folded journal story from a
-	// replay: feed unfinished ones to FlowEngine.SubmitResumed and
-	// finished ones to FlowEngine.RestoreFinished.
+	// replay; FlowEngine.Recover restores or resumes it.
 	JournalPipeline = sched.JournalPipeline
 	// SchedJournalState is a full journal replay: job stories, pipeline
-	// stories and replay health counters.
+	// stories and replay health counters. FlowEngine.Recover reinstalls it
+	// into a fresh scheduler and engine, the one boot path of a durable
+	// process.
 	SchedJournalState = sched.JournalState
 	// SchedReplayStats counts what a journal replay read and dropped.
 	SchedReplayStats = sched.ReplayStats

@@ -5,6 +5,7 @@ import (
 	"repro/internal/cube"
 	"repro/internal/mpi"
 	"repro/internal/partition"
+	"repro/internal/platform"
 	"repro/internal/vtime"
 )
 
@@ -98,7 +99,7 @@ func (a *adaptiveSchedule) publish(u uMatrix) uMatrix {
 	rebalance := imb > rebalanceThreshold
 	newSpans := a.spans
 	if rebalance {
-		newSpans = apportionRows(lines, speeds)
+		newSpans = apportionRows(lines, samples, bands, c.World().Network().Procs, speeds)
 		// Re-partitioning is master bookkeeping.
 		c.ComputeFixed(float64(len(a.spans))*20, vtime.Seq)
 	}
@@ -163,11 +164,13 @@ func measureRound(reports []roundReport) (float64, []float64) {
 }
 
 // apportionRows re-partitions the scene's lines proportionally to the
-// estimated speeds. Workers with no estimate (no rows last round) weigh
-// as much as the slowest measured worker, so a starved processor can
-// re-enter. publish calls it only on a measured imbalance, so at least
-// one speed is positive.
-func apportionRows(lines int, speeds []float64) []partition.Span {
+// estimated speeds, within each processor's memory bound as WEA does.
+// Workers with no estimate (no rows last round) weigh as much as the
+// slowest measured worker, so a starved processor can re-enter. publish
+// calls it only on a measured imbalance, so at least one speed is
+// positive, and the static split it started from proves the bounds hold
+// the scene.
+func apportionRows(lines, samples, bands int, procs []platform.Processor, speeds []float64) []partition.Span {
 	minSpeed := 0.0
 	for _, s := range speeds {
 		if s > 0 && (minSpeed == 0 || s < minSpeed) {
@@ -181,7 +184,7 @@ func apportionRows(lines int, speeds []float64) []partition.Span {
 			weights[i] = minSpeed
 		}
 	}
-	spans, err := partition.ByWeight(lines, weights)
+	spans, err := partition.Weighted{Weights: weights}.Partition(lines, samples, bands, procs)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -246,11 +247,12 @@ func TestAdaptiveThresholdSuppressesRebalance(t *testing.T) {
 	}
 }
 
-// TestApportionRows covers what the adaptive schedule adds to
-// partition.ByWeight: a worker with no measured speed weighs as much as
-// the slowest measured one.
+// TestApportionRows covers what the adaptive schedule adds to the
+// weighted WEA: a worker with no measured speed weighs as much as the
+// slowest measured one.
 func TestApportionRows(t *testing.T) {
-	spans := apportionRows(100, []float64{1, 3, 0, 4})
+	procs := adaptiveNet(t).Procs
+	spans := apportionRows(100, 16, 8, procs, []float64{1, 3, 0, 4})
 	if err := partition.Validate(spans, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +261,44 @@ func TestApportionRows(t *testing.T) {
 	for i, s := range spans {
 		if s.Len() != want[i] {
 			t.Fatalf("spans %v, want lengths %v", spans, want)
+		}
+	}
+}
+
+// TestAdaptiveRespectsMemoryBounds runs the adaptive schedule on two
+// processors whose fast one holds only 16 lines of a 64x128x64 scene: its
+// measured speed asks for most of the scene, but every re-partition stays
+// within each processor's memory bound, as WEA's does.
+func TestAdaptiveRespectsMemoryBounds(t *testing.T) {
+	sc, err := scene.Generate(scene.Config{Lines: 64, Samples: 128, Bands: 64, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := []platform.Processor{
+		{ID: 1, CycleTime: 0.002, MemoryMB: 1},
+		{ID: 2, CycleTime: 0.016, MemoryMB: 2048},
+	}
+	net, err := platform.New("adaptive-memory", procs, [][]float64{{0, 10}, {10, 0}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mpi.NewWorld(net).Run(func(c *mpi.Comm) any {
+		_, trace, err := atdcaAdaptive(c, rootCube(c, sc.Cube), DetectionParams{Targets: 6})
+		if err != nil {
+			panic(err)
+		}
+		return trace
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := res.Root().(*AdaptiveTrace)
+	if !slices.Contains(trace.Rebalanced, true) {
+		t.Fatalf("no round re-partitioned (imbalance %v)", trace.Imbalance)
+	}
+	for i, s := range trace.FinalSpans {
+		if max := partition.MaxLines(procs[i], 128, 64); s.Len() > max {
+			t.Errorf("rank %d ended with %d lines, its memory holds %d (spans %v)", i, s.Len(), max, trace.FinalSpans)
 		}
 	}
 }

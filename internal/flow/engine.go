@@ -89,8 +89,9 @@ type Config struct {
 	// latency by kind, cache hits/misses, stage outcomes, running-stage
 	// and active-pipeline gauges.
 	Registry *telemetry.Registry
-	// MaxActive bounds concurrently active pipelines; admission beyond it
-	// fails with ErrTooManyPipelines (default 64).
+	// MaxActive bounds concurrently active pipelines; a fresh Submit
+	// beyond it fails with ErrTooManyPipelines (default 64). Resumed
+	// pipelines ignore it: they were admitted before the restart.
 	MaxActive int
 	// RetainPipelines bounds how many finished pipelines stay queryable
 	// by ID before the oldest are evicted (default 256).
@@ -361,26 +362,6 @@ type stageRecord struct {
 	Synthesis *Synthesis      `json:"synthesis,omitempty"`
 }
 
-// SubmitResumed restarts a journal-replayed unfinished pipeline under its
-// original ID: stages recorded complete are restored from their journal
-// records (scene stages rematerialize lazily, only if a remaining stage
-// consumes them), everything else runs as usual. The caller rebuilds the
-// spec from the recorded submission document.
-func (e *Engine) SubmitResumed(ctx context.Context, jp *sched.JournalPipeline, spec PipelineSpec) (*Pipeline, error) {
-	if jp == nil || jp.ID == "" {
-		return nil, errors.New("flow: resumed pipeline without an id")
-	}
-	if jp.Finished {
-		return nil, fmt.Errorf("flow: pipeline %s already finished; restore it instead", jp.ID)
-	}
-	p, err := e.submit(ctx, spec, jp)
-	if err != nil {
-		return nil, err
-	}
-	e.tel.restored.With("resumed").Inc()
-	return p, nil
-}
-
 // RestoreFinished reinstalls a journal-replayed finished pipeline as
 // queryable history, exactly as its final status was journaled.
 func (e *Engine) RestoreFinished(jp *sched.JournalPipeline) (*Pipeline, error) {
@@ -422,6 +403,79 @@ func (e *Engine) RestoreFinished(jp *sched.JournalPipeline) (*Pipeline, error) {
 	return p, nil
 }
 
+// Recovered is what Recover brought back from a journal replay.
+type Recovered struct {
+	// Jobs and Pipelines are the unfinished stories resumed under their
+	// original IDs, in journal order.
+	Jobs      []*sched.Job
+	Pipelines []*Pipeline
+	// Lost lists every story that could not be brought back.
+	Lost []LostStory
+}
+
+// LostStory is a journaled job or pipeline Recover could not bring back:
+// its request no longer rebuilds, or the scheduler or engine refused it.
+type LostStory struct {
+	ID  string
+	Err error
+}
+
+// Recover reinstalls a journal replay into a fresh engine and its
+// scheduler, the one boot path of every durable process: finished jobs
+// and pipelines come back as history (a completed job's result re-seeds
+// the cache), unfinished ones are resumed under their original IDs —
+// jobs from their last checkpointed round, pipelines with their completed
+// stages restored. The caller rebuilds specs from journaled requests:
+// job for every job story (a finished job's spec only feeds its status),
+// pipe for every unfinished pipeline. Resumed work bypasses the queue and
+// pipeline bounds, so no acknowledged story is refused for lack of room.
+// A nil state recovers nothing.
+func (e *Engine) Recover(state *sched.JournalState,
+	job func(*sched.JournalJob) (sched.JobSpec, error),
+	pipe func(*sched.JournalPipeline) (PipelineSpec, error)) Recovered {
+	var rec Recovered
+	if state == nil {
+		return rec
+	}
+	lose := func(id string, err error) { rec.Lost = append(rec.Lost, LostStory{ID: id, Err: err}) }
+	s := e.cfg.Scheduler
+	for _, jj := range state.Jobs {
+		spec, err := job(jj)
+		switch {
+		case err != nil:
+		case jj.Finished:
+			_, err = s.RestoreFinished(jj, spec)
+		default:
+			var j *sched.Job
+			if j, err = s.SubmitResumed(context.Background(), jj, spec); err == nil {
+				rec.Jobs = append(rec.Jobs, j)
+			}
+		}
+		if err != nil {
+			lose(jj.ID, err)
+		}
+	}
+	for _, jp := range state.Pipelines {
+		var err error
+		if jp.Finished {
+			_, err = e.RestoreFinished(jp)
+		} else {
+			var spec PipelineSpec
+			if spec, err = pipe(jp); err == nil {
+				var p *Pipeline
+				if p, err = e.submit(context.Background(), spec, jp); err == nil {
+					e.tel.restored.With("resumed").Inc()
+					rec.Pipelines = append(rec.Pipelines, p)
+				}
+			}
+		}
+		if err != nil {
+			lose(jp.ID, err)
+		}
+	}
+	return rec
+}
+
 // submit admits a pipeline; a non-nil resume marks a journal resume (keep
 // the original ID, submit time and story, restore seeded stages).
 func (e *Engine) submit(ctx context.Context, spec PipelineSpec, resume *sched.JournalPipeline) (*Pipeline, error) {
@@ -446,7 +500,7 @@ func (e *Engine) submit(ctx context.Context, spec PipelineSpec, resume *sched.Jo
 		e.mu.Unlock()
 		return nil, ErrEngineClosed
 	}
-	if e.active >= e.cfg.MaxActive {
+	if !resumed && e.active >= e.cfg.MaxActive {
 		e.mu.Unlock()
 		return nil, ErrTooManyPipelines
 	}

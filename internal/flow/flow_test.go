@@ -84,6 +84,16 @@ func newTestEngine(t *testing.T, cfg Config) (*Engine, *sched.Scheduler) {
 	return e, s
 }
 
+// resume brings one journaled unfinished pipeline back through Recover.
+func resume(e *Engine, jp *sched.JournalPipeline, spec PipelineSpec) (*Pipeline, error) {
+	rec := e.Recover(&sched.JournalState{Pipelines: []*sched.JournalPipeline{jp}}, nil,
+		func(*sched.JournalPipeline) (PipelineSpec, error) { return spec, nil })
+	if len(rec.Lost) > 0 {
+		return nil, rec.Lost[0].Err
+	}
+	return rec.Pipelines[0], nil
+}
+
 func waitPipeline(t *testing.T, p *Pipeline) PipelineStatus {
 	t.Helper()
 	select {
@@ -564,7 +574,7 @@ func TestAdaptiveStageResumesWithTrace(t *testing.T) {
 	// Resume an open story holding the same stage records.
 	e2, _ := newTestEngine(t, Config{})
 	open := &sched.JournalPipeline{ID: jp.ID, Submitted: jp.Submitted, Stages: jp.Stages}
-	rp, err := e2.SubmitResumed(context.Background(), open, spec)
+	rp, err := resume(e2, open, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +658,7 @@ func TestDrainLeavesOpenStoryAndResumeSkipsCompletedStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { e2.Close(); s2.Close() }()
-	rp, err := e2.SubmitResumed(context.Background(), jp, fanoutSpec())
+	rp, err := resume(e2, jp, fanoutSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -714,7 +724,7 @@ func TestRestartListingOrderAndListWhileResuming(t *testing.T) {
 		t.Fatal(err)
 	}
 	older := &sched.JournalPipeline{ID: "pipe-1", Submitted: t0}
-	p, err := e.SubmitResumed(context.Background(), older, fanoutSpec())
+	p, err := resume(e, older, fanoutSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,7 +759,7 @@ func TestResumeIgnoresCorruptSeeds(t *testing.T) {
 			"ghost": json.RawMessage(`{"kind":"analyze"}`),
 		},
 	}
-	p, err := e.SubmitResumed(context.Background(), jp, fanoutSpec())
+	p, err := resume(e, jp, fanoutSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -775,7 +785,7 @@ func TestResumeSkipsLegacySceneRecordWithDigest(t *testing.T) {
 			"scene": json.RawMessage(`{"kind":"scene","digest":"5d41402abc4b2a76b9719d911017c592"}`),
 		},
 	}
-	p, err := e.SubmitResumed(context.Background(), jp, fanoutSpec())
+	p, err := resume(e, jp, fanoutSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -793,6 +803,110 @@ func TestResumeSkipsLegacySceneRecordWithDigest(t *testing.T) {
 	}
 	if gens.Load() > 1 {
 		t.Fatalf("resume generated the scene %d times", gens.Load())
+	}
+}
+
+// A resumed pipeline was admitted before the restart, so the active cap
+// does not refuse it, while a fresh submission at the cap still gets
+// ErrTooManyPipelines.
+func TestResumedPipelineIgnoresMaxActive(t *testing.T) {
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+	e, _ := newTestEngine(t, Config{MaxActive: 1, Scenes: func(cfg scene.Config) (*scene.Scene, string, bool, error) {
+		<-gate // holds every pipeline active at its scene stage
+		return defaultScenes(cfg)
+	}})
+	first, err := e.Submit(context.Background(), fanoutSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := resume(e, &sched.JournalPipeline{ID: "pipe-9"}, fanoutSpec())
+	if err != nil {
+		t.Fatalf("resuming past the active cap: %v", err)
+	}
+	if _, err := e.Submit(context.Background(), fanoutSpec()); !errors.Is(err, ErrTooManyPipelines) {
+		t.Fatalf("fresh submit at the cap: err = %v, want ErrTooManyPipelines", err)
+	}
+	release()
+	for _, p := range []*Pipeline{first, resumed} {
+		if st := waitPipeline(t, p); st.State != PipelineCompleted {
+			t.Fatalf("pipeline %s settled %s (%s)", p.ID(), st.State, st.Error)
+		}
+	}
+}
+
+// Recover restores finished stories, resumes unfinished ones and names
+// every story it could not bring back, whether its rebuild failed or the
+// scheduler refused it.
+func TestRecoverRestoresResumesAndReportsLost(t *testing.T) {
+	e, s := newTestEngine(t, Config{})
+	sc, err := scene.Generate(testSceneCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := json.Marshal(PipelineStatus{ID: "pipe-1", State: PipelineCompleted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := &sched.JournalState{
+		Jobs: []*sched.JournalJob{
+			{ID: "job-1", Request: []byte("ok"), Finished: true, State: sched.StateCompleted},
+			{ID: "job-2", Request: []byte("ok")},
+			{ID: "job-3", Request: []byte("unparseable")},
+			{ID: "job-4", Request: []byte("ok"), Finished: true, State: "bogus"},
+		},
+		Pipelines: []*sched.JournalPipeline{
+			{ID: "pipe-1", Finished: true, State: string(PipelineCompleted), Status: status},
+			{ID: "pipe-2", Request: []byte("ok")},
+			{ID: "pipe-3", Request: []byte("unparseable")},
+		},
+	}
+	bad := errors.New("unparseable")
+	rec := e.Recover(state,
+		func(jj *sched.JournalJob) (sched.JobSpec, error) {
+			if string(jj.Request) != "ok" {
+				return sched.JobSpec{}, bad
+			}
+			spec := analyzeJob(core.ATDCA)
+			spec.Cube = sc.Cube
+			return spec, nil
+		},
+		func(jp *sched.JournalPipeline) (PipelineSpec, error) {
+			if string(jp.Request) != "ok" {
+				return PipelineSpec{}, bad
+			}
+			return fanoutSpec(), nil
+		})
+	if len(rec.Jobs) != 1 || len(rec.Pipelines) != 1 {
+		t.Fatalf("resumed %d jobs and %d pipelines, want 1 and 1", len(rec.Jobs), len(rec.Pipelines))
+	}
+	var lost []string
+	for _, l := range rec.Lost {
+		lost = append(lost, l.ID)
+		if l.Err == nil {
+			t.Errorf("lost story %s carries no error", l.ID)
+		}
+	}
+	if want := []string{"job-3", "job-4", "pipe-3"}; !reflect.DeepEqual(lost, want) {
+		t.Fatalf("lost %v, want %v", lost, want)
+	}
+	if j := rec.Jobs[0]; j.ID() != "job-2" {
+		t.Fatalf("resumed job %s, want job-2", j.ID())
+	}
+	if _, err := s.Job("job-1"); err != nil {
+		t.Fatalf("restored job: %v", err)
+	}
+	if _, err := e.Pipeline("pipe-1"); err != nil {
+		t.Fatalf("restored pipeline: %v", err)
+	}
+	<-rec.Jobs[0].Done()
+	if st := waitPipeline(t, rec.Pipelines[0]); st.State != PipelineCompleted || rec.Jobs[0].State() != sched.StateCompleted {
+		t.Fatalf("resumed pipeline %s, resumed job %s; want both completed", st.State, rec.Jobs[0].State())
+	}
+	if rec := e.Recover(nil, nil, nil); len(rec.Jobs)+len(rec.Pipelines)+len(rec.Lost) != 0 {
+		t.Fatalf("nil state recovered %+v", rec)
 	}
 }
 

@@ -3,6 +3,8 @@ package partition
 import (
 	"math"
 	"testing"
+
+	"repro/internal/platform"
 )
 
 // TestEstimatorSeededFromModel asserts a fresh estimator reproduces the
@@ -71,14 +73,19 @@ func TestEstimatorObserveIgnoresGarbage(t *testing.T) {
 	}
 }
 
-// TestReplanEdgeCases drives ByWeight, the adaptive schedule's
+// TestReplanEdgeCases drives Weighted, the adaptive schedule's
 // between-round re-partitioning, through the boundary shapes a round's
-// measurements can produce. A zero weight is a rank that gets nothing.
+// measurements can produce. A zero weight is a rank that gets nothing;
+// a memory bound caps a rank whatever its weight.
 func TestReplanEdgeCases(t *testing.T) {
+	// 128x64 float32 samples per line: 2048 MB holds 32768 lines, 1 MB 16.
+	const samples, bands = 128, 64
 	tests := []struct {
 		name    string
 		weights []float64
 		lines   int
+		// memMB[i] is rank i's memory; nil gives every rank 2048 MB.
+		memMB   []int
 		wantErr bool
 		// want[i] is rank i's expected line count; nil skips the check.
 		want []int
@@ -96,16 +103,23 @@ func TestReplanEdgeCases(t *testing.T) {
 			want:    []int{5, 0, 5},
 		},
 		{
+			name:    "memory bound caps the heavy rank",
+			weights: []float64{8, 1},
+			lines:   64,
+			memMB:   []int{1, 2048},
+			want:    []int{16, 48},
+		},
+		{
 			name:    "every rank disabled is an error",
 			weights: []float64{0, 0},
 			lines:   10,
 			wantErr: true,
 		},
 		{
-			name:    "zero lines yields empty spans",
+			name:    "zero lines is an error",
 			weights: []float64{1, 1},
 			lines:   0,
-			want:    []int{0, 0},
+			wantErr: true,
 		},
 		{
 			name:    "negative lines is an error",
@@ -117,6 +131,13 @@ func TestReplanEdgeCases(t *testing.T) {
 			name:    "no ranks is an error",
 			weights: nil,
 			lines:   10,
+			wantErr: true,
+		},
+		{
+			name:    "weight count other than rank count is an error",
+			weights: []float64{1, 1, 1},
+			lines:   10,
+			memMB:   []int{2048, 2048},
 			wantErr: true,
 		},
 		{
@@ -136,15 +157,26 @@ func TestReplanEdgeCases(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			spans, err := ByWeight(tc.lines, tc.weights)
+			mem := tc.memMB
+			if mem == nil {
+				mem = make([]int, len(tc.weights))
+				for i := range mem {
+					mem[i] = 2048
+				}
+			}
+			procs := make([]platform.Processor, len(mem))
+			for i, mb := range mem {
+				procs[i] = platform.Processor{ID: i + 1, CycleTime: 0.01, MemoryMB: mb}
+			}
+			spans, err := Weighted{Weights: tc.weights}.Partition(tc.lines, samples, bands, procs)
 			if tc.wantErr {
 				if err == nil {
-					t.Fatalf("ByWeight(%d, %v) = %v, want error", tc.lines, tc.weights, spans)
+					t.Fatalf("Weighted(%v) over %d lines = %v, want error", tc.weights, tc.lines, spans)
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("ByWeight(%d, %v): %v", tc.lines, tc.weights, err)
+				t.Fatalf("Weighted(%v) over %d lines: %v", tc.weights, tc.lines, err)
 			}
 			if err := Validate(spans, tc.lines); err != nil {
 				t.Fatalf("spans do not tile: %v", err)

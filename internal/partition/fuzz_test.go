@@ -10,12 +10,12 @@ import (
 
 // FuzzPartition throws arbitrary geometries and processor sets (cycle
 // times decoded straight from raw bits, so NaN, ±Inf, zero, denormals and
-// negatives all occur; memory bounds from tiny to overflowing) at both
-// strategies, and the same raw bits as weights at ByWeight. The
+// negatives all occur; memory bounds from tiny to overflowing) at every
+// strategy, the same raw bits serving as Weighted's weights. The
 // invariant: every call either returns an error or a complete,
-// non-overlapping partition of [0, lines) with one span per processor —
-// never a panic, never a malformed tiling — and ByWeight gives every
-// zero weight an empty span.
+// non-overlapping partition of [0, lines) with one span per processor,
+// each within its memory bound — never a panic, never a malformed tiling
+// — and Weighted gives every zero weight an empty span.
 func FuzzPartition(f *testing.F) {
 	seed := func(lines, samples, bands int, procs []byte) {
 		f.Add(lines, samples, bands, procs)
@@ -59,7 +59,11 @@ func FuzzPartition(f *testing.F) {
 				MemoryMB:  mem,
 			})
 		}
-		for _, strat := range []Strategy{Heterogeneous{}, Homogeneous{}} {
+		weights := make([]float64, n)
+		for i := range weights {
+			weights[i] = math.Float64frombits(le.Uint64(raw[i*chunk:]))
+		}
+		for _, strat := range []Strategy{Heterogeneous{}, Homogeneous{}, Weighted{Weights: weights}} {
 			spans, err := strat.Partition(lines, samples, bands, procs)
 			if err != nil {
 				continue // rejecting bad input is the correct outcome
@@ -75,26 +79,9 @@ func FuzzPartition(f *testing.F) {
 				if got, max := s.Len(), MaxLines(procs[i], samples, bands); got > max {
 					t.Fatalf("%T: span %d holds %d lines, memory bound is %d", strat, i, got, max)
 				}
-			}
-		}
-
-		weights := make([]float64, n)
-		for i := range weights {
-			weights[i] = math.Float64frombits(le.Uint64(raw[i*chunk:]))
-		}
-		spans, err := ByWeight(lines, weights)
-		if err != nil {
-			return
-		}
-		if len(spans) != n {
-			t.Fatalf("ByWeight: %d spans for %d weights", len(spans), n)
-		}
-		if err := Validate(spans, lines); err != nil {
-			t.Fatalf("ByWeight(%d, %v): accepted input yields invalid tiling: %v", lines, weights, err)
-		}
-		for i, w := range weights {
-			if w == 0 && spans[i].Len() != 0 {
-				t.Fatalf("ByWeight(%d, %v): zero weight %d got span %v", lines, weights, i, spans[i])
+				if _, ok := strat.(Weighted); ok && weights[i] == 0 && s.Len() != 0 {
+					t.Fatalf("Weighted(%d, %v): zero weight %d got span %v", lines, weights, i, s)
+				}
 			}
 		}
 	})

@@ -114,6 +114,18 @@ func (Homogeneous) Partition(lines, samples, bands int, procs []platform.Process
 	return partitionByWeight(lines, samples, bands, procs, weights)
 }
 
+// Weighted is WEA with explicit per-rank weights in place of processor
+// speeds, under the same memory bounds: the adaptive schedule re-partitions
+// through it with weights from measured speeds. A zero weight gets an
+// empty span; negative, NaN or infinite weights, a weight count other
+// than the processor count, or no positive weight are errors.
+type Weighted struct{ Weights []float64 }
+
+// Partition implements Strategy.
+func (w Weighted) Partition(lines, samples, bands int, procs []platform.Processor) ([]Span, error) {
+	return partitionByWeight(lines, samples, bands, procs, w.Weights)
+}
+
 // partitionByWeight apportions lines proportionally to weights subject to
 // per-processor memory caps, then lays the assigned counts out as
 // contiguous spans in rank order.
@@ -137,31 +149,6 @@ func partitionByWeight(lines, samples, bands int, procs []platform.Processor, we
 		return nil, fmt.Errorf("%w: %d lines, capacity %d", ErrInsufficientMemory, lines, capacity)
 	}
 	counts, err := apportion(lines, weights, caps)
-	if err != nil {
-		return nil, err
-	}
-	return layout(counts), nil
-}
-
-// ByWeight splits lines into contiguous spans, in rank order, whose
-// lengths are proportional to weights (largest-remainder rounding, no
-// memory bounds). A zero weight gets an empty span. Negative, NaN or
-// infinite weights, no weights, lines outside [0, MaxInt32] (the bound
-// MaxLines clamps to), or lines to place with no positive weight are
-// errors.
-func ByWeight(lines int, weights []float64) ([]Span, error) {
-	if lines < 0 || lines > math.MaxInt32 || len(weights) == 0 {
-		return nil, fmt.Errorf("partition: %d lines over %d weights", lines, len(weights))
-	}
-	caps := make([]int, len(weights))
-	for i := range caps {
-		caps[i] = lines
-	}
-	counts, err := apportion(lines, weights, caps)
-	if errors.Is(err, ErrInsufficientMemory) {
-		// Every cap holds all the lines: only a zero weight mass gets here.
-		return nil, errors.New("partition: no positive weight")
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -586,6 +586,47 @@ func TestJobsListingWhileResuming(t *testing.T) {
 	}
 }
 
+// A resumed job was acknowledged before the restart, so the queue bound
+// does not refuse it: SubmitResumed admits past QueueDepth while a fresh
+// Submit still gets ErrQueueFull, and only that refusal counts as a
+// rejection.
+func TestSubmitResumedIgnoresQueueDepth(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Close()
+	release := setGate(s)
+	defer release()
+	ctx := context.Background()
+	blockSpec := tinySpec(t)
+	blockSpec.Label = "blocker"
+	blocker, err := s.Submit(ctx, blockSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, blocker, StateRunning) // out of the queue, parked on the gate
+
+	var resumed []*Job
+	for _, id := range []string{"job-10", "job-11", "job-12"} {
+		j, err := s.SubmitResumed(ctx, &JournalJob{ID: id}, tinySpec(t))
+		if err != nil {
+			t.Fatalf("resuming %s past the queue bound: %v", id, err)
+		}
+		resumed = append(resumed, j)
+	}
+	if _, err := s.Submit(ctx, tinySpec(t)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("fresh submit over a full queue: err = %v, want ErrQueueFull", err)
+	}
+	if st := s.Stats(); st.Queued != 3 || st.Rejected != 1 {
+		t.Fatalf("queued %d rejected %d, want 3 resumed jobs queued and 1 rejection", st.Queued, st.Rejected)
+	}
+	release()
+	for _, j := range resumed {
+		<-j.Done()
+		if j.State() != StateCompleted {
+			t.Fatalf("resumed job %s settled %s (%v)", j.ID(), j.State(), j.Err())
+		}
+	}
+}
+
 // ReplayJournalState exposes the replay health counters hyperhetd
 // surfaces in /stats: records folded, torn tails truncated, unknown
 // schema versions skipped.

@@ -458,7 +458,9 @@ type Config struct {
 	// the worker count, so it never changes job results.
 	KernelWorkers int
 	// QueueDepth bounds the submission queue across both priority
-	// classes; a full queue rejects with ErrQueueFull (default 64).
+	// classes; a full queue rejects a fresh Submit with ErrQueueFull
+	// (default 64). SubmitResumed ignores it: that job was admitted before
+	// the restart.
 	QueueDepth int
 	// CacheEntries bounds the LRU result cache (default 128; negative
 	// disables caching).
@@ -479,8 +481,9 @@ type Config struct {
 	// lifecycle edge (submitted, started, checkpointed, finished) is
 	// appended and fsync'd before the scheduler proceeds, and a restarted
 	// process rebuilds its state from ReplayJournalState via RestoreFinished
-	// and SubmitResumed. The scheduler never closes the journal; its
-	// owner does, after Close or Drain returns.
+	// and SubmitResumed (flow.Engine.Recover drives both). The scheduler
+	// never closes the journal; its owner does, after Close or Drain
+	// returns.
 	Journal *Journal
 	// OnJobRunning, when non-nil, is called from the worker goroutine
 	// after a job transitions to StateRunning and before its simulation
@@ -650,7 +653,7 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 		s.tel.rejected.Inc()
 		return nil, ErrClosed
 	}
-	if s.queuedLocked() >= s.cfg.QueueDepth {
+	if resume == nil && s.queuedLocked() >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		s.tel.rejected.Inc()
 		return nil, ErrQueueFull
@@ -695,7 +698,9 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 // original ID. The caller rebuilds the spec (for hyperhetd, by re-parsing
 // the recorded submission document); the job's checkpoint store is seeded
 // from the journal's latest snapshot, so execution resumes at the round
-// the previous process had checkpointed.
+// the previous process had checkpointed. The queue bound does not apply:
+// the job was acknowledged before the restart, so refusing it now would
+// drop accepted work.
 func (s *Scheduler) SubmitResumed(ctx context.Context, jj *JournalJob, spec JobSpec) (*Job, error) {
 	if jj == nil || jj.ID == "" {
 		return nil, errors.New("sched: resumed job without an id")

@@ -76,19 +76,9 @@ type PipeOutcome struct {
 	Digest string
 }
 
-// PhaseStats summarizes one process lifetime of a run.
-type PhaseStats struct {
-	Replay   sched.ReplayStats
-	Restored int
-	Resumed  int
-	Fresh    int
-	Stats    sched.Stats
-}
-
 // Outcome is everything one Run observed, for the checker.
 type Outcome struct {
 	Scenario *Scenario
-	Phases   []PhaseStats
 	Jobs     map[string]*JobOutcome
 	Pipes    map[string]*PipeOutcome
 	// Failures collects invariant breaches seen during the run itself
@@ -281,11 +271,12 @@ func tear(dir string, cp *CrashPoint) error {
 	return nil
 }
 
-// submitJobRetry absorbs transient queue-full rejections with a bounded
-// retry: scenario queue depths are drawn small on purpose, so transient
-// refusal is expected, but a queue that never drains is a harness
-// failure. Every attempt's outcome lands in the tally so the
-// phase-end balance audit sees exactly what the scheduler counted.
+// submitJobRetry absorbs transient queue-full rejections of a fresh
+// submission with a bounded retry: scenario queue depths are drawn small
+// on purpose, so transient refusal is expected, but a queue that never
+// drains is a harness failure. (Resumed jobs are never refused for room.)
+// Every attempt's outcome lands in the tally so the phase-end balance
+// audit sees exactly what the scheduler counted.
 func submitJobRetry(tally *admitTally, f func() (*sched.Job, error)) (*sched.Job, error) {
 	for i := 0; ; i++ {
 		j, err := f()
@@ -346,18 +337,15 @@ func Run(scn *Scenario, opts Options) (*Outcome, error) {
 		if phase < len(scn.Crashes) {
 			cp = &scn.Crashes[phase]
 		}
-		ph, err := runPhase(scn, phase, cp, opts, out)
-		if err != nil {
+		if err := runPhase(scn, phase, cp, opts, out); err != nil {
 			return nil, err
 		}
-		out.Phases = append(out.Phases, ph)
 	}
 	checkReplay(out, opts.Dir, scn)
 	return out, nil
 }
 
-func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outcome) (PhaseStats, error) {
-	var ph PhaseStats
+func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outcome) error {
 	final := cp == nil
 
 	state, err := sched.ReplayJournalState(opts.Dir)
@@ -365,12 +353,9 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 		out.fail("replay: phase %d: %v", phase, err)
 		state = nil
 	}
-	if state != nil {
-		ph.Replay = state.Stats
-	}
 	jl, err := sched.OpenJournal(opts.Dir)
 	if err != nil {
-		return ph, fmt.Errorf("sim: opening journal: %w", err)
+		return fmt.Errorf("sim: opening journal: %w", err)
 	}
 
 	trig := newTrigger(cp)
@@ -393,69 +378,48 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 	if err != nil {
 		s.Close()
 		jl.Close()
-		return ph, fmt.Errorf("sim: building engine: %w", err)
+		return fmt.Errorf("sim: building engine: %w", err)
 	}
 
 	ctx := context.Background()
 	wit := &settleWitness{dir: opts.Dir, sched: s}
 	var watch []watched
+	// A label with a journal story is never submitted fresh, whether or
+	// not recovery brings the story back.
 	seenJobs := make(map[string]bool)
 	seenPipes := make(map[string]bool)
 	if state != nil {
 		for _, jj := range state.Jobs {
-			label := labelOf(jj.Request)
-			pl, ok := scn.jobPlan(label)
-			if !ok {
-				out.fail("replay: phase %d: journal job %s has no plan (label %q)", phase, jj.ID, label)
-				continue
-			}
-			seenJobs[label] = true
-			spec, err := jobSpec(pl, opts.Scenes)
-			if err != nil {
-				return ph, err
-			}
-			if jj.Finished {
-				if _, err := s.RestoreFinished(jj, spec); err != nil {
-					out.fail("replay: phase %d: restoring job %s: %v", phase, label, err)
-				} else {
-					ph.Restored++
-				}
-				continue
-			}
-			j, err := submitJobRetry(tally, func() (*sched.Job, error) { return s.SubmitResumed(ctx, jj, spec) })
-			if err != nil {
-				out.fail("replay: phase %d: resuming job %s: %v", phase, label, err)
-				continue
-			}
-			ph.Resumed++
-			watch = append(watch, wit.job(j))
+			seenJobs[labelOf(jj.Request)] = true
 		}
 		for _, jp := range state.Pipelines {
-			label := labelOf(jp.Request)
-			pl, ok := scn.pipePlan(label)
-			if !ok {
-				out.fail("replay: phase %d: journal pipeline %s has no plan (label %q)", phase, jp.ID, label)
-				continue
-			}
-			seenPipes[label] = true
-			if jp.Finished {
-				if _, err := eng.RestoreFinished(jp); err != nil {
-					out.fail("replay: phase %d: restoring pipeline %s: %v", phase, label, err)
-				} else {
-					ph.Restored++
-				}
-				continue
-			}
-			p, err := submitPipeRetry(func() (*flow.Pipeline, error) {
-				return eng.SubmitResumed(ctx, jp, pipeSpec(pl))
-			})
-			if err != nil {
-				out.fail("replay: phase %d: resuming pipeline %s: %v", phase, label, err)
-				continue
-			}
-			ph.Resumed++
-			watch = append(watch, wit.pipe(p))
+			seenPipes[labelOf(jp.Request)] = true
 		}
+	}
+	rec := eng.Recover(state,
+		func(jj *sched.JournalJob) (sched.JobSpec, error) {
+			pl, ok := scn.jobPlan(labelOf(jj.Request))
+			if !ok {
+				return sched.JobSpec{}, fmt.Errorf("has no plan (label %q)", labelOf(jj.Request))
+			}
+			return jobSpec(pl, opts.Scenes)
+		},
+		func(jp *sched.JournalPipeline) (flow.PipelineSpec, error) {
+			pl, ok := scn.pipePlan(labelOf(jp.Request))
+			if !ok {
+				return flow.PipelineSpec{}, fmt.Errorf("has no plan (label %q)", labelOf(jp.Request))
+			}
+			return pipeSpec(pl), nil
+		})
+	for _, l := range rec.Lost {
+		out.fail("replay: phase %d: journal %s: %v", phase, l.ID, l.Err)
+	}
+	tally.admitted += len(rec.Jobs)
+	for _, j := range rec.Jobs {
+		watch = append(watch, wit.job(j))
+	}
+	for _, p := range rec.Pipelines {
+		watch = append(watch, wit.pipe(p))
 	}
 	for _, pl := range scn.Jobs {
 		if seenJobs[pl.Label] {
@@ -463,14 +427,13 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 		}
 		spec, err := jobSpec(pl, opts.Scenes)
 		if err != nil {
-			return ph, err
+			return err
 		}
 		j, err := submitJobRetry(tally, func() (*sched.Job, error) { return s.Submit(ctx, spec) })
 		if err != nil {
 			out.fail("submit: phase %d: job %s: %v", phase, pl.Label, err)
 			continue
 		}
-		ph.Fresh++
 		watch = append(watch, wit.job(j))
 	}
 	for _, pl := range scn.Pipelines {
@@ -483,7 +446,6 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 			out.fail("submit: phase %d: pipeline %s: %v", phase, pl.Label, err)
 			continue
 		}
-		ph.Fresh++
 		watch = append(watch, wit.pipe(p))
 	}
 
@@ -498,7 +460,7 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 			eng.Close()
 			s.Close()
 			jl.Close()
-			return ph, err
+			return err
 		}
 	}
 
@@ -560,7 +522,6 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 	}
 
 	st := s.Stats()
-	ph.Stats = st
 	if scn.Storm != nil {
 		auditStorm(out, phase, st, tally, stormHandles)
 	}
@@ -585,7 +546,7 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 			out.fail("terminal: phase %d pipeline %s left non-terminal: %s", phase, p.ID(), p.State())
 		}
 	}
-	return ph, nil
+	return nil
 }
 
 // collect records every scenario label's terminal observation after the

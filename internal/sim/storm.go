@@ -12,8 +12,8 @@ import (
 )
 
 // admitTally is the harness's own admission ledger for one phase: every
-// scheduler Submit/SubmitResumed outcome the harness caused, counted
-// attempt by attempt. At phase end it must balance against the
+// scheduler Submit outcome the harness caused, counted attempt by attempt,
+// plus the jobs recovery resumed. At phase end it must balance against the
 // scheduler's counters exactly — a queue-full rejection the scheduler
 // counted but the harness never saw (or vice versa) is an invariant
 // breach. Submissions are sequential within a phase, so plain ints

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Crash-restart smoke test: start hyperhetd with a journal, SIGTERM it in
-# the middle of a checkpointed job, restart it over the same journal, and
-# require the job to complete having resumed from a checkpointed round
-# (resumed_from_round > 0) instead of recomputing from scratch.
+# the middle of a checkpointed job with a few small jobs queued behind it,
+# restart it over the same journal with a one-slot queue, and require the
+# job to complete having resumed from a checkpointed round
+# (resumed_from_round > 0) instead of recomputing from scratch, and every
+# acknowledged job to complete: resumed work is never refused for room.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,8 +31,9 @@ fi
 addr=127.0.0.1:$port
 wal="$workdir/journal/journal.wal"
 
+# start_server [flags...] boots hyperhetd over the journal with one worker.
 start_server() {
-  "$workdir/hyperhetd" -addr "$addr" -workers 1 -journal "$workdir/journal" &
+  "$workdir/hyperhetd" -addr "$addr" -workers 1 -journal "$workdir/journal" "$@" &
   pid=$!
   for _ in $(seq 1 100); do
     curl -fsS "http://$addr/healthz" >/dev/null 2>&1 && return 0
@@ -42,23 +45,36 @@ start_server() {
 
 start_server
 
-# A checkpointed run of ~24 rounds: long enough that the kill below lands
-# early in the run on any machine.
+# A checkpointed run of ~24 rounds, about a quarter second on a 2-vCPU
+# x86-64 box: the tight poll below kills it a few rounds in.
 id=$(curl -fsS "http://$addr/submit" -d '{
   "algorithm": "atdca", "mode": "run", "network": "fully-het",
   "targets": 24, "checkpoint": true,
-  "scene": {"lines": 320, "samples": 128, "bands": 48, "seed": 7}
+  "scene": {"lines": 640, "samples": 128, "bands": 48, "seed": 7}
 }' | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
 [ -n "$id" ] || { echo "smoke: submit returned no job id" >&2; exit 1; }
 echo "smoke: submitted $id"
 
+# Small jobs queued behind it on the one worker: acknowledged, unfinished
+# at the kill.
+small=""
+for seed in 21 22 23; do
+  sid=$(curl -fsS "http://$addr/submit" -d '{
+    "algorithm": "atdca", "mode": "sequential", "targets": 4, "no_cache": true,
+    "scene": {"lines": 24, "samples": 16, "bands": 8, "seed": '"$seed"'}
+  }' | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
+  [ -n "$sid" ] || { echo "smoke: small submit returned no job id" >&2; exit 1; }
+  small="$small $sid"
+done
+echo "smoke: queued$small behind it"
+
 # Interrupt once at least two rounds are durably checkpointed, so the
 # restart has a mid-run snapshot to resume from.
 ckpts=0
-for _ in $(seq 1 600); do
+for _ in $(seq 1 6000); do
   ckpts=$( (grep -ao '"type":"checkpointed"' "$wal" 2>/dev/null || true) | wc -l)
   [ "$ckpts" -ge 2 ] && break
-  sleep 0.1
+  sleep 0.01
 done
 [ "$ckpts" -ge 2 ] || { echo "smoke: job never checkpointed (records: $ckpts)" >&2; exit 1; }
 
@@ -67,19 +83,24 @@ wait "$pid" 2>/dev/null || true
 pid=""
 echo "smoke: drained mid-run after $ckpts checkpoint records"
 
-start_server
+# Four unfinished jobs, one queue slot: recovery must admit them all.
+start_server -queue 1
 
-state=""
-for _ in $(seq 1 3000); do
-  state=$(curl -fsS "http://$addr/jobs/$id" 2>/dev/null |
-    sed -n 's/.*"state": "\([a-z]*\)".*/\1/p' | head -1)
-  [ "$state" = "completed" ] && break
-  case "$state" in
-    failed|cancelled) echo "smoke: job settled as $state" >&2; exit 1 ;;
-  esac
-  sleep 0.1
+for jid in $id $small; do
+  state=""
+  for _ in $(seq 1 3000); do
+    state=$( (curl -fsS "http://$addr/jobs/$jid" 2>/dev/null || true) |
+      sed -n 's/.*"state": "\([a-z]*\)".*/\1/p' | head -1)
+    [ "$state" = "completed" ] && break
+    case "$state" in
+      failed|cancelled) echo "smoke: job $jid settled as $state" >&2; exit 1 ;;
+    esac
+    [ -n "$state" ] || { echo "smoke: acknowledged job $jid was not recovered" >&2; exit 1; }
+    sleep 0.1
+  done
+  [ "$state" = "completed" ] || { echo "smoke: job $jid never completed (state: $state)" >&2; exit 1; }
 done
-[ "$state" = "completed" ] || { echo "smoke: job never completed (state: $state)" >&2; exit 1; }
+echo "smoke: every acknowledged job ($id$small) completed after the restart"
 
 doc=$(curl -fsS "http://$addr/jobs/$id")
 resumed=$(printf '%s' "$doc" | sed -n 's/.*"resumed_from_round": \([0-9]*\).*/\1/p' | head -1)
