@@ -6,6 +6,7 @@
 //
 //	hyperhetd [-addr :8080] [-workers N] [-queue N] [-cache N]
 //	          [-retain N] [-timeout D] [-journal DIR] [-drain-timeout D]
+//	          [-kernel-workers N] [-pprof]
 //
 // Endpoints (JSON unless noted):
 //
@@ -202,8 +203,9 @@ type server struct {
 	// dropped; nil without -journal. Surfaced in /stats.
 	replayStats *hyperhet.SchedReplayStats
 
-	// scenes hands out scene handles; see sceneCache.
-	scenes *sceneCache
+	// scenes hands out scene handles and digests to /submit, journal
+	// replay and the pipeline engine alike.
+	scenes *hyperhet.SceneCache
 }
 
 // newServer builds the server. A non-empty journalDir makes it durable:
@@ -217,9 +219,9 @@ func newServer(cfg hyperhet.SchedulerConfig, journalDir string) (*server, error)
 		logger: slog.New(hyperhet.NewCountingLogHandler(reg,
 			slog.NewTextHandler(os.Stderr, nil))),
 		start:  time.Now(),
-		scenes: newSceneCache(sceneCacheBytes, maxSceneDigests),
+		scenes: hyperhet.NewSceneCache(),
 	}
-	s.scenes.register(reg)
+	s.scenes.Register(reg)
 	var recovered *hyperhet.SchedJournalState
 	if journalDir != "" {
 		var err error
@@ -237,7 +239,7 @@ func newServer(cfg hyperhet.SchedulerConfig, journalDir string) (*server, error)
 	var err error
 	s.flow, err = hyperhet.NewFlowEngine(hyperhet.FlowConfig{
 		Scheduler: s.sched,
-		Scenes:    s.scenes.provide,
+		Scenes:    s.scenes.Provide,
 		Registry:  reg,
 	})
 	if err != nil {
@@ -431,7 +433,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// costs a scene generation only on first sight of the (validated,
 	// size-capped) config.
 	if spec.Cacheable() {
-		if spec.CubeDigest, err = s.scenes.digest(r.Context(), sceneCfg); err != nil {
+		if spec.CubeDigest, err = s.scenes.Digest(r.Context(), sceneCfg); err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
@@ -464,7 +466,7 @@ func (s *server) jobSpec(req *submitRequest, doc []byte) (hyperhet.JobSpec, hype
 	if err != nil {
 		return spec, sceneCfg, err
 	}
-	spec.Materialize = s.scenes.cube(sceneCfg)
+	spec.Materialize = s.scenes.Cube(sceneCfg)
 	if req.Scaled {
 		spec.Params = hyperhet.ScaledParams(spec.Params, sceneCfg)
 	}
@@ -823,7 +825,7 @@ type statsResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// SceneCache snapshots the scene cache: resident scenes and bytes, the
 	// digest memo, and the hit/miss/generation counters /metrics exports.
-	SceneCache sceneCacheStats `json:"scene_cache"`
+	SceneCache hyperhet.SceneCacheStats `json:"scene_cache"`
 	// JournalReplay reports what the boot-time journal replay read and
 	// dropped (records folded, torn tails truncated, unknown schema
 	// versions and unreadable frames skipped); absent without -journal.
@@ -834,7 +836,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
 		SchedulerStats: s.sched.Stats(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
-		SceneCache:     s.scenes.stats(),
+		SceneCache:     s.scenes.Stats(),
 		JournalReplay:  s.replayStats,
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -278,7 +278,7 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		}
 	}
 	// A refused submission never reaches the scene cache.
-	if st := sceneStats(t, ts.URL); st != (sceneCacheStats{MaxBytes: sceneCacheBytes}) {
+	if st := sceneStats(t, ts.URL); st != (hyperhet.SceneCacheStats{MaxBytes: sceneCacheBytes}) {
 		t.Errorf("scene_cache after refusals = %+v, want untouched", st)
 	}
 }

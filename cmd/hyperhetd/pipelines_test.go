@@ -229,7 +229,7 @@ func TestPipelineRefusalsCarryRetryAfter(t *testing.T) {
 	}
 	// An engine that admits one active pipeline at a time.
 	srv.flow.Close()
-	if srv.flow, err = hyperhet.NewFlowEngine(hyperhet.FlowConfig{Scheduler: srv.sched, Scenes: srv.scenes.provide, MaxActive: 1}); err != nil {
+	if srv.flow, err = hyperhet.NewFlowEngine(hyperhet.FlowConfig{Scheduler: srv.sched, Scenes: srv.scenes.Provide, MaxActive: 1}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.routes())

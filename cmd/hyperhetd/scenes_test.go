@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,171 +12,10 @@ import (
 	hyperhet "repro"
 )
 
-// tinyCfg is the smallest scene the generator accepts; seeds tell
-// configs apart.
-func tinyCfg(seed int64) hyperhet.SceneConfig {
-	return hyperhet.SceneConfig{Lines: 16, Samples: 16, Bands: 8, Seed: seed, SNRdB: 30}
-}
+// sceneCacheBytes is the resident-cube bound hyperhet.NewSceneCache fixes.
+const sceneCacheBytes = 64 << 20
 
-const tinyCfgBytes = 16 * 16 * 8 * 4
-
-func mustScene(t *testing.T, c *sceneCache, cfg hyperhet.SceneConfig) (*sceneEntry, bool) {
-	t.Helper()
-	e, cached, err := c.scene(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, cached
-}
-
-// The resident set is an LRU bounded in bytes: recently used scenes
-// survive, the coldest goes, and the bound holds after every insert.
-func TestSceneCacheEvictsLRUWithinByteBound(t *testing.T) {
-	const bound = 3*tinyCfgBytes + 100
-	c := newSceneCache(bound, 16)
-	steps := []struct {
-		seed                int64
-		wantCached          bool
-		wantResident        int
-		wantGenerations     uint64
-		wantResidentConfigs []int64
-	}{
-		{1, false, 1, 1, []int64{1}},
-		{2, false, 2, 2, []int64{1, 2}},
-		{3, false, 3, 3, []int64{1, 2, 3}},
-		{1, true, 3, 3, []int64{1, 2, 3}},  // touch 1: 2 is now coldest
-		{4, false, 3, 4, []int64{1, 3, 4}}, // evicts 2 only — not a reset
-		{3, true, 3, 4, []int64{1, 3, 4}},
-		{2, false, 3, 5, []int64{2, 3, 4}}, // 1 is coldest by now
-	}
-	for i, st := range steps {
-		_, cached := mustScene(t, c, tinyCfg(st.seed))
-		got := c.stats()
-		if cached != st.wantCached || got.Resident != st.wantResident || got.Generations != st.wantGenerations {
-			t.Fatalf("step %d (seed %d): cached=%v stats=%+v, want cached=%v resident=%d generations=%d",
-				i, st.seed, cached, got, st.wantCached, st.wantResident, st.wantGenerations)
-		}
-		if got.Bytes > bound || got.Bytes != int64(got.Resident)*tinyCfgBytes {
-			t.Fatalf("step %d: %d resident bytes for %d scenes under a %d bound", i, got.Bytes, got.Resident, bound)
-		}
-		c.mu.Lock()
-		for _, seed := range st.wantResidentConfigs {
-			if _, ok := c.scenes.items[tinyCfg(seed)]; !ok {
-				t.Errorf("step %d: seed %d is not resident", i, seed)
-			}
-		}
-		c.mu.Unlock()
-	}
-}
-
-// A scene larger than the whole bound is served to its caller and not
-// kept; its digest is.
-func TestSceneCacheServesOverBoundSceneWithoutKeepingIt(t *testing.T) {
-	c := newSceneCache(tinyCfgBytes-1, 16)
-	for i := 1; i <= 2; i++ {
-		e, cached := mustScene(t, c, tinyCfg(1))
-		if e == nil || e.sc.Cube == nil || cached {
-			t.Fatalf("call %d: entry %v cached=%v, want a fresh scene", i, e, cached)
-		}
-		if st := c.stats(); st.Resident != 0 || st.Bytes != 0 || st.Generations != uint64(i) {
-			t.Fatalf("call %d: stats %+v, want nothing resident and %d generations", i, st, i)
-		}
-	}
-	if _, err := c.digest(context.Background(), tinyCfg(1)); err != nil || c.stats().Generations != 2 {
-		t.Fatalf("digest of an unkept scene: err %v, stats %+v; want the memo to answer", err, c.stats())
-	}
-}
-
-// The digest memo outlives the cube: that is what lets a result-cache
-// hit skip generation. It is count-bounded and evicts, it does not reset.
-func TestSceneCacheDigestMemoSurvivesCubeEviction(t *testing.T) {
-	c := newSceneCache(tinyCfgBytes, 2) // one resident scene, two digests
-	ctx := context.Background()
-	d1, err := c.digest(ctx, tinyCfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, _ := mustScene(t, c, tinyCfg(2)) // evicts scene 1
-	if st := c.stats(); st.Resident != 1 || st.Digests != 2 || st.Generations != 2 {
-		t.Fatalf("stats %+v, want 1 resident / 2 digests / 2 generations", st)
-	}
-	again, err := c.digest(ctx, tinyCfg(1))
-	if err != nil || again != d1 || d1 == e2.digest || c.stats().Generations != 2 {
-		t.Fatalf("memoized digest %q (err %v) vs first %q, stats %+v; want the same digest and no generation", again, err, d1, c.stats())
-	}
-	// A third config pushes the coldest digest (2) out; 1 was just used.
-	if _, err := c.digest(ctx, tinyCfg(3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.digest(ctx, tinyCfg(1)); err != nil || c.stats().Generations != 3 {
-		t.Fatalf("digest 1 after memo eviction of 2: err %v stats %+v, want still memoized", err, c.stats())
-	}
-	// A regenerated scene has the digest it had before.
-	e1, _ := mustScene(t, c, tinyCfg(1))
-	if e1.digest != d1 {
-		t.Fatalf("regenerated scene digests to %q, first generation to %q", e1.digest, d1)
-	}
-}
-
-// Concurrent first requests for one config — lookups by cube, by digest
-// and through the pipeline provider alike — wait on one generation.
-func TestSceneCacheSingleFlight(t *testing.T) {
-	c := newSceneCache(sceneCacheBytes, maxSceneDigests)
-	cfg := hyperhet.SceneConfig{Lines: 96, Samples: 64, Bands: 32, Seed: 9, SNRdB: 30}
-	const callers = 8
-	start := make(chan struct{})
-	digests := make([]string, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			var err error
-			switch i % 3 {
-			case 0:
-				digests[i], err = c.digest(context.Background(), cfg)
-			case 1:
-				var cube *hyperhet.Cube
-				if cube, err = c.cube(cfg)(context.Background()); err == nil {
-					digests[i] = hyperhet.SchedCubeDigest(cube)
-				}
-			default:
-				_, digests[i], _, err = c.provide(cfg)
-			}
-			if err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	st := c.stats()
-	if st.Generations != 1 || st.Hits+st.Misses != callers || st.Misses < 1 {
-		t.Fatalf("stats %+v, want 1 generation and %d lookups", st, callers)
-	}
-	for i, d := range digests {
-		if d == "" || d != digests[0] {
-			t.Fatalf("caller %d saw digest %q, caller 0 %q", i, d, digests[0])
-		}
-	}
-}
-
-// A caller waiting on someone else's generation gives up with its context.
-func TestSceneCacheJoinerHonoursContext(t *testing.T) {
-	c := newSceneCache(sceneCacheBytes, maxSceneDigests)
-	cfg := tinyCfg(1)
-	c.mu.Lock()
-	c.inflight[cfg] = &sceneFlight{done: make(chan struct{})} // a generation that never lands
-	c.mu.Unlock()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := c.scene(ctx, cfg); err != context.Canceled {
-		t.Fatalf("joiner returned %v, want context.Canceled", err)
-	}
-}
-
-func sceneStats(t *testing.T, baseURL string) sceneCacheStats {
+func sceneStats(t *testing.T, baseURL string) hyperhet.SceneCacheStats {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/stats")
 	if err != nil {
@@ -185,7 +23,7 @@ func sceneStats(t *testing.T, baseURL string) sceneCacheStats {
 	}
 	defer resp.Body.Close()
 	var doc struct {
-		SceneCache sceneCacheStats `json:"scene_cache"`
+		SceneCache hyperhet.SceneCacheStats `json:"scene_cache"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
@@ -356,7 +194,7 @@ func TestSceneCacheReplayGeneratesNoScene(t *testing.T) {
 	}()
 	// Nine jobs on nine scenes came back; at most the blocker, first in
 	// line for the one worker, has built its scene.
-	if st := srv2.scenes.stats(); st.Generations > 1 || st.Digests > 1 {
+	if st := srv2.scenes.Stats(); st.Generations > 1 || st.Digests > 1 {
 		t.Fatalf("scene_cache after replay = %+v, want no generation beyond the running blocker's", st)
 	}
 	if jobs := srv2.sched.Jobs(); len(jobs) != 9 {
@@ -388,7 +226,7 @@ func TestSceneCacheStatsBlock(t *testing.T) {
 	}
 	// POST 1 misses and generates, its worker hits the resident cube; POST
 	// 2 hits the digest memo and the result cache.
-	want := sceneCacheStats{Resident: 1, Bytes: 24 * 16 * 8 * 4, MaxBytes: sceneCacheBytes,
+	want := hyperhet.SceneCacheStats{Resident: 1, Bytes: 24 * 16 * 8 * 4, MaxBytes: sceneCacheBytes,
 		Digests: 1, Hits: 2, Misses: 1, Generations: 1}
 	if st := sceneStats(t, ts.URL); st != want {
 		t.Fatalf("scene_cache = %+v, want %+v", st, want)

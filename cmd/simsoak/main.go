@@ -19,6 +19,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -38,8 +39,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	scenes := sim.NewSceneCache()
-	opts := sim.CheckOptions{Scenes: scenes, Timeout: *timeout}
+	opts := sim.CheckOptions{Scenes: sched.NewSceneCache(), Timeout: *timeout}
 
 	if *oneSeed >= 0 {
 		v, err := sim.Check(sim.FromSeed(uint64(*oneSeed)), opts)

@@ -295,6 +295,13 @@ type (
 	SchedulerStats = sched.Stats
 	// JobAttempt records one execution attempt of a retried job.
 	JobAttempt = sched.AttemptRecord
+	// SceneCache turns scene configs into what jobs and pipelines need —
+	// lazy Materialize handles, memoized cube digests, a FlowSceneProvider
+	// — over one single-flight cache bounded in bytes.
+	SceneCache = sched.SceneCache
+	// SceneCacheStats is a snapshot of a SceneCache's occupancy and
+	// counters.
+	SceneCacheStats = sched.SceneCacheStats
 )
 
 // Scheduling classes, job modes and lifecycle states.
@@ -318,8 +325,12 @@ var (
 )
 
 // NewScheduler starts a job scheduler; Close it when done. Jobs are
-// submitted with Submit, awaited with Wait, observed with Stats.
+// submitted with Submit, awaited with Job.Done, observed with Stats.
 func NewScheduler(cfg SchedulerConfig) *Scheduler { return sched.New(cfg) }
+
+// NewSceneCache returns an empty scene cache holding up to 64 MiB of
+// cubes and 4096 digests.
+func NewSceneCache() *SceneCache { return sched.NewSceneCache() }
 
 // ParseJobPriority maps "interactive" or "batch" (or "") to a JobPriority.
 func ParseJobPriority(s string) (JobPriority, error) { return sched.ParsePriority(s) }
@@ -528,7 +539,7 @@ type (
 	// FlowConfig parameterizes NewFlowEngine.
 	FlowConfig = flow.Config
 	// FlowSceneProvider materializes scene stages (hyperhetd passes its
-	// scene cache; nil generates fresh scenes).
+	// SceneCache's Provide; nil gives the engine a private SceneCache).
 	FlowSceneProvider = flow.SceneProvider
 	// PipelineSpec describes one pipeline submission.
 	PipelineSpec = flow.PipelineSpec

@@ -60,18 +60,10 @@ const (
 
 // SceneProvider materializes a scene for a KindScene stage: the scene,
 // its cube digest (the scheduler cache-key component) and whether the
-// scene came from a cache. hyperhetd passes its server-side scene cache;
-// the default provider generates fresh every time.
+// scene came from a cache. sched.SceneCache.Provide is one: hyperhetd
+// passes the cache its handlers share, and an engine configured without
+// a provider gets a private one.
 type SceneProvider func(cfg scene.Config) (*scene.Scene, string, bool, error)
-
-// defaultScenes generates scenes directly, uncached.
-func defaultScenes(cfg scene.Config) (*scene.Scene, string, bool, error) {
-	sc, err := scene.Generate(cfg)
-	if err != nil {
-		return nil, "", false, err
-	}
-	return sc, sched.CubeDigest(sc.Cube), false, nil
-}
 
 // Config parameterizes an Engine. Zero values select the defaults.
 type Config struct {
@@ -83,7 +75,8 @@ type Config struct {
 	// through it, so a restarted engine resumes unfinished pipelines
 	// without redoing completed stages.
 	Scheduler *sched.Scheduler
-	// Scenes materializes scene stages (default: generate uncached).
+	// Scenes materializes scene stages (default: a private
+	// sched.SceneCache).
 	Scenes SceneProvider
 	// Registry, when non-nil, registers the engine's instruments: stage
 	// latency by kind, cache hits/misses, stage outcomes, running-stage
@@ -108,7 +101,7 @@ type Config struct {
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Scenes == nil {
-		cfg.Scenes = defaultScenes
+		cfg.Scenes = sched.NewSceneCache().Provide
 	}
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = 64

@@ -49,7 +49,7 @@ func fanoutSpec() PipelineSpec {
 	}
 }
 
-// countingProvider wraps the default provider and counts generations.
+// countingProvider memoizes scenes like a SceneCache and counts generations.
 func countingProvider(gen *atomic.Int64) SceneProvider {
 	var mu sync.Mutex
 	cache := map[scene.Config]*scene.Scene{}
@@ -814,9 +814,10 @@ func TestResumedPipelineIgnoresMaxActive(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
 	defer release()
+	scenes := sched.NewSceneCache()
 	e, _ := newTestEngine(t, Config{MaxActive: 1, Scenes: func(cfg scene.Config) (*scene.Scene, string, bool, error) {
 		<-gate // holds every pipeline active at its scene stage
-		return defaultScenes(cfg)
+		return scenes.Provide(cfg)
 	}})
 	first, err := e.Submit(context.Background(), fanoutSpec())
 	if err != nil {

@@ -114,18 +114,69 @@ func keyDigest(key string) string {
 	return digest
 }
 
-// resultCache is a mutex-guarded LRU of job reports. Reports are shared
-// by pointer across cache hits and must be treated as immutable by callers.
-type resultCache struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
+// lru is a cost-bounded least-recently-used map: get and put move a key
+// to the front, and put evicts from the cold end until the total cost
+// fits the bound. A re-put replaces the value and re-costs it; a value
+// costlier than the whole bound is not kept. It is not safe for
+// concurrent use: the result cache and the scene cache guard theirs.
+type lru[K comparable, V any] struct {
+	max, used int64
+	cost      func(V) int64
+	order     *list.List // front = most recently used
+	items     map[K]*list.Element
 }
 
-type cacheSlot struct {
-	key string
-	rep *core.RunReport
+type lruSlot[K comparable, V any] struct {
+	key K
+	val V
+}
+
+func newLRU[K comparable, V any](max int64, cost func(V) int64) *lru[K, V] {
+	return &lru[K, V]{max: max, cost: cost, order: list.New(), items: make(map[K]*list.Element)}
+}
+
+// unitCost bounds an lru by entry count.
+func unitCost[V any](V) int64 { return 1 }
+
+func (l *lru[K, V]) get(key K) (V, bool) {
+	el, ok := l.items[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	l.order.MoveToFront(el)
+	return el.Value.(*lruSlot[K, V]).val, true
+}
+
+func (l *lru[K, V]) put(key K, val V) {
+	if el, ok := l.items[key]; ok {
+		l.remove(el)
+	}
+	c := l.cost(val)
+	if c > l.max {
+		return
+	}
+	l.items[key] = l.order.PushFront(&lruSlot[K, V]{key: key, val: val})
+	l.used += c
+	for l.used > l.max {
+		l.remove(l.order.Back())
+	}
+}
+
+func (l *lru[K, V]) remove(el *list.Element) {
+	slot := l.order.Remove(el).(*lruSlot[K, V])
+	delete(l.items, slot.key)
+	l.used -= l.cost(slot.val)
+}
+
+func (l *lru[K, V]) len() int { return l.order.Len() }
+
+// resultCache is a mutex-guarded LRU of job reports, bounded in count.
+// Reports are shared by pointer across cache hits and must be treated as
+// immutable by callers.
+type resultCache struct {
+	mu      sync.Mutex
+	reports *lru[string, *core.RunReport]
 }
 
 // newResultCache returns an LRU holding up to max entries; nil when the
@@ -134,7 +185,7 @@ func newResultCache(max int) *resultCache {
 	if max <= 0 {
 		return nil
 	}
-	return &resultCache{max: max, order: list.New(), items: make(map[string]*list.Element)}
+	return &resultCache{reports: newLRU[string](int64(max), unitCost[*core.RunReport])}
 }
 
 func (rc *resultCache) get(key string) (*core.RunReport, bool) {
@@ -143,12 +194,7 @@ func (rc *resultCache) get(key string) (*core.RunReport, bool) {
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	el, ok := rc.items[key]
-	if !ok {
-		return nil, false
-	}
-	rc.order.MoveToFront(el)
-	return el.Value.(*cacheSlot).rep, true
+	return rc.reports.get(key)
 }
 
 func (rc *resultCache) put(key string, rep *core.RunReport) {
@@ -157,17 +203,7 @@ func (rc *resultCache) put(key string, rep *core.RunReport) {
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if el, ok := rc.items[key]; ok {
-		el.Value.(*cacheSlot).rep = rep
-		rc.order.MoveToFront(el)
-		return
-	}
-	rc.items[key] = rc.order.PushFront(&cacheSlot{key: key, rep: rep})
-	for rc.order.Len() > rc.max {
-		last := rc.order.Back()
-		rc.order.Remove(last)
-		delete(rc.items, last.Value.(*cacheSlot).key)
-	}
+	rc.reports.put(key, rep)
 }
 
 func (rc *resultCache) len() int {
@@ -176,5 +212,5 @@ func (rc *resultCache) len() int {
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.order.Len()
+	return rc.reports.len()
 }

@@ -13,7 +13,7 @@
 //
 // Lifecycle: Submit returns a *Job immediately (or an admission error);
 // the job moves queued -> running -> one of completed / failed /
-// cancelled. Wait blocks until a job settles. Cancelling a running job
+// cancelled. Job.Done() closes once a job settles. Cancelling a running job
 // aborts its simulation promptly and frees the worker slot for the next
 // job. Close drains the scheduler: queued jobs are cancelled, running
 // jobs are aborted, workers exit.
@@ -266,7 +266,10 @@ type Job struct {
 	cacheKey string
 	ctx      context.Context
 	cancel   context.CancelFunc
-	done     chan struct{}
+	// stopWatch unregisters the queued-death watch (see enqueue); settle
+	// calls it so a settled job's context leaves nothing behind.
+	stopWatch func() bool
+	done      chan struct{}
 	// journaled closes once the job's submitted record is in the journal
 	// (at once when it writes none); see Scheduler.appendStory.
 	journaled chan struct{}
@@ -602,11 +605,6 @@ func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key string, resume 
 		return nil, err
 	}
 	s.journalSubmitted(j, resume == nil)
-
-	// A watcher finishes the job the moment its context dies while it is
-	// still queued, so expired jobs free queue capacity immediately
-	// instead of occupying a slot until a worker pops them.
-	go s.watchQueued(j)
 	return j, nil
 }
 
@@ -686,6 +684,12 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 	if dl, ok := jctx.Deadline(); ok {
 		j.deadline = dl
 	}
+	// The job settles the moment its context dies while it is still
+	// queued, so expired jobs free queue capacity immediately instead of
+	// occupying a slot until a worker pops them. The watch is registered
+	// before the job is published, so settle always finds it set; it costs
+	// no goroutine until the context dies.
+	j.stopWatch = context.AfterFunc(jctx, func() { s.expireQueued(j) })
 	s.jobs.Add(j.id, submitted, j)
 	s.queues[spec.Priority] = append(s.queues[spec.Priority], j)
 	s.cond.Signal()
@@ -784,17 +788,13 @@ func (s *Scheduler) queuedLocked() int {
 	return n
 }
 
-// watchQueued cancels a job out of the queue when its context dies
+// expireQueued cancels a job out of the queue when its context dies
 // first. Deadline expiry while queued is counted separately from plain
 // cancellation: the lazy-expiry path is how dead work leaves the queue
 // without ever touching a worker.
-func (s *Scheduler) watchQueued(j *Job) {
-	select {
-	case <-j.ctx.Done():
-		if s.dequeue(j) {
-			s.settle(j, StateCancelled, nil, s.queuedDeathErr(j), false)
-		}
-	case <-j.done:
+func (s *Scheduler) expireQueued(j *Job) {
+	if s.dequeue(j) {
+		s.settle(j, StateCancelled, nil, s.queuedDeathErr(j), false)
 	}
 }
 
@@ -811,7 +811,7 @@ func (s *Scheduler) queuedDeathErr(j *Job) error {
 
 // dequeue removes a still-queued job, reporting whether it was present.
 // Queue membership is the token that makes settle exactly-once between
-// the watcher and the workers.
+// expireQueued and the workers.
 func (s *Scheduler) dequeue(j *Job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -982,7 +982,7 @@ func (s *Scheduler) next() *Job {
 // runJob executes one dequeued job end to end.
 func (s *Scheduler) runJob(j *Job) {
 	// Cancelled (or deadline-expired) between submission and dispatch:
-	// settle without consuming the worker slot. The queue watcher
+	// settle without consuming the worker slot. expireQueued
 	// usually wins this race; this is the fallback, and it upholds the
 	// same invariant — an expired job is never dispatched.
 	if j.ctx.Err() != nil {
@@ -1069,6 +1069,7 @@ func (s *Scheduler) settle(j *Job, state State, res *core.RunReport, err error, 
 	// cube (or the closure that would build it) past this point.
 	j.spec.Cube, j.spec.Materialize = nil, nil
 	j.mu.Unlock()
+	j.stopWatch()
 	j.cancel() // release the context's timer resources
 	close(j.done)
 

@@ -242,7 +242,7 @@ type CheckOptions struct {
 	// Dir is the working directory ("" uses a temp dir, removed after).
 	Dir string
 	// Scenes is the shared scene cache; nil creates one per call.
-	Scenes *SceneCache
+	Scenes *sched.SceneCache
 	// Timeout bounds each phase's settle wait.
 	Timeout time.Duration
 	// Extra, when non-nil, contributes additional failure lines from the
@@ -269,7 +269,7 @@ func Check(scn *Scenario, opts CheckOptions) (*Verdict, error) {
 		defer os.RemoveAll(dir)
 	}
 	if opts.Scenes == nil {
-		opts.Scenes = NewSceneCache()
+		opts.Scenes = sched.NewSceneCache()
 	}
 
 	actual, err := Run(scn, Options{Dir: filepath.Join(dir, "actual"), Scenes: opts.Scenes, Timeout: opts.Timeout})

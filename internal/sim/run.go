@@ -12,51 +12,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flow"
-	"repro/internal/scene"
 	"repro/internal/sched"
 )
-
-// SceneCache memoizes generated scenes process-wide. Scenario scenes
-// come from a small fixed menu, so one cache shared across every run of
-// a soak keeps cube generation out of the measured loop. Provide
-// matches flow.SceneProvider.
-type SceneCache struct {
-	mu sync.Mutex
-	m  map[scene.Config]*sceneEntry
-}
-
-type sceneEntry struct {
-	sc     *scene.Scene
-	digest string
-}
-
-// NewSceneCache returns an empty cache.
-func NewSceneCache() *SceneCache {
-	return &SceneCache{m: make(map[scene.Config]*sceneEntry)}
-}
-
-// Provide generates (or returns the memoized) scene for cfg.
-func (c *SceneCache) Provide(cfg scene.Config) (*scene.Scene, string, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[cfg]; ok {
-		return e.sc, e.digest, true, nil
-	}
-	sc, err := scene.Generate(cfg)
-	if err != nil {
-		return nil, "", false, err
-	}
-	e := &sceneEntry{sc: sc, digest: sched.CubeDigest(sc.Cube)}
-	c.m[cfg] = e
-	return e.sc, e.digest, false, nil
-}
 
 // Options configures one Run.
 type Options struct {
 	// Dir is the journal directory; required, owned by the run.
 	Dir string
 	// Scenes is the shared scene cache; nil creates a private one.
-	Scenes *SceneCache
+	Scenes *sched.SceneCache
 	// Timeout bounds each phase's settle wait (default 60s). Hitting it
 	// is recorded as a "wedged" invariant failure, not a test hang.
 	Timeout time.Duration
@@ -110,20 +74,19 @@ func labelOf(request []byte) string {
 	return d.Label
 }
 
-// jobSpec expands a plan into a submittable spec.
-func jobSpec(p JobPlan, scenes *SceneCache) (sched.JobSpec, error) {
-	sc, digest, _, err := scenes.Provide(p.Scene)
-	if err != nil {
-		return sched.JobSpec{}, fmt.Errorf("sim: generating scene for %s: %w", p.Label, err)
-	}
+// jobSpec expands a plan into a submittable spec the way hyperhetd's
+// jobSpec does: the scene is a lazy handle on the shared cache, built on
+// the worker after a result-cache miss. It carries no digest, so journal
+// recovery resubmits it as is and the scheduler keys the job from its
+// journaled cache key; a fresh cacheable submission adds the digest.
+func jobSpec(p JobPlan, scenes *sched.SceneCache) sched.JobSpec {
 	return sched.JobSpec{
-		Algorithm:  p.Algorithm,
-		Variant:    p.Variant,
-		Mode:       p.Mode,
-		Network:    networkFor(p.Network),
-		CycleTime:  p.CycleTime,
-		Cube:       sc.Cube,
-		CubeDigest: digest,
+		Algorithm:   p.Algorithm,
+		Variant:     p.Variant,
+		Mode:        p.Mode,
+		Network:     networkFor(p.Network),
+		CycleTime:   p.CycleTime,
+		Materialize: scenes.Cube(p.Scene),
 		Params: core.Params{
 			Targets:   p.Targets,
 			WorkScale: p.WorkScale,
@@ -137,7 +100,7 @@ func jobSpec(p JobPlan, scenes *SceneCache) (sched.JobSpec, error) {
 		MaxAttempts:    p.MaxAttempts,
 		Recovery:       p.Recovery,
 		JournalPayload: labelPayload(p.Label),
-	}, nil
+	}
 }
 
 // pipeSpec expands a pipeline plan into a flow spec. Scene cubes are
@@ -321,7 +284,7 @@ func Run(scn *Scenario, opts Options) (*Outcome, error) {
 		return nil, errors.New("sim: storm scenarios need at least one job")
 	}
 	if opts.Scenes == nil {
-		opts.Scenes = NewSceneCache()
+		opts.Scenes = sched.NewSceneCache()
 	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 60 * time.Second
@@ -402,7 +365,7 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 			if !ok {
 				return sched.JobSpec{}, fmt.Errorf("has no plan (label %q)", labelOf(jj.Request))
 			}
-			return jobSpec(pl, opts.Scenes)
+			return jobSpec(pl, opts.Scenes), nil
 		},
 		func(jp *sched.JournalPipeline) (flow.PipelineSpec, error) {
 			pl, ok := scn.pipePlan(labelOf(jp.Request))
@@ -416,6 +379,7 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 	}
 	tally.admitted += len(rec.Jobs)
 	for _, j := range rec.Jobs {
+		checkResumedKey(out, phase, scn, j, opts.Scenes)
 		watch = append(watch, wit.job(j))
 	}
 	for _, p := range rec.Pipelines {
@@ -425,9 +389,13 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 		if seenJobs[pl.Label] {
 			continue
 		}
-		spec, err := jobSpec(pl, opts.Scenes)
-		if err != nil {
-			return err
+		spec := jobSpec(pl, opts.Scenes)
+		// A cacheable job owes the scheduler its cube's digest up front, as
+		// a POST /submit does; only first sight of a config generates.
+		if spec.Cacheable() {
+			if spec.CubeDigest, err = opts.Scenes.Digest(ctx, pl.Scene); err != nil {
+				return fmt.Errorf("sim: generating scene for %s: %w", pl.Label, err)
+			}
 		}
 		j, err := submitJobRetry(tally, func() (*sched.Job, error) { return s.Submit(ctx, spec) })
 		if err != nil {
@@ -455,13 +423,7 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 	// milestones, and the settled-count crash trigger must not see them.
 	var stormHandles []*sched.Job
 	if scn.Storm != nil {
-		stormHandles, err = runStorm(scn, phase, s, opts.Scenes, tally)
-		if err != nil {
-			eng.Close()
-			s.Close()
-			jl.Close()
-			return err
-		}
+		stormHandles = runStorm(scn, phase, s, opts.Scenes, tally)
 	}
 
 	var wg sync.WaitGroup
@@ -681,6 +643,27 @@ func checkReplay(out *Outcome, dir string, scn *Scenario) {
 		if jp.State != string(po.State) {
 			out.fail("replay: pipeline %s journaled state %s, live run observed %s", pl.Label, jp.State, po.State)
 		}
+	}
+}
+
+// checkResumedKey asserts that a resumed cacheable job keys on its
+// scene's content digest. Recovery rebuilds a lazy spec without a digest,
+// as hyperhetd's does, so the scheduler must recover it from the
+// journaled cache key; a lost or wrong digest would silently turn the job
+// and every later duplicate of it into result-cache misses.
+func checkResumedKey(out *Outcome, phase int, scn *Scenario, j *sched.Job, scenes *sched.SceneCache) {
+	spec := j.Spec()
+	pl, ok := scn.jobPlan(spec.Label)
+	if !ok || !spec.Cacheable() {
+		return
+	}
+	want, err := scenes.Digest(context.Background(), pl.Scene)
+	if err != nil {
+		out.fail("resume: phase %d: job %s: %v", phase, spec.Label, err)
+		return
+	}
+	if spec.CubeDigest != want {
+		out.fail("resume: phase %d: job %s keys on digest %q, its scene digests to %q", phase, spec.Label, spec.CubeDigest, want)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -22,7 +23,7 @@ var (
 )
 
 // sharedScenes keeps cube generation out of every test's measured loop.
-var sharedScenes = NewSceneCache()
+var sharedScenes = sched.NewSceneCache()
 
 func checkSeed(t *testing.T, seed uint64) *Verdict {
 	t.Helper()
@@ -364,5 +365,70 @@ func TestTornJournalSurvivesEveryTearOffset(t *testing.T) {
 		if !v.OK() {
 			t.Errorf("frac %.1f: invariants failed:\n%s", frac, v)
 		}
+	}
+}
+
+// The simulator submits through one scene cache the way hyperhetd does:
+// lazy cubes, and a digest only for a fresh cacheable job. Across a crash
+// each distinct scene config generates once, and a cacheable job resumed
+// after it is rebuilt without cube or digest, so the scheduler keys it
+// from its journaled cache key (checkResumedKey fails the run otherwise).
+// Tearing the journal's last byte makes the resume deterministic: the
+// last record is some job's finished record, and every job is cacheable.
+func TestSceneCacheSpansCrashAndResumesFromJournalKey(t *testing.T) {
+	a := scene.Config{Lines: 24, Samples: 16, Bands: 8, Seed: 1}
+	b := scene.Config{Lines: 32, Samples: 16, Bands: 12, Seed: 2}
+	scn := &Scenario{
+		Workers:      1,
+		QueueDepth:   8,
+		CacheEntries: 8,
+		Jobs: []JobPlan{
+			{Label: "j0", Scene: a, Mode: sched.ModeSequential, Algorithm: core.ATDCA, Targets: 4},
+			{Label: "j1", Scene: a, Mode: sched.ModeRun, Algorithm: core.PCT,
+				Variant: core.Hetero, Network: "fully-het", Targets: 4},
+			{Label: "j2", Scene: b, Mode: sched.ModeSequential, Algorithm: core.UFCLS, Targets: 4},
+		},
+		Crashes: []CrashPoint{{Kind: TrigSettled, Settle: 3, Tear: TearTruncate, TearFrac: 1}},
+	}
+	scenes := sched.NewSceneCache()
+	opts := Options{Dir: t.TempDir(), Scenes: scenes, Timeout: time.Minute}
+	out := &Outcome{Scenario: scn, Jobs: map[string]*JobOutcome{}, Pipes: map[string]*PipeOutcome{}}
+	if err := runPhase(scn, 0, &scn.Crashes[0], opts, out); err != nil {
+		t.Fatal(err)
+	}
+
+	state, err := sched.ReplayJournalState(opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resumed []*sched.JournalJob
+	for _, jj := range state.Jobs {
+		if !jj.Finished {
+			resumed = append(resumed, jj)
+		}
+	}
+	if len(resumed) != 1 || resumed[0].CacheKey == "" {
+		t.Fatalf("torn journal left %d unfinished stories, want one with a cache key", len(resumed))
+	}
+	pl, _ := scn.jobPlan(labelOf(resumed[0].Request))
+	if spec := jobSpec(pl, scenes); spec.Cube != nil || spec.CubeDigest != "" || spec.Materialize == nil {
+		t.Fatalf("rebuilt spec of %s: cube %v, digest %q, lazy %v; want a lazy spec with no digest",
+			pl.Label, spec.Cube != nil, spec.CubeDigest, spec.Materialize != nil)
+	}
+
+	if err := runPhase(scn, 1, nil, opts, out); err != nil {
+		t.Fatal(err)
+	}
+	checkReplay(out, opts.Dir, scn)
+	if len(out.Failures) > 0 {
+		t.Fatalf("invariants failed:\n%s", strings.Join(out.Failures, "\n"))
+	}
+	for _, pl := range scn.Jobs {
+		if jo := out.Jobs[pl.Label]; jo == nil || jo.State != sched.StateCompleted {
+			t.Fatalf("job %s: outcome %+v, want completed", pl.Label, jo)
+		}
+	}
+	if st := scenes.Stats(); st.Generations != 2 {
+		t.Fatalf("scene cache %+v: want one generation per distinct config (2) across the crash", st)
 	}
 }

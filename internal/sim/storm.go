@@ -43,22 +43,17 @@ func (t *admitTally) count(err error) (retryable bool) {
 // real work (no cache, so it occupies a worker) but never touches the
 // journal — storm jobs are load, not workload, and a journaled storm
 // story would have no plan to resume against after a crash.
-func stormSpec(scn *Scenario, scenes *SceneCache, label string, timeout time.Duration) (sched.JobSpec, error) {
-	sc, digest, _, err := scenes.Provide(scn.Jobs[0].Scene)
-	if err != nil {
-		return sched.JobSpec{}, fmt.Errorf("sim: generating storm scene: %w", err)
-	}
+func stormSpec(scn *Scenario, scenes *sched.SceneCache, label string, timeout time.Duration) sched.JobSpec {
 	return sched.JobSpec{
-		Algorithm:  core.ATDCA,
-		Mode:       sched.ModeSequential,
-		Cube:       sc.Cube,
-		CubeDigest: digest,
-		Params:     core.Params{Targets: 4},
-		Label:      label,
-		Timeout:    timeout,
-		NoCache:    true,
-		NoJournal:  true,
-	}, nil
+		Algorithm:   core.ATDCA,
+		Mode:        sched.ModeSequential,
+		Materialize: scenes.Cube(scn.Jobs[0].Scene),
+		Params:      core.Params{Targets: 4},
+		Label:       label,
+		Timeout:     timeout,
+		NoCache:     true,
+		NoJournal:   true,
+	}
 }
 
 // runStorm injects the phase's submit storm. It returns the handles of
@@ -66,8 +61,8 @@ func stormSpec(scn *Scenario, scenes *SceneCache, label string, timeout time.Dur
 // Storm submissions are fired exactly once — a storm job refused by the
 // full queue is backpressure doing its job, not work the harness owes
 // anyone.
-func runStorm(scn *Scenario, phase int, s *sched.Scheduler, scenes *SceneCache,
-	tally *admitTally) ([]*sched.Job, error) {
+func runStorm(scn *Scenario, phase int, s *sched.Scheduler, scenes *sched.SceneCache,
+	tally *admitTally) []*sched.Job {
 	st := scn.Storm
 	ctx := context.Background()
 	var handles []*sched.Job
@@ -76,17 +71,13 @@ func runStorm(scn *Scenario, phase int, s *sched.Scheduler, scenes *SceneCache,
 		if i < st.Doomed {
 			budget = time.Millisecond
 		}
-		spec, err := stormSpec(scn, scenes, fmt.Sprintf("storm-p%d-%d", phase, i), budget)
-		if err != nil {
-			return handles, err
-		}
-		j, err := s.Submit(ctx, spec)
+		j, err := s.Submit(ctx, stormSpec(scn, scenes, fmt.Sprintf("storm-p%d-%d", phase, i), budget))
 		tally.count(err)
 		if err == nil {
 			handles = append(handles, j)
 		}
 	}
-	return handles, nil
+	return handles
 }
 
 // auditStorm inspects the settled storm jobs and checks the phase's
