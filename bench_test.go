@@ -518,10 +518,10 @@ func BenchmarkAblationOSPForm(b *testing.B) {
 		y[i] = float64(v)
 	}
 	b.Run("dense", func(b *testing.B) {
-		dense := proj.Dense()
+		scan := proj.DenseScan()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			linalg.DenseScore(dense, pixel)
+			scan.Score(pixel)
 		}
 	})
 	b.Run("factored", func(b *testing.B) {

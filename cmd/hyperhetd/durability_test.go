@@ -251,6 +251,64 @@ func TestJournalRestartResumesJobs(t *testing.T) {
 	}
 }
 
+// A restart keeps a finished job's attempts and start: the retried
+// checkpointed job's document after replay has the two attempts, the
+// started time and the queue time it had live, not its whole latency as
+// queue time. The per-attempt history is not journaled.
+func TestJournalRestartKeepsFinishedJobAttempts(t *testing.T) {
+	dir := t.TempDir()
+	cfg := hyperhet.SchedulerConfig{Workers: 1, QueueDepth: 16}
+	srv1, err := newServer(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.routes())
+	const job = `{"algorithm": "atdca", "mode": "run", "network": "fully-het",
+		"targets": 6, "checkpoint": true,
+		"scene": {"lines": 24, "samples": 16, "bands": 8, "seed": 3}%s}`
+	resp, doc := postJSON(t, ts1.URL+"/submit", fmt.Sprintf(job, ""))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("calibration submit = %d %v", resp.StatusCode, doc)
+	}
+	id, _ := doc["id"].(string)
+	result, _ := waitSettled(t, ts1.URL, id)["result"].(map[string]any)
+	vs, _ := result["virtual_seconds"].(float64)
+	resp, doc = postJSON(t, ts1.URL+"/submit", fmt.Sprintf(job,
+		fmt.Sprintf(`, "faults": {"crashes": [{"rank": 2, "at": %.9f, "attempt": 1}], "max_attempts": 3}`, vs/2)))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fault submit = %d %v", resp.StatusCode, doc)
+	}
+	id, _ = doc["id"].(string)
+	live := waitSettled(t, ts1.URL, id)
+	ts1.Close()
+	srv1.close()
+	if live["state"] != "completed" || live["attempts"] != 2.0 || live["started"] == nil {
+		t.Fatalf("live job: state %v, attempts %v, started %v; want completed, 2 and a start", live["state"], live["attempts"], live["started"])
+	}
+
+	srv2, err := newServer(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2.routes())
+	defer func() {
+		ts2.Close()
+		srv2.close()
+	}()
+	resp, got := getJSON(t, ts2.URL+"/jobs/"+id)
+	if resp.StatusCode != http.StatusOK || got["state"] != "completed" {
+		t.Fatalf("restored job = %d %v", resp.StatusCode, got)
+	}
+	if got["attempts"] != live["attempts"] || got["started"] == nil || got["attempt_history"] != nil {
+		t.Fatalf("restored job: attempts %v, started %v, history %v; want %v, a start and no history",
+			got["attempts"], got["started"], got["attempt_history"], live["attempts"])
+	}
+	// The started record precedes the live start stamp by its fsync.
+	if q, lq := got["queue_ms"].(float64), live["queue_ms"].(float64); q > lq {
+		t.Fatalf("restored queue_ms %v, live %v", q, lq)
+	}
+}
+
 // A job's schedule is part of its journaled request: a submission with
 // "balance": true reports a balanced result and one without does not, and
 // each keeps its value through a restart — restored from the journal when

@@ -47,12 +47,17 @@ const maxPipelineStages = 32
 // parsePipeline resolves a pipeline request into a flow PipelineSpec. It
 // is pure — analyze stages reuse parseSubmit, scene stages reuse
 // parseScene, nothing is allocated or generated — so the fuzzer drives
-// it directly; shape defects are left to PipelineSpec.Validate.
+// it directly; shape defects are left to PipelineSpec.Validate. A
+// "scaled" analyze stage charges full-scene work through ScaledParams
+// against the scene stage's geometry, as a scaled POST /submit does
+// against its own scene.
 func parsePipeline(req *pipelineRequest) (hyperhet.PipelineSpec, error) {
 	spec := hyperhet.PipelineSpec{Name: req.Name}
 	if n := len(req.Stages); n > maxPipelineStages {
 		return spec, fmt.Errorf("%w: %d stages exceeds the limit of %d", hyperhet.ErrInvalidPipeline, n, maxPipelineStages)
 	}
+	var scenes []hyperhet.SceneConfig
+	var scaled []int // indices of the scaled analyze stages
 	for i := range req.Stages {
 		sr := &req.Stages[i]
 		st := hyperhet.StageSpec{
@@ -74,6 +79,7 @@ func parsePipeline(req *pipelineRequest) (hyperhet.PipelineSpec, error) {
 				return spec, fmt.Errorf("stage %q: %w", sr.Name, err)
 			}
 			st.Scene = cfg
+			scenes = append(scenes, cfg)
 		case hyperhet.StageAnalyze:
 			if sr.Job == nil {
 				return spec, fmt.Errorf("stage %q: an analyze stage needs a job", sr.Name)
@@ -86,7 +92,9 @@ func parsePipeline(req *pipelineRequest) (hyperhet.PipelineSpec, error) {
 				return spec, fmt.Errorf("stage %q: %w", sr.Name, err)
 			}
 			st.Job = jobSpec
-			st.Scaled = sr.Job.Scaled
+			if sr.Job.Scaled {
+				scaled = append(scaled, len(spec.Stages))
+			}
 		case hyperhet.StageSynthesize:
 			if sr.Job != nil || sr.Scene != nil {
 				return spec, fmt.Errorf("stage %q: a synthesize stage takes only dependencies", sr.Name)
@@ -94,6 +102,12 @@ func parsePipeline(req *pipelineRequest) (hyperhet.PipelineSpec, error) {
 		}
 		// Unknown kinds pass through for Validate's canonical error.
 		spec.Stages = append(spec.Stages, st)
+	}
+	// Without exactly one scene stage Validate rejects the pipeline.
+	if len(scenes) == 1 {
+		for _, i := range scaled {
+			spec.Stages[i].Job.Params = hyperhet.ScaledParams(spec.Stages[i].Job.Params, scenes[0])
+		}
 	}
 	return spec, nil
 }

@@ -138,6 +138,45 @@ func TestPipelineFanoutOverHTTP(t *testing.T) {
 	}
 }
 
+// A "scaled" analyze stage charges full-scene work against its scene
+// stage's geometry: its virtual seconds are a scaled POST /submit's on
+// the same scene, and not an unscaled one's.
+func TestPipelineScaledStageMatchesScaledSubmit(t *testing.T) {
+	ts := testServer(t, hyperhet.SchedulerConfig{CacheEntries: -1})
+	const sc = `{"lines": 24, "samples": 16, "bands": 8, "seed": 3}`
+	submitted := map[bool]float64{}
+	for _, scaled := range []bool{false, true} {
+		resp, doc := postJSON(t, ts.URL+"/submit", fmt.Sprintf(`{"algorithm": "atdca", "network": "fully-het",
+			"targets": 4, "scaled": %t, "scene": %s}`, scaled, sc))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d %v", resp.StatusCode, doc)
+		}
+		id, _ := doc["id"].(string)
+		job := waitSettled(t, ts.URL, id)
+		submitted[scaled], _ = job["virtual_seconds"].(float64)
+	}
+	if submitted[true] <= 0 || submitted[true] == submitted[false] {
+		t.Fatalf("scaled submit %v virtual seconds, unscaled %v: scaling charged nothing", submitted[true], submitted[false])
+	}
+
+	// The scene stage comes last: scaling does not depend on stage order.
+	resp, doc := postJSON(t, ts.URL+"/pipelines", fmt.Sprintf(`{"stages": [
+		{"name": "atdca", "kind": "analyze", "after": ["scene"],
+		 "job": {"algorithm": "atdca", "network": "fully-het", "targets": 4, "scaled": true}},
+		{"name": "scene", "kind": "scene", "scene": %s}]}`, sc))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("pipeline submit = %d %v", resp.StatusCode, doc)
+	}
+	id, _ := doc["id"].(string)
+	final := waitPipelineSettled(t, ts.URL, id)
+	if final["state"] != "completed" {
+		t.Fatalf("pipeline settled as %v (error %v)", final["state"], final["error"])
+	}
+	if vs, _ := pipelineStages(t, final)["atdca"]["virtual_seconds"].(float64); vs != submitted[true] {
+		t.Fatalf("scaled stage %v virtual seconds, scaled submit %v", vs, submitted[true])
+	}
+}
+
 func TestPipelineRejectsBadRequests(t *testing.T) {
 	ts := testServer(t, hyperhet.SchedulerConfig{})
 	cases := []struct {

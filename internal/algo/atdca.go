@@ -48,7 +48,7 @@ func projectionCriterion(u uMatrix, bands, eqBands int, st *carried) (criterion,
 			best, bestScore := maxProjection(scan, view, st.sums.rows(view, lo))
 			return best, bestScore, nil
 		},
-		score: func(sig []float32) (float64, error) { return linalg.DenseScore(scan.Dense, sig), nil },
+		score: func(sig []float32) (float64, error) { return scan.Score(sig), nil },
 	}, nil
 }
 

@@ -308,9 +308,8 @@ func spectralNearest(pixel []float32, set [][]float32) (int, float64) {
 func maxProjectionDense(t testing.TB, s *linalg.DenseScan, view *cube.Cube) (best int, bestScore float64, skippable int) {
 	t.Helper()
 	best, bestScore = -1, -1.0
-	wide := make([]float64, view.Bands)
 	for p := 0; p < view.NumPixels(); p++ {
-		score := linalg.DenseScoreWide(s.Dense, linalg.Widen(wide, view.PixelAt(p)))
+		score := s.Score(view.PixelAt(p))
 		if s.Skip(view.PixelAt(p), new(linalg.FilterSum), bestScore) {
 			skippable++
 			if !(score < bestScore) {
@@ -459,7 +458,7 @@ func TestMaxProjectionMatchesDenseNearTies(t *testing.T) {
 					px[b] += c * sig[b]
 				}
 			}
-			scores[v] = linalg.DenseScore(s.Dense, px)
+			scores[v] = s.Score(px)
 		}
 		pair := cube.MustNew(2, 1, bands)
 		for a := 0; a < k; a++ {

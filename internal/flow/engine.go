@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/scene"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -828,9 +827,6 @@ func (p *Pipeline) runStage(st *stage) error {
 		spec := st.spec.Job
 		spec.Cube = sc.Cube
 		spec.CubeDigest = digest
-		if st.spec.Scaled {
-			spec.Params = experiments.ScaledParams(spec.Params, p.scene.spec.Scene)
-		}
 		// Stage durability is owned by the pipeline's journal records; a
 		// journaled stage job would be resumed twice after a restart.
 		spec.NoJournal = true

@@ -65,9 +65,6 @@ type StageSpec struct {
 	// Cube and CubeDigest from the scene stage and forces
 	// NoJournal (stage durability is owned by the pipeline's records).
 	Job sched.JobSpec
-	// Scaled makes a KindAnalyze stage charge full-scene work via
-	// experiments.ScaledParams against the scene's geometry.
-	Scaled bool
 }
 
 // PipelineSpec describes one pipeline submission.

@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/scene"
@@ -40,4 +42,25 @@ func BenchmarkAblationFCLSForm(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkKernelDenseScan is one rank's per-round projector build in
+// ATDCA: the packed P̂, Q and η, at the Table 5 scene's 64 bands and at
+// 224 (AVIRIS), for the projector of round 9 and of round 17.
+func BenchmarkKernelDenseScan(b *testing.B) {
+	for _, n := range []int{64, 224} {
+		for _, t := range []int{9, 17} {
+			b.Run(fmt.Sprintf("bands=%d/t=%d", n, t), func(b *testing.B) {
+				p, err := NewOSP(randMat(rand.New(rand.NewSource(int64(n*t))), t, n))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.DenseScan()
+				}
+			})
+		}
+	}
 }

@@ -15,6 +15,7 @@ import (
 // pixel y costs O(t*n + t^2) as r = y - U^T * ((U U^T)^-1 * (U * y)).
 type OSP struct {
 	u    *Mat // t x n
+	gram *Mat // U U^T, t x t
 	gInv *Mat // (U U^T)^-1, t x t
 }
 
@@ -25,11 +26,12 @@ func NewOSP(u *Mat) (*OSP, error) {
 	if u.Rows == 0 {
 		return nil, fmt.Errorf("linalg: OSP of empty target set")
 	}
-	gInv, err := Inverse(Gram(u))
+	gram := Gram(u)
+	gInv, err := Inverse(gram)
 	if err != nil {
 		return nil, fmt.Errorf("linalg: OSP targets are linearly dependent: %w", err)
 	}
-	return &OSP{u: u, gInv: gInv}, nil
+	return &OSP{u: u, gram: gram, gInv: gInv}, nil
 }
 
 // Apply projects y onto the orthogonal complement of the row space of U,
@@ -72,101 +74,18 @@ func Widen(buf []float64, y []float32) []float64 {
 	return buf
 }
 
-// Dense materializes the projector as the n x n matrix
-// P⊥_U = I - U^T (U U^T)^-1 U, the form Algorithm 2 of the paper applies
-// to every pixel. (Apply's factored form is cheaper for large n; Dense is
-// provided because the paper's cost profile — ATDCA slower per round than
-// UFCLS — comes from the dense application.)
-func (p *OSP) Dense() *Mat {
-	n := p.u.Cols
-	t := p.u.Rows
-	// B = gInv * U (t x n, then three zero rows), then P = I - U^T B.
-	// Row i subtracts u_ki * B_k for every nonzero u_ki, in k order. A
-	// group of four terms without a zero u_ki goes through
-	// vec.AddProducts4 as additions of (-u_ki) * B_k, which are the
-	// subtractions' bits; the last group pads with B's zero rows and
-	// coefficient -0 (see negZero). A group holding a zero u_ki goes one
-	// term at a time and skips it, as a zero u_ki next to a non-finite
-	// B_k must not make the row NaN.
-	b := NewMat(t+3, n)
-	copy(b.Data, Mul(p.gInv, p.u).Data)
-	out := Identity(n)
-	for i := 0; i < n; i++ {
-		row := out.Row(i)
-		for k := 0; k < t; k += 4 {
-			a, zero := [4]float64{negZero, negZero, negZero, negZero}, false
-			for l := range min(4, t-k) {
-				a[l] = -p.u.At(k+l, i)
-				zero = zero || a[l] == 0
-			}
-			if !zero {
-				vec.AddProducts4(row, a, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
-				continue
-			}
-			for l := k; l < min(k+4, t); l++ {
-				if uli := p.u.At(l, i); uli != 0 {
-					for j, v := range b.Row(l) {
-						row[j] -= uli * v
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// DenseScore computes (P y)^T (P y) for a dense projector P and a float32
-// pixel y. A scan over many pixels uses DenseScan.Score, which keeps the
-// projector's rows packed and has the same bits.
-func DenseScore(p *Mat, y []float32) float64 {
-	return DenseScoreWide(p, Widen(nil, y))
-}
-
-// DenseScoreWide is DenseScore for a pixel already widened to float64
-// (see Widen). Four projector rows are scored per pass over y; each row
-// keeps its own accumulator and its own left-to-right band order, and
-// the squares are summed in row order, so the result is bit-identical to
-// scoring the rows one at a time.
-func DenseScoreWide(p *Mat, y []float64) float64 {
-	n := p.Cols
-	if len(y) != n {
-		panic(fmt.Sprintf("linalg: DenseScore on %d-vector, want %d", len(y), n))
-	}
-	var norm float64
-	last := p.Rows - 1
-	for i := 0; i < p.Rows; i += 4 {
-		// Slots past the last row repeat it; their sums are not used.
-		r0, r1 := p.Row(i)[:n], p.Row(min(i+1, last))[:n]
-		r2, r3 := p.Row(min(i+2, last))[:n], p.Row(min(i+3, last))[:n]
-		var s0, s1, s2, s3 float64
-		for j, v := range y {
-			s0 += r0[j] * v
-			s1 += r1[j] * v
-			s2 += r2[j] * v
-			s3 += r3[j] * v
-		}
-		norm += s0 * s0
-		if i+1 < p.Rows {
-			norm += s1 * s1
-		}
-		if i+2 < p.Rows {
-			norm += s2 * s2
-		}
-		if i+3 < p.Rows {
-			norm += s3 * s3
-		}
-	}
-	return norm
-}
-
-// DenseScan is the dense projector P̂ = Dense() with what a scan for the
-// pixel of largest DenseScoreWide needs to skip the n² kernel for a pixel
-// that provably cannot win (DESIGN.md "Kernel exactness"): the whitened
-// target basis Q = L⁻¹U, where U U^T = L L^T, so that I - Q^T Q is the
+// DenseScan is the dense projector P̂ = I - U^T (U U^T)^-1 U, the form
+// Algorithm 2 of the paper applies to every pixel (Apply's factored form
+// is cheaper for large n; the dense form is kept because the paper's cost
+// profile — ATDCA slower per round than UFCLS — comes from the dense
+// application), held as packed rows for Score, with what a scan for the
+// pixel of largest Score needs to skip the n² kernel for a pixel that
+// provably cannot win (DESIGN.md "Kernel exactness"): the whitened target
+// basis Q = L⁻¹U, where U U^T = L L^T, so that I - Q^T Q is the
 // projector in factored form, and η, which covers the rounding of both
 // forms and the measured gap between them. For every finite pixel y,
 //
-//	DenseScoreWide(Dense, y) <= ‖y‖² - ‖Qy‖² + η‖y‖²,
+//	Score(y) <= ‖y‖² - ‖Qy‖² + η‖y‖²,
 //
 // and the right side costs t·n + n multiply-adds against the kernel's n²
 // — or n, when the sums of the last round's Q are carried (FilterSum).
@@ -174,50 +93,85 @@ func DenseScoreWide(p *Mat, y []float64) float64 {
 // Score and Skip work in buffers the scan keeps, which makes a DenseScan
 // single-goroutine: each rank builds its own.
 type DenseScan struct {
-	Dense *Mat
-	rows  *vec.Panel // Dense's rows, for Score
+	rows  *vec.Panel // P̂'s rows, for Score
 	q     *Mat       // Q, then three zero rows: a pass of four may start at any row
 	qRows *vec.Panel // q's rows, for extend
 	t     int        // rows of Q
 	eta   float64    // NaN when Q cannot be formed: nothing is then skipped
 	wide  []float64  // a pixel widened
-	dots  []float64  // its dot products with rows of Dense or q
+	dots  []float64  // its dot products with rows of P̂ or q
 }
 
-// DenseScan materializes the dense projector with its filter, measuring
-// η on the matrices: E = ‖P̂ - (I - Q^T Q)‖_F and ρ = ‖Q Q^T - I‖_F bound
-// the gap between the two forms by ((1+ρ)ρ + 2(1+ρ)E + E²)‖y‖², and
-// 3γ‖P̂‖²_F and 3γ(1 + ‖Q‖²_F) their rounding, γ = (n+1)u/(1-(n+1)u);
-// η is four times the sum.
+// DenseScan materializes the dense projector with its filter, one row of
+// P̂ at a time, measuring η on each row as it goes: E = ‖P̂ - (I - Q^T Q)‖_F
+// and ρ = ‖Q Q^T - I‖_F bound the gap between the two forms by
+// ((1+ρ)ρ + 2(1+ρ)E + E²)‖y‖², and 3γ‖P̂‖²_F and 3γ(1 + ‖Q‖²_F) their
+// rounding, γ = (n+1)u/(1-(n+1)u); η is four times the sum.
 func (p *OSP) DenseScan() *DenseScan {
 	t, n := p.u.Rows, p.u.Cols
-	s := &DenseScan{Dense: p.Dense(), q: NewMat(t+3, n), t: t, eta: math.NaN(),
+	s := &DenseScan{rows: vec.NewPanel(n, n), q: NewMat(t+3, n), t: t, eta: math.NaN(),
 		wide: make([]float64, n), dots: make([]float64, max(n, t+3))}
-	s.rows = vec.PackRows(n, s.Dense.Data)
-	l, err := cholesky(Gram(p.u))
-	if err != nil {
-		return s
+	chol, err := cholesky(p.gram)
+	filter := err == nil
+	var pF, qF, rho, e float64 // all squared until the end
+	if filter {
+		qF, rho = s.whiten(p.u, chol)
 	}
-	for i := 0; i < t; i++ { // Q_i = (U_i - Σ_{k<i} L_ik Q_k) / L_ii
+	b := NewMat(t+3, n) // B = gInv * U, then three zero rows
+	copy(b.Data, Mul(p.gInv, p.u).Data)
+	row := make([]float64, n)
+	for i := 0; i < n; i++ {
+		p.denseRow(row, b, i)
+		s.rows.Add(row)
+		if !filter {
+			continue
+		}
+		// The row is packed; it now becomes row i of P̂ - (I - Q^T Q).
+		for _, v := range row {
+			pF += v * v
+		}
+		row[i]--
+		for k := 0; k < t; k += 4 { // row += Σ_k q_ki Q_k, Q's zero rows padding
+			a := [4]float64{negZero, negZero, negZero, negZero}
+			for l := range min(4, t-k) {
+				a[l] = s.q.At(k+l, i)
+			}
+			vec.AddProducts4(row, a, s.q.Row(k), s.q.Row(k+1), s.q.Row(k+2), s.q.Row(k+3))
+		}
+		for _, v := range row {
+			e += v * v
+		}
+	}
+	if filter {
+		rho, e = math.Sqrt(rho), math.Sqrt(e)
+		gamma := float64(n+1) * 0x1p-53 / (1 - float64(n+1)*0x1p-53)
+		s.eta = 4 * (3*gamma*(pF+1+qF) + (1+rho)*rho + 2*(1+rho)*e + e*e)
+	}
+	return s
+}
+
+// whiten sets Q = L⁻¹U, for the Cholesky factor L of U U^T, packs its
+// rows and returns ‖Q‖²_F and ‖Q Q^T - I‖²_F.
+func (s *DenseScan) whiten(u, chol *Mat) (qF, rho float64) {
+	for i := 0; i < s.t; i++ { // Q_i = (U_i - Σ_{k<i} L_ik Q_k) / L_ii
 		qi := s.q.Row(i)
-		copy(qi, p.u.Row(i))
+		copy(qi, u.Row(i))
 		for k := 0; k < i; k++ {
-			lik := l.At(i, k)
+			lik := chol.At(i, k)
 			for j, v := range s.q.Row(k) {
 				qi[j] -= lik * v
 			}
 		}
 		for j := range qi {
-			qi[j] /= l.At(i, i)
+			qi[j] /= chol.At(i, i)
 		}
 	}
-	s.qRows = vec.PackRows(n, s.q.Data)
-	var pF, qF, rho, e float64 // all squared until the end
+	s.qRows = vec.PackRows(s.q.Cols, s.q.Data)
 	for _, v := range s.q.Data {
 		qF += v * v
 	}
-	for i := 0; i < t; i++ {
-		for j := 0; j < t; j++ {
+	for i := 0; i < s.t; i++ {
+		for j := 0; j < s.t; j++ {
 			d := Dot(s.q.Row(i), s.q.Row(j))
 			if i == j {
 				d--
@@ -225,35 +179,51 @@ func (p *OSP) DenseScan() *DenseScan {
 			rho += d * d
 		}
 	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ { // row i of P̂ - (I - Q^T Q)
-		copy(d, s.Dense.Row(i))
-		for _, v := range d {
-			pF += v * v
-		}
-		d[i]--
-		for k := 0; k < t; k += 4 { // d += Σ_k q_ki Q_k, Q's zero rows padding
-			a := [4]float64{negZero, negZero, negZero, negZero}
-			for l := range min(4, t-k) {
-				a[l] = s.q.At(k+l, i)
-			}
-			vec.AddProducts4(d, a, s.q.Row(k), s.q.Row(k+1), s.q.Row(k+2), s.q.Row(k+3))
-		}
-		for _, v := range d {
-			e += v * v
-		}
-	}
-	rho, e = math.Sqrt(rho), math.Sqrt(e)
-	gamma := float64(n+1) * 0x1p-53 / (1 - float64(n+1)*0x1p-53)
-	s.eta = 4 * (3*gamma*(pF+1+qF) + (1+rho)*rho + 2*(1+rho)*e + e*e)
-	return s
+	return qF, rho
 }
 
-// Score returns DenseScore(s.Dense, y), bit for bit, from the
-// projector's packed rows: the row sums come from vec.Panel.Dots and
-// their squares are added in row order.
+// denseRow sets row to row i of P̂ = I - U^T B, where b holds B = gInv * U
+// and then three zero rows: e_i minus u_ki * B_k for every nonzero u_ki,
+// in k order. A group of four terms without a zero u_ki goes through
+// vec.AddProducts4 as additions of (-u_ki) * B_k, which are the
+// subtractions' bits; the last group pads with B's zero rows and
+// coefficient -0 (see negZero). A group holding a zero u_ki goes one term
+// at a time and skips it, as a zero u_ki next to a non-finite B_k must
+// not make the row NaN.
+func (p *OSP) denseRow(row []float64, b *Mat, i int) {
+	clear(row)
+	row[i] = 1
+	t := p.u.Rows
+	for k := 0; k < t; k += 4 {
+		a, zero := [4]float64{negZero, negZero, negZero, negZero}, false
+		for l := range min(4, t-k) {
+			a[l] = -p.u.At(k+l, i)
+			zero = zero || a[l] == 0
+		}
+		if !zero {
+			vec.AddProducts4(row, a, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
+			continue
+		}
+		for l := k; l < min(k+4, t); l++ {
+			if uli := p.u.At(l, i); uli != 0 {
+				for j, v := range b.Row(l) {
+					row[j] -= uli * v
+				}
+			}
+		}
+	}
+}
+
+// Score returns (P̂y)^T (P̂y) from the projector's packed rows: each row
+// sum comes from vec.Panel.Dots, left to right over the bands, and their
+// squares are added in row order — the bits of scoring P̂ one row at a
+// time.
 func (s *DenseScan) Score(y []float32) float64 {
-	dots := s.dots[:s.Dense.Rows]
+	n := s.q.Cols
+	if len(y) != n {
+		panic(fmt.Sprintf("linalg: DenseScan on %d-vector, want %d", len(y), n))
+	}
+	dots := s.dots[:n]
 	s.rows.Dots(Widen(s.wide, y), 0, dots)
 	var norm float64
 	for _, d := range dots {
@@ -278,10 +248,9 @@ type FilterSum struct {
 // when η is NaN (Q not formed, or a target not finite).
 func (s *DenseScan) Filters() bool { return !math.IsNaN(s.eta) }
 
-// Skip reports whether DenseScoreWide(s.Dense, y) is provably below best,
-// so that a scan for the maximum may skip y, after bringing sum up to all
-// of Q's rows: one new row in one pass over y, or any number in passes of
-// four rows. A NaN or an infinity in the bound — from η, ‖y‖² or ‖Qy‖² —
+// Skip reports whether Score(y) is provably below best, so that a scan
+// for the maximum may skip y, after bringing sum up to all of Q's rows:
+// one new row in one pass over y, or any number in passes of four rows. A NaN or an infinity in the bound — from η, ‖y‖² or ‖Qy‖² —
 // is never below anything, so such a pixel goes to the dense kernel.
 // Without a filter Skip is false and leaves sum alone.
 func (s *DenseScan) Skip(y []float32, sum *FilterSum, best float64) bool {

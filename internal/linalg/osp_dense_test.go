@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -14,10 +16,7 @@ func TestDenseMatchesFactoredApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := p.Dense()
-	if dense.Rows != 14 || dense.Cols != 14 {
-		t.Fatalf("dense shape %dx%d", dense.Rows, dense.Cols)
-	}
+	s := p.DenseScan()
 	for trial := 0; trial < 20; trial++ {
 		y32 := make([]float32, 14)
 		y64 := make([]float64, 14)
@@ -25,7 +24,7 @@ func TestDenseMatchesFactoredApply(t *testing.T) {
 			y32[i] = float32(rng.NormFloat64())
 			y64[i] = float64(y32[i])
 		}
-		got := DenseScore(dense, y32)
+		got := s.Score(y32)
 		want := p.Apply(y64, nil)
 		if math.Abs(got-want) > 1e-6*math.Max(1, want) {
 			t.Fatalf("trial %d: dense %v vs factored %v", trial, got, want)
@@ -40,7 +39,7 @@ func TestDenseIsProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.Dense()
+	d := denseOneTerm(p)
 	// P is symmetric and idempotent: P = P^T = P*P.
 	if !matsAlmostEq(d, d.T(), 1e-9) {
 		t.Error("dense projector not symmetric")
@@ -66,8 +65,8 @@ func TestFlopsOSPDense(t *testing.T) {
 	}
 }
 
-// denseScoreRowByRow is the scalar loop DenseScoreWide replaces: one row
-// at a time, the pixel widened inside the inner loop.
+// denseScoreRowByRow is the scalar loop DenseScan.Score replaces: one
+// row at a time, the pixel widened inside the inner loop.
 func denseScoreRowByRow(p *Mat, y []float32) float64 {
 	var norm float64
 	for i := 0; i < p.Rows; i++ {
@@ -81,61 +80,103 @@ func denseScoreRowByRow(p *Mat, y []float32) float64 {
 	return norm
 }
 
-// The blocked score must be the same bits as the row-by-row one for every
-// block remainder, including rows and samples that are NaN or infinite.
+// Score from the packed rows must be the same bits as the row-by-row
+// score of the one-term projector at every band count's block remainder,
+// including projectors and samples that are NaN or infinite.
 func TestDenseScoreMatchesRowByRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
-	wide := make([]float64, 70)
+	nonFinite := 0
 	for n := 1; n <= 70; n++ {
-		for _, rows := range []int{n, n + 1, n + 2, n + 3} {
-			p := randMat(rng, rows, n)
+		for trial := 0; trial < 4; trial++ {
+			u := randMat(rng, min(n, 1+rng.Intn(12)), n)
+			if trial == 0 { // a target with an infinite sample: P̂ is NaN
+				u.Set(rng.Intn(u.Rows), rng.Intn(n), math.Inf(1))
+			}
+			p, err := NewOSP(u)
+			if err != nil {
+				continue
+			}
+			if trial == 0 {
+				nonFinite++
+			}
+			s, dense := p.DenseScan(), denseOneTerm(p)
 			y := make([]float32, n)
 			for i := range y {
 				y[i] = float32(rng.NormFloat64())
 			}
-			switch rng.Intn(6) {
+			switch rng.Intn(4) {
 			case 0:
-				p.Set(rng.Intn(rows), rng.Intn(n), math.NaN())
-			case 1:
-				p.Set(rng.Intn(rows), rng.Intn(n), math.Inf(1))
-			case 2:
 				y[rng.Intn(n)] = float32(math.Inf(-1))
-			case 3:
+			case 1:
+				y[rng.Intn(n)] = float32(math.NaN())
+			case 2:
 				y = make([]float32, n)
 			}
-			want := denseScoreRowByRow(p, y)
-			for name, got := range map[string]float64{
-				"DenseScore":     DenseScore(p, y),
-				"DenseScoreWide": DenseScoreWide(p, Widen(wide, y)),
-			} {
-				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Fatalf("%dx%d: %s = %v, row by row %v", rows, n, name, got, want)
-				}
+			if got, want := s.Score(y), denseScoreRowByRow(dense, y); !sameBits(got, want) {
+				t.Fatalf("%dx%d: Score = %v, row by row %v", u.Rows, n, got, want)
+			}
+		}
+	}
+	if nonFinite == 0 {
+		t.Fatal("no projector was built from a non-finite target: that path went unchecked")
+	}
+}
+
+// One DenseScan builds the packed P̂ and nothing else of n² size: no
+// row-major copy of the projector, no identity to start it from. Its
+// scratch — Q and its packed rows, B, a row, the scan's buffers — is
+// O((t+3)·n).
+func TestDenseScanAllocatesPackedProjectorAndScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	for _, n := range []int{64, 224} {
+		for _, tg := range []int{9, 17} {
+			p, err := NewOSP(randMat(rng, tg, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			packed := uint64((n+3)/4*4*n) * 8
+			bound := packed + uint64(6*(tg+3)*n*8) + 1024
+			least := uint64(math.MaxUint64)
+			for range 10 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				p.DenseScan()
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			t.Logf("%d bands, t = %d: DenseScan allocates %d B; packed P̂ is %d B", n, tg, least, packed)
+			if least > bound {
+				t.Fatalf("%d bands, t = %d: DenseScan allocates %d B, more than packed P̂ (%d B) and 6·(t+3)·n·8 B + 1 KiB of scratch (%d B)",
+					n, tg, least, packed, bound)
 			}
 		}
 	}
 }
 
-func TestDenseScoreLengthMismatchPanics(t *testing.T) {
-	p := Identity(4)
+func TestDenseScanScoreLengthMismatchPanics(t *testing.T) {
+	p, err := NewOSP(MatFromRows([][]float64{{1, 2, 0, 1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := p.DenseScan()
 	for _, n := range []int{3, 5} {
 		func() {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Fatalf("%d-vector against 4 columns did not panic", n)
+					t.Fatalf("%d-vector against 4 bands did not panic", n)
 				}
-				if msg, _ := r.(string); msg != fmt.Sprintf("linalg: DenseScore on %d-vector, want 4", n) {
+				if msg, _ := r.(string); msg != fmt.Sprintf("linalg: DenseScan on %d-vector, want 4", n) {
 					t.Errorf("panic %q does not name the lengths", r)
 				}
 			}()
-			DenseScore(p, make([]float32, n))
+			s.Score(make([]float32, n))
 		}()
 	}
 }
 
 // Below is the filter without carried sums, the reference Skip is held
-// to: whether DenseScoreWide(s.Dense, y) is provably below best, from
+// to: whether Score(y) is provably below best, from
 // ‖y‖² and ‖Qy‖² summed afresh.
 func (s *DenseScan) Below(y []float64, best float64) bool {
 	ny, qy := s.norms(y)
@@ -176,7 +217,7 @@ func (s *DenseScan) norms(y []float64) (ny, qy float64) {
 // 0 or -η would wrongly skip.
 func checkBelow(t *testing.T, s *DenseScan, y []float64) (between int) {
 	t.Helper()
-	d := DenseScoreWide(s.Dense, y)
+	d := s.Score(narrow(y))
 	ny, qy := s.norms(y)
 	f := ny - qy
 	for _, best := range []float64{-1, 0, f, (f + d) / 2, math.Nextafter(d, math.Inf(-1)), d, math.Nextafter(d, math.Inf(1))} {
@@ -188,6 +229,15 @@ func checkBelow(t *testing.T, s *DenseScan, y []float64) (between int) {
 		}
 	}
 	return between
+}
+
+// narrow returns y, whose samples are float32 values, as float32.
+func narrow(y []float64) []float32 {
+	y32 := make([]float32, len(y))
+	for i, v := range y {
+		y32[i] = float32(v)
+	}
+	return y32
 }
 
 func randPixel(rng *rand.Rand, n int) []float64 {
@@ -347,8 +397,7 @@ func TestSkipCarriedKeepsBelowContract(t *testing.T) {
 				if rng.Intn(4) == 0 && k > 0 {
 					continue // sits this round out
 				}
-				y := Widen(nil, px)
-				d := DenseScoreWide(s.Dense, y)
+				d := s.Score(px)
 				sum := sums[i]
 				s.Skip(px, &sum, math.Inf(-1)) // only brings the sum up to date
 				if sum.rows != s.t {
@@ -474,7 +523,7 @@ func TestDenseScanExtendMatchesFourRowPasses(t *testing.T) {
 	}
 }
 
-// denseOneTerm is the loop Dense replaced: row i of I - U^T B subtracts
+// denseOneTerm is the loop DenseScan's rows of P̂ replaced: row i of I - U^T B subtracts
 // u_ki * B_k one k at a time, skipping zero u_ki.
 func denseOneTerm(p *OSP) *Mat {
 	n, t := p.u.Cols, p.u.Rows
@@ -495,9 +544,9 @@ func denseOneTerm(p *OSP) *Mat {
 	return out
 }
 
-// etaOneTerm is η as DenseScan measured it with Q's terms added one k at
-// a time.
-func etaOneTerm(s *DenseScan) float64 {
+// etaOneTerm is η as DenseScan measures it, from the projector dense,
+// with Q's terms added one k at a time.
+func etaOneTerm(s *DenseScan, dense *Mat) float64 {
 	n, t := s.q.Cols, s.t
 	var pF, qF, rho, e float64
 	for _, v := range s.q.Data {
@@ -514,7 +563,7 @@ func etaOneTerm(s *DenseScan) float64 {
 	}
 	d := make([]float64, n)
 	for i := 0; i < n; i++ {
-		copy(d, s.Dense.Row(i))
+		copy(d, dense.Row(i))
 		for _, v := range d {
 			pF += v * v
 		}
@@ -559,13 +608,19 @@ func TestDenseScanBuildMatchesOneTermLoops(t *testing.T) {
 		}
 		s := p.DenseScan()
 		want := denseOneTerm(p)
-		for i, v := range s.Dense.Data {
-			if !sameBits(v, want.Data[i]) {
-				t.Fatalf("trial %d, %dx%d: Dense[%d] = %v, one term at a time %v", trial, u.Rows, n, i, v, want.Data[i])
+		packed := reflect.ValueOf(s.rows).Elem().FieldByName("data")
+		if packed.Len() != (n+3)/4*4*n {
+			t.Fatalf("trial %d, %dx%d: %d packed values for %d rows", trial, u.Rows, n, packed.Len(), n)
+		}
+		for r := 0; r < n; r++ {
+			for j := 0; j < n; j++ { // the vec.Panel layout
+				if v := packed.Index(r/4*4*n + 4*j + r%4).Float(); !sameBits(v, want.At(r, j)) {
+					t.Fatalf("trial %d, %dx%d: P̂(%d, %d) = %v, one term at a time %v", trial, u.Rows, n, r, j, v, want.At(r, j))
+				}
 			}
 		}
-		if s.Filters() && !sameBits(s.eta, etaOneTerm(s)) {
-			t.Fatalf("trial %d, %dx%d: η = %v, one term at a time %v", trial, u.Rows, n, s.eta, etaOneTerm(s))
+		if eta := etaOneTerm(s, want); s.Filters() && !sameBits(s.eta, eta) {
+			t.Fatalf("trial %d, %dx%d: η = %v, one term at a time %v", trial, u.Rows, n, s.eta, eta)
 		}
 		if u.Rows >= 4 {
 			grouped++

@@ -262,8 +262,11 @@ type JournalJob struct {
 	CacheKey string
 	// Submitted is the original submission time.
 	Submitted time.Time
-	// Attempts counts the started records seen (execution attempts begun).
+	// Attempts is the attempt number of the last started record: the
+	// attempts the job's last run consumed, the count its report gives.
 	Attempts int
+	// Started is the time of the first started record (zero when none).
+	Started time.Time
 	// Finished reports whether a finished record closed the story; the
 	// remaining fields below are set only in that case (except Snapshot,
 	// set only for unfinished jobs).
@@ -464,7 +467,10 @@ func foldJournal(recs []Record) ([]*JournalJob, []*JournalPipeline) {
 			jj.CacheKey = rec.CacheKey
 			jj.Submitted = rec.Time
 		case recStarted:
-			jj.Attempts++
+			if jj.Started.IsZero() {
+				jj.Started = rec.Time
+			}
+			jj.Attempts = rec.Attempt
 		case recCheckpointed:
 			// The snapshot frame carries its own checksum: a damaged one
 			// inside an intact record keeps the previous snapshot.

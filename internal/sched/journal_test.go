@@ -521,6 +521,56 @@ func TestRestoreFinishedJob(t *testing.T) {
 	}
 }
 
+// A restart keeps a finished job's attempt count and start time: the
+// retried job reports two attempts, a start and the queue time up to it
+// after replay and restore, as it did live. Only the per-attempt history,
+// which is not journaled, is gone.
+func TestRestoreFinishedKeepsAttemptsAndStart(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, Journal: jl})
+	spec := checkpointResumeSpec(t)
+	j, err := s.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(context.Background(), j.ID()); err != nil {
+		t.Fatal(err)
+	}
+	live := j.Status()
+	s.Close()
+	jl.Close()
+	if live.Attempts != 2 || live.Started.IsZero() {
+		t.Fatalf("live job: %d attempts, started %v; want 2 and a start", live.Attempts, live.Started)
+	}
+
+	jobs, err := replayJobs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{Workers: 1})
+	defer s2.Close()
+	restored, err := s2.RestoreFinished(jobs[0], spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := restored.Status()
+	if got.Attempts != live.Attempts || len(got.AttemptHistory) != 0 {
+		t.Fatalf("restored job: %d attempts, %d in history; want %d and none", got.Attempts, len(got.AttemptHistory), live.Attempts)
+	}
+	// The started record is written just before the live start is stamped.
+	if !got.Started.Equal(jobs[0].Started) || got.Started.Before(got.Submitted) || got.Started.After(live.Started) {
+		t.Fatalf("restored start %v, journaled %v; want it between submission %v and the live start %v",
+			got.Started, jobs[0].Started, got.Submitted, live.Started)
+	}
+	if want := got.Started.Sub(got.Submitted).Milliseconds(); got.QueueMS != want || got.QueueMS > live.QueueMS+1 {
+		t.Fatalf("restored queue_ms %d, want %d (live %d)", got.QueueMS, want, live.QueueMS)
+	}
+}
+
 // Jobs lists everything the scheduler knows in ascending job order.
 func TestJobsListing(t *testing.T) {
 	s := New(Config{Workers: 2})

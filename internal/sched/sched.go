@@ -292,6 +292,9 @@ type Job struct {
 	err        error
 	fromCache  bool
 	attempts   []AttemptRecord
+	// replayed is the attempt count of a job restored from the journal,
+	// which keeps no attempt history.
+	replayed int
 }
 
 // AttemptRecord is one execution attempt of a job, JSON-shaped for the
@@ -425,7 +428,7 @@ func (j *Job) Status() JobStatus {
 	if j.report != nil {
 		st.VirtualSeconds = j.report.WallTime
 	}
-	st.Attempts = len(j.attempts)
+	st.Attempts = max(len(j.attempts), j.replayed)
 	st.AttemptHistory = append([]AttemptRecord(nil), j.attempts...)
 	now := time.Now()
 	switch {
@@ -729,8 +732,9 @@ func (s *Scheduler) SubmitResumed(ctx context.Context, jj *JournalJob, spec JobS
 }
 
 // RestoreFinished reinstalls a journal-replayed finished job as queryable
-// history: its ID, terminal state, error and report come back exactly as
-// journaled, and a completed cacheable result re-seeds the result cache.
+// history: its ID, terminal state, error, report, attempt count and start
+// time come back exactly as journaled (the attempt history is not), and a
+// completed cacheable result re-seeds the result cache.
 // The spec (rebuilt by the caller, scene not required) only feeds the
 // status document.
 func (s *Scheduler) RestoreFinished(jj *JournalJob, spec JobSpec) (*Job, error) {
@@ -751,8 +755,10 @@ func (s *Scheduler) RestoreFinished(jj *JournalJob, spec JobSpec) (*Job, error) 
 		done:        make(chan struct{}),
 		state:       jj.State,
 		submittedAt: jj.Submitted,
+		startedAt:   jj.Started,
 		finishedAt:  jj.FinishedAt,
 		report:      jj.Report,
+		replayed:    jj.Attempts,
 	}
 	if jj.Error != "" {
 		j.err = errors.New(jj.Error)

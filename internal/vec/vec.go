@@ -14,16 +14,29 @@
 // purego build tag, the Go forms in this file and sad.go run.
 package vec
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // A Panel holds rows of one length packed for Dots: band-major in blocks
 // of four rows, so that a block's four values at band i sit side by side.
 // Row r of a panel with n columns lives at data[(r/4)*4n + 4i + r%4] for
-// band i; the spare rows of the last block are zeros. The zero Panel is
-// empty, and its first Add fixes the row length.
+// band i; the spare rows of the last block are zeros. Add is the one
+// writer of this layout. The zero Panel is empty, and its first Add fixes
+// the row length; NewPanel fixes it up front.
 type Panel struct {
 	cols, rows int
 	data       []float64
+}
+
+// NewPanel returns an empty Panel of rows of cols columns, cols > 0, with
+// room for rows rows: that many Adds allocate nothing.
+func NewPanel(cols, rows int) *Panel {
+	if cols <= 0 || rows < 0 {
+		panic("vec: NewPanel shape mismatch")
+	}
+	return &Panel{cols: cols, data: make([]float64, 0, (rows+3)/4*4*cols)}
 }
 
 // PackRows returns a Panel of the rows of data, a row-major matrix with
@@ -32,28 +45,26 @@ func PackRows(cols int, data []float64) *Panel {
 	if cols <= 0 || len(data)%cols != 0 {
 		panic("vec: PackRows shape mismatch")
 	}
-	rows := len(data) / cols
-	p := &Panel{cols: cols, rows: rows, data: make([]float64, (rows+3)/4*4*cols)}
-	for r := 0; r < rows; r++ {
-		blk, k := p.data[r/4*4*cols:], r%4
-		for i, v := range data[r*cols : (r+1)*cols] {
-			blk[4*i+k] = v
-		}
+	p := NewPanel(cols, len(data)/cols)
+	for r := 0; r < len(data); r += cols {
+		p.Add(data[r : r+cols])
 	}
 	return p
 }
 
 // Add appends a copy of row.
 func (p *Panel) Add(row []float64) {
-	if p.rows == 0 {
+	if p.rows == 0 && p.cols == 0 {
 		p.cols = len(row)
 	}
 	if len(row) != p.cols {
 		panic("vec: Panel.Add length mismatch")
 	}
 	k := p.rows % 4
-	if k == 0 {
-		p.data = append(p.data, make([]float64, 4*p.cols)...)
+	if k == 0 { // a new block of zeros, in reserved room when there is some
+		n := len(p.data)
+		p.data = slices.Grow(p.data, 4*p.cols)[:n+4*p.cols]
+		clear(p.data[n:])
 	}
 	blk := p.data[len(p.data)-4*p.cols:]
 	for i, v := range row {

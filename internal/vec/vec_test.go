@@ -209,7 +209,7 @@ func TestDotsAllocatesNothing(t *testing.T) {
 	}
 }
 
-// PackRows lays rows out as Add does.
+// PackRows lays rows out as Add does, in storage reserved up front.
 func TestPackRowsMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, rows := range seedRows {
@@ -225,6 +225,9 @@ func TestPackRowsMatchesAdd(t *testing.T) {
 			got := PackRows(cols, data)
 			if got.cols != want.cols || got.rows != want.rows || !slices.Equal(got.data, want.data) {
 				t.Fatalf("%dx%d: PackRows %+v, Add %+v", rows, cols, *got, want)
+			}
+			if cap(got.data) != len(got.data) {
+				t.Fatalf("%dx%d: PackRows holds %d of %d reserved values", rows, cols, len(got.data), cap(got.data))
 			}
 		}
 	}
