@@ -238,11 +238,11 @@ func (u uMatrix) mat(bands int) *linalg.Mat {
 	return m
 }
 
-// toF64 converts a float32 signature to float64.
-func toF64(v []float32) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
+// floorCount converts a population floor, a fraction of np pixels, into
+// a pixel count of at least 4; a fraction <= 0 selects 0.5%.
+func floorCount(frac float64, np int) int {
+	if frac <= 0 {
+		frac = 0.005
 	}
-	return out
+	return max(int(frac*float64(np)), 4)
 }

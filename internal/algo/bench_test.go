@@ -39,7 +39,7 @@ func detectionScan(b *testing.B) (*cube.Cube, uMatrix) {
 	}
 	var u uMatrix
 	for _, tg := range res.Targets {
-		u.rows = append(u.rows, toF64(tg.Signature))
+		u.rows = append(u.rows, linalg.Widen(nil, tg.Signature))
 	}
 	return sc.Cube, u
 }
@@ -110,7 +110,7 @@ func BenchmarkKernelUFCLSRounds(b *testing.B) {
 		var bounds lineBounds
 		var u uMatrix
 		for _, tg := range res.Targets[:7] {
-			u.rows = append(u.rows, toF64(tg.Signature))
+			u.rows = append(u.rows, linalg.Widen(nil, tg.Signature))
 			_, _, n, err := maxErrorScan(f, u, f.Bands, bounds.rows(f, 0))
 			if err != nil {
 				b.Fatal(err)

@@ -41,10 +41,10 @@ type MorphParams struct {
 	// are considered distinct when the master fuses worker proposals.
 	Theta float64
 	// MinSupport is the minimum fraction of a worker's owned pixels that
-	// must be spectrally similar (within 1.5*Theta) to a candidate
+	// must be spectrally similar (within Theta) to a candidate
 	// endmember; candidates below the floor — isolated anomalies like
 	// the thermal hot spots — are left to the target detectors. Zero
-	// selects the default.
+	// (or less) selects 0.5%.
 	MinSupport float64
 	// MinimalHalo, when true, gives each partition an overlap border of
 	// only the kernel radius instead of Radius*Iterations lines. Later
@@ -54,19 +54,6 @@ type MorphParams struct {
 	// 5 does not say which policy its measurements used; its Thunderhead
 	// scaling suggests something close to this one (see DESIGN.md).
 	MinimalHalo bool
-}
-
-// minSupportCount converts the support floor into a pixel count.
-func (p MorphParams) minSupportCount(np int) int {
-	frac := p.MinSupport
-	if frac <= 0 {
-		frac = 0.005
-	}
-	n := int(frac * float64(np))
-	if n < 4 {
-		n = 4
-	}
-	return n
 }
 
 // supportRadius is the SAD radius used when counting a candidate's
@@ -440,7 +427,7 @@ func ameeCandidates(c *mpi.Comm, view *cube.Cube, owned, halo partition.Span, pa
 		panic(err) // owned lies inside halo by construction
 	}
 	cands, calls = filterBySupport(cands, own,
-		params.supportRadius(), params.minSupportCount(own.NumPixels()), 3*params.Classes)
+		params.supportRadius(), floorCount(params.MinSupport, own.NumPixels()), 3*params.Classes)
 	c.Compute(float64(calls)*spectral.FlopsSAD(view.Bands), vtime.Par)
 	for i := range cands {
 		cands[i].line += halo.Lo

@@ -51,7 +51,8 @@ type PCTParams struct {
 	// representative must account for to become a class; smaller groups
 	// (isolated anomalies such as the thermal hot spots, which the target
 	// detectors exist to find) are absorbed into their nearest
-	// representative before merging. Zero selects the default.
+	// representative before merging. Zero (or less) selects 0.5%, not
+	// DefaultPCTParams' 2%.
 	MinPopulation float64
 }
 
@@ -70,20 +71,6 @@ func (p PCTParams) eigenBands(actual int) int {
 // MinPopulation falls back to 0.5%).
 func DefaultPCTParams() PCTParams {
 	return PCTParams{Classes: 7, Theta: 0.04, MaxReps: 48, MinPopulation: 0.02}
-}
-
-// minPopulationCount converts the population-floor fraction into a pixel
-// count for a scan of np pixels.
-func (p PCTParams) minPopulationCount(np int) int {
-	frac := p.MinPopulation
-	if frac <= 0 {
-		frac = 0.005
-	}
-	n := int(frac * float64(np))
-	if n < 4 {
-		n = 4
-	}
-	return n
 }
 
 // pruneReps absorbs representatives whose population is below minCount
@@ -114,20 +101,18 @@ func pruneReps(reps []rep, minCount int) ([]rep, int) {
 		kept = []rep{reps[best]}
 		small = append(reps[:best:best], reps[best+1:]...)
 	}
-	sadCalls := 0
+	// Ties go to the lowest index, and every kept representative is
+	// charged one SAD per absorbed one.
+	set := spectral.NewSet(nil)
+	for _, k := range kept {
+		set.Add(k.sig)
+	}
+	var px spectral.Pixel
 	for _, s := range small {
-		nearest, nearestD := 0, spectral.SAD(s.sig, kept[0].sig)
-		sadCalls++
-		for i := 1; i < len(kept); i++ {
-			d := spectral.SAD(s.sig, kept[i].sig)
-			sadCalls++
-			if d < nearestD {
-				nearest, nearestD = i, d
-			}
-		}
+		nearest, _ := set.Nearest(px.Load(s.sig), spectral.NoLimit)
 		kept[nearest].count += s.count
 	}
-	return kept, sadCalls
+	return kept, len(small) * len(kept)
 }
 
 func (p PCTParams) validate(f *cube.Cube) error {
@@ -613,7 +598,7 @@ func pctStatistics(c *mpi.Comm, s schedule, params PCTParams, chunked bool) (pct
 	unique := func(view *cube.Cube) []rep {
 		reps, calls := uniqueScan(view, params.Theta, params.MaxReps)
 		c.Compute(float64(calls)*sad, vtime.Par)
-		reps, calls = pruneReps(reps, params.minPopulationCount(view.NumPixels()))
+		reps, calls = pruneReps(reps, floorCount(params.MinPopulation, view.NumPixels()))
 		c.ComputeFixed(float64(calls)*sad, vtime.Par)
 		reps, calls = mergeReps(reps, params.Classes)
 		c.ComputeFixed(float64(calls)*sad, vtime.Par)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mpi"
 	"repro/internal/partition"
+	"repro/internal/spectral"
 	"repro/internal/vtime"
 )
 
@@ -209,13 +210,7 @@ func brightness(bands int) criterion {
 			}
 			return best, bestScore, nil
 		},
-		score: func(sig []float32) (float64, error) {
-			var s float64
-			for _, x := range sig {
-				s += float64(x) * float64(x)
-			}
-			return s, nil
-		},
+		score: func(sig []float32) (float64, error) { return spectral.SqNorm(sig), nil },
 	}
 }
 
@@ -326,7 +321,7 @@ func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, ex Exec, de
 	if c.Root() {
 		res = &DetectionResult{Targets: restored}
 		for _, tg := range res.Targets {
-			u.rows = append(u.rows, toF64(tg.Signature))
+			u.rows = append(u.rows, linalg.Widen(nil, tg.Signature))
 		}
 	}
 	if start > 0 {
@@ -347,7 +342,7 @@ func detectRounds(c *mpi.Comm, f *cube.Cube, params DetectionParams, ex Exec, de
 				return nil, err
 			}
 			res.Targets = append(res.Targets, best)
-			u.rows = append(u.rows, toF64(best.Signature))
+			u.rows = append(u.rows, linalg.Widen(nil, best.Signature))
 			if err := save(c, ex.Checkpoint, det.key, len(res.Targets), func() []byte { return encodeTargets(res.Targets) }); err != nil {
 				return nil, err
 			}

@@ -341,7 +341,7 @@ func checkMaxProjection(t testing.TB, name string, s *linalg.DenseScan, view *cu
 func scanOf(sigs [][]float32) *linalg.DenseScan {
 	u := linalg.NewMat(len(sigs), len(sigs[0]))
 	for i, sig := range sigs {
-		copy(u.Row(i), toF64(sig))
+		copy(u.Row(i), linalg.Widen(nil, sig))
 	}
 	proj, err := linalg.NewOSP(u)
 	if err != nil {
@@ -544,7 +544,7 @@ func carriedRounds(t *testing.T, name string, rng *rand.Rand, f *cube.Cube, st *
 	for len(sigs) <= rounds {
 		var u uMatrix
 		for _, sig := range sigs {
-			u.rows = append(u.rows, toF64(sig))
+			u.rows = append(u.rows, linalg.Widen(nil, sig))
 		}
 		cr, err := projectionCriterion(u, f.Bands, f.Bands, st)
 		if err != nil {
@@ -609,7 +609,7 @@ func TestMaxProjectionCarriedMatchesDense(t *testing.T) {
 		if s := scanOf([][]float32{tiny, other}); s == nil || s.Filters() {
 			t.Fatalf("%s: targets of norms 1e-8 and 1 did not make a Cholesky failure", name)
 		}
-		u := uMatrix{rows: [][]float64{toF64(tiny), toF64(other)}}
+		u := uMatrix{rows: [][]float64{linalg.Widen(nil, tiny), linalg.Widen(nil, other)}}
 		cr, err := projectionCriterion(u, f.Bands, f.Bands, &st)
 		if err != nil {
 			t.Fatal(err)
@@ -652,4 +652,105 @@ func FuzzMaxProjectionMatchesDense(f *testing.F) {
 		}
 		checkMaxProjection(t, "fuzz", s, view)
 	})
+}
+
+// refPruneReps is pruneReps with the nearest kept representative found
+// by a loop over the scalar spectral.SAD.
+func refPruneReps(reps []rep, minCount int) ([]rep, int) {
+	if len(reps) == 0 {
+		return reps, 0
+	}
+	var kept, small []rep
+	for _, r := range reps {
+		if r.count >= minCount {
+			kept = append(kept, r)
+		} else {
+			small = append(small, r)
+		}
+	}
+	if len(kept) == 0 {
+		best := 0
+		for i := range reps {
+			if reps[i].count > reps[best].count {
+				best = i
+			}
+		}
+		kept = []rep{reps[best]}
+		small = append(reps[:best:best], reps[best+1:]...)
+	}
+	sadCalls := 0
+	for _, s := range small {
+		nearest, nearestD := 0, spectral.SAD(s.sig, kept[0].sig)
+		sadCalls++
+		for i := 1; i < len(kept); i++ {
+			d := spectral.SAD(s.sig, kept[i].sig)
+			sadCalls++
+			if d < nearestD {
+				nearest, nearestD = i, d
+			}
+		}
+		kept[nearest].count += s.count
+	}
+	return kept, sadCalls
+}
+
+// TestPruneRepsMatchesReference compares pruneReps with the scalar loop
+// on random sets, on sets whose kept representatives tie (copies scaled by powers of two
+// and zero vectors are equidistant from everything), and on sets where
+// only the largest group survives.
+func TestPruneRepsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	const bands = 20
+	random := func() []float32 {
+		v := make([]float32, bands)
+		for i := range v {
+			v[i] = rng.Float32()
+		}
+		return v
+	}
+	scaled := func(v []float32, k float32) []float32 {
+		out := make([]float32, len(v))
+		for i, x := range v {
+			out[i] = k * x
+		}
+		return out
+	}
+	check := func(name string, reps []rep, minCount int) {
+		t.Helper()
+		got, gotCalls := pruneReps(reps, minCount)
+		want, wantCalls := refPruneReps(reps, minCount)
+		if gotCalls != wantCalls {
+			t.Errorf("%s: %d SADs charged, reference %d", name, gotCalls, wantCalls)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: kept %v, reference %v", name, got, want)
+		}
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		reps := make([]rep, n)
+		for i := range reps {
+			reps[i] = rep{sig: random(), count: 1 + rng.Intn(30)}
+		}
+		check(fmt.Sprintf("random %d", trial), reps, 1+rng.Intn(30))
+	}
+
+	base, other := random(), random()
+	zero := make([]float32, bands)
+	check("ties between scaled copies", []rep{
+		{sig: other, count: 50}, {sig: base, count: 50}, {sig: scaled(base, 4), count: 50},
+		{sig: scaled(base, 0.5), count: 2}, {sig: scaled(other, 2), count: 1},
+	}, 10)
+	check("zero vectors", []rep{
+		{sig: base, count: 40}, {sig: zero, count: 40}, {sig: other, count: 40},
+		{sig: zero, count: 3}, {sig: scaled(other, 7), count: 1},
+	}, 10)
+	check("zero vector is every kept one's tie", []rep{
+		{sig: base, count: 40}, {sig: other, count: 40}, {sig: zero, count: 3},
+	}, 10)
+	check("single kept representative", []rep{
+		{sig: base, count: 5}, {sig: other, count: 9}, {sig: zero, count: 1}, {sig: random(), count: 9},
+	}, 100)
+	check("one representative", []rep{{sig: base, count: 1}}, 100)
 }

@@ -36,7 +36,7 @@ func ATDCASequential(f *cube.Cube, t int) (*DetectionResult, error) {
 	for len(res.Targets) < t {
 		u := linalg.NewMat(len(res.Targets), f.Bands)
 		for i, tgt := range res.Targets {
-			copy(u.Row(i), toF64(tgt.Signature))
+			copy(u.Row(i), linalg.Widen(nil, tgt.Signature))
 		}
 		proj, err := linalg.NewOSP(u)
 		if err != nil {
@@ -69,7 +69,7 @@ func UFCLSSequential(f *cube.Cube, t int) (*DetectionResult, error) {
 	}
 	appendTarget(res, f, best, bestScore)
 	var u uMatrix
-	u.rows = append(u.rows, toF64(res.Targets[0].Signature))
+	u.rows = append(u.rows, linalg.Widen(nil, res.Targets[0].Signature))
 	var bounds lineBounds
 	for len(res.Targets) < t {
 		var err error
@@ -78,7 +78,7 @@ func UFCLSSequential(f *cube.Cube, t int) (*DetectionResult, error) {
 			return nil, err
 		}
 		appendTarget(res, f, best, bestScore)
-		u.rows = append(u.rows, toF64(res.Targets[len(res.Targets)-1].Signature))
+		u.rows = append(u.rows, linalg.Widen(nil, res.Targets[len(res.Targets)-1].Signature))
 	}
 	return res, nil
 }
@@ -90,7 +90,7 @@ func PCTSequential(f *cube.Cube, params PCTParams) (*ClassificationResult, error
 		return nil, err
 	}
 	reps, _ := uniqueScan(f, params.Theta, params.MaxReps)
-	reps, _ = pruneReps(reps, params.minPopulationCount(f.NumPixels()))
+	reps, _ = pruneReps(reps, floorCount(params.MinPopulation, f.NumPixels()))
 	reps, _ = mergeReps(reps, params.Classes)
 	sum, finite := finiteMeanSums(f)
 	if finite == 0 {
@@ -165,7 +165,7 @@ func MorphSequential(f *cube.Cube, params MorphParams) (*ClassificationResult, e
 	se := morph.Square(params.Radius)
 	res := morph.MEI(f, se, params.Iterations)
 	cands, _ := selectCandidates(f, res.Source, res.Scores, 0, f.Lines, 6*params.Classes, params.Theta)
-	cands, _ = filterBySupport(cands, f, params.supportRadius(), params.minSupportCount(f.NumPixels()), 3*params.Classes)
+	cands, _ = filterBySupport(cands, f, params.supportRadius(), floorCount(params.MinSupport, f.NumPixels()), 3*params.Classes)
 	endmembers, _ := fuseCandidates(cands, params.Classes, params.fuseTheta())
 	if len(endmembers) == 0 {
 		return nil, fmt.Errorf("algo: no endmembers found")

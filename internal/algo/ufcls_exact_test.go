@@ -71,7 +71,7 @@ func errorRounds(t testing.TB, name string, f *cube.Cube, sigs [][]float32) int 
 	var u uMatrix
 	w := -1
 	for k, sig := range sigs {
-		u.rows = append(u.rows, toF64(sig))
+		u.rows = append(u.rows, linalg.Widen(nil, sig))
 		w, _, _ = checkMaxError(t, fmt.Sprintf("%s, %d targets", name, k+1), f, u, bounds.rows(f, 0))
 	}
 	return w
@@ -152,12 +152,12 @@ func ufclsRounds(t testing.TB, f *cube.Cube, targets int) (solves []int, capped 
 		}
 	}
 	var bounds lineBounds
-	u := uMatrix{rows: [][]float64{toF64(f.PixelAt(best))}}
+	u := uMatrix{rows: [][]float64{linalg.Widen(nil, f.PixelAt(best))}}
 	for len(u.rows) < targets {
 		name := fmt.Sprintf("%dx%dx%d round %d", f.Lines, f.Samples, f.Bands, len(u.rows))
 		w, n, c := checkMaxError(t, name, f, u, bounds.rows(f, 0))
 		solves, capped = append(solves, n), capped+c
-		u.rows = append(u.rows, toF64(f.PixelAt(w)))
+		u.rows = append(u.rows, linalg.Widen(nil, f.PixelAt(w)))
 	}
 	return solves, capped
 }
@@ -248,7 +248,7 @@ func TestMaxErrorScanBoundsFollowGlobalLines(t *testing.T) {
 	var st carried
 	var u uMatrix
 	for round, tg := range seq.Targets[:7] {
-		u.rows = append(u.rows, toF64(tg.Signature))
+		u.rows = append(u.rows, linalg.Widen(nil, tg.Signature))
 		cr, err := errorCriterion(u, f.Bands, f.Bands, &st)
 		if err != nil {
 			t.Fatal(err)

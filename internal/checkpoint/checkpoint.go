@@ -18,8 +18,8 @@
 // FileStore persists each save through the versioned, checksummed codec of
 // this package (Encode/Decode) so state survives process restarts. Both
 // are safe for concurrent use, though the simulated masters save from a
-// single goroutine. A scheduler job's store is its own (package sched),
-// journaling each snapshot through the same codec.
+// single goroutine. A scheduler job's store (package sched) is a MemStore
+// that also journals each snapshot through the same codec.
 package checkpoint
 
 // Snapshot is one master-side round state: everything the algorithm needs

@@ -55,18 +55,11 @@ func DefaultConfig() Config {
 }
 
 // ScaledParams adapts parameters to a reduced scene so a run simulates
-// the paper's full-size problem: it clamps the target count to the band
-// budget, sets the work scale (see mpi.World.SetComputeScale) and charges
-// the master-side fixed steps at the paper's 224 bands.
+// the paper's full 2133x512x224 AVIRIS job: it defaults t to 18 targets
+// and clamps it to the band budget (smaller test scenes have fewer
+// bands), sets the work and data scales (see mpi.World.SetComputeScale)
+// and charges the master-side fixed steps at the paper's 224 bands.
 func ScaledParams(p core.Params, cfg scene.Config) core.Params {
-	return scaledParams(p, cfg)
-}
-
-// scaledParams adapts the paper's parameters to a scene: t=18 targets
-// need enough bands (smaller test scenes use fewer), and the virtual-time
-// work scale is set so the reduced scene's computation simulates the
-// paper's full 2133x512x224 AVIRIS job (see mpi.World.SetComputeScale).
-func scaledParams(p core.Params, cfg scene.Config) core.Params {
 	if p.Targets == 0 {
 		p.Targets = 18
 	}
@@ -129,7 +122,7 @@ func Table3(cfg Config) (*Table3Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table 3: %w", err)
 	}
-	params := scaledParams(cfg.Params, cfg.AccuracyScene)
+	params := ScaledParams(cfg.Params, cfg.AccuracyScene)
 	res := &Table3Result{Spots: scene.HotSpotLabels}
 
 	at, err := core.RunSequential(platform.ThunderheadCycleTime, core.ATDCA, sc.Cube, params)
@@ -173,7 +166,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table 4: %w", err)
 	}
-	params := scaledParams(cfg.Params, cfg.AccuracyScene)
+	params := ScaledParams(cfg.Params, cfg.AccuracyScene)
 	res := &Table4Result{Classes: scene.ClassNames}
 
 	// The dust/debris map covers the collapse zone; classify that crop
@@ -211,12 +204,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 	}
 	res.OverallPCT = 100 * accPCT.Overall
 	res.OverallMorph = 100 * accMor.Overall
-	if cm, err := metrics.Confusion(truth, scene.NumClasses, pct.Classification.Labels); err == nil {
-		res.KappaPCT = cm.Kappa()
-	}
-	if cm, err := metrics.Confusion(truth, scene.NumClasses, mor.Classification.Labels); err == nil {
-		res.KappaMorph = cm.Kappa()
-	}
+	res.KappaPCT, res.KappaMorph = accPCT.Kappa, accMor.Kappa
 	return res, nil
 }
 
@@ -277,7 +265,7 @@ func NetworkSuite(cfg Config) (*NetworkSuiteResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: network suite: %w", err)
 	}
-	params := scaledParams(cfg.Params, cfg.TimingScene)
+	params := ScaledParams(cfg.Params, cfg.TimingScene)
 	nets := platform.UMDNetworks()
 	res := &NetworkSuiteResult{}
 	for _, n := range nets {
@@ -320,7 +308,7 @@ func Thunderhead(cfg Config) (*ThunderheadResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: thunderhead: %w", err)
 	}
-	params := scaledParams(cfg.Params, cfg.ThunderheadScene)
+	params := ScaledParams(cfg.Params, cfg.ThunderheadScene)
 	cpus := cfg.ThunderheadCPUs
 	if len(cpus) == 0 {
 		cpus = DefaultConfig().ThunderheadCPUs

@@ -26,15 +26,15 @@ func fastConfig() Config {
 func TestScaledParams(t *testing.T) {
 	big := scene.Config{Lines: 100, Samples: 100, Bands: 64}
 	small := scene.Config{Lines: 100, Samples: 100, Bands: 12}
-	p := scaledParams(core.Params{Targets: 18}, big)
+	p := ScaledParams(core.Params{Targets: 18}, big)
 	if p.Targets != 18 {
 		t.Errorf("64 bands should keep t=18, got %d", p.Targets)
 	}
-	p = scaledParams(core.Params{Targets: 18}, small)
+	p = ScaledParams(core.Params{Targets: 18}, small)
 	if p.Targets != 10 {
 		t.Errorf("12 bands should clamp t to 10, got %d", p.Targets)
 	}
-	p = scaledParams(core.Params{}, big)
+	p = ScaledParams(core.Params{}, big)
 	if p.Targets != 18 {
 		t.Errorf("zero targets should default to 18, got %d", p.Targets)
 	}
@@ -43,12 +43,12 @@ func TestScaledParams(t *testing.T) {
 	}
 	// The full-size scene simulates itself.
 	full := scene.WTCFull()
-	p = scaledParams(core.Params{}, full)
+	p = ScaledParams(core.Params{}, full)
 	if p.WorkScale != 1 {
 		t.Errorf("full scene work scale = %v, want 1", p.WorkScale)
 	}
 	// An explicit work scale survives.
-	p = scaledParams(core.Params{WorkScale: 2}, big)
+	p = ScaledParams(core.Params{WorkScale: 2}, big)
 	if p.WorkScale != 2 {
 		t.Errorf("explicit work scale overridden: %v", p.WorkScale)
 	}

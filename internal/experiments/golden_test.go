@@ -173,7 +173,7 @@ func scheduleScene(t *testing.T) (sc *scene.Scene, clean, drift core.Params) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean = scaledParams(core.DefaultParams(), cfg)
+	clean = ScaledParams(core.DefaultParams(), cfg)
 	drift = clean
 	drift.Faults = &fault.Plan{Degrades: []fault.Degrade{
 		{Rank: 5, From: 0, To: math.Inf(1), Factor: 6, Attempt: -1},

@@ -97,18 +97,13 @@ func synthesize(sc *scene.Scene, inputs []synthInput) (*Synthesis, error) {
 			}
 			out.Detection[in.name] = metrics.DetectionScores(sc, rep.Detection)
 		case rep.Classification != nil:
-			truth := sc.Truth.ClassMap
-			acc, err := metrics.Classification(truth, scene.NumClasses, rep.Classification.Labels)
+			acc, err := metrics.Classification(sc.Truth.ClassMap, scene.NumClasses, rep.Classification.Labels)
 			if err != nil {
 				return nil, fmt.Errorf("flow: synthesize: scoring stage %q: %w", in.name, err)
 			}
-			cm, err := metrics.Confusion(truth, scene.NumClasses, rep.Classification.Labels)
-			if err != nil {
-				return nil, fmt.Errorf("flow: synthesize: confusion for stage %q: %w", in.name, err)
-			}
 			score := &ClassificationScore{
 				OverallPercent: 100 * acc.Overall,
-				Kappa:          cm.Kappa(),
+				Kappa:          acc.Kappa,
 			}
 			for _, f := range acc.PerClass {
 				score.PerClassPercent = append(score.PerClassPercent, 100*f)

@@ -1,8 +1,8 @@
 // Package metrics scores algorithm outputs against ground truth and
 // computes the parallel-performance figures the paper's tables report:
 // spectral similarity of detected targets (Table 3), per-class
-// classification accuracy (Table 4), load-imbalance ratios (Table 7) and
-// speedups (Fig. 2).
+// classification accuracy and kappa (Table 4), load-imbalance ratios
+// (Table 7) and speedups (Fig. 2).
 package metrics
 
 import (
@@ -46,6 +46,10 @@ type Accuracy struct {
 	Overall float64
 	// Mapping sends predicted labels to truth classes.
 	Mapping map[int]int
+	// Kappa is Cohen's kappa, (po - pe) / (1 - pe): agreement beyond
+	// chance over the pixels whose predicted label is mapped. 1 is
+	// perfect, 0 chance-level.
+	Kappa float64
 }
 
 // Classification scores predicted labels against the ground-truth map
@@ -98,25 +102,57 @@ func Classification(truth []int, numClasses int, pred []int) (Accuracy, error) {
 		mapping[bp] = bt
 		usedTruth[bt] = true
 	}
-	acc := Accuracy{PerClass: make([]float64, numClasses), Mapping: mapping}
-	correct := make([]int, numClasses)
-	totalCorrect := 0
-	for i, tc := range truth {
-		if tc < 0 {
-			continue
-		}
-		if mapped, ok := mapping[pred[i]]; ok && mapped == tc {
-			correct[tc]++
-			totalCorrect++
+	// cells[t][m] counts the truth-class-t pixels whose predicted label
+	// maps to class m; a pixel with an unmapped label is in no cell.
+	cells := make([][]int, numClasses)
+	for t := range cells {
+		cells[t] = make([]int, numClasses)
+	}
+	for key, c := range counts {
+		if m, ok := mapping[key[0]]; ok {
+			cells[key[1]][m] += c
 		}
 	}
+	acc := Accuracy{PerClass: make([]float64, numClasses), Mapping: mapping, Kappa: kappa(cells)}
+	totalCorrect := 0
 	for k := 0; k < numClasses; k++ {
+		totalCorrect += cells[k][k]
 		if classTotals[k] > 0 {
-			acc.PerClass[k] = float64(correct[k]) / float64(classTotals[k])
+			acc.PerClass[k] = float64(cells[k][k]) / float64(classTotals[k])
 		}
 	}
 	acc.Overall = float64(totalCorrect) / float64(total)
 	return acc, nil
+}
+
+// kappa returns Cohen's kappa of the truth-major counts cells, or 0 when
+// they are empty or agreement by chance is certain.
+func kappa(cells [][]int) float64 {
+	var n, diag int
+	for k, row := range cells {
+		for _, c := range row {
+			n += c
+		}
+		diag += row[k]
+	}
+	if n == 0 {
+		return 0
+	}
+	total := float64(n)
+	po := float64(diag) / total
+	var pe float64
+	for k := range cells {
+		var rowTotal, colTotal float64
+		for j := range cells {
+			rowTotal += float64(cells[k][j])
+			colTotal += float64(cells[j][k])
+		}
+		pe += (rowTotal / total) * (colTotal / total)
+	}
+	if pe >= 1 {
+		return 0
+	}
+	return (po - pe) / (1 - pe)
 }
 
 // Imbalance returns the load-balancing rates of Table 7 for the given

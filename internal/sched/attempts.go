@@ -41,7 +41,8 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (*core.RunReport, error) {
 	if j.spec.Checkpoint {
 		ckpt = &jobStore{s: s, j: j}
 		if j.seed != nil {
-			ckpt.latest, ckpt.ok = *j.seed, true
+			// Neither counted nor journaled; a MemStore's Save never fails.
+			_ = ckpt.MemStore.Save(*j.seed)
 		}
 	}
 
@@ -114,26 +115,26 @@ func (s *Scheduler) execute(j *Job, c *cube.Cube, net *platform.Network, plan *f
 	return core.RunContext(ctx, net, spec.Algorithm, spec.Variant, c, params)
 }
 
-// jobStore is a checkpointed job's store. It outlives every attempt, so a
-// rerun resumes from the last round an earlier attempt saved, and it starts
-// from the snapshot a journal replay recovered for the job. Every save is
-// also journaled as a checkpointed record, so the resume state survives a
-// process restart, and then reported to OnJobCheckpoint. Attempts run one
-// at a time and only the master rank's goroutine saves, so plain fields
-// suffice.
+// jobStore is a checkpointed job's store: a checkpoint.MemStore that
+// outlives every attempt, so a rerun resumes from the last round an
+// earlier attempt saved, seeded with the snapshot a journal replay
+// recovered for the job. Every save is also counted, journaled as a
+// checkpointed record, so the resume state survives a process restart,
+// and then reported to OnJobCheckpoint. Attempts run one at a time and
+// only the master rank's goroutine saves, so the counts need no lock.
 type jobStore struct {
-	s      *Scheduler
-	j      *Job
-	latest checkpoint.Snapshot
-	ok     bool
+	checkpoint.MemStore
+	s *Scheduler
+	j *Job
 	// saves and bytes count the job's snapshot writes across attempts.
 	saves int
 	bytes int64
 }
 
 func (st *jobStore) Save(snap checkpoint.Snapshot) error {
-	snap.Payload = slices.Clone(snap.Payload)
-	st.latest, st.ok = snap, true
+	if err := st.MemStore.Save(snap); err != nil {
+		return err
+	}
 	st.saves++
 	st.bytes += int64(len(snap.Payload))
 	if st.s.cfg.Journal != nil && !st.j.spec.NoJournal {
@@ -144,5 +145,3 @@ func (st *jobStore) Save(snap checkpoint.Snapshot) error {
 	}
 	return nil
 }
-
-func (st *jobStore) Latest() (checkpoint.Snapshot, bool) { return st.latest, st.ok }
