@@ -10,9 +10,10 @@
 //
 // Endpoints (JSON unless noted):
 //
-//	POST /submit           submit a job; 202 with {"id": ...} on admission,
-//	                       429 when the bounded queue is full, 503 while
-//	                       draining; both with Retry-After: 1
+//	POST /submit           submit a job; 202 with {"id": ...} on admission
+//	                       (already "completed" when the result cache
+//	                       answers it), 429 when the bounded queue is full,
+//	                       503 while draining; both with Retry-After: 1
 //	GET  /jobs             list jobs; ?state= filters, ?limit= caps
 //	GET  /jobs/{id}        job status, including result summary when done
 //	GET  /jobs/{id}/trace  Chrome trace-event JSON of a traced run (submit
@@ -116,7 +117,7 @@ func main() {
 		workers = flag.Int("workers", 4, "size of the simulation worker pool")
 		queue   = flag.Int("queue", 64, "submission queue depth (backpressure bound)")
 		cache   = flag.Int("cache", 128, "result cache entries (negative disables)")
-		retain  = flag.Int("retain", 1024, "finished jobs kept queryable by id")
+		retain  = flag.Int("retain", 1024, "finished jobs kept queryable by id (jobs finished within the last second are kept beyond it)")
 		timeout = flag.Duration("timeout", 0, "default per-job deadline (0 = none)")
 		pprofOn = flag.Bool("pprof", false, "expose Go runtime profiles at /debug/pprof/")
 		journal = flag.String("journal", "", "job-journal directory; enables durability and crash/restart resume")

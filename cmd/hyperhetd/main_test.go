@@ -397,6 +397,55 @@ func TestBackpressureReturns429(t *testing.T) {
 	}
 }
 
+// A repeat of a finished job settles at admission: its 202 already says
+// completed, from cache. Its ID answers GET /jobs/{id} after more hits than
+// the retention bound have settled since, as a client polling it finds it;
+// and a full queue still refuses a hit with a 429.
+func TestHitAtAdmissionAcceptedCompletedAndRetained(t *testing.T) {
+	ts := testServer(t, hyperhet.SchedulerConfig{
+		Workers: 1, QueueDepth: 1, RetainJobs: 1, OnJobRunning: holdBlockers,
+	})
+	resp, doc := postJSON(t, ts.URL+"/submit", tinyJob)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit = %d %v", resp.StatusCode, doc)
+	}
+	if job := waitSettled(t, ts.URL, doc["id"].(string)); job["state"] != "completed" {
+		t.Fatalf("first run settled %v (%v)", job["state"], job["error"])
+	}
+	var first string
+	for i := 0; i < 9; i++ {
+		resp, doc := postJSON(t, ts.URL+"/submit", tinyJob)
+		if resp.StatusCode != http.StatusAccepted || doc["state"] != "completed" || doc["from_cache"] != true {
+			t.Fatalf("repeat %d: %d state %v from_cache %v, want 202 completed from cache",
+				i, resp.StatusCode, doc["state"], doc["from_cache"])
+		}
+		if i == 0 {
+			first = doc["id"].(string)
+		}
+	}
+	if resp, job := getJSON(t, ts.URL+"/jobs/"+first); resp.StatusCode != http.StatusOK || job["state"] != "completed" {
+		t.Fatalf("GET /jobs/%s after 8 newer hits = %d %v, want the completed hit", first, resp.StatusCode, job)
+	}
+
+	// One blocker holds the worker and another the one queue slot.
+	_, doc = postJSON(t, ts.URL+"/submit", blockerJob)
+	running := doc["id"].(string)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, job := getJSON(t, ts.URL+"/jobs/"+running); job["state"] == "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("blocker %s never started", running)
+		}
+	}
+	if resp, doc := postJSON(t, ts.URL+"/submit", blockerJob); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("queued blocker = %d %v", resp.StatusCode, doc)
+	}
+	if resp, doc := postJSON(t, ts.URL+"/submit", tinyJob); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("hit into a full queue = %d %v, want 429", resp.StatusCode, doc)
+	}
+}
+
 // The server never refuses chaos the client asked for: the same
 // permanent-crash plan submitted again and again is admitted and run
 // every time, settles failed with the rank-failure error every time, and

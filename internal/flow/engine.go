@@ -390,7 +390,7 @@ func (e *Engine) RestoreFinished(jp *sched.JournalPipeline) (*Pipeline, error) {
 		return nil, fmt.Errorf("flow: pipeline %w", err)
 	}
 	e.pipelines.Add(p.id, p.submittedAt, p)
-	e.pipelines.Retire(p.id)
+	e.pipelines.Retire(p.id, jp.FinishedAt)
 	e.tel.restored.With("finished").Inc()
 	return p, nil
 }
@@ -775,7 +775,7 @@ func (e *Engine) settle(p *Pipeline) {
 
 	e.mu.Lock()
 	e.active--
-	e.pipelines.Retire(p.id)
+	e.pipelines.Retire(p.id, finishedAt)
 	e.mu.Unlock()
 
 	if e.cfg.Scheduler.Journaled() && !(e.draining.Load() && state != PipelineCompleted) {

@@ -200,30 +200,36 @@ func checkJournalHeader(hdr []byte) error {
 	return nil
 }
 
-// Append frames, writes and fsyncs one record. A nil journal is a no-op.
-func (jl *Journal) Append(rec Record) error {
+// Append frames the records, in order, and writes and fsyncs them as one:
+// one write and one fsync however many records there are. A tear can still
+// cut the batch between frames, so replay may see a prefix of it. A nil
+// journal is a no-op.
+func (jl *Journal) Append(recs ...Record) error {
 	if jl == nil {
 		return nil
 	}
-	rec.V = recordVersion
-	if rec.Time.IsZero() {
-		rec.Time = time.Now().UTC()
+	var frames []byte
+	now := time.Now().UTC()
+	for _, rec := range recs {
+		rec.V = recordVersion
+		if rec.Time.IsZero() {
+			rec.Time = now
+		}
+		body, err := json.Marshal(&rec)
+		if err != nil {
+			return fmt.Errorf("sched: encoding journal record: %w", err)
+		}
+		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(body)))
+		frames = binary.LittleEndian.AppendUint32(frames, crc32.ChecksumIEEE(body))
+		frames = append(frames, body...)
 	}
-	body, err := json.Marshal(&rec)
-	if err != nil {
-		return fmt.Errorf("sched: encoding journal record: %w", err)
-	}
-	frame := make([]byte, 8+len(body))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
-	copy(frame[8:], body)
 
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
 	if jl.f == nil {
 		return errors.New("sched: journal closed")
 	}
-	if _, err := jl.f.Write(frame); err != nil {
+	if _, err := jl.f.Write(frames); err != nil {
 		return fmt.Errorf("sched: appending journal record: %w", err)
 	}
 	if err := jl.f.Sync(); err != nil {

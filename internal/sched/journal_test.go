@@ -779,7 +779,7 @@ func TestSubmittedRecordLeadsJobStory(t *testing.T) {
 	s := New(Config{Workers: 1, Journal: jl, OnJobRunning: func(*Job) { close(running) }})
 	spec := tinySpec(t)
 	spec.JournalPayload = []byte(`{"label":"parked"}`)
-	j, err := s.enqueue(context.Background(), spec, spec.cacheKey(), nil)
+	j, _, err := s.enqueue(context.Background(), spec, spec.cacheKey(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

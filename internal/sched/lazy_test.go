@@ -73,15 +73,20 @@ func TestLazyCubeMissMaterializesOnceAndMatchesEager(t *testing.T) {
 	}
 }
 
-// A result present at admission but evicted before dispatch must not
-// strand a lazy job: the worker misses, builds the cube and runs.
+// A result that lands in the cache while a lazy job is queued, and is
+// evicted again before dispatch, must not strand the job: the worker
+// misses, builds the cube and runs. The result is put in only once the job
+// is queued — present at admission, it would settle the job there.
 func TestLazyCubeResultEvictedBetweenAdmitAndDispatch(t *testing.T) {
+	eager := New(Config{Workers: 1})
+	defer eager.Close()
+	primed := runToEnd(t, eager, tinySpec(t))
+	want := reportJSON(t, primed)
+
 	s := New(Config{Workers: 1, CacheEntries: 1})
 	defer s.Close()
 	release := setGate(s)
 	defer release()
-
-	want := reportJSON(t, runToEnd(t, s, tinySpec(t))) // primes the one cache slot
 
 	blocker := tinySpec(t)
 	blocker.Label, blocker.NoCache = "blocker", true
@@ -96,6 +101,10 @@ func TestLazyCubeResultEvictedBetweenAdmitAndDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if lazy.State() != StateQueued {
+		t.Fatalf("lazy job %s at admission over an empty cache, want queued", lazy.State())
+	}
+	s.cache.put(lazy.cacheKey, primed.Report()) // the one cache slot
 	// An interactive job on another key overtakes the queued lazy job and
 	// takes the single cache slot.
 	evictor := tinySpec(t)
@@ -112,6 +121,45 @@ func TestLazyCubeResultEvictedBetweenAdmitAndDispatch(t *testing.T) {
 	}
 	if lazy.FromCache() || calls.Load() != 1 {
 		t.Fatalf("fromCache=%v materialized %d times, want a real run on 1", lazy.FromCache(), calls.Load())
+	}
+}
+
+// A lazy job whose result the cache holds at admission settles there: it
+// is completed when Submit returns, though the only worker is busy, and
+// its cube is never built.
+func TestLazyCubeHitAtAdmissionNeverMaterializes(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Close()
+	release := setGate(s)
+	defer release()
+	want := reportJSON(t, runToEnd(t, s, tinySpec(t)))
+
+	blocker := tinySpec(t)
+	blocker.Label, blocker.NoCache = "blocker", true
+	bj, err := s.Submit(context.Background(), blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, bj, StateRunning)
+
+	var calls atomic.Int32
+	for i := 0; i < 3; i++ { // more hits than QueueDepth: none takes a slot
+		j, err := s.Submit(context.Background(), lazySpec(tinySpec(t), &calls))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.State() != StateCompleted || !j.FromCache() {
+			t.Fatalf("hit %d: state %s fromCache=%v at admission, want completed from cache", i, j.State(), j.FromCache())
+		}
+		if got := reportJSON(t, j); got != want {
+			t.Fatalf("hit %d: report differs from the run that cached it", i)
+		}
+	}
+	if calls.Load() != 0 {
+		t.Fatalf("materialized %d times, want 0", calls.Load())
+	}
+	if st := s.Stats(); st.Queued != 0 || st.CacheHits != 3 {
+		t.Fatalf("stats = %+v, want 0 queued and 3 cache hits", st)
 	}
 }
 

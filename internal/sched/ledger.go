@@ -19,8 +19,22 @@ type Ledger[T any] struct {
 	retain  int
 	next    uint64
 	entries map[string]LedgerEntry[T]
-	settled []string // settled IDs, oldest first
+	settled []settledID // oldest first
 }
+
+// settledID is one settled item in the retained history.
+type settledID struct {
+	id string
+	at time.Time
+}
+
+// retireGrace is how long a settled item stays queryable whatever the
+// retention bound: a client that polls a job it was just told about must
+// find it, even when more than the bound's worth of jobs settle in the
+// meantime. Result-cache hits settle at admission at thousands a second, so
+// a history of 64 turns over in milliseconds, shorter than a host stall
+// between a 202 and its poll.
+const retireGrace = time.Second
 
 // LedgerEntry is one registered item with its listing keys.
 type LedgerEntry[T any] struct {
@@ -31,7 +45,7 @@ type LedgerEntry[T any] struct {
 }
 
 // NewLedger returns an empty ledger minting "prefix-N" IDs and keeping at
-// most retain settled items.
+// most retain settled items, plus any that settled within retireGrace.
 func NewLedger[T any](prefix string, retain int) *Ledger[T] {
 	return &Ledger[T]{prefix: prefix, retain: retain, entries: make(map[string]LedgerEntry[T])}
 }
@@ -70,12 +84,13 @@ func (l *Ledger[T]) Add(id string, submitted time.Time, item T) {
 	l.entries[id] = LedgerEntry[T]{ID: id, Submitted: submitted, Item: item, number: l.number(id)}
 }
 
-// Retire moves id into the settled history and evicts the oldest settled
-// items beyond the retention bound.
-func (l *Ledger[T]) Retire(id string) {
-	l.settled = append(l.settled, id)
-	for len(l.settled) > l.retain {
-		delete(l.entries, l.settled[0])
+// Retire moves id, settled at at, into the settled history and evicts the
+// oldest settled items beyond the retention bound — each only once it
+// settled at least retireGrace before at.
+func (l *Ledger[T]) Retire(id string, at time.Time) {
+	l.settled = append(l.settled, settledID{id, at})
+	for len(l.settled) > l.retain && at.Sub(l.settled[0].at) >= retireGrace {
+		delete(l.entries, l.settled[0].id)
 		l.settled = l.settled[1:]
 	}
 }

@@ -54,8 +54,10 @@ func TestLedgerRetireEvictsOldestSettledFirst(t *testing.T) {
 		return ids
 	}
 	// Settle order, not ID order, decides who is evicted; job-4 never
-	// settles, so it is never a candidate.
-	for _, step := range []struct {
+	// settles, so it is never a candidate. The settle times are spaced
+	// beyond the grace, so the bound alone decides.
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i, step := range []struct {
 		retire string
 		want   []string
 	}{
@@ -63,13 +65,46 @@ func TestLedgerRetireEvictsOldestSettledFirst(t *testing.T) {
 		{"job-1", []string{"job-1", "job-2", "job-3", "job-4"}},
 		{"job-2", []string{"job-1", "job-2", "job-4"}}, // job-3 settled first
 	} {
-		l.Retire(step.retire)
+		l.Retire(step.retire, t0.Add(time.Duration(i)*2*retireGrace))
 		if got := known(); !reflect.DeepEqual(got, step.want) {
 			t.Fatalf("after Retire(%s): known %v, want %v", step.retire, got, step.want)
 		}
 	}
 	if len(l.Entries()) != 3 {
 		t.Fatalf("Entries() has %d items, want 3", len(l.Entries()))
+	}
+}
+
+// An item settled within the grace outlives the retention bound: a client
+// told about it a moment ago can still look it up. Once the grace has
+// passed, the next settle evicts it.
+func TestLedgerRetireKeepsItemsWithinGrace(t *testing.T) {
+	l := NewLedger[string]("job", 1)
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	ids := []string{"job-1", "job-2", "job-3", "job-4"}
+	for i, id := range ids {
+		l.Add(id, t0, id)
+		l.Retire(id, t0.Add(time.Duration(i)*retireGrace/8))
+	}
+	if got := len(l.Entries()); got != len(ids) {
+		t.Fatalf("%d of %d items settled within the grace are known, want all", got, len(ids))
+	}
+	// job-1 settled a grace before job-5; job-2 only 7/8 of one.
+	l.Add("job-5", t0, "job-5")
+	l.Retire("job-5", t0.Add(retireGrace))
+	if _, ok := l.Get("job-1"); ok {
+		t.Fatal("job-1 is still known a full grace after it settled, beyond the bound")
+	}
+	for _, id := range []string{"job-2", "job-3", "job-4", "job-5"} {
+		if _, ok := l.Get(id); !ok {
+			t.Fatalf("%s, settled within the grace, was evicted", id)
+		}
+	}
+	// Long after, one more settle brings the history back to the bound.
+	l.Add("job-6", t0, "job-6")
+	l.Retire("job-6", t0.Add(10*retireGrace))
+	if got := Listing(l.Entries()); !reflect.DeepEqual(got, []string{"job-6"}) {
+		t.Fatalf("after the grace: known %v, want [job-6]", got)
 	}
 }
 

@@ -12,18 +12,21 @@
 // platform), and per-job plus aggregate counters.
 //
 // Lifecycle: Submit returns a *Job immediately (or an admission error);
-// the job moves queued -> running -> one of completed / failed /
-// cancelled. Job.Done() closes once a job settles. Cancelling a running job
-// aborts its simulation promptly and frees the worker slot for the next
-// job. Close drains the scheduler: queued jobs are cancelled, running
-// jobs are aborted, workers exit.
+// a job whose result the cache holds is already completed, and any other
+// moves queued -> running -> one of completed / failed / cancelled.
+// Job.Done() closes once a job settles. Cancelling a running job aborts its
+// simulation promptly and frees the worker slot for the next job. Close
+// drains the scheduler: queued jobs are cancelled, running jobs are
+// aborted, workers exit.
 //
 // The by-ID book — ID minting, adoption of journal-replayed IDs, retained
 // history, listing order — is a Ledger (ledger.go), the same one the flow
 // engine keeps its pipelines in. Every job reaches its final state through
-// one function, settle, whose order is fixed: counters, ledger history,
+// one function, publish, whose order is fixed: counters, ledger history,
 // then the terminal state and Done() become visible — so a waiter never
-// observes a job that /stats or Jobs() has not caught up with.
+// observes a job that /stats or Jobs() has not caught up with. A job whose
+// result the cache already holds settles at admission (settleHit) and never
+// enters the queue; every other job settles through settle.
 package sched
 
 import (
@@ -266,8 +269,9 @@ type Job struct {
 	cacheKey string
 	ctx      context.Context
 	cancel   context.CancelFunc
-	// stopWatch unregisters the queued-death watch (see enqueue); settle
-	// calls it so a settled job's context leaves nothing behind.
+	// stopWatch unregisters the queued-death watch (see enqueue; nil for a
+	// hit at admission, which is never queued); publish calls it so a
+	// settled job's context leaves nothing behind.
 	stopWatch func() bool
 	done      chan struct{}
 	// journaled closes once the job's submitted record is in the journal
@@ -597,18 +601,29 @@ func (s *Scheduler) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	return s.admit(ctx, spec, spec.cacheKey(), nil)
 }
 
-// admit enqueues a validated spec. A fresh submission (resume == nil) mints
-// the next job ID and journals a submitted record before returning, so the
-// caller's acknowledgment is durable; a journal-replayed resubmission keeps
-// its original ID, submit time and journal story and starts from its
-// recovered snapshot.
+// admit registers a validated spec. A fresh submission (resume == nil)
+// mints the next job ID; a journal-replayed resubmission keeps its original
+// ID, submit time and journal story and starts from its recovered snapshot.
+// A job whose result the cache already holds settles here and never enters
+// the queue; any other job is queued, a fresh one with its submitted record
+// journaled before admit returns. Either way the caller's acknowledgment is
+// durable.
 func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key string, resume *JournalJob) (*Job, error) {
-	j, err := s.enqueue(ctx, spec, key, resume)
+	j, hit, err := s.enqueue(ctx, spec, key, resume)
 	if err != nil {
 		return nil, err
 	}
+	if hit != nil {
+		s.settleHit(j, hit, resume == nil)
+		return j, nil
+	}
 	s.journalSubmitted(j, resume == nil)
 	return j, nil
+}
+
+// submittedRecord is the record that opens j's journal story.
+func submittedRecord(j *Job) Record {
+	return Record{Type: recSubmitted, Job: j.id, Request: j.spec.JournalPayload, CacheKey: j.cacheKey}
 }
 
 // journalSubmitted appends a fresh job's submitted record and opens the
@@ -616,7 +631,7 @@ func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key string, resume 
 // never held across the fsync.
 func (s *Scheduler) journalSubmitted(j *Job, fresh bool) {
 	if fresh && !j.spec.NoJournal {
-		s.JournalAppend(Record{Type: recSubmitted, Job: j.id, Request: j.spec.JournalPayload, CacheKey: j.cacheKey})
+		s.JournalAppend(submittedRecord(j))
 	}
 	close(j.journaled)
 }
@@ -634,8 +649,12 @@ func (s *Scheduler) appendStory(j *Job, rec Record) {
 }
 
 // enqueue is admit up to the point where a worker can pop the job; the
-// caller owes it journalSubmitted.
-func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resume *JournalJob) (*Job, error) {
+// caller owes it journalSubmitted. When the result cache already holds the
+// job's key, the job is registered but not queued, and enqueue returns the
+// cached report with it: the caller owes it settleHit instead. The two
+// refusals come first, so a full queue or a closed scheduler refuses a
+// hit like any other job.
+func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resume *JournalJob) (*Job, *core.RunReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -652,13 +671,14 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 	if s.closed {
 		s.mu.Unlock()
 		s.tel.rejected.Inc()
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	if resume == nil && s.queuedLocked() >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		s.tel.rejected.Inc()
-		return nil, ErrQueueFull
+		return nil, nil, ErrQueueFull
 	}
+	hit, _ := s.cache.get(key)
 	timeout := spec.Timeout
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
@@ -666,7 +686,7 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 	id, err := s.jobs.Reserve(id)
 	if err != nil {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("sched: job %w", err)
+		return nil, nil, fmt.Errorf("sched: job %w", err)
 	}
 	jctx, jcancel := context.WithCancel(ctx)
 	if timeout > 0 {
@@ -687,18 +707,21 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 	if dl, ok := jctx.Deadline(); ok {
 		j.deadline = dl
 	}
-	// The job settles the moment its context dies while it is still
-	// queued, so expired jobs free queue capacity immediately instead of
-	// occupying a slot until a worker pops them. The watch is registered
-	// before the job is published, so settle always finds it set; it costs
-	// no goroutine until the context dies.
-	j.stopWatch = context.AfterFunc(jctx, func() { s.expireQueued(j) })
 	s.jobs.Add(j.id, submitted, j)
-	s.queues[spec.Priority] = append(s.queues[spec.Priority], j)
-	s.cond.Signal()
+	if hit == nil {
+		// The job settles the moment its context dies while it is still
+		// queued, so expired jobs free queue capacity immediately instead
+		// of occupying a slot until a worker pops them. The watch is
+		// registered before the job is published, so publish always finds
+		// it set; it costs no goroutine until the context dies. A hit is
+		// never queued, so it needs none: nothing expires or cancels it.
+		j.stopWatch = context.AfterFunc(jctx, func() { s.expireQueued(j) })
+		s.queues[spec.Priority] = append(s.queues[spec.Priority], j)
+		s.cond.Signal()
+	}
 	s.mu.Unlock()
 	s.tel.submitted.Inc()
-	return j, nil
+	return j, hit, nil
 }
 
 // SubmitResumed resubmits a journal-replayed unfinished job under its
@@ -775,7 +798,7 @@ func (s *Scheduler) RestoreFinished(jj *JournalJob, spec JobSpec) (*Job, error) 
 		return nil, fmt.Errorf("sched: job %w", err)
 	}
 	s.jobs.Add(j.id, j.submittedAt, j)
-	s.jobs.Retire(j.id)
+	s.jobs.Retire(j.id, j.finishedAt)
 	s.mu.Unlock()
 
 	if jj.State == StateCompleted && jj.Report != nil && jj.CacheKey != "" {
@@ -937,20 +960,22 @@ func (s *Scheduler) Drain() {
 // skip encoding records JournalAppend would drop.
 func (s *Scheduler) Journaled() bool { return s.cfg.Journal != nil }
 
-// JournalAppend writes one record to the journal, if any — the
-// scheduler's own job records and the flow engine's pipeline records
-// alike. An append failure must not fail the work — its result is still
-// correct, only its durability is degraded — so errors are counted, not
-// propagated.
-func (s *Scheduler) JournalAppend(rec Record) {
+// JournalAppend writes records to the journal, if any, in one write and
+// one fsync — the scheduler's own job records and the flow engine's
+// pipeline records alike. An append failure must not fail the work — its
+// result is still correct, only its durability is degraded — so errors
+// are counted, not propagated.
+func (s *Scheduler) JournalAppend(recs ...Record) {
 	if s.cfg.Journal == nil {
 		return
 	}
-	if err := s.cfg.Journal.Append(rec); err != nil {
+	if err := s.cfg.Journal.Append(recs...); err != nil {
 		s.tel.journalEr.Inc()
 		return
 	}
-	s.tel.journal.With(rec.Type).Inc()
+	for _, rec := range recs {
+		s.tel.journal.With(rec.Type).Inc()
+	}
 }
 
 // worker runs jobs until the scheduler closes.
@@ -996,6 +1021,8 @@ func (s *Scheduler) runJob(j *Job) {
 		return
 	}
 
+	// A twin that finished while this job was queued left its result:
+	// admission missed it, dispatch does not.
 	if res, ok := s.cache.get(j.cacheKey); ok {
 		s.tel.cache.With("hit").Inc()
 		s.settle(j, StateCompleted, res, nil, true)
@@ -1044,14 +1071,65 @@ func (s *Scheduler) runJob(j *Job) {
 	}
 }
 
-// settle is the one path by which a job reaches a final state, called
-// exactly once per job (callers hold the token: queue membership or worker
-// ownership). The order is the contract: counters (the latency histogram
-// included) and ledger history both land BEFORE the terminal state and
-// Done() become visible, so a waiter that resubmits, reads Stats or
-// /metrics, or lists Jobs the moment the job settles finds all of them
-// already caught up. Only the finished journal record comes after.
+// settle is how a job that reached a queue settles, called exactly once
+// per job (callers hold the token: queue membership or worker ownership).
+// publish makes the outcome visible; only the finished journal record
+// comes after.
 func (s *Scheduler) settle(j *Job, state State, res *core.RunReport, err error, fromCache bool) {
+	s.publish(j, state, res, err, fromCache)
+	// The one deliberate exception to "done means durable", which covers
+	// only jobs that a queue held: their finished record is appended AFTER
+	// the ack above (DESIGN.md "Durability & drain" has the poll-ladder
+	// reasoning). A hit at admission is durable first (settleHit).
+	if rec, ok := s.finishedRecord(j, state, res, err); ok {
+		s.appendStory(j, rec)
+	}
+}
+
+// settleHit settles a job the result cache answered at admission. Its
+// whole journal story — submitted, then finished, no started between; a
+// resumed job's submitted record is in the journal already — goes out in
+// one write and one fsync before publish, so a hit is durable before
+// Done() and before its submitter's ack.
+func (s *Scheduler) settleHit(j *Job, res *core.RunReport, fresh bool) {
+	s.tel.cache.With("hit").Inc()
+	if rec, ok := s.finishedRecord(j, StateCompleted, res, nil); ok {
+		if fresh {
+			s.JournalAppend(submittedRecord(j), rec)
+		} else {
+			s.JournalAppend(rec)
+		}
+	}
+	close(j.journaled)
+	s.publish(j, StateCompleted, res, nil, true)
+}
+
+// finishedRecord builds the record that closes j's journal story, or
+// reports that none is owed. A job cancelled by a drain is deferred, not
+// settled: no finished record, so the journal's open story makes the next
+// boot resume it. Without a journal there is no record to build:
+// JournalAppend would drop it, and encoding the report is most of a cache
+// hit's cost.
+func (s *Scheduler) finishedRecord(j *Job, state State, res *core.RunReport, err error) (Record, bool) {
+	if !s.Journaled() || j.spec.NoJournal || (state == StateCancelled && s.draining.Load()) {
+		return Record{}, false
+	}
+	rec := Record{Type: recFinished, Job: j.id, State: string(state)}
+	if err != nil {
+		rec.Error = err.Error()
+	}
+	if state == StateCompleted {
+		rec.Report = marshalReport(res)
+	}
+	return rec, true
+}
+
+// publish is the one path by which a job reaches a final state. The order
+// is the contract: counters (the latency histogram included) and ledger
+// history both land BEFORE the terminal state and Done() become visible,
+// so a waiter that resubmits, reads Stats or /metrics, or lists Jobs the
+// moment the job settles finds all of them already caught up.
+func (s *Scheduler) publish(j *Job, state State, res *core.RunReport, err error, fromCache bool) {
 	finishedAt := time.Now()
 	latency := finishedAt.Sub(j.submittedAt)
 
@@ -1062,7 +1140,7 @@ func (s *Scheduler) settle(j *Job, state State, res *core.RunReport, err error, 
 	s.tel.latency.With(j.spec.Priority.String()).Observe(latency.Seconds())
 
 	s.mu.Lock()
-	s.jobs.Retire(j.id)
+	s.jobs.Retire(j.id, finishedAt)
 	s.mu.Unlock()
 
 	j.mu.Lock()
@@ -1075,26 +1153,9 @@ func (s *Scheduler) settle(j *Job, state State, res *core.RunReport, err error, 
 	// cube (or the closure that would build it) past this point.
 	j.spec.Cube, j.spec.Materialize = nil, nil
 	j.mu.Unlock()
-	j.stopWatch()
+	if j.stopWatch != nil {
+		j.stopWatch()
+	}
 	j.cancel() // release the context's timer resources
 	close(j.done)
-
-	// The one deliberate exception to "done means durable": the finished
-	// record is appended AFTER the ack above (DESIGN.md "Durability &
-	// drain" has the poll-ladder reasoning). Making completion durable
-	// first means moving this block above the j.mu section, nothing else.
-	// A job cancelled by a drain is deferred, not settled: no finished
-	// record, so the journal's open story makes the next boot resume it.
-	// Without a journal there is no record to build: JournalAppend would
-	// drop it, and encoding the report is most of a cache hit's cost.
-	if s.Journaled() && !j.spec.NoJournal && !(state == StateCancelled && s.draining.Load()) {
-		rec := Record{Type: recFinished, Job: j.id, State: string(state)}
-		if err != nil {
-			rec.Error = err.Error()
-		}
-		if state == StateCompleted {
-			rec.Report = marshalReport(res)
-		}
-		s.appendStory(j, rec)
-	}
 }

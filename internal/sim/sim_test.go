@@ -432,3 +432,52 @@ func TestSceneCacheSpansCrashAndResumesFromJournalKey(t *testing.T) {
 		t.Fatalf("scene cache %+v: want one generation per distinct config (2) across the crash", st)
 	}
 }
+
+// A cacheable job and its twin, with the journal torn inside the last
+// finished record: the torn story resumes after the crash and its twin's
+// restored result answers it at admission. Every invariant holds across
+// it — settle order, counters, one finished story per label, and the
+// resumed job keyed on its journaled digest.
+func TestTornTwinStoryResumesAsHitAtAdmission(t *testing.T) {
+	plan := JobPlan{Scene: scene.Config{Lines: 24, Samples: 16, Bands: 8, Seed: 1},
+		Mode: sched.ModeSequential, Algorithm: core.ATDCA, Targets: 4}
+	j0, j1 := plan, plan
+	j0.Label, j1.Label = "j0", "j1"
+	scn := &Scenario{
+		Workers:      1,
+		QueueDepth:   8,
+		CacheEntries: 8,
+		Jobs:         []JobPlan{j0, j1},
+		Crashes:      []CrashPoint{{Kind: TrigSettled, Settle: 2, Tear: TearTruncate, TearFrac: 1}},
+	}
+	opts := Options{Dir: t.TempDir(), Scenes: sharedScenes, Timeout: time.Minute}
+	out := &Outcome{Scenario: scn, Jobs: map[string]*JobOutcome{}, Pipes: map[string]*PipeOutcome{}}
+	if err := runPhase(scn, 0, &scn.Crashes[0], opts, out); err != nil {
+		t.Fatal(err)
+	}
+	state, err := sched.ReplayJournalState(opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open []*sched.JournalJob
+	for _, jj := range state.Jobs {
+		if !jj.Finished {
+			open = append(open, jj)
+		}
+	}
+	if len(open) != 1 || open[0].CacheKey == "" {
+		t.Fatalf("torn journal left %d unfinished stories (%+v), want one with a cache key", len(open), open)
+	}
+
+	if err := runPhase(scn, 1, nil, opts, out); err != nil {
+		t.Fatal(err)
+	}
+	checkReplay(out, opts.Dir, scn)
+	if len(out.Failures) > 0 {
+		t.Fatalf("invariants failed:\n%s", strings.Join(out.Failures, "\n"))
+	}
+	if a, b := out.Jobs["j0"], out.Jobs["j1"]; a == nil || b == nil || a.State != sched.StateCompleted ||
+		b.State != sched.StateCompleted || a.Digest != b.Digest {
+		t.Fatalf("outcomes %+v and %+v: want both completed with one result", a, b)
+	}
+}
