@@ -69,10 +69,10 @@
 //	}'
 //
 // With -journal DIR the server is durable: every job and pipeline
-// lifecycle edge is appended to an fsync'd write-ahead log, and a
-// restarted server replays it — finished work comes back as queryable
-// history (completed results re-seed the cache), unfinished jobs are
-// resubmitted under their original IDs and, when checkpointed
+// lifecycle edge is appended to a group-committed, fsync'd write-ahead
+// log, and a restarted server replays it — finished work comes back as
+// queryable history (completed results re-seed the cache), unfinished
+// jobs are resubmitted under their original IDs and, when checkpointed
 // ("checkpoint": true, or any fault job with a retry budget or
 // recovery), resume from their last completed round; unfinished
 // pipelines resume with their journal-recorded completed stages
@@ -245,6 +245,7 @@ func newServer(cfg hyperhet.SchedulerConfig, journalDir string) (*server, error)
 	})
 	if err != nil {
 		s.sched.Close()
+		s.journal.Close()
 		return nil, err
 	}
 	if recovered != nil {

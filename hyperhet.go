@@ -367,8 +367,9 @@ type (
 	// attach it with WithCheckpointer, and a rerun in the same process
 	// resumes where the last run saved.
 	CheckpointMemStore = checkpoint.MemStore
-	// SchedJournal is the scheduler's append-only, fsync-per-record job
-	// journal; pass it via SchedulerConfig.Journal.
+	// SchedJournal is the scheduler's append-only, group-committed job
+	// journal (one write and one fsync per batch of pending records); pass
+	// it via SchedulerConfig.Journal and close it after the scheduler.
 	SchedJournal = sched.Journal
 	// JournalJob is one job's folded journal story from a replay;
 	// FlowEngine.Recover restores or resumes it.

@@ -47,12 +47,14 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (*core.RunReport, error) {
 	}
 
 	for attempt := 1; ; attempt++ {
+		// The started record's fsync overlaps the attempt, which waits for
+		// it before anything uses the outcome: the attempt history, the
+		// retry decision and, through the caller, the cache and settle. The
+		// job starts with its first attempt.
+		var startedRec journalWrite
 		if !j.spec.NoJournal {
-			s.appendStory(j, Record{Type: recStarted, Job: j.id, Attempt: attempt})
+			startedRec = s.journalEnqueue(Record{Type: recStarted, Job: j.id, Attempt: attempt})
 		}
-		// An attempt starts once its started record is durable: the fsync
-		// is the journal's cost, not the run's. The job starts with its
-		// first attempt.
 		started := time.Now()
 		if attempt == 1 {
 			j.mu.Lock()
@@ -61,6 +63,7 @@ func (s *Scheduler) runAttempts(j *Job, c *cube.Cube) (*core.RunReport, error) {
 		}
 		res, err := s.execute(j, c, net, plan, ckpt, attempt)
 		rec := AttemptRecord{Attempt: attempt, Started: started, Finished: time.Now()}
+		s.journalWait(startedRec)
 		if err == nil {
 			rec.VirtualSeconds = res.WallTime
 			j.recordAttempt(rec)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -18,11 +19,19 @@ import (
 // The job journal is an append-only write-ahead log of job lifecycle
 // records, the durability layer behind hyperhetd's crash/restart story: a
 // scheduler configured with a Journal appends a record at every lifecycle
-// edge (submitted, started, checkpointed, finished), each one fsync'd
-// before the scheduler proceeds, and a restarted process folds the log
-// with ReplayJournalState to rebuild its state — finished jobs become
-// queryable history again, unfinished jobs are resubmitted under their
-// original IDs and resume from their last checkpointed round.
+// edge (submitted, started, checkpointed, finished), and a restarted
+// process folds the log with ReplayJournalState to rebuild its state —
+// finished jobs become queryable history again, unfinished jobs are
+// resubmitted under their original IDs and resume from their last
+// checkpointed round.
+//
+// The log is group-committed. An append only frames its records into an
+// in-memory pending buffer; the file order is the order of those appends.
+// One writer goroutine per open journal takes everything pending as one
+// batch, writes it with one write and one fsync, and then wakes every
+// appender whose records the batch held. So an appender never waits behind
+// other appenders' fsyncs one by one: the records that arrive while a
+// batch is in flight share the next fsync.
 //
 // File layout: an 8-byte header (magic "HHWJ" plus a little-endian uint32
 // format version), then records framed as
@@ -113,11 +122,44 @@ type Record struct {
 	Report json.RawMessage `json:"report,omitempty"`
 }
 
-// Journal is an append-only, fsync-per-record job log in a directory.
-// Open with OpenJournal; safe for concurrent use.
+// Journal is an append-only, group-committed job log in a directory: its
+// one writer goroutine makes the pending records durable with one write and
+// one fsync per batch. Open with OpenJournal and Close when done; safe for
+// concurrent use.
 type Journal struct {
-	mu sync.Mutex
-	f  *os.File
+	mu      sync.Mutex
+	wake    sync.Cond // the writer waits on it for records or for Close
+	pending []byte    // framed records the next batch writes, in order
+	next    *batch    // the batch pending records join (nil when none)
+	closed  bool
+
+	// The writer owns f and size until it exits; Close closes f after.
+	f *os.File
+	// size is the length of the file's written and synced prefix, where
+	// the next batch goes.
+	size int64
+	// syncFile makes a written batch durable: (*os.File).Sync, unless a
+	// test stands in for it. The writer reads it under mu.
+	syncFile func(*os.File) error
+	exited   chan struct{} // closed when the writer returns
+	syncs    atomic.Uint64 // batches written and synced
+}
+
+// batch is one group commit: the records framed while it was pending.
+// done closes once the batch is durable or has failed; err is set first.
+type batch struct {
+	done chan struct{}
+	err  error
+}
+
+// wait blocks until b is durable and returns its error. A nil batch (an
+// append of no records) is durable already.
+func (b *batch) wait() error {
+	if b == nil {
+		return nil
+	}
+	<-b.done
+	return b.err
 }
 
 // JournalPath returns the path of the journal file inside dir, for tools
@@ -128,9 +170,10 @@ func JournalPath(dir string) string {
 }
 
 // OpenJournal opens (creating directory and file as needed) the journal in
-// dir and positions it for appending. An existing file must carry the
-// expected header; replay the records first with ReplayJournalState if the
-// previous process may have left state behind.
+// dir, positions it for appending and starts its writer goroutine, which
+// Close stops. An existing file must carry the expected header; replay the
+// records first with ReplayJournalState if the previous process may have
+// left state behind.
 //
 // An existing file is first truncated to its readable prefix: a crash can
 // leave a torn frame at the tail, and appending after those bytes would
@@ -151,7 +194,8 @@ func OpenJournal(dir string) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("sched: opening journal: %w", err)
 	}
-	if st.Size() == 0 {
+	size := st.Size()
+	if size == 0 {
 		var hdr [journalHeaderLen]byte
 		copy(hdr[:4], journalMagic)
 		binary.LittleEndian.PutUint32(hdr[4:], journalFormat)
@@ -162,8 +206,9 @@ func OpenJournal(dir string) (*Journal, error) {
 			f.Close()
 			return nil, fmt.Errorf("sched: initializing journal: %w", err)
 		}
+		size = journalHeaderLen
 	} else {
-		b := make([]byte, st.Size())
+		b := make([]byte, size)
 		if _, err := f.ReadAt(b, 0); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("sched: reading journal: %w", err)
@@ -172,8 +217,9 @@ func OpenJournal(dir string) (*Journal, error) {
 			f.Close()
 			return nil, err
 		}
-		if _, n := journalFrames(b); int64(n) < st.Size() {
-			if err := f.Truncate(int64(n)); err != nil {
+		if _, n := journalFrames(b); int64(n) < size {
+			size = int64(n)
+			if err := f.Truncate(size); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("sched: truncating torn journal tail: %w", err)
 			}
@@ -183,11 +229,10 @@ func OpenJournal(dir string) (*Journal, error) {
 			}
 		}
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sched: seeking journal: %w", err)
-	}
-	return &Journal{f: f}, nil
+	jl := &Journal{f: f, size: size, syncFile: (*os.File).Sync, exited: make(chan struct{})}
+	jl.wake.L = &jl.mu
+	go jl.writer()
+	return jl, nil
 }
 
 func checkJournalHeader(hdr []byte) error {
@@ -200,14 +245,27 @@ func checkJournalHeader(hdr []byte) error {
 	return nil
 }
 
-// Append frames the records, in order, and writes and fsyncs them as one:
-// one write and one fsync however many records there are. A tear can still
-// cut the batch between frames, so replay may see a prefix of it. A nil
-// journal is a no-op.
+// Append frames the records, in order, into the pending batch and waits
+// until that batch is durable: enqueue, then wait. The records of one
+// Append are contiguous in the file, but a tear can still cut a batch
+// between frames, so replay may see a prefix of it. A nil journal is a
+// no-op.
 func (jl *Journal) Append(recs ...Record) error {
 	if jl == nil {
 		return nil
 	}
+	b, err := jl.enqueue(recs...)
+	if err != nil {
+		return err
+	}
+	return b.wait()
+}
+
+// enqueue frames recs and adds them, in order, to the pending batch, which
+// it returns. It neither writes nor waits — the writer does both — so a
+// caller may hold its own lock across it to fix where its records go in
+// the file.
+func (jl *Journal) enqueue(recs ...Record) (*batch, error) {
 	var frames []byte
 	now := time.Now().UTC()
 	for _, rec := range recs {
@@ -217,44 +275,92 @@ func (jl *Journal) Append(recs ...Record) error {
 		}
 		body, err := json.Marshal(&rec)
 		if err != nil {
-			return fmt.Errorf("sched: encoding journal record: %w", err)
+			return nil, fmt.Errorf("sched: encoding journal record: %w", err)
 		}
 		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(body)))
 		frames = binary.LittleEndian.AppendUint32(frames, crc32.ChecksumIEEE(body))
 		frames = append(frames, body...)
 	}
+	if len(frames) == 0 {
+		return nil, nil
+	}
 
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	if jl.f == nil {
-		return errors.New("sched: journal closed")
+	if jl.closed {
+		return nil, errors.New("sched: journal closed")
 	}
-	if _, err := jl.f.Write(frames); err != nil {
-		return fmt.Errorf("sched: appending journal record: %w", err)
+	if jl.next == nil {
+		jl.next = &batch{done: make(chan struct{})}
+		jl.wake.Signal()
 	}
-	if err := jl.f.Sync(); err != nil {
-		return fmt.Errorf("sched: syncing journal: %w", err)
+	jl.pending = append(jl.pending, frames...)
+	return jl.next, nil
+}
+
+// writer commits batches until the journal is closed and nothing is
+// pending. Two buffers take turns: appenders fill one while the other is
+// written.
+func (jl *Journal) writer() {
+	defer close(jl.exited)
+	var spare []byte
+	jl.mu.Lock()
+	for {
+		for jl.next == nil && !jl.closed {
+			jl.wake.Wait()
+		}
+		b, buf, syncFile := jl.next, jl.pending, jl.syncFile
+		if b == nil { // closed, and everything pending is committed
+			jl.mu.Unlock()
+			return
+		}
+		jl.next, jl.pending = nil, spare[:0]
+		jl.mu.Unlock()
+
+		b.err = jl.commit(buf, syncFile)
+		close(b.done)
+		spare = buf
+
+		jl.mu.Lock()
 	}
+}
+
+// commit writes one batch after the synced prefix and syncs it. A batch
+// whose write or fsync fails is cut off again, so the next batch follows
+// the last good one and replay reads every batch that succeeded.
+func (jl *Journal) commit(buf []byte, syncFile func(*os.File) error) error {
+	_, err := jl.f.WriteAt(buf, jl.size)
+	if err == nil {
+		err = syncFile(jl.f)
+	}
+	if err != nil {
+		// Best effort: the next batch is written over what is left, and a
+		// record of this batch that survives anyway was reported failed,
+		// not lost — its appender was told it may not be durable.
+		_ = jl.f.Truncate(jl.size)
+		return fmt.Errorf("sched: committing journal batch: %w", err)
+	}
+	jl.size += int64(len(buf))
+	jl.syncs.Add(1)
 	return nil
 }
 
-// Close syncs and closes the journal file. Further Appends fail; Close is
-// idempotent.
+// Close commits whatever is pending, stops the writer and closes the
+// file. Further Appends fail; Close is idempotent.
 func (jl *Journal) Close() error {
 	if jl == nil {
 		return nil
 	}
 	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.f == nil {
+	already := jl.closed
+	jl.closed = true
+	jl.wake.Signal()
+	jl.mu.Unlock()
+	<-jl.exited
+	if already {
 		return nil
 	}
-	err := jl.f.Sync()
-	if cerr := jl.f.Close(); err == nil {
-		err = cerr
-	}
-	jl.f = nil
-	return err
+	return jl.f.Close()
 }
 
 // JournalJob is one job's folded journal story: the latest state implied

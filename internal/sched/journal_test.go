@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -765,46 +764,10 @@ func journalTypes(t *testing.T, dir string) []string {
 	return types
 }
 
-// The submitted record is the first record of its job's story in the file.
-// The test parks the submitter where Submit sits during its fsync — the
-// job already poppable, its submission not yet journaled — and lets the
-// only worker run the job towards its started record.
-func TestSubmittedRecordLeadsJobStory(t *testing.T) {
-	dir := t.TempDir()
-	jl, err := OpenJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	running := make(chan struct{})
-	s := New(Config{Workers: 1, Journal: jl, OnJobRunning: func(*Job) { close(running) }})
-	spec := tinySpec(t)
-	spec.JournalPayload = []byte(`{"label":"parked"}`)
-	j, _, err := s.enqueue(context.Background(), spec, spec.cacheKey(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-running
-	// The job itself takes a millisecond: were the worker free to journal,
-	// its records would be in the file long before this loop ends.
-	for i := 0; i < 50; i++ {
-		if types := journalTypes(t, dir); len(types) > 0 {
-			t.Fatalf("records %v landed before the job's submitted record", types)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.journalSubmitted(j, true)
-	<-j.Done()
-	s.Close() // the finished record follows the ack; the worker's exit follows it
-	jl.Close()
-	if got := journalTypes(t, dir); !reflect.DeepEqual(got, []string{recSubmitted, recStarted, recFinished}) {
-		t.Fatalf("journal holds %v, want submitted, started, finished", got)
-	}
-}
-
 // foldJournal does not care where in the file a story's records sit, but
 // only the submitted record carries the request: a story cut off before
-// it — which the order above rules out for journals written since — folds
-// into a job nobody can resume or restore.
+// it — which TestSubmittedRecordLeadsJobStory's order rules out for
+// journals written since — folds into a job nobody can resume or restore.
 func TestFoldJournalStoryOrder(t *testing.T) {
 	req := json.RawMessage(`{"algorithm":"atdca"}`)
 	for _, tc := range []struct {

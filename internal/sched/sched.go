@@ -274,9 +274,6 @@ type Job struct {
 	// settled job's context leaves nothing behind.
 	stopWatch func() bool
 	done      chan struct{}
-	// journaled closes once the job's submitted record is in the journal
-	// (at once when it writes none); see Scheduler.appendStory.
-	journaled chan struct{}
 	// submittedAt is fixed before the job is published: now for a fresh
 	// submission, the journaled time for a resumed or restored one.
 	submittedAt time.Time
@@ -489,8 +486,9 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Journal, when non-nil, makes the scheduler durable: every job
 	// lifecycle edge (submitted, started, checkpointed, finished) is
-	// appended and fsync'd before the scheduler proceeds, and a restarted
-	// process rebuilds its state from ReplayJournalState via RestoreFinished
+	// journaled — Submit returns once its submitted record is durable, and
+	// no attempt's outcome is used before its started record is — and a
+	// restarted process rebuilds its state from ReplayJournalState via RestoreFinished
 	// and SubmitResumed (flow.Engine.Recover drives both). The scheduler
 	// never closes the journal; its owner does, after Close or Drain
 	// returns.
@@ -606,10 +604,10 @@ func (s *Scheduler) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 // ID, submit time and journal story and starts from its recovered snapshot.
 // A job whose result the cache already holds settles here and never enters
 // the queue; any other job is queued, a fresh one with its submitted record
-// journaled before admit returns. Either way the caller's acknowledgment is
+// durable before admit returns. Either way the caller's acknowledgment is
 // durable.
 func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key string, resume *JournalJob) (*Job, error) {
-	j, hit, err := s.enqueue(ctx, spec, key, resume)
+	j, hit, submitted, err := s.enqueue(ctx, spec, key, resume)
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +615,7 @@ func (s *Scheduler) admit(ctx context.Context, spec JobSpec, key string, resume 
 		s.settleHit(j, hit, resume == nil)
 		return j, nil
 	}
-	s.journalSubmitted(j, resume == nil)
+	s.journalWait(submitted)
 	return j, nil
 }
 
@@ -626,35 +624,13 @@ func submittedRecord(j *Job) Record {
 	return Record{Type: recSubmitted, Job: j.id, Request: j.spec.JournalPayload, CacheKey: j.cacheKey}
 }
 
-// journalSubmitted appends a fresh job's submitted record and opens the
-// gate its later records wait behind. The job is already poppable: s.mu is
-// never held across the fsync.
-func (s *Scheduler) journalSubmitted(j *Job, fresh bool) {
-	if fresh && !j.spec.NoJournal {
-		s.JournalAppend(submittedRecord(j))
-	}
-	close(j.journaled)
-}
-
-// appendStory appends a started or finished record of j. The submitted
-// record is the first record of a job's story in the file — an invariant
-// replay relies on: a tear may cut a story short, but never leaves
-// attempts or an outcome without the request that explains them. A worker
-// that pops the job while the submitter is still in its fsync waits here,
-// and so queues for the journal later than it used to (DESIGN.md
-// "Durability & drain" has what that costs).
-func (s *Scheduler) appendStory(j *Job, rec Record) {
-	<-j.journaled
-	s.JournalAppend(rec)
-}
-
 // enqueue is admit up to the point where a worker can pop the job; the
-// caller owes it journalSubmitted. When the result cache already holds the
-// job's key, the job is registered but not queued, and enqueue returns the
-// cached report with it: the caller owes it settleHit instead. The two
-// refusals come first, so a full queue or a closed scheduler refuses a
-// hit like any other job.
-func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resume *JournalJob) (*Job, *core.RunReport, error) {
+// caller owes it a wait for the returned submitted record. When the result
+// cache already holds the job's key, the job is registered but not queued,
+// and enqueue returns the cached report with it: the caller owes it
+// settleHit instead. The two refusals come first, so a full queue or a
+// closed scheduler refuses a hit like any other job.
+func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resume *JournalJob) (*Job, *core.RunReport, journalWrite, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -671,12 +647,12 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 	if s.closed {
 		s.mu.Unlock()
 		s.tel.rejected.Inc()
-		return nil, nil, ErrClosed
+		return nil, nil, journalWrite{}, ErrClosed
 	}
 	if resume == nil && s.queuedLocked() >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		s.tel.rejected.Inc()
-		return nil, nil, ErrQueueFull
+		return nil, nil, journalWrite{}, ErrQueueFull
 	}
 	hit, _ := s.cache.get(key)
 	timeout := spec.Timeout
@@ -686,7 +662,7 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 	id, err := s.jobs.Reserve(id)
 	if err != nil {
 		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("sched: job %w", err)
+		return nil, nil, journalWrite{}, fmt.Errorf("sched: job %w", err)
 	}
 	jctx, jcancel := context.WithCancel(ctx)
 	if timeout > 0 {
@@ -699,7 +675,6 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 		ctx:         jctx,
 		cancel:      jcancel,
 		done:        make(chan struct{}),
-		journaled:   make(chan struct{}),
 		state:       StateQueued,
 		submittedAt: submitted,
 		seed:        seed,
@@ -708,7 +683,15 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 		j.deadline = dl
 	}
 	s.jobs.Add(j.id, submitted, j)
+	var sub journalWrite
 	if hit == nil {
+		if resume == nil && !spec.NoJournal {
+			// The submitted record takes its place in the file before a
+			// worker can pop the job, so it leads the job's story: every
+			// other record of the job is enqueued after this lock is let go.
+			// Enqueueing only frames the record; the fsync is the writer's.
+			sub = s.journalEnqueue(submittedRecord(j))
+		}
 		// The job settles the moment its context dies while it is still
 		// queued, so expired jobs free queue capacity immediately instead
 		// of occupying a slot until a worker pops them. The watch is
@@ -721,7 +704,7 @@ func (s *Scheduler) enqueue(ctx context.Context, spec JobSpec, key string, resum
 	}
 	s.mu.Unlock()
 	s.tel.submitted.Inc()
-	return j, hit, nil
+	return j, hit, sub, nil
 }
 
 // SubmitResumed resubmits a journal-replayed unfinished job under its
@@ -960,20 +943,46 @@ func (s *Scheduler) Drain() {
 // skip encoding records JournalAppend would drop.
 func (s *Scheduler) Journaled() bool { return s.cfg.Journal != nil }
 
-// JournalAppend writes records to the journal, if any, in one write and
-// one fsync — the scheduler's own job records and the flow engine's
-// pipeline records alike. An append failure must not fail the work — its
-// result is still correct, only its durability is degraded — so errors
-// are counted, not propagated.
+// JournalAppend appends records to the journal, if any, and waits until
+// they are durable — the scheduler's own job records and the flow engine's
+// pipeline records alike. The records are contiguous in the file and
+// share one batch's write and fsync. An append failure must not fail the
+// work — its result is still correct, only its durability is degraded — so
+// errors are counted, not propagated.
 func (s *Scheduler) JournalAppend(recs ...Record) {
+	s.journalWait(s.journalEnqueue(recs...))
+}
+
+// journalWrite is records handed to the journal and not yet known to be
+// durable: the batch they joined, or why they joined none.
+type journalWrite struct {
+	recs []Record
+	b    *batch
+	err  error
+}
+
+// journalEnqueue hands recs to the journal, if any, without waiting: they
+// take their place in the file now and become durable with their batch.
+func (s *Scheduler) journalEnqueue(recs ...Record) journalWrite {
 	if s.cfg.Journal == nil {
+		return journalWrite{}
+	}
+	b, err := s.cfg.Journal.enqueue(recs...)
+	return journalWrite{recs: recs, b: b, err: err}
+}
+
+// journalWait waits until w's records are durable and counts them: by type
+// once durable, every one as an error if their batch failed.
+func (s *Scheduler) journalWait(w journalWrite) {
+	err := w.err
+	if err == nil {
+		err = w.b.wait()
+	}
+	if err != nil {
+		s.tel.journalEr.Add(float64(len(w.recs)))
 		return
 	}
-	if err := s.cfg.Journal.Append(recs...); err != nil {
-		s.tel.journalEr.Inc()
-		return
-	}
-	for _, rec := range recs {
+	for _, rec := range w.recs {
 		s.tel.journal.With(rec.Type).Inc()
 	}
 }
@@ -1082,14 +1091,14 @@ func (s *Scheduler) settle(j *Job, state State, res *core.RunReport, err error, 
 	// the ack above (DESIGN.md "Durability & drain" has the poll-ladder
 	// reasoning). A hit at admission is durable first (settleHit).
 	if rec, ok := s.finishedRecord(j, state, res, err); ok {
-		s.appendStory(j, rec)
+		s.JournalAppend(rec)
 	}
 }
 
 // settleHit settles a job the result cache answered at admission. Its
 // whole journal story — submitted, then finished, no started between; a
 // resumed job's submitted record is in the journal already — goes out in
-// one write and one fsync before publish, so a hit is durable before
+// one append, in one batch, before publish, so a hit is durable before
 // Done() and before its submitter's ack.
 func (s *Scheduler) settleHit(j *Job, res *core.RunReport, fresh bool) {
 	s.tel.cache.With("hit").Inc()
@@ -1100,7 +1109,6 @@ func (s *Scheduler) settleHit(j *Job, res *core.RunReport, fresh bool) {
 			s.JournalAppend(rec)
 		}
 	}
-	close(j.journaled)
 	s.publish(j, StateCompleted, res, nil, true)
 }
 

@@ -608,8 +608,8 @@ func TestSubmitRefusesAdaptiveWithoutATDCA(t *testing.T) {
 	}
 }
 
-// A journaled job starts running once its first started record is durable:
-// the fsync is queueing, not run time.
+// A journaled job starts with its first started record: the job's start
+// and its first attempt's are one time, never before the record's.
 func TestStartedFollowsStartedRecord(t *testing.T) {
 	dir := t.TempDir()
 	jl, err := OpenJournal(dir)

@@ -61,6 +61,14 @@ func newSchedMetrics(s *Scheduler) *schedMetrics {
 		func() float64 {
 			return float64(par.WorkersInUse())
 		})
+	reg.NewCounterFunc("hyperhet_sched_journal_syncs_total",
+		"Job-journal batches written and fsync'd, one fsync each: records per fsync is the records total over this.",
+		func() float64 {
+			if jl := s.cfg.Journal; jl != nil {
+				return float64(jl.syncs.Load())
+			}
+			return 0
+		})
 	reg.NewCounterFunc("hyperhet_kernel_parallel_chunks_total",
 		"Chunks executed by the data-parallel kernel runtime across all fan-outs.",
 		func() float64 {
@@ -83,7 +91,7 @@ func newSchedMetrics(s *Scheduler) *schedMetrics {
 		journal: reg.NewCounterVec("hyperhet_sched_journal_records_total",
 			"Job-journal records appended and fsync'd, by record type.", "type"),
 		journalEr: reg.NewCounter("hyperhet_sched_journal_errors_total",
-			"Job-journal append failures (the job proceeds; durability degrades)."),
+			"Job-journal records whose batch failed to write or fsync (the job proceeds; durability degrades)."),
 		restored: reg.NewCounterVec("hyperhet_sched_jobs_restored_total",
 			"Jobs rebuilt from a replayed journal, by disposition.", "disposition"),
 		// The name predates the scheduler owning queue expiry; metric

@@ -394,6 +394,9 @@ func runPhase(scn *Scenario, phase int, cp *CrashPoint, opts Options, out *Outco
 		// a POST /submit does; only first sight of a config generates.
 		if spec.Cacheable() {
 			if spec.CubeDigest, err = opts.Scenes.Digest(ctx, pl.Scene); err != nil {
+				eng.Close()
+				s.Close()
+				jl.Close()
 				return fmt.Errorf("sim: generating scene for %s: %w", pl.Label, err)
 			}
 		}
